@@ -52,8 +52,9 @@ print(f"\nscheduling everyone instead: {everyone.rate / 1e6:.4f} Mbit/s "
       f"the bottleneck condition)")
 
 print("\nbenchmarks:")
-for name, fn in [("greedy", benchmark_greedy), ("lp-relaxation", benchmark_lr),
+# The LP relaxation has integral vertices, so it is exact and shows +0.00%.
+for name, fn in [("greedy", benchmark_greedy), ("lp-relax (exact)", benchmark_lr),
                  ("all-offloading", benchmark_all_offloading)]:
     r = fn(instance).sum_rate
-    print(f"  {name:14s} {r / 1e6:8.4f} Mbit/s "
+    print(f"  {name:16s} {r / 1e6:8.4f} Mbit/s "
           f"({100 * (schedule.sum_rate - r) / r:+.2f}% for optimal)")

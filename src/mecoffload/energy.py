@@ -34,6 +34,7 @@ __all__ = [
     "required_compute_time",
     "solve_energy_suboptimal",
     "solve_lp_m1",
+    "solve_subset_lp",
     "benchmark_energy_all_offloading",
 ]
 
@@ -226,45 +227,53 @@ def _schedule_lp(
     return lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
 
 
-def _costly_te_floor(instance: Instance, partition: Partition, n_vms: int) -> float:
+def solve_subset_lp(instance: Instance, partition: Partition, s1):
+    """Offload sizes once the optional set s1 is fixed.
+
+    The forced saving users and s1 choose their offload sizes, bounded
+    below by the forced minimum (0 for members of s1); the forced costly
+    users sit at their forced minimum, spending radio budget and setting a
+    floor under the computing window.  Returns (bits by user id, computing
+    window), or None when the LP is infeasible.
+    """
+    s1 = frozenset(s1)
+    if not s1 <= partition.free_saving:
+        raise ValueError("optional set must be drawn from the free saving users")
     derived = _derived(instance)
+    members = sorted(partition.forced_saving | s1)
+    n_vms = len(partition.forced) + len(s1)
     factor = vm_rate_factor(instance.degradation, n_vms)
-    floor = 0.0
-    for uid in partition.forced_costly:
-        u = instance.users[uid]
-        floor = max(floor, derived[uid].min_offload_bits / (u.service_rate * factor))
-    return floor
-
-
-def _reduced_budget(instance: Instance, partition: Partition) -> float:
-    derived = _derived(instance)
-    spent = sum(
+    budget = instance.deadline - sum(
         derived[uid].min_offload_bits * instance.users[uid].roundtrip_time_per_bit
         for uid in partition.forced_costly
     )
-    return instance.deadline - spent
-
-
-def solve_lp_m1(instance: Instance, partition: Partition):
-    """Offload sizes for the forced saving users when no optional user is
-    scheduled.  Returns (bits by user id, computing window), or None when
-    even the forced minimum does not fit."""
-    members = sorted(partition.forced_saving)
-    n_vms = len(partition.forced)
-    budget = _reduced_budget(instance, partition)
-    te_floor = _costly_te_floor(instance, partition, n_vms)
+    te_floor = max(
+        (
+            derived[uid].min_offload_bits / (instance.users[uid].service_rate * factor)
+            for uid in partition.forced_costly
+        ),
+        default=0.0,
+    )
     if not members:
         if te_floor <= budget + 1e-12 * (1.0 + abs(budget)):
             return {}, te_floor
         return None
-    derived = _derived(instance)
-    lower = {uid: derived[uid].min_offload_bits for uid in members}
+    lower = {
+        uid: derived[uid].min_offload_bits if uid in partition.forced_saving else 0.0
+        for uid in members
+    }
     problem = _schedule_lp(instance, members, lower, n_vms, budget, te_floor)
     sol = lpmod.solve_lp(problem)
     if sol.status != "optimal":
         return None
     bits = {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
     return bits, sol.x[-1]
+
+
+def solve_lp_m1(instance: Instance, partition: Partition):
+    """Offload sizes for the forced saving users when no optional user is
+    scheduled: `solve_subset_lp` with s1 empty."""
+    return solve_subset_lp(instance, partition, frozenset())
 
 
 def _assemble(

@@ -34,7 +34,6 @@ __all__ = [
     "derive_user",
     "vm_rate_factor",
     "baseline_local_energy",
-    "mediant",
     "validate_rate_schedule",
     "validate_energy_schedule",
     "generate_instance",
@@ -197,17 +196,6 @@ def baseline_local_energy(instance: Instance) -> float:
     )
 
 
-def mediant(num1: float, den1: float, num2: float, den2: float) -> float:
-    """Combined fraction (num1+num2)/(den1+den2) of two positive fractions.
-
-    Always lies between the two input fractions, which is the workhorse fact
-    behind the set-improvement arguments tested elsewhere.
-    """
-    if den1 <= 0.0 or den2 <= 0.0:
-        raise ValueError("mediant requires positive denominators")
-    return (num1 + num2) / (den1 + den2)
-
-
 @dataclass(frozen=True)
 class RateSchedule:
     """Output of a rate-maximization solver.
@@ -290,14 +278,13 @@ def _check_known_users(instance: Instance, schedule) -> None:
             raise KeyError(f"schedule references unknown user {uid}")
 
 
-def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> ValidationReport:
-    """Check a rate schedule against every constraint it must satisfy.
-
-    This is the universal checker: every solver and oracle output is expected
-    to pass it.  Violations are reported, never raised.
-    """
+def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_checks):
+    """Checks both validators share, in report order: the latency budget, a
+    nonnegative computing window, then per user either
+    `scheduled_checks(user, bits, vm_cap)` (vm_cap is the most the user's
+    VM computes in the window) or `unscheduled_zero` followed by
+    `unscheduled_checks(user)`."""
     _check_known_users(instance, schedule)
-    checks: list[ValidationCheck] = []
     n = len(schedule.scheduled)
     factor = vm_rate_factor(instance.degradation, n) if n else 0.0
     te = schedule.compute_time
@@ -307,21 +294,37 @@ def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> Valida
         for i in sorted(schedule.scheduled)
     )
     budget = used + te - instance.deadline
-    checks.append(ValidationCheck("latency_budget", budget, budget <= TIME_TOL))
-    checks.append(ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL))
-
+    checks = [
+        ValidationCheck("latency_budget", budget, budget <= TIME_TOL),
+        ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL),
+    ]
     for u in instance.users:
         bits = schedule.offload_bits.get(u.id, 0.0)
         if u.id in schedule.scheduled:
-            cap = te * u.service_rate * factor
-            tol = BITS_RTOL * max(1.0, cap)
-            checks.append(ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol))
-            checks.append(ValidationCheck(f"offload_nonneg[{u.id}]", -bits, bits >= -tol))
+            checks.extend(scheduled_checks(u, bits, te * u.service_rate * factor))
         else:
             checks.append(
                 ValidationCheck(f"unscheduled_zero[{u.id}]", abs(bits), abs(bits) <= BITS_RTOL)
             )
+            checks.extend(unscheduled_checks(u))
+    return checks
 
+
+def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> ValidationReport:
+    """Check a rate schedule against every constraint it must satisfy.
+
+    This is the universal checker: every solver and oracle output is expected
+    to pass it.  Violations are reported, never raised.
+    """
+
+    def offload_bounds(u, bits, cap):
+        tol = BITS_RTOL * max(1.0, cap)
+        return (
+            ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol),
+            ValidationCheck(f"offload_nonneg[{u.id}]", -bits, bits >= -tol),
+        )
+
+    checks = _common_checks(instance, schedule, offload_bounds, lambda u: ())
     recomputed = (
         sum(instance.users[i].weight * schedule.offload_bits.get(i, 0.0) for i in range(instance.n_users))
         / instance.deadline
@@ -340,49 +343,30 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     mandatory-offload coverage, and the energy bookkeeping identities."""
     if schedule.status == "infeasible":
         raise ValueError("cannot validate an infeasible schedule")
-    _check_known_users(instance, schedule)
-    checks: list[ValidationCheck] = []
-    n = len(schedule.scheduled)
-    factor = vm_rate_factor(instance.degradation, n) if n else 0.0
-    te = schedule.compute_time
+    derived = [derive_user(instance, u.id) for u in instance.users]
 
-    used = sum(
-        schedule.offload_bits.get(i, 0.0) * instance.users[i].roundtrip_time_per_bit
-        for i in sorted(schedule.scheduled)
-    )
-    budget = used + te - instance.deadline
-    checks.append(ValidationCheck("latency_budget", budget, budget <= TIME_TOL))
-    checks.append(ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL))
+    def offload_bounds(u, bits, vm_cap):
+        cap = min(u.task_bits, vm_cap)
+        tol = BITS_RTOL * max(1.0, cap)
+        floor = derived[u.id].min_offload_bits
+        low = floor - bits
+        return (
+            ValidationCheck(f"offload_lower[{u.id}]", low, low <= BITS_RTOL * max(1.0, floor)),
+            ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol),
+        )
 
-    for u in instance.users:
-        bits = schedule.offload_bits.get(u.id, 0.0)
-        d = derive_user(instance, u.id)
-        if u.id in schedule.scheduled:
-            cap = min(u.task_bits, te * u.service_rate * factor)
-            tol = BITS_RTOL * max(1.0, cap)
-            low = d.min_offload_bits - bits
-            checks.append(
-                ValidationCheck(
-                    f"offload_lower[{u.id}]", low, low <= BITS_RTOL * max(1.0, d.min_offload_bits)
-                )
-            )
-            checks.append(ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol))
-        else:
-            checks.append(
-                ValidationCheck(f"unscheduled_zero[{u.id}]", abs(bits), abs(bits) <= BITS_RTOL)
-            )
-            # a user that cannot finish locally must appear in the schedule
-            checks.append(
-                ValidationCheck(
-                    f"unscheduled_free[{u.id}]",
-                    d.min_offload_bits,
-                    d.min_offload_bits <= BITS_RTOL * max(1.0, u.task_bits),
-                )
-            )
+    def must_not_be_forced(u):
+        # a user that cannot finish locally must appear in the schedule
+        floor = derived[u.id].min_offload_bits
+        return (
+            ValidationCheck(
+                f"unscheduled_free[{u.id}]", floor, floor <= BITS_RTOL * max(1.0, u.task_bits)
+            ),
+        )
 
+    checks = _common_checks(instance, schedule, offload_bounds, must_not_be_forced)
     recomputed = sum(
-        derive_user(instance, i).energy_delta_per_bit * schedule.offload_bits.get(i, 0.0)
-        for i in range(instance.n_users)
+        d.energy_delta_per_bit * schedule.offload_bits.get(d.id, 0.0) for d in derived
     )
     mismatch = abs(schedule.objective - recomputed)
     checks.append(

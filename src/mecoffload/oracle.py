@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as energymod
-from . import lp as lpmod
 from .lp import BudgetExceededError
 from .model import EnergySchedule, Instance, RateSchedule, baseline_local_energy, derive_user
 from .rate import conditional_solution
@@ -78,32 +77,6 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     return solution.as_schedule()
 
 
-def _p4_subproblem(instance: Instance, partition, s1: tuple[int, ...]):
-    """LP for one optional subset: forced saving users plus s1 choose offload
-    sizes, forced costly users pin the window floor and spend radio budget."""
-    members = sorted(set(partition.forced_saving) | set(s1))
-    n_vms = len(partition.forced) + len(s1)
-    budget = energymod._reduced_budget(instance, partition)
-    te_floor = energymod._costly_te_floor(instance, partition, n_vms)
-    lower = {}
-    for uid in members:
-        lower[uid] = (
-            derive_user(instance, uid).min_offload_bits
-            if uid in partition.forced_saving
-            else 0.0
-        )
-    if not members:
-        if te_floor <= budget + 1e-12 * (1.0 + abs(budget)):
-            return {}, te_floor, 0.0
-        return None
-    problem = energymod._schedule_lp(instance, members, lower, n_vms, budget, te_floor)
-    sol = lpmod.solve_lp(problem)
-    if sol.status != "optimal":
-        return None
-    bits = {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
-    return bits, sol.x[-1], sol.objective_value
-
-
 def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGET) -> EnergySchedule:
     """Exact minimum-energy schedule by enumerating every optional subset.
 
@@ -127,10 +100,10 @@ def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGE
         if time.monotonic() > deadline:
             raise BudgetExceededError("energy oracle time guard exceeded")
         s1 = _subset_tuple(mask, optional)
-        result = _p4_subproblem(instance, partition, s1)
+        result = energymod.solve_subset_lp(instance, partition, s1)
         if result is None:
             continue
-        bits, te, _ = result
+        bits, te = result
         full_bits = {u.id: 0.0 for u in instance.users}
         for uid in partition.forced_costly:
             full_bits[uid] = derived[uid].min_offload_bits

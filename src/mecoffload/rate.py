@@ -13,7 +13,8 @@ and the achieved weighted rate is
 Choosing S is a mixed-integer fractional program.  With the cardinality m
 fixed the Dinkelbach iteration solves it exactly (the inner maximization is
 a plain top-m selection), and a sweep over m = 1..K finds the optimum.
-Special-case solvers and the three stock benchmarks live here too.
+Special-case solvers and the three stock benchmarks live here too; the LP
+relaxation benchmark coincides with the exact solve (see `benchmark_lr`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lp as lpmod
 from .model import Instance, RateSchedule, vm_rate_factor
 
 __all__ = [
@@ -321,50 +321,19 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
     return best.as_schedule()
 
 
-def _lr_select(scores: np.ndarray, m: int) -> np.ndarray:
-    """One relaxed selection step: maximize scores . x over 0 <= x <= 1,
-    sum x = m, via the simplex, then round the m largest components up."""
-    K = scores.shape[0]
-    problem = lpmod.LpProblem(
-        objective=tuple(-scores),
-        constraints=(lpmod.constraint([1.0] * K, "=", float(m)),),
-        bounds=tuple((0.0, 1.0) for _ in range(K)),
-    )
-    sol = lpmod.solve_lp(problem)
-    if sol.status != "optimal":  # the box/simplex intersection is never empty
-        raise RuntimeError(f"relaxed selection LP came back {sol.status}")
-    x = np.asarray(sol.x)
-    return np.sort(np.argsort(-x, kind="stable")[:m])
-
-
 def benchmark_lr(instance: Instance) -> RateSchedule:
-    """Dinkelbach sweep where each selection step solves the box relaxation
-    as an LP and rounds the m largest components to one.  The relaxation has
-    integral vertices, so this usually tracks the exact slave closely; it is
-    kept as a documented, reproducible stand-in benchmark."""
-    if instance.n_users == 0:
-        raise ValueError("instance has no users")
-    weight, roundtrip, service = _arrays(instance)
-    wr = weight * service
-    qr = roundtrip * service
-    best_rate = -math.inf
-    best_set: frozenset[int] = frozenset()
-    for m in range(1, instance.n_users + 1):
-        penalty = (1.0 + instance.degradation) ** (m - 1)
-        rate = 0.0
-        selected = np.arange(m)
-        for _ in range(MAX_DINKELBACH_ITER):
-            scores = service * (weight - rate * roundtrip)
-            selected = _lr_select(scores, m)
-            num = float(wr[selected].sum())
-            den = penalty + float(qr[selected].sum())
-            gap = num - rate * den
-            rate = num / den
-            if abs(gap) <= 1e-9 * (1.0 + abs(num)):
-                break
-        else:
-            raise RuntimeError("Dinkelbach iteration cap exceeded")
-        if rate > best_rate:
-            best_rate = rate
-            best_set = frozenset(int(i) for i in selected)
-    return conditional_solution(instance, best_set).as_schedule()
+    """The paper's LP-relaxation benchmark, which is exact for this problem.
+
+    The benchmark relaxes the selection step of the per-cardinality
+    Dinkelbach loop to max s.x over {0 <= x <= 1, sum x = m}.  That
+    constraint matrix (one all-ones row over the identity of the box) is
+    totally unimodular, so every vertex of the polytope is the indicator of
+    an m-subset, and whenever the m-th and (m+1)-th scores differ the LP
+    optimum is exactly the top-m set that `dinkelbach_slave` selects (on a
+    tie any top-m set is optimal; the slave keeps the lowest ids).  Each
+    relaxed step is therefore the exact step, the loop converges to the same
+    per-m optimum (Dinkelbach 1967), and the sweep over m with its
+    smaller-set-wins rule is the one in `solve_rate_max`.  The relaxation
+    gap is zero by construction, so the benchmark is that solve.
+    """
+    return solve_rate_max(instance)[0]

@@ -12,6 +12,7 @@ from mecoffload import (
     partition_users,
     solve_energy_suboptimal,
     solve_lp_m1,
+    solve_subset_lp,
     total_delay,
     validate_energy_schedule,
     with_deadline,
@@ -123,6 +124,8 @@ class TestTotalDelay:
         if outsider is not None:
             with pytest.raises(ValueError):
                 total_delay(inst, part, frozenset({outsider}))
+            with pytest.raises(ValueError):
+                solve_subset_lp(inst, part, frozenset({outsider}))
 
 
 class TestScheduler:

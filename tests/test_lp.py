@@ -197,3 +197,29 @@ class TestAgainstEnumeration:
             b = solve_lp(problem)
             assert a.status == b.status
             assert np.asarray(a.x).tobytes() == np.asarray(b.x).tobytes()
+
+
+class TestSelectionRelaxation:
+    def test_box_simplex_optimum_is_top_m_indicator(self):
+        # max s.x over {0 <= x <= 1, sum x = m} has a totally unimodular
+        # constraint matrix, so with distinct scores the LP optimum is the
+        # 0/1 indicator of the m largest scores.  The rate layer's LP
+        # relaxation benchmark is the exact top-m solve because of this.
+        rng = SplitMix64(1967)
+        for K in (1, 2, 3, 5, 8, 13, 21):
+            for _ in range(4):
+                scores = np.array([rng.uniform(-1.0, 1.0) for _ in range(K)])
+                assert len(set(scores.tolist())) == K
+                order = np.argsort(-scores)
+                for m in range(1, K + 1):
+                    sol = solve_lp(
+                        LpProblem(
+                            objective=tuple(-scores),
+                            constraints=(constraint([1.0] * K, "=", float(m)),),
+                            bounds=((0.0, 1.0),) * K,
+                        )
+                    )
+                    assert sol.status == "optimal"
+                    expected = np.zeros(K)
+                    expected[order[:m]] = 1.0
+                    np.testing.assert_allclose(sol.x, expected, rtol=0.0, atol=1e-9)

@@ -10,7 +10,6 @@ from mecoffload import (
     RateSchedule,
     derive_user,
     generate_instance,
-    mediant,
     read_instance,
     validate_rate_schedule,
     write_instance,
@@ -77,24 +76,6 @@ class TestInvariants:
     def test_instance_requires_nonnegative_degradation(self):
         with pytest.raises(ValueError, match="degradation"):
             make_instance([make_user(0)], degradation=-0.1)
-
-
-@given(
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=1e-3, max_value=1e3),
-)
-def test_mediant_lies_between(x1, y1, x2, y2):
-    lo = min(x1 / y1, x2 / y2)
-    hi = max(x1 / y1, x2 / y2)
-    m = mediant(x1, y1, x2, y2)
-    assert lo - 1e-12 * (1 + abs(lo)) <= m <= hi + 1e-12 * (1 + abs(hi))
-
-
-def test_mediant_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        mediant(1.0, 0.0, 1.0, 1.0)
 
 
 class TestValidation:

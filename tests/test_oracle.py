@@ -8,11 +8,11 @@ from mecoffload import (
     conditional_solution,
     partition_users,
     solve_energy_suboptimal,
+    solve_subset_lp,
     validate_energy_schedule,
     validate_rate_schedule,
     with_deadline,
 )
-from mecoffload.oracle import _p4_subproblem
 from mecoffload.rng import mix64
 from support import make_instance, make_user, stock_instance, unit_roundtrip_user
 
@@ -117,9 +117,9 @@ class TestEnergyOracle:
             zeroed = [u for u in optional if schedule.offload_bits[u] <= 1e-9]
             for uid in zeroed:
                 smaller = tuple(sorted(set(optional) - {uid}))
-                result = _p4_subproblem(inst, part, smaller)
+                result = solve_subset_lp(inst, part, smaller)
                 assert result is not None
-                bits, _, _ = result
+                bits, _ = result
                 derived_obj = schedule.objective
                 # rebuild the smaller subset's total objective
                 from mecoffload import derive_user
