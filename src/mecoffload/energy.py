@@ -12,15 +12,14 @@ forced users' offload sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import lp as lpmod
 from .model import (
-    DerivedUser,
     EnergySchedule,
     Instance,
     baseline_local_energy,
-    derive_user,
     vm_rate_factor,
 )
 
@@ -65,18 +64,17 @@ class Partition:
 
 def partition_users(instance: Instance) -> Partition:
     m0, m1, n0, n1 = set(), set(), set(), set()
-    for u in instance.users:
-        d = derive_user(instance, u.id)
+    for d in instance.derived:
         forced = d.min_offload_bits > 0.0
         saving = d.energy_delta_per_bit < 0.0
         if forced and saving:
-            m1.add(u.id)
+            m1.add(d.id)
         elif forced:
-            m0.add(u.id)
+            m0.add(d.id)
         elif saving:
-            n1.add(u.id)
+            n1.add(d.id)
         else:
-            n0.add(u.id)
+            n0.add(d.id)
     return Partition(frozenset(m0), frozenset(m1), frozenset(n0), frozenset(n1))
 
 
@@ -85,28 +83,38 @@ def partition_users(instance: Instance) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _min_bits_at(instance: Instance, t: float) -> list[float]:
-    return [
-        max(u.task_bits - t * u.cpu_freq / u.cycles_per_bit, 0.0) for u in instance.users
-    ]
+class _Balance:
+    """The feasibility balance of one instance, with the user constants it
+    needs read once, for the many deadlines a bisection tries."""
+
+    def __init__(self, instance: Instance):
+        users = instance.users
+        self.degradation = instance.degradation
+        self.local = [(u.task_bits, u.cpu_freq, u.cycles_per_bit) for u in users]
+        self.roundtrip = [u.roundtrip_time_per_bit for u in users]
+        self.service = [u.service_rate for u in users]
+
+    def min_bits(self, t: float) -> list[float]:
+        # `0.0 if 0.0 > x else x` is max(x, 0.0), zero sign included
+        return [0.0 if 0.0 > (x := b - t * f / c) else x for b, f, c in self.local]
+
+    def gap(self, t: float, min_bits: list[float] | None = None) -> float:
+        if min_bits is None:
+            min_bits = self.min_bits(t)
+        forced = sum(map((0.0).__lt__, min_bits))  # how many b > 0.0
+        radio = sum(map(operator.mul, min_bits, self.roundtrip))
+        compute = 0.0
+        if forced:
+            factor = vm_rate_factor(self.degradation, forced)
+            compute = max(map(operator.truediv, min_bits, [r * factor for r in self.service]))
+        return radio + compute - t
 
 
 def feasibility_gap(instance: Instance, t: float) -> float:
     """Time still missing at deadline t: radio plus parallel-computing time of
     the forced minimum offloads, minus t.  Positive means t is too short.
     Decreasing in t, with downward jumps where a user stops being forced."""
-    min_bits = _min_bits_at(instance, t)
-    forced = sum(1 for b in min_bits if b > 0.0)
-    radio = sum(
-        b * u.roundtrip_time_per_bit for b, u in zip(min_bits, instance.users)
-    )
-    compute = 0.0
-    if forced:
-        factor = vm_rate_factor(instance.degradation, forced)
-        compute = max(
-            b / (u.service_rate * factor) for b, u in zip(min_bits, instance.users)
-        )
-    return radio + compute - t
+    return _Balance(instance).gap(t)
 
 
 @dataclass(frozen=True)
@@ -129,11 +137,13 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     on a discontinuity.
     """
 
+    balance = _Balance(instance)
+
     def result_at(t: float, lo: float, hi: float) -> FeasibilityResult:
-        min_bits = _min_bits_at(instance, t)
+        min_bits = balance.min_bits(t)
         return FeasibilityResult(
             t_min=t,
-            residual=feasibility_gap(instance, t),
+            residual=balance.gap(t, min_bits),
             min_bits=tuple(min_bits),
             forced_count=sum(1 for b in min_bits if b > 0.0),
             bracket=(lo, hi),
@@ -142,12 +152,12 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     if instance.n_users == 0:
         return result_at(0.0, 0.0, 0.0)
     hi = max(u.cycles_per_bit * u.task_bits / u.cpu_freq for u in instance.users)
-    if hi <= 0.0 or feasibility_gap(instance, 0.0) <= 0.0:
+    if hi <= 0.0 or balance.gap(0.0) <= 0.0:
         return result_at(0.0, 0.0, 0.0)
     lo = 0.0
     while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if feasibility_gap(instance, mid) > 0.0:
+        if balance.gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -159,10 +169,6 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def _derived(instance: Instance) -> dict[int, DerivedUser]:
-    return {u.id: derive_user(instance, u.id) for u in instance.users}
-
-
 def required_compute_time(instance: Instance, partition: Partition, s1) -> float:
     """Shortest parallel-computing window for the given optional set: the
     slowest full task among scheduled saving users, or the slowest forced
@@ -170,7 +176,7 @@ def required_compute_time(instance: Instance, partition: Partition, s1) -> float
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
-    derived = _derived(instance)
+    derived = instance.derived
     n_vms = len(partition.forced) + len(s1)
     longest = 0.0
     for uid in partition.forced_saving | s1:
@@ -190,7 +196,7 @@ def total_delay(instance: Instance, partition: Partition, s1) -> float:
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
-    derived = _derived(instance)
+    derived = instance.derived
     radio = 0.0
     for uid in partition.forced_saving | s1:
         u = instance.users[uid]
@@ -211,7 +217,7 @@ def _schedule_lp(
 ):
     """LP over the members' offload sizes and the computing window: minimize
     the energy deltas subject to the radio budget and per-user caps."""
-    derived = _derived(instance)
+    derived = instance.derived
     factor = vm_rate_factor(instance.degradation, n_vms)
     n = len(members) + 1  # trailing variable is the computing window
     objective = [derived[uid].energy_delta_per_bit for uid in members] + [0.0]
@@ -239,7 +245,7 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1):
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
-    derived = _derived(instance)
+    derived = instance.derived
     members = sorted(partition.forced_saving | s1)
     n_vms = len(partition.forced) + len(s1)
     factor = vm_rate_factor(instance.degradation, n_vms)
@@ -285,7 +291,7 @@ def _assemble(
     status: str,
     t_min: float | None = None,
 ) -> EnergySchedule:
-    derived = _derived(instance)
+    derived = instance.derived
     bits = {u.id: 0.0 for u in instance.users}
     for uid in partition.forced_costly:
         bits[uid] = derived[uid].min_offload_bits
@@ -338,20 +344,28 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
         return _assemble(instance, part, part.free_saving, full, te, "optimal-path")
 
     if instance.deadline >= total_delay(instance, part, frozenset()):
-        derived = _derived(instance)
-        s1 = set(part.free_saving)
-        while total_delay(instance, part, s1) > instance.deadline:
-            drop = min(
-                s1,
-                key=lambda uid: (
-                    -derived[uid].energy_delta_per_bit
-                    / instance.users[uid].roundtrip_time_per_bit,
-                    uid,
-                ),
-            )
-            s1.remove(drop)
+        # Users leave in a fixed order, and the load only shrinks as they
+        # do, so bisect on how many to drop: the fewest whose removal fits.
+        # Dropping none fails the first check above; dropping all passes
+        # the second.
+        derived = instance.derived
+        order = sorted(
+            part.free_saving,
+            key=lambda uid: (
+                -derived[uid].energy_delta_per_bit / derived[uid].roundtrip_time_per_bit,
+                uid,
+            ),
+        )
+        too_few, enough = 0, len(order)
+        while enough - too_few > 1:
+            mid = (too_few + enough) // 2
+            if total_delay(instance, part, frozenset(order[mid:])) > instance.deadline:
+                too_few = mid
+            else:
+                enough = mid
+        s1 = frozenset(order[enough:])
         te = required_compute_time(instance, part, s1)
-        return _assemble(instance, part, frozenset(s1), full, te, "greedy-path")
+        return _assemble(instance, part, s1, full, te, "greedy-path")
 
     lp_result = solve_lp_m1(instance, part)
     if lp_result is None:  # not expected once the deadline clears t_min
@@ -376,7 +390,7 @@ def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
             total_energy=0.0,
             status="lp-path",
         )
-    derived = _derived(instance)
+    derived = instance.derived
     members = [u.id for u in instance.users]
     lower = {uid: derived[uid].min_offload_bits for uid in members}
     problem = _schedule_lp(

@@ -17,6 +17,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+
+import numpy as np
 
 from .rng import SplitMix64
 
@@ -26,6 +29,7 @@ __all__ = [
     "UserProfile",
     "Instance",
     "DerivedUser",
+    "InstanceView",
     "RateSchedule",
     "EnergySchedule",
     "ValidationCheck",
@@ -142,10 +146,36 @@ class Instance:
             raise KeyError(f"no user with id {user_id}")
         return self.users[user_id]
 
+    @cached_property
+    def derived(self) -> tuple[DerivedUser, ...]:
+        """`derive_user` of every user, indexed by id: built on first use and
+        memoised on this object.  It depends on the deadline, so a copy made
+        with `dataclasses.replace` builds its own."""
+        return tuple(derive_user(self, u.id) for u in self.users)
+
+    @cached_property
+    def view(self) -> InstanceView:
+        """Read-only per-user arrays for the vectorised solvers: built on
+        first use and memoised on this object."""
+        users = self.users
+
+        def column(values) -> np.ndarray:
+            array = np.array(values, dtype=float)
+            array.setflags(write=False)
+            return array
+
+        return InstanceView(
+            weight=column([u.weight for u in users]),
+            roundtrip=column([u.roundtrip_time_per_bit for u in users]),
+            service=column([u.service_rate for u in users]),
+        )
+
 
 @dataclass(frozen=True)
 class DerivedUser:
     """Per-user constants derived from a profile and the instance deadline.
+    Solvers read them from `Instance.derived`, which builds them once per
+    `Instance` object.
 
     energy_delta_per_bit   net energy cost of offloading one bit instead of
                            computing it locally (J/bit); negative means
@@ -162,6 +192,21 @@ class DerivedUser:
     tx_rate: float
     weighted_tx_rate: float
     roundtrip_time_per_bit: float
+
+
+@dataclass(frozen=True)
+class InstanceView:
+    """One instance's per-user profile values as read-only arrays, memoised
+    per `Instance` object (`Instance.view`).  Entry k belongs to user id k.
+
+    weight     weights
+    roundtrip  roundtrip times per bit
+    service    isolated VM service rates
+    """
+
+    weight: np.ndarray
+    roundtrip: np.ndarray
+    service: np.ndarray
 
 
 def derive_user(instance: Instance, user_id: int) -> DerivedUser:
@@ -343,7 +388,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     mandatory-offload coverage, and the energy bookkeeping identities."""
     if schedule.status == "infeasible":
         raise ValueError("cannot validate an infeasible schedule")
-    derived = [derive_user(instance, u.id) for u in instance.users]
+    derived = instance.derived
 
     def offload_bounds(u, bits, vm_cap):
         cap = min(u.task_bits, vm_cap)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import energy as energymod
 from .lp import BudgetExceededError
-from .model import EnergySchedule, Instance, RateSchedule, baseline_local_energy, derive_user
+from .model import EnergySchedule, Instance, RateSchedule, baseline_local_energy
 from .rate import conditional_solution
 
 __all__ = ["OracleBudget", "BudgetExceededError", "brute_force_rate_max", "brute_force_energy"]
@@ -57,11 +57,11 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     ids = np.arange(K)
     masks = np.arange(1, 1 << K, dtype=np.int64)
     bits = ((masks[:, None] >> ids[None, :]) & 1).astype(float)
-    weight = np.array([u.weight for u in instance.users])
-    roundtrip = np.array([u.roundtrip_time_per_bit for u in instance.users])
-    service = np.array([u.service_rate for u in instance.users])
-    num = bits @ (weight * service)
-    den = (1.0 + instance.degradation) ** (bits.sum(axis=1) - 1.0) + bits @ (roundtrip * service)
+    view = instance.view
+    num = bits @ (view.weight * view.service)
+    den = (1.0 + instance.degradation) ** (bits.sum(axis=1) - 1.0) + bits @ (
+        view.roundtrip * view.service
+    )
     rates = num / den
 
     best = float(np.max(rates))
@@ -93,7 +93,7 @@ def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGE
             f"{budget.max_optional_energy}"
         )
     deadline = time.monotonic() + budget.time_limit_s
-    derived = {u.id: derive_user(instance, u.id) for u in instance.users}
+    derived = instance.derived
 
     best = None  # (objective over all users, subset tuple, bits, te)
     for mask in range(1 << len(optional)):

@@ -19,12 +19,13 @@ relaxation benchmark coincides with the exact solve (see `benchmark_lr`).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, RateSchedule, vm_rate_factor
+from .model import Instance, RateSchedule, UserProfile, vm_rate_factor
 
 __all__ = [
     "ConditionalSolution",
@@ -84,11 +85,31 @@ class DinkelbachTrace:
         return len(self.records)
 
 
-def _arrays(instance: Instance):
-    weight = np.array([u.weight for u in instance.users])
-    roundtrip = np.array([u.roundtrip_time_per_bit for u in instance.users])
-    service = np.array([u.service_rate for u in instance.users])
-    return weight, roundtrip, service
+def _rate_terms(u: UserProfile) -> tuple[float, float, float]:
+    """One user's terms of the closed form: w*r, (a+b*g)*r and w/(a+b*g)."""
+    rt = u.roundtrip_time_per_bit
+    return u.weight * u.service_rate, rt * u.service_rate, u.weight / rt
+
+
+def _fixed_set_sums(degradation: float, terms: list[tuple[float, float, float]]):
+    """Numerator, denominator and interference penalty of the closed-form
+    rate of a nonempty set, summed over its members' `_rate_terms` in the
+    order given (ascending ids), and the slowest member's weighted
+    transmission rate."""
+    penalty = (1.0 + degradation) ** (len(terms) - 1)
+    num = 0.0
+    den = penalty
+    min_tx = math.inf
+    for wr, qr, tx in terms:
+        num += wr
+        den += qr
+        if tx < min_tx:
+            min_tx = tx
+    return num, den, penalty, min_tx
+
+
+def _meets_necessary_condition(rate: float, min_tx: float) -> bool:
+    return rate <= min_tx * (1.0 + _COND_RTOL)
 
 
 def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
@@ -104,20 +125,10 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
         raise ValueError("scheduled set must be nonempty")
     for uid in members:
         instance.user(uid)  # raises KeyError on unknown ids
-    d = instance.degradation
-    m = len(members)
-    penalty = (1.0 + d) ** (m - 1)
-    factor = vm_rate_factor(d, m)
-
-    num = 0.0
-    den = penalty
-    min_tx = math.inf
-    for uid in members:
-        u = instance.users[uid]
-        rt = u.roundtrip_time_per_bit
-        num += u.weight * u.service_rate
-        den += rt * u.service_rate
-        min_tx = min(min_tx, u.weight / rt)
+    factor = vm_rate_factor(instance.degradation, len(members))
+    num, den, penalty, min_tx = _fixed_set_sums(
+        instance.degradation, [_rate_terms(instance.users[uid]) for uid in members]
+    )
     rate = num / den
     te = instance.deadline * penalty / den
     bits = {u.id: 0.0 for u in instance.users}
@@ -128,7 +139,7 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
         compute_time=te,
         offload_bits=bits,
         rate=rate,
-        satisfies_necessary_condition=rate <= min_tx * (1.0 + _COND_RTOL),
+        satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
     )
 
 
@@ -149,7 +160,8 @@ def dinkelbach_slave(instance: Instance, m: int) -> tuple[frozenset[int], float,
     K = instance.n_users
     if not 1 <= m <= K:
         raise ValueError(f"m must be in 1..{K}, got {m}")
-    weight, roundtrip, service = _arrays(instance)
+    view = instance.view
+    weight, roundtrip, service = view.weight, view.roundtrip, view.service
     penalty = (1.0 + instance.degradation) ** (m - 1)
     wr = weight * service
     qr = roundtrip * service
@@ -163,17 +175,13 @@ def dinkelbach_slave(instance: Instance, m: int) -> tuple[frozenset[int], float,
         num = float(wr[selected].sum())
         den = penalty + float(qr[selected].sum())
         gap = num - rate * den
-        records.append(DinkelbachIteration(rate, frozenset(int(i) for i in selected), gap))
+        records.append(DinkelbachIteration(rate, frozenset(selected.tolist()), gap))
         rate = num / den
         if abs(gap) <= 1e-9 * (1.0 + abs(num)):
             break
     else:
         raise RuntimeError("Dinkelbach iteration cap exceeded")
-    return (
-        frozenset(int(i) for i in selected),
-        rate,
-        DinkelbachTrace(tuple(records)),
-    )
+    return records[-1].selected, rate, DinkelbachTrace(tuple(records))
 
 
 @dataclass(frozen=True)
@@ -308,17 +316,19 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
     order = sorted(
         instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id)
     )
-    taken: list[int] = []
-    best: ConditionalSolution | None = None
+    terms = [_rate_terms(u) for u in instance.users]
+    taken: list[int] = []  # ascending ids, as conditional_solution sums them
     for u in order:
-        cand = conditional_solution(instance, taken + [u.id])
-        if cand.satisfies_necessary_condition:
-            taken.append(u.id)
-            best = cand
-        else:
+        candidate = taken.copy()
+        bisect.insort(candidate, u.id)
+        num, den, _penalty, min_tx = _fixed_set_sums(
+            instance.degradation, [terms[uid] for uid in candidate]
+        )
+        if not _meets_necessary_condition(num / den, min_tx):
             break
-    assert best is not None  # a singleton always satisfies the condition
-    return best.as_schedule()
+        taken = candidate
+    # a singleton always satisfies the condition, so taken is nonempty
+    return conditional_solution(instance, taken).as_schedule()
 
 
 def benchmark_lr(instance: Instance) -> RateSchedule:

@@ -3,23 +3,28 @@ import math
 import pytest
 
 from mecoffload import (
+    FeasibilityResult,
+    GenerationSpec,
     baseline_local_energy,
     benchmark_energy_all_offloading,
     brute_force_energy,
     derive_user,
     feasibility_gap,
     feasibility_tmin,
+    generate_instance,
     partition_users,
+    required_compute_time,
     solve_energy_suboptimal,
     solve_lp_m1,
     solve_subset_lp,
     total_delay,
     validate_energy_schedule,
+    vm_rate_factor,
     with_deadline,
 )
 from mecoffload.energy import _schedule_lp
 from mecoffload.lp import enumerate_vertices, solve_lp
-from mecoffload.rng import mix64
+from mecoffload.rng import SplitMix64, mix64
 from support import make_instance, make_user, stock_instance
 
 
@@ -358,3 +363,125 @@ class TestEnergyChecker:
         schedule = solve_energy_suboptimal(with_deadline(inst, 1e-4))
         with pytest.raises(ValueError):
             validate_energy_schedule(inst, schedule)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the loops the fast paths replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_gap(instance, t):
+    """The feasibility balance read straight from the user profiles."""
+    min_bits = [
+        max(u.task_bits - t * u.cpu_freq / u.cycles_per_bit, 0.0) for u in instance.users
+    ]
+    forced = sum(1 for b in min_bits if b > 0.0)
+    radio = sum(b * u.roundtrip_time_per_bit for b, u in zip(min_bits, instance.users))
+    compute = 0.0
+    if forced:
+        factor = vm_rate_factor(instance.degradation, forced)
+        compute = max(b / (u.service_rate * factor) for b, u in zip(min_bits, instance.users))
+    return min_bits, radio + compute - t
+
+
+def reference_tmin(instance):
+    """Bisection on `reference_gap`, with the bracket rule of feasibility_tmin."""
+
+    def result_at(t, lo, hi):
+        min_bits, gap = reference_gap(instance, t)
+        return FeasibilityResult(t, gap, tuple(min_bits), sum(1 for b in min_bits if b > 0.0),
+                                 (lo, hi))
+
+    if instance.n_users == 0:
+        return result_at(0.0, 0.0, 0.0)
+    hi = max(u.cycles_per_bit * u.task_bits / u.cpu_freq for u in instance.users)
+    if hi <= 0.0 or reference_gap(instance, 0.0)[1] <= 0.0:
+        return result_at(0.0, 0.0, 0.0)
+    lo = 0.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if reference_gap(instance, mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return result_at(hi, lo, hi)
+
+
+def reference_greedy_path(instance):
+    """The greedy branch as a plain loop: after every drop, rescan the
+    optional set for the lowest saving per radio second (lowest id on ties)
+    and recompute the whole delay.  Returns (scheduled, bits, window,
+    objective)."""
+    part = partition_users(instance)
+    derived = {u.id: derive_user(instance, u.id) for u in instance.users}
+    s1 = set(part.free_saving)
+    while total_delay(instance, part, s1) > instance.deadline:
+        drop = min(
+            s1,
+            key=lambda uid: (
+                -derived[uid].energy_delta_per_bit / instance.users[uid].roundtrip_time_per_bit,
+                uid,
+            ),
+        )
+        s1.remove(drop)
+    bits = {u.id: 0.0 for u in instance.users}
+    for uid in part.forced_costly:
+        bits[uid] = derived[uid].min_offload_bits
+    for uid in part.forced_saving | s1:
+        bits[uid] = instance.users[uid].task_bits
+    objective = sum(derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items()))
+    return part.forced | s1, bits, required_compute_time(instance, part, s1), objective
+
+
+def drop_loop_instance(n_users, seed):
+    """Fast local CPUs and slow VMs, with a deadline between 0.05 s and a
+    little over the radio time of every task, so that most instances take
+    the greedy branch, some with forced users."""
+    rng = SplitMix64(mix64(n_users, seed))
+    spec = GenerationSpec(
+        n_users=n_users,
+        degradation=rng.uniform(0.0, 0.3),
+        deadline_s=rng.uniform(0.05, 0.3 + 0.01 * n_users),
+        service_rate_bps=(1e6, 1e7),
+        cycles_per_bit=(100.0, 500.0),
+        cpu_freq_hz=(1e9, 3e9),
+    )
+    return generate_instance(spec, mix64(n_users + 1000, seed))
+
+
+class TestFastPathEquivalence:
+    @pytest.mark.parametrize("n_users", [5, 20, 100])
+    def test_matches_reference_loops(self, n_users):
+        greedy = 0
+        for seed in range(70):
+            inst = drop_loop_instance(n_users, seed)
+            assert feasibility_tmin(inst) == reference_tmin(inst)
+            assert feasibility_gap(inst, 0.5 * inst.deadline) == reference_gap(
+                inst, 0.5 * inst.deadline
+            )[1]
+            schedule = solve_energy_suboptimal(inst)
+            if schedule.status != "greedy-path":
+                continue
+            greedy += 1
+            scheduled, bits, te, objective = reference_greedy_path(inst)
+            assert schedule.scheduled == scheduled
+            assert schedule.offload_bits == bits
+            assert schedule.compute_time == te
+            assert schedule.objective == objective
+        assert greedy >= 35, f"only {greedy} of 70 instances took the greedy branch"
+
+    def test_equal_drop_keys_drop_the_lower_id_first(self):
+        # three identical optional users, so equal keys; the deadline fits one
+        # full offload (0.4 s radio + 0.4 s computing) but not two (0.8 s
+        # radio + 0.4 * 1.5 s computing)
+        users = [
+            saving_user(i, a=0.05, b=0.05, gamma=1.0, r=10.0, task=4.0, cycles=1.0, freq=10.0)
+            for i in range(3)
+        ]
+        inst = make_instance(users, deadline=1.0, degradation=0.5)
+        assert partition_users(inst).free_saving == {0, 1, 2}
+        schedule = solve_energy_suboptimal(inst)
+        assert schedule.status == "greedy-path"
+        assert schedule.scheduled == frozenset({2})
+        assert schedule.scheduled == reference_greedy_path(inst)[0]
+        assert schedule.offload_bits == {0: 0.0, 1: 0.0, 2: 4.0}

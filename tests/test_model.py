@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,9 +9,14 @@ from mecoffload import (
     GenerationSpec,
     ParseError,
     RateSchedule,
+    benchmark_greedy,
     derive_user,
     generate_instance,
+    model,
     read_instance,
+    solve_energy_suboptimal,
+    solve_rate_max,
+    validate_energy_schedule,
     validate_rate_schedule,
     write_instance,
 )
@@ -56,6 +62,65 @@ class TestDerivedUser:
         assert b <= a + 1e-12
         if hi >= u.cycles_per_bit * u.task_bits / u.cpu_freq:
             assert b == 0.0
+
+
+class TestMemoisedConstants:
+    def test_solves_derive_each_user_once(self, monkeypatch):
+        calls = []
+        original = model.derive_user
+
+        def counting(instance, user_id):
+            calls.append(user_id)
+            return original(instance, user_id)
+
+        monkeypatch.setattr(model, "derive_user", counting)
+        spec = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
+        inst = generate_instance(spec, 20240)
+        energy = solve_energy_suboptimal(inst)
+        solve_rate_max(inst)
+        assert energy.status == "greedy-path"
+        assert sorted(calls) == list(range(100))
+        calls.clear()
+        energy = solve_energy_suboptimal(inst)
+        solve_rate_max(inst)
+        benchmark_greedy(inst)
+        assert validate_energy_schedule(inst, energy).ok
+        assert calls == []
+
+    def test_memoised_per_instance(self):
+        inst = make_instance([make_user(0, task=10.0), make_user(1, task=3.0)])
+        assert inst.derived is inst.derived
+        assert inst.view is inst.view
+        assert inst.derived == (derive_user(inst, 0), derive_user(inst, 1))
+
+    def test_rate_solve_derives_nothing(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "derive_user", lambda *args: calls.append(args))
+        inst = generate_instance(GenerationSpec(n_users=10), 7)
+        solve_rate_max(inst)
+        benchmark_greedy(inst)
+        assert calls == []
+
+    def test_replace_builds_fresh_constants(self):
+        # 10-bit task at 1 bit/s locally: 6 bits forced out at 4 s, 1 at 9 s
+        inst = make_instance([make_user(0, task=10.0, cycles=1.0, freq=1.0)], deadline=4.0)
+        assert inst.derived[0].min_offload_bits == pytest.approx(6.0)
+        later = dataclasses.replace(inst, deadline=9.0)
+        assert later.derived is not inst.derived
+        assert later.view is not inst.view
+        assert later.derived[0] == derive_user(later, 0)
+        assert later.derived[0].min_offload_bits == pytest.approx(1.0)
+        assert inst.derived[0].min_offload_bits == pytest.approx(6.0)
+
+    def test_arrays_are_read_only(self):
+        users = [make_user(i, weight=1.0 + i, a=0.25, b=0.5, gamma=0.5, r=3.0 + i) for i in range(3)]
+        view = make_instance(users).view
+        assert view.weight.tolist() == [1.0, 2.0, 3.0]
+        assert view.roundtrip.tolist() == [0.5, 0.5, 0.5]
+        assert view.service.tolist() == [3.0, 4.0, 5.0]
+        for array in (view.weight, view.roundtrip, view.service):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestInvariants:

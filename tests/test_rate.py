@@ -313,6 +313,44 @@ class TestBenchmarks:
             assert validate_rate_schedule(inst, bench(inst)).ok
 
 
+def reference_greedy(instance):
+    """The greedy benchmark as a plain loop: a full conditional solution for
+    every candidate prefix."""
+    order = sorted(instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id))
+    taken, best = [], None
+    for u in order:
+        candidate = conditional_solution(instance, taken + [u.id])
+        if not candidate.satisfies_necessary_condition:
+            break
+        taken.append(u.id)
+        best = candidate
+    return best.as_schedule()
+
+
+class TestGreedyEquivalence:
+    @pytest.mark.parametrize("n_users", [5, 20, 100])
+    def test_matches_reference_loop(self, n_users):
+        stopped_early = 0
+        for seed in range(70):
+            rng = SplitMix64(mix64(n_users, seed))
+            # VM speeds from slow to far above the radio, so that greedy
+            # stops after one user, somewhere inside the order, or never
+            spec = GenerationSpec(
+                n_users=n_users,
+                degradation=rng.uniform(0.0, 0.3),
+                uplink_mbps=(5.0, 150.0),
+                service_rate_bps=(1e6, 10.0 ** rng.uniform(7.0, 10.0)),
+            )
+            inst = generate_instance(spec, mix64(n_users + 2000, seed))
+            fast, slow = benchmark_greedy(inst), reference_greedy(inst)
+            assert fast.scheduled == slow.scheduled
+            assert fast.sum_rate == slow.sum_rate
+            assert fast.compute_time == slow.compute_time
+            assert fast.offload_bits == slow.offload_bits
+            stopped_early += 1 < len(fast.scheduled) < n_users
+        assert stopped_early >= 25, f"only {stopped_early} of 70 stopped inside the order"
+
+
 def wide_txrate_instance(seed, n_users=8, degradation=0.1):
     """Transmission rates spread over two orders of magnitude, so scheduled
     sets that overshoot their slowest member's rate actually occur."""
