@@ -38,6 +38,7 @@ from .rate import (
     benchmark_all_offloading,
     benchmark_greedy,
     benchmark_lr,
+    per_size_table,
     solve_rate_max,
 )
 from .rng import mix64
@@ -387,7 +388,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve_rate(args) -> int:
     instance = read_instance(args.instance)
-    schedule, table = solve_rate_max(instance)
+    schedule, _ = solve_rate_max(instance)
     print(f"scheduled: {sorted(schedule.scheduled)}")
     print(f"sum_rate_bps: {schedule.sum_rate!r}")
     print(f"compute_time_s: {schedule.compute_time!r}")
@@ -395,7 +396,7 @@ def _cmd_solve_rate(args) -> int:
         _write_json(schedule_to_doc(schedule), args.out)
     if args.table:
         lines = ["m,rate_bps,iterations,selected"]
-        for row in table:
+        for row in per_size_table(instance):
             sel = "|".join(str(i) for i in sorted(row.selected))
             lines.append(f"{row.m},{row.rate!r},{row.iterations},{sel}")
         with open(args.table, "w", encoding="utf-8", newline="\n") as fh:

@@ -10,11 +10,13 @@ and the achieved weighted rate is
 
     R(S) = sum_S w_i r_i / ((1+d)**(|S|-1) + sum_S (a_i + b_i*g_i) r_i).
 
-Choosing S is a mixed-integer fractional program.  With the cardinality m
-fixed the Dinkelbach iteration solves it exactly (the inner maximization is
-a plain top-m selection), and a sweep over m = 1..K finds the optimum.
-Special-case solvers and the three stock benchmarks live here too; the LP
-relaxation benchmark coincides with the exact solve (see `benchmark_lr`).
+Choosing S is a mixed-integer fractional program.  For a fixed rate
+parameter R the best set of every size m is the top m of one score sort, so
+one Dinkelbach loop over all sizes at once solves it exactly
+(`solve_rate_max`); `dinkelbach_slave` is the same loop with m fixed, and
+`per_size_table` runs it for every m as a diagnostic.  Special-case solvers
+and the three stock benchmarks live here too; the LP relaxation benchmark
+coincides with the exact solve (see `benchmark_lr`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "SlaveSummary",
     "conditional_solution",
     "dinkelbach_slave",
+    "per_size_table",
     "solve_rate_max",
     "homogeneous_m_star",
     "homogeneous_txrate_schedule",
@@ -195,23 +198,81 @@ class SlaveSummary:
 def solve_rate_max(instance: Instance) -> tuple[RateSchedule, tuple[SlaveSummary, ...]]:
     """Optimal scheduled set, bit sizes, and time split.
 
-    Runs the fixed-cardinality solver for every m (the per-m optimum is not
-    monotone in m, so the sweep is exhaustive) and materializes the best.
-    Ties between different m go to the smaller set.
+    One Dinkelbach loop over every set size at once.  For a fixed rate R
+    the best set of m users is the top m of the scores r_i * (w_i - R *
+    (a_i + b_i*g_i)), so a step sorts the scores once (lowest id on ties)
+    and keeps the first m maximising prefix_sum(scores)[m] - R*(1+d)**(m-1).
+    The loop starts from the best singleton rate, a lower bound on the
+    optimum that saves steps over R = 0, updates R to the selected set's
+    rate with the slave's expressions, and stops by the slave's rule
+    (Dinkelbach 1967).  Sizes within the stop tolerance of the best are then
+    rescored by their rate and the smallest size with the largest rate wins,
+    which is the tie rule of the per-size sweep in `per_size_table`.
+
+    A set of m users has rate below sum(w r) / (1+d)**(m-1), so sizes whose
+    penalty exceeds sum(w r) over the best singleton rate can never win.
+    They are cut in the log domain before any penalty is formed, which keeps
+    every penalty finite at any K.
+
+    Returns the schedule and a one-row table: the chosen size, its rate, the
+    number of Dinkelbach steps, and the chosen set.
     """
     if instance.n_users == 0:
         raise ValueError("instance has no users")
-    table: list[SlaveSummary] = []
-    best_rate = -math.inf
-    best_set: frozenset[int] = frozenset()
+    view = instance.view
+    weight, roundtrip, service = view.weight, view.roundtrip, view.service
+    wr = weight * service
+    qr = roundtrip * service
+    rate = float((wr / (1.0 + qr)).max())
+    d = instance.degradation
+    n_sizes = instance.n_users
+    if d > 0.0:
+        # one spare size against rounding in the logs
+        n_sizes = min(n_sizes, int(math.log(float(wr.sum()) / rate) / math.log1p(d)) + 2)
+    penalties = [(1.0 + d) ** j for j in range(n_sizes)]  # the slave's Python floats
+    penalty_row = np.array(penalties)
+
+    def prefix_rate(order: np.ndarray, m: int):
+        selected = np.sort(order[:m])
+        num = float(wr[selected].sum())
+        den = penalties[m - 1] + float(qr[selected].sum())
+        return selected, num, den
+
+    for iterations in range(1, MAX_DINKELBACH_ITER + 1):
+        scores = service * (weight - rate * roundtrip)
+        order = np.argsort(-scores, kind="stable")
+        objective = np.cumsum(scores[order[:n_sizes]]) - rate * penalty_row
+        m = int(objective.argmax()) + 1
+        _, num, den = prefix_rate(order, m)
+        gap = num - rate * den
+        rate = num / den
+        tolerance = 1e-9 * (1.0 + abs(num))
+        if abs(gap) <= tolerance:
+            break
+    else:
+        raise RuntimeError("Dinkelbach iteration cap exceeded")
+
+    best_rate = -math.inf  # the converged size is always a candidate
+    for size in (np.flatnonzero(objective >= objective[m - 1] - tolerance) + 1).tolist():
+        candidate, num, den = prefix_rate(order, size)
+        if num / den > best_rate:
+            m, selected, best_rate = size, candidate, num / den
+    chosen = frozenset(selected.tolist())
+    schedule = conditional_solution(instance, chosen).as_schedule()
+    return schedule, (SlaveSummary(m, best_rate, iterations, chosen),)
+
+
+def per_size_table(instance: Instance) -> tuple[SlaveSummary, ...]:
+    """Diagnostic: the best set of every size m = 1..K, each from its own
+    `dinkelbach_slave` run.  The per-size optimum is not monotone in m;
+    `solve_rate_max` returns the first row with the largest rate."""
+    if instance.n_users == 0:
+        raise ValueError("instance has no users")
+    rows = []
     for m in range(1, instance.n_users + 1):
         sel, rate, trace = dinkelbach_slave(instance, m)
-        table.append(SlaveSummary(m=m, rate=rate, iterations=trace.iterations, selected=sel))
-        if rate > best_rate:
-            best_rate = rate
-            best_set = sel
-    schedule = conditional_solution(instance, best_set).as_schedule()
-    return schedule, tuple(table)
+        rows.append(SlaveSummary(m=m, rate=rate, iterations=trace.iterations, selected=sel))
+    return tuple(rows)
 
 
 def homogeneous_m_star(
@@ -341,9 +402,10 @@ def benchmark_lr(instance: Instance) -> RateSchedule:
     an m-subset, and whenever the m-th and (m+1)-th scores differ the LP
     optimum is exactly the top-m set that `dinkelbach_slave` selects (on a
     tie any top-m set is optimal; the slave keeps the lowest ids).  Each
-    relaxed step is therefore the exact step, the loop converges to the same
-    per-m optimum (Dinkelbach 1967), and the sweep over m with its
-    smaller-set-wins rule is the one in `solve_rate_max`.  The relaxation
-    gap is zero by construction, so the benchmark is that solve.
+    relaxed step is therefore the exact step and the loop converges to the
+    same per-m optimum (Dinkelbach 1967).  The best m over those optima,
+    smaller set winning ties, is what `solve_rate_max` finds with one loop
+    over all sizes.  The relaxation gap is zero by construction, so the
+    benchmark is that solve.
     """
     return solve_rate_max(instance)[0]

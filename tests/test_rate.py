@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import pytest
 
@@ -15,6 +16,7 @@ from mecoffload import (
     homogeneous_m_star,
     homogeneous_txrate_schedule,
     no_interference_schedule,
+    per_size_table,
     solve_rate_max,
     validate_rate_schedule,
 )
@@ -151,6 +153,88 @@ class TestSolveRateMax:
         inst = make_instance([], deadline=1.0)
         with pytest.raises(ValueError):
             solve_rate_max(inst)
+
+
+def per_size_sweep(instance):
+    """The rate solve as a plain sweep over set sizes: a `dinkelbach_slave`
+    run for every m, and the first size with the largest rate wins."""
+    best_rate, best_set = -math.inf, frozenset()
+    for m in range(1, instance.n_users + 1):
+        selected, rate, _ = dinkelbach_slave(instance, m)
+        if rate > best_rate:
+            best_rate, best_set = rate, selected
+    return conditional_solution(instance, best_set).as_schedule()
+
+
+def assert_matches_sweep(instance):
+    schedule, rows = solve_rate_max(instance)
+    reference = per_size_sweep(instance)
+    assert schedule.scheduled == reference.scheduled
+    assert repr(schedule.sum_rate) == repr(reference.sum_rate)
+    (row,) = rows
+    assert row.selected == schedule.scheduled and row.m == len(row.selected)
+
+
+class TestGlobalLoopEquivalence:
+    """The one Dinkelbach loop over all sizes picks the set the per-size
+    sweep picks, to the bit, ties between sizes included."""
+
+    @pytest.mark.parametrize("k", [1, *range(4, 13), 20, 50, 100])
+    def test_matches_per_size_sweep_on_generated(self, k):
+        for d in (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3):
+            for seed in range(23):
+                assert_matches_sweep(stock_instance(k, d, mix64(61, k, int(d * 100), seed)))
+
+    @pytest.mark.parametrize("builder", [homogeneous_instance, homogeneous_txrate_instance])
+    def test_matches_per_size_sweep_on_ties(self, builder):
+        # identical users at d = 1/m tie sizes m and m+1 exactly, and equal
+        # scores tie users within a size
+        for d in (1 / 3, 1 / 4, 1 / 7, 0.2, 0.25):
+            for k in (3, 8, 12, 20):
+                for seed in range(20):
+                    assert_matches_sweep(builder(k, d, seed))
+
+    def test_per_size_table_holds_the_chosen_row(self):
+        inst = stock_instance(9, 0.15, 23)
+        schedule, (row,) = solve_rate_max(inst)
+        table = per_size_table(inst)
+        assert [r.m for r in table] == list(range(1, 10))
+        best = max(table, key=lambda r: (r.rate, -r.m))
+        assert (best.m, best.selected) == (row.m, schedule.scheduled)
+
+    def test_per_size_table_rejects_empty_instance(self):
+        with pytest.raises(ValueError):
+            per_size_table(make_instance([], deadline=1.0))
+
+
+class TestLargeK:
+    """Beyond the oracle's reach: a valid schedule, no overflow and no numpy
+    warning, and no fixed size or threshold rule doing better."""
+
+    @pytest.mark.parametrize("k", [3000, 10000])
+    def test_strong_interference(self, k):
+        inst = stock_instance(k, 0.3, mix64(71, k))
+        with pytest.raises(OverflowError):
+            (1.0 + inst.degradation) ** (k - 1)  # the full set's penalty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedule, (row,) = solve_rate_max(inst)
+            lr = benchmark_lr(inst)
+        assert validate_rate_schedule(inst, schedule).ok
+        assert validate_rate_schedule(inst, lr).ok
+        best_fixed = max(dinkelbach_slave(inst, m)[1] for m in range(1, 41))
+        assert row.rate >= best_fixed * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("k", [3000, 10000])
+    def test_no_interference_matches_threshold_rule(self, k):
+        inst = stock_instance(k, 0.0, mix64(73, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedule, _ = solve_rate_max(inst)
+        assert validate_rate_schedule(inst, schedule).ok
+        assert schedule.sum_rate == pytest.approx(
+            no_interference_schedule(inst).sum_rate, rel=1e-9
+        )
 
 
 class TestHomogeneousMStar:
