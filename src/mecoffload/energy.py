@@ -106,7 +106,10 @@ class _Balance:
         compute = 0.0
         if forced:
             factor = vm_rate_factor(self.degradation, forced)
-            compute = max(map(operator.truediv, min_bits, [r * factor for r in self.service]))
+            if factor > 0.0:
+                compute = max(map(operator.truediv, min_bits, [r * factor for r in self.service]))
+            else:  # (1 + d)^(1 - n) underflowed: no window is long enough
+                compute = math.inf
         return radio + compute - t
 
 
@@ -187,7 +190,10 @@ def required_compute_time(instance: Instance, partition: Partition, s1) -> float
         longest = max(longest, derived[uid].min_offload_bits / u.service_rate)
     if longest == 0.0:
         return 0.0
-    return longest * (1.0 + instance.degradation) ** (n_vms - 1)
+    try:
+        return longest * (1.0 + instance.degradation) ** (n_vms - 1)
+    except OverflowError:  # the interference saturates: no window is long enough
+        return math.inf
 
 
 def total_delay(instance: Instance, partition: Partition, s1) -> float:

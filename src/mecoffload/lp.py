@@ -1,11 +1,22 @@
 """Small dense linear programming: two-phase tableau simplex plus a
 vertex-enumeration micro-oracle used to test it.
 
-The problems this package produces are tiny (a few dozen variables at most),
-so termination certainty and determinism matter more than speed: entering
+The problems this package produces are small (a few dozen variables at the
+stock sizes), so termination certainty and determinism come first: entering
 columns follow Bland's lowest-index rule, ratio-test ties break toward the
 lowest row, and rows are rescaled to unit max-coefficient before solving so
 mixed second/bit scales do not starve the pivot threshold.
+
+The tableau is updated a whole array at a time, yet every pivot is the one
+a row-at-a-time loop would make and every entry gets the same floating-point
+operations: each row subtracts factor * pivot_row elementwise, rows whose
+factor is zero (either sign) are not written at all, so the sign of a zero
+survives, and the entering column and leaving row are the first index
+meeting the rule, as a scalar loop would find them.  The objective rows are
+priced out one basic row after another, and each constraint's offset shift
+is a single 1-D dot, so no sum is regrouped.  `tests/lp_reference.py` keeps
+the row-at-a-time solver, and the test suite checks that the two agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 
 _RELATIONS = ("<=", "=", ">=")
+_SENSE = {"<=": 1, "=": 0, ">=": -1}  # negated by a row sign flip
 
 
 class LpStructureError(ValueError):
@@ -50,7 +62,7 @@ class LpConstraint:
 
 
 def constraint(coeffs, relation: str, rhs: float) -> LpConstraint:
-    return LpConstraint(tuple(float(a) for a in coeffs), relation, float(rhs))
+    return LpConstraint(tuple(map(float, coeffs)), relation, float(rhs))
 
 
 @dataclass(frozen=True)
@@ -106,37 +118,48 @@ class LpSolution:
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col, None].copy()
+    factors[row] = 0.0
+    # Rows with a zero factor are left alone rather than updated by 0 * row:
+    # -0.0 - 0.0 * x is +0.0 for x < 0, and 0.0 * inf is nan.
+    np.subtract(tableau, factors * pivot_row, out=tableau, where=factors != 0.0)
 
 
 def _run_simplex(tableau: np.ndarray, basis: list[int], max_iter: int = 100_000) -> str:
     m = tableau.shape[0] - 1
+    reduced_costs = tableau[-1, :-1]
+    rhs = tableau[:m, -1]
+    ratios = np.empty(m + 1)  # the last entry stays inf, a row-free sentinel
     for _ in range(max_iter):
-        obj = tableau[-1]
-        enter = -1
-        for j in range(tableau.shape[1] - 1):
-            if obj[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        improving = reduced_costs < -PIVOT_TOL
+        enter = int(improving.argmax())  # Bland: the lowest improving index
+        if not improving[enter]:
             return "optimal"
-        leave = -1
-        best = math.inf
-        for i in range(m):
-            a = tableau[i, enter]
-            if a > PIVOT_TOL:
-                ratio = tableau[i, -1] / a
-                if ratio < best:  # strict: ties keep the lowest row index
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
+        column = tableau[:m, enter]
+        ratios.fill(math.inf)
+        np.divide(rhs, column, out=ratios[:m], where=column > PIVOT_TOL)
+        leave = int(ratios.argmin())  # ties keep the lowest row index
+        if not ratios[leave] < math.inf:
+            # argmin stopped on a nan, or no row has a finite ratio; neither
+            # can pass a strictly-less-than-infinity test, so look again
+            finite = (ratios < math.inf).nonzero()[0]
+            if finite.size == 0:
+                return "unbounded"
+            leave = int(finite[ratios[finite].argmin()])
         _pivot(tableau, leave, enter)
         basis[leave] = enter
     raise RuntimeError("simplex iteration cap exceeded")
+
+
+def _satisfied(relation: str, b: float) -> bool:
+    """Whether 0 (relation) b holds within FEAS_TOL."""
+    return (
+        (relation == "<=" and b >= -FEAS_TOL)
+        or (relation == ">=" and b <= FEAS_TOL)
+        or (relation == "=" and abs(b) <= FEAS_TOL)
+    )
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -145,145 +168,104 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n = problem.n_vars
     nan_x = tuple([math.nan] * n)
     if n == 0:
-        ok = all(
-            (con.relation == "<=" and con.rhs >= -FEAS_TOL)
-            or (con.relation == ">=" and con.rhs <= FEAS_TOL)
-            or (con.relation == "=" and abs(con.rhs) <= FEAS_TOL)
-            for con in problem.constraints
-        )
+        ok = all(_satisfied(con.relation, con.rhs) for con in problem.constraints)
         return LpSolution("optimal" if ok else "infeasible", (), 0.0)
 
     # Shift every variable onto [0, inf): x = lo + y, or x = hi - y for
     # upper-bounded-only variables, or x = y+ - y- for free ones.
-    col_sign: list[float] = []
-    col_var: list[int] = []
-    offsets = np.zeros(n)
-    upper_rows: list[tuple[int, float]] = []  # (column, residual upper bound)
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if math.isfinite(lo):
-            offsets[j] = lo
-            col_var.append(j)
-            col_sign.append(1.0)
-            if math.isfinite(hi):
-                upper_rows.append((len(col_var) - 1, hi - lo))
-        elif math.isfinite(hi):
-            offsets[j] = hi
-            col_var.append(j)
-            col_sign.append(-1.0)
-        else:
-            col_var.append(j)
-            col_sign.append(1.0)
-            col_var.append(j)
-            col_sign.append(-1.0)
+    bounds = np.array(problem.bounds)
+    lo, hi = bounds[:, 0], bounds[:, 1]
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    free = ~has_lo & ~has_hi
+    offsets = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    width = 1 + free  # free variables take two columns
+    first_col = np.cumsum(width) - width
+    col_var = np.repeat(np.arange(n), width)
+    col_sign = np.ones(len(col_var))
+    col_sign[first_col[has_hi & ~has_lo]] = -1.0
+    col_sign[first_col[free] + 1] = -1.0
     ncols = len(col_var)
+    boxed = has_lo & has_hi
+    upper_cols = first_col[boxed]
+    upper = hi[boxed] - lo[boxed]
 
     cobj = np.asarray(problem.objective)
-    cvec = np.array([cobj[col_var[k]] * col_sign[k] for k in range(ncols)])
+    cvec = cobj[col_var] * col_sign
     cscale = float(np.max(np.abs(cvec)))
     if cscale > 0.0:
         cvec = cvec / cscale
 
-    rows: list[np.ndarray] = []
-    rels: list[str] = []
-    rhs: list[float] = []
-    for con in problem.constraints:
-        a = np.asarray(con.coeffs)
-        row = np.array([a[col_var[k]] * col_sign[k] for k in range(ncols)])
-        b = con.rhs - float(a @ offsets)
-        scale = float(np.max(np.abs(row)))
-        if scale <= 0.0:
-            sat = (
-                (con.relation == "<=" and b >= -FEAS_TOL)
-                or (con.relation == ">=" and b <= FEAS_TOL)
-                or (con.relation == "=" and abs(b) <= FEAS_TOL)
-            )
-            if not sat:
-                return LpSolution("infeasible", nan_x, math.nan)
-            continue
-        rows.append(row / scale)
-        rels.append(con.relation)
-        rhs.append(b / scale)
-    for k, ub in upper_rows:
-        row = np.zeros(ncols)
-        row[k] = 1.0
-        scale = max(1.0, abs(ub))
-        rows.append(row / scale)
-        rels.append("<=")
-        rhs.append(ub / scale)
+    cons = problem.constraints
+    coeffs = np.array([con.coeffs for con in cons]).reshape(len(cons), n)
+    # one 1-D dot per row, summed exactly as a lone `a @ offsets` would be
+    b = np.array([con.rhs - float(a @ offsets) for con, a in zip(cons, coeffs)])
+    rows = coeffs[:, col_var] * col_sign
+    scale = np.max(np.abs(rows), axis=1)
+    empty = scale <= 0.0
+    for k in np.flatnonzero(empty):
+        if not _satisfied(cons[k].relation, b[k]):
+            return LpSolution("infeasible", nan_x, math.nan)
+    kept = np.flatnonzero(~empty)
+    upper_scale = np.maximum(1.0, np.abs(upper))
+    bound_rows = np.zeros((len(upper), ncols))
+    bound_rows[np.arange(len(upper)), upper_cols] = 1.0 / upper_scale
+    A = np.vstack([rows[kept] / scale[kept, None], bound_rows])
+    b = np.concatenate([b[kept] / scale[kept], upper / upper_scale])
+    sense = np.array(
+        [_SENSE[cons[k].relation] for k in kept] + [_SENSE["<="]] * len(upper), dtype=int
+    )
+    m = len(b)
+    flip = b < 0.0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    sense[flip] = -sense[flip]
 
-    m = len(rows)
-    A = np.array(rows) if m else np.zeros((0, ncols))
-    b = np.array(rhs) if m else np.zeros(0)
-    rel = list(rels)
-    for i in range(m):
-        if b[i] < 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            rel[i] = {"<=": ">=", ">=": "<=", "=": "="}[rel[i]]
-
-    n_slack = sum(1 for r in rel if r == "<=")
-    n_surplus = sum(1 for r in rel if r == ">=")
-    n_art = sum(1 for r in rel if r in (">=", "="))
+    slack_rows = np.flatnonzero(sense == _SENSE["<="])
+    surplus_rows = np.flatnonzero(sense == _SENSE[">="])
+    art_rows = np.flatnonzero(sense != _SENSE["<="])
+    n_slack, n_surplus, n_art = len(slack_rows), len(surplus_rows), len(art_rows)
     a_at = ncols + n_slack + n_surplus
     total = a_at + n_art
     tableau = np.zeros((m + 1, total + 1))
-    basis: list[int] = []
-    art_cols: list[int] = []
-    si = ti = ai = 0
-    for i in range(m):
-        tableau[i, :ncols] = A[i]
-        tableau[i, -1] = b[i]
-        if rel[i] == "<=":
-            tableau[i, ncols + si] = 1.0
-            basis.append(ncols + si)
-            si += 1
-        elif rel[i] == ">=":
-            tableau[i, ncols + n_slack + ti] = -1.0
-            tableau[i, a_at + ai] = 1.0
-            basis.append(a_at + ai)
-            art_cols.append(a_at + ai)
-            ti += 1
-            ai += 1
-        else:
-            tableau[i, a_at + ai] = 1.0
-            basis.append(a_at + ai)
-            art_cols.append(a_at + ai)
-            ai += 1
+    tableau[:m, :ncols] = A
+    tableau[:m, -1] = b
+    slack_cols = ncols + np.arange(n_slack)
+    art_cols = a_at + np.arange(n_art)
+    tableau[slack_rows, slack_cols] = 1.0
+    tableau[surplus_rows, ncols + n_slack + np.arange(n_surplus)] = -1.0
+    tableau[art_rows, art_cols] = 1.0
+    basis_cols = np.empty(m, dtype=int)
+    basis_cols[slack_rows] = slack_cols
+    basis_cols[art_rows] = art_cols
+    basis = basis_cols.tolist()
 
     if n_art:
-        # Phase 1: minimize the artificial sum.
-        tableau[-1, :] = 0.0
-        for c in art_cols:
-            tableau[-1, c] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                tableau[-1] -= tableau[i]
+        # Phase 1: minimize the artificial sum, pricing out the artificial
+        # rows one after another.
+        tableau[-1, a_at:total] = 1.0
+        for i in art_rows:
+            tableau[-1] -= tableau[i]
         status = _run_simplex(tableau, basis)
         phase1 = -tableau[-1, -1]
         if status != "optimal" or phase1 > FEAS_TOL * (1.0 + float(np.max(b, initial=0.0))):
             return LpSolution("infeasible", nan_x, math.nan)
         # Drive leftover artificials out of the basis; rows where that is
         # impossible are redundant and dropped.
-        keep: list[int] = []
+        keep_rows: list[int] = []
         for i in range(m):
-            if basis[i] in art_cols:
-                pivot_col = -1
-                for j in range(a_at):
-                    if abs(tableau[i, j]) > PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, i, pivot_col)
-                    basis[i] = pivot_col
-                    keep.append(i)
-            else:
-                keep.append(i)
-        tableau = np.vstack([tableau[keep], tableau[-1:]])
-        basis = [basis[i] for i in keep]
+            if basis[i] >= a_at:
+                candidates = np.flatnonzero(np.abs(tableau[i, :a_at]) > PIVOT_TOL)
+                if candidates.size == 0:
+                    continue
+                _pivot(tableau, i, int(candidates[0]))
+                basis[i] = int(candidates[0])
+            keep_rows.append(i)
+        tableau = tableau[np.ix_(keep_rows + [m], list(range(a_at)) + [total])]
+        basis = [basis[i] for i in keep_rows]
         m = len(basis)
-        tableau = np.hstack([tableau[:, :a_at], tableau[:, -1:]])
 
-    # Phase 2: restore the true objective as reduced costs over the basis.
+    # Phase 2: restore the true objective as reduced costs over the basis,
+    # one basic row after another.
     tableau[-1, :] = 0.0
     tableau[-1, :ncols] = cvec
     for i in range(m):
@@ -295,13 +277,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("unbounded", nan_x, -math.inf)
 
     y = np.zeros(tableau.shape[1] - 1)
-    for i in range(m):
-        y[basis[i]] = tableau[i, -1]
+    y[basis] = tableau[:m, -1]
     x = offsets.copy()
-    for k in range(ncols):
-        x[col_var[k]] += col_sign[k] * y[k]
+    np.add.at(x, col_var, col_sign * y[:ncols])  # in column order: y+ before y-
     objective_value = float(cobj @ x)
-    return LpSolution("optimal", tuple(float(v) for v in x), objective_value)
+    return LpSolution("optimal", tuple(x.tolist()), objective_value)
 
 
 # ---------------------------------------------------------------------------
@@ -312,53 +292,64 @@ MAX_ORACLE_VARS = 12
 MAX_ORACLE_COMBOS = 2_000_000
 
 
-def _as_rows(problem: LpProblem) -> list[tuple[np.ndarray, str, float]]:
-    """All constraints, including finite bounds, as (coeffs, relation, rhs)."""
+_CHUNK = 4096  # candidate bases per stacked LAPACK call
+
+
+def _as_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All constraints, including finite bounds, as (coefficient matrix,
+    relation senses, rhs)."""
     n = problem.n_vars
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for con in problem.constraints:
-        rows.append((np.asarray(con.coeffs, dtype=float), con.relation, con.rhs))
+    eye = np.eye(n)
+    coeffs = [con.coeffs for con in problem.constraints]
+    senses = [_SENSE[con.relation] for con in problem.constraints]
+    rhs = [con.rhs for con in problem.constraints]
     for j, (lo, hi) in enumerate(problem.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
         if math.isfinite(lo):
-            rows.append((e.copy(), ">=", lo))
+            coeffs.append(eye[j])
+            senses.append(_SENSE[">="])
+            rhs.append(lo)
         if math.isfinite(hi):
-            rows.append((e.copy(), "<=", hi))
-    return rows
+            coeffs.append(eye[j])
+            senses.append(_SENSE["<="])
+            rhs.append(hi)
+    return np.array(coeffs, dtype=float).reshape(-1, n), np.array(senses), np.array(rhs)
 
 
-def _feasible(rows, x: np.ndarray) -> bool:
-    for a, relation, b in rows:
-        v = float(a @ x)
-        tol = FEAS_TOL * (1.0 + abs(b))
-        if relation == "<=" and v > b + tol:
-            return False
-        if relation == ">=" and v < b - tol:
-            return False
-        if relation == "=" and abs(v - b) > tol:
-            return False
-    return True
+def _feasible(rows, x: np.ndarray) -> np.ndarray:
+    """Which of the points x (one per row) satisfy every row within FEAS_TOL."""
+    coeffs, senses, rhs = rows
+    v = x @ coeffs.T
+    tol = FEAS_TOL * (1.0 + np.abs(rhs))
+    violated = np.where(
+        senses == _SENSE["<="],
+        v > rhs + tol,
+        np.where(senses == _SENSE[">="], v < rhs - tol, np.abs(v - rhs) > tol),
+    )
+    return ~violated.any(axis=1)
 
 
 def _enumerate_feasible_vertices(rows, n: int) -> list[np.ndarray]:
-    n_combos = math.comb(len(rows), n) if len(rows) >= n else 0
+    coeffs, _, rhs = rows
+    n_combos = math.comb(len(rhs), n) if len(rhs) >= n else 0
     if n_combos > MAX_ORACLE_COMBOS:
         raise BudgetExceededError(f"{n_combos} candidate bases exceed the enumeration guard")
     vertices: list[np.ndarray] = []
-    for combo in itertools.combinations(range(len(rows)), n):
-        A = np.array([rows[i][0] for i in combo])
-        b = np.array([rows[i][2] for i in combo])
-        try:
-            x = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if float(np.max(np.abs(A @ x - b))) > 1e-7 * (1.0 + float(np.max(np.abs(b)))):
-            continue  # near-singular system, unreliable solve
-        if _feasible(rows, x):
-            vertices.append(x)
+    combos = itertools.combinations(range(len(rhs)), n)
+    while chunk := list(itertools.islice(combos, _CHUNK)):
+        basis = np.array(chunk)
+        A, b = coeffs[basis], rhs[basis]
+        # LAPACK's gesv refuses exactly the bases whose LU factorization has
+        # a zero pivot, which are the ones slogdet gives sign 0; the rest are
+        # solved in one stacked call, each by the same gesv as on its own.
+        solvable = np.linalg.slogdet(A)[0] != 0.0
+        A, b = A[solvable], b[solvable]
+        x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
+        finite = np.isfinite(x).all(axis=1)
+        A, b, x = A[finite], b[finite], x[finite]
+        residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1)
+        unreliable = residual > 1e-7 * (1.0 + np.abs(b).max(axis=1))  # near-singular
+        x = x[~unreliable]
+        vertices.extend(x[_feasible(rows, x)])
     return vertices
 
 
@@ -387,12 +378,12 @@ def enumerate_vertices(problem: LpProblem) -> LpSolution:
 
     # Recession directions: relax every rhs to 0 and keep directions inside a
     # unit box, so the cone section is a polytope enumerable the same way.
-    ray_rows: list[tuple[np.ndarray, str, float]] = [(a, relation, 0.0) for a, relation, _ in rows]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        ray_rows.append((e.copy(), "<=", 1.0))
-        ray_rows.append((e.copy(), ">=", -1.0))
+    coeffs, senses, _ = rows
+    ray_rows = (
+        np.vstack([coeffs, np.repeat(np.eye(n), 2, axis=0)]),
+        np.concatenate([senses, np.tile([_SENSE["<="], _SENSE[">="]], n)]),
+        np.concatenate([np.zeros(len(senses)), np.tile([1.0, -1.0], n)]),
+    )
     for d in _enumerate_feasible_vertices(ray_rows, n):
         if float(c @ d) < -FEAS_TOL * (1.0 + float(np.max(np.abs(c)))):
             return LpSolution("unbounded", tuple([math.nan] * n), -math.inf)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -94,6 +95,39 @@ class TestFeasibility:
             assert hi - lo <= 1e-9
             assert feasibility_gap(inst, result.t_min) <= 0.0
             assert result.forced_count == sum(1 for b in result.min_bits if b > 0.0)
+
+
+class TestLargeK:
+    """Strong interference at K in the thousands: (1 + d)^(1 - n) underflows
+    and (1 + d)^(n - 1) overflows, so the compute window saturates at inf.
+    Each solve gives a valid schedule or a typed infeasible one, with no
+    exception and no numpy warning."""
+
+    @pytest.mark.parametrize("deadline", [1.5, 30.0])
+    @pytest.mark.parametrize("k", [3000, 10000])
+    def test_valid_or_typed_infeasible(self, k, deadline):
+        inst = generate_instance(
+            GenerationSpec(n_users=k, degradation=0.3, deadline_s=deadline), 5
+        )
+        assert vm_rate_factor(inst.degradation, k) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            feas = feasibility_tmin(inst)
+            schedule = solve_energy_suboptimal(inst)
+        assert 0.0 < feas.t_min < math.inf
+        assert feasibility_gap(inst, feas.t_min) <= 0.0
+        if schedule.status == "infeasible":
+            assert schedule.t_min == feas.t_min
+            assert inst.deadline < feas.t_min
+        else:
+            assert validate_energy_schedule(inst, schedule).ok
+
+    def test_saturated_window(self):
+        inst = generate_instance(
+            GenerationSpec(n_users=3000, degradation=0.3, deadline_s=30.0), 5
+        )
+        part = partition_users(inst)
+        assert required_compute_time(inst, part, part.free_saving) == math.inf
 
 
 class TestTotalDelay:

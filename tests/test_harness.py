@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,27 @@ class TestSweep:
             sweep_spec_from_doc({"experiment": "rate-vs-d", "bogus": 1})
         with pytest.raises(ConfigurationError, match="experiment"):
             sweep_spec_from_doc({"grid": [1]})
+
+
+class TestStockEnergyBytes:
+    """The certified stock energy sweeps, byte for byte.  The digests were
+    recorded with the row-at-a-time simplex; the vectorised one must make the
+    same pivots with the same arithmetic, so any change to the simplex, the
+    energy LPs or the oracle that moves a bit of these CSVs fails here."""
+
+    DIGESTS = {
+        "energy-vs-T": "c6944e4b16cca00a6000b4e76e14ff035471f6eaeca9e939dde90ee8b3c05355",
+        "energy-vs-d": "50d644ebaee034cdaf0ea8b5dc186228688c5fdfbdb89b7621b19f3ad7b461ad",
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(DIGESTS))
+    def test_certified_sweep_digest(self, experiment, tmp_path):
+        out = tmp_path / f"{experiment}.csv"
+        assert cli_main([
+            "sweep", "--experiment", experiment, "--realizations", "20", "--seed", "7",
+            "--certify", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
 
 
 class TestScheduleDocs:

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from mecoffload import energy
+from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.lp import (
     BudgetExceededError,
     LpProblem,
     LpStructureError,
+    _pivot,
     constraint,
     enumerate_vertices,
     solve_lp,
 )
 from mecoffload.rng import SplitMix64
+from lp_reference import reference_solve_lp
 from support import random_lp_problem
 
 INF = math.inf
@@ -223,3 +227,86 @@ class TestSelectionRelaxation:
                     expected = np.zeros(K)
                     expected[order[:m]] = 1.0
                     np.testing.assert_allclose(sol.x, expected, rtol=0.0, atol=1e-9)
+
+
+def mixed_bound_problems(seed, count):
+    """Random LPs whose variables are free, upper-bounded only, or boxed, so
+    the split and mirrored columns of the standard form are exercised."""
+    rng = SplitMix64(seed)
+    problems = []
+    for _ in range(count):
+        base = random_lp_problem(rng, n_vars=5, n_rows=5)
+        bounds = []
+        for _, hi in base.bounds:
+            u = rng.uniform()
+            if u < 0.25:
+                bounds.append((-INF, INF))
+            elif u < 0.5:
+                bounds.append((-INF, 3.0))
+            else:
+                bounds.append((-2.0, hi))
+        problems.append(LpProblem(base.objective, base.constraints, tuple(bounds)))
+    return problems
+
+
+class TestRowLoopEquivalence:
+    """The vectorised simplex makes the same pivots with the same floating
+    point operations as the row-at-a-time reference, so `repr` of the
+    solution (signed zeros included) must be equal."""
+
+    @staticmethod
+    def assert_same(problems):
+        for problem in problems:
+            assert repr(solve_lp(problem)) == repr(reference_solve_lp(problem)), problem
+
+    def test_criterion_9_problems(self):
+        rng = SplitMix64(0x1B)
+        self.assert_same([random_lp_problem(rng) for _ in range(1000)])
+
+    def test_enumeration_test_problems(self):
+        for seed, count in ((2718, 250), (31415, 100), (555, 25)):
+            rng = SplitMix64(seed)
+            self.assert_same([random_lp_problem(rng) for _ in range(count)])
+
+    def test_free_and_upper_bounded_variables(self):
+        problems = mixed_bound_problems(99, 300)
+        statuses = {solve_lp(p).status for p in problems}
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        self.assert_same(problems)
+
+    def test_stock_energy_sweep_problems(self, monkeypatch):
+        # every LP the energy layer builds in certified stock energy-vs-T and
+        # energy-vs-d sweeps, 10 realizations per grid point
+        problems = []
+        build = energy._schedule_lp
+
+        def recording(*args):
+            problems.append(build(*args))
+            return problems[-1]
+
+        monkeypatch.setattr(energy, "_schedule_lp", recording)
+        for experiment in ("energy-vs-T", "energy-vs-d"):
+            run_sweep(SweepSpec(experiment=experiment, realizations=10, base_seed=7,
+                                certify=True))
+        assert len(problems) > 300
+        self.assert_same(problems)
+
+    def test_overflowing_ratios_and_infinite_coefficients(self):
+        cap = constraint([1.0, 1e-5], "<=", 1e308)  # its x2 ratio overflows to inf
+        nonneg = ((0.0, INF), (0.0, INF))
+        problems = [
+            LpProblem((0.0, -1.0), (cap,), nonneg),
+            LpProblem((0.0, -1.0), (cap, constraint([0.0, 1.0], "<=", 2.0)), nonneg),
+            LpProblem((-1.0, -1.0), (constraint([INF, 1.0], "<=", 1.0),
+                                     constraint([1.0, 1.0], "<=", 3.0)), nonneg),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):  # as both solvers meet them
+            assert solve_lp(problems[0]).status == "unbounded"
+            self.assert_same(problems)
+
+    def test_pivot_leaves_zero_factor_rows_untouched(self):
+        tableau = np.array([[2.0, 4.0, 6.0], [-0.0, 1.0, -0.0], [3.0, 1.0, 1.0]])
+        _pivot(tableau, 0, 0)
+        assert math.copysign(1.0, tableau[1, 0]) == -1.0
+        assert math.copysign(1.0, tableau[1, 2]) == -1.0
+        np.testing.assert_array_equal(tableau[2], [0.0, -5.0, -8.0])
