@@ -11,8 +11,10 @@ forced users' offload sizes.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
+import struct
 from dataclasses import dataclass
 
 from . import lp as lpmod
@@ -20,6 +22,7 @@ from .model import (
     EnergySchedule,
     Instance,
     baseline_local_energy,
+    interference_penalty,
     vm_rate_factor,
 )
 
@@ -36,8 +39,6 @@ __all__ = [
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
 ]
-
-_BISECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ def partition_users(instance: Instance) -> Partition:
 
 class _Balance:
     """The feasibility balance of one instance, with the user constants it
-    needs read once, for the many deadlines a bisection tries."""
+    needs read once, for the many deadlines a root search tries."""
 
     def __init__(self, instance: Instance):
         users = instance.users
@@ -101,7 +102,8 @@ class _Balance:
     def gap(self, t: float, min_bits: list[float] | None = None) -> float:
         if min_bits is None:
             min_bits = self.min_bits(t)
-        forced = sum(map((0.0).__lt__, min_bits))  # how many b > 0.0
+        # how many b > 0.0: the others are +-0.0, which count() matches
+        forced = len(min_bits) - min_bits.count(0.0)
         radio = sum(map(operator.mul, min_bits, self.roundtrip))
         compute = 0.0
         if forced:
@@ -111,6 +113,91 @@ class _Balance:
             else:  # (1 + d)^(1 - n) underflowed: no window is long enough
                 compute = math.inf
         return radio + compute - t
+
+    def root(self) -> float:
+        """The least double t with gap(t) <= 0 < gap(previous double).
+
+        User k stops being forced at tau_k = c_k L_k / f_k.  Between two
+        consecutive thresholds the forced set F is fixed, so the gap is
+        A - B t + max_k (alpha_k - beta_k t) / phi - t over k in F, with
+        A, B the radio sums, alpha_k = L_k / r_k, beta_k = f_k / (c_k r_k)
+        and phi = (1 + d)^(1 - |F|).  A bisection over the sorted
+        thresholds finds the segment holding the root, the root of that
+        segment is max_k (A phi + alpha_k) / (B phi + beta_k + phi),
+        clamped to the segment, and a walk of single ulps settles it on
+        the computed gap.
+        """
+        tau = [c * b / f for b, f, c in self.local]
+        order = sorted(range(len(tau)), key=tau.__getitem__)
+        if not order or tau[order[-1]] <= 0.0:
+            return 0.0
+        # Keep gap > 0 at threshold lo (position -1 and zero thresholds are
+        # t = 0, checked once the search ends there) and gap <= 0 at
+        # threshold hi; the last threshold leaves at most a rounding residue
+        # forced, so its gap is about -t.
+        lo = bisect.bisect_right(order, 0.0, key=tau.__getitem__) - 1
+        hi = len(order) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.gap(tau[order[mid]]) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        left = tau[order[lo]] if lo >= 0 else 0.0
+        if left == 0.0 and self.gap(0.0) <= 0.0:
+            return 0.0
+        right = tau[order[hi]]
+        forced = order[hi:]
+        phi = vm_rate_factor(self.degradation, len(forced))
+        if phi == 0.0:  # the gap is inf on the whole segment
+            return self._settle(right, left, right)
+        a = b = 0.0
+        for k in forced:
+            task, freq, cycles = self.local[k]
+            a += task * self.roundtrip[k]
+            b += freq / cycles * self.roundtrip[k]
+        t = left
+        for k in forced:
+            task, freq, cycles = self.local[k]
+            r = self.service[k]
+            t = max(t, (a * phi + task / r) / (b * phi + freq / (cycles * r) + phi))
+        return self._settle(min(t, right), left, right)
+
+    def _settle(self, t: float, lo: float, hi: float) -> float:
+        """Walk from t one ulp at a time to a double with gap(t) <= 0 <
+        gap(previous double); gap(lo) > 0 >= gap(hi) brackets the walk.
+        After _ULP_STEPS steps, bisect the bit patterns of (lo, hi]
+        instead, which takes at most 64 more gap evaluations."""
+        if self.gap(t) > 0.0:
+            for _ in range(_ULP_STEPS):
+                lo, t = t, math.nextafter(t, math.inf)
+                if self.gap(t) <= 0.0:
+                    return t
+        else:
+            for _ in range(_ULP_STEPS):
+                hi, t = t, math.nextafter(t, 0.0)
+                if self.gap(t) > 0.0:
+                    return hi
+        # positive doubles order as their bit patterns do
+        lo_bits, hi_bits = _double_bits(lo), _double_bits(hi)
+        while hi_bits - lo_bits > 1:
+            mid = (lo_bits + hi_bits) // 2
+            if self.gap(_bits_double(mid)) > 0.0:
+                lo_bits = mid
+            else:
+                hi_bits = mid
+        return _bits_double(hi_bits)
+
+
+_ULP_STEPS = 64
+
+
+def _double_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_double(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
 def feasibility_gap(instance: Instance, t: float) -> float:
@@ -122,7 +209,12 @@ def feasibility_gap(instance: Instance, t: float) -> float:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Root of the feasibility balance, with the state evaluated there."""
+    """Root of the feasibility balance, with the state evaluated there.
+
+    bracket is (the double below t_min, t_min): the gap is positive at the
+    first and nonpositive at the second, so no double between them is
+    skipped.  At t_min = 0 both ends are 0.
+    """
 
     t_min: float
     residual: float  # feasibility_gap at t_min (at or just past the root)
@@ -134,37 +226,21 @@ class FeasibilityResult:
 def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     """Smallest deadline for which the energy problem is feasible.
 
-    Bisection on the monotone decreasing gap keeps gap(lo) > 0 >= gap(hi)
-    and returns hi, the least deadline with nonpositive gap; the gap may
-    jump past zero where the forced-user count drops, so the root can sit
-    on a discontinuity.
+    The least double t_min whose gap is nonpositive while the gap of the
+    double below it is positive, found exactly rather than to a tolerance
+    (`_Balance.root`).  The gap may jump past zero where the forced-user
+    count drops, so the root can sit on a discontinuity.
     """
-
     balance = _Balance(instance)
-
-    def result_at(t: float, lo: float, hi: float) -> FeasibilityResult:
-        min_bits = balance.min_bits(t)
-        return FeasibilityResult(
-            t_min=t,
-            residual=balance.gap(t, min_bits),
-            min_bits=tuple(min_bits),
-            forced_count=sum(1 for b in min_bits if b > 0.0),
-            bracket=(lo, hi),
-        )
-
-    if instance.n_users == 0:
-        return result_at(0.0, 0.0, 0.0)
-    hi = max(u.cycles_per_bit * u.task_bits / u.cpu_freq for u in instance.users)
-    if hi <= 0.0 or balance.gap(0.0) <= 0.0:
-        return result_at(0.0, 0.0, 0.0)
-    lo = 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if balance.gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return result_at(hi, lo, hi)
+    t = balance.root()
+    min_bits = balance.min_bits(t)
+    return FeasibilityResult(
+        t_min=t,
+        residual=balance.gap(t, min_bits),
+        min_bits=tuple(min_bits),
+        forced_count=sum(1 for b in min_bits if b > 0.0),
+        bracket=(math.nextafter(t, 0.0), t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +266,7 @@ def required_compute_time(instance: Instance, partition: Partition, s1) -> float
         longest = max(longest, derived[uid].min_offload_bits / u.service_rate)
     if longest == 0.0:
         return 0.0
-    try:
-        return longest * (1.0 + instance.degradation) ** (n_vms - 1)
-    except OverflowError:  # the interference saturates: no window is long enough
-        return math.inf
+    return longest * interference_penalty(instance.degradation, n_vms)
 
 
 def total_delay(instance: Instance, partition: Partition, s1) -> float:
@@ -228,12 +301,13 @@ def _schedule_lp(
     n = len(members) + 1  # trailing variable is the computing window
     objective = [derived[uid].energy_delta_per_bit for uid in members] + [0.0]
     budget_row = [instance.users[uid].roundtrip_time_per_bit for uid in members] + [1.0]
-    constraints = [lpmod.constraint(budget_row, "<=", budget)]
+    # plain (coeffs, relation, rhs) rows: LpProblem converts each one once
+    constraints = [(budget_row, "<=", budget)]
     for k, uid in enumerate(members):
         row = [0.0] * n
         row[k] = 1.0
         row[-1] = -instance.users[uid].service_rate * factor
-        constraints.append(lpmod.constraint(row, "<=", 0.0))
+        constraints.append((row, "<=", 0.0))
     bounds = [(lower[uid], instance.users[uid].task_bits) for uid in members]
     bounds.append((te_floor, math.inf))
     return lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))

@@ -37,7 +37,6 @@ from .oracle import OracleBudget, brute_force_energy, brute_force_rate_max
 from .rate import (
     benchmark_all_offloading,
     benchmark_greedy,
-    benchmark_lr,
     per_size_table,
     solve_rate_max,
 )
@@ -45,10 +44,17 @@ from .rng import mix64
 
 __all__ = ["SweepSpec", "run_sweep", "cli_main", "main"]
 
+
+def _optimal_schedule(instance):
+    return solve_rate_max(instance)[0]
+
+
+# The LP-relaxation benchmark is the exact solve (see rate.benchmark_lr), so
+# "lr" shares the "optimal" callable and a sweep solves it once per instance.
 RATE_ALGORITHMS = {
-    "optimal": lambda inst: solve_rate_max(inst)[0],
+    "optimal": _optimal_schedule,
     "greedy": benchmark_greedy,
-    "lr": benchmark_lr,
+    "lr": _optimal_schedule,
     "all-offload": benchmark_all_offloading,
 }
 
@@ -173,6 +179,7 @@ def run_sweep(spec: SweepSpec) -> str:
         header += ["certified", "max_rel_gap"]
     lines = [",".join(header)]
 
+    algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
@@ -186,18 +193,19 @@ def run_sweep(spec: SweepSpec) -> str:
                 reference = brute_force_rate_max(instance, budget)
             elif spec.certify and not rate_side:
                 reference = brute_force_energy(instance, budget)
+            solved = {}  # one schedule per distinct algorithm callable
             for name in spec.algorithms:
+                algorithm = algorithms[name]
+                if algorithm not in solved:
+                    solved[algorithm] = algorithm(instance)
+                schedule = solved[algorithm]
                 if rate_side:
-                    schedule = RATE_ALGORITHMS[name](instance)
                     results[name].append(schedule.sum_rate)
                     if reference is not None:
                         gap = (reference.sum_rate - schedule.sum_rate) / reference.sum_rate
                         gaps[name].append(gap)
                         certified[name] += 1
-                else:
-                    schedule = ENERGY_ALGORITHMS[name](instance)
-                    if schedule.status == "infeasible":
-                        continue
+                elif schedule.status != "infeasible":
                     results[name].append(schedule.total_energy)
                     if reference is not None and reference.status != "infeasible":
                         gap = (schedule.total_energy - reference.total_energy) / abs(

@@ -37,6 +37,7 @@ __all__ = [
     "GenerationSpec",
     "derive_user",
     "vm_rate_factor",
+    "interference_penalty",
     "baseline_local_energy",
     "validate_rate_schedule",
     "validate_energy_schedule",
@@ -231,6 +232,16 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:
     """Multiplicative service-rate loss when n_scheduled VMs share the server."""
     return (1.0 + degradation) ** (1 - n_scheduled)
+
+
+def interference_penalty(degradation: float, n_scheduled: int) -> float:
+    """(1 + d)^(n - 1), the inverse of `vm_rate_factor`, or inf where the
+    power overflows: past that size the interference saturates, every VM
+    rate is 0 and no computing window is long enough."""
+    try:
+        return (1.0 + degradation) ** (n_scheduled - 1)
+    except OverflowError:
+        return math.inf
 
 
 def baseline_local_energy(instance: Instance) -> float:
@@ -492,31 +503,34 @@ def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
         if getattr(spec, name) <= 0.0:
             raise ConfigurationError(f"{name} must be > 0")
 
-    rng = SplitMix64(seed)
-    users = []
-    for i in range(spec.n_users):
-        uplink = rng.uniform(*spec.uplink_mbps)
-        downlink = rng.uniform(*spec.downlink_mbps)
-        service = rng.uniform(*spec.service_rate_bps)
-        exponent = rng.uniform(*spec.output_ratio_exponent)
-        task_kb = rng.uniform(*spec.task_kb)
-        cycles = rng.uniform(*spec.cycles_per_bit)
-        freq = rng.uniform(*spec.cpu_freq_hz)
-        users.append(
-            UserProfile(
-                id=i,
-                weight=spec.weight,
-                uplink_time_per_bit=1.0 / (uplink * 1e6),
-                downlink_time_per_bit=1.0 / (downlink * 1e6),
-                output_ratio=10.0 ** (-exponent),
-                service_rate=service,
-                task_bits=task_kb * _BITS_PER_KB,
-                cycles_per_bit=cycles,
-                cpu_freq=freq,
-                energy_coeff=spec.energy_coeff,
-                tx_power=spec.tx_power_w,
-            )
+    # one row of draws per user, in the per-user order above, mapped onto
+    # each field's range with the scalar draw's `lo + (hi - lo) * u`
+    lo, hi = np.array([
+        spec.uplink_mbps,
+        spec.downlink_mbps,
+        spec.service_rate_bps,
+        spec.output_ratio_exponent,
+        spec.task_kb,
+        spec.cycles_per_bit,
+        spec.cpu_freq_hz,
+    ]).T
+    draws = SplitMix64(seed).uniform_array(7 * spec.n_users).reshape(spec.n_users, 7)
+    values = lo + (hi - lo) * draws
+    values[:, :2] = 1.0 / (values[:, :2] * 1e6)  # Mbps to seconds per bit
+    values[:, 4] *= _BITS_PER_KB
+    # UserProfile fields in declaration order; numpy's power may differ from
+    # Python's in the last bit, so the output ratio is one Python float at a
+    # time
+    weight, kappa, power = spec.weight, spec.energy_coeff, spec.tx_power_w
+    users = [
+        UserProfile(
+            i, weight, uplink, downlink, 10.0 ** (-exponent), service, task_bits, cycles, freq,
+            kappa, power,
         )
+        for i, (uplink, downlink, service, exponent, task_bits, cycles, freq) in enumerate(
+            zip(*values.T.tolist())
+        )
+    ]
     return Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=tuple(users))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, RateSchedule, UserProfile, vm_rate_factor
+from .model import Instance, RateSchedule, UserProfile, interference_penalty, vm_rate_factor
 
 __all__ = [
     "ConditionalSolution",
@@ -98,8 +98,9 @@ def _fixed_set_sums(degradation: float, terms: list[tuple[float, float, float]])
     """Numerator, denominator and interference penalty of the closed-form
     rate of a nonempty set, summed over its members' `_rate_terms` in the
     order given (ascending ids), and the slowest member's weighted
-    transmission rate."""
-    penalty = (1.0 + degradation) ** (len(terms) - 1)
+    transmission rate.  Where the penalty saturates at inf, so does the
+    denominator, and the rate is 0."""
+    penalty = interference_penalty(degradation, len(terms))
     num = 0.0
     den = penalty
     min_tx = math.inf
@@ -133,7 +134,8 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
         instance.degradation, [_rate_terms(instance.users[uid]) for uid in members]
     )
     rate = num / den
-    te = instance.deadline * penalty / den
+    # a saturated penalty takes the whole frame: t_e -> T as it grows
+    te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
     bits = {u.id: 0.0 for u in instance.users}
     for uid in members:
         bits[uid] = te * instance.users[uid].service_rate * factor
@@ -165,7 +167,10 @@ def dinkelbach_slave(instance: Instance, m: int) -> tuple[frozenset[int], float,
         raise ValueError(f"m must be in 1..{K}, got {m}")
     view = instance.view
     weight, roundtrip, service = view.weight, view.roundtrip, view.service
-    penalty = (1.0 + instance.degradation) ** (m - 1)
+    penalty = interference_penalty(instance.degradation, m)
+    if penalty == math.inf:  # every m-set has rate 0, the optimum: stop at the first step
+        selected = frozenset(_top_m(service * weight, m).tolist())
+        return selected, 0.0, DinkelbachTrace((DinkelbachIteration(0.0, selected, 0.0),))
     wr = weight * service
     qr = roundtrip * service
 
@@ -382,12 +387,15 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
     for u in order:
         candidate = taken.copy()
         bisect.insort(candidate, u.id)
-        num, den, _penalty, min_tx = _fixed_set_sums(
+        num, den, penalty, min_tx = _fixed_set_sums(
             instance.degradation, [terms[uid] for uid in candidate]
         )
         if not _meets_necessary_condition(num / den, min_tx):
             break
         taken = candidate
+        if penalty == math.inf:  # every larger set has rate 0 and passes too
+            taken = list(range(instance.n_users))
+            break
     # a singleton always satisfies the condition, so taken is nonempty
     return conditional_solution(instance, taken).as_schedule()
 

@@ -6,19 +6,33 @@ generator beats a library one here because reproducibility is part of the
 contract: the same seed must give bit-identical streams on every platform and
 under every library version, which numpy's Generator API does not promise for
 its distribution methods.
+
+`SplitMix64.uniform_array` draws many values at once with wrapping uint64
+arithmetic; it gives the same doubles as that many `uniform()` calls, and
+the scalar methods stay the reference.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _scramble(z: int) -> int:
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+# uint64 forms of the constants, for the array draws
+_U64 = np.uint64
+_GOLDEN_U64, _MIX1_U64, _MIX2_U64 = _U64(_GOLDEN), _U64(_MIX1), _U64(_MIX2)
+_S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 
 class SplitMix64:
@@ -35,6 +49,27 @@ class SplitMix64:
         # 53 high bits give the usual dyadic rational in [0, 1).
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
+
+    def uniform_array(self, n: int) -> np.ndarray:
+        """The next n `uniform()` values in [0, 1), as a float64 array.
+
+        The states are formed with wrapping uint64 arithmetic and scrambled
+        in place; the stream then continues n steps further on, as if
+        `uniform()` had been called n times.
+        """
+        z = np.arange(1, n + 1, dtype=_U64)
+        z *= _GOLDEN_U64
+        z += _U64(self._state)
+        self._state = (self._state + n * _GOLDEN) & MASK64
+        z ^= z >> _S30
+        z *= _MIX1_U64
+        z ^= z >> _S27
+        z *= _MIX2_U64
+        z ^= z >> _S31
+        z >>= _S11
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        return u
 
 
 def mix64(*values: int) -> int:

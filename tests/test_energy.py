@@ -23,6 +23,7 @@ from mecoffload import (
     vm_rate_factor,
     with_deadline,
 )
+from mecoffload import energy
 from mecoffload.energy import _schedule_lp
 from mecoffload.lp import enumerate_vertices, solve_lp
 from mecoffload.rng import SplitMix64, mix64
@@ -95,6 +96,20 @@ class TestFeasibility:
             assert hi - lo <= 1e-9
             assert feasibility_gap(inst, result.t_min) <= 0.0
             assert result.forced_count == sum(1 for b in result.min_bits if b > 0.0)
+
+
+    def test_bit_bisection_fallback_finds_the_same_root(self, monkeypatch):
+        # with no ulp steps allowed, the bounded bisection over bit patterns
+        # must land on the same double as the walk
+        instances = [
+            stock_instance(k, 0.2, seed, deadline=0.45) for k in (1, 10, 40) for seed in range(8)
+        ]
+        walked = [feasibility_tmin(inst) for inst in instances]
+        monkeypatch.setattr(energy, "_ULP_STEPS", 0)
+        for inst, expected in zip(instances, walked):
+            assert feasibility_tmin(inst) == expected
+            t = expected.t_min
+            assert feasibility_gap(inst, t) <= 0.0 < feasibility_gap(inst, math.nextafter(t, 0.0))
 
 
 class TestLargeK:
@@ -419,7 +434,8 @@ def reference_gap(instance, t):
 
 
 def reference_tmin(instance):
-    """Bisection on `reference_gap`, with the bracket rule of feasibility_tmin."""
+    """Bisection on `reference_gap` to a 1e-9 s bracket (lo, hi] with
+    gap(lo) > 0 >= gap(hi); hi is the answer."""
 
     def result_at(t, lo, hi):
         min_bits, gap = reference_gap(instance, t)
@@ -489,7 +505,16 @@ class TestFastPathEquivalence:
         greedy = 0
         for seed in range(70):
             inst = drop_loop_instance(n_users, seed)
-            assert feasibility_tmin(inst) == reference_tmin(inst)
+            # the exact root lies in the bisection's final bracket, and no
+            # double between it and the one below is skipped
+            result, reference = feasibility_tmin(inst), reference_tmin(inst)
+            t = result.t_min
+            assert reference.bracket[0] < t <= reference.t_min
+            assert reference_gap(inst, t)[1] <= 0.0 < reference_gap(inst, result.bracket[0])[1]
+            assert result.bracket == (math.nextafter(t, 0.0), t)
+            min_bits, gap = reference_gap(inst, t)
+            assert result.min_bits == tuple(min_bits) and result.residual == gap
+            assert result.forced_count == sum(1 for b in min_bits if b > 0.0)
             assert feasibility_gap(inst, 0.5 * inst.deadline) == reference_gap(
                 inst, 0.5 * inst.deadline
             )[1]

@@ -103,6 +103,27 @@ class TestStockEnergyBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
 
 
+class TestStockRateBytes:
+    """The certified stock rate sweeps, byte for byte.  The digests were
+    recorded with the per-user scalar instance generator and with `lr`
+    solved on its own; the array generator and the shared `optimal`/`lr`
+    solve must leave every byte of these CSVs as it was."""
+
+    DIGESTS = {
+        "rate-vs-K": "c9586b784a94581649ace0b062b32e69d396929b860ffd6086cae7e4a8aa1eb2",
+        "rate-vs-d": "14c40b2f4b5e906c6eb10274485788b06cfc730a5757d678ed6aeb0b5cbb2c93",
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(DIGESTS))
+    def test_certified_sweep_digest(self, experiment, tmp_path):
+        out = tmp_path / f"{experiment}.csv"
+        assert cli_main([
+            "sweep", "--experiment", experiment, "--realizations", "20", "--seed", "7",
+            "--certify", "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
+
+
 class TestScheduleDocs:
     def test_energy_infeasible_round_trips_through_null(self):
         schedule = EnergySchedule(

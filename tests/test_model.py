@@ -20,8 +20,40 @@ from mecoffload import (
     validate_rate_schedule,
     write_instance,
 )
+from mecoffload.model import Instance, UserProfile
 from mecoffload.rng import SplitMix64, mix64
 from support import make_instance, make_user, unit_roundtrip_user
+
+
+def scalar_generate_instance(spec, seed):
+    """The per-user loop `generate_instance` replaced: seven scalar draws
+    per user, in field order, each field converted one float at a time."""
+    rng = SplitMix64(seed)
+    users = []
+    for i in range(spec.n_users):
+        uplink = rng.uniform(*spec.uplink_mbps)
+        downlink = rng.uniform(*spec.downlink_mbps)
+        service = rng.uniform(*spec.service_rate_bps)
+        exponent = rng.uniform(*spec.output_ratio_exponent)
+        task_kb = rng.uniform(*spec.task_kb)
+        cycles = rng.uniform(*spec.cycles_per_bit)
+        freq = rng.uniform(*spec.cpu_freq_hz)
+        users.append(
+            UserProfile(
+                id=i,
+                weight=spec.weight,
+                uplink_time_per_bit=1.0 / (uplink * 1e6),
+                downlink_time_per_bit=1.0 / (downlink * 1e6),
+                output_ratio=10.0 ** (-exponent),
+                service_rate=service,
+                task_bits=task_kb * 8000.0,
+                cycles_per_bit=cycles,
+                cpu_freq=freq,
+                energy_coeff=spec.energy_coeff,
+                tx_power=spec.tx_power_w,
+            )
+        )
+    return Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=tuple(users))
 
 
 class TestDerivedUser:
@@ -227,6 +259,46 @@ class TestGeneration:
             generate_instance(GenerationSpec(n_users=-1), 0)
 
 
+class TestArrayGeneration:
+    """`generate_instance` draws the whole instance as one array; it must
+    give the scalar loop's instance, float for float."""
+
+    @staticmethod
+    def assert_same(spec, seed):
+        inst = generate_instance(spec, seed)
+        assert inst == scalar_generate_instance(spec, seed)
+        # Python floats, not numpy scalars, so files and reprs are unchanged
+        assert all(
+            type(getattr(u, f.name)) is float
+            for u in inst.users
+            for f in dataclasses.fields(u)
+            if f.name != "id"
+        )
+
+    @pytest.mark.parametrize("n_users", [0, 1, 4, 10, 100, 1000])
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**70])
+    def test_matches_scalar_loop(self, n_users, seed):
+        self.assert_same(GenerationSpec(n_users=n_users), seed)
+
+    @given(
+        n_users=st.integers(min_value=0, max_value=30),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+    )
+    def test_matches_scalar_loop_any_seed(self, n_users, seed):
+        self.assert_same(GenerationSpec(n_users=n_users, degradation=0.2), seed)
+
+    def test_degenerate_ranges(self):
+        spec = GenerationSpec(
+            n_users=12,
+            uplink_mbps=(120.0, 120.0),
+            output_ratio_exponent=(1.0, 1.0),
+            task_kb=(0.0, 0.0),
+            cpu_freq_hz=(3e8, 3e8),
+        )
+        self.assert_same(spec, 5)
+        assert {u.task_bits for u in generate_instance(spec, 5).users} == {0.0}
+
+
 class TestRng:
     def test_splitmix_reference_stream(self):
         # first outputs for seed 0, fixed forever
@@ -242,6 +314,16 @@ class TestRng:
         rng = SplitMix64(99)
         xs = [rng.uniform(2.0, 3.0) for _ in range(100)]
         assert all(2.0 <= x < 3.0 for x in xs)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 700])
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**70])
+    def test_uniform_array_continues_the_scalar_stream(self, n, seed):
+        array_rng, scalar_rng = SplitMix64(seed), SplitMix64(seed)
+        drawn = array_rng.uniform_array(n)
+        assert drawn.dtype == float and drawn.shape == (n,)
+        assert drawn.tolist() + [array_rng.uniform()] == [
+            scalar_rng.uniform() for _ in range(n + 1)
+        ]
 
     def test_mix64_order_sensitive(self):
         assert mix64(1, 2, 3) != mix64(3, 2, 1)

@@ -226,6 +226,30 @@ class TestLargeK:
         assert row.rate >= best_fixed * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("k", [3000, 10000])
+    def test_benchmarks_saturate(self, k):
+        # past the size where (1 + d)^(m - 1) overflows, a set's penalty is
+        # inf: rate 0, the whole frame as window, no bits
+        inst = stock_instance(k, 0.3, mix64(71, k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            schedules = {
+                "greedy": benchmark_greedy(inst),
+                "all-offload": benchmark_all_offloading(inst),
+                "full set": conditional_solution(inst, range(k)).as_schedule(),
+            }
+            selected, slave_rate, trace = dinkelbach_slave(inst, k)
+            schedules["slave"] = conditional_solution(inst, selected).as_schedule()
+        for name, schedule in schedules.items():
+            assert validate_rate_schedule(inst, schedule).ok, name
+        full = schedules["full set"]
+        assert (full.sum_rate, full.compute_time) == (0.0, inst.deadline)
+        assert set(full.offload_bits.values()) == {0.0}
+        assert schedules["all-offload"] == full
+        assert (len(selected), slave_rate, trace.iterations) == (k, 0.0, 1)
+        # the greedy order never stops at d = 0.3, so it takes everybody
+        assert schedules["greedy"].scheduled == frozenset(range(k))
+
+    @pytest.mark.parametrize("k", [3000, 10000])
     def test_no_interference_matches_threshold_rule(self, k):
         inst = stock_instance(k, 0.0, mix64(73, k))
         with warnings.catch_warnings():
