@@ -17,6 +17,8 @@ import operator
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import lp as lpmod
 from .model import (
     EnergySchedule,
@@ -64,19 +66,13 @@ class Partition:
 
 
 def partition_users(instance: Instance) -> Partition:
-    m0, m1, n0, n1 = set(), set(), set(), set()
-    for d in instance.derived:
-        forced = d.min_offload_bits > 0.0
-        saving = d.energy_delta_per_bit < 0.0
-        if forced and saving:
-            m1.add(d.id)
-        elif forced:
-            m0.add(d.id)
-        elif saving:
-            n1.add(d.id)
-        else:
-            n0.add(d.id)
-    return Partition(frozenset(m0), frozenset(m1), frozenset(n0), frozenset(n1))
+    columns = instance.derived
+    groups = ([], [], [], [])  # indexed by 2 * forced + saving
+    classes = 2 * (columns.min_offload_bits > 0.0) + (columns.delta_per_bit < 0.0)
+    for uid, group in enumerate(classes.tolist()):
+        groups[group].append(uid)
+    free_costly, free_saving, forced_costly, forced_saving = map(frozenset, groups)
+    return Partition(forced_costly, forced_saving, free_costly, free_saving)
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +82,24 @@ def partition_users(instance: Instance) -> Partition:
 
 class _Balance:
     """The feasibility balance of one instance, with the user constants it
-    needs read once, for the many deadlines a root search tries."""
+    needs read once from `Instance.derived`, for the many deadlines a root
+    search tries."""
 
     def __init__(self, instance: Instance):
-        users = instance.users
+        columns = instance.derived
         self.degradation = instance.degradation
-        self.local = [(u.task_bits, u.cpu_freq, u.cycles_per_bit) for u in users]
-        self.roundtrip = [u.roundtrip_time_per_bit for u in users]
-        self.service = [u.service_rate for u in users]
+        self.task = columns.task_bits.tolist()
+        self.freq = columns.cpu_freq.tolist()
+        self.cycles = columns.cycles_per_bit.tolist()
+        self.roundtrip = columns.roundtrip.tolist()
+        self.service = columns.service.tolist()
 
     def min_bits(self, t: float) -> list[float]:
         # `0.0 if 0.0 > x else x` is max(x, 0.0), zero sign included
-        return [0.0 if 0.0 > (x := b - t * f / c) else x for b, f, c in self.local]
+        return [
+            0.0 if 0.0 > (x := b - t * f / c) else x
+            for b, f, c in zip(self.task, self.freq, self.cycles)
+        ]
 
     def gap(self, t: float, min_bits: list[float] | None = None) -> float:
         if min_bits is None:
@@ -114,8 +116,14 @@ class _Balance:
                 compute = math.inf
         return radio + compute - t
 
-    def root(self) -> float:
-        """The least double t with gap(t) <= 0 < gap(previous double).
+    def at(self, t: float) -> tuple[float, list[float]]:
+        """The gap at t, with the forced minimum offloads it was formed from."""
+        min_bits = self.min_bits(t)
+        return self.gap(t, min_bits), min_bits
+
+    def root(self) -> tuple[float, tuple[float, list[float]] | None]:
+        """The least double t with gap(t) <= 0 < gap(previous double), and
+        `at(t)` where the search evaluated it (else None).
 
         User k stops being forced at tau_k = c_k L_k / f_k.  Between two
         consecutive thresholds the forced set F is fixed, so the gap is
@@ -127,10 +135,10 @@ class _Balance:
         clamped to the segment, and a walk of single ulps settles it on
         the computed gap.
         """
-        tau = [c * b / f for b, f, c in self.local]
+        tau = [c * b / f for b, f, c in zip(self.task, self.freq, self.cycles)]
         order = sorted(range(len(tau)), key=tau.__getitem__)
         if not order or tau[order[-1]] <= 0.0:
-            return 0.0
+            return 0.0, None
         # Keep gap > 0 at threshold lo (position -1 and zero thresholds are
         # t = 0, checked once the search ends there) and gap <= 0 at
         # threshold hi; the last threshold leaves at most a rounding residue
@@ -144,8 +152,10 @@ class _Balance:
             else:
                 hi = mid
         left = tau[order[lo]] if lo >= 0 else 0.0
-        if left == 0.0 and self.gap(0.0) <= 0.0:
-            return 0.0
+        if left == 0.0:
+            state = self.at(0.0)
+            if state[0] <= 0.0:
+                return 0.0, state
         right = tau[order[hi]]
         forced = order[hi:]
         phi = vm_rate_factor(self.degradation, len(forced))
@@ -153,40 +163,44 @@ class _Balance:
             return self._settle(right, left, right)
         a = b = 0.0
         for k in forced:
-            task, freq, cycles = self.local[k]
-            a += task * self.roundtrip[k]
-            b += freq / cycles * self.roundtrip[k]
+            a += self.task[k] * self.roundtrip[k]
+            b += self.freq[k] / self.cycles[k] * self.roundtrip[k]
         t = left
         for k in forced:
-            task, freq, cycles = self.local[k]
-            r = self.service[k]
+            task, freq, cycles, r = self.task[k], self.freq[k], self.cycles[k], self.service[k]
             t = max(t, (a * phi + task / r) / (b * phi + freq / (cycles * r) + phi))
         return self._settle(min(t, right), left, right)
 
-    def _settle(self, t: float, lo: float, hi: float) -> float:
+    def _settle(self, t: float, lo: float, hi: float):
         """Walk from t one ulp at a time to a double with gap(t) <= 0 <
         gap(previous double); gap(lo) > 0 >= gap(hi) brackets the walk.
         After _ULP_STEPS steps, bisect the bit patterns of (lo, hi]
-        instead, which takes at most 64 more gap evaluations."""
-        if self.gap(t) > 0.0:
+        instead, which takes at most 64 more gap evaluations.  Returns the
+        double and `at` of it, or None where hi is returned unevaluated."""
+        state = self.at(t)
+        hi_state = None
+        if state[0] > 0.0:
             for _ in range(_ULP_STEPS):
                 lo, t = t, math.nextafter(t, math.inf)
-                if self.gap(t) <= 0.0:
-                    return t
+                state = self.at(t)
+                if state[0] <= 0.0:
+                    return t, state
         else:
             for _ in range(_ULP_STEPS):
-                hi, t = t, math.nextafter(t, 0.0)
-                if self.gap(t) > 0.0:
-                    return hi
+                hi, hi_state, t = t, state, math.nextafter(t, 0.0)
+                state = self.at(t)
+                if state[0] > 0.0:
+                    return hi, hi_state
         # positive doubles order as their bit patterns do
         lo_bits, hi_bits = _double_bits(lo), _double_bits(hi)
         while hi_bits - lo_bits > 1:
             mid = (lo_bits + hi_bits) // 2
-            if self.gap(_bits_double(mid)) > 0.0:
+            state = self.at(_bits_double(mid))
+            if state[0] > 0.0:
                 lo_bits = mid
             else:
-                hi_bits = mid
-        return _bits_double(hi_bits)
+                hi_bits, hi_state = mid, state
+        return _bits_double(hi_bits), hi_state
 
 
 _ULP_STEPS = 64
@@ -232,11 +246,11 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     count drops, so the root can sit on a discontinuity.
     """
     balance = _Balance(instance)
-    t = balance.root()
-    min_bits = balance.min_bits(t)
+    t, state = balance.root()
+    residual, min_bits = balance.at(t) if state is None else state
     return FeasibilityResult(
         t_min=t,
-        residual=balance.gap(t, min_bits),
+        residual=residual,
         min_bits=tuple(min_bits),
         forced_count=sum(1 for b in min_bits if b > 0.0),
         bracket=(math.nextafter(t, 0.0), t),
@@ -248,42 +262,50 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 
-def required_compute_time(instance: Instance, partition: Partition, s1) -> float:
-    """Shortest parallel-computing window for the given optional set: the
-    slowest full task among scheduled saving users, or the slowest forced
-    minimum among costly ones, at the interference-degraded rate."""
+def _ids(ids) -> np.ndarray:
+    return np.fromiter(ids, np.intp, len(ids))
+
+
+def _commitment(instance: Instance, partition: Partition, s1):
+    """Every user's committed offload bits, in id order: the whole task for
+    the forced saving users and s1, the forced minimum for the forced costly
+    ones, and 0 for the rest; with the number of VMs they occupy."""
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
-    derived = instance.derived
-    n_vms = len(partition.forced) + len(s1)
-    longest = 0.0
-    for uid in partition.forced_saving | s1:
-        u = instance.users[uid]
-        longest = max(longest, u.task_bits / u.service_rate)
-    for uid in partition.forced_costly:
-        u = instance.users[uid]
-        longest = max(longest, derived[uid].min_offload_bits / u.service_rate)
+    columns = instance.derived
+    bits = np.zeros(instance.n_users)
+    costly = _ids(partition.forced_costly)
+    bits[costly] = columns.min_offload_bits[costly]
+    whole = _ids(partition.forced_saving | s1)
+    bits[whole] = columns.task_bits[whole]
+    return bits, len(partition.forced) + len(s1)
+
+
+def _window(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
+    longest = (bits / instance.derived.service).max().item() if bits.size else 0.0
     if longest == 0.0:
         return 0.0
     return longest * interference_penalty(instance.degradation, n_vms)
 
 
+def required_compute_time(instance: Instance, partition: Partition, s1) -> float:
+    """Shortest parallel-computing window for the given optional set: the
+    slowest full task among scheduled saving users, or the slowest forced
+    minimum among costly ones, at the interference-degraded rate."""
+    return _window(instance, *_commitment(instance, partition, s1))
+
+
 def total_delay(instance: Instance, partition: Partition, s1) -> float:
     """Frame time consumed when the forced users and the optional set s1 all
-    offload their committed bits: TDMA radio time plus the computing window."""
-    s1 = frozenset(s1)
-    if not s1 <= partition.free_saving:
-        raise ValueError("optional set must be drawn from the free saving users")
-    derived = instance.derived
-    radio = 0.0
-    for uid in partition.forced_saving | s1:
-        u = instance.users[uid]
-        radio += u.task_bits * u.roundtrip_time_per_bit
-    for uid in partition.forced_costly:
-        u = instance.users[uid]
-        radio += derived[uid].min_offload_bits * u.roundtrip_time_per_bit
-    return radio + required_compute_time(instance, partition, s1)
+    offload their committed bits: TDMA radio time plus the computing window.
+    The radio times are summed one at a time in ascending user id, so the
+    result does not depend on how the sets iterate."""
+    bits, n_vms = _commitment(instance, partition, s1)
+    # accumulate adds left to right (.sum() would add pairwise), and the
+    # +0.0 terms of uncommitted users leave the running sum unchanged
+    radio = np.add.accumulate(bits * instance.derived.roundtrip)[-1].item() if bits.size else 0.0
+    return radio + _window(instance, bits, n_vms)
 
 
 def _schedule_lp(
@@ -296,19 +318,21 @@ def _schedule_lp(
 ):
     """LP over the members' offload sizes and the computing window: minimize
     the energy deltas subject to the radio budget and per-user caps."""
-    derived = instance.derived
+    columns = instance.derived
+    delta, roundtrip = columns.delta_per_bit.tolist(), columns.roundtrip.tolist()
+    service, task_bits = columns.service.tolist(), columns.task_bits.tolist()
     factor = vm_rate_factor(instance.degradation, n_vms)
     n = len(members) + 1  # trailing variable is the computing window
-    objective = [derived[uid].energy_delta_per_bit for uid in members] + [0.0]
-    budget_row = [instance.users[uid].roundtrip_time_per_bit for uid in members] + [1.0]
+    objective = [delta[uid] for uid in members] + [0.0]
+    budget_row = [roundtrip[uid] for uid in members] + [1.0]
     # plain (coeffs, relation, rhs) rows: LpProblem converts each one once
     constraints = [(budget_row, "<=", budget)]
     for k, uid in enumerate(members):
         row = [0.0] * n
         row[k] = 1.0
-        row[-1] = -instance.users[uid].service_rate * factor
+        row[-1] = -service[uid] * factor
         constraints.append((row, "<=", 0.0))
-    bounds = [(lower[uid], instance.users[uid].task_bits) for uid in members]
+    bounds = [(lower[uid], task_bits[uid]) for uid in members]
     bounds.append((te_floor, math.inf))
     return lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
 
@@ -325,29 +349,24 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1):
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
-    derived = instance.derived
+    columns = instance.derived
+    min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
+    service = columns.service.tolist()
     members = sorted(partition.forced_saving | s1)
     n_vms = len(partition.forced) + len(s1)
     factor = vm_rate_factor(instance.degradation, n_vms)
     budget = instance.deadline - sum(
-        derived[uid].min_offload_bits * instance.users[uid].roundtrip_time_per_bit
-        for uid in partition.forced_costly
+        min_bits[uid] * roundtrip[uid] for uid in partition.forced_costly
     )
     te_floor = max(
-        (
-            derived[uid].min_offload_bits / (instance.users[uid].service_rate * factor)
-            for uid in partition.forced_costly
-        ),
+        (min_bits[uid] / (service[uid] * factor) for uid in partition.forced_costly),
         default=0.0,
     )
     if not members:
         if te_floor <= budget + 1e-12 * (1.0 + abs(budget)):
             return {}, te_floor
         return None
-    lower = {
-        uid: derived[uid].min_offload_bits if uid in partition.forced_saving else 0.0
-        for uid in members
-    }
+    lower = {uid: min_bits[uid] if uid in partition.forced_saving else 0.0 for uid in members}
     problem = _schedule_lp(instance, members, lower, n_vms, budget, te_floor)
     sol = lpmod.solve_lp(problem)
     if sol.status != "optimal":
@@ -371,13 +390,14 @@ def _assemble(
     status: str,
     t_min: float | None = None,
 ) -> EnergySchedule:
-    derived = instance.derived
+    columns = instance.derived
+    min_bits = columns.min_offload_bits.tolist()
     bits = {u.id: 0.0 for u in instance.users}
     for uid in partition.forced_costly:
-        bits[uid] = derived[uid].min_offload_bits
+        bits[uid] = min_bits[uid]
     for uid in sorted(partition.forced_saving | s1):
         bits[uid] = saved_bits[uid]
-    objective = sum(derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items()))
+    objective = _objective(columns, bits)
     return EnergySchedule(
         scheduled=partition.forced | s1,
         offload_bits=bits,
@@ -387,6 +407,12 @@ def _assemble(
         status=status,
         t_min=t_min,
     )
+
+
+def _objective(columns, bits: dict[int, float]) -> float:
+    """Sum of the energy deltas times the bits, left to right in user id
+    (bits holds every user, in id order)."""
+    return sum(map(operator.mul, columns.delta_per_bit.tolist(), bits.values()))
 
 
 def _infeasible(instance: Instance, t_min: float | None) -> EnergySchedule:
@@ -416,26 +442,22 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     if instance.deadline < feas.t_min:
         return _infeasible(instance, feas.t_min)
 
-    full = {
-        uid: instance.users[uid].task_bits for uid in part.forced_saving | part.free_saving
-    }
+    columns = instance.derived
+    task_bits = columns.task_bits.tolist()
+    full = {uid: task_bits[uid] for uid in part.forced_saving | part.free_saving}
     if instance.deadline >= total_delay(instance, part, part.free_saving):
         te = required_compute_time(instance, part, part.free_saving)
         return _assemble(instance, part, part.free_saving, full, te, "optimal-path")
 
     if instance.deadline >= total_delay(instance, part, frozenset()):
-        # Users leave in a fixed order, and the load only shrinks as they
-        # do, so bisect on how many to drop: the fewest whose removal fits.
+        # Users leave in a fixed order, lowest saving per radio second
+        # first (lowest id on ties), and the load only shrinks as they do,
+        # so bisect on how many to drop: the fewest whose removal fits.
         # Dropping none fails the first check above; dropping all passes
         # the second.
-        derived = instance.derived
-        order = sorted(
-            part.free_saving,
-            key=lambda uid: (
-                -derived[uid].energy_delta_per_bit / derived[uid].roundtrip_time_per_bit,
-                uid,
-            ),
-        )
+        optional = np.sort(_ids(part.free_saving))
+        keys = -columns.delta_per_bit[optional] / columns.roundtrip[optional]
+        order = optional[np.argsort(keys, kind="stable")].tolist()
         too_few, enough = 0, len(order)
         while enough - too_few > 1:
             mid = (too_few + enough) // 2
@@ -470,9 +492,9 @@ def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
             total_energy=0.0,
             status="lp-path",
         )
-    derived = instance.derived
+    columns = instance.derived
     members = [u.id for u in instance.users]
-    lower = {uid: derived[uid].min_offload_bits for uid in members}
+    lower = dict(enumerate(columns.min_offload_bits.tolist()))
     problem = _schedule_lp(
         instance, members, lower, instance.n_users, instance.deadline, 0.0
     )
@@ -480,7 +502,7 @@ def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
     if sol.status != "optimal":
         return _infeasible(instance, None)
     bits = {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
-    objective = sum(derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items()))
+    objective = _objective(columns, bits)
     return EnergySchedule(
         scheduled=frozenset(members),
         offload_bits=bits,

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "UserProfile",
     "Instance",
     "DerivedUser",
+    "EnergyColumns",
     "InstanceView",
     "RateSchedule",
     "EnergySchedule",
@@ -36,6 +39,7 @@ __all__ = [
     "ValidationReport",
     "GenerationSpec",
     "derive_user",
+    "derive_columns",
     "vm_rate_factor",
     "interference_penalty",
     "baseline_local_energy",
@@ -148,11 +152,11 @@ class Instance:
         return self.users[user_id]
 
     @cached_property
-    def derived(self) -> tuple[DerivedUser, ...]:
-        """`derive_user` of every user, indexed by id: built on first use and
-        memoised on this object.  It depends on the deadline, so a copy made
-        with `dataclasses.replace` builds its own."""
-        return tuple(derive_user(self, u.id) for u in self.users)
+    def derived(self) -> EnergyColumns:
+        """The energy side's per-user columns (`derive_columns`): built on
+        first use and memoised on this object.  They depend on the
+        deadline, so a copy made with `dataclasses.replace` builds its own."""
+        return derive_columns(self)
 
     @cached_property
     def view(self) -> InstanceView:
@@ -174,9 +178,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class DerivedUser:
-    """Per-user constants derived from a profile and the instance deadline.
-    Solvers read them from `Instance.derived`, which builds them once per
-    `Instance` object.
+    """Per-user constants derived from a profile and the instance deadline,
+    one user at a time: the scalar reference for the columns of
+    `Instance.derived`.
 
     energy_delta_per_bit   net energy cost of offloading one bit instead of
                            computing it locally (J/bit); negative means
@@ -193,6 +197,32 @@ class DerivedUser:
     tx_rate: float
     weighted_tx_rate: float
     roundtrip_time_per_bit: float
+
+
+@dataclass(frozen=True)
+class EnergyColumns:
+    """The energy side's per-user values as read-only arrays, memoised per
+    `Instance` object (`Instance.derived`).  Entry k belongs to user id k,
+    and every entry is the double that the scalar expression gives.  Read a
+    single value through `tolist()`, so that it is a Python float.
+
+    delta_per_bit     `DerivedUser.energy_delta_per_bit`
+    min_offload_bits  `DerivedUser.min_offload_bits` at the instance deadline
+    task_bits         task sizes
+    roundtrip         roundtrip times per bit
+    service           isolated VM service rates
+    cpu_freq          local CPU speeds, and
+    cycles_per_bit    local cycles per bit, for the feasibility balance at
+                      other deadlines
+    """
+
+    delta_per_bit: np.ndarray
+    min_offload_bits: np.ndarray
+    task_bits: np.ndarray
+    roundtrip: np.ndarray
+    service: np.ndarray
+    cpu_freq: np.ndarray
+    cycles_per_bit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -227,6 +257,46 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
         weighted_tx_rate=u.weight / rt,
         roundtrip_time_per_bit=rt,
     )
+
+
+_COLUMN_FIELDS = (
+    "weight",
+    "uplink_time_per_bit",
+    "downlink_time_per_bit",
+    "output_ratio",
+    "service_rate",
+    "task_bits",
+    "cycles_per_bit",
+    "cpu_freq",
+    "energy_coeff",
+    "tx_power",
+)
+
+
+def derive_columns(instance: Instance) -> EnergyColumns:
+    """`derive_user` of every user at once, with the same expressions
+    evaluated on arrays.  Only the square of the CPU speed is formed one
+    Python float at a time: numpy's square may differ from Python's `**`
+    in the last bit."""
+    values = chain.from_iterable(map(operator.attrgetter(*_COLUMN_FIELDS), instance.users))
+    rows = np.fromiter(values, float, len(_COLUMN_FIELDS) * instance.n_users)
+    rows = rows.reshape(-1, len(_COLUMN_FIELDS))
+    weight, uplink, downlink, ratio, service, task, cycles, freq, kappa, power = rows.T
+    freq_squared = np.array([f**2 for f in freq.tolist()])
+    excess = task - instance.deadline * freq / cycles
+    # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
+    columns = EnergyColumns(
+        delta_per_bit=weight * (uplink * power - kappa * cycles * freq_squared),
+        min_offload_bits=np.where(0.0 > excess, 0.0, excess),
+        task_bits=task,
+        roundtrip=uplink + downlink * ratio,
+        service=service,
+        cpu_freq=freq,
+        cycles_per_bit=cycles,
+    )
+    for array in vars(columns).values():
+        array.setflags(write=False)
+    return columns
 
 
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:
@@ -399,12 +469,13 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     mandatory-offload coverage, and the energy bookkeeping identities."""
     if schedule.status == "infeasible":
         raise ValueError("cannot validate an infeasible schedule")
-    derived = instance.derived
+    columns = instance.derived
+    min_bits = columns.min_offload_bits.tolist()
 
     def offload_bounds(u, bits, vm_cap):
         cap = min(u.task_bits, vm_cap)
         tol = BITS_RTOL * max(1.0, cap)
-        floor = derived[u.id].min_offload_bits
+        floor = min_bits[u.id]
         low = floor - bits
         return (
             ValidationCheck(f"offload_lower[{u.id}]", low, low <= BITS_RTOL * max(1.0, floor)),
@@ -413,7 +484,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
 
     def must_not_be_forced(u):
         # a user that cannot finish locally must appear in the schedule
-        floor = derived[u.id].min_offload_bits
+        floor = min_bits[u.id]
         return (
             ValidationCheck(
                 f"unscheduled_free[{u.id}]", floor, floor <= BITS_RTOL * max(1.0, u.task_bits)
@@ -422,7 +493,8 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
 
     checks = _common_checks(instance, schedule, offload_bounds, must_not_be_forced)
     recomputed = sum(
-        d.energy_delta_per_bit * schedule.offload_bits.get(d.id, 0.0) for d in derived
+        delta * schedule.offload_bits.get(uid, 0.0)
+        for uid, delta in enumerate(columns.delta_per_bit.tolist())
     )
     mismatch = abs(schedule.objective - recomputed)
     checks.append(

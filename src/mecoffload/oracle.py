@@ -93,7 +93,8 @@ def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGE
             f"{budget.max_optional_energy}"
         )
     deadline = time.monotonic() + budget.time_limit_s
-    derived = instance.derived
+    min_bits = instance.derived.min_offload_bits.tolist()
+    delta = instance.derived.delta_per_bit.tolist()
 
     best = None  # (objective over all users, subset tuple, bits, te)
     for mask in range(1 << len(optional)):
@@ -106,11 +107,9 @@ def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGE
         bits, te = result
         full_bits = {u.id: 0.0 for u in instance.users}
         for uid in partition.forced_costly:
-            full_bits[uid] = derived[uid].min_offload_bits
+            full_bits[uid] = min_bits[uid]
         full_bits.update(bits)
-        objective = sum(
-            derived[uid].energy_delta_per_bit * b for uid, b in sorted(full_bits.items())
-        )
+        objective = sum(delta[uid] * b for uid, b in sorted(full_bits.items()))
         if best is None:
             best = (objective, s1, full_bits, te)
         else:

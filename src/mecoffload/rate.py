@@ -373,31 +373,85 @@ def benchmark_all_offloading(instance: Instance) -> RateSchedule:
     return conditional_solution(instance, range(instance.n_users)).as_schedule()
 
 
+# Padding on the rounding bound of benchmark_greedy's running sums.
+_GREEDY_BOUND_PAD = 4.0
+
+
+def _greedy_rounding_bound(size: int) -> float:
+    """A bound B on |rate_a / rate_b - 1| for any two closed-form rates of
+    a set of at most `size` users that add the same double terms in
+    different orders.
+
+    Recursive summation of n positive terms in any order is within
+    gamma_(n-1) = (n-1)u / (1 - (n-1)u) of the exact sum, relative
+    (Higham 2002, section 4.2), with u = 2^-53.  For k users the numerator
+    adds k terms and the denominator k + 1 (the penalty is one of them, the
+    same double on both sides), and the quotient rounds once more.  So each
+    computed rate lies in [lo, hi] times the exact one, with
+    hi = (1 + gamma_(k-1)) (1 + u) / (1 - gamma_k) and
+    lo = (1 - gamma_(k-1)) (1 - u) / (1 + gamma_k), and two of them differ
+    by a factor of at most hi / lo, about 1 + 4ku.  That grows with k, so
+    the value at k = size covers every smaller set; it is padded by
+    _GREEDY_BOUND_PAD."""
+    u = 2.0**-53  # unit roundoff
+    gamma_num = (size - 1) * u / (1.0 - (size - 1) * u)
+    gamma_den = size * u / (1.0 - size * u)
+    hi = (1.0 + gamma_num) * (1.0 + u) / (1.0 - gamma_den)
+    lo = (1.0 - gamma_num) * (1.0 - u) / (1.0 + gamma_den)
+    return _GREEDY_BOUND_PAD * (hi / lo - 1.0)
+
+
 def benchmark_greedy(instance: Instance) -> RateSchedule:
     """Grow the set in descending weighted-transmission-rate order, stopping
     the first time the tentative set's rate would exceed its slowest member's
-    transmission rate."""
+    transmission rate.
+
+    The rule is that of `conditional_solution`, which sums the set in
+    ascending id order.  Each step here adds its user to running sums in
+    greedy order instead, and that rate decides the step whenever it is
+    farther from the threshold than `_greedy_rounding_bound` lets the two
+    orders differ.  Closer than that, the id-ordered sums decide, so the
+    set is the same to the bit as that of a loop that re-sums every
+    candidate set in id order."""
     if instance.n_users == 0:
         raise ValueError("instance has no users")
-    order = sorted(
-        instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id)
-    )
-    terms = [_rate_terms(u) for u in instance.users]
-    taken: list[int] = []  # ascending ids, as conditional_solution sums them
-    for u in order:
-        candidate = taken.copy()
-        bisect.insort(candidate, u.id)
-        num, den, penalty, min_tx = _fixed_set_sums(
-            instance.degradation, [terms[uid] for uid in candidate]
-        )
-        if not _meets_necessary_condition(num / den, min_tx):
+    view = instance.view
+    weight, roundtrip, service = view.weight, view.roundtrip, view.service
+    tx = weight / roundtrip
+    # descending, lowest id on ties: each user is the slowest of its prefix
+    order = np.argsort(-tx, kind="stable").tolist()
+    tx = tx.tolist()
+    wr = (weight * service).tolist()
+    qr = (roundtrip * service).tolist()
+    bound = _greedy_rounding_bound(instance.n_users)
+    # for the fallback: the users added so far in ascending id, with their
+    # _rate_terms, brought up to date when it runs
+    members: list[int] = []
+    member_terms: list[tuple[float, float, float]] = []
+    wr_sum = qr_sum = 0.0
+    taken = instance.n_users
+    for size, uid in enumerate(order, 1):
+        wr_sum += wr[uid]
+        qr_sum += qr[uid]
+        penalty = interference_penalty(instance.degradation, size)
+        rate = wr_sum / (penalty + qr_sum)
+        threshold = tx[uid] * (1.0 + _COND_RTOL)
+        if abs(rate - threshold) > bound * threshold:
+            passes = rate <= threshold
+        else:  # too close to call from the running sums
+            for member in order[len(members) : size]:
+                at = bisect.bisect(members, member)
+                members.insert(at, member)
+                member_terms.insert(at, _rate_terms(instance.users[member]))
+            num, den, _, min_tx = _fixed_set_sums(instance.degradation, member_terms)
+            passes = _meets_necessary_condition(num / den, min_tx)
+        if not passes:
+            taken = size - 1
             break
-        taken = candidate
         if penalty == math.inf:  # every larger set has rate 0 and passes too
-            taken = list(range(instance.n_users))
             break
     # a singleton always satisfies the condition, so taken is nonempty
-    return conditional_solution(instance, taken).as_schedule()
+    return conditional_solution(instance, order[:taken]).as_schedule()
 
 
 def benchmark_lr(instance: Instance) -> RateSchedule:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from mecoffload import (
     GenerationSpec,
     baseline_local_energy,
     benchmark_energy_all_offloading,
+    benchmark_greedy,
     brute_force_energy,
     derive_user,
     feasibility_gap,
@@ -26,6 +28,7 @@ from mecoffload import (
 from mecoffload import energy
 from mecoffload.energy import _schedule_lp
 from mecoffload.lp import enumerate_vertices, solve_lp
+from mecoffload.model import interference_penalty
 from mecoffload.rng import SplitMix64, mix64
 from support import make_instance, make_user, stock_instance
 
@@ -457,15 +460,55 @@ def reference_tmin(instance):
     return result_at(hi, lo, hi)
 
 
+def set_order_total_delay(instance, partition, s1):
+    """The loop `total_delay` replaced: radio time summed in the iteration
+    order of the sets, forced saving users and s1 first, then the forced
+    costly ones, plus the computing window."""
+    radio = 0.0
+    for uid in partition.forced_saving | s1:
+        u = instance.users[uid]
+        radio += u.task_bits * u.roundtrip_time_per_bit
+    for uid in partition.forced_costly:
+        u = instance.users[uid]
+        radio += derive_user(instance, uid).min_offload_bits * u.roundtrip_time_per_bit
+    return radio + reference_window(instance, partition, s1)
+
+
+def id_order_total_delay(instance, partition, s1):
+    """Radio time summed one user at a time in ascending id, plus the
+    computing window."""
+    radio = 0.0
+    for u in instance.users:
+        if u.id in partition.forced_saving or u.id in s1:
+            radio += u.task_bits * u.roundtrip_time_per_bit
+        elif u.id in partition.forced_costly:
+            radio += derive_user(instance, u.id).min_offload_bits * u.roundtrip_time_per_bit
+    return radio + reference_window(instance, partition, s1)
+
+
+def reference_window(instance, partition, s1):
+    """The computing window as a loop: the slowest committed task."""
+    longest = 0.0
+    for uid in partition.forced_saving | s1:
+        u = instance.users[uid]
+        longest = max(longest, u.task_bits / u.service_rate)
+    for uid in partition.forced_costly:
+        u = instance.users[uid]
+        longest = max(longest, derive_user(instance, uid).min_offload_bits / u.service_rate)
+    if longest == 0.0:
+        return 0.0
+    return longest * interference_penalty(instance.degradation, len(partition.forced) + len(s1))
+
+
 def reference_greedy_path(instance):
     """The greedy branch as a plain loop: after every drop, rescan the
     optional set for the lowest saving per radio second (lowest id on ties)
-    and recompute the whole delay.  Returns (scheduled, bits, window,
-    objective)."""
+    and recompute the whole delay in set order.  Returns (scheduled, bits,
+    window, objective)."""
     part = partition_users(instance)
     derived = {u.id: derive_user(instance, u.id) for u in instance.users}
     s1 = set(part.free_saving)
-    while total_delay(instance, part, s1) > instance.deadline:
+    while set_order_total_delay(instance, part, s1) > instance.deadline:
         drop = min(
             s1,
             key=lambda uid: (
@@ -480,7 +523,7 @@ def reference_greedy_path(instance):
     for uid in part.forced_saving | s1:
         bits[uid] = instance.users[uid].task_bits
     objective = sum(derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items()))
-    return part.forced | s1, bits, required_compute_time(instance, part, s1), objective
+    return part.forced | s1, bits, reference_window(instance, part, s1), objective
 
 
 def drop_loop_instance(n_users, seed):
@@ -544,3 +587,110 @@ class TestFastPathEquivalence:
         assert schedule.scheduled == frozenset({2})
         assert schedule.scheduled == reference_greedy_path(inst)[0]
         assert schedule.offload_bits == {0: 0.0, 1: 0.0, 2: 4.0}
+
+
+class TestTotalDelayOrder:
+    def test_sums_in_id_order(self):
+        for n_users in (5, 20, 100):
+            for seed in range(70):
+                inst = drop_loop_instance(n_users, seed)
+                part = partition_users(inst)
+                optional = sorted(part.free_saving)
+                for s1 in (optional, [], optional[::2], optional[len(optional) // 3 :]):
+                    s1 = frozenset(s1)
+                    expected = id_order_total_delay(inst, part, s1)
+                    assert total_delay(inst, part, s1) == expected
+                    assert required_compute_time(inst, part, s1) == reference_window(
+                        inst, part, s1
+                    )
+                    # the set-order loop may differ in the last bits only
+                    assert set_order_total_delay(inst, part, s1) == pytest.approx(
+                        expected, rel=1e-13
+                    )
+
+
+def tmin_evaluated_twice(instance):
+    """`feasibility_tmin` with the gap at t_min evaluated again after the
+    root search."""
+    balance = energy._Balance(instance)
+    t, _ = balance.root()
+    min_bits = balance.min_bits(t)
+    return FeasibilityResult(
+        t_min=t,
+        residual=balance.gap(t, min_bits),
+        min_bits=tuple(min_bits),
+        forced_count=sum(1 for b in min_bits if b > 0.0),
+        bracket=(math.nextafter(t, 0.0), t),
+    )
+
+
+class TestFeasibilityReuse:
+    def test_one_gap_evaluation_fewer(self, monkeypatch):
+        calls = []
+        gap = energy._Balance.gap
+
+        def counting(self, t, min_bits=None):
+            calls.append(t)
+            return gap(self, t, min_bits)
+
+        monkeypatch.setattr(energy._Balance, "gap", counting)
+        large = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
+        instances = [generate_instance(large, 20240 + seed) for seed in range(20)]
+        instances += [drop_loop_instance(n, seed) for n in (5, 20, 100) for seed in range(20)]
+        for inst in instances:
+            calls.clear()
+            result = feasibility_tmin(inst)
+            once = len(calls)
+            calls.clear()
+            assert result == tmin_evaluated_twice(inst)
+            assert once == len(calls) - 1
+            assert calls[-1] == result.t_min
+
+
+def numbers_in(value):
+    """Every number inside a solver output, through dataclasses, dicts,
+    tuples and sets."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from numbers_in(getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from numbers_in(key)
+            yield from numbers_in(item)
+    elif isinstance(value, (tuple, list, frozenset, set)):
+        for item in value:
+            yield from numbers_in(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+class TestOutputTypes:
+    """Outputs hold Python ints and floats only: numpy scalars print as
+    np.float64(...) and would change CSVs, JSON and fingerprints."""
+
+    def test_no_numpy_scalars(self):
+        outputs = []
+        statuses = set()
+        for seed in range(12):
+            inst = stock_instance(8, 0.2, mix64(131, seed))
+            t_min = feasibility_tmin(inst).t_min
+            for factor in (0.5, 1.02, 1.3, 3.0):
+                tight = with_deadline(inst, t_min * factor)
+                schedule = solve_energy_suboptimal(tight)
+                statuses.add(schedule.status)
+                outputs += [
+                    schedule,
+                    feasibility_tmin(tight),
+                    benchmark_energy_all_offloading(tight),
+                    brute_force_energy(tight),
+                    benchmark_greedy(tight),
+                ]
+        for seed in range(10):
+            inst = drop_loop_instance(20, seed)
+            schedule = solve_energy_suboptimal(inst)
+            statuses.add(schedule.status)
+            outputs += [schedule, feasibility_tmin(inst), benchmark_greedy(inst)]
+        assert statuses == {"infeasible", "lp-path", "greedy-path", "optimal-path"}
+        for output in outputs:
+            for x in numbers_in(output):
+                assert type(x) in (int, float), (type(x), output)

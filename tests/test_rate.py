@@ -20,6 +20,7 @@ from mecoffload import (
     solve_rate_max,
     validate_rate_schedule,
 )
+from mecoffload import rate as ratemod
 from mecoffload.rng import SplitMix64, mix64
 from support import (
     homogeneous_instance,
@@ -457,6 +458,113 @@ class TestGreedyEquivalence:
             assert fast.offload_bits == slow.offload_bits
             stopped_early += 1 < len(fast.scheduled) < n_users
         assert stopped_early >= 25, f"only {stopped_early} of 70 stopped inside the order"
+
+
+def greedy_equivalence_instance(n_users, seed):
+    rng = SplitMix64(mix64(n_users, seed))
+    # VM speeds from slow to far above the radio, so that greedy stops
+    # after one user, somewhere inside the order, or never
+    spec = GenerationSpec(
+        n_users=n_users,
+        degradation=rng.uniform(0.0, 0.3),
+        uplink_mbps=(5.0, 150.0),
+        service_rate_bps=(1e6, 10.0 ** rng.uniform(7.0, 10.0)),
+    )
+    return generate_instance(spec, mix64(n_users + 2000, seed))
+
+
+def near_tie_instance(seed, shift):
+    """Six fast users and a slow one with id 0, last in the greedy order.
+    Its roundtrip time is solved so that the rate of all seven sits on its
+    threshold, then moved by `shift` ulps, so the rate of the full set lands
+    inside the rounding bound of the running sums."""
+    rng = SplitMix64(mix64(5, seed))
+    degradation = rng.uniform(0.0, 0.2)
+    fast = [
+        make_user(
+            i, weight=rng.uniform(0.5, 2.0), a=rng.uniform(0.01, 0.03),
+            b=rng.uniform(0.01, 0.02), gamma=rng.uniform(0.1, 1.0), r=rng.uniform(0.5, 3.0),
+        )
+        for i in range(1, 7)
+    ]
+    r = rng.uniform(0.5, 3.0)
+    num = sum(u.weight * u.service_rate for u in fast)
+    den = (1.0 + degradation) ** 6 + sum(u.roundtrip_time_per_bit * u.service_rate for u in fast)
+    c = 1.0 + ratemod._COND_RTOL
+    # (num + r) / (den + rt r) = c / rt, solved for rt at weight 1
+    rt = c * den / (num - r * (c - 1.0))
+    for _ in range(abs(shift)):
+        rt = math.nextafter(rt, math.inf if shift > 0 else 0.0)
+    slow = make_user(0, a=rt, b=1e-30, gamma=1e-30, r=r)
+    return make_instance([slow] + fast, degradation=degradation)
+
+
+def greedy_order_passes(instance):
+    """Whether the full set passes the stop test when its sums run in
+    greedy order, one term at a time."""
+    order = sorted(instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id))
+    num, den = 0.0, 0.0
+    for u in order:
+        num += u.weight * u.service_rate
+        den += u.roundtrip_time_per_bit * u.service_rate
+    rate = num / (ratemod.interference_penalty(instance.degradation, len(order)) + den)
+    slowest = order[-1]
+    return rate <= slowest.weight / slowest.roundtrip_time_per_bit * (1.0 + ratemod._COND_RTOL)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the id-ordered sums: each greedy fallback, and the final
+    `conditional_solution`, forms them once."""
+    calls = []
+    original = ratemod._fixed_set_sums
+
+    def counting(degradation, terms):
+        calls.append(len(terms))
+        return original(degradation, terms)
+
+    monkeypatch.setattr(ratemod, "_fixed_set_sums", counting)
+    return calls
+
+
+class TestGreedyFallback:
+    """The running-sum stop test and its id-ordered fallback."""
+
+    def test_every_step_falling_back_matches_reference(self, monkeypatch, fallbacks):
+        monkeypatch.setattr(ratemod, "_GREEDY_BOUND_PAD", math.inf)
+        for n_users in (5, 20, 100):
+            for seed in range(20):
+                inst = greedy_equivalence_instance(n_users, seed)
+                fallbacks.clear()
+                fast = benchmark_greedy(inst)
+                # one fallback per step taken, one for the failing step if
+                # any, and one in the final conditional_solution
+                steps = len(fast.scheduled) + (len(fast.scheduled) < n_users)
+                assert fallbacks == list(range(1, steps + 1)) + [len(fast.scheduled)]
+                assert fast == reference_greedy(inst)
+
+    def test_near_ties_fall_back(self, fallbacks):
+        disagreements = 0
+        for seed in range(20):
+            for shift in range(-12, 13):
+                inst = near_tie_instance(seed, shift)
+                fallbacks.clear()
+                fast = benchmark_greedy(inst)
+                assert fallbacks[-2] == 7, "the full set was not decided by its id-ordered sums"
+                slow = reference_greedy(inst)
+                assert fast == slow
+                disagreements += greedy_order_passes(inst) != (len(slow.scheduled) == 7)
+        # running sums alone would have decided some of these wrongly
+        assert disagreements > 0
+
+    def test_scales_linearly_at_ten_thousand(self, monkeypatch):
+        inst = generate_instance(GenerationSpec(n_users=10000, degradation=0.05), 19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = benchmark_greedy(inst)
+        assert validate_rate_schedule(inst, fast).ok
+        monkeypatch.setattr(ratemod, "_GREEDY_BOUND_PAD", math.inf)
+        assert benchmark_greedy(inst) == fast
 
 
 def wide_txrate_instance(seed, n_users=8, degradation=0.1):
