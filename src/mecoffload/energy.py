@@ -40,6 +40,7 @@ __all__ = [
     "solve_lp_m1",
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
+    "benchmark_energy_all_offloading_batch",
 ]
 
 
@@ -318,6 +319,9 @@ def _schedule_lp(
 ):
     """LP over the members' offload sizes and the computing window: minimize
     the energy deltas subject to the radio budget and per-user caps."""
+    # the budget row, a cap row and a box row per member (the window has no
+    # upper bound), held to the LP size guard before a row is built
+    lpmod.check_size(2 * len(members) + 1, len(members) + 1)
     columns = instance.derived
     delta, roundtrip = columns.delta_per_bit.tolist(), columns.roundtrip.tolist()
     service, task_bits = columns.service.tolist(), columns.task_bits.tolist()
@@ -337,15 +341,9 @@ def _schedule_lp(
     return lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
 
 
-def solve_subset_lp(instance: Instance, partition: Partition, s1):
-    """Offload sizes once the optional set s1 is fixed.
-
-    The forced saving users and s1 choose their offload sizes, bounded
-    below by the forced minimum (0 for members of s1); the forced costly
-    users sit at their forced minimum, spending radio budget and setting a
-    floor under the computing window.  Returns (bits by user id, computing
-    window), or None when the LP is infeasible.
-    """
+def _subset_lp(instance: Instance, partition: Partition, s1):
+    """`solve_subset_lp` in two steps: the LP to solve (None where the subset
+    needs none) and the function that turns its solution into the result."""
     s1 = frozenset(s1)
     if not s1 <= partition.free_saving:
         raise ValueError("optional set must be drawn from the free saving users")
@@ -363,16 +361,34 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1):
         default=0.0,
     )
     if not members:
-        if te_floor <= budget + 1e-12 * (1.0 + abs(budget)):
-            return {}, te_floor
-        return None
+        result = ({}, te_floor) if te_floor <= budget + 1e-12 * (1.0 + abs(budget)) else None
+        return None, lambda _: result
     lower = {uid: min_bits[uid] if uid in partition.forced_saving else 0.0 for uid in members}
     problem = _schedule_lp(instance, members, lower, n_vms, budget, te_floor)
-    sol = lpmod.solve_lp(problem)
-    if sol.status != "optimal":
-        return None
-    bits = {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
-    return bits, sol.x[-1]
+
+    def finish(sol):
+        if sol.status != "optimal":
+            return None
+        return _member_bits(sol, members), sol.x[-1]
+
+    return problem, finish
+
+
+def _member_bits(sol, members: list[int]) -> dict[int, float]:
+    return {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
+
+
+def solve_subset_lp(instance: Instance, partition: Partition, s1):
+    """Offload sizes once the optional set s1 is fixed.
+
+    The forced saving users and s1 choose their offload sizes, bounded
+    below by the forced minimum (0 for members of s1); the forced costly
+    users sit at their forced minimum, spending radio budget and setting a
+    floor under the computing window.  Returns (bits by user id, computing
+    window), or None when the LP is infeasible.
+    """
+    problem, finish = _subset_lp(instance, partition, s1)
+    return finish(None if problem is None else lpmod.solve_lp(problem))
 
 
 def solve_lp_m1(instance: Instance, partition: Partition):
@@ -476,13 +492,15 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     return _assemble(instance, part, frozenset(), bits, te, "lp-path")
 
 
-def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
-    """Force every user into a VM and let an LP pick the offload sizes.
+def _all_offload_lp(instance: Instance):
+    if instance.n_users == 0:
+        return None
+    members = list(range(instance.n_users))
+    lower = dict(enumerate(instance.derived.min_offload_bits.tolist()))
+    return _schedule_lp(instance, members, lower, instance.n_users, instance.deadline, 0.0)
 
-    Keeping all K VMs busy maximizes interference, so this both loses energy
-    and goes infeasible earlier than the selective scheduler; it is the
-    stock baseline the scheduler is measured against.
-    """
+
+def _all_offload_schedule(instance: Instance, sol) -> EnergySchedule:
     if instance.n_users == 0:
         return EnergySchedule(
             scheduled=frozenset(),
@@ -492,17 +510,11 @@ def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
             total_energy=0.0,
             status="lp-path",
         )
-    columns = instance.derived
-    members = [u.id for u in instance.users]
-    lower = dict(enumerate(columns.min_offload_bits.tolist()))
-    problem = _schedule_lp(
-        instance, members, lower, instance.n_users, instance.deadline, 0.0
-    )
-    sol = lpmod.solve_lp(problem)
     if sol.status != "optimal":
         return _infeasible(instance, None)
-    bits = {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
-    objective = _objective(columns, bits)
+    members = list(range(instance.n_users))
+    bits = _member_bits(sol, members)
+    objective = _objective(instance.derived, bits)
     return EnergySchedule(
         scheduled=frozenset(members),
         offload_bits=bits,
@@ -511,3 +523,26 @@ def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
         total_energy=objective + baseline_local_energy(instance),
         status="lp-path",
     )
+
+
+def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
+    """`benchmark_energy_all_offloading` of each instance, with all their LPs
+    solved in one `lp.solve_lps` call."""
+    instances = list(instances)
+    problems = [_all_offload_lp(instance) for instance in instances]
+    solutions = iter(lpmod.solve_lps([p for p in problems if p is not None]))
+    return [
+        _all_offload_schedule(i, None if p is None else next(solutions))
+        for i, p in zip(instances, problems)
+    ]
+
+
+def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:
+    """Force every user into a VM and let an LP pick the offload sizes.
+
+    Keeping all K VMs busy maximizes interference, so this both loses energy
+    and goes infeasible earlier than the selective scheduler; it is the
+    stock baseline the scheduler is measured against.  Beyond the LP size
+    guard (K of about 1,300) it raises `BudgetExceededError`.
+    """
+    return benchmark_energy_all_offloading_batch([instance])[0]

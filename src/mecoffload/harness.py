@@ -19,7 +19,12 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .energy import benchmark_energy_all_offloading, feasibility_tmin, solve_energy_suboptimal
+from .energy import (
+    benchmark_energy_all_offloading,
+    benchmark_energy_all_offloading_batch,
+    feasibility_tmin,
+    solve_energy_suboptimal,
+)
 from .lp import BudgetExceededError
 from .model import (
     ConfigurationError,
@@ -33,7 +38,12 @@ from .model import (
     validate_rate_schedule,
     write_instance,
 )
-from .oracle import OracleBudget, brute_force_energy, brute_force_rate_max
+from .oracle import (
+    OracleBudget,
+    brute_force_energy,
+    brute_force_energy_batch,
+    brute_force_rate_max,
+)
 from .rate import (
     benchmark_all_offloading,
     benchmark_greedy,
@@ -62,6 +72,16 @@ ENERGY_ALGORITHMS = {
     "suboptimal": solve_energy_suboptimal,
     "all-offload": benchmark_energy_all_offloading,
     "oracle": brute_force_energy,
+}
+
+# An energy sweep runs ENERGY_BLOCK realizations at a time.  The algorithms
+# listed here, and the certifying oracle, take the block through their batch
+# forms, which solve the block's LPs together in stacks of `lp.MAX_BATCH`;
+# the values still go into the CSV in realization order.
+ENERGY_BLOCK = 16
+ENERGY_BATCHES = {
+    "all-offload": benchmark_energy_all_offloading_batch,
+    "oracle": brute_force_energy_batch,
 }
 
 RATE_EXPERIMENTS = ("rate-vs-K", "rate-vs-d")
@@ -180,39 +200,49 @@ def run_sweep(spec: SweepSpec) -> str:
     lines = [",".join(header)]
 
     algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
+    block = 1 if rate_side else ENERGY_BLOCK
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         gaps: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         certified: dict[str, int] = {name: 0 for name in spec.algorithms}
-        for ri in range(spec.realizations):
-            seed = mix64(spec.base_seed, gi, ri)
-            instance = generate_instance(_generation_spec(spec, value), seed)
-            reference = None
-            if spec.certify and rate_side and instance.n_users <= budget.max_users_rate:
-                reference = brute_force_rate_max(instance, budget)
-            elif spec.certify and not rate_side:
-                reference = brute_force_energy(instance, budget)
-            solved = {}  # one schedule per distinct algorithm callable
+        generation = _generation_spec(spec, value)
+        for first in range(0, spec.realizations, block):
+            instances = [
+                generate_instance(generation, mix64(spec.base_seed, gi, ri))
+                for ri in range(first, min(first + block, spec.realizations))
+            ]
+            references = [None] * len(instances)
+            if spec.certify and rate_side:
+                references = [
+                    brute_force_rate_max(i, budget) if i.n_users <= budget.max_users_rate else None
+                    for i in instances
+                ]
+            elif spec.certify:
+                references = brute_force_energy_batch(instances, budget)
+            solved = {}  # the block's schedules per distinct algorithm callable
             for name in spec.algorithms:
                 algorithm = algorithms[name]
                 if algorithm not in solved:
-                    solved[algorithm] = algorithm(instance)
-                schedule = solved[algorithm]
-                if rate_side:
-                    results[name].append(schedule.sum_rate)
-                    if reference is not None:
-                        gap = (reference.sum_rate - schedule.sum_rate) / reference.sum_rate
-                        gaps[name].append(gap)
-                        certified[name] += 1
-                elif schedule.status != "infeasible":
-                    results[name].append(schedule.total_energy)
-                    if reference is not None and reference.status != "infeasible":
-                        gap = (schedule.total_energy - reference.total_energy) / abs(
-                            reference.total_energy
-                        )
-                        gaps[name].append(gap)
-                        certified[name] += 1
+                    batch = None if rate_side else ENERGY_BATCHES.get(name)
+                    solved[algorithm] = (
+                        batch(instances) if batch else [algorithm(i) for i in instances]
+                    )
+                for schedule, reference in zip(solved[algorithm], references):
+                    if rate_side:
+                        results[name].append(schedule.sum_rate)
+                        if reference is not None:
+                            gap = (reference.sum_rate - schedule.sum_rate) / reference.sum_rate
+                            gaps[name].append(gap)
+                            certified[name] += 1
+                    elif schedule.status != "infeasible":
+                        results[name].append(schedule.total_energy)
+                        if reference is not None and reference.status != "infeasible":
+                            gap = (schedule.total_energy - reference.total_energy) / abs(
+                                reference.total_energy
+                            )
+                            gaps[name].append(gap)
+                            certified[name] += 1
         for name in spec.algorithms:
             row = [spec.experiment, param, repr(float(value)), name, str(spec.realizations)]
             values = results[name]

@@ -7,16 +7,19 @@ columns follow Bland's lowest-index rule, ratio-test ties break toward the
 lowest row, and rows are rescaled to unit max-coefficient before solving so
 mixed second/bit scales do not starve the pivot threshold.
 
-The tableau is updated a whole array at a time, yet every pivot is the one
-a row-at-a-time loop would make and every entry gets the same floating-point
-operations: each row subtracts factor * pivot_row elementwise, rows whose
-factor is zero (either sign) are not written at all, so the sign of a zero
-survives, and the entering column and leaving row are the first index
-meeting the rule, as a scalar loop would find them.  The objective rows are
-priced out one basic row after another, and each constraint's offset shift
-is a single 1-D dot, so no sum is regrouped.  `tests/lp_reference.py` keeps
-the row-at-a-time solver, and the test suite checks that the two agree bit
-for bit.
+`solve_lps` solves up to MAX_BATCH problems at a time as one stack of
+zero-padded tableaus, pivoting them in lockstep; `solve_lp` is the stack of
+one.  The tableaus are updated a whole array at a time, yet every pivot is
+the one a row-at-a-time loop would make on the problem alone, and every
+entry gets the same floating-point operations: each row subtracts
+factor * pivot_row elementwise, rows whose factor is zero (either sign) are
+not written at all, so the sign of a zero survives, and the entering column
+and leaving row are the first index meeting the rule, as a scalar loop
+would find them.  The objective rows are priced out one basic row after
+another, and each constraint's offset shift is a single 1-D dot, so no sum
+is regrouped.  Padding never enters a pivot (DESIGN_NOTES.md, "Batched
+simplex").  `tests/lp_reference.py` keeps the row-at-a-time solver, and the
+test suite checks that the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +37,17 @@ __all__ = [
     "LpStructureError",
     "BudgetExceededError",
     "constraint",
+    "check_size",
     "solve_lp",
+    "solve_lps",
     "enumerate_vertices",
 ]
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+MAX_ITER = 100_000  # pivots per problem and phase
+MAX_BATCH = 16  # problems per lockstep stack
+MAX_TABLEAU_ENTRIES = 1 << 24  # doubles per problem (128 MiB)
 
 _RELATIONS = ("<=", "=", ">=")
 _SENSE = {"<=": 1, "=": 0, ">=": -1}  # negated by a row sign flip
@@ -117,39 +125,70 @@ class LpSolution:
     objective_value: float
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    pivot_row = tableau[row]
-    pivot_row /= pivot_row[col]
-    factors = tableau[:, col, None].copy()
-    factors[row] = 0.0
+def _pivots(stack, lps, rows, cols, factors) -> None:
+    """Pivot tableau lps[k] of the stack on (rows[k], cols[k]) for every k at
+    once; factors[k] is that tableau's column cols[k] before the pivot."""
+    pivot_rows = stack[lps, rows]
+    pivot_rows /= factors[lps, rows, None]
+    stack[lps, rows] = pivot_rows
+    factors[lps, rows] = 0.0
+    factors = factors[:, :, None]
     # Rows with a zero factor are left alone rather than updated by 0 * row:
     # -0.0 - 0.0 * x is +0.0 for x < 0, and 0.0 * inf is nan.
-    np.subtract(tableau, factors * pivot_row, out=tableau, where=factors != 0.0)
+    np.subtract(stack, factors * pivot_rows[:, None, :], out=stack, where=factors != 0.0)
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], max_iter: int = 100_000) -> str:
-    m = tableau.shape[0] - 1
-    reduced_costs = tableau[-1, :-1]
-    rhs = tableau[:m, -1]
-    ratios = np.empty(m + 1)  # the last entry stays inf, a row-free sentinel
-    for _ in range(max_iter):
-        improving = reduced_costs < -PIVOT_TOL
-        enter = int(improving.argmax())  # Bland: the lowest improving index
-        if not improving[enter]:
-            return "optimal"
-        column = tableau[:m, enter]
-        ratios.fill(math.inf)
-        np.divide(rhs, column, out=ratios[:m], where=column > PIVOT_TOL)
-        leave = int(ratios.argmin())  # ties keep the lowest row index
-        if not ratios[leave] < math.inf:
-            # argmin stopped on a nan, or no row has a finite ratio; neither
-            # can pass a strictly-less-than-infinity test, so look again
-            finite = (ratios < math.inf).nonzero()[0]
-            if finite.size == 0:
-                return "unbounded"
-            leave = int(finite[ratios[finite].argmin()])
-        _pivot(tableau, leave, enter)
-        basis[leave] = enter
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """`_pivots` for a single tableau."""
+    _pivots(tableau[None], np.zeros(1, dtype=int), row, col, tableau[None, :, col].copy())
+
+
+def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarray:
+    """Pivot the stacked problems `lps` in lockstep until each one is optimal
+    or unbounded.  Writes their final tableaus and bases back into the stack
+    and returns which of them are unbounded.
+
+    A problem leaves the working set as soon as it is done, so that the
+    others do not carry it through their remaining steps."""
+    m, n = stack.shape[1] - 1, stack.shape[2] - 1
+    unbounded = np.zeros(len(lps), dtype=bool)
+    at = np.arange(len(lps))  # where in lps each working problem sits
+    # lps is sorted, so all of them is the whole stack, pivoted in place
+    work, work_basis = (stack, basis) if lps.size == len(stack) else (stack[lps], basis[lps])
+    working = at
+    for _ in range(MAX_ITER):
+        if not at.size:
+            return unbounded
+        improving = work[:, m, :n] < -PIVOT_TOL
+        enter = improving.argmax(axis=1)  # Bland: the lowest improving index
+        factors = work[working, :, enter]
+        column = factors[:, :m]
+        going = improving[working, enter]
+        # the last column stays inf, a row-free sentinel
+        ratios = np.full((at.size, m + 1), math.inf)
+        # problems already optimal take no ratios, as they would alone
+        np.divide(work[:, :m, n], column, out=ratios[:, :m],
+                  where=(column > PIVOT_TOL) & going[:, None])
+        leave = ratios.argmin(axis=1)  # ties keep the lowest row index
+        least = ratios[working, leave]
+        pivoting = going & (least < math.inf)
+        if not pivoting.all():
+            if np.isnan(least).any():
+                # argmin stops on a nan, which no ratio test accepts; look
+                # again among the others
+                ratios[np.isnan(ratios)] = math.inf
+                leave = ratios.argmin(axis=1)
+                least = ratios[working, leave]
+                pivoting = going & (least < math.inf)
+            done = ~pivoting
+            unbounded[at[done]] = going[done]
+            stack[lps[at[done]]] = work[done]
+            basis[lps[at[done]]] = work_basis[done]
+            work, work_basis, at = work[pivoting], work_basis[pivoting], at[pivoting]
+            enter, leave, factors = enter[pivoting], leave[pivoting], factors[pivoting]
+            working = np.arange(at.size)
+        _pivots(work, working, leave, enter, factors)
+        work_basis[working, leave] = enter
     raise RuntimeError("simplex iteration cap exceeded")
 
 
@@ -162,126 +201,309 @@ def _satisfied(relation: str, b: float) -> bool:
     )
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase simplex.  Deterministic: identical problems yield identical
-    solutions, including the vertex picked on degenerate optima."""
-    n = problem.n_vars
-    nan_x = tuple([math.nan] * n)
-    if n == 0:
-        ok = all(_satisfied(con.relation, con.rhs) for con in problem.constraints)
-        return LpSolution("optimal" if ok else "infeasible", (), 0.0)
+def check_size(n_rows: int, n_cols: int) -> None:
+    """Refuse a problem of n_rows constraint and box rows over n_cols
+    variable columns whose tableau could hold more than MAX_TABLEAU_ENTRIES
+    doubles (each row may need a slack or surplus column and an artificial
+    one).  Cheap enough to call before the problem itself is built."""
+    entries = (n_rows + 1) * (n_cols + 2 * n_rows + 1)
+    if entries > MAX_TABLEAU_ENTRIES:
+        raise BudgetExceededError(
+            f"an LP of {n_rows} rows over {n_cols} columns may need {entries} tableau "
+            f"entries, beyond the {MAX_TABLEAU_ENTRIES}-entry guard"
+        )
 
-    # Shift every variable onto [0, inf): x = lo + y, or x = hi - y for
-    # upper-bounded-only variables, or x = y+ - y- for free ones.
-    bounds = np.array(problem.bounds)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
-    free = ~has_lo & ~has_hi
-    offsets = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    width = 1 + free  # free variables take two columns
-    first_col = np.cumsum(width) - width
-    col_var = np.repeat(np.arange(n), width)
-    col_sign = np.ones(len(col_var))
-    col_sign[first_col[has_hi & ~has_lo]] = -1.0
-    col_sign[first_col[free] + 1] = -1.0
-    ncols = len(col_var)
-    boxed = has_lo & has_hi
-    upper_cols = first_col[boxed]
-    upper = hi[boxed] - lo[boxed]
 
-    cobj = np.asarray(problem.objective)
-    cvec = cobj[col_var] * col_sign
-    cscale = float(np.max(np.abs(cvec)))
-    if cscale > 0.0:
-        cvec = cvec / cscale
+def _size(problem: LpProblem) -> tuple[int, int]:
+    """The (rows, variable columns) that `check_size` holds the problem to:
+    a row per constraint and per finite box, a column per variable and a
+    second one per free variable."""
+    boxed = free = 0
+    for lo, hi in problem.bounds:
+        if math.isfinite(lo) and math.isfinite(hi):
+            boxed += 1
+        elif not (math.isfinite(lo) or math.isfinite(hi)):
+            free += 1
+    return len(problem.constraints) + boxed, problem.n_vars + free
 
+
+@dataclass(frozen=True)
+class _Shifted:
+    """A problem with every variable shifted onto [0, inf): x = lo + y, or
+    x = hi - y for upper-bounded-only variables, or x = y+ - y- for free
+    ones (two columns).  Column k of the standard form is variable
+    col_var[k] times col_sign[k]."""
+
+    problem: LpProblem
+    coeffs: np.ndarray  # the constraint coefficients, one row per constraint
+    rhs: list[float]  # each right-hand side less its row's dot with offsets
+    offsets: np.ndarray
+    col_var: list[int]
+    col_sign: list[float]
+    upper_cols: list[int]  # columns with a finite box, and the box widths
+    upper: list[float]
+
+
+def _shift(problem: LpProblem) -> _Shifted:
+    offsets: list[float] = []
+    col_var: list[int] = []
+    col_sign: list[float] = []
+    upper_cols: list[int] = []
+    upper: list[float] = []
+    for j, (lo, hi) in enumerate(problem.bounds):
+        if math.isfinite(lo):
+            if math.isfinite(hi):
+                upper_cols.append(len(col_var))
+                upper.append(hi - lo)
+            offsets.append(lo)
+            col_var.append(j)
+            col_sign.append(1.0)
+        elif math.isfinite(hi):
+            offsets.append(hi)
+            col_var.append(j)
+            col_sign.append(-1.0)
+        else:
+            offsets.append(0.0)
+            col_var += (j, j)
+            col_sign += (1.0, -1.0)
+    shift = np.array(offsets)
     cons = problem.constraints
-    coeffs = np.array([con.coeffs for con in cons]).reshape(len(cons), n)
+    coeffs = np.array([con.coeffs for con in cons]).reshape(len(cons), problem.n_vars)
     # one 1-D dot per row, summed exactly as a lone `a @ offsets` would be
-    b = np.array([con.rhs - float(a @ offsets) for con, a in zip(cons, coeffs)])
-    rows = coeffs[:, col_var] * col_sign
-    scale = np.max(np.abs(rows), axis=1)
-    empty = scale <= 0.0
-    for k in np.flatnonzero(empty):
-        if not _satisfied(cons[k].relation, b[k]):
-            return LpSolution("infeasible", nan_x, math.nan)
-    kept = np.flatnonzero(~empty)
+    rhs = [con.rhs - float(a @ shift) for con, a in zip(cons, coeffs)]
+    return _Shifted(problem, coeffs, rhs, shift, col_var, col_sign, upper_cols, upper)
+
+
+@dataclass
+class _Stack:
+    """The standard forms of several problems, zero-padded to one shape.
+
+    tableau[k] holds problem k's constraint rows (its constraints in order,
+    then a row per finite box, each padded to a common count) over its
+    variable columns, then its slack, surplus and artificial columns, each
+    group starting at a common column, and the right-hand side last; its
+    objective row is last.  Rows and columns keep the problem's own order,
+    so Bland's rule and the ratio test pick what they pick on the problem
+    alone.  Padding rows, and constraint rows without coefficients, have
+    basis -1 and are zero throughout."""
+
+    tableau: np.ndarray
+    basis: np.ndarray
+    ncols: np.ndarray  # variable columns per problem
+    a_at: int  # the first artificial column
+    art_rows: np.ndarray  # per problem, its artificial rows in order, padded with -1
+    cvec: np.ndarray  # phase-2 costs of the variable columns, scaled
+    phase1_tol: np.ndarray  # a larger phase-1 optimum means infeasible
+    infeasible: np.ndarray  # found so already: a violated row without coefficients
+
+
+def _standard_form(shifted: list[_Shifted]) -> _Stack:
+    count = len(shifted)
+    n_vars = max(s.problem.n_vars for s in shifted)
+    n_cons = max(len(s.rhs) for s in shifted)
+    n_upper = max(len(s.upper) for s in shifted)
+    ncols = np.array([len(s.col_var) for s in shifted])
+    width = int(ncols.max())
+    rows = n_cons + n_upper
+    # column n_vars of the padded coefficients is zero: absent columns read it
+    coeffs = np.zeros((count, n_cons, n_vars + 1))
+    objective = np.zeros((count, n_vars + 1))
+    col_var = np.full((count, width), n_vars)
+    col_sign = np.ones((count, width))
+    b = np.zeros((count, rows))
+    sense = np.full((count, rows), _SENSE["<="])
+    real = np.zeros((count, rows), dtype=bool)
+    upper = np.zeros((count, n_upper))
+    upper_cols = np.zeros((count, n_upper), dtype=int)
+    for k, s in enumerate(shifted):
+        n, c, u = s.problem.n_vars, len(s.rhs), len(s.upper)
+        coeffs[k, :c, :n] = s.coeffs
+        objective[k, :n] = s.problem.objective
+        col_var[k, : ncols[k]] = s.col_var
+        col_sign[k, : ncols[k]] = s.col_sign
+        b[k, :c] = s.rhs
+        sense[k, :c] = [_SENSE[con.relation] for con in s.problem.constraints]
+        real[k, :c] = True
+        real[k, n_cons : n_cons + u] = True
+        upper[k, :u] = s.upper
+        upper_cols[k, :u] = s.upper_cols
+
+    cvec = np.take_along_axis(objective, col_var, axis=1) * col_sign
+    cscale = np.max(np.abs(cvec), axis=1, keepdims=True)
+    np.divide(cvec, cscale, out=cvec, where=cscale > 0.0)
+
+    A = np.zeros((count, rows, width))
+    cons = np.take_along_axis(coeffs, col_var[:, None, :], axis=2) * col_sign[:, None, :]
+    scale = np.max(np.abs(cons), axis=2, initial=0.0)
+    empty = real[:, :n_cons] & (scale <= 0.0)
+    infeasible = np.zeros(count, dtype=bool)
+    for k, i in zip(*empty.nonzero()):
+        relation = shifted[k].problem.constraints[i].relation
+        infeasible[k] |= not _satisfied(relation, b[k, i])
+    real[:, :n_cons] &= ~empty
+    kept = real[:, :n_cons]
+    np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
+    np.divide(b[:, :n_cons], scale, out=b[:, :n_cons], where=kept)
+    b[:, :n_cons][~kept] = 0.0
     upper_scale = np.maximum(1.0, np.abs(upper))
-    bound_rows = np.zeros((len(upper), ncols))
-    bound_rows[np.arange(len(upper)), upper_cols] = 1.0 / upper_scale
-    A = np.vstack([rows[kept] / scale[kept, None], bound_rows])
-    b = np.concatenate([b[kept] / scale[kept], upper / upper_scale])
-    sense = np.array(
-        [_SENSE[cons[k].relation] for k in kept] + [_SENSE["<="]] * len(upper), dtype=int
-    )
-    m = len(b)
+    k, u = real[:, n_cons:].nonzero()
+    A[k, n_cons + u, upper_cols[k, u]] = 1.0 / upper_scale[k, u]
+    b[:, n_cons:] = upper / upper_scale
     flip = b < 0.0
-    A[flip] = -A[flip]
-    b[flip] = -b[flip]
-    sense[flip] = -sense[flip]
+    np.negative(A, out=A, where=flip[:, :, None])
+    np.negative(b, out=b, where=flip)
+    np.negative(sense, out=sense, where=flip)
 
-    slack_rows = np.flatnonzero(sense == _SENSE["<="])
-    surplus_rows = np.flatnonzero(sense == _SENSE[">="])
-    art_rows = np.flatnonzero(sense != _SENSE["<="])
-    n_slack, n_surplus, n_art = len(slack_rows), len(surplus_rows), len(art_rows)
-    a_at = ncols + n_slack + n_surplus
+    slack = real & (sense == _SENSE["<="])
+    surplus = real & (sense == _SENSE[">="])
+    art = real & (sense != _SENSE["<="])
+    n_slack, n_surplus, n_art = (int(x.sum(axis=1).max()) for x in (slack, surplus, art))
+    a_at = width + n_slack + n_surplus
     total = a_at + n_art
-    tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :ncols] = A
-    tableau[:m, -1] = b
-    slack_cols = ncols + np.arange(n_slack)
-    art_cols = a_at + np.arange(n_art)
-    tableau[slack_rows, slack_cols] = 1.0
-    tableau[surplus_rows, ncols + n_slack + np.arange(n_surplus)] = -1.0
-    tableau[art_rows, art_cols] = 1.0
-    basis_cols = np.empty(m, dtype=int)
-    basis_cols[slack_rows] = slack_cols
-    basis_cols[art_rows] = art_cols
-    basis = basis_cols.tolist()
+    tableau = np.zeros((count, rows + 1, total + 1))
+    tableau[:, :rows, :width] = A
+    tableau[:, :rows, total] = b
+    basis = np.full((count, rows), -1)
+    for rows_of, first, value in ((slack, width, 1.0), (surplus, width + n_slack, -1.0),
+                                  (art, a_at, 1.0)):
+        k, i = rows_of.nonzero()
+        col = first + (np.cumsum(rows_of, axis=1) - 1)[k, i]
+        tableau[k, i, col] = value
+        if value > 0.0:
+            basis[k, i] = col
+    art_rows = np.full((count, n_art), -1)
+    k, i = art.nonzero()
+    art_rows[k, (np.cumsum(art, axis=1) - 1)[k, i]] = i
+    return _Stack(
+        tableau=tableau,
+        basis=basis,
+        ncols=ncols,
+        a_at=a_at,
+        art_rows=art_rows,
+        cvec=cvec,
+        phase1_tol=FEAS_TOL * (1.0 + np.max(b, axis=1, initial=0.0)),
+        infeasible=infeasible,
+    )
 
-    if n_art:
+
+def _price(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
+    """Subtract factors[k, j] * (row rows[k, j]) from the objective row of
+    problem lps[k], for j = 0, 1, ... in turn, skipping zero factors.
+    subtract.reduce goes strictly left to right, and a skipped row adds a
+    +0.0 term, which leaves every value (and the sign of a zero) as it is."""
+    used = (factors != 0.0).any(axis=0)
+    rows, factors = rows[:, used], factors[:, used, None]
+    terms = np.zeros((lps.size, rows.shape[1] + 1, tableau.shape[2]))
+    terms[:, 0] = tableau[lps, -1]
+    np.multiply(factors, tableau[lps[:, None], rows], out=terms[:, 1:], where=factors != 0.0)
+    tableau[lps, -1] = np.subtract.reduce(terms, axis=1)
+
+
+def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
+    """Drive leftover artificials out of the bases of the problems `lps`,
+    one row after another.  A row where that is impossible is redundant and
+    is zeroed, as are the artificial columns, so that phase 2 never picks
+    either."""
+    tableau, basis, a_at = stack.tableau, stack.basis, stack.a_at
+    for i in np.flatnonzero((basis[lps] >= a_at).any(axis=0)):
+        stuck = lps[basis[lps, i] >= a_at]
+        candidates = np.abs(tableau[stuck, i, :a_at]) > PIVOT_TOL
+        movable = candidates.any(axis=1)
+        redundant = stuck[~movable]
+        tableau[redundant, i] = 0.0
+        basis[redundant, i] = -1
+        moved = stuck[movable]
+        if moved.size:
+            enter = candidates.argmax(axis=1)[movable]  # the lowest such column
+            tableaus = tableau[moved]
+            lanes = np.arange(moved.size)
+            _pivots(tableaus, lanes, i, enter, tableaus[lanes, :, enter])
+            tableau[moved] = tableaus
+            basis[moved, i] = enter
+    tableau[:, :, a_at:-1] = 0.0
+
+
+def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
+    """Both simplex phases for several problems at once."""
+    stack = _standard_form(shifted)
+    tableau, basis = stack.tableau, stack.basis
+    m = tableau.shape[1] - 1
+    feasible = ~stack.infeasible
+
+    lps = np.flatnonzero(feasible & (stack.art_rows >= 0).any(axis=1))
+    if lps.size:
         # Phase 1: minimize the artificial sum, pricing out the artificial
         # rows one after another.
-        tableau[-1, a_at:total] = 1.0
-        for i in art_rows:
-            tableau[-1] -= tableau[i]
-        status = _run_simplex(tableau, basis)
-        phase1 = -tableau[-1, -1]
-        if status != "optimal" or phase1 > FEAS_TOL * (1.0 + float(np.max(b, initial=0.0))):
-            return LpSolution("infeasible", nan_x, math.nan)
-        # Drive leftover artificials out of the basis; rows where that is
-        # impossible are redundant and dropped.
-        keep_rows: list[int] = []
-        for i in range(m):
-            if basis[i] >= a_at:
-                candidates = np.flatnonzero(np.abs(tableau[i, :a_at]) > PIVOT_TOL)
-                if candidates.size == 0:
-                    continue
-                _pivot(tableau, i, int(candidates[0]))
-                basis[i] = int(candidates[0])
-            keep_rows.append(i)
-        tableau = tableau[np.ix_(keep_rows + [m], list(range(a_at)) + [total])]
-        basis = [basis[i] for i in keep_rows]
-        m = len(basis)
+        art_rows = stack.art_rows[lps]
+        present = art_rows >= 0
+        tableau[lps, m, stack.a_at : -1] = present
+        _price(tableau, lps, np.maximum(art_rows, 0), present.astype(float))
+        unbounded = _simplex(tableau, basis, lps)
+        feasible[lps] = ~unbounded & ~(-tableau[lps, m, -1] > stack.phase1_tol[lps])
+        _drop_artificials(stack, lps[feasible[lps]])
 
     # Phase 2: restore the true objective as reduced costs over the basis,
     # one basic row after another.
-    tableau[-1, :] = 0.0
-    tableau[-1, :ncols] = cvec
-    for i in range(m):
-        cb = cvec[basis[i]] if basis[i] < ncols else 0.0
-        if cb != 0.0:
-            tableau[-1] -= cb * tableau[i]
-    status = _run_simplex(tableau, basis)
-    if status == "unbounded":
-        return LpSolution("unbounded", nan_x, -math.inf)
+    live = np.flatnonzero(feasible)
+    tableau[live, m] = 0.0
+    tableau[live, m, : stack.cvec.shape[1]] = stack.cvec[live]
+    col = basis[live]
+    variable = (col >= 0) & (col < stack.ncols[live, None])
+    cb = np.take_along_axis(stack.cvec[live], np.where(variable, col, 0), axis=1)
+    cb[~variable] = 0.0
+    _price(tableau, live, np.broadcast_to(np.arange(m), col.shape), cb)
+    unbounded = np.zeros(len(shifted), dtype=bool)
+    unbounded[live] = _simplex(tableau, basis, live)
 
-    y = np.zeros(tableau.shape[1] - 1)
-    y[basis] = tableau[:m, -1]
-    x = offsets.copy()
-    np.add.at(x, col_var, col_sign * y[:ncols])  # in column order: y+ before y-
-    objective_value = float(cobj @ x)
-    return LpSolution("optimal", tuple(x.tolist()), objective_value)
+    y = np.zeros((len(shifted), tableau.shape[2] - 1))
+    k, i = (basis >= 0).nonzero()
+    y[k, basis[k, i]] = tableau[k, i, -1]
+    solutions = []
+    for k, s in enumerate(shifted):
+        nan_x = tuple([math.nan] * s.problem.n_vars)
+        if not feasible[k]:
+            solutions.append(LpSolution("infeasible", nan_x, math.nan))
+        elif unbounded[k]:
+            solutions.append(LpSolution("unbounded", nan_x, -math.inf))
+        else:
+            x = s.offsets.copy()
+            # in column order: y+ before y-
+            np.add.at(x, s.col_var, np.asarray(s.col_sign) * y[k, : stack.ncols[k]])
+            value = float(np.asarray(s.problem.objective) @ x)
+            solutions.append(LpSolution("optimal", tuple(x.tolist()), value))
+    return solutions
+
+
+def solve_lps(problems) -> list[LpSolution]:
+    """Solve many problems, each exactly as `solve_lp` would alone.
+
+    Up to MAX_BATCH problems at a time go through both phases as one stack
+    of tableaus: on each step every unfinished problem picks its own
+    entering column and leaving row, and one masked update makes all the
+    pivots.  Every problem is held to the size guard before anything is
+    built."""
+    problems = list(problems)
+    for problem in problems:
+        check_size(*_size(problem))
+    solutions: list[LpSolution | None] = [None] * len(problems)
+    stacked = []
+    for k, problem in enumerate(problems):
+        if problem.n_vars == 0:
+            ok = all(_satisfied(con.relation, con.rhs) for con in problem.constraints)
+            solutions[k] = LpSolution("optimal" if ok else "infeasible", (), 0.0)
+        else:
+            stacked.append(k)
+    for start in range(0, len(stacked), MAX_BATCH):
+        chunk = stacked[start : start + MAX_BATCH]
+        for k, solution in zip(chunk, _solve_stack([_shift(problems[k]) for k in chunk])):
+            solutions[k] = solution
+    return solutions
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Two-phase simplex.  Deterministic: identical problems yield identical
+    solutions, including the vertex picked on degenerate optima."""
+    return solve_lps([problem])[0]
 
 
 # ---------------------------------------------------------------------------

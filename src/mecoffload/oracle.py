@@ -9,18 +9,24 @@ budget.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import energy as energymod
+from . import lp as lpmod
 from .lp import BudgetExceededError
-from .model import EnergySchedule, Instance, RateSchedule, baseline_local_energy
+from .model import EnergySchedule, Instance, RateSchedule
 from .rate import conditional_solution
 
-__all__ = ["OracleBudget", "BudgetExceededError", "brute_force_rate_max", "brute_force_energy"]
+__all__ = [
+    "OracleBudget",
+    "BudgetExceededError",
+    "brute_force_rate_max",
+    "brute_force_energy",
+    "brute_force_energy_batch",
+]
 
 _TIE_RTOL = 1e-12  # floating-point equality is meaningless; ties are relative
 
@@ -77,6 +83,72 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     return solution.as_schedule()
 
 
+def brute_force_energy_batch(
+    instances, budget: OracleBudget = _DEFAULT_BUDGET
+) -> list[EnergySchedule]:
+    """`brute_force_energy` of each instance, with the subset LPs of all of
+    them solved together, `lp.MAX_BATCH` to a stack.  The time guard covers
+    the whole batch: it is checked before each subset's LP is built and
+    before each stack is solved, as the scalar loop checked it before each
+    LP."""
+    instances = list(instances)
+    deadline = time.monotonic() + budget.time_limit_s
+
+    def check_time():
+        if time.monotonic() > deadline:
+            raise BudgetExceededError("energy oracle time guard exceeded")
+
+    plans = []  # per instance: its partition and (subset, LP, finish) per subset
+    for instance in instances:
+        partition = energymod.partition_users(instance)
+        optional = sorted(partition.free_saving)
+        if len(optional) > budget.max_optional_energy:
+            raise BudgetExceededError(
+                f"{len(optional)} optional users exceed the energy oracle budget "
+                f"{budget.max_optional_energy}"
+            )
+        subsets = []
+        for mask in range(1 << len(optional)):
+            check_time()
+            s1 = _subset_tuple(mask, optional)
+            subsets.append((s1, *energymod._subset_lp(instance, partition, s1)))
+        plans.append((instance, partition, subsets))
+    problems = [p for _, _, subsets in plans for _, p, _ in subsets if p is not None]
+    solved = []
+    for start in range(0, len(problems), lpmod.MAX_BATCH):
+        check_time()
+        solved += lpmod.solve_lps(problems[start : start + lpmod.MAX_BATCH])
+    solutions = iter(solved)
+    return [
+        _least_energy(instance, partition, [
+            (s1, finish(None if p is None else next(solutions))) for s1, p, finish in subsets
+        ])
+        for instance, partition, subsets in plans
+    ]
+
+
+def _least_energy(instance: Instance, partition, results) -> EnergySchedule:
+    """The least-energy schedule over (subset, subset LP result) pairs, the
+    smallest subset tuple among ties; infeasible where every result is
+    None."""
+    best = None  # (subset tuple, schedule)
+    for s1, result in results:
+        if result is None:
+            continue
+        bits, te = result
+        schedule = energymod._assemble(instance, partition, frozenset(s1), bits, te, "lp-path")
+        if best is not None:
+            incumbent = best[1].objective
+            tol = _TIE_RTOL * (1.0 + abs(incumbent))
+            better = schedule.objective < incumbent - tol
+            if not better and not (schedule.objective <= incumbent + tol and s1 < best[0]):
+                continue
+        best = (s1, schedule)
+    if best is None:
+        return energymod._infeasible(instance, energymod.feasibility_tmin(instance).t_min)
+    return best[1]
+
+
 def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGET) -> EnergySchedule:
     """Exact minimum-energy schedule by enumerating every optional subset.
 
@@ -85,57 +157,4 @@ def brute_force_energy(instance: Instance, budget: OracleBudget = _DEFAULT_BUDGE
     covers all the combinatorial freedom.  Infeasible overall only if every
     subset's LP is infeasible.
     """
-    partition = energymod.partition_users(instance)
-    optional = sorted(partition.free_saving)
-    if len(optional) > budget.max_optional_energy:
-        raise BudgetExceededError(
-            f"{len(optional)} optional users exceed the energy oracle budget "
-            f"{budget.max_optional_energy}"
-        )
-    deadline = time.monotonic() + budget.time_limit_s
-    min_bits = instance.derived.min_offload_bits.tolist()
-    delta = instance.derived.delta_per_bit.tolist()
-
-    best = None  # (objective over all users, subset tuple, bits, te)
-    for mask in range(1 << len(optional)):
-        if time.monotonic() > deadline:
-            raise BudgetExceededError("energy oracle time guard exceeded")
-        s1 = _subset_tuple(mask, optional)
-        result = energymod.solve_subset_lp(instance, partition, s1)
-        if result is None:
-            continue
-        bits, te = result
-        full_bits = {u.id: 0.0 for u in instance.users}
-        for uid in partition.forced_costly:
-            full_bits[uid] = min_bits[uid]
-        full_bits.update(bits)
-        objective = sum(delta[uid] * b for uid, b in sorted(full_bits.items()))
-        if best is None:
-            best = (objective, s1, full_bits, te)
-        else:
-            tol = _TIE_RTOL * (1.0 + abs(best[0]))
-            if objective < best[0] - tol:
-                best = (objective, s1, full_bits, te)
-            elif objective <= best[0] + tol and s1 < best[1]:
-                best = (objective, s1, full_bits, te)
-
-    if best is None:
-        feas = energymod.feasibility_tmin(instance)
-        return EnergySchedule(
-            scheduled=frozenset(),
-            offload_bits={u.id: 0.0 for u in instance.users},
-            compute_time=0.0,
-            objective=math.nan,
-            total_energy=math.nan,
-            status="infeasible",
-            t_min=feas.t_min,
-        )
-    objective, s1, full_bits, te = best
-    return EnergySchedule(
-        scheduled=partition.forced | frozenset(s1),
-        offload_bits=full_bits,
-        compute_time=te,
-        objective=objective,
-        total_energy=objective + baseline_local_energy(instance),
-        status="lp-path",
-    )
+    return brute_force_energy_batch([instance], budget)[0]

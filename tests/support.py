@@ -2,7 +2,8 @@
 
 import math
 
-from mecoffload import GenerationSpec, Instance, UserProfile, generate_instance
+from mecoffload import GenerationSpec, Instance, UserProfile, energy, generate_instance
+from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.lp import LpProblem, constraint
 from mecoffload.rng import SplitMix64, mix64
 
@@ -83,3 +84,22 @@ def random_lp_problem(rng: SplitMix64, n_vars=4, n_rows=4) -> LpProblem:
         upper = 5.0 if rng.uniform() < 0.7 else math.inf
         bounds.append((0.0, upper))
     return LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
+
+
+def stock_energy_lps(monkeypatch, realizations=10):
+    """Every LP the energy layer builds in certified stock energy-vs-T and
+    energy-vs-d sweeps (seed 7, `realizations` per grid point), recorded
+    as `energy._schedule_lp` returns them."""
+    problems = []
+    build = energy._schedule_lp
+
+    def recording(*args):
+        problems.append(build(*args))
+        return problems[-1]
+
+    monkeypatch.setattr(energy, "_schedule_lp", recording)
+    for experiment in ("energy-vs-T", "energy-vs-d"):
+        run_sweep(SweepSpec(experiment=experiment, realizations=realizations, base_seed=7,
+                            certify=True))
+    monkeypatch.setattr(energy, "_schedule_lp", build)
+    return problems

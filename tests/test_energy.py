@@ -396,6 +396,21 @@ class TestAllOffloadingBenchmark:
                 assert validate_energy_schedule(inst, bench).ok
 
 
+class TestAllOffloadingBatch:
+    def test_batch_matches_one_at_a_time(self):
+        # the LPs of 30 instances, a third infeasible, share stacks; each
+        # schedule must be the one its own solve gives
+        instances = [make_instance([], deadline=1.0)] + [
+            stock_instance(7, 0.2, mix64(113, seed), deadline=(0.2, 0.4, 0.6)[seed % 3])
+            for seed in range(30)
+        ]
+        batch = energy.benchmark_energy_all_offloading_batch(instances)
+        alone = [benchmark_energy_all_offloading(inst) for inst in instances]
+        assert repr(batch) == repr(alone)
+        assert {s.status for s in batch} == {"lp-path", "infeasible"}
+        assert batch[0].scheduled == frozenset() and batch[0].objective == 0.0
+
+
 class TestEnergyChecker:
     def test_rejects_missing_forced_user(self):
         u = saving_user(0, task=10.0, cycles=1.0, freq=1.0, r=10.0, a=0.01, b=0.01, gamma=1.0)

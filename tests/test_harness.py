@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from mecoffload import ConfigurationError, GenerationSpec, generate_instance, write_instance
+from mecoffload import (
+    ConfigurationError,
+    GenerationSpec,
+    generate_instance,
+    harness,
+    write_instance,
+)
 from mecoffload.harness import (
     SweepSpec,
     cli_main,
@@ -101,6 +107,18 @@ class TestStockEnergyBytes:
             "--certify", "--out", str(out),
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
+
+
+class TestEnergyBlocks:
+    """An energy sweep solves its realizations' LPs a block at a time; the
+    block boundaries must not show in the CSV."""
+
+    @pytest.mark.parametrize("experiment", ["energy-vs-T", "energy-vs-d"])
+    def test_block_size_leaves_the_bytes(self, experiment, monkeypatch):
+        spec = SweepSpec(experiment=experiment, realizations=37, base_seed=3, certify=True)
+        blocked = run_sweep(spec)
+        monkeypatch.setattr(harness, "ENERGY_BLOCK", 1)
+        assert run_sweep(spec) == blocked
 
 
 class TestStockRateBytes:

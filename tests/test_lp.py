@@ -1,10 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from mecoffload import energy
-from mecoffload.harness import SweepSpec, run_sweep
+from mecoffload import energy, lp
 from mecoffload.lp import (
     BudgetExceededError,
     LpProblem,
@@ -13,10 +13,11 @@ from mecoffload.lp import (
     constraint,
     enumerate_vertices,
     solve_lp,
+    solve_lps,
 )
 from mecoffload.rng import SplitMix64
 from lp_reference import reference_solve_lp
-from support import random_lp_problem
+from support import random_lp_problem, stock_energy_lps, stock_instance
 
 INF = math.inf
 
@@ -249,6 +250,17 @@ def mixed_bound_problems(seed, count):
     return problems
 
 
+def overflow_problems():
+    cap = constraint([1.0, 1e-5], "<=", 1e308)  # its x2 ratio overflows to inf
+    nonneg = ((0.0, INF), (0.0, INF))
+    return [
+        LpProblem((0.0, -1.0), (cap,), nonneg),
+        LpProblem((0.0, -1.0), (cap, constraint([0.0, 1.0], "<=", 2.0)), nonneg),
+        LpProblem((-1.0, -1.0), (constraint([INF, 1.0], "<=", 1.0),
+                                 constraint([1.0, 1.0], "<=", 3.0)), nonneg),
+    ]
+
+
 class TestRowLoopEquivalence:
     """The vectorised simplex makes the same pivots with the same floating
     point operations as the row-at-a-time reference, so `repr` of the
@@ -277,29 +289,12 @@ class TestRowLoopEquivalence:
     def test_stock_energy_sweep_problems(self, monkeypatch):
         # every LP the energy layer builds in certified stock energy-vs-T and
         # energy-vs-d sweeps, 10 realizations per grid point
-        problems = []
-        build = energy._schedule_lp
-
-        def recording(*args):
-            problems.append(build(*args))
-            return problems[-1]
-
-        monkeypatch.setattr(energy, "_schedule_lp", recording)
-        for experiment in ("energy-vs-T", "energy-vs-d"):
-            run_sweep(SweepSpec(experiment=experiment, realizations=10, base_seed=7,
-                                certify=True))
+        problems = stock_energy_lps(monkeypatch)
         assert len(problems) > 300
         self.assert_same(problems)
 
     def test_overflowing_ratios_and_infinite_coefficients(self):
-        cap = constraint([1.0, 1e-5], "<=", 1e308)  # its x2 ratio overflows to inf
-        nonneg = ((0.0, INF), (0.0, INF))
-        problems = [
-            LpProblem((0.0, -1.0), (cap,), nonneg),
-            LpProblem((0.0, -1.0), (cap, constraint([0.0, 1.0], "<=", 2.0)), nonneg),
-            LpProblem((-1.0, -1.0), (constraint([INF, 1.0], "<=", 1.0),
-                                     constraint([1.0, 1.0], "<=", 3.0)), nonneg),
-        ]
+        problems = overflow_problems()
         with np.errstate(over="ignore", invalid="ignore"):  # as both solvers meet them
             assert solve_lp(problems[0]).status == "unbounded"
             self.assert_same(problems)
@@ -310,3 +305,155 @@ class TestRowLoopEquivalence:
         assert math.copysign(1.0, tableau[1, 0]) == -1.0
         assert math.copysign(1.0, tableau[1, 2]) == -1.0
         np.testing.assert_array_equal(tableau[2], [0.0, -5.0, -8.0])
+
+
+def redundant_problems(seed, count):
+    """Random LPs whose first row is an equality stated twice, so phase 1
+    leaves an artificial in a row that has to be dropped."""
+    rng = SplitMix64(seed)
+    problems = []
+    for _ in range(count):
+        base = random_lp_problem(rng)
+        first = base.constraints[0]
+        once = constraint(first.coeffs, "=", first.rhs)
+        twice = constraint([2.0 * c for c in first.coeffs], "=", 2.0 * first.rhs)
+        problems.append(LpProblem(base.objective, (once, twice) + base.constraints[1:],
+                                  base.bounds))
+    return problems
+
+
+def batch_mix(monkeypatch):
+    """One list of every kind of problem the row-loop tests check, shuffled
+    so that stacks mix sizes and statuses: the criterion 9 and
+    enumeration-test LPs, the mixed-bound LPs, the overflow and infinite
+    cases, the stock energy LPs, random LPs with 1 to 12 variables, and
+    LPs with a redundant row."""
+    problems = []
+    for seed, count in ((0x1B, 1000), (2718, 250), (31415, 100), (555, 25)):
+        rng = SplitMix64(seed)
+        problems += [random_lp_problem(rng) for _ in range(count)]
+    problems += mixed_bound_problems(99, 300)
+    problems += overflow_problems()
+    problems += stock_energy_lps(monkeypatch)
+    problems += redundant_problems(8, 100)
+    rng = SplitMix64(4242)
+    for n in range(1, 13):
+        for _ in range(6):
+            problems.append(random_lp_problem(rng, n_vars=n, n_rows=int(rng.uniform(0, 2 * n))))
+    keys = [rng.uniform() for _ in problems]
+    return [problems[k] for k in sorted(range(len(problems)), key=keys.__getitem__)]
+
+
+class TestBatchEquivalence:
+    """`solve_lps` pivots a stack of zero-padded tableaus in lockstep; every
+    problem in it must still come out exactly as the row-at-a-time
+    reference solves it alone, whatever it is stacked with."""
+
+    @pytest.fixture(scope="class")
+    def mix(self):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            problems = batch_mix(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [repr(reference_solve_lp(p)) for p in problems]
+        return problems, expected
+
+    @pytest.mark.parametrize("cap", [1, 2, 7, None])
+    def test_mixed_list_matches_reference(self, mix, cap, monkeypatch):
+        problems, expected = mix
+        if cap is not None:
+            monkeypatch.setattr(lp, "MAX_BATCH", cap)
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
+            solved = [repr(s) for s in solve_lps(problems)]
+        assert solved == expected
+
+    def test_stacks_mix_sizes_and_statuses(self, mix):
+        problems, expected = mix
+        statuses = [text.split("'")[1] for text in expected]
+        stacks = [range(k, k + 7) for k in range(0, len(problems) - 6, 7)]
+        assert any(
+            len({statuses[k] for k in stack}) == 3 and len({problems[k].n_vars for k in stack}) > 1
+            for stack in stacks
+        )
+
+    def test_no_warning_without_infinities(self, mix):
+        # RuntimeWarnings fail the suite; lockstep neighbours must not cause
+        # any that the problems alone would not
+        problems, expected = mix
+        finite = [(p, e) for p, e in zip(problems, expected) if p not in overflow_problems()]
+        assert [repr(s) for s in solve_lps(p for p, _ in finite)] == [e for _, e in finite]
+
+    def test_finished_problems_take_no_ratios(self):
+        # optimal at once, so alone it never divides; a ratio on its column 0
+        # would overflow (1e300 / 1e-9)
+        idle = LpProblem((0.0, 0.0), (constraint([1e-9, 1.0], "<=", 1e300),),
+                         ((0.0, INF), (0.0, INF)))
+        solved = solve_lps([idle, simplex_face(), idle])
+        assert [repr(s) for s in solved] == [
+            repr(reference_solve_lp(p)) for p in (idle, simplex_face(), idle)
+        ]
+
+    def test_redundant_rows_are_dropped(self, monkeypatch):
+        dropped = []
+        drop = lp._drop_artificials
+
+        def counting(stack, lps):
+            before = int((stack.basis < 0).sum())
+            drop(stack, lps)
+            dropped.append(int((stack.basis < 0).sum()) - before)
+
+        monkeypatch.setattr(lp, "_drop_artificials", counting)
+        problems = redundant_problems(8, 100)
+        assert [repr(s) for s in solve_lps(problems)] == [
+            repr(reference_solve_lp(p)) for p in problems
+        ]
+        assert sum(dropped) > 10
+
+    def test_empty_and_variable_free_problems(self):
+        assert solve_lps([]) == []
+        empty = LpProblem((), (constraint([], ">=", 1.0),), ())
+        solved = solve_lps([box_max_x(), empty, simplex_face()])
+        assert [s.status for s in solved] == ["optimal", "infeasible", "optimal"]
+        assert repr(solved[2]) == repr(reference_solve_lp(simplex_face()))
+
+
+class TestLimits:
+    def test_iteration_cap_raises_in_a_batch(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_ITER", 1)
+        rng = SplitMix64(0x1B)
+        with pytest.raises(RuntimeError, match="iteration cap"):
+            solve_lps([random_lp_problem(rng) for _ in range(20)])
+
+    def test_size_guard_refuses_before_building(self, monkeypatch):
+        shifted = []
+        monkeypatch.setattr(lp, "_shift", lambda p: shifted.append(p))
+        monkeypatch.setattr(lp, "MAX_TABLEAU_ENTRIES", 100)
+        small, large = box_max_x(), random_lp_problem(SplitMix64(1), n_vars=6, n_rows=6)
+        with pytest.raises(BudgetExceededError, match="guard"):
+            solve_lps([small, large])
+        assert shifted == []
+
+    def test_guard_bounds_the_tableau(self):
+        rng = SplitMix64(77)
+        problems = mixed_bound_problems(5, 50) + [random_lp_problem(rng) for _ in range(50)]
+        for problem in problems:
+            rows, cols = lp._size(problem)
+            tableau = lp._standard_form([lp._shift(problem)]).tableau[0]
+            assert tableau.size <= (rows + 1) * (cols + 2 * rows + 1)
+
+    def test_guard_boundary(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_TABLEAU_ENTRIES", 3 * 6)
+        lp.check_size(2, 1)  # 3 x 6 entries
+        with pytest.raises(BudgetExceededError):
+            lp.check_size(2, 2)
+
+    def test_energy_lp_rows_match_its_precheck(self):
+        for K in (1, 4, 10):
+            instance = stock_instance(K, 0.2, 3, deadline=0.6)
+            assert lp._size(energy._all_offload_lp(instance)) == (2 * K + 1, K + 1)
+
+    def test_all_offloading_refuses_ten_thousand_users(self):
+        instance = stock_instance(10_000, 0.05, 11, deadline=1.5)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            energy.benchmark_energy_all_offloading(instance)
+        assert time.perf_counter() - start < 0.5

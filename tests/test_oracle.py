@@ -1,11 +1,20 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 
 from mecoffload import (
     BudgetExceededError,
+    EnergySchedule,
     OracleBudget,
+    baseline_local_energy,
     brute_force_energy,
+    brute_force_energy_batch,
     brute_force_rate_max,
     conditional_solution,
+    feasibility_tmin,
+    lp,
+    oracle,
     partition_users,
     solve_energy_suboptimal,
     solve_subset_lp,
@@ -133,6 +142,99 @@ class TestEnergyOracle:
                     for i, b in sorted(full.items())
                 )
                 assert obj <= derived_obj + 1e-9 * (1 + abs(derived_obj))
+
+
+def reference_brute_force_energy(instance):
+    """The energy oracle as one scalar subset solve after another, with its
+    own copy of the schedule assembly and objective sum."""
+    partition = partition_users(instance)
+    optional = sorted(partition.free_saving)
+    min_bits = instance.derived.min_offload_bits.tolist()
+    delta = instance.derived.delta_per_bit.tolist()
+    best = None  # (objective, subset, bits, window)
+    for mask in range(1 << len(optional)):
+        s1 = tuple(optional[k] for k in range(len(optional)) if (mask >> k) & 1)
+        result = solve_subset_lp(instance, partition, s1)
+        if result is None:
+            continue
+        bits, te = result
+        full = {u.id: 0.0 for u in instance.users}
+        for uid in partition.forced_costly:
+            full[uid] = min_bits[uid]
+        full.update(bits)
+        objective = sum(delta[uid] * b for uid, b in sorted(full.items()))
+        if best is not None:
+            tol = 1e-12 * (1.0 + abs(best[0]))
+            if not (objective < best[0] - tol or (objective <= best[0] + tol and s1 < best[1])):
+                continue
+        best = (objective, s1, full, te)
+    if best is None:
+        return EnergySchedule(frozenset(), {u.id: 0.0 for u in instance.users}, 0.0, math.nan,
+                              math.nan, "infeasible", feasibility_tmin(instance).t_min)
+    objective, s1, full, te = best
+    return EnergySchedule(partition.forced | frozenset(s1), full, te, objective,
+                          objective + baseline_local_energy(instance), "lp-path")
+
+
+def oracle_mix():
+    """Stock instances with up to 5 optional users, from infeasible to
+    slack deadlines."""
+    return [
+        stock_instance(8, 0.25, mix64(161, seed), deadline=(0.3, 0.45, 0.6, 0.9)[seed % 4])
+        for seed in range(40)
+    ]
+
+
+class TestEnergyOracleBatch:
+    def test_batch_matches_the_scalar_subset_loop(self):
+        instances = oracle_mix()
+        batch = brute_force_energy_batch(instances)
+        assert repr(batch) == repr([reference_brute_force_energy(i) for i in instances])
+        assert repr(batch) == repr([brute_force_energy(i) for i in instances])
+        assert {s.status for s in batch} == {"lp-path", "infeasible"}
+        assert max(len(partition_users(i).free_saving) for i in instances) >= 3
+
+    def test_exact_tie_takes_the_smallest_subset(self):
+        # two identical optional users, either of which alone fills the
+        # frame; together they interfere too much to pay
+        users = [make_user(i, a=0.5, b=0.5, gamma=1.0, r=10.0, task=1.0, cycles=1.0,
+                           freq=2.0, kappa=1.0, power=0.1) for i in range(2)]
+        inst = make_instance(users, deadline=1.0, degradation=5.0)
+        part = partition_users(inst)
+        assert solve_subset_lp(inst, part, (0,))[0][0] == solve_subset_lp(inst, part, (1,))[0][1]
+        [schedule] = brute_force_energy_batch([inst])
+        assert schedule.scheduled == frozenset({0})
+        assert repr(schedule) == repr(reference_brute_force_energy(inst))
+
+    def test_budget_refusal_in_a_batch(self):
+        with pytest.raises(BudgetExceededError, match="optional users"):
+            brute_force_energy_batch(oracle_mix(), OracleBudget(max_optional_energy=1))
+
+    def test_time_guard_while_building(self):
+        with pytest.raises(BudgetExceededError, match="time guard"):
+            brute_force_energy_batch(oracle_mix(), OracleBudget(time_limit_s=1e-9))
+
+    def test_time_guard_between_stacks(self, monkeypatch):
+        # a clock that only the LP solves advance, 2 s a stack
+        now = [0.0]
+        stacks = []
+        solve = lp.solve_lps
+
+        def slow(problems):
+            now[0] += 2.0
+            stacks.append(len(problems))
+            return solve(problems)
+
+        monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(lp, "solve_lps", slow)
+        instances = oracle_mix()
+        assert len(brute_force_energy_batch(instances, OracleBudget(time_limit_s=100.0))) == 40
+        assert len(stacks) > 2 and max(stacks) == lp.MAX_BATCH
+        now[0] = 0.0
+        stacks.clear()
+        with pytest.raises(BudgetExceededError, match="time guard"):
+            brute_force_energy_batch(instances, OracleBudget(time_limit_s=1.0))
+        assert len(stacks) == 1  # refused before the second stack
 
 
 def feasibility_deadline(instance, factor):
