@@ -408,7 +408,7 @@ def _assemble(
 ) -> EnergySchedule:
     columns = instance.derived
     min_bits = columns.min_offload_bits.tolist()
-    bits = {u.id: 0.0 for u in instance.users}
+    bits = dict.fromkeys(range(instance.n_users), 0.0)
     for uid in partition.forced_costly:
         bits[uid] = min_bits[uid]
     for uid in sorted(partition.forced_saving | s1):
@@ -434,7 +434,7 @@ def _objective(columns, bits: dict[int, float]) -> float:
 def _infeasible(instance: Instance, t_min: float | None) -> EnergySchedule:
     return EnergySchedule(
         scheduled=frozenset(),
-        offload_bits={u.id: 0.0 for u in instance.users},
+        offload_bits=dict.fromkeys(range(instance.n_users), 0.0),
         compute_time=0.0,
         objective=math.nan,
         total_energy=math.nan,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
 
@@ -32,7 +32,6 @@ __all__ = [
     "Instance",
     "DerivedUser",
     "EnergyColumns",
-    "InstanceView",
     "RateSchedule",
     "EnergySchedule",
     "ValidationCheck",
@@ -124,30 +123,106 @@ class UserProfile:
         return self.uplink_time_per_bit + self.downlink_time_per_bit * self.output_ratio
 
 
-@dataclass(frozen=True)
+_USER_FIELDS = tuple(f.name for f in fields(UserProfile))
+# every UserProfile field but the id, in declaration order: one column each
+_USER_COLUMNS = _USER_FIELDS[1:]
+_TASK_ROW = _USER_COLUMNS.index("task_bits")
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Instance:
-    """A solver input: frame deadline, interference factor, and the user list."""
+    """A solver input: frame deadline, interference factor, and the users'
+    values as one read-only float64 array per `UserProfile` field, entry k
+    belonging to user id k.  `roundtrip_time_per_bit` is formed once from
+    them.  These columns are the instance's only store of user values.
+
+    Build it from profiles, `Instance(deadline=, degradation=, users=)`, or
+    from columns, one keyword per `UserProfile` field but the id (as
+    `dataclasses.replace` does).  Columns are copied and checked as
+    `UserProfile` checks a profile: the first bad user raises its error.
+    """
 
     deadline: float
     degradation: float
-    users: tuple[UserProfile, ...]
+    weight: np.ndarray
+    uplink_time_per_bit: np.ndarray
+    downlink_time_per_bit: np.ndarray
+    output_ratio: np.ndarray
+    service_rate: np.ndarray
+    task_bits: np.ndarray
+    cycles_per_bit: np.ndarray
+    cpu_freq: np.ndarray
+    energy_coeff: np.ndarray
+    tx_power: np.ndarray
+    roundtrip_time_per_bit: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "users", tuple(self.users))
-        if not (self.deadline > 0.0) or not math.isfinite(self.deadline):
+    def __init__(self, deadline: float, degradation: float, users=None, **columns):
+        if not (deadline > 0.0) or not math.isfinite(deadline):
             raise ValueError("deadline must be finite and > 0")
-        if self.degradation < 0.0 or not math.isfinite(self.degradation):
+        if degradation < 0.0 or not math.isfinite(degradation):
             raise ValueError("degradation must be finite and >= 0")
-        for k, u in enumerate(self.users):
-            if u.id != k:
-                raise ValueError(f"user ids must be 0..K-1 in order, position {k} has id {u.id}")
+        if users is None:
+            if set(columns) != set(_USER_COLUMNS):
+                raise TypeError(f"Instance takes users or the columns {_USER_COLUMNS}")
+            table = np.array([columns[name] for name in _USER_COLUMNS], dtype=float)
+        else:
+            if columns:
+                raise TypeError("Instance takes users or columns, not both")
+            users = tuple(users)
+            for k, u in enumerate(users):
+                if u.id != k:
+                    raise ValueError(f"user ids must be 0..K-1 in order, position {k} has id {u.id}")
+            values = chain.from_iterable(map(operator.attrgetter(*_USER_COLUMNS), users))
+            table = np.fromiter(values, float, len(_USER_COLUMNS) * len(users))
+            table = table.reshape(len(users), len(_USER_COLUMNS)).T.copy()
+            self.__dict__["users"] = users  # the memo of the `users` property
+        _, uplink, downlink, ratio = table[:4]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
+            roundtrip = uplink + downlink * ratio
+        if users is None:
+            _check_columns(table, roundtrip)
+        table.setflags(write=False)
+        roundtrip.setflags(write=False)
+        vars(self).update(
+            zip(_USER_COLUMNS, table),
+            deadline=deadline,
+            degradation=degradation,
+            roundtrip_time_per_bit=roundtrip,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.deadline == other.deadline
+            and self.degradation == other.degradation
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _USER_COLUMNS)
+        )
+
+    def __hash__(self):
+        columns = (tuple(getattr(self, n).tolist()) for n in _USER_COLUMNS)
+        return hash((self.deadline, self.degradation, *columns))
+
+    def __repr__(self):
+        return (
+            f"Instance(deadline={self.deadline!r}, degradation={self.degradation!r}, "
+            f"n_users={self.n_users})"
+        )
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return len(self.weight)
+
+    @cached_property
+    def users(self) -> tuple[UserProfile, ...]:
+        """The users as profiles: the ones the instance was built from, else
+        built from the columns (with Python float fields) on first read and
+        memoised.  No solver reads them."""
+        rows = zip(*(getattr(self, name).tolist() for name in _USER_COLUMNS))
+        return tuple(UserProfile(k, *row) for k, row in enumerate(rows))
 
     def user(self, user_id: int) -> UserProfile:
-        if not 0 <= user_id < len(self.users):
+        if not 0 <= user_id < self.n_users:
             raise KeyError(f"no user with id {user_id}")
         return self.users[user_id]
 
@@ -158,22 +233,22 @@ class Instance:
         deadline, so a copy made with `dataclasses.replace` builds its own."""
         return derive_columns(self)
 
-    @cached_property
-    def view(self) -> InstanceView:
-        """Read-only per-user arrays for the vectorised solvers: built on
-        first use and memoised on this object."""
-        users = self.users
 
-        def column(values) -> np.ndarray:
-            array = np.array(values, dtype=float)
-            array.setflags(write=False)
-            return array
-
-        return InstanceView(
-            weight=column([u.weight for u in users]),
-            roundtrip=column([u.roundtrip_time_per_bit for u in users]),
-            service=column([u.service_rate for u in users]),
-        )
+def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
+    """Refuse columns holding a value that `UserProfile` refuses, with the
+    error it raises for the first such user: every field but the task size
+    positive, the task size nonnegative, all of them and the roundtrip time
+    finite (nan fails every comparison, and numpy's min and max keep it)."""
+    low = table.min(axis=1, initial=math.inf).tolist()
+    task_low = low.pop(_TASK_ROW)
+    if not (
+        all(x > 0.0 for x in low)
+        and task_low >= 0.0
+        and table.max(initial=0.0) < math.inf
+        and roundtrip.max(initial=0.0) < math.inf
+    ):
+        for k, row in enumerate(zip(*table.tolist())):
+            UserProfile(k, *row)  # raises at the first bad user
 
 
 @dataclass(frozen=True)
@@ -225,21 +300,6 @@ class EnergyColumns:
     cycles_per_bit: np.ndarray
 
 
-@dataclass(frozen=True)
-class InstanceView:
-    """One instance's per-user profile values as read-only arrays, memoised
-    per `Instance` object (`Instance.view`).  Entry k belongs to user id k.
-
-    weight     weights
-    roundtrip  roundtrip times per bit
-    service    isolated VM service rates
-    """
-
-    weight: np.ndarray
-    roundtrip: np.ndarray
-    service: np.ndarray
-
-
 def derive_user(instance: Instance, user_id: int) -> DerivedUser:
     """Compute the derived constants for one user. Pure function of its inputs."""
     u = instance.user(user_id)
@@ -259,44 +319,34 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
     )
 
 
-_COLUMN_FIELDS = (
-    "weight",
-    "uplink_time_per_bit",
-    "downlink_time_per_bit",
-    "output_ratio",
-    "service_rate",
-    "task_bits",
-    "cycles_per_bit",
-    "cpu_freq",
-    "energy_coeff",
-    "tx_power",
-)
+def _squares(values: np.ndarray) -> np.ndarray:
+    """x**2 of each entry, one Python float at a time: numpy's square may
+    differ from Python's `**` in the last bit."""
+    return np.array([x**2 for x in values.tolist()])
 
 
 def derive_columns(instance: Instance) -> EnergyColumns:
     """`derive_user` of every user at once, with the same expressions
-    evaluated on arrays.  Only the square of the CPU speed is formed one
-    Python float at a time: numpy's square may differ from Python's `**`
-    in the last bit."""
-    values = chain.from_iterable(map(operator.attrgetter(*_COLUMN_FIELDS), instance.users))
-    rows = np.fromiter(values, float, len(_COLUMN_FIELDS) * instance.n_users)
-    rows = rows.reshape(-1, len(_COLUMN_FIELDS))
-    weight, uplink, downlink, ratio, service, task, cycles, freq, kappa, power = rows.T
-    freq_squared = np.array([f**2 for f in freq.tolist()])
-    excess = task - instance.deadline * freq / cycles
+    evaluated on the instance's columns."""
+    freq, cycles = instance.cpu_freq, instance.cycles_per_bit
+    excess = instance.task_bits - instance.deadline * freq / cycles
+    delta = instance.weight * (
+        instance.uplink_time_per_bit * instance.tx_power
+        - instance.energy_coeff * cycles * _squares(freq)
+    )
     # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
-    columns = EnergyColumns(
-        delta_per_bit=weight * (uplink * power - kappa * cycles * freq_squared),
-        min_offload_bits=np.where(0.0 > excess, 0.0, excess),
-        task_bits=task,
-        roundtrip=uplink + downlink * ratio,
-        service=service,
+    min_bits = np.where(0.0 > excess, 0.0, excess)
+    delta.setflags(write=False)
+    min_bits.setflags(write=False)
+    return EnergyColumns(
+        delta_per_bit=delta,
+        min_offload_bits=min_bits,
+        task_bits=instance.task_bits,
+        roundtrip=instance.roundtrip_time_per_bit,
+        service=instance.service_rate,
         cpu_freq=freq,
         cycles_per_bit=cycles,
     )
-    for array in vars(columns).values():
-        array.setflags(write=False)
-    return columns
 
 
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:
@@ -315,11 +365,13 @@ def interference_penalty(degradation: float, n_scheduled: int) -> float:
 
 
 def baseline_local_energy(instance: Instance) -> float:
-    """Weighted energy of computing every task fully locally (joules)."""
-    return sum(
-        u.weight * u.energy_coeff * u.cycles_per_bit * u.task_bits * u.cpu_freq**2
-        for u in instance.users
+    """Weighted energy of computing every task fully locally (joules),
+    summed left to right in user id."""
+    energy = (
+        instance.weight * instance.energy_coeff * instance.cycles_per_bit * instance.task_bits
+        * _squares(instance.cpu_freq)
     )
+    return sum(energy.tolist())
 
 
 @dataclass(frozen=True)
@@ -406,33 +458,32 @@ def _check_known_users(instance: Instance, schedule) -> None:
 
 def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_checks):
     """Checks both validators share, in report order: the latency budget, a
-    nonnegative computing window, then per user either
-    `scheduled_checks(user, bits, vm_cap)` (vm_cap is the most the user's
+    nonnegative computing window, then per user id either
+    `scheduled_checks(uid, bits, vm_cap)` (vm_cap is the most the user's
     VM computes in the window) or `unscheduled_zero` followed by
-    `unscheduled_checks(user)`."""
+    `unscheduled_checks(uid)`."""
     _check_known_users(instance, schedule)
     n = len(schedule.scheduled)
     factor = vm_rate_factor(instance.degradation, n) if n else 0.0
     te = schedule.compute_time
+    roundtrip = instance.roundtrip_time_per_bit.tolist()
+    service = instance.service_rate.tolist()
 
-    used = sum(
-        schedule.offload_bits.get(i, 0.0) * instance.users[i].roundtrip_time_per_bit
-        for i in sorted(schedule.scheduled)
-    )
+    used = sum(schedule.offload_bits.get(i, 0.0) * roundtrip[i] for i in sorted(schedule.scheduled))
     budget = used + te - instance.deadline
     checks = [
         ValidationCheck("latency_budget", budget, budget <= TIME_TOL),
         ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL),
     ]
-    for u in instance.users:
-        bits = schedule.offload_bits.get(u.id, 0.0)
-        if u.id in schedule.scheduled:
-            checks.extend(scheduled_checks(u, bits, te * u.service_rate * factor))
+    for uid in range(instance.n_users):
+        bits = schedule.offload_bits.get(uid, 0.0)
+        if uid in schedule.scheduled:
+            checks.extend(scheduled_checks(uid, bits, te * service[uid] * factor))
         else:
             checks.append(
-                ValidationCheck(f"unscheduled_zero[{u.id}]", abs(bits), abs(bits) <= BITS_RTOL)
+                ValidationCheck(f"unscheduled_zero[{uid}]", abs(bits), abs(bits) <= BITS_RTOL)
             )
-            checks.extend(unscheduled_checks(u))
+            checks.extend(unscheduled_checks(uid))
     return checks
 
 
@@ -443,16 +494,19 @@ def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> Valida
     to pass it.  Violations are reported, never raised.
     """
 
-    def offload_bounds(u, bits, cap):
+    def offload_bounds(uid, bits, cap):
         tol = BITS_RTOL * max(1.0, cap)
         return (
-            ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol),
-            ValidationCheck(f"offload_nonneg[{u.id}]", -bits, bits >= -tol),
+            ValidationCheck(f"offload_upper[{uid}]", bits - cap, bits - cap <= tol),
+            ValidationCheck(f"offload_nonneg[{uid}]", -bits, bits >= -tol),
         )
 
-    checks = _common_checks(instance, schedule, offload_bounds, lambda u: ())
+    checks = _common_checks(instance, schedule, offload_bounds, lambda uid: ())
     recomputed = (
-        sum(instance.users[i].weight * schedule.offload_bits.get(i, 0.0) for i in range(instance.n_users))
+        sum(
+            weight * schedule.offload_bits.get(uid, 0.0)
+            for uid, weight in enumerate(instance.weight.tolist())
+        )
         / instance.deadline
     )
     mismatch = abs(schedule.sum_rate - recomputed)
@@ -471,23 +525,24 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
         raise ValueError("cannot validate an infeasible schedule")
     columns = instance.derived
     min_bits = columns.min_offload_bits.tolist()
+    task_bits = instance.task_bits.tolist()
 
-    def offload_bounds(u, bits, vm_cap):
-        cap = min(u.task_bits, vm_cap)
+    def offload_bounds(uid, bits, vm_cap):
+        cap = min(task_bits[uid], vm_cap)
         tol = BITS_RTOL * max(1.0, cap)
-        floor = min_bits[u.id]
+        floor = min_bits[uid]
         low = floor - bits
         return (
-            ValidationCheck(f"offload_lower[{u.id}]", low, low <= BITS_RTOL * max(1.0, floor)),
-            ValidationCheck(f"offload_upper[{u.id}]", bits - cap, bits - cap <= tol),
+            ValidationCheck(f"offload_lower[{uid}]", low, low <= BITS_RTOL * max(1.0, floor)),
+            ValidationCheck(f"offload_upper[{uid}]", bits - cap, bits - cap <= tol),
         )
 
-    def must_not_be_forced(u):
+    def must_not_be_forced(uid):
         # a user that cannot finish locally must appear in the schedule
-        floor = min_bits[u.id]
+        floor = min_bits[uid]
         return (
             ValidationCheck(
-                f"unscheduled_free[{u.id}]", floor, floor <= BITS_RTOL * max(1.0, u.task_bits)
+                f"unscheduled_free[{uid}]", floor, floor <= BITS_RTOL * max(1.0, task_bits[uid])
             ),
         )
 
@@ -555,6 +610,8 @@ def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
     Per-user draw order is fixed: uplink Mbps, downlink Mbps, service rate,
     output-ratio exponent, task KB, cycles/bit, CPU frequency.  Mbps and KB
     convert to seconds/bit and bits here; nothing downstream ever converts.
+    The values go straight into the instance's columns.  A value that
+    `UserProfile` refuses raises its error, for the first such user.
     """
     if spec.n_users < 0:
         raise ConfigurationError(f"n_users must be >= 0, got {spec.n_users}")
@@ -586,31 +643,44 @@ def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
         spec.cycles_per_bit,
         spec.cpu_freq_hz,
     ]).T
-    draws = SplitMix64(seed).uniform_array(7 * spec.n_users).reshape(spec.n_users, 7)
-    values = lo + (hi - lo) * draws
-    values[:, :2] = 1.0 / (values[:, :2] * 1e6)  # Mbps to seconds per bit
-    values[:, 4] *= _BITS_PER_KB
-    # UserProfile fields in declaration order; numpy's power may differ from
-    # Python's in the last bit, so the output ratio is one Python float at a
-    # time
+    n = spec.n_users
+    draws = SplitMix64(seed).uniform_array(7 * n).reshape(n, 7)
+    with np.errstate(over="ignore", invalid="ignore"):  # Instance refuses inf and nan
+        values = lo + (hi - lo) * draws
+        values[:, :2] = 1.0 / (values[:, :2] * 1e6)  # Mbps to seconds per bit
+        values[:, 4] *= _BITS_PER_KB
+    uplink, downlink, service, exponent, task_bits, cycles, freq = values.T
     weight, kappa, power = spec.weight, spec.energy_coeff, spec.tx_power_w
-    users = [
-        UserProfile(
-            i, weight, uplink, downlink, 10.0 ** (-exponent), service, task_bits, cycles, freq,
-            kappa, power,
-        )
-        for i, (uplink, downlink, service, exponent, task_bits, cycles, freq) in enumerate(
-            zip(*values.T.tolist())
-        )
-    ]
-    return Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=tuple(users))
+    try:
+        # numpy's power may differ from Python's in the last bit
+        ratio = [10.0 ** (-x) for x in exponent.tolist()]
+    except OverflowError:
+        ratio = None
+    if ratio is None:
+        # Build the profiles one at a time, as the per-user loop did: it
+        # refuses any bad user before the one whose power overflows.
+        for i, (up, down, rate, x, task, c, f) in enumerate(zip(*values.T.tolist())):
+            UserProfile(i, weight, up, down, 10.0 ** (-x), rate, task, c, f, kappa, power)
+    return Instance(
+        deadline=spec.deadline_s,
+        degradation=spec.degradation,
+        weight=np.full(n, weight),
+        uplink_time_per_bit=uplink,
+        downlink_time_per_bit=downlink,
+        output_ratio=ratio,
+        service_rate=service,
+        task_bits=task_bits,
+        cycles_per_bit=cycles,
+        cpu_freq=freq,
+        energy_coeff=np.full(n, kappa),
+        tx_power=np.full(n, power),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Instance files
 # ---------------------------------------------------------------------------
 
-_USER_FIELDS = tuple(f.name for f in fields(UserProfile))
 _TOP_FIELDS = ("deadline_s", "degradation", "users")
 
 
@@ -631,9 +701,20 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str) -> float:
+    value = _require(mapping, key, where)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{where}: {key} must be a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the doubles
+        raise ParseError(f"{where}: {key} is out of range") from None
+
+
 def read_instance(path) -> Instance:
     """Load an instance file.  Field names are the contract: unknown fields
-    are rejected, missing ones named in the error."""
+    are rejected, missing ones named in the error, and a value of the wrong
+    JSON type (a bool is not a number) is a `ParseError` naming its field."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -644,8 +725,8 @@ def read_instance(path) -> Instance:
     for key in doc:
         if key not in _TOP_FIELDS:
             raise ParseError(f"{path}: unknown field '{key}'")
-    deadline = _require(doc, "deadline_s", str(path))
-    degradation = _require(doc, "degradation", str(path))
+    deadline = _number(doc, "deadline_s", str(path))
+    degradation = _number(doc, "degradation", str(path))
     raw_users = _require(doc, "users", str(path))
     if not isinstance(raw_users, list):
         raise ParseError(f"{path}: 'users' must be an array")
@@ -657,19 +738,11 @@ def read_instance(path) -> Instance:
         for key in entry:
             if key not in _USER_FIELDS:
                 raise ParseError(f"{where}: unknown field '{key}'")
-        kwargs = {}
-        for name in _USER_FIELDS:
-            value = _require(entry, name, where)
-            if name == "id":
-                if not isinstance(value, int):
-                    raise ParseError(f"{where}: id must be an integer")
-                kwargs[name] = value
-            else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ParseError(f"{where}: {name} must be a number")
-                kwargs[name] = float(value)
-        users.append(UserProfile(**kwargs))
-    return Instance(deadline=float(deadline), degradation=float(degradation), users=tuple(users))
+        user_id = _require(entry, "id", where)
+        if not isinstance(user_id, int) or isinstance(user_id, bool):
+            raise ParseError(f"{where}: id must be an integer")
+        users.append(UserProfile(user_id, *(_number(entry, name, where) for name in _USER_COLUMNS)))
+    return Instance(deadline=deadline, degradation=degradation, users=users)
 
 
 def with_deadline(instance: Instance, deadline: float) -> Instance:

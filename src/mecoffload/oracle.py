@@ -63,10 +63,10 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     ids = np.arange(K)
     masks = np.arange(1, 1 << K, dtype=np.int64)
     bits = ((masks[:, None] >> ids[None, :]) & 1).astype(float)
-    view = instance.view
-    num = bits @ (view.weight * view.service)
+    service = instance.service_rate
+    num = bits @ (instance.weight * service)
     den = (1.0 + instance.degradation) ** (bits.sum(axis=1) - 1.0) + bits @ (
-        view.roundtrip * view.service
+        instance.roundtrip_time_per_bit * service
     )
     rates = num / den
 

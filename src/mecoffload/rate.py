@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, RateSchedule, UserProfile, interference_penalty, vm_rate_factor
+from .model import Instance, RateSchedule, interference_penalty, vm_rate_factor
 
 __all__ = [
     "ConditionalSolution",
@@ -88,10 +88,12 @@ class DinkelbachTrace:
         return len(self.records)
 
 
-def _rate_terms(u: UserProfile) -> tuple[float, float, float]:
-    """One user's terms of the closed form: w*r, (a+b*g)*r and w/(a+b*g)."""
-    rt = u.roundtrip_time_per_bit
-    return u.weight * u.service_rate, rt * u.service_rate, u.weight / rt
+def _rate_terms(instance: Instance) -> tuple[list[float], list[float], list[float]]:
+    """Every user's terms of the closed form, in id order: w*r, (a+b*g)*r
+    and w/(a+b*g)."""
+    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
+    service = instance.service_rate
+    return (weight * service).tolist(), (roundtrip * service).tolist(), (weight / roundtrip).tolist()
 
 
 def _fixed_set_sums(degradation: float, terms: list[tuple[float, float, float]]):
@@ -127,18 +129,22 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
     members = sorted(set(subset))
     if not members:
         raise ValueError("scheduled set must be nonempty")
-    for uid in members:
-        instance.user(uid)  # raises KeyError on unknown ids
+    n_users = instance.n_users
+    if members[0] < 0 or members[-1] >= n_users:
+        unknown = members[0] if members[0] < 0 else members[bisect.bisect_left(members, n_users)]
+        raise KeyError(f"no user with id {unknown}")
     factor = vm_rate_factor(instance.degradation, len(members))
+    wr, qr, tx = _rate_terms(instance)
     num, den, penalty, min_tx = _fixed_set_sums(
-        instance.degradation, [_rate_terms(instance.users[uid]) for uid in members]
+        instance.degradation, [(wr[uid], qr[uid], tx[uid]) for uid in members]
     )
     rate = num / den
     # a saturated penalty takes the whole frame: t_e -> T as it grows
     te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
-    bits = {u.id: 0.0 for u in instance.users}
+    service = instance.service_rate.tolist()
+    bits = dict.fromkeys(range(n_users), 0.0)
     for uid in members:
-        bits[uid] = te * instance.users[uid].service_rate * factor
+        bits[uid] = te * service[uid] * factor
     return ConditionalSolution(
         subset=frozenset(members),
         compute_time=te,
@@ -165,8 +171,8 @@ def dinkelbach_slave(instance: Instance, m: int) -> tuple[frozenset[int], float,
     K = instance.n_users
     if not 1 <= m <= K:
         raise ValueError(f"m must be in 1..{K}, got {m}")
-    view = instance.view
-    weight, roundtrip, service = view.weight, view.roundtrip, view.service
+    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
+    service = instance.service_rate
     penalty = interference_penalty(instance.degradation, m)
     if penalty == math.inf:  # every m-set has rate 0, the optimum: stop at the first step
         selected = frozenset(_top_m(service * weight, m).tolist())
@@ -224,8 +230,8 @@ def solve_rate_max(instance: Instance) -> tuple[RateSchedule, tuple[SlaveSummary
     """
     if instance.n_users == 0:
         raise ValueError("instance has no users")
-    view = instance.view
-    weight, roundtrip, service = view.weight, view.roundtrip, view.service
+    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
+    service = instance.service_rate
     wr = weight * service
     qr = roundtrip * service
     rate = float((wr / (1.0 + qr)).max())
@@ -307,7 +313,7 @@ def homogeneous_m_star(
 
 
 def _require_uniform_weights(instance: Instance) -> None:
-    if any(abs(u.weight - 1.0) > 1e-12 for u in instance.users):
+    if (np.abs(instance.weight - 1.0) > 1e-12).any():
         raise ValueError("requires uniform unit weights")
 
 
@@ -322,17 +328,19 @@ def homogeneous_txrate_schedule(instance: Instance) -> RateSchedule:
     if instance.n_users == 0:
         raise ValueError("instance has no users")
     _require_uniform_weights(instance)
-    rts = [u.roundtrip_time_per_bit for u in instance.users]
-    if (max(rts) - min(rts)) > 1e-9 * max(rts):
+    rts = instance.roundtrip_time_per_bit
+    if (rts.max() - rts.min()) > 1e-9 * rts.max():
         raise ValueError("requires identical transmission rates for all users")
     d = instance.degradation
-    order = sorted(instance.users, key=lambda u: (-u.service_rate, u.id))
+    service = instance.service_rate.tolist()
+    # descending service rate, lowest id on ties
+    order = np.argsort(-instance.service_rate, kind="stable").tolist()
     taken: list[int] = []
     prefix = 0.0
-    for u in order:
-        if u.service_rate >= d * prefix - 1e-12 * (1.0 + d * prefix):
-            taken.append(u.id)
-            prefix += u.service_rate
+    for uid in order:
+        if service[uid] >= d * prefix - 1e-12 * (1.0 + d * prefix):
+            taken.append(uid)
+            prefix += service[uid]
         else:
             break
     return conditional_solution(instance, taken).as_schedule()
@@ -350,16 +358,19 @@ def no_interference_schedule(instance: Instance) -> RateSchedule:
     if instance.degradation != 0.0:
         raise ValueError("requires degradation == 0")
     _require_uniform_weights(instance)
-    order = sorted(instance.users, key=lambda u: (u.roundtrip_time_per_bit, u.id))
+    roundtrip = instance.roundtrip_time_per_bit.tolist()
+    service = instance.service_rate.tolist()
+    # ascending roundtrip time, lowest id on ties
+    order = np.argsort(instance.roundtrip_time_per_bit, kind="stable").tolist()
     taken: list[int] = []
     num = 0.0
     den = 1.0
-    for u in order:
-        num_next = num + u.service_rate
-        den_next = den + u.roundtrip_time_per_bit * u.service_rate
-        tx = 1.0 / u.roundtrip_time_per_bit
+    for uid in order:
+        num_next = num + service[uid]
+        den_next = den + roundtrip[uid] * service[uid]
+        tx = 1.0 / roundtrip[uid]
         if tx * (1.0 + _COND_RTOL) >= num_next / den_next:
-            taken.append(u.id)
+            taken.append(uid)
             num, den = num_next, den_next
         else:
             break
@@ -415,14 +426,10 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
     candidate set in id order."""
     if instance.n_users == 0:
         raise ValueError("instance has no users")
-    view = instance.view
-    weight, roundtrip, service = view.weight, view.roundtrip, view.service
-    tx = weight / roundtrip
-    # descending, lowest id on ties: each user is the slowest of its prefix
-    order = np.argsort(-tx, kind="stable").tolist()
-    tx = tx.tolist()
-    wr = (weight * service).tolist()
-    qr = (roundtrip * service).tolist()
+    wr, qr, tx = _rate_terms(instance)
+    # descending w/(a+b*g), lowest id on ties: each user is the slowest of
+    # its prefix
+    order = np.argsort(-instance.weight / instance.roundtrip_time_per_bit, kind="stable").tolist()
     bound = _greedy_rounding_bound(instance.n_users)
     # for the fallback: the users added so far in ascending id, with their
     # _rate_terms, brought up to date when it runs
@@ -442,7 +449,7 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
             for member in order[len(members) : size]:
                 at = bisect.bisect(members, member)
                 members.insert(at, member)
-                member_terms.insert(at, _rate_terms(instance.users[member]))
+                member_terms.insert(at, (wr[member], qr[member], tx[member]))
             num, den, _, min_tx = _fixed_set_sums(instance.degradation, member_terms)
             passes = _meets_necessary_condition(num / den, min_tx)
         if not passes:

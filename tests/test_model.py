@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import math
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,9 +25,14 @@ from mecoffload import (
     validate_rate_schedule,
     write_instance,
 )
+from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.model import Instance, UserProfile
 from mecoffload.rng import SplitMix64, mix64
 from support import make_instance, make_user, unit_roundtrip_user
+
+# An instance's per-user columns: one per UserProfile field but the id, and
+# the roundtrip time formed from them.
+COLUMNS = tuple(f.name for f in dataclasses.fields(UserProfile))[1:] + ("roundtrip_time_per_bit",)
 
 
 def scalar_generate_instance(spec, seed):
@@ -54,6 +64,16 @@ def scalar_generate_instance(spec, seed):
             )
         )
     return Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=tuple(users))
+
+
+def test_builtin_sum_adds_floats_left_to_right():
+    # Python 3.12 made the builtin sum of floats compensated (Neumaier).
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        f"builtin sum is compensated on Python {sys.version.split()[0]}: "
+        "energy._Balance.gap, energy._objective, model.baseline_local_energy and the "
+        "energy._subset_lp budget rely on a left-to-right float sum, and with another "
+        "order the perfbench fingerprints and the stock sweep CSV bytes change"
+    )
 
 
 class TestDerivedUser:
@@ -147,10 +167,50 @@ class TestMemoisedConstants:
         assert validate_energy_schedule(inst, energy).ok
         assert counted == {"columns": 1, "derive_user": 0}
 
+    @pytest.fixture
+    def profiles_built(self, monkeypatch):
+        """The ids of the `UserProfile`s constructed, wherever that happens."""
+        built = []
+        check = UserProfile.__post_init__
+
+        def counting_check(profile):
+            built.append(profile.id)
+            check(profile)
+
+        monkeypatch.setattr(UserProfile, "__post_init__", counting_check)
+        return built
+
+    def test_frame_builds_no_profiles(self, profiles_built):
+        spec = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
+        inst = generate_instance(spec, 20240)
+        rate = solve_rate_max(inst)[0]
+        greedy = benchmark_greedy(inst)
+        energy = solve_energy_suboptimal(inst)
+        assert validate_rate_schedule(inst, rate).ok
+        assert validate_rate_schedule(inst, greedy).ok
+        assert validate_energy_schedule(inst, energy).ok
+        assert energy.status == "greedy-path"
+        later = dataclasses.replace(inst, deadline=0.5)
+        assert later.derived is not inst.derived
+        assert later.derived.min_offload_bits.tolist() != inst.derived.min_offload_bits.tolist()
+        assert profiles_built == []
+        for name in COLUMNS:
+            with pytest.raises(ValueError):
+                getattr(inst, name)[0] = 0.0
+        assert_columns_match_derive_user(later)  # derive_user reads the profiles
+        assert len(profiles_built) == 100
+        assert inst.users == scalar_generate_instance(spec, 20240).users
+
+    @pytest.mark.parametrize("experiment, value", [("energy-vs-T", 0.45), ("rate-vs-K", 10.0)])
+    def test_certified_grid_point_builds_no_profiles(self, profiles_built, experiment, value):
+        run_sweep(SweepSpec(experiment=experiment, grid=(value,), realizations=20, certify=True))
+        assert profiles_built == []
+
     def test_memoised_per_instance(self):
         inst = make_instance([make_user(0, task=10.0), make_user(1, task=3.0)])
         assert inst.derived is inst.derived
-        assert inst.view is inst.view
+        assert inst.roundtrip_time_per_bit is inst.roundtrip_time_per_bit
+        assert inst.users is inst.users
         assert_columns_match_derive_user(inst)
 
     @pytest.mark.parametrize("deadline", [0.035, 0.5, 1.5])
@@ -172,7 +232,7 @@ class TestMemoisedConstants:
         assert inst.derived.min_offload_bits.tolist() == [6.0]
         later = dataclasses.replace(inst, deadline=9.0)
         assert later.derived is not inst.derived
-        assert later.view is not inst.view
+        assert later.roundtrip_time_per_bit is not inst.roundtrip_time_per_bit
         assert_columns_match_derive_user(later)
         assert later.derived.min_offload_bits.tolist() == [1.0]
         assert inst.derived.min_offload_bits.tolist() == [6.0]
@@ -185,13 +245,13 @@ class TestMemoisedConstants:
 
     def test_arrays_are_read_only(self):
         users = [make_user(i, weight=1.0 + i, a=0.25, b=0.5, gamma=0.5, r=3.0 + i) for i in range(3)]
-        view = make_instance(users).view
-        assert view.weight.tolist() == [1.0, 2.0, 3.0]
-        assert view.roundtrip.tolist() == [0.5, 0.5, 0.5]
-        assert view.service.tolist() == [3.0, 4.0, 5.0]
-        for array in (view.weight, view.roundtrip, view.service):
+        inst = make_instance(users)
+        assert inst.weight.tolist() == [1.0, 2.0, 3.0]
+        assert inst.roundtrip_time_per_bit.tolist() == [0.5, 0.5, 0.5]
+        assert inst.service_rate.tolist() == [3.0, 4.0, 5.0]
+        for name in COLUMNS:
             with pytest.raises(ValueError):
-                array[0] = 0.0
+                getattr(inst, name)[0] = 0.0
 
 
 class TestInvariants:
@@ -338,6 +398,62 @@ class TestArrayGeneration:
         assert {u.task_bits for u in generate_instance(spec, 5).users} == {0.0}
 
 
+class TestGenerationRefusals:
+    """Generation refuses what the per-user loop refuses, with the same
+    error for the same user, and without a numpy warning on the way."""
+
+    @staticmethod
+    def refusals(spec, seed):
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            scalar_generate_instance(spec, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, OverflowError)) as refused:
+                generate_instance(spec, seed)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+        return str(refused.value)
+
+    @pytest.mark.parametrize("spec, message", [
+        (GenerationSpec(n_users=3, output_ratio_exponent=(400.0, 500.0)),
+         "user 0: output_ratio must be finite and > 0, got 0.0"),
+        (GenerationSpec(n_users=3, uplink_mbps=(1e-320, 1e-320)),
+         "user 0: uplink_time_per_bit must be finite and > 0, got inf"),
+        (GenerationSpec(n_users=3, downlink_mbps=(1e-306, 1e-306),
+                        output_ratio_exponent=(-10.0, -10.0)),
+         "user 0: roundtrip time per bit is not finite"),
+        (GenerationSpec(n_users=3, weight=math.inf),
+         "user 0: weight must be finite and > 0, got inf"),
+        (GenerationSpec(n_users=3, task_kb=(1e305, 1e305)),
+         "user 0: task_bits must be finite and >= 0"),
+    ])
+    def test_same_error_as_scalar_loop(self, spec, message):
+        assert self.refusals(spec, 5) == message
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_bad_user_is_refused(self, seed):
+        # exponents past about 323.3 underflow the ratio to 0.0; below about
+        # -308.3 the power overflows, which the per-user loop meets at that
+        # user, after refusing any bad user before it
+        for exponents in ((300.0, 330.0), (-330.0, 0.0), (-400.0, 400.0)):
+            spec = GenerationSpec(n_users=12, output_ratio_exponent=exponents)
+            try:
+                scalar_generate_instance(spec, seed)
+            except (ValueError, OverflowError):
+                self.refusals(spec, seed)
+            else:
+                assert generate_instance(spec, seed) == scalar_generate_instance(spec, seed)
+
+    def test_columns_are_checked_like_profiles(self):
+        inst = generate_instance(GenerationSpec(n_users=4), 1)
+        service = inst.service_rate.copy()
+        service[2] = -1.0
+        with pytest.raises(ValueError, match=r"^user 2: service_rate must be finite and > 0, got -1.0$"):
+            dataclasses.replace(inst, service_rate=service)
+        with pytest.raises(TypeError):
+            Instance(deadline=1.0, degradation=0.0, weight=inst.weight)
+
+
 class TestRng:
     def test_splitmix_reference_stream(self):
         # first outputs for seed 0, fixed forever
@@ -403,3 +519,85 @@ class TestInstanceFiles:
         path.write_text('{"deadline_s": 1.0,\n  "degradation": }')
         with pytest.raises(ParseError, match="line 2"):
             read_instance(path)
+
+    @pytest.mark.parametrize("field", ["deadline_s", "degradation"])
+    @pytest.mark.parametrize("value", ["abc", "1.5", [1], None, {}, True])
+    def test_top_level_field_must_be_a_number(self, tmp_path, field, value):
+        path = tmp_path / "bad.json"
+        doc = {"deadline_s": 1.0, "degradation": 0.0, "users": []}
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"{field} must be a number"):
+            read_instance(path)
+
+    def test_bool_id_rejected(self, tmp_path):
+        inst = generate_instance(GenerationSpec(n_users=2), 5)
+        path = tmp_path / "inst.json"
+        write_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["users"][1]["id"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"users\[1\]: id must be an integer"):
+            read_instance(path)
+
+
+# JSON values of every type but a number, and a number that is not an integer
+_NOT_A_NUMBER = st.one_of(
+    st.text(max_size=4), st.booleans(), st.none(), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_NOT_AN_ARRAY = st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.integers(),
+                          st.floats(allow_nan=False), st.dictionaries(st.text(max_size=3), st.integers()))
+_NOT_AN_OBJECT = st.one_of(st.text(max_size=4), st.booleans(), st.none(), st.integers(),
+                           st.lists(st.integers(), max_size=2))
+
+
+class TestInstanceFileProperties:
+    """Files written by `write_instance` read back equal, and any field of
+    one dropped, retyped or renamed is a `ParseError`, never a `TypeError`
+    or `KeyError`."""
+
+    @staticmethod
+    def read_doc(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            path.write_text(json.dumps(doc))
+            return read_instance(path)
+
+    @staticmethod
+    def written_doc(n_users, seed):
+        inst = generate_instance(GenerationSpec(n_users=n_users, degradation=0.2), seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "inst.json"
+            write_instance(inst, path)
+            assert read_instance(path) == inst
+            return json.loads(path.read_text())
+
+    @given(n_users=st.integers(0, 5), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_damaged_field_is_a_parse_error(self, n_users, seed, data):
+        doc = self.written_doc(n_users, seed)
+        # the object holding the field, and the field
+        holders = [doc] + doc["users"]
+        holder = data.draw(st.sampled_from(holders))
+        key = data.draw(st.sampled_from(sorted(holder)))
+        damage = data.draw(st.sampled_from(["drop", "retype", "rename"]))
+        value = holder.pop(key)
+        if damage == "retype":
+            if key == "users":
+                holder[key] = data.draw(_NOT_AN_ARRAY)
+            elif key == "id":
+                holder[key] = data.draw(st.one_of(_NOT_A_NUMBER, st.floats(allow_nan=False)))
+            else:
+                holder[key] = data.draw(_NOT_A_NUMBER)
+        elif damage == "rename":
+            holder[data.draw(st.text(max_size=12).filter(lambda name: name != key))] = value
+        with pytest.raises(ParseError):
+            self.read_doc(doc)
+
+    @given(n_users=st.integers(1, 5), seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_retyped_user_is_a_parse_error(self, n_users, seed, data):
+        doc = self.written_doc(n_users, seed)
+        k = data.draw(st.integers(0, n_users - 1))
+        doc["users"][k] = data.draw(_NOT_AN_OBJECT)
+        with pytest.raises(ParseError, match=rf"users\[{k}\]: must be an object"):
+            self.read_doc(doc)

@@ -60,6 +60,13 @@ class TestConditionalSolution:
         with pytest.raises(KeyError):
             conditional_solution(inst, [5])
 
+    @pytest.mark.parametrize("subset, unknown", [([-1, 0], -1), ([0, 9, 4], 4)])
+    def test_unknown_member_named(self, subset, unknown):
+        # a negative id must not index the columns from the end
+        inst = make_instance([unit_roundtrip_user(0), unit_roundtrip_user(1)])
+        with pytest.raises(KeyError, match=f"no user with id {unknown}"):
+            conditional_solution(inst, subset)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_budget_tight_and_rate_forms_agree(self, seed):
         inst = stock_instance(8, 0.15, seed)
