@@ -37,7 +37,6 @@ __all__ = [
     "total_delay",
     "required_compute_time",
     "solve_energy_suboptimal",
-    "solve_lp_m1",
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
     "benchmark_energy_all_offloading_batch",
@@ -391,12 +390,6 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1):
     return finish(None if problem is None else lpmod.solve_lp(problem))
 
 
-def solve_lp_m1(instance: Instance, partition: Partition):
-    """Offload sizes for the forced saving users when no optional user is
-    scheduled: `solve_subset_lp` with s1 empty."""
-    return solve_subset_lp(instance, partition, frozenset())
-
-
 def _assemble(
     instance: Instance,
     partition: Partition,
@@ -485,7 +478,7 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
         te = required_compute_time(instance, part, s1)
         return _assemble(instance, part, s1, full, te, "greedy-path")
 
-    lp_result = solve_lp_m1(instance, part)
+    lp_result = solve_subset_lp(instance, part, frozenset())
     if lp_result is None:  # not expected once the deadline clears t_min
         return _infeasible(instance, feas.t_min)
     bits, te = lp_result

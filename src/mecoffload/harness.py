@@ -11,6 +11,7 @@ byte-stable: the same spec and seed always produce the same file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ from .energy import (
     feasibility_tmin,
     solve_energy_suboptimal,
 )
-from .lp import BudgetExceededError
+from .lp import BudgetExceededError, shared_solutions
 from .model import (
     ConfigurationError,
     EnergySchedule,
@@ -212,23 +213,29 @@ def run_sweep(spec: SweepSpec) -> str:
                 generate_instance(generation, mix64(spec.base_seed, gi, ri))
                 for ri in range(first, min(first + block, spec.realizations))
             ]
-            references = [None] * len(instances)
-            if spec.certify and rate_side:
-                references = [
-                    brute_force_rate_max(i, budget) if i.n_users <= budget.max_users_rate else None
-                    for i in instances
-                ]
-            elif spec.certify:
-                references = brute_force_energy_batch(instances, budget)
-            solved = {}  # the block's schedules per distinct algorithm callable
+            # An energy block solves each distinct LP once: the oracle runs
+            # first, and the all-offload LP is its full-subset LP wherever no
+            # user is costly, the heuristic's LP branch its empty-subset LP.
+            with contextlib.nullcontext() if rate_side else shared_solutions():
+                references = [None] * len(instances)
+                if spec.certify and rate_side:
+                    references = [
+                        brute_force_rate_max(i, budget)
+                        if i.n_users <= budget.max_users_rate else None
+                        for i in instances
+                    ]
+                elif spec.certify:
+                    references = brute_force_energy_batch(instances, budget)
+                solved = {}  # the block's schedules per distinct algorithm callable
+                for name in spec.algorithms:
+                    algorithm = algorithms[name]
+                    if algorithm not in solved:
+                        batch = None if rate_side else ENERGY_BATCHES.get(name)
+                        solved[algorithm] = (
+                            batch(instances) if batch else [algorithm(i) for i in instances]
+                        )
             for name in spec.algorithms:
-                algorithm = algorithms[name]
-                if algorithm not in solved:
-                    batch = None if rate_side else ENERGY_BATCHES.get(name)
-                    solved[algorithm] = (
-                        batch(instances) if batch else [algorithm(i) for i in instances]
-                    )
-                for schedule, reference in zip(solved[algorithm], references):
+                for schedule, reference in zip(solved[algorithms[name]], references):
                     if rate_side:
                         results[name].append(schedule.sum_rate)
                         if reference is not None:

@@ -19,13 +19,18 @@ would find them.  The objective rows are priced out one basic row after
 another, and each constraint's offset shift is a single 1-D dot, so no sum
 is regrouped.  Padding never enters a pivot (DESIGN_NOTES.md, "Batched
 simplex").  `tests/lp_reference.py` keeps the row-at-a-time solver, and the
-test suite checks that the two agree bit for bit.
+test suite checks that the two agree bit for bit.  Inside a
+`shared_solutions` scope, `solve_lps` solves each distinct problem once and
+answers its repeats from the scope's memo.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,7 @@ __all__ = [
     "check_size",
     "solve_lp",
     "solve_lps",
+    "shared_solutions",
     "enumerate_vertices",
 ]
 
@@ -474,6 +480,44 @@ def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
     return solutions
 
 
+# The memo of the innermost open `shared_solutions` scope, else None.
+_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar("lp_shared", default=None)
+
+
+@contextlib.contextmanager
+def shared_solutions():
+    """A scope in which `solve_lps` solves each distinct problem once.
+
+    While the scope is open, every solution is remembered under its
+    problem's bit-exact key (`_key`), and a later problem with the same key
+    takes that solution instead of a place in a stack.  The solve is
+    deterministic and a problem comes out the same whatever it is stacked
+    with, so the answer has the bits a fresh solve would give.  The memo
+    lives only as long as the scope: on exit, normal or not, it is
+    dropped, and a nested scope starts its own."""
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _key(problem: LpProblem) -> tuple[str, bytes]:
+    """The problem as bytes: every number as its 8 IEEE bytes (so -0.0 and
+    0.0, which compare and hash equal as floats, differ), and the relations
+    in order.  "<=", "=" and ">=" are told apart by their first character,
+    so their concatenation splits one way only, and with the row count it
+    fixes the variable count."""
+    cons = problem.constraints
+    values = [
+        *problem.objective,
+        *itertools.chain.from_iterable([con.coeffs for con in cons]),
+        *[con.rhs for con in cons],
+        *itertools.chain.from_iterable(problem.bounds),
+    ]
+    return "".join([con.relation for con in cons]), struct.pack(f"{len(values)}d", *values)
+
+
 def solve_lps(problems) -> list[LpSolution]:
     """Solve many problems, each exactly as `solve_lp` would alone.
 
@@ -481,22 +525,34 @@ def solve_lps(problems) -> list[LpSolution]:
     of tableaus: on each step every unfinished problem picks its own
     entering column and leaving row, and one masked update makes all the
     pivots.  Every problem is held to the size guard before anything is
-    built."""
+    built.  Inside a `shared_solutions` scope, only problems the scope has
+    not met are stacked, each distinct one once."""
     problems = list(problems)
     for problem in problems:
         check_size(*_size(problem))
+    memo = _shared.get()
     solutions: list[LpSolution | None] = [None] * len(problems)
-    stacked = []
+    # the problems to stack, by key (by index outside a scope): the indices it answers
+    todo: dict = {}
     for k, problem in enumerate(problems):
         if problem.n_vars == 0:
             ok = all(_satisfied(con.relation, con.rhs) for con in problem.constraints)
             solutions[k] = LpSolution("optimal" if ok else "infeasible", (), 0.0)
+        elif memo is None:
+            todo[k] = [k]
+        elif (key := _key(problem)) in memo:
+            solutions[k] = memo[key]
         else:
-            stacked.append(k)
-    for start in range(0, len(stacked), MAX_BATCH):
-        chunk = stacked[start : start + MAX_BATCH]
-        for k, solution in zip(chunk, _solve_stack([_shift(problems[k]) for k in chunk])):
-            solutions[k] = solution
+            todo.setdefault(key, []).append(k)
+    keys = list(todo)
+    for start in range(0, len(keys), MAX_BATCH):
+        chunk = keys[start : start + MAX_BATCH]
+        shifted = [_shift(problems[todo[key][0]]) for key in chunk]
+        for key, solution in zip(chunk, _solve_stack(shifted)):
+            for k in todo[key]:
+                solutions[k] = solution
+            if memo is not None:
+                memo[key] = solution
     return solutions
 
 

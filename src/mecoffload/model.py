@@ -233,6 +233,16 @@ class Instance:
         deadline, so a copy made with `dataclasses.replace` builds its own."""
         return derive_columns(self)
 
+    @cached_property
+    def local_energy(self) -> float:
+        """`baseline_local_energy`: computed on first use and memoised on
+        this object."""
+        energy = (
+            self.weight * self.energy_coeff * self.cycles_per_bit * self.task_bits
+            * _squares(self.cpu_freq)
+        )
+        return sum(energy.tolist())
+
 
 def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
     """Refuse columns holding a value that `UserProfile` refuses, with the
@@ -366,12 +376,9 @@ def interference_penalty(degradation: float, n_scheduled: int) -> float:
 
 def baseline_local_energy(instance: Instance) -> float:
     """Weighted energy of computing every task fully locally (joules),
-    summed left to right in user id."""
-    energy = (
-        instance.weight * instance.energy_coeff * instance.cycles_per_bit * instance.task_bits
-        * _squares(instance.cpu_freq)
-    )
-    return sum(energy.tolist())
+    summed left to right in user id; memoised per instance object
+    (`Instance.local_energy`)."""
+    return instance.local_energy
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shared instance builders for the test suite."""
 
 import math
+from types import SimpleNamespace
 
-from mecoffload import GenerationSpec, Instance, UserProfile, energy, generate_instance
+from mecoffload import GenerationSpec, Instance, UserProfile, energy, generate_instance, lp
 from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.lp import LpProblem, constraint
 from mecoffload.rng import SplitMix64, mix64
@@ -103,3 +104,17 @@ def stock_energy_lps(monkeypatch, realizations=10):
                             certify=True))
     monkeypatch.setattr(energy, "_schedule_lp", build)
     return problems
+
+
+def count_stacked(monkeypatch):
+    """Count the problems that reach `lp._solve_stack` from here on: the
+    returned object's `problems` is the running total."""
+    counter = SimpleNamespace(problems=0)
+    solve = lp._solve_stack
+
+    def counting(shifted):
+        counter.problems += len(shifted)
+        return solve(shifted)
+
+    monkeypatch.setattr(lp, "_solve_stack", counting)
+    return counter

@@ -3,6 +3,7 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecoffload import (
     FeasibilityResult,
@@ -18,7 +19,6 @@ from mecoffload import (
     partition_users,
     required_compute_time,
     solve_energy_suboptimal,
-    solve_lp_m1,
     solve_subset_lp,
     total_delay,
     validate_energy_schedule,
@@ -29,6 +29,7 @@ from mecoffload import energy
 from mecoffload.energy import _schedule_lp
 from mecoffload.lp import enumerate_vertices, solve_lp
 from mecoffload.model import interference_penalty
+from mecoffload.oracle import _TIE_RTOL
 from mecoffload.rng import SplitMix64, mix64
 from support import make_instance, make_user, stock_instance
 
@@ -323,7 +324,7 @@ class TestLpM1:
         inst = make_instance([u], deadline=5.0, degradation=0.3)
         part = partition_users(inst)
         assert part.forced_costly == {0}
-        bits, te = solve_lp_m1(inst, part)
+        bits, te = solve_subset_lp(inst, part, frozenset())
         assert bits == {}
         lmin = derive_user(inst, 0).min_offload_bits
         assert te == pytest.approx(lmin / 2.0, rel=1e-12)  # single VM, no penalty
@@ -333,7 +334,7 @@ class TestLpM1:
                         cycles=1.0, freq=1.0)
         inst = make_instance([u], deadline=2.0)
         part = partition_users(inst)
-        assert solve_lp_m1(inst, part) is None
+        assert solve_subset_lp(inst, part, frozenset()) is None
 
     def test_matches_vertex_enumeration_on_small_members(self):
         for seed in range(8):
@@ -709,3 +710,31 @@ class TestOutputTypes:
         for output in outputs:
             for x in numbers_in(output):
                 assert type(x) in (int, float), (type(x), output)
+
+
+class TestAgainstOracleProperty:
+    """The heuristic on any small stock draw and deadline: it validates when
+    it schedules, refuses only below t_min, and never beats the oracle.
+    Interference up to d = 1 (the stock grid stops at 0.3) reaches the
+    greedy branch at K <= 8 too."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 8),
+        degradation=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        slack=st.one_of(st.just(1.0), st.floats(0.8, 2.0)),
+    )
+    def test_feasible_valid_and_never_below_the_oracle(self, n_users, degradation, seed, slack):
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        t_min = feasibility_tmin(inst).t_min
+        inst = with_deadline(inst, t_min * slack)
+        schedule = solve_energy_suboptimal(inst)
+        if schedule.status == "infeasible":
+            assert inst.deadline < t_min
+            return
+        report = validate_energy_schedule(inst, schedule)
+        assert report.ok, report.render()
+        best = brute_force_energy(inst)
+        assert best.status != "infeasible"
+        assert schedule.objective >= best.objective - _TIE_RTOL * (1.0 + abs(best.objective))

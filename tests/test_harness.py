@@ -6,8 +6,10 @@ import pytest
 from mecoffload import (
     ConfigurationError,
     GenerationSpec,
+    brute_force_energy_batch,
     generate_instance,
     harness,
+    solve_energy_suboptimal,
     write_instance,
 )
 from mecoffload.harness import (
@@ -20,7 +22,8 @@ from mecoffload.harness import (
 )
 from mecoffload.model import EnergySchedule
 from mecoffload.rate import solve_rate_max
-from support import make_instance, make_user
+from mecoffload.rng import mix64
+from support import count_stacked, make_instance, make_user
 
 
 def tiny_spec(**kw):
@@ -119,6 +122,22 @@ class TestEnergyBlocks:
         blocked = run_sweep(spec)
         monkeypatch.setattr(harness, "ENERGY_BLOCK", 1)
         assert run_sweep(spec) == blocked
+
+    @pytest.mark.parametrize("experiment, value", [("energy-vs-T", 0.35), ("energy-vs-d", 0.3)])
+    def test_only_the_oracle_lps_reach_the_simplex(self, experiment, value, monkeypatch):
+        # No stock user is costly, so the all-offload LP is the oracle's
+        # full-subset LP and the heuristic's LP branch its empty-subset LP:
+        # a block solves each of them once, for the oracle.
+        spec = SweepSpec(experiment=experiment, grid=(value,), realizations=20, base_seed=7,
+                         certify=True)
+        generation = harness._generation_spec(spec.normalized(), value)
+        instances = [generate_instance(generation, mix64(7, 0, ri)) for ri in range(20)]
+        assert any(solve_energy_suboptimal(i).status == "lp-path" for i in instances)
+        counter = count_stacked(monkeypatch)
+        brute_force_energy_batch(instances)
+        oracle_lps, counter.problems = counter.problems, 0
+        run_sweep(spec)
+        assert counter.problems == oracle_lps
 
 
 class TestStockRateBytes:

@@ -12,12 +12,13 @@ from mecoffload.lp import (
     _pivot,
     constraint,
     enumerate_vertices,
+    shared_solutions,
     solve_lp,
     solve_lps,
 )
 from mecoffload.rng import SplitMix64
 from lp_reference import reference_solve_lp
-from support import random_lp_problem, stock_energy_lps, stock_instance
+from support import count_stacked, random_lp_problem, stock_energy_lps, stock_instance
 
 INF = math.inf
 
@@ -414,6 +415,58 @@ class TestBatchEquivalence:
         solved = solve_lps([box_max_x(), empty, simplex_face()])
         assert [s.status for s in solved] == ["optimal", "infeasible", "optimal"]
         assert repr(solved[2]) == repr(reference_solve_lp(simplex_face()))
+
+
+class TestSharedSolutions:
+    """Inside a `shared_solutions` scope each distinct problem is stacked
+    once, and a repeat is answered with the bits a fresh solve gives."""
+
+    @staticmethod
+    def problems():
+        rng = SplitMix64(0x5EED)
+        return ([random_lp_problem(rng) for _ in range(40)] + mixed_bound_problems(7, 20)
+                + redundant_problems(3, 10) + [box_max_x(), simplex_face()])
+
+    def test_second_pass_stacks_nothing(self, monkeypatch):
+        problems = self.problems()
+        expected = [repr(reference_solve_lp(p)) for p in problems]
+        counter = count_stacked(monkeypatch)
+        with shared_solutions():
+            first = [repr(s) for s in solve_lps(problems)]
+            stacked = counter.problems
+            second = [repr(s) for s in solve_lps(problems)]
+            assert [repr(solve_lp(p)) for p in problems] == expected
+        assert first == second == expected
+        assert 0 < stacked <= len(problems)
+        assert counter.problems == stacked
+
+    def test_signed_zeros_are_different_problems(self, monkeypatch):
+        # x <= 0.0 and x <= -0.0 compare and hash equal as problems, but the
+        # maximum of x is 0.0 in one and -0.0 in the other
+        pair = [LpProblem((-1.0,), (), ((-INF, zero),)) for zero in (0.0, -0.0)]
+        assert pair[0] == pair[1] and hash(pair[0]) == hash(pair[1])
+        expected = [repr(reference_solve_lp(p)) for p in pair]
+        assert expected[0] != expected[1]
+        counter = count_stacked(monkeypatch)
+        with shared_solutions():
+            assert [repr(solve_lp(p)) for p in pair] == expected
+            assert [repr(s) for s in solve_lps(pair)] == expected
+        assert counter.problems == 2
+
+    def test_nothing_is_remembered_after_the_scope(self, monkeypatch):
+        problem = simplex_face()
+        counter = count_stacked(monkeypatch)
+        with shared_solutions():
+            solve_lp(problem)
+        with pytest.raises(KeyError):
+            with shared_solutions():
+                solve_lp(problem)
+                solve_lp(problem)
+                raise KeyError("leaves the scope")
+        assert counter.problems == 2
+        solve_lp(problem)
+        solve_lp(problem)
+        assert counter.problems == 4
 
 
 class TestLimits:

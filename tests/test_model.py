@@ -14,7 +14,9 @@ from mecoffload import (
     GenerationSpec,
     ParseError,
     RateSchedule,
+    baseline_local_energy,
     benchmark_greedy,
+    brute_force_energy,
     derive_user,
     generate_instance,
     model,
@@ -212,6 +214,33 @@ class TestMemoisedConstants:
         assert inst.roundtrip_time_per_bit is inst.roundtrip_time_per_bit
         assert inst.users is inst.users
         assert_columns_match_derive_user(inst)
+
+    @pytest.mark.parametrize("n_users", [0, 1, 10, 100])
+    def test_local_energy_computed_once(self, n_users, monkeypatch):
+        squares = model._squares
+        calls = []
+
+        def counting(values):
+            calls.append(len(values))
+            return squares(values)
+
+        spec = GenerationSpec(n_users=n_users, degradation=0.2, deadline_s=0.45)
+        for seed in range(5):
+            inst = generate_instance(spec, seed)
+            # the expression it memoises, with its left-to-right sum
+            energy = (inst.weight * inst.energy_coeff * inst.cycles_per_bit * inst.task_bits
+                      * squares(inst.cpu_freq))
+            expected = repr(sum(energy.tolist()))
+            inst.derived  # squares the CPU speeds too
+            monkeypatch.setattr(model, "_squares", counting)
+            assert repr(baseline_local_energy(inst)) == expected
+            solve_energy_suboptimal(inst)
+            if n_users <= 10:
+                brute_force_energy(inst)
+            assert repr(baseline_local_energy(inst)) == expected
+            assert calls == [n_users]
+            monkeypatch.setattr(model, "_squares", squares)
+            calls.clear()
 
     @pytest.mark.parametrize("deadline", [0.035, 0.5, 1.5])
     def test_columns_match_derive_user(self, deadline):
