@@ -215,7 +215,8 @@ def run_sweep(spec: SweepSpec) -> str:
             ]
             # An energy block solves each distinct LP once: the oracle runs
             # first, and the all-offload LP is its full-subset LP wherever no
-            # user is costly, the heuristic's LP branch its empty-subset LP.
+            # user is costly, the heuristic's LP branch its empty-subset LP
+            # unless the oracle skipped that subset.
             with contextlib.nullcontext() if rate_side else shared_solutions():
                 references = [None] * len(instances)
                 if spec.certify and rate_side:

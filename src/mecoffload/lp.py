@@ -1,5 +1,4 @@
-"""Small dense linear programming: two-phase tableau simplex plus a
-vertex-enumeration micro-oracle used to test it.
+"""Small dense linear programming: a two-phase tableau simplex.
 
 The problems this package produces are small (a few dozen variables at the
 stock sizes), so termination certainty and determinism come first: entering
@@ -46,7 +45,6 @@ __all__ = [
     "solve_lp",
     "solve_lps",
     "shared_solutions",
-    "enumerate_vertices",
 ]
 
 PIVOT_TOL = 1e-10
@@ -560,117 +558,3 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """Two-phase simplex.  Deterministic: identical problems yield identical
     solutions, including the vertex picked on degenerate optima."""
     return solve_lps([problem])[0]
-
-
-# ---------------------------------------------------------------------------
-# Vertex enumeration oracle
-# ---------------------------------------------------------------------------
-
-MAX_ORACLE_VARS = 12
-MAX_ORACLE_COMBOS = 2_000_000
-
-
-_CHUNK = 4096  # candidate bases per stacked LAPACK call
-
-
-def _as_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All constraints, including finite bounds, as (coefficient matrix,
-    relation senses, rhs)."""
-    n = problem.n_vars
-    eye = np.eye(n)
-    coeffs = [con.coeffs for con in problem.constraints]
-    senses = [_SENSE[con.relation] for con in problem.constraints]
-    rhs = [con.rhs for con in problem.constraints]
-    for j, (lo, hi) in enumerate(problem.bounds):
-        if math.isfinite(lo):
-            coeffs.append(eye[j])
-            senses.append(_SENSE[">="])
-            rhs.append(lo)
-        if math.isfinite(hi):
-            coeffs.append(eye[j])
-            senses.append(_SENSE["<="])
-            rhs.append(hi)
-    return np.array(coeffs, dtype=float).reshape(-1, n), np.array(senses), np.array(rhs)
-
-
-def _feasible(rows, x: np.ndarray) -> np.ndarray:
-    """Which of the points x (one per row) satisfy every row within FEAS_TOL."""
-    coeffs, senses, rhs = rows
-    v = x @ coeffs.T
-    tol = FEAS_TOL * (1.0 + np.abs(rhs))
-    violated = np.where(
-        senses == _SENSE["<="],
-        v > rhs + tol,
-        np.where(senses == _SENSE[">="], v < rhs - tol, np.abs(v - rhs) > tol),
-    )
-    return ~violated.any(axis=1)
-
-
-def _enumerate_feasible_vertices(rows, n: int) -> list[np.ndarray]:
-    coeffs, _, rhs = rows
-    n_combos = math.comb(len(rhs), n) if len(rhs) >= n else 0
-    if n_combos > MAX_ORACLE_COMBOS:
-        raise BudgetExceededError(f"{n_combos} candidate bases exceed the enumeration guard")
-    vertices: list[np.ndarray] = []
-    combos = itertools.combinations(range(len(rhs)), n)
-    while chunk := list(itertools.islice(combos, _CHUNK)):
-        basis = np.array(chunk)
-        A, b = coeffs[basis], rhs[basis]
-        # LAPACK's gesv refuses exactly the bases whose LU factorization has
-        # a zero pivot, which are the ones slogdet gives sign 0; the rest are
-        # solved in one stacked call, each by the same gesv as on its own.
-        solvable = np.linalg.slogdet(A)[0] != 0.0
-        A, b = A[solvable], b[solvable]
-        x = np.linalg.solve(A, b[:, :, None])[:, :, 0]
-        finite = np.isfinite(x).all(axis=1)
-        A, b, x = A[finite], b[finite], x[finite]
-        residual = np.abs((A @ x[:, :, None])[:, :, 0] - b).max(axis=1)
-        unreliable = residual > 1e-7 * (1.0 + np.abs(b).max(axis=1))  # near-singular
-        x = x[~unreliable]
-        vertices.extend(x[_feasible(rows, x)])
-    return vertices
-
-
-def enumerate_vertices(problem: LpProblem) -> LpSolution:
-    """Exhaustive vertex enumeration: the reference answer for solve_lp.
-
-    Visits every n-subset of constraint rows (bounds included), keeps the
-    feasible intersection points, and returns the minimum-objective one.
-    Unboundedness is detected by enumerating the recession directions inside
-    a unit box and looking for one that improves the objective.  Only meant
-    for tiny problems; anything beyond the size guards is refused.
-    """
-    n = problem.n_vars
-    if n > MAX_ORACLE_VARS:
-        raise BudgetExceededError(
-            f"{n} variables exceed the {MAX_ORACLE_VARS}-variable oracle guard"
-        )
-    if n == 0:
-        return solve_lp(problem)
-    rows = _as_rows(problem)
-    c = np.asarray(problem.objective)
-
-    vertices = _enumerate_feasible_vertices(rows, n)
-    if not vertices:
-        return LpSolution("infeasible", tuple([math.nan] * n), math.nan)
-
-    # Recession directions: relax every rhs to 0 and keep directions inside a
-    # unit box, so the cone section is a polytope enumerable the same way.
-    coeffs, senses, _ = rows
-    ray_rows = (
-        np.vstack([coeffs, np.repeat(np.eye(n), 2, axis=0)]),
-        np.concatenate([senses, np.tile([_SENSE["<="], _SENSE[">="]], n)]),
-        np.concatenate([np.zeros(len(senses)), np.tile([1.0, -1.0], n)]),
-    )
-    for d in _enumerate_feasible_vertices(ray_rows, n):
-        if float(c @ d) < -FEAS_TOL * (1.0 + float(np.max(np.abs(c)))):
-            return LpSolution("unbounded", tuple([math.nan] * n), -math.inf)
-
-    best = vertices[0]
-    best_obj = float(c @ best)
-    for x in vertices[1:]:
-        obj = float(c @ x)
-        if obj < best_obj:
-            best_obj = obj
-            best = x
-    return LpSolution("optimal", tuple(float(v) for v in best), best_obj)

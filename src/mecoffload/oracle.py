@@ -1,10 +1,15 @@
 """Brute-force reference solvers.
 
 These certify the fast solvers on small instances and supply the expected
-values frozen into the tests.  They stay deliberately simple: evaluate the
-closed form on every subset for the rate side, solve one LP per optional
-subset on the energy side, and refuse anything beyond the enumeration
-budget.
+values frozen into the tests, and refuse anything beyond the enumeration
+budget.  The rate side evaluates the closed form on every subset.  The
+energy side is exact over every subset of the optional users too, but it
+solves the LP of the full subset first and skips each other subset whose
+full-offload bound (every member offloading its whole task, the least
+energy it could spend) cannot come within the tie tolerance of the full
+subset's optimum.  That is the first step of a branch and bound (Land and
+Doig, 1960); the winner is the one, bit for bit, that solving every subset
+picks.
 """
 
 from __future__ import annotations
@@ -87,10 +92,17 @@ def brute_force_energy_batch(
     instances, budget: OracleBudget = _DEFAULT_BUDGET
 ) -> list[EnergySchedule]:
     """`brute_force_energy` of each instance, with the subset LPs of all of
-    them solved together, `lp.MAX_BATCH` to a stack.  The time guard covers
-    the whole batch: it is checked before each subset's LP is built and
-    before each stack is solved, as the scalar loop checked it before each
-    LP."""
+    them solved together, `lp.MAX_BATCH` to a stack, in two stages.
+
+    The first stage solves every instance's full subset (all its free
+    saving users).  The second builds and solves each other subset only
+    where its full-offload bound (`_offload_bounds`) is not above the full
+    subset's objective plus `_prune_margin`, which keeps the winner the one,
+    bit for bit, that solving every subset would pick.  Where the full
+    subset is infeasible, no subset is skipped.  The time guard covers the
+    whole batch: it is checked before each subset's LP is built and before
+    each stack is solved, in both stages, as the scalar loop checked it
+    before each LP."""
     instances = list(instances)
     deadline = time.monotonic() + budget.time_limit_s
 
@@ -98,7 +110,29 @@ def brute_force_energy_batch(
         if time.monotonic() > deadline:
             raise BudgetExceededError("energy oracle time guard exceeded")
 
-    plans = []  # per instance: its partition and (subset, LP, finish) per subset
+    def solve(built):
+        """The schedules of (instance, partition, subset, LP, finish) items,
+        their LPs solved in stacks; None where a subset is infeasible."""
+        problems = [item[3] for item in built if item[3] is not None]
+        solved = []
+        for start in range(0, len(problems), lpmod.MAX_BATCH):
+            check_time()
+            solved += lpmod.solve_lps(problems[start : start + lpmod.MAX_BATCH])
+        solutions = iter(solved)
+        schedules = []
+        for instance, partition, s1, problem, finish in built:
+            result = finish(None if problem is None else next(solutions))
+            schedules.append(None if result is None else energymod._assemble(
+                instance, partition, frozenset(s1), *result, "lp-path"
+            ))
+        return schedules
+
+    def build(instance, partition, s1):
+        check_time()
+        return (instance, partition, s1, *energymod._subset_lp(instance, partition, s1))
+
+    plans = []  # per instance: its partition and its optional users in id order
+    full_lps = []
     for instance in instances:
         partition = energymod.partition_users(instance)
         optional = sorted(partition.free_saving)
@@ -107,36 +141,97 @@ def brute_force_energy_batch(
                 f"{len(optional)} optional users exceed the energy oracle budget "
                 f"{budget.max_optional_energy}"
             )
-        subsets = []
-        for mask in range(1 << len(optional)):
-            check_time()
-            s1 = _subset_tuple(mask, optional)
-            subsets.append((s1, *energymod._subset_lp(instance, partition, s1)))
-        plans.append((instance, partition, subsets))
-    problems = [p for _, _, subsets in plans for _, p, _ in subsets if p is not None]
-    solved = []
-    for start in range(0, len(problems), lpmod.MAX_BATCH):
-        check_time()
-        solved += lpmod.solve_lps(problems[start : start + lpmod.MAX_BATCH])
-    solutions = iter(solved)
+        plans.append((instance, partition, optional))
+        full_lps.append(build(instance, partition, tuple(optional)))
+    fulls = solve(full_lps)
+
+    others = []  # per instance: the other subsets that could win, in mask order
+    for (instance, partition, optional), full in zip(plans, fulls):
+        masks = range((1 << len(optional)) - 1)
+        if masks and full is not None:
+            bounds, scale = _offload_bounds(instance, partition, optional)
+            ceiling = full.objective + _prune_margin(scale, len(optional))
+            masks = [mask for mask in masks if not bounds[mask] > ceiling]
+        others.append([build(instance, partition, _subset_tuple(m, optional)) for m in masks])
+    schedules = iter(solve([item for built in others for item in built]))
     return [
-        _least_energy(instance, partition, [
-            (s1, finish(None if p is None else next(solutions))) for s1, p, finish in subsets
+        _least_energy(instance, [
+            *((s1, next(schedules)) for _, _, s1, _, _ in built),
+            (tuple(optional), full),
         ])
-        for instance, partition, subsets in plans
+        for (instance, _, optional), built, full in zip(plans, others, fulls)
     ]
 
 
-def _least_energy(instance: Instance, partition, results) -> EnergySchedule:
-    """The least-energy schedule over (subset, subset LP result) pairs, the
-    smallest subset tuple among ties; infeasible where every result is
-    None."""
+def _offload_bounds(instance: Instance, partition, optional: list[int]):
+    """Per subset mask over `optional`, a lower bound on the objective of its
+    subset LP, and the scale sum_k |delta_k| L_k over every user.
+
+    The bound is the id-ordered sum of delta * b over every user, with b
+    the whole task L for the forced saving users and the subset's members,
+    the forced minimum for the forced costly users, and 0 for everyone
+    else (`energy._commitment`).  Every LP member saves energy per bit
+    (delta < 0) and offloads at most L, and every other user's bits are
+    what the schedule assembly gives it, so no feasible point of the LP
+    spends less (up to the allowances of `_prune_margin`)."""
+    columns = instance.derived
+    base, _ = energymod._commitment(instance, partition, ())
+    ids = np.asarray(optional, dtype=np.intp)
+    masks = np.arange(1 << ids.size)
+    chosen = ((masks[:, None] >> np.arange(ids.size)) & 1).astype(bool)
+    bits = np.repeat(base[None, :], masks.size, axis=0)
+    bits[:, ids] = np.where(chosen, columns.task_bits[ids], 0.0)
+    # accumulate adds left to right, in user id order, as the objective does
+    bounds = np.add.accumulate(bits * columns.delta_per_bit, axis=1)[:, -1]
+    scale = np.add.accumulate(np.abs(columns.delta_per_bit * columns.task_bits))[-1]
+    return bounds.tolist(), scale.item()
+
+
+_BOX_RTOL = 1e-6  # of the scale: the simplex's box slack and the sums' rounding
+
+
+def _prune_margin(scale: float, n_optional: int) -> float:
+    """How far a subset's bound must lie above the full subset's objective
+    F before the subset is skipped, for instances with `n_optional` free
+    saving users and bound scale W (`_offload_bounds`).
+
+    The margin is 1e-6 W + (2^n + 2) t, with t = _TIE_RTOL (1 + W).
+
+    * A skipped subset's objective o exceeds its bound less 1e-6 W.  The
+      simplex may leave a member a little above L, which lowers its term
+      by |delta| times the excess; a basic value beyond its box by more
+      than rounding would break the simplex's FEAS_TOL (1e-9) already.
+      The bound and the objective are each K-term sums of products, off by
+      at most K u W (u = 2^-53) from their exact values, 1e-12 W at
+      K = 10^4.  So o > F + (2^n + 2) t.
+    * No objective exceeds W in size (every b lies in [0, L]), so t bounds
+      every tie tolerance `_least_energy` uses.
+    * `_least_energy` visits the subsets in mask order and the full subset
+      last.  Compare that loop over every subset with the loop over the
+      kept ones.  While the two hold the same incumbent, a skipped subset
+      either leaves the first unchanged or takes its place, and then both
+      incumbents exceed F + (2^n + 1) t: the replaced one is at least the
+      newcomer less one tolerance.  While they differ, a kept subset that
+      only one loop takes is one the other turned down, so it lies at most
+      one tolerance below the other's incumbent: each visit lowers the
+      lesser of the two by at most t.  At most 2^n - 1 subsets come before
+      the full subset, so both still exceed F + 2t when it arrives, and
+      both loops take it as strictly better.  Where they agree, they agree
+      to the end.
+
+    An overflowed or nan scale gives no finite margin, and nothing is
+    skipped."""
+    return _BOX_RTOL * scale + ((1 << n_optional) + 2) * _TIE_RTOL * (1.0 + scale)
+
+
+def _least_energy(instance: Instance, candidates) -> EnergySchedule:
+    """The least-energy schedule among (subset tuple, schedule or None)
+    pairs, taken in order, the smallest subset tuple among ties; infeasible
+    where every schedule is None."""
     best = None  # (subset tuple, schedule)
-    for s1, result in results:
-        if result is None:
+    for s1, schedule in candidates:
+        if schedule is None:
             continue
-        bits, te = result
-        schedule = energymod._assemble(instance, partition, frozenset(s1), bits, te, "lp-path")
         if best is not None:
             incumbent = best[1].objective
             tol = _TIE_RTOL * (1.0 + abs(incumbent))

@@ -3,8 +3,16 @@
 import math
 from types import SimpleNamespace
 
-from mecoffload import GenerationSpec, Instance, UserProfile, energy, generate_instance, lp
-from mecoffload.harness import SweepSpec, run_sweep
+from mecoffload import (
+    GenerationSpec,
+    Instance,
+    UserProfile,
+    energy,
+    generate_instance,
+    harness,
+    lp,
+)
+from mecoffload.harness import SweepSpec
 from mecoffload.lp import LpProblem, constraint
 from mecoffload.rng import SplitMix64, mix64
 
@@ -87,23 +95,44 @@ def random_lp_problem(rng: SplitMix64, n_vars=4, n_rows=4) -> LpProblem:
     return LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
 
 
-def stock_energy_lps(monkeypatch, realizations=10):
-    """Every LP the energy layer builds in certified stock energy-vs-T and
-    energy-vs-d sweeps (seed 7, `realizations` per grid point), recorded
-    as `energy._schedule_lp` returns them."""
+def stock_energy_lps(realizations=10):
+    """The LPs of certified stock energy-vs-T and energy-vs-d sweeps (seed
+    7, `realizations` per grid point), built from their instances one
+    instance after another: every subset LP of the exhaustive energy
+    oracle in mask order, the heuristic's LP-branch LP where it takes that
+    branch, and the all-offload LP."""
     problems = []
-    build = energy._schedule_lp
-
-    def recording(*args):
-        problems.append(build(*args))
-        return problems[-1]
-
-    monkeypatch.setattr(energy, "_schedule_lp", recording)
     for experiment in ("energy-vs-T", "energy-vs-d"):
-        run_sweep(SweepSpec(experiment=experiment, realizations=realizations, base_seed=7,
-                            certify=True))
-    monkeypatch.setattr(energy, "_schedule_lp", build)
-    return problems
+        spec = SweepSpec(experiment=experiment, realizations=realizations, base_seed=7)
+        spec = spec.normalized()
+        for gi, value in enumerate(spec.grid):
+            generation = harness._generation_spec(spec, value)
+            for ri in range(realizations):
+                instance = generate_instance(generation, mix64(7, gi, ri))
+                problems += subset_lps(instance)
+                if energy.solve_energy_suboptimal(instance).status == "lp-path":
+                    problems.append(empty_subset_lp(instance))
+                problems.append(energy._all_offload_lp(instance))
+    return [problem for problem in problems if problem is not None]
+
+
+def subset_lps(instance):
+    """The LP of every subset of the instance's free saving users, in mask
+    order, as the exhaustive energy oracle builds them: None where a subset
+    has no LP."""
+    partition = energy.partition_users(instance)
+    optional = sorted(partition.free_saving)
+    return [
+        energy._subset_lp(
+            instance, partition, [uid for k, uid in enumerate(optional) if (mask >> k) & 1]
+        )[0]
+        for mask in range(1 << len(optional))
+    ]
+
+
+def empty_subset_lp(instance):
+    """The LP that the LP branch of `solve_energy_suboptimal` solves."""
+    return energy._subset_lp(instance, energy.partition_users(instance), ())[0]
 
 
 def count_stacked(monkeypatch):

@@ -38,8 +38,8 @@ from mecoffload import (
     with_deadline,
 )
 from mecoffload.harness import SweepSpec, run_sweep
-from mecoffload.lp import enumerate_vertices
 from mecoffload.rng import SplitMix64, mix64
+from lp_reference import enumerate_vertices
 from support import (
     homogeneous_instance,
     homogeneous_txrate_instance,

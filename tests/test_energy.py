@@ -27,10 +27,11 @@ from mecoffload import (
 )
 from mecoffload import energy
 from mecoffload.energy import _schedule_lp
-from mecoffload.lp import enumerate_vertices, solve_lp
+from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
 from mecoffload.rng import SplitMix64, mix64
+from lp_reference import enumerate_vertices
 from support import make_instance, make_user, stock_instance
 
 

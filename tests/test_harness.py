@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from mecoffload import (
     brute_force_energy_batch,
     generate_instance,
     harness,
+    lp,
     solve_energy_suboptimal,
     write_instance,
 )
@@ -23,7 +26,7 @@ from mecoffload.harness import (
 from mecoffload.model import EnergySchedule
 from mecoffload.rate import solve_rate_max
 from mecoffload.rng import mix64
-from support import count_stacked, make_instance, make_user
+from support import empty_subset_lp, make_instance, make_user, subset_lps
 
 
 def tiny_spec(**kw):
@@ -123,21 +126,59 @@ class TestEnergyBlocks:
         monkeypatch.setattr(harness, "ENERGY_BLOCK", 1)
         assert run_sweep(spec) == blocked
 
-    @pytest.mark.parametrize("experiment, value", [("energy-vs-T", 0.35), ("energy-vs-d", 0.3)])
-    def test_only_the_oracle_lps_reach_the_simplex(self, experiment, value, monkeypatch):
+    @pytest.mark.parametrize("experiment, value, exhaustive, pruned", [
+        pytest.param("energy-vs-T", 0.35, 20, 20, id="energy-vs-T-0.35"),  # one LP each
+        pytest.param("energy-vs-d", 0.3, 34, 21, id="energy-vs-d-0.3"),
+    ])
+    def test_only_the_oracle_lps_reach_the_simplex(self, experiment, value, exhaustive, pruned,
+                                                    monkeypatch):
         # No stock user is costly, so the all-offload LP is the oracle's
-        # full-subset LP and the heuristic's LP branch its empty-subset LP:
-        # a block solves each of them once, for the oracle.
+        # full-subset LP; the heuristic's LP branch solves the empty-subset
+        # LP, which the oracle solves only where that subset could win.  A
+        # block stacks each distinct LP once: the oracle's, and the LP-branch
+        # LPs the oracle skipped.
         spec = SweepSpec(experiment=experiment, grid=(value,), realizations=20, base_seed=7,
                          certify=True)
         generation = harness._generation_spec(spec.normalized(), value)
         instances = [generate_instance(generation, mix64(7, 0, ri)) for ri in range(20)]
-        assert any(solve_energy_suboptimal(i).status == "lp-path" for i in instances)
-        counter = count_stacked(monkeypatch)
+        assert sum(p is not None for i in instances for p in subset_lps(i)) == exhaustive
+        lp_branch = [
+            lp._key(empty_subset_lp(i))
+            for i in instances if solve_energy_suboptimal(i).status == "lp-path"
+        ]
+        assert lp_branch
+        blocks = stacked_keys(monkeypatch)
         brute_force_energy_batch(instances)
-        oracle_lps, counter.problems = counter.problems, 0
+        oracle_keys = blocks.pop()
+        assert len(oracle_keys) == pruned
         run_sweep(spec)
-        assert counter.problems == oracle_lps
+        assert len(blocks) == 2  # 16 realizations, then 4
+        for block in blocks:
+            assert len(set(block)) == len(block)
+        skipped = [key for key in lp_branch if key not in set(oracle_keys)]
+        assert Counter(key for block in blocks for key in block) == Counter(oracle_keys + skipped)
+
+
+def stacked_keys(monkeypatch):
+    """The keys (`lp._key`) of the problems that reach `lp._solve_stack`
+    from here on: one list of them so far, and a new one for each
+    `lp.shared_solutions` scope that `run_sweep` opens."""
+    blocks = [[]]
+    solve, scope = lp._solve_stack, harness.shared_solutions
+
+    def recording(shifted):
+        blocks[-1].extend(lp._key(s.problem) for s in shifted)
+        return solve(shifted)
+
+    @contextlib.contextmanager
+    def opening():
+        blocks.append([])
+        with scope():
+            yield
+
+    monkeypatch.setattr(lp, "_solve_stack", recording)
+    monkeypatch.setattr(harness, "shared_solutions", opening)
+    return blocks
 
 
 class TestStockRateBytes:

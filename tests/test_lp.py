@@ -11,13 +11,12 @@ from mecoffload.lp import (
     LpStructureError,
     _pivot,
     constraint,
-    enumerate_vertices,
     shared_solutions,
     solve_lp,
     solve_lps,
 )
 from mecoffload.rng import SplitMix64
-from lp_reference import reference_solve_lp
+from lp_reference import enumerate_vertices, reference_solve_lp
 from support import count_stacked, random_lp_problem, stock_energy_lps, stock_instance
 
 INF = math.inf
@@ -287,11 +286,12 @@ class TestRowLoopEquivalence:
         assert statuses == {"optimal", "infeasible", "unbounded"}
         self.assert_same(problems)
 
-    def test_stock_energy_sweep_problems(self, monkeypatch):
-        # every LP the energy layer builds in certified stock energy-vs-T and
-        # energy-vs-d sweeps, 10 realizations per grid point
-        problems = stock_energy_lps(monkeypatch)
-        assert len(problems) > 300
+    def test_stock_energy_sweep_problems(self):
+        # every subset LP, LP-branch LP and all-offload LP of the certified
+        # stock energy-vs-T and energy-vs-d sweeps, 10 realizations per grid
+        # point
+        problems = stock_energy_lps()
+        assert len(problems) == 393
         self.assert_same(problems)
 
     def test_overflowing_ratios_and_infinite_coefficients(self):
@@ -323,7 +323,7 @@ def redundant_problems(seed, count):
     return problems
 
 
-def batch_mix(monkeypatch):
+def batch_mix():
     """One list of every kind of problem the row-loop tests check, shuffled
     so that stacks mix sizes and statuses: the criterion 9 and
     enumeration-test LPs, the mixed-bound LPs, the overflow and infinite
@@ -335,7 +335,7 @@ def batch_mix(monkeypatch):
         problems += [random_lp_problem(rng) for _ in range(count)]
     problems += mixed_bound_problems(99, 300)
     problems += overflow_problems()
-    problems += stock_energy_lps(monkeypatch)
+    problems += stock_energy_lps()
     problems += redundant_problems(8, 100)
     rng = SplitMix64(4242)
     for n in range(1, 13):
@@ -352,8 +352,7 @@ class TestBatchEquivalence:
 
     @pytest.fixture(scope="class")
     def mix(self):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            problems = batch_mix(monkeypatch)
+        problems = batch_mix()
         with np.errstate(over="ignore", invalid="ignore"):
             expected = [repr(reference_solve_lp(p)) for p in problems]
         return problems, expected

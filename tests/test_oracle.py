@@ -1,7 +1,9 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecoffload import (
     BudgetExceededError,
@@ -23,7 +25,14 @@ from mecoffload import (
     with_deadline,
 )
 from mecoffload.rng import mix64
-from support import make_instance, make_user, stock_instance, unit_roundtrip_user
+from support import (
+    count_stacked,
+    make_instance,
+    make_user,
+    stock_instance,
+    subset_lps,
+    unit_roundtrip_user,
+)
 
 
 class TestRateOracle:
@@ -235,6 +244,82 @@ class TestEnergyOracleBatch:
         with pytest.raises(BudgetExceededError, match="time guard"):
             brute_force_energy_batch(instances, OracleBudget(time_limit_s=1.0))
         assert len(stacks) == 1  # refused before the second stack
+
+
+class TestPrunedSubsets:
+    """The oracle solves the full subset first and skips every other subset
+    whose full-offload bound lies beyond the full subset's objective plus a
+    margin.  It must still pick what the exhaustive loop picks, bit for
+    bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(2, 8),
+        degradation=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        costly=st.sets(st.integers(0, 7), max_size=3),
+        slack=st.one_of(st.just(1.0), st.floats(0.8, 1.5)),
+        extra=st.one_of(st.just(0.0), st.floats(0.3, 3.0)),
+    )
+    def test_equals_the_exhaustive_loop(self, n_users, degradation, seed, costly, slack, extra):
+        # The users in `costly` get a radio 100 times as power-hungry, so
+        # that offloading costs them energy; near t_min they are forced.
+        # The deadline is slack * t_min plus `extra` seconds: stock tasks
+        # take 0.3-4 s locally, so the extra time leaves users optional, and
+        # up to d = 1 smaller subsets often beat the full one.
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        power = [p * (100.0 if k in costly else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
+        inst = dataclasses.replace(inst, tx_power=power)
+        inst = with_deadline(inst, feasibility_tmin(inst).t_min * slack + extra)
+        assert repr(brute_force_energy(inst)) == repr(reference_brute_force_energy(inst))
+
+    def test_infeasible_full_subset_skips_nothing(self, monkeypatch):
+        inst = stock_instance(8, 0.6, mix64(171, 1), deadline=0.45)
+        inst = with_deadline(inst, feasibility_deadline(inst, 1.3))
+        part = partition_users(inst)
+        assert len(part.free_saving) == 3
+        assert solve_subset_lp(inst, part, part.free_saving) is None
+        counter = count_stacked(monkeypatch)
+        schedule = brute_force_energy(inst)
+        assert counter.problems == sum(p is not None for p in subset_lps(inst)) == 8
+        assert schedule.scheduled & part.free_saving == frozenset({7})
+        assert repr(schedule) == repr(reference_brute_force_energy(inst))
+
+    def test_a_strict_smaller_subset_wins(self, monkeypatch):
+        inst = stock_instance(8, 0.6, mix64(171, 4), deadline=0.45)
+        inst = with_deadline(inst, feasibility_deadline(inst, 1.6))
+        part = partition_users(inst)
+        assert len(part.free_saving) == 4
+        assert solve_subset_lp(inst, part, part.free_saving) is not None
+        counter = count_stacked(monkeypatch)
+        schedule = brute_force_energy(inst)
+        assert counter.problems < sum(p is not None for p in subset_lps(inst))
+        assert schedule.scheduled & part.free_saving == frozenset({1, 2, 6})
+        assert repr(schedule) == repr(reference_brute_force_energy(inst))
+
+    def test_near_tie_with_the_full_subset_keeps_the_smaller_subset(self):
+        # User 0 saves 1e-3 J by offloading and user 1 about 5e-13 J, well
+        # inside the tie tolerance but not below the simplex's pivot
+        # threshold, so the full subset (0, 1) offloads both.  The exhaustive
+        # loop keeps subset (0,) over the full subset, whose objective is
+        # lower by 5e-13.  The bound of (0,) is its objective, above the full
+        # subset's: only the margin keeps (0,) from being skipped.
+        users = [
+            make_user(0, a=0.5, b=0.5, gamma=1.0, r=10.0, task=1.0, cycles=1.0, freq=2.0,
+                      kappa=0.01275, power=0.1),
+            make_user(1, a=0.5, b=0.5, gamma=1.0, r=10.0, task=1.0, cycles=1.0, freq=1.0,
+                      kappa=1.0, power=2.0 - 1e-12),
+        ]
+        inst = make_instance(users, deadline=10.0)
+        part = partition_users(inst)
+        assert part.free_saving == frozenset({0, 1})
+        single, full = (solve_subset_lp(inst, part, s) for s in ((0,), (0, 1)))
+        delta = inst.derived.delta_per_bit.tolist()
+        assert single[0] == {0: 1.0} and full[0] == {0: 1.0, 1: 1.0}
+        assert 0.0 < delta[0] - (delta[0] + delta[1]) < oracle._TIE_RTOL
+        schedule = brute_force_energy(inst)
+        assert schedule.scheduled == frozenset({0})
+        assert repr(schedule) == repr(reference_brute_force_energy(inst))
 
 
 def feasibility_deadline(instance, factor):

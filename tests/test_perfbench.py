@@ -1,0 +1,65 @@
+"""The benchmark's span and count targets must name functions the library
+has, so that a rename fails here rather than in `perfbench/run.py --trace 1`.
+
+The benchmark's own modules are loaded from `perfbench/`, read but not
+run: `run.import_library` describes the library exactly as the benchmark
+sees it."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    # run.py imports its sibling modules by their plain names
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        run = load("run")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return run.spans, run.import_library()
+
+
+def targets():
+    spans = load("spans")
+    return spans.SPAN_TARGETS + spans.COUNT_TARGETS
+
+
+@pytest.mark.parametrize("name", targets())
+def test_target_resolves_in_its_defining_module(bench, name):
+    _spans, lib = bench
+    module, attr = name.split(".", 1)
+    assert module in lib.MODULES
+    target = getattr(getattr(lib, module), attr)
+    assert callable(target)
+    assert target.__module__ == f"{lib.package.__name__}.{module}"
+
+
+def test_install_wraps_every_target_and_undo_restores(bench):
+    spans, lib = bench
+    originals = {
+        name: getattr(getattr(lib, name.split(".")[0]), name.split(".", 1)[1])
+        for name in targets()
+    }
+    patches = spans.install(lib, spans.Tracer())
+    try:
+        wrapped = {id(original) for _, _, original, _ in patches.log}
+        assert wrapped == {id(fn) for fn in originals.values()}
+        for name, original in originals.items():
+            module, attr = name.split(".", 1)
+            assert getattr(getattr(lib, module), attr) is not original, name
+    finally:
+        patches.undo()
+    assert patches.restored()
