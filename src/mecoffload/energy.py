@@ -217,7 +217,10 @@ def _bits_double(n: int) -> float:
 def feasibility_gap(instance: Instance, t: float) -> float:
     """Time still missing at deadline t: radio plus parallel-computing time of
     the forced minimum offloads, minus t.  Positive means t is too short.
-    Decreasing in t, with downward jumps where a user stops being forced."""
+    Decreasing in t, with downward jumps where a user stops being forced;
+    the computed value never increases with t either, so a deadline T is
+    feasible exactly when gap(T) <= 0, that is when T >= t_min
+    (DESIGN_NOTES.md, "Feasibility by one evaluation")."""
     return _Balance(instance).gap(t)
 
 
@@ -243,7 +246,11 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     The least double t_min whose gap is nonpositive while the gap of the
     double below it is positive, found exactly rather than to a tolerance
     (`_Balance.root`).  The gap may jump past zero where the forced-user
-    count drops, so the root can sit on a discontinuity.
+    count drops, so the root can sit on a discontinuity.  Since the
+    computed gap never increases with t, `feasibility_gap(instance, T) > 0`
+    holds exactly when T < t_min: deciding one deadline needs one gap
+    evaluation, and `solve_energy_suboptimal` runs this search only to
+    report t_min when it refuses.
     """
     balance = _Balance(instance)
     t, state = balance.root()
@@ -301,7 +308,10 @@ def total_delay(instance: Instance, partition: Partition, s1) -> float:
     offload their committed bits: TDMA radio time plus the computing window.
     The radio times are summed one at a time in ascending user id, so the
     result does not depend on how the sets iterate."""
-    bits, n_vms = _commitment(instance, partition, s1)
+    return _delay(instance, *_commitment(instance, partition, s1))
+
+
+def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     # accumulate adds left to right (.sum() would add pairwise), and the
     # +0.0 terms of uncommitted users leave the running sum unchanged
     radio = np.add.accumulate(bits * instance.derived.roundtrip)[-1].item() if bits.size else 0.0
@@ -445,42 +455,55 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     shrinks the forced saving users' offload sizes.  Optional users are kept
     all-or-nothing throughout, which is what makes this fast but only
     near-optimal.
-    """
-    part = partition_users(instance)
-    feas = feasibility_tmin(instance)
-    if instance.deadline < feas.t_min:
-        return _infeasible(instance, feas.t_min)
 
+    Whether the deadline can be met at all is one `feasibility_gap`
+    evaluation at the deadline; `feasibility_tmin` runs only on a refusal,
+    whose schedule reports t_min.
+    """
+    if feasibility_gap(instance, instance.deadline) > 0.0:
+        return _infeasible(instance, feasibility_tmin(instance).t_min)
+
+    part = partition_users(instance)
     columns = instance.derived
     task_bits = columns.task_bits.tolist()
     full = {uid: task_bits[uid] for uid in part.forced_saving | part.free_saving}
-    if instance.deadline >= total_delay(instance, part, part.free_saving):
-        te = required_compute_time(instance, part, part.free_saving)
-        return _assemble(instance, part, part.free_saving, full, te, "optimal-path")
+    # Every load below is the forced users' commitment with some optional
+    # users added at their whole task, the bits `total_delay` would form.
+    base, n_forced = _commitment(instance, part, ())
 
-    if instance.deadline >= total_delay(instance, part, frozenset()):
+    def committed(kept: np.ndarray) -> tuple[np.ndarray, int]:
+        bits = base.copy()
+        bits[kept] = columns.task_bits[kept]
+        return bits, n_forced + kept.size
+
+    optional = np.sort(_ids(part.free_saving))
+    load = committed(optional)
+    if instance.deadline >= _delay(instance, *load):
+        return _assemble(instance, part, part.free_saving, full, _window(instance, *load),
+                         "optimal-path")
+
+    if instance.deadline >= _delay(instance, base, n_forced):
         # Users leave in a fixed order, lowest saving per radio second
         # first (lowest id on ties), and the load only shrinks as they do,
         # so bisect on how many to drop: the fewest whose removal fits.
         # Dropping none fails the first check above; dropping all passes
         # the second.
-        optional = np.sort(_ids(part.free_saving))
         keys = -columns.delta_per_bit[optional] / columns.roundtrip[optional]
-        order = optional[np.argsort(keys, kind="stable")].tolist()
-        too_few, enough = 0, len(order)
+        order = optional[np.argsort(keys, kind="stable")]
+        too_few, enough = 0, order.size
         while enough - too_few > 1:
             mid = (too_few + enough) // 2
-            if total_delay(instance, part, frozenset(order[mid:])) > instance.deadline:
+            if _delay(instance, *committed(order[mid:])) > instance.deadline:
                 too_few = mid
             else:
                 enough = mid
-        s1 = frozenset(order[enough:])
-        te = required_compute_time(instance, part, s1)
-        return _assemble(instance, part, s1, full, te, "greedy-path")
+        kept = order[enough:]
+        te = _window(instance, *committed(kept))
+        return _assemble(instance, part, frozenset(kept.tolist()), full, te, "greedy-path")
 
     lp_result = solve_subset_lp(instance, part, frozenset())
     if lp_result is None:  # not expected once the deadline clears t_min
-        return _infeasible(instance, feas.t_min)
+        return _infeasible(instance, feasibility_tmin(instance).t_min)
     bits, te = lp_result
     return _assemble(instance, part, frozenset(), bits, te, "lp-path")
 

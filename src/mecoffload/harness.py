@@ -219,6 +219,7 @@ def run_sweep(spec: SweepSpec) -> str:
             # unless the oracle skipped that subset.
             with contextlib.nullcontext() if rate_side else shared_solutions():
                 references = [None] * len(instances)
+                solved = {}  # the block's schedules per distinct algorithm callable
                 if spec.certify and rate_side:
                     references = [
                         brute_force_rate_max(i, budget)
@@ -227,7 +228,8 @@ def run_sweep(spec: SweepSpec) -> str:
                     ]
                 elif spec.certify:
                     references = brute_force_energy_batch(instances, budget)
-                solved = {}  # the block's schedules per distinct algorithm callable
+                    # the references are the oracle row's schedules too
+                    solved[algorithms["oracle"]] = references
                 for name in spec.algorithms:
                     algorithm = algorithms[name]
                     if algorithm not in solved:

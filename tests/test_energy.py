@@ -3,7 +3,7 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mecoffload import (
     FeasibilityResult,
@@ -739,3 +739,129 @@ class TestAgainstOracleProperty:
         best = brute_force_energy(inst)
         assert best.status != "infeasible"
         assert schedule.objective >= best.objective - _TIE_RTOL * (1.0 + abs(best.objective))
+
+
+LARGE_K = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
+
+
+def decided_instances():
+    """The benchmark's K = 100 frames and drop-loop instances at K = 5, 20
+    and 100."""
+    instances = [generate_instance(LARGE_K, 20240 + seed) for seed in range(10)]
+    return instances + [drop_loop_instance(n, seed) for n in (5, 20, 100) for seed in range(10)]
+
+
+class TestFeasibilityByOneEvaluation:
+    """`solve_energy_suboptimal` decides feasibility with one gap evaluation
+    at the deadline and runs the t_min search only when it refuses."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("gap", "root", "tmin"), 0)
+        gap, root, tmin = energy._Balance.gap, energy._Balance.root, energy.feasibility_tmin
+
+        def counting_gap(self, t, min_bits=None):
+            counts["gap"] += 1
+            return gap(self, t, min_bits)
+
+        def counting_root(self):
+            counts["root"] += 1
+            return root(self)
+
+        def counting_tmin(instance):
+            counts["tmin"] += 1
+            return tmin(instance)
+
+        monkeypatch.setattr(energy._Balance, "gap", counting_gap)
+        monkeypatch.setattr(energy._Balance, "root", counting_root)
+        monkeypatch.setattr(energy, "feasibility_tmin", counting_tmin)
+        return counts
+
+    def test_a_feasible_solve_evaluates_the_gap_once(self, counts):
+        statuses = set()
+        for inst in decided_instances():
+            t_min = feasibility_tmin(inst).t_min
+            for deadline in (max(inst.deadline, t_min), t_min):
+                counts.update(gap=0, root=0, tmin=0)
+                schedule = solve_energy_suboptimal(with_deadline(inst, deadline))
+                statuses.add(schedule.status)
+                assert schedule.status != "infeasible"
+                assert counts == {"gap": 1, "root": 0, "tmin": 0}
+        assert {"greedy-path", "lp-path"} <= statuses
+
+    def test_a_refusal_runs_the_search_once(self, counts):
+        for inst in decided_instances():
+            expected = feasibility_tmin(inst)
+            assert expected.t_min > 0.0
+            counts.update(gap=0, root=0, tmin=0)
+            below = with_deadline(inst, math.nextafter(expected.t_min, 0.0))
+            schedule = solve_energy_suboptimal(below)
+            assert schedule.status == "infeasible"
+            assert schedule.t_min == expected.t_min
+            assert counts["tmin"] == 1 and counts["root"] == 1
+            assert counts["gap"] >= 2  # the decision, then the search
+
+    def test_a_failed_lp_branch_reports_the_searched_tmin(self, counts, monkeypatch):
+        inst = stock_instance(5, 0.2, 11)
+        t_min = feasibility_tmin(inst).t_min
+        tight = with_deadline(inst, t_min)
+        assert solve_energy_suboptimal(tight).status == "lp-path"
+        monkeypatch.setattr(energy, "solve_subset_lp", lambda *args: None)
+        counts.update(gap=0, root=0, tmin=0)
+        schedule = solve_energy_suboptimal(tight)
+        assert schedule.status == "infeasible" and schedule.t_min == t_min
+        assert counts["tmin"] == 1 and counts["root"] == 1
+
+
+def ulp_neighbours(t, ulps=3):
+    """t and the `ulps` doubles on either side of it (none below zero)."""
+    points = [t]
+    below = above = t
+    for _ in range(ulps):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        points += [below, above]
+    return sorted(set(points))
+
+
+class TestGapMonotoneProperty:
+    """The invariant that lets one gap evaluation decide feasibility: the
+    computed gap never increases with t, not even by rounding, so gap(T) > 0
+    holds exactly when T < t_min.  The gap is probed where it jumps (each
+    user's threshold c L / f, where it stops being forced) and at t_min,
+    within a few ulps of each."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 100),
+        degradation=st.one_of(st.sampled_from([0.0, 5e-324, 2.2e-16, 3.0]), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**64 - 1),
+        drop_loop=st.booleans(),
+    )
+    def test_gap_never_rises_and_decides_at_tmin(self, n_users, degradation, seed, drop_loop):
+        if drop_loop:
+            inst = dataclasses.replace(drop_loop_instance(n_users, seed), degradation=degradation)
+        else:
+            inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        columns = inst.derived
+        thresholds = (columns.cycles_per_bit * columns.task_bits / columns.cpu_freq).tolist()
+        t_min = feasibility_tmin(inst).t_min
+        probes = sorted({p for t in thresholds + [t_min] for p in ulp_neighbours(t)})
+        gaps = [feasibility_gap(inst, t) for t in probes]
+        assert all(a >= b for a, b in zip(gaps, gaps[1:]))
+        for t in ulp_neighbours(t_min):
+            assert (feasibility_gap(inst, t) > 0.0) == (t < t_min)
+            if t > 0.0:
+                refused = solve_energy_suboptimal(with_deadline(inst, t)).status == "infeasible"
+                assert refused == (t < t_min)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(degradation=st.floats(0.0, 3.0))
+    @example(degradation=0.0)
+    @example(degradation=5e-324)
+    @example(degradation=2.2e-16)
+    @example(degradation=1e-9)
+    @example(degradation=0.05)
+    @example(degradation=3.0)
+    def test_vm_rate_factor_never_rises_with_the_vm_count(self, degradation):
+        factors = [vm_rate_factor(degradation, n) for n in range(10_001)]
+        assert all(a >= b for a, b in zip(factors, factors[1:]))

@@ -1,4 +1,6 @@
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -157,6 +159,29 @@ class TestEnergyBlocks:
             assert len(set(block)) == len(block)
         skipped = [key for key in lp_branch if key not in set(oracle_keys)]
         assert Counter(key for block in blocks for key in block) == Counter(oracle_keys + skipped)
+
+    def test_the_oracle_row_reuses_the_references(self, monkeypatch):
+        # A certified block's references are its oracle row: one oracle
+        # batch per block (7 grid points of 7 blocks), and the same rows as
+        # the uncertified sweep, which solves the oracle row on its own.
+        calls = []
+        batch = harness.brute_force_energy_batch
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "brute_force_energy_batch", counting)
+        monkeypatch.setitem(harness.ENERGY_BATCHES, "oracle", counting)
+        spec = SweepSpec(experiment="energy-vs-d", realizations=100, base_seed=7, certify=True,
+                         algorithms=("suboptimal", "all-offload", "oracle"))
+        certified = run_sweep(spec).strip().split("\n")
+        assert len(calls) == 49 and sum(calls) == 700
+        plain = run_sweep(dataclasses.replace(spec, certify=False)).strip().split("\n")
+        assert [line.rsplit(",", 2)[0] for line in certified] == plain
+        for row in csv.DictReader(certified):
+            if row["algorithm"] == "oracle":
+                assert row["certified"] == row["feasible"] and row["max_rel_gap"] == "0.0"
 
 
 def stacked_keys(monkeypatch):

@@ -1,11 +1,14 @@
 """The benchmark's span and count targets must name functions the library
-has, so that a rename fails here rather than in `perfbench/run.py --trace 1`.
+has, so that a rename fails here rather than in `perfbench/run.py --trace 1`;
+and the K = 100 frames must keep the outputs whose digest the benchmark
+recorded, so that a solver change that moves a bit fails here too.
 
 The benchmark's own modules are loaded from `perfbench/`, read but not
 run: `run.import_library` describes the library exactly as the benchmark
 sees it."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -22,13 +25,17 @@ def load(name):
 
 
 @pytest.fixture(scope="module")
-def bench():
+def run():
     # run.py imports its sibling modules by their plain names
     sys.path.insert(0, str(PERFBENCH))
     try:
-        run = load("run")
+        return load("run")
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def bench(run):
     return run.spans, run.import_library()
 
 
@@ -63,3 +70,21 @@ def test_install_wraps_every_target_and_undo_restores(bench):
     finally:
         patches.undo()
     assert patches.restored()
+
+
+def test_large_k_frames_keep_their_recorded_fingerprint(run, bench):
+    # the benchmark's fingerprinted frames, run and checked as it does, and
+    # their combined digest against the one it recorded; neither file is
+    # written
+    _spans, lib = bench
+    recorded = json.loads((PERFBENCH / "fingerprints.json").read_text(encoding="utf-8"))
+    assert recorded["seed"] == run.DEFAULT_SEED == 20240
+    workload = run.workloads.WORKLOADS["large-K"]
+    parts, problems = {}, []
+    for index in range(workload.traced_units(lib)):
+        verdict = workload.check(lib, workload.run(lib, recorded["seed"], index))
+        problems += verdict.problems
+        parts.update(verdict.fingerprint)
+    assert problems == []
+    assert len(parts) == 100
+    assert run.workloads.combine_fingerprints(parts) == recorded["large-K"]
