@@ -318,23 +318,40 @@ def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     return radio + _window(instance, bits, n_vms)
 
 
-def _schedule_lp(
-    instance: Instance,
-    members: list[int],
-    lower: dict[int, float],
-    n_vms: int,
-    budget: float,
-    te_floor: float,
-):
-    """LP over the members' offload sizes and the computing window: minimize
-    the energy deltas subject to the radio budget and per-user caps."""
+def _subset_lp(instance: Instance, partition: Partition, s1):
+    """`solve_subset_lp` as a plan for `_solve`: the LP to solve (None where
+    the subset needs none) and the function that turns its solution into
+    the schedule, or None where the LP is infeasible.  The LP runs over the
+    members' offload sizes and the computing window, and minimizes the
+    energy deltas subject to the radio budget and per-user caps."""
+    s1 = frozenset(s1)
+    base, n_vms = _commitment(instance, partition, s1)
+    columns = instance.derived
+    min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
+    service, task_bits = columns.service.tolist(), columns.task_bits.tolist()
+    members = sorted(partition.forced_saving | s1)
+    factor = vm_rate_factor(instance.degradation, n_vms)
+    budget = instance.deadline - sum(
+        min_bits[uid] * roundtrip[uid] for uid in partition.forced_costly
+    )
+    te_floor = max(
+        (min_bits[uid] / (service[uid] * factor) for uid in partition.forced_costly),
+        default=0.0,
+    )
+
+    def schedule(member_bits, te):
+        bits = base.tolist()
+        for uid, b in zip(members, member_bits):
+            bits[uid] = b
+        return _schedule(instance, partition.forced | s1, bits, te, "lp-path")
+
+    if not members:
+        fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
+        return None, lambda _: schedule((), te_floor) if fits else None
     # the budget row, a cap row and a box row per member (the window has no
     # upper bound), held to the LP size guard before a row is built
     lpmod.check_size(2 * len(members) + 1, len(members) + 1)
-    columns = instance.derived
-    delta, roundtrip = columns.delta_per_bit.tolist(), columns.roundtrip.tolist()
-    service, task_bits = columns.service.tolist(), columns.task_bits.tolist()
-    factor = vm_rate_factor(instance.degradation, n_vms)
+    delta = columns.delta_per_bit.tolist()
     n = len(members) + 1  # trailing variable is the computing window
     objective = [delta[uid] for uid in members] + [0.0]
     budget_row = [roundtrip[uid] for uid in members] + [1.0]
@@ -345,93 +362,54 @@ def _schedule_lp(
         row[k] = 1.0
         row[-1] = -service[uid] * factor
         constraints.append((row, "<=", 0.0))
-    bounds = [(lower[uid], task_bits[uid]) for uid in members]
+    bounds = [
+        (min_bits[uid] if uid in partition.forced_saving else 0.0, task_bits[uid])
+        for uid in members
+    ]
     bounds.append((te_floor, math.inf))
-    return lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
-
-
-def _subset_lp(instance: Instance, partition: Partition, s1):
-    """`solve_subset_lp` in two steps: the LP to solve (None where the subset
-    needs none) and the function that turns its solution into the result."""
-    s1 = frozenset(s1)
-    if not s1 <= partition.free_saving:
-        raise ValueError("optional set must be drawn from the free saving users")
-    columns = instance.derived
-    min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
-    service = columns.service.tolist()
-    members = sorted(partition.forced_saving | s1)
-    n_vms = len(partition.forced) + len(s1)
-    factor = vm_rate_factor(instance.degradation, n_vms)
-    budget = instance.deadline - sum(
-        min_bits[uid] * roundtrip[uid] for uid in partition.forced_costly
-    )
-    te_floor = max(
-        (min_bits[uid] / (service[uid] * factor) for uid in partition.forced_costly),
-        default=0.0,
-    )
-    if not members:
-        result = ({}, te_floor) if te_floor <= budget + 1e-12 * (1.0 + abs(budget)) else None
-        return None, lambda _: result
-    lower = {uid: min_bits[uid] if uid in partition.forced_saving else 0.0 for uid in members}
-    problem = _schedule_lp(instance, members, lower, n_vms, budget, te_floor)
+    problem = lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
 
     def finish(sol):
         if sol.status != "optimal":
             return None
-        return _member_bits(sol, members), sol.x[-1]
+        return schedule([max(x, 0.0) for x in sol.x[:-1]], sol.x[-1])
 
     return problem, finish
 
 
-def _member_bits(sol, members: list[int]) -> dict[int, float]:
-    return {uid: max(sol.x[k], 0.0) for k, uid in enumerate(members)}
+def _solve(plans: list) -> list:
+    """`finish(solution)` of each (LP or None, finish) plan, with every LP
+    of the plans solved in one `lp.solve_lps` call (None for a plan
+    without one)."""
+    solutions = iter(lpmod.solve_lps([problem for problem, _ in plans if problem is not None]))
+    return [finish(None if problem is None else next(solutions)) for problem, finish in plans]
 
 
-def solve_subset_lp(instance: Instance, partition: Partition, s1):
-    """Offload sizes once the optional set s1 is fixed.
+def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySchedule | None:
+    """The "lp-path" schedule once the optional set s1 is fixed.
 
     The forced saving users and s1 choose their offload sizes, bounded
     below by the forced minimum (0 for members of s1); the forced costly
     users sit at their forced minimum, spending radio budget and setting a
-    floor under the computing window.  Returns (bits by user id, computing
-    window), or None when the LP is infeasible.
+    floor under the computing window.  Returns the schedule, or None when
+    the LP is infeasible.
     """
-    problem, finish = _subset_lp(instance, partition, s1)
-    return finish(None if problem is None else lpmod.solve_lp(problem))
+    return _solve([_subset_lp(instance, partition, s1)])[0]
 
 
-def _assemble(
-    instance: Instance,
-    partition: Partition,
-    s1: frozenset[int],
-    saved_bits: dict[int, float],
-    te: float,
-    status: str,
-    t_min: float | None = None,
-) -> EnergySchedule:
-    columns = instance.derived
-    min_bits = columns.min_offload_bits.tolist()
-    bits = dict.fromkeys(range(instance.n_users), 0.0)
-    for uid in partition.forced_costly:
-        bits[uid] = min_bits[uid]
-    for uid in sorted(partition.forced_saving | s1):
-        bits[uid] = saved_bits[uid]
-    objective = _objective(columns, bits)
+def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
+              status: str) -> EnergySchedule:
+    """The schedule of every user's offload bits, in id order.  The
+    objective sums delta * b left to right in user id, from 0.0."""
+    objective = sum(map(operator.mul, instance.derived.delta_per_bit.tolist(), bits), 0.0)
     return EnergySchedule(
-        scheduled=partition.forced | s1,
-        offload_bits=bits,
+        scheduled=scheduled,
+        offload_bits=dict(enumerate(bits)),
         compute_time=te,
         objective=objective,
         total_energy=objective + baseline_local_energy(instance),
         status=status,
-        t_min=t_min,
     )
-
-
-def _objective(columns, bits: dict[int, float]) -> float:
-    """Sum of the energy deltas times the bits, left to right in user id
-    (bits holds every user, in id order)."""
-    return sum(map(operator.mul, columns.delta_per_bit.tolist(), bits.values()))
 
 
 def _infeasible(instance: Instance, t_min: float | None) -> EnergySchedule:
@@ -465,8 +443,6 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
 
     part = partition_users(instance)
     columns = instance.derived
-    task_bits = columns.task_bits.tolist()
-    full = {uid: task_bits[uid] for uid in part.forced_saving | part.free_saving}
     # Every load below is the forced users' commitment with some optional
     # users added at their whole task, the bits `total_delay` would form.
     base, n_forced = _commitment(instance, part, ())
@@ -479,8 +455,8 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     optional = np.sort(_ids(part.free_saving))
     load = committed(optional)
     if instance.deadline >= _delay(instance, *load):
-        return _assemble(instance, part, part.free_saving, full, _window(instance, *load),
-                         "optimal-path")
+        return _schedule(instance, part.forced | part.free_saving, load[0].tolist(),
+                         _window(instance, *load), "optimal-path")
 
     if instance.deadline >= _delay(instance, base, n_forced):
         # Users leave in a fixed order, lowest saving per radio second
@@ -498,59 +474,30 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
             else:
                 enough = mid
         kept = order[enough:]
-        te = _window(instance, *committed(kept))
-        return _assemble(instance, part, frozenset(kept.tolist()), full, te, "greedy-path")
+        load = committed(kept)
+        return _schedule(instance, part.forced | frozenset(kept.tolist()), load[0].tolist(),
+                         _window(instance, *load), "greedy-path")
 
-    lp_result = solve_subset_lp(instance, part, frozenset())
-    if lp_result is None:  # not expected once the deadline clears t_min
+    schedule = solve_subset_lp(instance, part, frozenset())
+    if schedule is None:  # not expected once the deadline clears t_min
         return _infeasible(instance, feasibility_tmin(instance).t_min)
-    bits, te = lp_result
-    return _assemble(instance, part, frozenset(), bits, te, "lp-path")
+    return schedule
 
 
 def _all_offload_lp(instance: Instance):
-    if instance.n_users == 0:
-        return None
-    members = list(range(instance.n_users))
-    lower = dict(enumerate(instance.derived.min_offload_bits.tolist()))
-    return _schedule_lp(instance, members, lower, instance.n_users, instance.deadline, 0.0)
-
-
-def _all_offload_schedule(instance: Instance, sol) -> EnergySchedule:
-    if instance.n_users == 0:
-        return EnergySchedule(
-            scheduled=frozenset(),
-            offload_bits={},
-            compute_time=0.0,
-            objective=0.0,
-            total_energy=0.0,
-            status="lp-path",
-        )
-    if sol.status != "optimal":
-        return _infeasible(instance, None)
-    members = list(range(instance.n_users))
-    bits = _member_bits(sol, members)
-    objective = _objective(instance.derived, bits)
-    return EnergySchedule(
-        scheduled=frozenset(members),
-        offload_bits=bits,
-        compute_time=sol.x[-1],
-        objective=objective,
-        total_energy=objective + baseline_local_energy(instance),
-        status="lp-path",
-    )
+    """`benchmark_energy_all_offloading` as a plan for `_solve`: the subset
+    LP of the partition that forces every user into a VM, each choosing
+    its offload size above its forced minimum, as forced saving users do.
+    At K = 0 it has no LP."""
+    everyone = Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(), frozenset())
+    problem, finish = _subset_lp(instance, everyone, ())
+    return problem, lambda sol: finish(sol) or _infeasible(instance, None)
 
 
 def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
     """`benchmark_energy_all_offloading` of each instance, with all their LPs
     solved in one `lp.solve_lps` call."""
-    instances = list(instances)
-    problems = [_all_offload_lp(instance) for instance in instances]
-    solutions = iter(lpmod.solve_lps([p for p in problems if p is not None]))
-    return [
-        _all_offload_schedule(i, None if p is None else next(solutions))
-        for i, p in zip(instances, problems)
-    ]
+    return _solve([_all_offload_lp(instance) for instance in instances])
 
 
 def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:

@@ -33,6 +33,10 @@ from .model import (
     GenerationSpec,
     ParseError,
     RateSchedule,
+    _is_int,
+    _is_number,
+    _number,
+    _require,
     generate_instance,
     read_instance,
     validate_energy_schedule,
@@ -307,29 +311,30 @@ def schedule_to_doc(schedule) -> dict:
 
 
 def schedule_from_doc(doc: dict):
-    try:
-        kind = doc["type"]
-        scheduled = frozenset(int(i) for i in doc["scheduled"])
-        bits = {int(k): float(v) for k, v in doc["offload_bits"].items()}
-        te = float(doc["compute_time"])
-        if kind == "rate":
-            return RateSchedule(scheduled, bits, te, float(doc["sum_rate"]))
-        if kind == "energy":
-            objective = doc["objective"]
-            total = doc["total_energy"]
-            t_min = doc.get("t_min")
-            return EnergySchedule(
-                scheduled,
-                bits,
-                te,
-                math.nan if objective is None else float(objective),
-                math.nan if total is None else float(total),
-                str(doc["status"]),
-                None if t_min is None else float(t_min),
-            )
+    """A schedule from its `schedule_to_doc` form.  A missing field, or a
+    value of the wrong JSON type (a bool is not a number), is a
+    `ParseError` naming its field."""
+    where = "schedule file"
+    scheduled, bits = _require(doc, "scheduled", where), _require(doc, "offload_bits", where)
+    if not isinstance(scheduled, list) or not all(map(_is_int, scheduled)):
+        raise ParseError(f"{where}: scheduled must be an array of user ids")
+    if not isinstance(bits, dict) or not all(isinstance(k, str) and k.isdecimal() for k in bits):
+        raise ParseError(f"{where}: offload_bits must be an object keyed by user id")
+    bits = {int(k): _number(bits, k, f"{where}: offload_bits") for k in bits}
+    common = (frozenset(scheduled), bits, _number(doc, "compute_time", where))
+    kind = _require(doc, "type", where)
+    if kind == "rate":
+        return RateSchedule(*common, _number(doc, "sum_rate", where))
+    if kind != "energy":
         raise ParseError(f"unknown schedule type {kind!r}")
-    except KeyError as exc:
-        raise ParseError(f"schedule file missing field {exc.args[0]!r}") from exc
+    if not isinstance(status := _require(doc, "status", where), str):
+        raise ParseError(f"{where}: status must be a string")
+    objective, total = (
+        math.nan if _require(doc, key, where) is None else _number(doc, key, where)
+        for key in ("objective", "total_energy")
+    )
+    t_min = None if doc.get("t_min") is None else _number(doc, "t_min", where)
+    return EnergySchedule(*common, objective, total, status, t_min)
 
 
 def _write_json(doc: dict, path: str) -> None:
@@ -349,21 +354,34 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-_SWEEP_FIELDS = {f.name for f in fields(SweepSpec)}
+# The JSON form of each `SweepSpec` field type: its name and its test.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "int": ("an integer", _is_int),
+    "float": ("a number", _is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[float, ...]": ("an array of numbers", lambda v: isinstance(v, list)
+                          and all(map(_is_number, v))),
+    "tuple[str, ...]": ("an array of strings", lambda v: isinstance(v, list)
+                        and all(isinstance(a, str) for a in v)),
+}
+_SWEEP_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(SweepSpec)}
 
 
 def sweep_spec_from_doc(doc: dict) -> SweepSpec:
-    for key in doc:
-        if key not in _SWEEP_FIELDS:
+    """A sweep spec from its JSON form, with `SweepSpec` field names.  An
+    unknown or missing field, or a value of the wrong JSON type, is a
+    `ConfigurationError` naming its field."""
+    for key, value in doc.items():
+        if key not in _SWEEP_TYPES:
             raise ConfigurationError(f"unknown sweep field {key!r}")
+        kind, test = _SWEEP_TYPES[key]
+        if not test(value):
+            raise ConfigurationError(f"sweep field {key!r} must be {kind}")
     if "experiment" not in doc:
         raise ConfigurationError("sweep spec missing field 'experiment'")
-    kwargs = dict(doc)
-    if "grid" in kwargs:
-        kwargs["grid"] = tuple(float(v) for v in kwargs["grid"])
-    if "algorithms" in kwargs:
-        kwargs["algorithms"] = tuple(str(a) for a in kwargs["algorithms"])
-    return SweepSpec(**kwargs)
+    return SweepSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 # ---------------------------------------------------------------------------

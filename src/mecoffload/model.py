@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import chain
@@ -241,7 +242,7 @@ class Instance:
             self.weight * self.energy_coeff * self.cycles_per_bit * self.task_bits
             * _squares(self.cpu_freq)
         )
-        return sum(energy.tolist())
+        return sum(energy.tolist(), 0.0)
 
 
 def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
@@ -708,14 +709,22 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that a double holds (a bool is not a number)."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
 def _number(mapping: dict, key: str, where: str) -> float:
     value = _require(mapping, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if _is_int(value) and not _is_number(value):  # an integer literal beyond the doubles
+        raise ParseError(f"{where}: {key} is out of range")
+    if not _is_number(value):
         raise ParseError(f"{where}: {key} must be a number")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond the doubles
-        raise ParseError(f"{where}: {key} is out of range") from None
+    return float(value)
 
 
 def read_instance(path) -> Instance:
@@ -746,7 +755,7 @@ def read_instance(path) -> Instance:
             if key not in _USER_FIELDS:
                 raise ParseError(f"{where}: unknown field '{key}'")
         user_id = _require(entry, "id", where)
-        if not isinstance(user_id, int) or isinstance(user_id, bool):
+        if not _is_int(user_id):
             raise ParseError(f"{where}: id must be an integer")
         users.append(UserProfile(user_id, *(_number(entry, name, where) for name in _USER_COLUMNS)))
     return Instance(deadline=deadline, degradation=degradation, users=users)

@@ -110,29 +110,22 @@ def brute_force_energy_batch(
         if time.monotonic() > deadline:
             raise BudgetExceededError("energy oracle time guard exceeded")
 
-    def solve(built):
-        """The schedules of (instance, partition, subset, LP, finish) items,
-        their LPs solved in stacks; None where a subset is infeasible."""
-        problems = [item[3] for item in built if item[3] is not None]
-        solved = []
-        for start in range(0, len(problems), lpmod.MAX_BATCH):
-            check_time()
-            solved += lpmod.solve_lps(problems[start : start + lpmod.MAX_BATCH])
-        solutions = iter(solved)
+    def solve(plans):
+        """`energy._solve` of the (LP, finish) plans, `lp.MAX_BATCH` LPs to
+        a stack: a schedule per plan, None where a subset is infeasible."""
+        with_lp = [k for k, (problem, _) in enumerate(plans) if problem is not None]
+        cuts = [0, *with_lp[lpmod.MAX_BATCH :: lpmod.MAX_BATCH], len(plans)]
         schedules = []
-        for instance, partition, s1, problem, finish in built:
-            result = finish(None if problem is None else next(solutions))
-            schedules.append(None if result is None else energymod._assemble(
-                instance, partition, frozenset(s1), *result, "lp-path"
-            ))
+        for start, stop in zip(cuts, cuts[1:]):
+            check_time()
+            schedules += energymod._solve(plans[start:stop])
         return schedules
 
-    def build(instance, partition, s1):
+    def subset_plan(instance, partition, s1):
         check_time()
-        return (instance, partition, s1, *energymod._subset_lp(instance, partition, s1))
+        return energymod._subset_lp(instance, partition, s1)
 
-    plans = []  # per instance: its partition and its optional users in id order
-    full_lps = []
+    cases = []  # per instance: its partition and its optional users in id order
     for instance in instances:
         partition = energymod.partition_users(instance)
         optional = sorted(partition.free_saving)
@@ -141,25 +134,27 @@ def brute_force_energy_batch(
                 f"{len(optional)} optional users exceed the energy oracle budget "
                 f"{budget.max_optional_energy}"
             )
-        plans.append((instance, partition, optional))
-        full_lps.append(build(instance, partition, tuple(optional)))
-    fulls = solve(full_lps)
+        cases.append((instance, partition, optional))
+    fulls = solve([subset_plan(*case) for case in cases])
 
     others = []  # per instance: the other subsets that could win, in mask order
-    for (instance, partition, optional), full in zip(plans, fulls):
+    for (instance, partition, optional), full in zip(cases, fulls):
         masks = range((1 << len(optional)) - 1)
         if masks and full is not None:
             bounds, scale = _offload_bounds(instance, partition, optional)
             ceiling = full.objective + _prune_margin(scale, len(optional))
             masks = [mask for mask in masks if not bounds[mask] > ceiling]
-        others.append([build(instance, partition, _subset_tuple(m, optional)) for m in masks])
-    schedules = iter(solve([item for built in others for item in built]))
+        others.append([_subset_tuple(m, optional) for m in masks])
+    schedules = iter(solve([
+        subset_plan(instance, partition, s1)
+        for (instance, partition, _), subsets in zip(cases, others) for s1 in subsets
+    ]))
     return [
         _least_energy(instance, [
-            *((s1, next(schedules)) for _, _, s1, _, _ in built),
+            *((s1, next(schedules)) for s1 in subsets),
             (tuple(optional), full),
         ])
-        for (instance, _, optional), built, full in zip(plans, others, fulls)
+        for (instance, _, optional), subsets, full in zip(cases, others, fulls)
     ]
 
 

@@ -112,7 +112,7 @@ def stock_energy_lps(realizations=10):
                 problems += subset_lps(instance)
                 if energy.solve_energy_suboptimal(instance).status == "lp-path":
                     problems.append(empty_subset_lp(instance))
-                problems.append(energy._all_offload_lp(instance))
+                problems.append(energy._all_offload_lp(instance)[0])
     return [problem for problem in problems if problem is not None]
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from mecoffload import (
     benchmark_energy_all_offloading,
     benchmark_greedy,
     brute_force_energy,
+    brute_force_energy_batch,
     derive_user,
     feasibility_gap,
     feasibility_tmin,
@@ -26,7 +28,6 @@ from mecoffload import (
     with_deadline,
 )
 from mecoffload import energy
-from mecoffload.energy import _schedule_lp
 from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
@@ -325,10 +326,10 @@ class TestLpM1:
         inst = make_instance([u], deadline=5.0, degradation=0.3)
         part = partition_users(inst)
         assert part.forced_costly == {0}
-        bits, te = solve_subset_lp(inst, part, frozenset())
-        assert bits == {}
+        schedule = solve_subset_lp(inst, part, frozenset())
         lmin = derive_user(inst, 0).min_offload_bits
-        assert te == pytest.approx(lmin / 2.0, rel=1e-12)  # single VM, no penalty
+        assert schedule.offload_bits == {0: lmin}  # no LP member: only the forced minimum
+        assert schedule.compute_time == pytest.approx(lmin / 2.0, rel=1e-12)  # one VM, no penalty
 
     def test_infeasible_floor_returns_none(self):
         u = costly_user(0, a=1.0, b=1.0, gamma=1.0, r=0.01, task=10.0,
@@ -343,18 +344,9 @@ class TestLpM1:
             t_min = feasibility_tmin(inst).t_min
             tight = with_deadline(inst, t_min * 1.2)
             part = partition_users(tight)
-            members = sorted(part.forced_saving)
-            if not members:
+            if not part.forced_saving:
                 continue
-            derived = {uid: derive_user(tight, uid) for uid in members}
-            problem = _schedule_lp(
-                tight,
-                members,
-                {uid: derived[uid].min_offload_bits for uid in members},
-                len(part.forced),
-                tight.deadline,
-                0.0,
-            )
+            problem, _ = energy._subset_lp(tight, part, ())  # the LP branch's LP
             fast = solve_lp(problem)
             slow = enumerate_vertices(problem)
             assert fast.status == slow.status == "optimal"
@@ -712,6 +704,14 @@ class TestOutputTypes:
             for x in numbers_in(output):
                 assert type(x) in (int, float), (type(x), output)
 
+    def test_no_users_give_float_zero(self):
+        # the objective and the all-local energy sum from 0.0, not from int 0
+        inst = make_instance([], deadline=1.0)
+        for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy):
+            schedule = solve(inst)
+            assert (repr(schedule.objective), repr(schedule.total_energy)) == ("0.0", "0.0"), solve
+        assert repr(baseline_local_energy(make_instance([], deadline=1.0))) == "0.0"
+
 
 class TestAgainstOracleProperty:
     """The heuristic on any small stock draw and deadline: it validates when
@@ -739,6 +739,44 @@ class TestAgainstOracleProperty:
         best = brute_force_energy(inst)
         assert best.status != "infeasible"
         assert schedule.objective >= best.objective - _TIE_RTOL * (1.0 + abs(best.objective))
+
+
+class TestExactBookkeeping:
+    """Every feasible schedule of every energy solver lists each user once,
+    in id order; its objective is the id-ordered sum of delta * b from 0.0,
+    and its total adds the all-local energy, both exactly.  The validators
+    check these only to a relative 1e-9."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 8),
+        degradation=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        slack=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+        mask=st.integers(0, 255),
+    )
+    def test_bits_objective_and_total(self, n_users, degradation, seed, slack, mask):
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        t_min = feasibility_tmin(inst).t_min
+        instances = [with_deadline(inst, t_min), with_deadline(inst, t_min * slack)]
+        solved = [
+            *zip(instances, energy.benchmark_energy_all_offloading_batch(instances)),
+            *zip(instances, brute_force_energy_batch(instances)),
+        ]
+        for each in instances:
+            part = partition_users(each)
+            optional = sorted(part.free_saving)
+            drawn = [uid for k, uid in enumerate(optional) if (mask >> k) & 1]
+            solved.append((each, solve_energy_suboptimal(each)))
+            solved += [(each, solve_subset_lp(each, part, s1)) for s1 in ((), drawn, optional)]
+        for each, schedule in solved:
+            if schedule is None or schedule.status == "infeasible":
+                continue
+            bits = schedule.offload_bits
+            delta = each.derived.delta_per_bit.tolist()
+            assert list(bits) == list(range(n_users))
+            assert schedule.objective == sum(map(operator.mul, delta, bits.values()), 0.0)
+            assert schedule.total_energy == schedule.objective + baseline_local_energy(each)
 
 
 LARGE_K = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)

@@ -100,21 +100,29 @@ class TestStockEnergyBytes:
     """The certified stock energy sweeps, byte for byte.  The digests were
     recorded with the row-at-a-time simplex; the vectorised one must make the
     same pivots with the same arithmetic, so any change to the simplex, the
-    energy LPs or the oracle that moves a bit of these CSVs fails here."""
+    energy LPs or the oracle that moves a bit of these CSVs fails here.  The
+    oracle-row digests pin the oracle's own schedules too."""
 
-    DIGESTS = {
-        "energy-vs-T": "c6944e4b16cca00a6000b4e76e14ff035471f6eaeca9e939dde90ee8b3c05355",
-        "energy-vs-d": "50d644ebaee034cdaf0ea8b5dc186228688c5fdfbdb89b7621b19f3ad7b461ad",
+    DIGESTS = {  # by test id: experiment, algorithms, digest
+        "energy-vs-T": ("energy-vs-T", "suboptimal,all-offload",
+                        "c6944e4b16cca00a6000b4e76e14ff035471f6eaeca9e939dde90ee8b3c05355"),
+        "energy-vs-d": ("energy-vs-d", "suboptimal,all-offload",
+                        "50d644ebaee034cdaf0ea8b5dc186228688c5fdfbdb89b7621b19f3ad7b461ad"),
+        "energy-vs-T-oracle": ("energy-vs-T", "suboptimal,all-offload,oracle",
+                               "ebb7564c0630bb1ab4d121d34eab75c4a5cadeaa8374e840b269660b130cc971"),
+        "energy-vs-d-oracle": ("energy-vs-d", "suboptimal,all-offload,oracle",
+                               "6cd022f4018ed95efe67c12698df3001968aef2f401a9dbcdbb6852b042c84a1"),
     }
 
-    @pytest.mark.parametrize("experiment", sorted(DIGESTS))
-    def test_certified_sweep_digest(self, experiment, tmp_path):
-        out = tmp_path / f"{experiment}.csv"
+    @pytest.mark.parametrize("case", sorted(DIGESTS))
+    def test_certified_sweep_digest(self, case, tmp_path):
+        experiment, algorithms, digest = self.DIGESTS[case]
+        out = tmp_path / f"{case}.csv"
         assert cli_main([
             "sweep", "--experiment", experiment, "--realizations", "20", "--seed", "7",
-            "--certify", "--out", str(out),
+            "--algorithms", algorithms, "--certify", "--out", str(out),
         ]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestEnergyBlocks:
@@ -346,6 +354,37 @@ class TestCli:
         assert cli_main(["solve-rate", str(missing)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip("\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("realizations", "5"),
+        ("grid", 5),
+        ("certify", "no"),
+    ])
+    def test_mistyped_sweep_field_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = tmp_path / "spec.json"
+        doc = {"experiment": "rate-vs-K", "realizations": 1, field: value}
+        spec_path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and repr(field) in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("offload_bits", [1]),
+        ("scheduled", 5),
+        ("compute_time", None),
+    ])
+    def test_mistyped_schedule_field_exits_2(self, tmp_path, capsys, field, value):
+        inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+        inst = generate_instance(GenerationSpec(n_users=3, deadline_s=0.6), 2)
+        write_instance(inst, inst_path)
+        doc = schedule_to_doc(solve_energy_suboptimal(inst))
+        sched_path.write_text(json.dumps(doc))
+        assert cli_main(["validate", str(inst_path), str(sched_path)]) == 0
+        capsys.readouterr()
+        sched_path.write_text(json.dumps({**doc, field: value}))
+        assert cli_main(["validate", str(inst_path), str(sched_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
 
     def test_byte_identical_sweep_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

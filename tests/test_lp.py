@@ -501,7 +501,7 @@ class TestLimits:
     def test_energy_lp_rows_match_its_precheck(self):
         for K in (1, 4, 10):
             instance = stock_instance(K, 0.2, 3, deadline=0.6)
-            assert lp._size(energy._all_offload_lp(instance)) == (2 * K + 1, K + 1)
+            assert lp._size(energy._all_offload_lp(instance)[0]) == (2 * K + 1, K + 1)
 
     def test_all_offloading_refuses_ten_thousand_users(self):
         instance = stock_instance(10_000, 0.05, 11, deadline=1.5)

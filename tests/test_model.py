@@ -72,7 +72,7 @@ def test_builtin_sum_adds_floats_left_to_right():
     # Python 3.12 made the builtin sum of floats compensated (Neumaier).
     assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
         f"builtin sum is compensated on Python {sys.version.split()[0]}: "
-        "energy._Balance.gap, energy._objective, model.baseline_local_energy and the "
+        "energy._Balance.gap, the energy._schedule objective, model.baseline_local_energy and the "
         "energy._subset_lp budget rely on a left-to-right float sum, and with another "
         "order the perfbench fingerprints and the stock sweep CSV bytes change"
     )
@@ -230,7 +230,7 @@ class TestMemoisedConstants:
             # the expression it memoises, with its left-to-right sum
             energy = (inst.weight * inst.energy_coeff * inst.cycles_per_bit * inst.task_bits
                       * squares(inst.cpu_freq))
-            expected = repr(sum(energy.tolist()))
+            expected = repr(sum(energy.tolist(), 0.0))
             inst.derived  # squares the CPU speeds too
             monkeypatch.setattr(model, "_squares", counting)
             assert repr(baseline_local_energy(inst)) == expected

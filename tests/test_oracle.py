@@ -137,7 +137,7 @@ class TestEnergyOracle:
                 smaller = tuple(sorted(set(optional) - {uid}))
                 result = solve_subset_lp(inst, part, smaller)
                 assert result is not None
-                bits, _ = result
+                bits = {u2: result.offload_bits[u2] for u2 in part.forced_saving | set(smaller)}
                 derived_obj = schedule.objective
                 # rebuild the smaller subset's total objective
                 from mecoffload import derive_user
@@ -155,7 +155,8 @@ class TestEnergyOracle:
 
 def reference_brute_force_energy(instance):
     """The energy oracle as one scalar subset solve after another, with its
-    own copy of the schedule assembly and objective sum."""
+    own copy of the schedule assembly and objective sum: of each subset's
+    schedule it reads only the LP members' bits and the window."""
     partition = partition_users(instance)
     optional = sorted(partition.free_saving)
     min_bits = instance.derived.min_offload_bits.tolist()
@@ -166,7 +167,8 @@ def reference_brute_force_energy(instance):
         result = solve_subset_lp(instance, partition, s1)
         if result is None:
             continue
-        bits, te = result
+        bits = {uid: result.offload_bits[uid] for uid in partition.forced_saving | set(s1)}
+        te = result.compute_time
         full = {u.id: 0.0 for u in instance.users}
         for uid in partition.forced_costly:
             full[uid] = min_bits[uid]
@@ -210,7 +212,8 @@ class TestEnergyOracleBatch:
                            freq=2.0, kappa=1.0, power=0.1) for i in range(2)]
         inst = make_instance(users, deadline=1.0, degradation=5.0)
         part = partition_users(inst)
-        assert solve_subset_lp(inst, part, (0,))[0][0] == solve_subset_lp(inst, part, (1,))[0][1]
+        single = [solve_subset_lp(inst, part, (uid,)).offload_bits for uid in (0, 1)]
+        assert single[0][0] == single[1][1]
         [schedule] = brute_force_energy_batch([inst])
         assert schedule.scheduled == frozenset({0})
         assert repr(schedule) == repr(reference_brute_force_energy(inst))
@@ -315,7 +318,7 @@ class TestPrunedSubsets:
         assert part.free_saving == frozenset({0, 1})
         single, full = (solve_subset_lp(inst, part, s) for s in ((0,), (0, 1)))
         delta = inst.derived.delta_per_bit.tolist()
-        assert single[0] == {0: 1.0} and full[0] == {0: 1.0, 1: 1.0}
+        assert single.offload_bits == {0: 1.0, 1: 0.0} and full.offload_bits == {0: 1.0, 1: 1.0}
         assert 0.0 < delta[0] - (delta[0] + delta[1]) < oracle._TIE_RTOL
         schedule = brute_force_energy(inst)
         assert schedule.scheduled == frozenset({0})
