@@ -328,11 +328,12 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     base, n_vms = _commitment(instance, partition, s1)
     columns = instance.derived
     min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
-    service, task_bits = columns.service.tolist(), columns.task_bits.tolist()
+    service = columns.service.tolist()
     members = sorted(partition.forced_saving | s1)
     factor = vm_rate_factor(instance.degradation, n_vms)
+    # left to right in ascending id, however the set iterates
     budget = instance.deadline - sum(
-        min_bits[uid] * roundtrip[uid] for uid in partition.forced_costly
+        min_bits[uid] * roundtrip[uid] for uid in sorted(partition.forced_costly)
     )
     te_floor = max(
         (min_bits[uid] / (service[uid] * factor) for uid in partition.forced_costly),
@@ -349,25 +350,21 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
         fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
         return None, lambda _: schedule((), te_floor) if fits else None
     # the budget row, a cap row and a box row per member (the window has no
-    # upper bound), held to the LP size guard before a row is built
+    # upper bound), held to the LP size guard before anything is allocated
     lpmod.check_size(2 * len(members) + 1, len(members) + 1)
-    delta = columns.delta_per_bit.tolist()
-    n = len(members) + 1  # trailing variable is the computing window
-    objective = [delta[uid] for uid in members] + [0.0]
-    budget_row = [roundtrip[uid] for uid in members] + [1.0]
-    # plain (coeffs, relation, rhs) rows: LpProblem converts each one once
-    constraints = [(budget_row, "<=", budget)]
-    for k, uid in enumerate(members):
-        row = [0.0] * n
-        row[k] = 1.0
-        row[-1] = -service[uid] * factor
-        constraints.append((row, "<=", 0.0))
-    bounds = [
-        (min_bits[uid] if uid in partition.forced_saving else 0.0, task_bits[uid])
-        for uid in members
-    ]
-    bounds.append((te_floor, math.inf))
-    problem = lpmod.LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
+    ids = _ids(members)
+    n = ids.size + 1  # trailing variable is the computing window
+    coeffs = np.zeros((n, n))  # the budget row, then a cap row per member
+    coeffs[0] = np.append(columns.roundtrip[ids], 1.0)
+    np.fill_diagonal(coeffs[1:], 1.0)
+    coeffs[1:, -1] = -columns.service[ids] * factor
+    bounds = np.full((n, 2), math.inf)
+    forced = [uid in partition.forced_saving for uid in members]
+    bounds[:-1, 0] = np.where(forced, columns.min_offload_bits[ids], 0.0)
+    bounds[:-1, 1] = columns.task_bits[ids]
+    bounds[-1, 0] = te_floor
+    problem = lpmod.LpProblem(np.append(columns.delta_per_bit[ids], 0.0), coeffs, ("<=",) * n,
+                              np.append(budget, np.zeros(ids.size)), bounds)
 
     def finish(sol):
         if sol.status != "optimal":

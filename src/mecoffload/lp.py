@@ -27,20 +27,16 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "LpProblem",
-    "LpConstraint",
     "LpSolution",
     "LpStructureError",
     "BudgetExceededError",
-    "constraint",
     "check_size",
     "solve_lp",
     "solve_lps",
@@ -58,7 +54,7 @@ _SENSE = {"<=": 1, "=": 0, ">=": -1}  # negated by a row sign flip
 
 
 class LpStructureError(ValueError):
-    """Malformed problem (dimension mismatch, bad relation); distinct from an
+    """Malformed problem (shape mismatch, bad relation, nan); distinct from an
     infeasible status."""
 
 
@@ -66,60 +62,59 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive routine refused an input beyond its size guard."""
 
 
-@dataclass(frozen=True)
-class LpConstraint:
-    coeffs: tuple[float, ...]
-    relation: str
-    rhs: float
+def _frozen(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A read-only float64 copy of values, which must have the given shape;
+    an empty sequence stands for any empty shape."""
+    array = np.array(values, dtype=np.float64)
+    if array.size == 0 == math.prod(shape):
+        array = array.reshape(shape)
+    if array.shape != shape:
+        raise LpStructureError(f"{name} has shape {array.shape}, expected {shape}")
+    array.flags.writeable = False
+    return array
 
 
-def constraint(coeffs, relation: str, rhs: float) -> LpConstraint:
-    return LpConstraint(tuple(map(float, coeffs)), relation, float(rhs))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min objective . x subject to row constraints and per-variable bounds.
+    """min objective . x subject to coeffs @ x (relations) rhs, row by row,
+    and per-variable bounds.
 
-    bounds holds one (lower, upper) pair per variable; use -inf/+inf for
-    unbounded sides.  Constraints may be LpConstraint values or plain
-    (coeffs, relation, rhs) triples.
+    objective has one entry per variable (n), coeffs one row per
+    constraint (m, n), relations m of "<=", "=" and ">=", rhs m entries and
+    bounds one (lower, upper) pair per variable (n, 2); use -inf/+inf for
+    unbounded sides.  Each array is stored as a read-only float64 copy.
+    There is no value equality: `_key` tells problems apart by their bytes.
     """
 
-    objective: tuple[float, ...]
-    constraints: tuple[LpConstraint, ...]
-    bounds: tuple[tuple[float, float], ...]
+    objective: np.ndarray
+    coeffs: np.ndarray
+    relations: tuple[str, ...]
+    rhs: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
-        cons = []
-        for con in self.constraints:
-            if isinstance(con, LpConstraint):
-                cons.append(constraint(con.coeffs, con.relation, con.rhs))
-            else:
-                coeffs, relation, rhs = con
-                cons.append(constraint(coeffs, relation, rhs))
-        object.__setattr__(self, "constraints", tuple(cons))
-        object.__setattr__(self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds))
-        n = len(self.objective)
-        if len(self.bounds) != n:
-            raise LpStructureError(f"{len(self.bounds)} bounds for {n} variables")
-        for k, con in enumerate(self.constraints):
-            if len(con.coeffs) != n:
-                raise LpStructureError(
-                    f"constraint {k} has {len(con.coeffs)} coefficients, expected {n}"
-                )
-            if con.relation not in _RELATIONS:
-                raise LpStructureError(f"constraint {k}: unknown relation {con.relation!r}")
-            if not math.isfinite(con.rhs):
-                raise LpStructureError(f"constraint {k}: rhs must be finite")
-        for j, (lo, hi) in enumerate(self.bounds):
-            if lo > hi:
-                raise LpStructureError(f"variable {j}: lower bound {lo} above upper bound {hi}")
+        n, m = len(self.objective), len(self.relations)
+        for name, shape in (("objective", (n,)), ("coeffs", (m, n)), ("rhs", (m,)),
+                            ("bounds", (n, 2))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
+        object.__setattr__(self, "relations", tuple(self.relations))
+        for k, relation in enumerate(self.relations):
+            if relation not in _RELATIONS:
+                raise LpStructureError(f"constraint {k}: unknown relation {relation!r}")
+        finite = np.isfinite(self.rhs)
+        if not finite.all():
+            raise LpStructureError(f"constraint {finite.argmin()}: rhs must be finite")
+        # an infinite coefficient stays legal, but nan has no order
+        if np.isnan(self.objective).any() or np.isnan(self.coeffs).any():
+            raise LpStructureError("nan in the objective or the coefficients")
+        ordered = self.bounds[:, 0] <= self.bounds[:, 1]  # false where either bound is nan
+        if not ordered.all():
+            j = ordered.argmin()
+            raise LpStructureError(f"variable {j}: bounds {self.bounds[j].tolist()} out of order")
 
     @property
     def n_vars(self) -> int:
-        return len(self.objective)
+        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -222,13 +217,8 @@ def _size(problem: LpProblem) -> tuple[int, int]:
     """The (rows, variable columns) that `check_size` holds the problem to:
     a row per constraint and per finite box, a column per variable and a
     second one per free variable."""
-    boxed = free = 0
-    for lo, hi in problem.bounds:
-        if math.isfinite(lo) and math.isfinite(hi):
-            boxed += 1
-        elif not (math.isfinite(lo) or math.isfinite(hi)):
-            free += 1
-    return len(problem.constraints) + boxed, problem.n_vars + free
+    free, _, boxed = np.bincount(np.isfinite(problem.bounds).sum(axis=1), minlength=3).tolist()
+    return len(problem.relations) + boxed, problem.n_vars + free
 
 
 @dataclass(frozen=True)
@@ -239,8 +229,7 @@ class _Shifted:
     col_var[k] times col_sign[k]."""
 
     problem: LpProblem
-    coeffs: np.ndarray  # the constraint coefficients, one row per constraint
-    rhs: list[float]  # each right-hand side less its row's dot with offsets
+    rhs: np.ndarray  # each right-hand side less its row's dot with offsets
     offsets: np.ndarray
     col_var: list[int]
     col_sign: list[float]
@@ -254,7 +243,7 @@ def _shift(problem: LpProblem) -> _Shifted:
     col_sign: list[float] = []
     upper_cols: list[int] = []
     upper: list[float] = []
-    for j, (lo, hi) in enumerate(problem.bounds):
+    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
         if math.isfinite(lo):
             if math.isfinite(hi):
                 upper_cols.append(len(col_var))
@@ -271,11 +260,9 @@ def _shift(problem: LpProblem) -> _Shifted:
             col_var += (j, j)
             col_sign += (1.0, -1.0)
     shift = np.array(offsets)
-    cons = problem.constraints
-    coeffs = np.array([con.coeffs for con in cons]).reshape(len(cons), problem.n_vars)
     # one 1-D dot per row, summed exactly as a lone `a @ offsets` would be
-    rhs = [con.rhs - float(a @ shift) for con, a in zip(cons, coeffs)]
-    return _Shifted(problem, coeffs, rhs, shift, col_var, col_sign, upper_cols, upper)
+    dots = np.fromiter((a @ shift for a in problem.coeffs), np.float64, len(problem.rhs))
+    return _Shifted(problem, problem.rhs - dots, shift, col_var, col_sign, upper_cols, upper)
 
 
 @dataclass
@@ -321,12 +308,12 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     upper_cols = np.zeros((count, n_upper), dtype=int)
     for k, s in enumerate(shifted):
         n, c, u = s.problem.n_vars, len(s.rhs), len(s.upper)
-        coeffs[k, :c, :n] = s.coeffs
+        coeffs[k, :c, :n] = s.problem.coeffs
         objective[k, :n] = s.problem.objective
         col_var[k, : ncols[k]] = s.col_var
         col_sign[k, : ncols[k]] = s.col_sign
         b[k, :c] = s.rhs
-        sense[k, :c] = [_SENSE[con.relation] for con in s.problem.constraints]
+        sense[k, :c] = [_SENSE[relation] for relation in s.problem.relations]
         real[k, :c] = True
         real[k, n_cons : n_cons + u] = True
         upper[k, :u] = s.upper
@@ -342,8 +329,7 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     empty = real[:, :n_cons] & (scale <= 0.0)
     infeasible = np.zeros(count, dtype=bool)
     for k, i in zip(*empty.nonzero()):
-        relation = shifted[k].problem.constraints[i].relation
-        infeasible[k] |= not _satisfied(relation, b[k, i])
+        infeasible[k] |= not _satisfied(shifted[k].problem.relations[i], b[k, i])
     real[:, :n_cons] &= ~empty
     kept = real[:, :n_cons]
     np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
@@ -473,7 +459,7 @@ def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
             x = s.offsets.copy()
             # in column order: y+ before y-
             np.add.at(x, s.col_var, np.asarray(s.col_sign) * y[k, : stack.ncols[k]])
-            value = float(np.asarray(s.problem.objective) @ x)
+            value = float(s.problem.objective @ x)
             solutions.append(LpSolution("optimal", tuple(x.tolist()), value))
     return solutions
 
@@ -502,18 +488,11 @@ def shared_solutions():
 
 def _key(problem: LpProblem) -> tuple[str, bytes]:
     """The problem as bytes: every number as its 8 IEEE bytes (so -0.0 and
-    0.0, which compare and hash equal as floats, differ), and the relations
-    in order.  "<=", "=" and ">=" are told apart by their first character,
-    so their concatenation splits one way only, and with the row count it
-    fixes the variable count."""
-    cons = problem.constraints
-    values = [
-        *problem.objective,
-        *itertools.chain.from_iterable([con.coeffs for con in cons]),
-        *[con.rhs for con in cons],
-        *itertools.chain.from_iterable(problem.bounds),
-    ]
-    return "".join([con.relation for con in cons]), struct.pack(f"{len(values)}d", *values)
+    0.0 differ), and the relations in order.  "<=", "=" and ">=" are told
+    apart by their first character, so their concatenation splits one way
+    only, and with the row count it fixes the variable count."""
+    arrays = (problem.objective, problem.coeffs, problem.rhs, problem.bounds)
+    return "".join(problem.relations), b"".join([a.tobytes() for a in arrays])
 
 
 def solve_lps(problems) -> list[LpSolution]:
@@ -534,7 +513,7 @@ def solve_lps(problems) -> list[LpSolution]:
     todo: dict = {}
     for k, problem in enumerate(problems):
         if problem.n_vars == 0:
-            ok = all(_satisfied(con.relation, con.rhs) for con in problem.constraints)
+            ok = all(map(_satisfied, problem.relations, problem.rhs.tolist()))
             solutions[k] = LpSolution("optimal" if ok else "infeasible", (), 0.0)
         elif memo is None:
             todo[k] = [k]

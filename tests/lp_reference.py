@@ -68,10 +68,10 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     nan_x = tuple([math.nan] * n)
     if n == 0:
         ok = all(
-            (con.relation == "<=" and con.rhs >= -FEAS_TOL)
-            or (con.relation == ">=" and con.rhs <= FEAS_TOL)
-            or (con.relation == "=" and abs(con.rhs) <= FEAS_TOL)
-            for con in problem.constraints
+            (relation == "<=" and rhs >= -FEAS_TOL)
+            or (relation == ">=" and rhs <= FEAS_TOL)
+            or (relation == "=" and abs(rhs) <= FEAS_TOL)
+            for relation, rhs in zip(problem.relations, problem.rhs.tolist())
         )
         return LpSolution("optimal" if ok else "infeasible", (), 0.0)
 
@@ -81,7 +81,7 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     col_var: list[int] = []
     offsets = np.zeros(n)
     upper_rows: list[tuple[int, float]] = []  # (column, residual upper bound)
-    for j, (lo, hi) in enumerate(problem.bounds):
+    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
         if math.isfinite(lo):
             offsets[j] = lo
             col_var.append(j)
@@ -108,22 +108,21 @@ def reference_solve_lp(problem: LpProblem) -> LpSolution:
     rows: list[np.ndarray] = []
     rels: list[str] = []
     rhs: list[float] = []
-    for con in problem.constraints:
-        a = np.asarray(con.coeffs)
+    for a, relation, con_rhs in zip(problem.coeffs, problem.relations, problem.rhs.tolist()):
         row = np.array([a[col_var[k]] * col_sign[k] for k in range(ncols)])
-        b = con.rhs - float(a @ offsets)
+        b = con_rhs - float(a @ offsets)
         scale = float(np.max(np.abs(row)))
         if scale <= 0.0:
             sat = (
-                (con.relation == "<=" and b >= -FEAS_TOL)
-                or (con.relation == ">=" and b <= FEAS_TOL)
-                or (con.relation == "=" and abs(b) <= FEAS_TOL)
+                (relation == "<=" and b >= -FEAS_TOL)
+                or (relation == ">=" and b <= FEAS_TOL)
+                or (relation == "=" and abs(b) <= FEAS_TOL)
             )
             if not sat:
                 return LpSolution("infeasible", nan_x, math.nan)
             continue
         rows.append(row / scale)
-        rels.append(con.relation)
+        rels.append(relation)
         rhs.append(b / scale)
     for k, ub in upper_rows:
         row = np.zeros(ncols)
@@ -242,10 +241,10 @@ def _as_rows(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     relation senses, rhs)."""
     n = problem.n_vars
     eye = np.eye(n)
-    coeffs = [con.coeffs for con in problem.constraints]
-    senses = [_SENSE[con.relation] for con in problem.constraints]
-    rhs = [con.rhs for con in problem.constraints]
-    for j, (lo, hi) in enumerate(problem.bounds):
+    coeffs = list(problem.coeffs)
+    senses = [_SENSE[relation] for relation in problem.relations]
+    rhs = problem.rhs.tolist()
+    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
         if math.isfinite(lo):
             coeffs.append(eye[j])
             senses.append(_SENSE[">="])

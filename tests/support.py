@@ -13,7 +13,7 @@ from mecoffload import (
     lp,
 )
 from mecoffload.harness import SweepSpec
-from mecoffload.lp import LpProblem, constraint
+from mecoffload.lp import LpProblem
 from mecoffload.rng import SplitMix64, mix64
 
 
@@ -82,17 +82,16 @@ def homogeneous_txrate_instance(n_users, degradation, seed, deadline=0.035):
 def random_lp_problem(rng: SplitMix64, n_vars=4, n_rows=4) -> LpProblem:
     """Small integer-coefficient LP; lower bounds keep the region pointed."""
     objective = [float(int(rng.uniform(-3, 4))) for _ in range(n_vars)]
-    constraints = []
+    coeffs, relations, rhs = [], [], []
     for _ in range(n_rows):
-        coeffs = [float(int(rng.uniform(-3, 4))) for _ in range(n_vars)]
-        relation = ("<=", ">=", "=")[int(rng.uniform(0, 3))]
-        rhs = float(int(rng.uniform(-4, 9)))
-        constraints.append(constraint(coeffs, relation, rhs))
+        coeffs.append([float(int(rng.uniform(-3, 4))) for _ in range(n_vars)])
+        relations.append(("<=", ">=", "=")[int(rng.uniform(0, 3))])
+        rhs.append(float(int(rng.uniform(-4, 9))))
     bounds = []
     for _ in range(n_vars):
         upper = 5.0 if rng.uniform() < 0.7 else math.inf
         bounds.append((0.0, upper))
-    return LpProblem(tuple(objective), tuple(constraints), tuple(bounds))
+    return LpProblem(objective, coeffs, relations, rhs, bounds)
 
 
 def stock_energy_lps(realizations=10):

@@ -27,7 +27,7 @@ from mecoffload import (
     vm_rate_factor,
     with_deadline,
 )
-from mecoffload import energy
+from mecoffload import energy, lp
 from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
@@ -353,6 +353,30 @@ class TestLpM1:
             assert fast.objective_value == pytest.approx(
                 slow.objective_value, rel=1e-8, abs=1e-12
             )
+
+
+    def test_equal_partitions_build_the_same_lp(self):
+        # The forced costly users' radio time leaves the budget summed in
+        # ascending id.  Summed as the set iterates, these two equal
+        # partitions (their sets built in other insertion orders) would
+        # give budgets a few ulps apart, and LPs with different keys.
+        costly = (3, 11, 19, 27)
+        tasks = dict(zip(costly, (1.2, 1.1, 2.7, 1.9)))
+        users = [
+            costly_user(i, task=tasks[i]) if i in tasks
+            else saving_user(i, task=2.0) if i == 0
+            else costly_user(i)
+            for i in range(28)
+        ]
+        inst = make_instance(users, deadline=1.0)
+        part = partition_users(inst)
+        assert part.forced_costly == set(costly) and part.forced_saving == {0}
+        pair = [dataclasses.replace(part, forced_costly=frozenset(order))
+                for order in (costly, costly[::-1])]
+        assert pair[0] == pair[1]
+        assert list(pair[0].forced_costly) != list(pair[1].forced_costly)
+        keys = {lp._key(energy._subset_lp(inst, each, ())[0]) for each in pair}
+        assert len(keys) == 1
 
 
 class TestAllOffloadingBenchmark:

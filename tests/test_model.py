@@ -7,7 +7,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mecoffload import (
     ConfigurationError,
@@ -602,6 +602,13 @@ class TestInstanceFileProperties:
             assert read_instance(path) == inst
             return json.loads(path.read_text())
 
+    # Without a `.hypothesis/unicode_data` cache (a fresh checkout), the first
+    # `st.text` draw builds hypothesis's character table, about 2 s, and the
+    # too_slow health check then fails the test on a correct program.
+    file_settings = settings(max_examples=100, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+    @file_settings
     @given(n_users=st.integers(0, 5), seed=st.integers(0, 2**64 - 1), data=st.data())
     def test_damaged_field_is_a_parse_error(self, n_users, seed, data):
         doc = self.written_doc(n_users, seed)
@@ -623,6 +630,7 @@ class TestInstanceFileProperties:
         with pytest.raises(ParseError):
             self.read_doc(doc)
 
+    @file_settings
     @given(n_users=st.integers(1, 5), seed=st.integers(0, 2**64 - 1), data=st.data())
     def test_retyped_user_is_a_parse_error(self, n_users, seed, data):
         doc = self.written_doc(n_users, seed)
