@@ -67,11 +67,11 @@ class Partition:
 
 def partition_users(instance: Instance) -> Partition:
     columns = instance.derived
-    groups = ([], [], [], [])  # indexed by 2 * forced + saving
     classes = 2 * (columns.min_offload_bits > 0.0) + (columns.delta_per_bit < 0.0)
-    for uid, group in enumerate(classes.tolist()):
-        groups[group].append(uid)
-    free_costly, free_saving, forced_costly, forced_saving = map(frozenset, groups)
+    # each class's ids ascending, as Python ints; class = 2 * forced + saving
+    free_costly, free_saving, forced_costly, forced_saving = (
+        frozenset((classes == c).nonzero()[0].tolist()) for c in range(4)
+    )
     return Partition(forced_costly, forced_saving, free_costly, free_saving)
 
 

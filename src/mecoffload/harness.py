@@ -24,6 +24,7 @@ from .energy import (
     benchmark_energy_all_offloading,
     benchmark_energy_all_offloading_batch,
     feasibility_tmin,
+    partition_users,
     solve_energy_suboptimal,
 )
 from .lp import BudgetExceededError, shared_solutions
@@ -554,6 +555,10 @@ def _cmd_certify(args) -> int:
     else:
         print("rate: SKIPPED (instance above oracle budget)")
 
+    n_optional = len(partition_users(instance).free_saving)
+    if n_optional > budget.max_optional_energy:
+        print(f"energy: SKIPPED ({n_optional} optional users above oracle budget)")
+        return code
     schedule = solve_energy_suboptimal(instance)
     reference = brute_force_energy(instance, budget)
     if schedule.status == "infeasible" and reference.status == "infeasible":

@@ -10,6 +10,10 @@ energy it could spend) cannot come within the tie tolerance of the full
 subset's optimum.  That is the first step of a branch and bound (Land and
 Doig, 1960); the winner is the one, bit for bit, that solving every subset
 picks.
+
+Both sides read their subsets from one read-only table per size
+(`_subset_table`), built on first use and memoised up to 12 users, the
+default budgets.
 """
 
 from __future__ import annotations
@@ -50,6 +54,29 @@ class OracleBudget:
 _DEFAULT_BUDGET = OracleBudget()
 
 
+_TABLE_MEMO_MAX = 12  # the default budgets; the tables up to here take under 1 MB
+_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The subsets of n items as read-only arrays: `masks` (int64, 0 ...
+    2^n - 1), `bits` (float64, 2^n x n, row i holds the bits of mask i) and
+    `sizes` (float64, the member count less one of every nonempty mask, in
+    mask order).  Tables up to n = `_TABLE_MEMO_MAX` are built on first use
+    and kept; larger ones are built per call and not kept."""
+    table = _tables.get(n)
+    if table is None:
+        masks = np.arange(1 << n, dtype=np.int64)
+        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        sizes = bits[1:].sum(axis=1) - 1.0
+        for array in (masks, bits, sizes):
+            array.setflags(write=False)
+        table = (masks, bits, sizes)
+        if n <= _TABLE_MEMO_MAX:
+            _tables[n] = table
+    return table
+
+
 def _subset_tuple(mask: int, ids: list[int]) -> tuple[int, ...]:
     return tuple(ids[k] for k in range(len(ids)) if (mask >> k) & 1)
 
@@ -65,12 +92,11 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     if K > budget.max_users_rate:
         raise BudgetExceededError(f"{K} users exceed the rate oracle budget {budget.max_users_rate}")
 
-    ids = np.arange(K)
-    masks = np.arange(1, 1 << K, dtype=np.int64)
-    bits = ((masks[:, None] >> ids[None, :]) & 1).astype(float)
+    masks, bits, sizes = _subset_table(K)
+    masks, bits = masks[1:], bits[1:]  # the nonempty subsets, as views
     service = instance.service_rate
     num = bits @ (instance.weight * service)
-    den = (1.0 + instance.degradation) ** (bits.sum(axis=1) - 1.0) + bits @ (
+    den = (1.0 + instance.degradation) ** sizes + bits @ (
         instance.roundtrip_time_per_bit * service
     )
     rates = num / den
@@ -172,10 +198,9 @@ def _offload_bounds(instance: Instance, partition, optional: list[int]):
     columns = instance.derived
     base, _ = energymod._commitment(instance, partition, ())
     ids = np.asarray(optional, dtype=np.intp)
-    masks = np.arange(1 << ids.size)
-    chosen = ((masks[:, None] >> np.arange(ids.size)) & 1).astype(bool)
-    bits = np.repeat(base[None, :], masks.size, axis=0)
-    bits[:, ids] = np.where(chosen, columns.task_bits[ids], 0.0)
+    _, chosen, _ = _subset_table(ids.size)
+    bits = np.repeat(base[None, :], len(chosen), axis=0)
+    bits[:, ids] = np.where(chosen != 0.0, columns.task_bits[ids], 0.0)
     # accumulate adds left to right, in user id order, as the objective does
     bounds = np.add.accumulate(bits * columns.delta_per_bit, axis=1)[:, -1]
     scale = np.add.accumulate(np.abs(columns.delta_per_bit * columns.task_bits))[-1]

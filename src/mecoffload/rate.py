@@ -238,8 +238,11 @@ def solve_rate_max(instance: Instance) -> tuple[RateSchedule, tuple[SlaveSummary
     d = instance.degradation
     n_sizes = instance.n_users
     if d > 0.0:
-        # one spare size against rounding in the logs
-        n_sizes = min(n_sizes, int(math.log(float(wr.sum()) / rate) / math.log1p(d)) + 2)
+        # one spare size against rounding in the logs; a subnormal d
+        # overflows the quotient, which then cuts no size
+        cut = math.log(float(wr.sum()) / rate) / math.log1p(d)
+        if cut < n_sizes:
+            n_sizes = min(n_sizes, int(cut) + 2)
     penalties = [(1.0 + d) ** j for j in range(n_sizes)]  # the slave's Python floats
     penalty_row = np.array(penalties)
 
@@ -299,7 +302,7 @@ def homogeneous_m_star(
         raise ValueError("requires degradation > 0; the d=0 case schedules by threshold instead")
     if n_users < 1:
         raise ValueError("n_users must be >= 1")
-    x = 1.0 / math.log1p(degradation)
+    x = min(1.0 / math.log1p(degradation), n_users)  # inf for a subnormal degradation
     candidates = {min(max(int(math.floor(x)), 1), n_users), min(max(int(math.ceil(x)), 1), n_users)}
 
     def rate_at(m: int) -> float:

@@ -74,6 +74,25 @@ class TestPartition:
         part = partition_users(make_instance(users, deadline=100.0))
         assert not part.forced
 
+    @pytest.mark.parametrize("n_users", [1, 10, 300])
+    def test_groups_hold_python_ints_as_the_uid_loop_built_them(self, n_users):
+        # the sets must iterate, sort and print as the uid-by-uid appends did
+        for seed in range(5):
+            inst = stock_instance(n_users, 0.2, mix64(57, seed), deadline=(0.3, 0.6, 1.5)[seed % 3])
+            # a radio 100 times as power-hungry makes every third user costly
+            power = [p * (100.0 if k % 3 == 1 else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
+            inst = dataclasses.replace(inst, tx_power=power)
+            columns = inst.derived
+            groups = ([], [], [], [])
+            for uid in range(n_users):
+                forced = columns.min_offload_bits[uid] > 0.0
+                groups[2 * forced + (columns.delta_per_bit[uid] < 0.0)].append(uid)
+            part = partition_users(inst)
+            built = (part.free_costly, part.free_saving, part.forced_costly, part.forced_saving)
+            for group, ids in zip(built, map(frozenset, groups)):
+                assert group == ids and list(group) == list(ids)
+                assert all(type(uid) is int for uid in group)
+
 
 class TestFeasibility:
     def test_no_work_means_zero(self):

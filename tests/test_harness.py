@@ -320,6 +320,21 @@ class TestCli:
         assert "rate: MATCH (rel err < 1e-9)" in out
         assert "energy" in out
 
+    def test_certify_skips_past_both_oracle_budgets(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        assert cli_main([
+            "generate", "--users", "20", "--seed", "3", "--degradation", "0.05",
+            "--deadline-ms", "1500", "--out", str(inst_path),
+        ]) == 0
+        capsys.readouterr()
+        assert cli_main(["certify", str(inst_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == (
+            "rate: SKIPPED (instance above oracle budget)\n"
+            "energy: SKIPPED (13 optional users above oracle budget)\n"
+        )
+        assert err == ""
+
     def test_sweep_cli_writes_csv(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
         assert cli_main([

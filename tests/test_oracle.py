@@ -2,6 +2,7 @@ import dataclasses
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from mecoffload import (
     brute_force_energy_batch,
     brute_force_rate_max,
     conditional_solution,
+    energy,
     feasibility_tmin,
     lp,
     oracle,
@@ -24,6 +26,7 @@ from mecoffload import (
     validate_rate_schedule,
     with_deadline,
 )
+from mecoffload.harness import DEFAULT_GRIDS
 from mecoffload.rng import mix64
 from support import (
     count_stacked,
@@ -69,6 +72,104 @@ class TestRateOracle:
             assert validate_rate_schedule(inst, schedule).ok
             cs = conditional_solution(inst, schedule.scheduled)
             assert cs.satisfies_necessary_condition
+
+
+def reference_brute_force_rate_max(instance):
+    """The rate oracle as it enumerates without a table: every nonempty
+    subset's bits built afresh for the call."""
+    K = instance.n_users
+    ids = np.arange(K)
+    masks = np.arange(1, 1 << K, dtype=np.int64)
+    bits = ((masks[:, None] >> ids[None, :]) & 1).astype(float)
+    service = instance.service_rate
+    num = bits @ (instance.weight * service)
+    den = (1.0 + instance.degradation) ** (bits.sum(axis=1) - 1.0) + bits @ (
+        instance.roundtrip_time_per_bit * service
+    )
+    rates = num / den
+    best = float(np.max(rates))
+    tied = np.nonzero(rates >= best - oracle._TIE_RTOL * (1.0 + best))[0]
+    winner = min(tuple(k for k in range(K) if (int(masks[i]) >> k) & 1) for i in tied)
+    return conditional_solution(instance, winner).as_schedule()
+
+
+def fresh_bits(n):
+    masks = np.arange(1 << n, dtype=np.int64)
+    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+
+
+class TestSubsetTables:
+    """Every oracle call reads one memoised subset table per size.  The
+    winners and their bits must be what building the subsets afresh for
+    each call gives."""
+
+    @pytest.mark.parametrize("n_users", range(1, 13))
+    def test_rate_oracle_matches_the_per_call_enumeration(self, n_users):
+        for d in DEFAULT_GRIDS["rate-vs-d"]:
+            for seed in range(4):
+                inst = stock_instance(n_users, d, mix64(181, seed))
+                table, fresh = brute_force_rate_max(inst), reference_brute_force_rate_max(inst)
+                assert table.scheduled == fresh.scheduled
+                assert repr(table.sum_rate) == repr(fresh.sum_rate)
+                assert repr(table) == repr(fresh)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 12),
+        degradation=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_rate_oracle_property(self, n_users, degradation, seed):
+        inst = stock_instance(n_users, degradation, seed)
+        assert repr(brute_force_rate_max(inst)) == repr(reference_brute_force_rate_max(inst))
+
+    def test_products_are_bit_identical_to_a_fresh_array(self):
+        rng = np.random.default_rng(191)
+        for n in range(1, 13):
+            masks, bits, sizes = oracle._subset_table(n)
+            fresh = fresh_bits(n)
+            assert np.array_equal(masks, np.arange(1 << n))
+            assert np.array_equal(bits, fresh)
+            assert np.array_equal(sizes, fresh[1:].sum(axis=1) - 1.0)
+            for _ in range(300):
+                v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-9.0, 9.0, n)
+                assert (bits[1:] @ v).tobytes() == (fresh[1:] @ v).tobytes()
+
+    def test_tables_are_read_only_and_shared(self):
+        for n in (0, 1, 5, 12):
+            table = oracle._subset_table(n)
+            assert oracle._subset_table(n) is table
+            for array in table:
+                with pytest.raises(ValueError):
+                    array[...] = 0
+            with pytest.raises(ValueError):
+                table[1][1:][0, 0] = 1.0
+
+    def test_raised_budget_builds_per_call_and_keeps_nothing(self):
+        inst = stock_instance(13, 0.1, 4)
+        schedule = brute_force_rate_max(inst, OracleBudget(max_users_rate=13))
+        assert repr(schedule) == repr(reference_brute_force_rate_max(inst))
+        assert 13 not in oracle._tables
+        assert oracle._subset_table(13) is not oracle._subset_table(13)
+        assert max(oracle._tables) <= oracle._TABLE_MEMO_MAX
+
+    def test_memoised_tables_take_under_a_megabyte(self):
+        nbytes = sum(a.nbytes for n in range(oracle._TABLE_MEMO_MAX + 1)
+                     for a in oracle._subset_table(n))
+        assert nbytes < 1 << 20
+
+    def test_energy_bounds_match_a_fresh_subset_matrix(self):
+        for inst in oracle_mix():
+            part = partition_users(inst)
+            optional = sorted(part.free_saving)
+            bounds, scale = oracle._offload_bounds(inst, part, optional)
+            columns = inst.derived
+            ids = np.asarray(optional, dtype=np.intp)
+            base, _ = energy._commitment(inst, part, ())
+            bits = np.repeat(base[None, :], 1 << ids.size, axis=0)
+            bits[:, ids] = np.where(fresh_bits(ids.size).astype(bool), columns.task_bits[ids], 0.0)
+            fresh = np.add.accumulate(bits * columns.delta_per_bit, axis=1)[:, -1]
+            assert np.asarray(bounds).tobytes() == fresh.tobytes()
 
 
 class TestEnergyOracle:

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecoffload import (
     GenerationSpec,
@@ -21,6 +23,7 @@ from mecoffload import (
     validate_rate_schedule,
 )
 from mecoffload import rate as ratemod
+from mecoffload.model import RATE_RTOL
 from mecoffload.rng import SplitMix64, mix64
 from support import (
     homogeneous_instance,
@@ -148,6 +151,31 @@ class TestSolveRateMax:
         oracle = brute_force_rate_max(inst)
         assert schedule.sum_rate == pytest.approx(oracle.sum_rate, rel=1e-9)
         assert validate_rate_schedule(inst, schedule).ok
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 12),
+        degradation=st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.0, 3.0)),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_equals_the_oracle_or_ties_it(self, n_users, degradation, seed):
+        inst = stock_instance(n_users, degradation, seed)
+        schedule, _ = solve_rate_max(inst)
+        oracle = brute_force_rate_max(inst)
+        tol = RATE_RTOL * (1.0 + oracle.sum_rate)
+        assert schedule.sum_rate <= oracle.sum_rate + tol
+        if schedule.scheduled != oracle.scheduled:
+            assert schedule.sum_rate >= oracle.sum_rate - tol
+
+    def test_subnormal_degradation_solves_as_zero(self):
+        # 1 + 5e-324 == 1, so every penalty is that of d = 0; the size cut
+        # log(sum(w r) / R) / log1p(5e-324) overflows to inf and cuts nothing
+        for seed in range(4):
+            inst = stock_instance(10, 0.0, mix64(31, seed))
+            tiny = dataclasses.replace(inst, degradation=5e-324)
+            schedule, _ = solve_rate_max(tiny)
+            assert repr(schedule) == repr(solve_rate_max(inst)[0])
+            assert schedule.scheduled == brute_force_rate_max(tiny).scheduled
 
     def test_scheduled_users_sit_at_their_caps(self):
         inst = stock_instance(9, 0.1, 77)
@@ -278,6 +306,10 @@ class TestHomogeneousMStar:
 
     def test_clamped_by_population(self):
         assert homogeneous_m_star(0.001, 4, 1.5e7, 9e-9) == 4
+
+    def test_subnormal_degradation_takes_everyone(self):
+        # 1/log1p(5e-324) overflows to inf
+        assert homogeneous_m_star(5e-324, 4, 1.5e7, 9e-9) == 4
 
     def test_agrees_with_full_solver(self):
         # at d = 1/m the neighbors m and m+1 are exactly tied (the closed
