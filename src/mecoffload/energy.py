@@ -23,6 +23,7 @@ from . import lp as lpmod
 from .model import (
     EnergySchedule,
     Instance,
+    Partition,
     baseline_local_energy,
     interference_penalty,
     vm_rate_factor,
@@ -37,42 +38,18 @@ __all__ = [
     "total_delay",
     "required_compute_time",
     "solve_energy_suboptimal",
+    "solve_energy_suboptimal_batch",
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
     "benchmark_energy_all_offloading_batch",
 ]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint, exhaustive split of the users.
-
-    forced_* users cannot finish locally by the deadline (min_offload_bits
-    > 0) and must be scheduled; free_* users could stay local.  *_saving
-    users reduce their energy by offloading (negative per-bit energy delta);
-    *_costly users do not, so they offload only the forced minimum.
-    Energy-neutral users count as costly: no point occupying a VM for zero
-    gain.
-    """
-
-    forced_costly: frozenset[int]
-    forced_saving: frozenset[int]
-    free_costly: frozenset[int]
-    free_saving: frozenset[int]
-
-    @property
-    def forced(self) -> frozenset[int]:
-        return self.forced_costly | self.forced_saving
-
-
 def partition_users(instance: Instance) -> Partition:
-    columns = instance.derived
-    classes = 2 * (columns.min_offload_bits > 0.0) + (columns.delta_per_bit < 0.0)
-    # each class's ids ascending, as Python ints; class = 2 * forced + saving
-    free_costly, free_saving, forced_costly, forced_saving = (
-        frozenset((classes == c).nonzero()[0].tolist()) for c in range(4)
-    )
-    return Partition(forced_costly, forced_saving, free_costly, free_saving)
+    """The users split four ways: `Instance.partition`, built on first use
+    and memoised on the instance, since the heuristic and the oracle both
+    read it."""
+    return instance.partition
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +250,19 @@ def _ids(ids) -> np.ndarray:
     return np.fromiter(ids, np.intp, len(ids))
 
 
+def _optional(partition: Partition, s1) -> frozenset[int]:
+    """s1 as a frozenset, which must be drawn from the free saving users."""
+    s1 = frozenset(s1)
+    if not s1 <= partition.free_saving:
+        raise ValueError("optional set must be drawn from the free saving users")
+    return s1
+
+
 def _commitment(instance: Instance, partition: Partition, s1):
     """Every user's committed offload bits, in id order: the whole task for
     the forced saving users and s1, the forced minimum for the forced costly
     ones, and 0 for the rest; with the number of VMs they occupy."""
-    s1 = frozenset(s1)
-    if not s1 <= partition.free_saving:
-        raise ValueError("optional set must be drawn from the free saving users")
+    s1 = _optional(partition, s1)
     columns = instance.derived
     bits = np.zeros(instance.n_users)
     costly = _ids(partition.forced_costly)
@@ -324,24 +307,26 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     the schedule, or None where the LP is infeasible.  The LP runs over the
     members' offload sizes and the computing window, and minimizes the
     energy deltas subject to the radio budget and per-user caps."""
-    s1 = frozenset(s1)
-    base, n_vms = _commitment(instance, partition, s1)
+    s1 = _optional(partition, s1)
     columns = instance.derived
-    min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
-    service = columns.service.tolist()
     members = sorted(partition.forced_saving | s1)
-    factor = vm_rate_factor(instance.degradation, n_vms)
-    # left to right in ascending id, however the set iterates
-    budget = instance.deadline - sum(
-        min_bits[uid] * roundtrip[uid] for uid in sorted(partition.forced_costly)
-    )
-    te_floor = max(
-        (min_bits[uid] / (service[uid] * factor) for uid in partition.forced_costly),
-        default=0.0,
-    )
+    factor = vm_rate_factor(instance.degradation, len(partition.forced) + len(s1))
+    # every user's bits but the members': the forced minimum of the forced
+    # costly users, 0 for the rest (`_commitment`)
+    committed = [0.0] * instance.n_users
+    budget, te_floor = instance.deadline, 0.0
+    if partition.forced_costly:
+        min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
+        service = columns.service.tolist()
+        costly = sorted(partition.forced_costly)
+        for uid in costly:
+            committed[uid] = min_bits[uid]
+        # left to right in ascending id, however the set iterates
+        budget -= sum(min_bits[uid] * roundtrip[uid] for uid in costly)
+        te_floor = max(min_bits[uid] / (service[uid] * factor) for uid in costly)
 
     def schedule(member_bits, te):
-        bits = base.tolist()
+        bits = committed.copy()
         for uid, b in zip(members, member_bits):
             bits[uid] = b
         return _schedule(instance, partition.forced | s1, bits, te, "lp-path")
@@ -354,17 +339,23 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     lpmod.check_size(2 * len(members) + 1, len(members) + 1)
     ids = _ids(members)
     n = ids.size + 1  # trailing variable is the computing window
+    objective = np.zeros(n)
+    objective[:-1] = columns.delta_per_bit[ids]
     coeffs = np.zeros((n, n))  # the budget row, then a cap row per member
-    coeffs[0] = np.append(columns.roundtrip[ids], 1.0)
-    np.fill_diagonal(coeffs[1:], 1.0)
+    coeffs[0, :-1] = columns.roundtrip[ids]
+    coeffs[0, -1] = 1.0
+    coeffs.flat[n :: n + 1] = 1.0  # member k's own column in its cap row
     coeffs[1:, -1] = -columns.service[ids] * factor
-    bounds = np.full((n, 2), math.inf)
+    rhs = np.zeros(n)
+    rhs[0] = budget
+    bounds = np.empty((n, 2))
     forced = [uid in partition.forced_saving for uid in members]
     bounds[:-1, 0] = np.where(forced, columns.min_offload_bits[ids], 0.0)
     bounds[:-1, 1] = columns.task_bits[ids]
-    bounds[-1, 0] = te_floor
-    problem = lpmod.LpProblem(np.append(columns.delta_per_bit[ids], 0.0), coeffs, ("<=",) * n,
-                              np.append(budget, np.zeros(ids.size)), bounds)
+    bounds[-1] = te_floor, math.inf
+    for array in (objective, coeffs, rhs, bounds):
+        array.flags.writeable = False  # read-only and owned: `LpProblem` keeps them uncopied
+    problem = lpmod.LpProblem(objective, coeffs, ("<=",) * n, rhs, bounds)
 
     def finish(sol):
         if sol.status != "optimal":
@@ -378,7 +369,8 @@ def _solve(plans: list) -> list:
     """`finish(solution)` of each (LP or None, finish) plan, with every LP
     of the plans solved in one `lp.solve_lps` call (None for a plan
     without one)."""
-    solutions = iter(lpmod.solve_lps([problem for problem, _ in plans if problem is not None]))
+    problems = [problem for problem, _ in plans if problem is not None]
+    solutions = iter(lpmod.solve_lps(problems) if problems else ())
     return [finish(None if problem is None else next(solutions)) for problem, finish in plans]
 
 
@@ -435,8 +427,20 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     evaluation at the deadline; `feasibility_tmin` runs only on a refusal,
     whose schedule reports t_min.
     """
+    return _solve([_suboptimal_plan(instance)])[0]
+
+
+def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
+    """`solve_energy_suboptimal` of each instance, with the LPs of those
+    that take the LP branch solved in one `lp.solve_lps` call."""
+    return _solve([_suboptimal_plan(instance) for instance in instances])
+
+
+def _suboptimal_plan(instance: Instance):
+    """`solve_energy_suboptimal` as a plan for `_solve`: the LP-branch LP
+    and its finish, or no LP and the schedule of the other branches."""
     if feasibility_gap(instance, instance.deadline) > 0.0:
-        return _infeasible(instance, feasibility_tmin(instance).t_min)
+        return _done(_infeasible(instance, feasibility_tmin(instance).t_min))
 
     part = partition_users(instance)
     columns = instance.derived
@@ -452,8 +456,8 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
     optional = np.sort(_ids(part.free_saving))
     load = committed(optional)
     if instance.deadline >= _delay(instance, *load):
-        return _schedule(instance, part.forced | part.free_saving, load[0].tolist(),
-                         _window(instance, *load), "optimal-path")
+        return _done(_schedule(instance, part.forced | part.free_saving, load[0].tolist(),
+                               _window(instance, *load), "optimal-path"))
 
     if instance.deadline >= _delay(instance, base, n_forced):
         # Users leave in a fixed order, lowest saving per radio second
@@ -472,13 +476,19 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
                 enough = mid
         kept = order[enough:]
         load = committed(kept)
-        return _schedule(instance, part.forced | frozenset(kept.tolist()), load[0].tolist(),
-                         _window(instance, *load), "greedy-path")
+        return _done(_schedule(instance, part.forced | frozenset(kept.tolist()),
+                               load[0].tolist(), _window(instance, *load), "greedy-path"))
 
-    schedule = solve_subset_lp(instance, part, frozenset())
-    if schedule is None:  # not expected once the deadline clears t_min
-        return _infeasible(instance, feasibility_tmin(instance).t_min)
-    return schedule
+    problem, finish = _subset_lp(instance, part, frozenset())
+    # an infeasible LP is not expected once the deadline clears t_min
+    return problem, lambda sol: (
+        finish(sol) or _infeasible(instance, feasibility_tmin(instance).t_min)
+    )
+
+
+def _done(schedule: EnergySchedule):
+    """A plan for `_solve` that needs no LP: its finish returns the schedule."""
+    return None, lambda _: schedule
 
 
 def _all_offload_lp(instance: Instance):

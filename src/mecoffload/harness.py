@@ -26,8 +26,9 @@ from .energy import (
     feasibility_tmin,
     partition_users,
     solve_energy_suboptimal,
+    solve_energy_suboptimal_batch,
 )
-from .lp import BudgetExceededError, shared_solutions
+from .lp import BudgetExceededError, shared_solutions, stack_capacity
 from .model import (
     ConfigurationError,
     EnergySchedule,
@@ -80,12 +81,15 @@ ENERGY_ALGORITHMS = {
     "oracle": brute_force_energy,
 }
 
-# An energy sweep runs ENERGY_BLOCK realizations at a time.  The algorithms
-# listed here, and the certifying oracle, take the block through their batch
-# forms, which solve the block's LPs together in stacks of `lp.MAX_BATCH`;
-# the values still go into the CSV in realization order.
-ENERGY_BLOCK = 16
+# An energy sweep runs a grid point's realizations a block at a time.  The
+# algorithms listed here, and the certifying oracle, take the block through
+# their batch forms, which solve the block's LPs together in stacks cut by
+# `lp.stack_starts`; the values still go into the CSV in realization order.
+# A block holds as many realizations as one stack holds all-offload LPs
+# (`_energy_block`), so the block's LPs fill whole stacks while its memory
+# does not grow with the realization count.
 ENERGY_BATCHES = {
+    "suboptimal": solve_energy_suboptimal_batch,
     "all-offload": benchmark_energy_all_offloading_batch,
     "oracle": brute_force_energy_batch,
 }
@@ -184,6 +188,13 @@ _PARAM_NAME = {
 }
 
 
+def _energy_block(n_users: int) -> int:
+    """Realizations per energy block: as many as one LP stack holds
+    all-offload LPs of n_users users, 2K + 1 rows over K + 1 columns
+    (`energy._subset_lp`)."""
+    return stack_capacity(2 * n_users + 1, n_users + 1)
+
+
 def _mean_stderr(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values)
     mean = float(arr.mean())
@@ -206,13 +217,13 @@ def run_sweep(spec: SweepSpec) -> str:
     lines = [",".join(header)]
 
     algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
-    block = 1 if rate_side else ENERGY_BLOCK
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         gaps: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         certified: dict[str, int] = {name: 0 for name in spec.algorithms}
         generation = _generation_spec(spec, value)
+        block = 1 if rate_side else min(spec.realizations, _energy_block(generation.n_users))
         for first in range(0, spec.realizations, block):
             instances = [
                 generate_instance(generation, mix64(spec.base_seed, gi, ri))

@@ -6,21 +6,22 @@ columns follow Bland's lowest-index rule, ratio-test ties break toward the
 lowest row, and rows are rescaled to unit max-coefficient before solving so
 mixed second/bit scales do not starve the pivot threshold.
 
-`solve_lps` solves up to MAX_BATCH problems at a time as one stack of
-zero-padded tableaus, pivoting them in lockstep; `solve_lp` is the stack of
-one.  The tableaus are updated a whole array at a time, yet every pivot is
-the one a row-at-a-time loop would make on the problem alone, and every
-entry gets the same floating-point operations: each row subtracts
-factor * pivot_row elementwise, rows whose factor is zero (either sign) are
-not written at all, so the sign of a zero survives, and the entering column
-and leaving row are the first index meeting the rule, as a scalar loop
-would find them.  The objective rows are priced out one basic row after
-another, and each constraint's offset shift is a single 1-D dot, so no sum
-is regrouped.  Padding never enters a pivot (DESIGN_NOTES.md, "Batched
-simplex").  `tests/lp_reference.py` keeps the row-at-a-time solver, and the
-test suite checks that the two agree bit for bit.  Inside a
-`shared_solutions` scope, `solve_lps` solves each distinct problem once and
-answers its repeats from the scope's memo.
+`solve_lps` solves its problems in stacks of zero-padded tableaus,
+pivoting each stack in lockstep; a stack holds at most STACK_ENTRIES
+tableau entries (`stack_starts`), or one problem beyond that, and
+`solve_lp` is the stack of one.  The tableaus are updated a whole array at
+a time, yet every pivot is the one a row-at-a-time loop would make on the
+problem alone, and every entry gets the same floating-point operations:
+each row subtracts factor * pivot_row elementwise, rows whose factor is
+zero (either sign) are not written at all, so the sign of a zero survives,
+and the entering column and leaving row are the first index meeting the
+rule, as a scalar loop would find them.  The objective rows are priced out
+one basic row after another, and each constraint's offset shift is a
+single 1-D dot, so no sum is regrouped.  Padding never enters a pivot
+(DESIGN_NOTES.md, "Batched simplex").  `tests/lp_reference.py` keeps the
+row-at-a-time solver, and the test suite checks that the two agree bit for
+bit.  Inside a `shared_solutions` scope, `solve_lps` solves each distinct
+problem once and answers its repeats from the scope's memo.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "LpStructureError",
     "BudgetExceededError",
     "check_size",
+    "stack_starts",
+    "stack_capacity",
     "solve_lp",
     "solve_lps",
     "shared_solutions",
@@ -46,8 +49,8 @@ __all__ = [
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_ITER = 100_000  # pivots per problem and phase
-MAX_BATCH = 16  # problems per lockstep stack
 MAX_TABLEAU_ENTRIES = 1 << 24  # doubles per problem (128 MiB)
+STACK_ENTRIES = 1 << 16  # doubles per lockstep stack (512 KiB), as `_entries` counts them
 
 _RELATIONS = ("<=", "=", ">=")
 _SENSE = {"<=": 1, "=": 0, ">=": -1}  # negated by a row sign flip
@@ -63,14 +66,22 @@ class BudgetExceededError(RuntimeError):
 
 
 def _frozen(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A read-only float64 copy of values, which must have the given shape;
-    an empty sequence stands for any empty shape."""
-    array = np.array(values, dtype=np.float64)
+    """values as a read-only float64 array of the given shape: a read-only
+    float64 array that owns its data is taken as it is, anything else is
+    copied.  An empty sequence stands for any empty shape."""
+    array = values
+    if not (
+        array.__class__ is np.ndarray
+        and array.dtype == np.float64
+        and not array.flags.writeable
+        and array.flags.owndata
+    ):
+        array = np.array(values, dtype=np.float64)
+        array.flags.writeable = False
     if array.size == 0 == math.prod(shape):
         array = array.reshape(shape)
     if array.shape != shape:
         raise LpStructureError(f"{name} has shape {array.shape}, expected {shape}")
-    array.flags.writeable = False
     return array
 
 
@@ -82,7 +93,9 @@ class LpProblem:
     objective has one entry per variable (n), coeffs one row per
     constraint (m, n), relations m of "<=", "=" and ">=", rhs m entries and
     bounds one (lower, upper) pair per variable (n, 2); use -inf/+inf for
-    unbounded sides.  Each array is stored as a read-only float64 copy.
+    unbounded sides.  Each array is stored read-only as float64: a
+    read-only float64 array that owns its data, as `energy._subset_lp`
+    builds them, is kept as it is, and anything else is copied.
     There is no value equality: `_key` tells problems apart by their bytes.
     """
 
@@ -98,18 +111,21 @@ class LpProblem:
                             ("bounds", (n, 2))):
             object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
         object.__setattr__(self, "relations", tuple(self.relations))
-        for k, relation in enumerate(self.relations):
-            if relation not in _RELATIONS:
-                raise LpStructureError(f"constraint {k}: unknown relation {relation!r}")
-        finite = np.isfinite(self.rhs)
-        if not finite.all():
-            raise LpStructureError(f"constraint {finite.argmin()}: rhs must be finite")
-        # an infinite coefficient stays legal, but nan has no order
-        if np.isnan(self.objective).any() or np.isnan(self.coeffs).any():
+        if not all(map(_RELATIONS.__contains__, self.relations)):
+            k = next(k for k, r in enumerate(self.relations) if r not in _RELATIONS)
+            raise LpStructureError(f"constraint {k}: unknown relation {self.relations[k]!r}")
+        # One reduction per check, each false on a nan: the largest |rhs| is
+        # finite, the least objective and coefficient are numbers (an
+        # infinite coefficient stays legal, but nan has no order), and every
+        # lower bound is at most its upper bound.
+        if not np.abs(self.rhs).max(initial=0.0) < math.inf:
+            k = np.isfinite(self.rhs).argmin()
+            raise LpStructureError(f"constraint {k}: rhs must be finite")
+        if math.isnan(self.objective.min(initial=0.0)) or math.isnan(self.coeffs.min(initial=0.0)):
             raise LpStructureError("nan in the objective or the coefficients")
-        ordered = self.bounds[:, 0] <= self.bounds[:, 1]  # false where either bound is nan
-        if not ordered.all():
-            j = ordered.argmin()
+        lower, upper = self.bounds.T
+        if not np.less_equal(lower, upper).all():
+            j = np.less_equal(lower, upper).argmin()  # false where either bound is nan
             raise LpStructureError(f"variable {j}: bounds {self.bounds[j].tolist()} out of order")
 
     @property
@@ -124,22 +140,30 @@ class LpSolution:
     objective_value: float
 
 
-def _pivots(stack, lps, rows, cols, factors) -> None:
-    """Pivot tableau lps[k] of the stack on (rows[k], cols[k]) for every k at
-    once; factors[k] is that tableau's column cols[k] before the pivot."""
+def _pivots(stack, lps, rows, factors, products=None) -> None:
+    """Pivot tableau lps[k] of the stack on row rows[k] for every k at once;
+    factors[k] is that tableau's entering column before the pivot.  The
+    products factor * pivot row are formed in `products`, tableaus of the
+    stack's shape, as many tableaus at a time as it holds (all of them at
+    once where it is None)."""
     pivot_rows = stack[lps, rows]
     pivot_rows /= factors[lps, rows, None]
     stack[lps, rows] = pivot_rows
     factors[lps, rows] = 0.0
     factors = factors[:, :, None]
-    # Rows with a zero factor are left alone rather than updated by 0 * row:
-    # -0.0 - 0.0 * x is +0.0 for x < 0, and 0.0 * inf is nan.
-    np.subtract(stack, factors * pivot_rows[:, None, :], out=stack, where=factors != 0.0)
+    step = len(stack) if products is None else len(products)
+    for at in range(0, len(stack), step):
+        part = slice(at, at + step)
+        out = None if products is None else products[: min(step, len(stack) - at)]
+        # Rows with a zero factor are left alone rather than updated by
+        # 0 * row: -0.0 - 0.0 * x is +0.0 for x < 0, and 0.0 * inf is nan.
+        np.subtract(stack[part], np.multiply(factors[part], pivot_rows[part, None, :], out=out),
+                    out=stack[part], where=factors[part] != 0.0)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     """`_pivots` for a single tableau."""
-    _pivots(tableau[None], np.zeros(1, dtype=int), row, col, tableau[None, :, col].copy())
+    _pivots(tableau[None], np.zeros(1, dtype=int), row, tableau[None, :, col].copy())
 
 
 def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarray:
@@ -148,13 +172,16 @@ def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarra
     and returns which of them are unbounded.
 
     A problem leaves the working set as soon as it is done, so that the
-    others do not carry it through their remaining steps."""
+    others do not carry it through their remaining steps.  The pivot
+    products go to one buffer of a quarter of STACK_ENTRIES, a few tableaus
+    at a time."""
     m, n = stack.shape[1] - 1, stack.shape[2] - 1
     unbounded = np.zeros(len(lps), dtype=bool)
     at = np.arange(len(lps))  # where in lps each working problem sits
     # lps is sorted, so all of them is the whole stack, pivoted in place
     work, work_basis = (stack, basis) if lps.size == len(stack) else (stack[lps], basis[lps])
     working = at
+    products = np.empty_like(work[: max(1, min(len(work), STACK_ENTRIES // 4 // stack[0].size))])
     for _ in range(MAX_ITER):
         if not at.size:
             return unbounded
@@ -186,7 +213,7 @@ def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarra
             work, work_basis, at = work[pivoting], work_basis[pivoting], at[pivoting]
             enter, leave, factors = enter[pivoting], leave[pivoting], factors[pivoting]
             working = np.arange(at.size)
-        _pivots(work, working, leave, enter, factors)
+        _pivots(work, working, leave, factors, products)
         work_basis[working, leave] = enter
     raise RuntimeError("simplex iteration cap exceeded")
 
@@ -200,17 +227,56 @@ def _satisfied(relation: str, b: float) -> bool:
     )
 
 
+def _entries(n_rows: int, n_cols: int) -> int:
+    """The tableau entries a problem of n_rows constraint and box rows over
+    n_cols variable columns may need: each row may need a slack or surplus
+    column and an artificial one, and the objective row and the right-hand
+    side column come on top.  A stack whose problems have at most n_rows
+    rows and n_cols columns each holds at most this many per problem."""
+    return (n_rows + 1) * (n_cols + 2 * n_rows + 1)
+
+
 def check_size(n_rows: int, n_cols: int) -> None:
     """Refuse a problem of n_rows constraint and box rows over n_cols
     variable columns whose tableau could hold more than MAX_TABLEAU_ENTRIES
-    doubles (each row may need a slack or surplus column and an artificial
-    one).  Cheap enough to call before the problem itself is built."""
-    entries = (n_rows + 1) * (n_cols + 2 * n_rows + 1)
+    doubles (`_entries`).  Cheap enough to call before the problem itself
+    is built."""
+    entries = _entries(n_rows, n_cols)
     if entries > MAX_TABLEAU_ENTRIES:
         raise BudgetExceededError(
             f"an LP of {n_rows} rows over {n_cols} columns may need {entries} tableau "
             f"entries, beyond the {MAX_TABLEAU_ENTRIES}-entry guard"
         )
+
+
+def stack_starts(problems) -> list[int]:
+    """Where each lockstep stack begins when `solve_lps` stacks these
+    problems in order: the index of each stack's first problem."""
+    return _starts(map(_size, problems))
+
+
+def stack_capacity(n_rows: int, n_cols: int) -> int:
+    """How many problems of n_rows rows over n_cols variable columns (as
+    `check_size` counts them) one stack holds: at least one."""
+    return max(1, STACK_ENTRIES // _entries(n_rows, n_cols))
+
+
+def _starts(sizes) -> list[int]:
+    """`stack_starts` of problems of these (rows, columns) sizes (`_size`).
+
+    A stack takes the next problem while its count times `_entries` of its
+    most rows and most columns stays within STACK_ENTRIES, which bounds the
+    stacked tableaus; a problem beyond that on its own stacks alone."""
+    starts = []
+    count = rows = cols = 0
+    for k, (n_rows, n_cols) in enumerate(sizes):
+        rows, cols = max(rows, n_rows), max(cols, n_cols)
+        if count and (count + 1) * _entries(rows, cols) > STACK_ENTRIES:
+            count, rows, cols = 0, n_rows, n_cols
+        if not count:
+            starts.append(k)
+        count += 1
+    return starts
 
 
 def _size(problem: LpProblem) -> tuple[int, int]:
@@ -270,13 +336,15 @@ class _Stack:
     """The standard forms of several problems, zero-padded to one shape.
 
     tableau[k] holds problem k's constraint rows (its constraints in order,
-    then a row per finite box, each padded to a common count) over its
-    variable columns, then its slack, surplus and artificial columns, each
-    group starting at a common column, and the right-hand side last; its
-    objective row is last.  Rows and columns keep the problem's own order,
-    so Bland's rule and the ratio test pick what they pick on the problem
-    alone.  Padding rows, and constraint rows without coefficients, have
-    basis -1 and are zero throughout."""
+    then a row per finite box) over its variable columns, then its slack
+    and surplus columns, then, from a column common to the stack, its
+    artificial columns, and the right-hand side last; its objective row is
+    last.  Rows and columns keep the problem's own order, so Bland's rule
+    and the ratio test pick what they pick on the problem alone, and a
+    stack of problems of at most R rows and C variable columns each has at
+    most `_entries(R, C)` entries per problem.  Padding rows, and
+    constraint rows without coefficients, have basis -1 and are zero
+    throughout."""
 
     tableau: np.ndarray
     basis: np.ndarray
@@ -291,14 +359,14 @@ class _Stack:
 def _standard_form(shifted: list[_Shifted]) -> _Stack:
     count = len(shifted)
     n_vars = max(s.problem.n_vars for s in shifted)
-    n_cons = max(len(s.rhs) for s in shifted)
-    n_upper = max(len(s.upper) for s in shifted)
+    ncons = np.array([len(s.rhs) for s in shifted])
+    nupper = np.array([len(s.upper) for s in shifted])
     ncols = np.array([len(s.col_var) for s in shifted])
-    width = int(ncols.max())
-    rows = n_cons + n_upper
-    # column n_vars of the padded coefficients is zero: absent columns read it
-    coeffs = np.zeros((count, n_cons, n_vars + 1))
+    n_cons, n_upper, width = int(ncons.max()), int(nupper.max()), int(ncols.max())
+    rows = int((ncons + nupper).max())
+    # column n_vars of the padded objective is zero: absent columns read it
     objective = np.zeros((count, n_vars + 1))
+    cons = np.zeros((count, n_cons, width))  # the coefficients of each column
     col_var = np.full((count, width), n_vars)
     col_sign = np.ones((count, width))
     b = np.zeros((count, rows))
@@ -307,15 +375,14 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     upper = np.zeros((count, n_upper))
     upper_cols = np.zeros((count, n_upper), dtype=int)
     for k, s in enumerate(shifted):
-        n, c, u = s.problem.n_vars, len(s.rhs), len(s.upper)
-        coeffs[k, :c, :n] = s.problem.coeffs
+        n, c, u = s.problem.n_vars, ncons[k], nupper[k]
+        cons[k, :c, : ncols[k]] = s.problem.coeffs[:, s.col_var]
         objective[k, :n] = s.problem.objective
         col_var[k, : ncols[k]] = s.col_var
         col_sign[k, : ncols[k]] = s.col_sign
         b[k, :c] = s.rhs
         sense[k, :c] = [_SENSE[relation] for relation in s.problem.relations]
-        real[k, :c] = True
-        real[k, n_cons : n_cons + u] = True
+        real[k, : c + u] = True  # its constraints, then its boxes
         upper[k, :u] = s.upper
         upper_cols[k, :u] = s.upper_cols
 
@@ -323,45 +390,46 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     cscale = np.max(np.abs(cvec), axis=1, keepdims=True)
     np.divide(cvec, cscale, out=cvec, where=cscale > 0.0)
 
-    A = np.zeros((count, rows, width))
-    cons = np.take_along_axis(coeffs, col_var[:, None, :], axis=2) * col_sign[:, None, :]
+    cons *= col_sign[:, None, :]
     scale = np.max(np.abs(cons), axis=2, initial=0.0)
-    empty = real[:, :n_cons] & (scale <= 0.0)
+    constraint = np.arange(n_cons) < ncons[:, None]
+    empty = constraint & (scale <= 0.0)
     infeasible = np.zeros(count, dtype=bool)
     for k, i in zip(*empty.nonzero()):
         infeasible[k] |= not _satisfied(shifted[k].problem.relations[i], b[k, i])
     real[:, :n_cons] &= ~empty
-    kept = real[:, :n_cons]
-    np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
+    kept = constraint & ~empty
     np.divide(b[:, :n_cons], scale, out=b[:, :n_cons], where=kept)
-    b[:, :n_cons][~kept] = 0.0
+    b[:, :n_cons][empty] = 0.0
     upper_scale = np.maximum(1.0, np.abs(upper))
-    k, u = real[:, n_cons:].nonzero()
-    A[k, n_cons + u, upper_cols[k, u]] = 1.0 / upper_scale[k, u]
-    b[:, n_cons:] = upper / upper_scale
+    k, u = (np.arange(n_upper) < nupper[:, None]).nonzero()
+    box = ncons[k] + u  # each box row, right after its problem's constraints
+    b[k, box] = upper[k, u] / upper_scale[k, u]
     flip = b < 0.0
-    np.negative(A, out=A, where=flip[:, :, None])
     np.negative(b, out=b, where=flip)
     np.negative(sense, out=sense, where=flip)
 
     slack = real & (sense == _SENSE["<="])
     surplus = real & (sense == _SENSE[">="])
     art = real & (sense != _SENSE["<="])
-    n_slack, n_surplus, n_art = (int(x.sum(axis=1).max()) for x in (slack, surplus, art))
-    a_at = width + n_slack + n_surplus
-    total = a_at + n_art
+    n_slack = slack.sum(axis=1)
+    a_at = width + int((n_slack + surplus.sum(axis=1)).max())
+    total = a_at + int(art.sum(axis=1).max())
     tableau = np.zeros((count, rows + 1, total + 1))
-    tableau[:, :rows, :width] = A
+    A = tableau[:, :rows, :width]
+    np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
+    A[k, box, upper_cols[k, u]] = 1.0 / upper_scale[k, u]
+    np.negative(A, out=A, where=flip[:, :, None])
     tableau[:, :rows, total] = b
     basis = np.full((count, rows), -1)
     for rows_of, first, value in ((slack, width, 1.0), (surplus, width + n_slack, -1.0),
                                   (art, a_at, 1.0)):
         k, i = rows_of.nonzero()
-        col = first + (np.cumsum(rows_of, axis=1) - 1)[k, i]
+        col = np.broadcast_to(first, count)[k] + (np.cumsum(rows_of, axis=1) - 1)[k, i]
         tableau[k, i, col] = value
         if value > 0.0:
             basis[k, i] = col
-    art_rows = np.full((count, n_art), -1)
+    art_rows = np.full((count, total - a_at), -1)
     k, i = art.nonzero()
     art_rows[k, (np.cumsum(art, axis=1) - 1)[k, i]] = i
     return _Stack(
@@ -378,15 +446,14 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
 
 def _price(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
     """Subtract factors[k, j] * (row rows[k, j]) from the objective row of
-    problem lps[k], for j = 0, 1, ... in turn, skipping zero factors.
-    subtract.reduce goes strictly left to right, and a skipped row adds a
-    +0.0 term, which leaves every value (and the sign of a zero) as it is."""
-    used = (factors != 0.0).any(axis=0)
-    rows, factors = rows[:, used], factors[:, used, None]
-    terms = np.zeros((lps.size, rows.shape[1] + 1, tableau.shape[2]))
-    terms[:, 0] = tableau[lps, -1]
-    np.multiply(factors, tableau[lps[:, None], rows], out=terms[:, 1:], where=factors != 0.0)
-    tableau[lps, -1] = np.subtract.reduce(terms, axis=1)
+    problem lps[k], for j = 0, 1, ... in turn, skipping zero factors: the
+    x - factor * row of a row-at-a-time loop, in its order, and a skipped
+    row leaves every value (and the sign of a zero) as it is."""
+    objective = tableau[lps, -1]
+    for j in (factors != 0.0).any(axis=0).nonzero()[0]:
+        k = factors[:, j].nonzero()[0]
+        objective[k] -= factors[k, j, None] * tableau[lps[k], rows[k, j]]
+    tableau[lps, -1] = objective
 
 
 def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
@@ -407,7 +474,7 @@ def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
             enter = candidates.argmax(axis=1)[movable]  # the lowest such column
             tableaus = tableau[moved]
             lanes = np.arange(moved.size)
-            _pivots(tableaus, lanes, i, enter, tableaus[lanes, :, enter])
+            _pivots(tableaus, lanes, i, tableaus[lanes, :, enter])
             tableau[moved] = tableaus
             basis[moved, i] = enter
     tableau[:, :, a_at:-1] = 0.0
@@ -498,15 +565,14 @@ def _key(problem: LpProblem) -> tuple[str, bytes]:
 def solve_lps(problems) -> list[LpSolution]:
     """Solve many problems, each exactly as `solve_lp` would alone.
 
-    Up to MAX_BATCH problems at a time go through both phases as one stack
-    of tableaus: on each step every unfinished problem picks its own
-    entering column and leaving row, and one masked update makes all the
-    pivots.  Every problem is held to the size guard before anything is
-    built.  Inside a `shared_solutions` scope, only problems the scope has
-    not met are stacked, each distinct one once."""
+    The problems go through both phases a stack of tableaus at a time, cut
+    by `stack_starts` to at most STACK_ENTRIES entries: on each step every
+    unfinished problem picks its own entering column and leaving row, and
+    one masked update makes all the pivots.  Every problem to be stacked
+    is held to the size guard before anything is built.  Inside a
+    `shared_solutions` scope, only problems the scope has not met are
+    stacked, each distinct one once."""
     problems = list(problems)
-    for problem in problems:
-        check_size(*_size(problem))
     memo = _shared.get()
     solutions: list[LpSolution | None] = [None] * len(problems)
     # the problems to stack, by key (by index outside a scope): the indices it answers
@@ -522,8 +588,12 @@ def solve_lps(problems) -> list[LpSolution]:
         else:
             todo.setdefault(key, []).append(k)
     keys = list(todo)
-    for start in range(0, len(keys), MAX_BATCH):
-        chunk = keys[start : start + MAX_BATCH]
+    sizes = [_size(problems[todo[key][0]]) for key in keys]
+    for size in sizes:
+        check_size(*size)
+    starts = _starts(sizes)
+    for start, stop in zip(starts, [*starts[1:], len(keys)]):
+        chunk = keys[start:stop]
         shifted = [_shift(problems[todo[key][0]]) for key in chunk]
         for key, solution in zip(chunk, _solve_stack(shifted)):
             for k in todo[key]:

@@ -33,6 +33,7 @@ __all__ = [
     "Instance",
     "DerivedUser",
     "EnergyColumns",
+    "Partition",
     "RateSchedule",
     "EnergySchedule",
     "ValidationCheck",
@@ -235,6 +236,19 @@ class Instance:
         return derive_columns(self)
 
     @cached_property
+    def partition(self) -> Partition:
+        """The users split four ways (`Partition`): built from `derived` on
+        first use and memoised on this object, so it follows the deadline
+        as `derived` does."""
+        columns = self.derived
+        classes = 2 * (columns.min_offload_bits > 0.0) + (columns.delta_per_bit < 0.0)
+        # each class's ids ascending, as Python ints; class = 2 * forced + saving
+        free_costly, free_saving, forced_costly, forced_saving = (
+            frozenset((classes == c).nonzero()[0].tolist()) for c in range(4)
+        )
+        return Partition(forced_costly, forced_saving, free_costly, free_saving)
+
+    @cached_property
     def local_energy(self) -> float:
         """`baseline_local_energy`: computed on first use and memoised on
         this object."""
@@ -283,6 +297,28 @@ class DerivedUser:
     tx_rate: float
     weighted_tx_rate: float
     roundtrip_time_per_bit: float
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Disjoint, exhaustive split of the users (`Instance.partition`).
+
+    forced_* users cannot finish locally by the deadline (min_offload_bits
+    > 0) and must be scheduled; free_* users could stay local.  *_saving
+    users reduce their energy by offloading (negative per-bit energy delta);
+    *_costly users do not, so they offload only the forced minimum.
+    Energy-neutral users count as costly: no point occupying a VM for zero
+    gain.
+    """
+
+    forced_costly: frozenset[int]
+    forced_saving: frozenset[int]
+    free_costly: frozenset[int]
+    free_saving: frozenset[int]
+
+    @property
+    def forced(self) -> frozenset[int]:
+        return self.forced_costly | self.forced_saving
 
 
 @dataclass(frozen=True)

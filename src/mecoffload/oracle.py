@@ -118,7 +118,8 @@ def brute_force_energy_batch(
     instances, budget: OracleBudget = _DEFAULT_BUDGET
 ) -> list[EnergySchedule]:
     """`brute_force_energy` of each instance, with the subset LPs of all of
-    them solved together, `lp.MAX_BATCH` to a stack, in two stages.
+    them solved together, in stacks cut as `lp.solve_lps` cuts them, in two
+    stages.
 
     The first stage solves every instance's full subset (all its free
     saving users).  The second builds and solves each other subset only
@@ -137,10 +138,12 @@ def brute_force_energy_batch(
             raise BudgetExceededError("energy oracle time guard exceeded")
 
     def solve(plans):
-        """`energy._solve` of the (LP, finish) plans, `lp.MAX_BATCH` LPs to
-        a stack: a schedule per plan, None where a subset is infeasible."""
+        """`energy._solve` of the (LP, finish) plans, a stack
+        (`lp.stack_starts`) at a time: a schedule per plan, None where a
+        subset is infeasible."""
         with_lp = [k for k, (problem, _) in enumerate(plans) if problem is not None]
-        cuts = [0, *with_lp[lpmod.MAX_BATCH :: lpmod.MAX_BATCH], len(plans)]
+        starts = lpmod.stack_starts(plans[k][0] for k in with_lp)
+        cuts = [0, *(with_lp[start] for start in starts[1:]), len(plans)]
         schedules = []
         for start, stop in zip(cuts, cuts[1:]):
             check_time()

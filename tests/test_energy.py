@@ -74,6 +74,14 @@ class TestPartition:
         part = partition_users(make_instance(users, deadline=100.0))
         assert not part.forced
 
+    def test_memoised_on_the_instance(self):
+        inst = stock_instance(10, 0.2, 5, deadline=0.45)
+        part = partition_users(inst)
+        assert partition_users(inst) is part and inst.partition is part
+        # the partition follows the deadline: a copy with another builds its own
+        relaxed = with_deadline(inst, 100.0)
+        assert partition_users(relaxed) is not part and not partition_users(relaxed).forced
+
     @pytest.mark.parametrize("n_users", [1, 10, 300])
     def test_groups_hold_python_ints_as_the_uid_loop_built_them(self, n_users):
         # the sets must iterate, sort and print as the uid-by-uid appends did
@@ -446,6 +454,56 @@ class TestAllOffloadingBatch:
         assert repr(batch) == repr(alone)
         assert {s.status for s in batch} == {"lp-path", "infeasible"}
         assert batch[0].scheduled == frozenset() and batch[0].objective == 0.0
+
+    def test_stacks_stay_within_the_budget(self, monkeypatch):
+        # K = 400 LPs are each beyond the stack budget, so each stacks
+        # alone; three K = 40 LPs fit in one stack
+        stacks = []
+        solve = lp._solve_stack
+
+        def recording(shifted):
+            stacks.append([lp._size(s.problem) for s in shifted])
+            return solve(shifted)
+
+        monkeypatch.setattr(lp, "_solve_stack", recording)
+        instances = [stock_instance(K, 0.05, seed, deadline=1.5) for K in (400, 40)
+                     for seed in range(3)]
+        assert len(energy.benchmark_energy_all_offloading_batch(instances)) == 6
+        assert lp.stack_capacity(81, 41) >= 3  # the K = 40 LP: 2K + 1 rows over K + 1 columns
+        assert [len(sizes) for sizes in stacks] == [1, 1, 1, 3]
+        for sizes in stacks:
+            rows, cols = map(max, zip(*sizes))
+            assert len(sizes) == 1 or len(sizes) * lp._entries(rows, cols) <= lp.STACK_ENTRIES
+        assert lp._entries(*stacks[0][0]) > lp.STACK_ENTRIES
+
+
+class TestSuboptimalBatch:
+    @staticmethod
+    def instances():
+        """Stock draws that take every branch of the heuristic."""
+        return [
+            stock_instance(10, 0.3, mix64(211, seed), deadline=(0.2, 0.4, 0.65, 0.9)[seed % 4])
+            for seed in range(40)
+        ]
+
+    def test_batch_matches_one_at_a_time(self):
+        instances = self.instances()
+        batch = energy.solve_energy_suboptimal_batch(instances)
+        alone = [solve_energy_suboptimal(inst) for inst in instances]
+        assert repr(batch) == repr(alone)
+        assert {s.status for s in batch} == {"infeasible", "optimal-path", "greedy-path", "lp-path"}
+
+    def test_lp_branch_lps_share_one_stack(self, monkeypatch):
+        stacks = []
+        solve = lp._solve_stack
+
+        def recording(shifted):
+            stacks.append(len(shifted))
+            return solve(shifted)
+
+        monkeypatch.setattr(lp, "_solve_stack", recording)
+        batch = energy.solve_energy_suboptimal_batch(self.instances())
+        assert stacks == [sum(s.status == "lp-path" for s in batch)] and stacks[0] > 1
 
 
 class TestEnergyChecker:
@@ -887,7 +945,8 @@ class TestFeasibilityByOneEvaluation:
         t_min = feasibility_tmin(inst).t_min
         tight = with_deadline(inst, t_min)
         assert solve_energy_suboptimal(tight).status == "lp-path"
-        monkeypatch.setattr(energy, "solve_subset_lp", lambda *args: None)
+        # an LP branch whose subset LP comes out infeasible
+        monkeypatch.setattr(energy, "_subset_lp", lambda *args: (None, lambda _: None))
         counts.update(gap=0, root=0, tmin=0)
         schedule = solve_energy_suboptimal(tight)
         assert schedule.status == "infeasible" and schedule.t_min == t_min

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -126,15 +127,36 @@ class TestStockEnergyBytes:
 
 
 class TestEnergyBlocks:
-    """An energy sweep solves its realizations' LPs a block at a time; the
-    block boundaries must not show in the CSV."""
+    """An energy sweep solves a grid point's LPs a block of realizations at
+    a time, in stacks cut by the LP stack budget, and a block holds as many
+    realizations as one stack holds all-offload LPs; the block and stack
+    boundaries must not show in the CSV."""
 
     @pytest.mark.parametrize("experiment", ["energy-vs-T", "energy-vs-d"])
     def test_block_size_leaves_the_bytes(self, experiment, monkeypatch):
         spec = SweepSpec(experiment=experiment, realizations=37, base_seed=3, certify=True)
-        blocked = run_sweep(spec)
-        monkeypatch.setattr(harness, "ENERGY_BLOCK", 1)
-        assert run_sweep(spec) == blocked
+        stacked = run_sweep(spec)
+        # every LP alone, in blocks of one realization; and every grid
+        # point as one block, its LPs in one stack per batch
+        for budget in (0, math.inf):
+            monkeypatch.setattr(lp, "STACK_ENTRIES", budget)
+            assert run_sweep(spec) == stacked
+
+    def test_a_block_fills_one_stack(self, monkeypatch):
+        calls = []
+        batch = harness.brute_force_energy_batch
+
+        def counting(instances, *args):
+            calls.append(len(instances))
+            return batch(instances, *args)
+
+        monkeypatch.setattr(harness, "brute_force_energy_batch", counting)
+        run_sweep(SweepSpec(experiment="energy-vs-d", grid=(0.2,), realizations=120,
+                            certify=True))
+        # the all-offload LP of K = 10 users has 21 rows over 11 columns
+        capacity = lp.STACK_ENTRIES // lp._entries(21, 11)
+        assert calls == [capacity, capacity, 120 - 2 * capacity]
+        assert lp.stack_capacity(21, 11) == capacity and 1 < capacity < 60
 
     @pytest.mark.parametrize("experiment, value, exhaustive, pruned", [
         pytest.param("energy-vs-T", 0.35, 20, 20, id="energy-vs-T-0.35"),  # one LP each
@@ -162,7 +184,7 @@ class TestEnergyBlocks:
         oracle_keys = blocks.pop()
         assert len(oracle_keys) == pruned
         run_sweep(spec)
-        assert len(blocks) == 2  # 16 realizations, then 4
+        assert len(blocks) == 1  # the grid point's 20 realizations, one block
         for block in blocks:
             assert len(set(block)) == len(block)
         skipped = [key for key in lp_branch if key not in set(oracle_keys)]
@@ -170,8 +192,9 @@ class TestEnergyBlocks:
 
     def test_the_oracle_row_reuses_the_references(self, monkeypatch):
         # A certified block's references are its oracle row: one oracle
-        # batch per block (7 grid points of 7 blocks), and the same rows as
-        # the uncertified sweep, which solves the oracle row on its own.
+        # batch per block (7 grid points of two blocks, 100 realizations
+        # over blocks of 55), and the same rows as the uncertified sweep,
+        # which solves the oracle row on its own.
         calls = []
         batch = harness.brute_force_energy_batch
 
@@ -184,7 +207,7 @@ class TestEnergyBlocks:
         spec = SweepSpec(experiment="energy-vs-d", realizations=100, base_seed=7, certify=True,
                          algorithms=("suboptimal", "all-offload", "oracle"))
         certified = run_sweep(spec).strip().split("\n")
-        assert len(calls) == 49 and sum(calls) == 700
+        assert len(calls) == 14 and sum(calls) == 700
         plain = run_sweep(dataclasses.replace(spec, certify=False)).strip().split("\n")
         assert [line.rsplit(",", 2)[0] for line in certified] == plain
         for row in csv.DictReader(certified):

@@ -136,7 +136,30 @@ class TestStructure:
 
 
 class TestRecord:
-    """An `LpProblem` holds read-only float64 copies of what it was given."""
+    """An `LpProblem` holds read-only float64 arrays: copies of what it was
+    given, or the given arrays themselves where they are read-only and own
+    their data, as `energy._subset_lp` builds them."""
+
+    def test_read_only_owned_arrays_are_kept_uncopied(self):
+        arrays = [np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
+                  np.array([[0.0, INF], [0.0, INF]])]
+        for array in arrays:
+            array.flags.writeable = False
+        objective, coeffs, rhs, bounds = arrays
+        problem = LpProblem(objective, coeffs, ("<=",), rhs, bounds)
+        assert all(getattr(problem, name) is array for name, array in
+                   zip(("objective", "coeffs", "rhs", "bounds"), arrays))
+        # a read-only view of a writable array is copied: its base can change
+        base = np.array([-1.0, -1.0])
+        view = base[:]
+        view.flags.writeable = False
+        kept = LpProblem(view, coeffs, ("<=",), rhs, bounds)
+        base[...] = 7.0
+        assert lp._key(kept) == lp._key(simplex_face())
+        nan = np.array([math.nan, -1.0])
+        nan.flags.writeable = False
+        with pytest.raises(LpStructureError, match="nan"):
+            LpProblem(nan, coeffs, ("<=",), rhs, bounds)
 
     def test_caller_arrays_stay_theirs(self):
         objective, coeffs = np.array([-1.0, -1.0]), np.array([[1.0, 1.0]])
@@ -387,12 +410,30 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("cap", [1, 2, 7, None])
     def test_mixed_list_matches_reference(self, mix, cap, monkeypatch):
+        # a budget of cap tableaus of the mix's most rows and columns: stacks
+        # of at least cap problems, more where they are small (None: the
+        # default budget)
         problems, expected = mix
         if cap is not None:
-            monkeypatch.setattr(lp, "MAX_BATCH", cap)
+            rows, cols = map(max, zip(*map(lp._size, problems)))
+            monkeypatch.setattr(lp, "STACK_ENTRIES", cap * lp._entries(rows, cols))
         with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
             solved = [repr(s) for s in solve_lps(problems)]
         assert solved == expected
+
+    @pytest.fixture(scope="class")
+    def energy_lps(self):
+        problems = stock_energy_lps()
+        return problems, [repr(reference_solve_lp(p)) for p in problems]
+
+    @pytest.mark.parametrize("budget", [0, None, math.inf], ids=["alone", "default", "one-stack"])
+    @pytest.mark.parametrize("problems", ["mix", "energy_lps"])
+    def test_stack_budget_leaves_the_bits(self, problems, budget, request, monkeypatch):
+        problems, expected = request.getfixturevalue(problems)
+        if budget is not None:
+            monkeypatch.setattr(lp, "STACK_ENTRIES", budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert [repr(s) for s in solve_lps(problems)] == expected
 
     def test_stacks_mix_sizes_and_statuses(self, mix):
         problems, expected = mix
@@ -443,6 +484,72 @@ class TestBatchEquivalence:
         solved = solve_lps([box_max_x(), empty, simplex_face()])
         assert [s.status for s in solved] == ["optimal", "infeasible", "optimal"]
         assert repr(solved[2]) == repr(reference_solve_lp(simplex_face()))
+
+
+class TestStackBudget:
+    """`solve_lps` cuts its problems, in order, into stacks of at most
+    STACK_ENTRIES tableau entries, counted as `_entries` of the stack's most
+    rows and most columns per problem; a problem beyond the budget on its
+    own stacks alone."""
+
+    @staticmethod
+    def cut(sizes, starts):
+        return [sizes[a:b] for a, b in zip(starts, [*starts[1:], len(sizes)])]
+
+    @staticmethod
+    def entries(stack):
+        rows, cols = map(max, zip(*stack))
+        return len(stack) * lp._entries(rows, cols)
+
+    @pytest.mark.parametrize("budget", [0, 1000, 1 << 16])
+    def test_stacks_fill_greedily_within_the_budget(self, budget, monkeypatch):
+        monkeypatch.setattr(lp, "STACK_ENTRIES", budget)
+        rng = SplitMix64(0x57AC)
+        sizes = [(int(rng.uniform(0, 60)), int(rng.uniform(1, 40))) for _ in range(500)]
+        sizes[100:103] = [(2000, 1000)] * 3  # each far beyond any of the budgets
+        stacks = self.cut(sizes, lp._starts(sizes))
+        assert [size for stack in stacks for size in stack] == sizes
+        for stack, after in zip(stacks, [*stacks[1:], None]):
+            assert self.entries(stack) <= budget or len(stack) == 1
+            if after is not None:  # cut only where the next problem does not fit
+                assert self.entries(stack + after[:1]) > budget
+        assert sum(stack == [(2000, 1000)] for stack in stacks) == 3
+
+    def test_every_problem_alone_under_a_zero_budget(self, monkeypatch):
+        monkeypatch.setattr(lp, "STACK_ENTRIES", 0)
+        assert lp._starts([(1, 1)] * 5) == [0, 1, 2, 3, 4]
+
+    def test_solve_lps_stacks_as_stack_starts_cuts(self, monkeypatch):
+        problems = stock_energy_lps(4) + mixed_bound_problems(5, 40)
+        monkeypatch.setattr(lp, "STACK_ENTRIES", 20 * lp._entries(*lp._size(problems[0])))
+        stacked = []
+        solve = lp._solve_stack
+
+        def recording(shifted):
+            stacked.append(len(shifted))
+            return solve(shifted)
+
+        monkeypatch.setattr(lp, "_solve_stack", recording)
+        solve_lps(problems)
+        starts = lp.stack_starts(problems)
+        assert stacked == [b - a for a, b in zip(starts, [*starts[1:], len(problems)])]
+        assert len(stacked) > 2
+
+    def test_stacked_tableaus_stay_within_their_count(self):
+        # the budget's premise: a stack holds at most `_entries` of its most
+        # rows and columns per problem, whatever it mixes
+        ones, free, boxed = np.ones((10, 10)), [(0.0, INF)] * 10, [(0.0, 5.0)] * 10
+        skewed = [  # ten slack rows; ten boxes; ten surplus and artificial rows
+            LpProblem([-1.0] * 10, ones, ("<=",) * 10, [1.0] * 10, free),
+            LpProblem([-1.0] * 10, ones[:1], ("<=",), [1.0], boxed),
+            LpProblem([1.0] * 10, ones, (">=",) * 10, [1.0] * 10, free),
+        ]
+        problems = batch_mix()
+        stacks = [problems[start : start + 97] for start in range(0, len(problems), 97)]
+        for stack in stacks + [skewed]:
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
+                tableau = lp._standard_form([lp._shift(p) for p in stack]).tableau
+            assert tableau.size <= self.entries([lp._size(p) for p in stack])
 
 
 class TestSharedSolutions:

@@ -328,21 +328,26 @@ class TestEnergyOracleBatch:
             brute_force_energy_batch(oracle_mix(), OracleBudget(time_limit_s=1e-9))
 
     def test_time_guard_between_stacks(self, monkeypatch):
-        # a clock that only the LP solves advance, 2 s a stack
+        # a clock that only the LP solves advance, 2 s a stack, and a stack
+        # budget of 16 of the largest LPs of these K = 8 instances
         now = [0.0]
         stacks = []
         solve = lp.solve_lps
 
         def slow(problems):
             now[0] += 2.0
-            stacks.append(len(problems))
+            stacks.append([lp._size(p) for p in problems])
             return solve(problems)
 
         monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
         monkeypatch.setattr(lp, "solve_lps", slow)
+        monkeypatch.setattr(lp, "STACK_ENTRIES", 16 * lp._entries(17, 9))
         instances = oracle_mix()
         assert len(brute_force_energy_batch(instances, OracleBudget(time_limit_s=100.0))) == 40
-        assert len(stacks) > 2 and max(stacks) == lp.MAX_BATCH
+        assert len(stacks) > 2 and max(map(len, stacks)) >= 16
+        for sizes in stacks:  # each call is one stack within the budget
+            rows, cols = map(max, zip(*sizes))
+            assert len(sizes) * lp._entries(rows, cols) <= lp.STACK_ENTRIES
         now[0] = 0.0
         stacks.clear()
         with pytest.raises(BudgetExceededError, match="time guard"):
