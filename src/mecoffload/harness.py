@@ -40,6 +40,7 @@ from .model import (
     _number,
     _require,
     generate_instance,
+    generate_instances,
     read_instance,
     validate_energy_schedule,
     validate_rate_schedule,
@@ -56,6 +57,7 @@ from .rate import (
     benchmark_greedy,
     per_size_table,
     solve_rate_max,
+    solve_rate_max_batch,
 )
 from .rng import mix64
 
@@ -64,6 +66,10 @@ __all__ = ["SweepSpec", "run_sweep", "cli_main", "main"]
 
 def _optimal_schedule(instance):
     return solve_rate_max(instance)[0]
+
+
+def _optimal_schedules(instances):
+    return [schedule for schedule, _ in solve_rate_max_batch(instances)]
 
 
 # The LP-relaxation benchmark is the exact solve (see rate.benchmark_lr), so
@@ -81,13 +87,17 @@ ENERGY_ALGORITHMS = {
     "oracle": brute_force_energy,
 }
 
-# An energy sweep runs a grid point's realizations a block at a time.  The
-# algorithms listed here, and the certifying oracle, take the block through
-# their batch forms, which solve the block's LPs together in stacks cut by
-# `lp.stack_starts`; the values still go into the CSV in realization order.
-# A block holds as many realizations as one stack holds all-offload LPs
-# (`_energy_block`), so the block's LPs fill whole stacks while its memory
-# does not grow with the realization count.
+# A sweep runs a grid point's realizations a block at a time (`_block`),
+# drawn with one `generate_instances` call.  The algorithms listed here take
+# the block through their batch forms; the values still go into the CSV in
+# realization order.  The rate batch runs the block's Dinkelbach loops in
+# lockstep.  The energy batches, and the certifying energy oracle, solve the
+# block's LPs together in stacks cut by `lp.stack_starts`.
+RATE_BATCHES = {
+    "optimal": _optimal_schedules,
+    "lr": _optimal_schedules,
+}
+
 ENERGY_BATCHES = {
     "suboptimal": solve_energy_suboptimal_batch,
     "all-offload": benchmark_energy_all_offloading_batch,
@@ -188,10 +198,11 @@ _PARAM_NAME = {
 }
 
 
-def _energy_block(n_users: int) -> int:
-    """Realizations per energy block: as many as one LP stack holds
-    all-offload LPs of n_users users, 2K + 1 rows over K + 1 columns
-    (`energy._subset_lp`)."""
+def _block(n_users: int) -> int:
+    """Realizations per sweep block, rate or energy: as many as one LP stack
+    holds all-offload LPs of n_users users, 2K + 1 rows over K + 1 columns
+    (`energy._subset_lp`).  An energy block's LPs then fill whole stacks,
+    and no block's memory grows with the realization count."""
     return stack_capacity(2 * n_users + 1, n_users + 1)
 
 
@@ -217,18 +228,19 @@ def run_sweep(spec: SweepSpec) -> str:
     lines = [",".join(header)]
 
     algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
+    batches = RATE_BATCHES if rate_side else ENERGY_BATCHES
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         gaps: dict[str, list[float]] = {name: [] for name in spec.algorithms}
         certified: dict[str, int] = {name: 0 for name in spec.algorithms}
         generation = _generation_spec(spec, value)
-        block = 1 if rate_side else min(spec.realizations, _energy_block(generation.n_users))
+        block = min(spec.realizations, _block(generation.n_users))
         for first in range(0, spec.realizations, block):
-            instances = [
-                generate_instance(generation, mix64(spec.base_seed, gi, ri))
+            instances = generate_instances(generation, [
+                mix64(spec.base_seed, gi, ri)
                 for ri in range(first, min(first + block, spec.realizations))
-            ]
+            ])
             # An energy block solves each distinct LP once: the oracle runs
             # first, and the all-offload LP is its full-subset LP wherever no
             # user is costly, the heuristic's LP branch its empty-subset LP
@@ -249,7 +261,7 @@ def run_sweep(spec: SweepSpec) -> str:
                 for name in spec.algorithms:
                     algorithm = algorithms[name]
                     if algorithm not in solved:
-                        batch = None if rate_side else ENERGY_BATCHES.get(name)
+                        batch = batches.get(name)
                         solved[algorithm] = (
                             batch(instances) if batch else [algorithm(i) for i in instances]
                         )

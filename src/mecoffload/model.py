@@ -24,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import uniform_rows
 
 __all__ = [
     "ConfigurationError",
@@ -47,6 +47,7 @@ __all__ = [
     "validate_rate_schedule",
     "validate_energy_schedule",
     "generate_instance",
+    "generate_instances",
     "read_instance",
     "write_instance",
 ]
@@ -159,10 +160,7 @@ class Instance:
     roundtrip_time_per_bit: np.ndarray = field(init=False)
 
     def __init__(self, deadline: float, degradation: float, users=None, **columns):
-        if not (deadline > 0.0) or not math.isfinite(deadline):
-            raise ValueError("deadline must be finite and > 0")
-        if degradation < 0.0 or not math.isfinite(degradation):
-            raise ValueError("degradation must be finite and >= 0")
+        _check_scalars(deadline, degradation)
         if users is None:
             if set(columns) != set(_USER_COLUMNS):
                 raise TypeError(f"Instance takes users or the columns {_USER_COLUMNS}")
@@ -178,19 +176,11 @@ class Instance:
             table = np.fromiter(values, float, len(_USER_COLUMNS) * len(users))
             table = table.reshape(len(users), len(_USER_COLUMNS)).T.copy()
             self.__dict__["users"] = users  # the memo of the `users` property
-        _, uplink, downlink, ratio = table[:4]
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are refused below
-            roundtrip = uplink + downlink * ratio
+            roundtrip = _roundtrip(table)
         if users is None:
             _check_columns(table, roundtrip)
-        table.setflags(write=False)
-        roundtrip.setflags(write=False)
-        vars(self).update(
-            zip(_USER_COLUMNS, table),
-            deadline=deadline,
-            degradation=degradation,
-            roundtrip_time_per_bit=roundtrip,
-        )
+        _fill(self, deadline, degradation, table, roundtrip)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -249,6 +239,19 @@ class Instance:
         return Partition(forced_costly, forced_saving, free_costly, free_saving)
 
     @cached_property
+    def rate_terms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """Every user's terms of the closed-form rate in id order, as Python
+        floats: w*r, (a+b*g)*r and w/(a+b*g) (`rate.conditional_solution`).
+        Computed on first use and memoised on this object."""
+        weight, roundtrip = self.weight, self.roundtrip_time_per_bit
+        service = self.service_rate
+        return (
+            tuple((weight * service).tolist()),
+            tuple((roundtrip * service).tolist()),
+            tuple((weight / roundtrip).tolist()),
+        )
+
+    @cached_property
     def local_energy(self) -> float:
         """`baseline_local_energy`: computed on first use and memoised on
         this object."""
@@ -259,19 +262,52 @@ class Instance:
         return sum(energy.tolist(), 0.0)
 
 
-def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
-    """Refuse columns holding a value that `UserProfile` refuses, with the
-    error it raises for the first such user: every field but the task size
-    positive, the task size nonnegative, all of them and the roundtrip time
-    finite (nan fails every comparison, and numpy's min and max keep it)."""
-    low = table.min(axis=1, initial=math.inf).tolist()
+def _check_scalars(deadline: float, degradation: float) -> None:
+    if not (deadline > 0.0) or not math.isfinite(deadline):
+        raise ValueError("deadline must be finite and > 0")
+    if degradation < 0.0 or not math.isfinite(degradation):
+        raise ValueError("degradation must be finite and >= 0")
+
+
+def _roundtrip(table: np.ndarray) -> np.ndarray:
+    """uplink + downlink * ratio of `Instance` columns: one instance's
+    (fields, K) table or a block's (R, fields, K)."""
+    return table[..., 1, :] + table[..., 2, :] * table[..., 3, :]
+
+
+def _fill(instance: Instance, deadline: float, degradation: float, table: np.ndarray,
+          roundtrip: np.ndarray) -> Instance:
+    """Give an instance its scalars and its checked columns, read-only."""
+    table.setflags(write=False)
+    roundtrip.setflags(write=False)
+    vars(instance).update(
+        zip(_USER_COLUMNS, table),
+        deadline=deadline,
+        degradation=degradation,
+        roundtrip_time_per_bit=roundtrip,
+    )
+    return instance
+
+
+def _columns_ok(table: np.ndarray, roundtrip: np.ndarray) -> bool:
+    """Whether `UserProfile` accepts every user of these columns (a block's
+    (R, fields, K) table): every field but the task size positive, the task
+    size nonnegative, all of them and the roundtrip time finite (nan fails
+    every comparison, and numpy's min and max keep it)."""
+    low = table.min(axis=(0, 2), initial=math.inf).tolist()
     task_low = low.pop(_TASK_ROW)
-    if not (
+    return (
         all(x > 0.0 for x in low)
         and task_low >= 0.0
         and table.max(initial=0.0) < math.inf
         and roundtrip.max(initial=0.0) < math.inf
-    ):
+    )
+
+
+def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
+    """Refuse one instance's columns if they hold a value that `UserProfile`
+    refuses, with the error it raises for the first such user."""
+    if not _columns_ok(table[None], roundtrip):
         for k, row in enumerate(zip(*table.tolist())):
             UserProfile(k, *row)  # raises at the first bad user
 
@@ -648,15 +684,7 @@ def _check_range(name: str, rng_pair, positive: bool = True) -> None:
         raise ConfigurationError(f"{name}: range must be strictly positive, got ({lo}, {hi})")
 
 
-def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
-    """Draw a random instance. Deterministic given (spec, seed).
-
-    Per-user draw order is fixed: uplink Mbps, downlink Mbps, service rate,
-    output-ratio exponent, task KB, cycles/bit, CPU frequency.  Mbps and KB
-    convert to seconds/bit and bits here; nothing downstream ever converts.
-    The values go straight into the instance's columns.  A value that
-    `UserProfile` refuses raises its error, for the first such user.
-    """
+def _check_spec(spec: GenerationSpec) -> None:
     if spec.n_users < 0:
         raise ConfigurationError(f"n_users must be >= 0, got {spec.n_users}")
     if spec.deadline_s <= 0.0:
@@ -676,6 +704,32 @@ def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
         if getattr(spec, name) <= 0.0:
             raise ConfigurationError(f"{name} must be > 0")
 
+
+# The `Instance` columns in order.  Columns 1 to 7 take a user's seven draws
+# in draw order; then the service rate, the third draw, moves to its own
+# column, and the output ratio formed from the fourth takes the third.
+assert _USER_COLUMNS == (
+    "weight", "uplink_time_per_bit", "downlink_time_per_bit", "output_ratio", "service_rate",
+    "task_bits", "cycles_per_bit", "cpu_freq", "energy_coeff", "tx_power",
+)
+
+
+def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
+    """Draw one random instance per seed, each deterministic given (spec,
+    seed): `generate_instance` of every seed, drawn as one block.
+
+    Per-user draw order is fixed: uplink Mbps, downlink Mbps, service rate,
+    output-ratio exponent, task KB, cycles/bit, CPU frequency.  Mbps and KB
+    convert to seconds/bit and bits here; nothing downstream ever converts.
+    The spec is checked once, the block's draws come from one
+    `rng.uniform_rows` call and every field is converted across the block;
+    the values go straight into the instances' columns.  A value that
+    `UserProfile` refuses raises its error, for the first such user of the
+    first such seed.
+    """
+    _check_spec(spec)
+    seeds = list(seeds)
+    n = spec.n_users
     # one row of draws per user, in the per-user order above, mapped onto
     # each field's range with the scalar draw's `lo + (hi - lo) * u`
     lo, hi = np.array([
@@ -687,38 +741,61 @@ def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
         spec.cycles_per_bit,
         spec.cpu_freq_hz,
     ]).T
-    n = spec.n_users
-    draws = SplitMix64(seed).uniform_array(7 * n).reshape(n, 7)
-    with np.errstate(over="ignore", invalid="ignore"):  # Instance refuses inf and nan
+    draws = uniform_rows(seeds, 7 * n).reshape(len(seeds), n, 7)
+    # each seed's (fields, K) table of `Instance` columns
+    table = np.empty((len(seeds), len(_USER_COLUMNS), n))
+    table[:, 0], table[:, 8], table[:, 9] = spec.weight, spec.energy_coeff, spec.tx_power_w
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks refuse inf and nan
         values = lo + (hi - lo) * draws
-        values[:, :2] = 1.0 / (values[:, :2] * 1e6)  # Mbps to seconds per bit
-        values[:, 4] *= _BITS_PER_KB
-    uplink, downlink, service, exponent, task_bits, cycles, freq = values.T
-    weight, kappa, power = spec.weight, spec.energy_coeff, spec.tx_power_w
-    try:
-        # numpy's power may differ from Python's in the last bit
-        ratio = [10.0 ** (-x) for x in exponent.tolist()]
-    except OverflowError:
-        ratio = None
-    if ratio is None:
-        # Build the profiles one at a time, as the per-user loop did: it
-        # refuses any bad user before the one whose power overflows.
-        for i, (up, down, rate, x, task, c, f) in enumerate(zip(*values.T.tolist())):
-            UserProfile(i, weight, up, down, 10.0 ** (-x), rate, task, c, f, kappa, power)
-    return Instance(
-        deadline=spec.deadline_s,
-        degradation=spec.degradation,
-        weight=np.full(n, weight),
-        uplink_time_per_bit=uplink,
-        downlink_time_per_bit=downlink,
-        output_ratio=ratio,
-        service_rate=service,
-        task_bits=task_bits,
-        cycles_per_bit=cycles,
-        cpu_freq=freq,
-        energy_coeff=np.full(n, kappa),
-        tx_power=np.full(n, power),
-    )
+        values[..., :2] = 1.0 / (values[..., :2] * 1e6)  # Mbps to seconds per bit
+        values[..., 4] *= _BITS_PER_KB
+        exponent = values[..., 3]
+        table[:, 1:8] = values.transpose(0, 2, 1)
+        table[:, 4] = table[:, 3]
+        try:
+            # numpy's power may differ from Python's in the last bit
+            table[:, 3] = np.array([10.0 ** (-x) for x in exponent.ravel().tolist()]).reshape(
+                exponent.shape)
+            overflow = False
+        except OverflowError:
+            table[:, 3] = math.nan
+            overflow = True
+        roundtrip = _roundtrip(table)
+    deadline, degradation = spec.deadline_s, spec.degradation
+    if overflow or not (
+        math.isfinite(deadline) and math.isfinite(degradation) and _columns_ok(table, roundtrip)
+    ):
+        _refuse_first_bad(spec, values, table)
+    table.setflags(write=False)
+    return [
+        _fill(Instance.__new__(Instance), deadline, degradation, seed_table, seed_roundtrip)
+        for seed_table, seed_roundtrip in zip(table, roundtrip)
+    ]
+
+
+def _refuse_first_bad(spec: GenerationSpec, values: np.ndarray, table: np.ndarray) -> None:
+    """Raise the error of the first seed of a block that `Instance` refuses,
+    seed by seed as `generate_instance` would: where an output ratio's power
+    overflows, the profiles are built one at a time, as the per-user loop
+    did, so that a bad user before that one comes first; otherwise the
+    instance's own checks run, the deadline and degradation first."""
+    for rows, seed_table in zip(values.tolist(), table):
+        try:
+            seed_table[3] = [10.0 ** (-x) for _, _, _, x, *_ in rows]
+        except OverflowError:
+            for i, (up, down, rate, x, task, c, f) in enumerate(rows):
+                UserProfile(i, spec.weight, up, down, 10.0 ** (-x), rate, task, c, f,
+                            spec.energy_coeff, spec.tx_power_w)
+        _check_scalars(spec.deadline_s, spec.degradation)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            _check_columns(seed_table, _roundtrip(seed_table))
+    raise AssertionError("a refused block has no bad seed")
+
+
+def generate_instance(spec: GenerationSpec, seed: int) -> Instance:
+    """Draw a random instance. Deterministic given (spec, seed): the one
+    instance of `generate_instances(spec, [seed])`."""
+    return generate_instances(spec, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

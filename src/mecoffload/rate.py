@@ -13,8 +13,9 @@ and the achieved weighted rate is
 Choosing S is a mixed-integer fractional program.  For a fixed rate
 parameter R the best set of every size m is the top m of one score sort, so
 one Dinkelbach loop over all sizes at once solves it exactly
-(`solve_rate_max`); `dinkelbach_slave` is the same loop with m fixed, and
-`per_size_table` runs it for every m as a diagnostic.  Special-case solvers
+(`solve_rate_max_batch` runs that loop for many instances in lockstep, and
+`solve_rate_max` is its batch of one); `dinkelbach_slave` is the same loop
+with m fixed, and `per_size_table` runs it for every m as a diagnostic.  Special-case solvers
 and the three stock benchmarks live here too; the LP relaxation benchmark
 coincides with the exact solve (see `benchmark_lr`).
 """
@@ -22,6 +23,7 @@ coincides with the exact solve (see `benchmark_lr`).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +40,7 @@ __all__ = [
     "dinkelbach_slave",
     "per_size_table",
     "solve_rate_max",
+    "solve_rate_max_batch",
     "homogeneous_m_star",
     "homogeneous_txrate_schedule",
     "no_interference_schedule",
@@ -88,30 +91,18 @@ class DinkelbachTrace:
         return len(self.records)
 
 
-def _rate_terms(instance: Instance) -> tuple[list[float], list[float], list[float]]:
-    """Every user's terms of the closed form, in id order: w*r, (a+b*g)*r
-    and w/(a+b*g)."""
-    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
-    service = instance.service_rate
-    return (weight * service).tolist(), (roundtrip * service).tolist(), (weight / roundtrip).tolist()
-
-
-def _fixed_set_sums(degradation: float, terms: list[tuple[float, float, float]]):
+def _fixed_set_sums(degradation: float, terms, members: list[int]):
     """Numerator, denominator and interference penalty of the closed-form
-    rate of a nonempty set, summed over its members' `_rate_terms` in the
-    order given (ascending ids), and the slowest member's weighted
-    transmission rate.  Where the penalty saturates at inf, so does the
-    denominator, and the rate is 0."""
-    penalty = interference_penalty(degradation, len(terms))
-    num = 0.0
-    den = penalty
-    min_tx = math.inf
-    for wr, qr, tx in terms:
-        num += wr
-        den += qr
-        if tx < min_tx:
-            min_tx = tx
-    return num, den, penalty, min_tx
+    rate of a nonempty set, and its slowest member's weighted transmission
+    rate.  terms are the instance's `Instance.rate_terms`, and the sums add
+    the members' terms left to right in the order given (ascending ids).
+    Where the penalty saturates at inf, so does the denominator, and the
+    rate is 0."""
+    wr, qr, tx = terms
+    penalty = interference_penalty(degradation, len(members))
+    num = sum([wr[uid] for uid in members], 0.0)
+    den = sum([qr[uid] for uid in members], penalty)
+    return num, den, penalty, min([tx[uid] for uid in members])
 
 
 def _meets_necessary_condition(rate: float, min_tx: float) -> bool:
@@ -134,10 +125,7 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
         unknown = members[0] if members[0] < 0 else members[bisect.bisect_left(members, n_users)]
         raise KeyError(f"no user with id {unknown}")
     factor = vm_rate_factor(instance.degradation, len(members))
-    wr, qr, tx = _rate_terms(instance)
-    num, den, penalty, min_tx = _fixed_set_sums(
-        instance.degradation, [(wr[uid], qr[uid], tx[uid]) for uid in members]
-    )
+    num, den, penalty, min_tx = _fixed_set_sums(instance.degradation, instance.rate_terms, members)
     rate = num / den
     # a saturated penalty takes the whole frame: t_e -> T as it grows
     te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
@@ -226,54 +214,179 @@ def solve_rate_max(instance: Instance) -> tuple[RateSchedule, tuple[SlaveSummary
     every penalty finite at any K.
 
     Returns the schedule and a one-row table: the chosen size, its rate, the
-    number of Dinkelbach steps, and the chosen set.
+    number of Dinkelbach steps, and the chosen set.  This is
+    `solve_rate_max_batch` of the one instance.
     """
-    if instance.n_users == 0:
-        raise ValueError("instance has no users")
-    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
-    service = instance.service_rate
+    return solve_rate_max_batch([instance])[0]
+
+
+def solve_rate_max_batch(instances) -> list[tuple[RateSchedule, tuple[SlaveSummary, ...]]]:
+    """`solve_rate_max` of every instance, in order, to the bit.
+
+    The instances of each user count run the loop in lockstep on (rows, K)
+    arrays, and a row leaves as soon as it meets the stop rule.  Every
+    elementwise expression is the one-instance one, and each selected set is
+    summed as a contiguous row of its members in ascending id, the rows
+    grouped by set size: such a row sum adds in the order of numpy's 1-D
+    sum of that set.  A set padded with zeros to a common width would not:
+    numpy sums 8 or more terms with 8 interleaved accumulators, so the
+    padding moves terms between them.
+    """
+    instances = list(instances)
+    by_count: dict[int, list[int]] = {}
+    for k, instance in enumerate(instances):
+        if instance.n_users == 0:
+            raise ValueError("instance has no users")
+        by_count.setdefault(instance.n_users, []).append(k)
+    summaries = [None] * len(instances)
+    for ks in by_count.values():
+        for k, summary in zip(ks, _lockstep([instances[k] for k in ks])):
+            summaries[k] = summary
+    return [
+        (conditional_solution(instance, summary.selected).as_schedule(), (summary,))
+        for instance, summary in zip(instances, summaries)
+    ]
+
+
+@functools.lru_cache(maxsize=32)
+def _penalties(degradation: float, n_sizes: int) -> tuple[float, ...]:
+    """(1+d)**j for j < n_sizes, the slave's Python floats.  Memoised, as a
+    sweep grid point shares one d and its instances few cuts."""
+    return tuple([(1.0 + degradation) ** j for j in range(n_sizes)])
+
+
+def _set_sums(positions: np.ndarray, sizes: list[int], terms: np.ndarray):
+    """The lists of sum(w r) and of sum((a+b*g) r) over the top sizes[j]
+    users of each row positions[j], as Python floats.  terms holds the w r
+    and (a+b*g) r terms of the lanes as two flat (lanes * K) rows, and
+    positions index them.  Each set is summed as one contiguous row of its
+    members in ascending id, the rows of one size together: `take` gives
+    C-contiguous (2, sets, size) rows, which sum in the order of a 1-D sum
+    (fancy indexing may not)."""
+    if len(set(sizes)) == 1:
+        members = positions[:, : sizes[0]].copy()
+        members.sort(axis=1)
+        return terms.take(members, axis=1).sum(axis=2).tolist()
+    groups: dict[int, list[int]] = {}
+    for j, size in enumerate(sizes):
+        groups.setdefault(size, []).append(j)
+    num, qr_sum = [0.0] * len(sizes), [0.0] * len(sizes)
+    for size, lanes in groups.items():
+        members = positions[lanes, :size]
+        members.sort(axis=1)
+        for j, a, b in zip(lanes, *terms.take(members, axis=1).sum(axis=2).tolist()):
+            num[j], qr_sum[j] = a, b
+    return num, qr_sum
+
+
+def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
+    """The `solve_rate_max` loop of instances with one user count K, run as
+    the lanes of (lanes, K) arrays, one lane per instance; each lane's rate,
+    set sums and stop test stay Python floats, as in the one-instance loop."""
+    n_rows, n_users = len(instances), instances[0].n_users
+    if n_rows == 1:  # a lone instance's columns serve as they are
+        weight, roundtrip, service = (
+            column[None] for column in
+            (instances[0].weight, instances[0].roundtrip_time_per_bit, instances[0].service_rate)
+        )
+    else:
+        weight, roundtrip, service = np.concatenate(
+            [i.weight for i in instances]
+            + [i.roundtrip_time_per_bit for i in instances]
+            + [i.service_rate for i in instances]
+        ).reshape(3, n_rows, n_users)
     wr = weight * service
     qr = roundtrip * service
-    rate = float((wr / (1.0 + qr)).max())
-    d = instance.degradation
-    n_sizes = instance.n_users
-    if d > 0.0:
-        # one spare size against rounding in the logs; a subnormal d
-        # overflows the quotient, which then cuts no size
-        cut = math.log(float(wr.sum()) / rate) / math.log1p(d)
-        if cut < n_sizes:
-            n_sizes = min(n_sizes, int(cut) + 2)
-    penalties = [(1.0 + d) ** j for j in range(n_sizes)]  # the slave's Python floats
-    penalty_row = np.array(penalties)
+    terms = np.array((wr, qr)).reshape(2, -1)  # two flat (lanes * K) rows
+    rates = (wr / (1.0 + qr)).max(axis=1).tolist()
+    penalties = []  # each row's, as the slave's Python floats
+    for instance, total, rate in zip(instances, wr.sum(axis=1).tolist(), rates):
+        d = instance.degradation
+        n_sizes = n_users
+        if d > 0.0:
+            # one spare size against rounding in the logs; a subnormal d
+            # overflows the quotient, which then cuts no size
+            cut = math.log(total / rate) / math.log1p(d)
+            if cut < n_sizes:
+                n_sizes = min(n_sizes, int(cut) + 2)
+        penalties.append(_penalties(d, n_sizes))
+    lengths = [len(row) for row in penalties]
+    width = max(lengths)
+    penalty = np.array([row + (0.0,) * (width - len(row)) for row in penalties])
+    # a row cut to fewer sizes has objective -inf beyond them
+    beyond = np.arange(width) >= np.array(lengths)[:, None] if min(lengths) < width else None
 
-    def prefix_rate(order: np.ndarray, m: int):
-        selected = np.sort(order[:m])
-        num = float(wr[selected].sum())
-        den = penalties[m - 1] + float(qr[selected].sum())
-        return selected, num, den
-
+    live = list(range(n_rows))  # the block row of each lane
+    # lane j's start in the flat (lanes * K) scores and terms
+    offsets = np.arange(0, n_rows * n_users, n_users)[:, None] if n_rows > 1 else None
+    summaries = [None] * n_rows
     for iterations in range(1, MAX_DINKELBACH_ITER + 1):
-        scores = service * (weight - rate * roundtrip)
-        order = np.argsort(-scores, kind="stable")
-        objective = np.cumsum(scores[order[:n_sizes]]) - rate * penalty_row
-        m = int(objective.argmax()) + 1
-        _, num, den = prefix_rate(order, m)
-        gap = num - rate * den
-        rate = num / den
-        tolerance = 1e-9 * (1.0 + abs(num))
-        if abs(gap) <= tolerance:
-            break
-    else:
-        raise RuntimeError("Dinkelbach iteration cap exceeded")
+        rate = np.array(rates)[:, None]
+        # Negated scores and objective: negating both operands negates a
+        # rounded sum or product exactly, so each is the one-instance value
+        # negated (up to the sign of a zero, which no comparison sees), and
+        # the first least negated objective is the first largest objective.
+        neg_scores = service * (rate * roundtrip - weight)
+        # each lane's users by descending score, lowest id on ties, and
+        # their positions in the flat arrays (lane 0 starts at 0)
+        order = neg_scores.argsort(axis=1, kind="stable")
+        positions = order + offsets if len(live) > 1 else order
+        neg_objective = neg_scores.take(positions[:, :width]).cumsum(axis=1)
+        neg_objective += rate * penalty
+        if beyond is not None:
+            neg_objective[beyond] = np.inf
+        sizes = [index + 1 for index in neg_objective.argmin(axis=1).tolist()]
+        kept, finished, tolerances = [], [], []
+        for j, (row, size, num, qr_sum) in enumerate(
+            zip(live, sizes, *_set_sums(positions, sizes, terms))
+        ):
+            den = penalties[row][size - 1] + qr_sum
+            gap = num - rates[j] * den
+            rates[j] = num / den
+            tolerance = 1e-9 * (1.0 + abs(num))
+            if abs(gap) <= tolerance:
+                finished.append(j)
+                tolerances.append(tolerance)
+            else:
+                kept.append(j)
+        if finished:
+            every = not kept
+            lanes = slice(None) if every else finished
+            _finish(summaries, iterations, [live[j] for j in finished], order[lanes],
+                    positions[lanes], neg_objective[lanes], [sizes[j] for j in finished],
+                    [rates[j] for j in finished], tolerances, penalties, terms)
+            if every:
+                return summaries
+            live = [live[j] for j in kept]
+            rates = [rates[j] for j in kept]
+            weight, roundtrip, service = weight[kept], roundtrip[kept], service[kept]
+            terms = terms.reshape(2, -1, n_users)[:, kept].reshape(2, -1)
+            penalty, offsets = penalty[kept], offsets[: len(kept)]
+            if beyond is not None:
+                beyond = beyond[kept]
+    raise RuntimeError("Dinkelbach iteration cap exceeded")
 
-    best_rate = -math.inf  # the converged size is always a candidate
-    for size in (np.flatnonzero(objective >= objective[m - 1] - tolerance) + 1).tolist():
-        candidate, num, den = prefix_rate(order, size)
-        if num / den > best_rate:
-            m, selected, best_rate = size, candidate, num / den
-    chosen = frozenset(selected.tolist())
-    schedule = conditional_solution(instance, chosen).as_schedule()
-    return schedule, (SlaveSummary(m, best_rate, iterations, chosen),)
+
+def _finish(summaries, iterations, rows, order, positions, neg_objective, sizes, rates, tolerances,
+            penalties, terms) -> None:
+    """Fill the summaries of the block rows that converged at this step,
+    from their lanes of the step's arrays.  Sizes within the stop tolerance
+    of the best are rescored by their rate and the smallest size with the
+    largest rate wins.  A converged size's own rescore is the step's rate,
+    so a row with no other candidate keeps it."""
+    # the step's negated objective is least at the converged size
+    ceilings = neg_objective.min(axis=1) + tolerances
+    lane, index = np.nonzero(neg_objective <= ceilings[:, None])  # each row's sizes ascending
+    if len(lane) > len(rows):
+        rates = [-math.inf] * len(rows)
+        candidates = (index + 1).tolist()
+        scored = _set_sums(positions[lane], candidates, terms)
+        for k, size, num, qr_sum in zip(lane.tolist(), candidates, *scored):
+            rate = num / (penalties[rows[k]][size - 1] + qr_sum)
+            if rate > rates[k]:
+                rates[k], sizes[k] = rate, size
+    for row, top, size, rate in zip(rows, order.tolist(), sizes, rates):
+        summaries[row] = SlaveSummary(size, rate, iterations, frozenset(top[:size]))
 
 
 def per_size_table(instance: Instance) -> tuple[SlaveSummary, ...]:
@@ -429,15 +542,14 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
     candidate set in id order."""
     if instance.n_users == 0:
         raise ValueError("instance has no users")
-    wr, qr, tx = _rate_terms(instance)
+    terms = wr, qr, tx = instance.rate_terms
     # descending w/(a+b*g), lowest id on ties: each user is the slowest of
     # its prefix
     order = np.argsort(-instance.weight / instance.roundtrip_time_per_bit, kind="stable").tolist()
     bound = _greedy_rounding_bound(instance.n_users)
-    # for the fallback: the users added so far in ascending id, with their
-    # _rate_terms, brought up to date when it runs
+    # for the fallback: the users added so far in ascending id, brought up
+    # to date when it runs
     members: list[int] = []
-    member_terms: list[tuple[float, float, float]] = []
     wr_sum = qr_sum = 0.0
     taken = instance.n_users
     for size, uid in enumerate(order, 1):
@@ -450,10 +562,8 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
             passes = rate <= threshold
         else:  # too close to call from the running sums
             for member in order[len(members) : size]:
-                at = bisect.bisect(members, member)
-                members.insert(at, member)
-                member_terms.insert(at, (wr[member], qr[member], tx[member]))
-            num, den, _, min_tx = _fixed_set_sums(instance.degradation, member_terms)
+                bisect.insort(members, member)
+            num, den, _, min_tx = _fixed_set_sums(instance.degradation, terms, members)
             passes = _meets_necessary_condition(num / den, min_tx)
         if not passes:
             taken = size - 1

@@ -7,9 +7,10 @@ contract: the same seed must give bit-identical streams on every platform and
 under every library version, which numpy's Generator API does not promise for
 its distribution methods.
 
-`SplitMix64.uniform_array` draws many values at once with wrapping uint64
-arithmetic; it gives the same doubles as that many `uniform()` calls, and
-the scalar methods stay the reference.
+`uniform_rows` draws many values for many seeds at once with wrapping
+uint64 arithmetic: row r gives the same doubles as that many `uniform()`
+calls of `SplitMix64(seeds[r])`, and the scalar methods stay the reference.
+`SplitMix64.uniform_array` is its one-row form.
 """
 
 from __future__ import annotations
@@ -51,25 +52,33 @@ class SplitMix64:
         return lo + (hi - lo) * u
 
     def uniform_array(self, n: int) -> np.ndarray:
-        """The next n `uniform()` values in [0, 1), as a float64 array.
-
-        The states are formed with wrapping uint64 arithmetic and scrambled
-        in place; the stream then continues n steps further on, as if
-        `uniform()` had been called n times.
-        """
-        z = np.arange(1, n + 1, dtype=_U64)
-        z *= _GOLDEN_U64
-        z += _U64(self._state)
+        """The next n `uniform()` values in [0, 1), as a float64 array; the
+        stream then continues n steps further on, as if `uniform()` had been
+        called n times."""
+        [u] = uniform_rows([self._state], n)
         self._state = (self._state + n * _GOLDEN) & MASK64
-        z ^= z >> _S30
-        z *= _MIX1_U64
-        z ^= z >> _S27
-        z *= _MIX2_U64
-        z ^= z >> _S31
-        z >>= _S11
-        u = z.astype(np.float64)
-        u *= 2.0**-53
         return u
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """An (R, n) float64 array whose row r holds the first n `uniform()`
+    values of `SplitMix64(seeds[r])`.
+
+    The R x n states are formed as one broadcast of wrapping uint64
+    arithmetic and scrambled in place."""
+    states = np.array([seed & MASK64 for seed in seeds], dtype=_U64).reshape(-1, 1)
+    z = np.arange(1, n + 1, dtype=_U64)
+    z *= _GOLDEN_U64
+    z = z + states
+    z ^= z >> _S30
+    z *= _MIX1_U64
+    z ^= z >> _S27
+    z *= _MIX2_U64
+    z ^= z >> _S31
+    z >>= _S11
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def mix64(*values: int) -> int:

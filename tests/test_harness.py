@@ -126,6 +126,40 @@ class TestStockEnergyBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestRateBlocks:
+    """A rate sweep draws and solves a grid point's realizations a block at
+    a time, `optimal` and `lr` through one lockstep batch solve; the block
+    boundaries must not show in the CSV."""
+
+    @pytest.mark.parametrize("experiment", ["rate-vs-K", "rate-vs-d"])
+    def test_block_size_leaves_the_bytes(self, experiment, monkeypatch):
+        spec = SweepSpec(experiment=experiment, realizations=100, base_seed=7, certify=True)
+        blocked = run_sweep(spec)
+        # one realization per block, and every grid point as one block
+        for block in (1, 10**9):
+            monkeypatch.setattr(harness, "_block", lambda n_users, block=block: block)
+            assert run_sweep(spec) == blocked
+
+    def test_one_draw_and_one_batch_solve_per_block(self, monkeypatch):
+        draws, solves = [], []
+        generate, solve = harness.generate_instances, harness.solve_rate_max_batch
+
+        def counting_draw(generation, seeds):
+            draws.append(len(seeds))
+            return generate(generation, seeds)
+
+        def counting_solve(instances):
+            solves.append(len(instances))
+            return solve(instances)
+
+        monkeypatch.setattr(harness, "generate_instances", counting_draw)
+        monkeypatch.setattr(harness, "solve_rate_max_batch", counting_solve)
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=120))
+        capacity = harness._block(10)
+        # `optimal` and `lr` share the one solve of each block
+        assert draws == solves == [capacity, capacity, 120 - 2 * capacity]
+
+
 class TestEnergyBlocks:
     """An energy sweep solves a grid point's LPs a block of realizations at
     a time, in stacks cut by the LP stack budget, and a block holds as many

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from mecoffload import (
     brute_force_energy,
     derive_user,
     generate_instance,
+    generate_instances,
     model,
     read_instance,
     solve_energy_suboptimal,
@@ -29,7 +31,7 @@ from mecoffload import (
 )
 from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.model import Instance, UserProfile
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import SplitMix64, mix64, uniform_rows
 from support import make_instance, make_user, unit_roundtrip_user
 
 # An instance's per-user columns: one per UserProfile field but the id, and
@@ -72,9 +74,9 @@ def test_builtin_sum_adds_floats_left_to_right():
     # Python 3.12 made the builtin sum of floats compensated (Neumaier).
     assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
         f"builtin sum is compensated on Python {sys.version.split()[0]}: "
-        "energy._Balance.gap, the energy._schedule objective, model.baseline_local_energy and the "
-        "energy._subset_lp budget rely on a left-to-right float sum, and with another "
-        "order the perfbench fingerprints and the stock sweep CSV bytes change"
+        "energy._Balance.gap, the energy._schedule objective, model.baseline_local_energy, the "
+        "energy._subset_lp budget and rate._fixed_set_sums rely on a left-to-right float sum, "
+        "and with another order the perfbench fingerprints and the stock sweep CSV bytes change"
     )
 
 
@@ -168,6 +170,29 @@ class TestMemoisedConstants:
         benchmark_greedy(inst)
         assert validate_energy_schedule(inst, energy).ok
         assert counted == {"columns": 1, "derive_user": 0}
+
+    def test_rate_terms_built_once_per_instance(self, monkeypatch):
+        # a certified rate sweep reads them in the optimal, greedy,
+        # all-offload and oracle schedules' conditional solutions, and in
+        # the greedy benchmark's own steps
+        built = []
+        terms = model.Instance.rate_terms.func
+
+        def counting(instance):
+            built.append(instance)
+            return terms(instance)
+
+        memo = functools.cached_property(counting)
+        memo.__set_name__(model.Instance, "rate_terms")
+        monkeypatch.setattr(model.Instance, "rate_terms", memo)
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=20, certify=True))
+        assert len(built) == len(set(map(id, built))) == 20
+        inst = built[0]
+        assert inst.rate_terms == (
+            tuple((inst.weight * inst.service_rate).tolist()),
+            tuple((inst.roundtrip_time_per_bit * inst.service_rate).tolist()),
+            tuple((inst.weight / inst.roundtrip_time_per_bit).tolist()),
+        )
 
     @pytest.fixture
     def profiles_built(self, monkeypatch):
@@ -455,6 +480,11 @@ class TestGenerationRefusals:
          "user 0: weight must be finite and > 0, got inf"),
         (GenerationSpec(n_users=3, task_kb=(1e305, 1e305)),
          "user 0: task_bits must be finite and >= 0"),
+        (GenerationSpec(n_users=3, deadline_s=math.inf), "deadline must be finite and > 0"),
+        (GenerationSpec(n_users=3, degradation=math.nan), "degradation must be finite and >= 0"),
+        # the power overflows at user 0, before the instance checks its deadline
+        (GenerationSpec(n_users=3, deadline_s=math.nan, output_ratio_exponent=(-400.0, -400.0)),
+         "(34, 'Numerical result out of range')"),
     ])
     def test_same_error_as_scalar_loop(self, spec, message):
         assert self.refusals(spec, 5) == message
@@ -481,6 +511,105 @@ class TestGenerationRefusals:
             dataclasses.replace(inst, service_rate=service)
         with pytest.raises(TypeError):
             Instance(deadline=1.0, degradation=0.0, weight=inst.weight)
+
+
+def column_bytes(instance):
+    """Every column of the instance as raw bytes: equal only bit for bit."""
+    return [getattr(instance, name).tobytes() for name in COLUMNS]
+
+
+class TestBlockGeneration:
+    """`generate_instances` draws a block of seeds in one call; each of its
+    instances must be that seed's own instance, column for column and bit
+    for bit, and a refusal must be the first bad seed's own refusal."""
+
+    @staticmethod
+    def assert_block(spec, seeds):
+        block = generate_instances(spec, seeds)
+        assert len(block) == len(seeds)
+        for instance, seed in zip(block, seeds):
+            expected = scalar_generate_instance(spec, seed)
+            assert column_bytes(instance) == column_bytes(expected)
+            assert column_bytes(instance) == column_bytes(generate_instance(spec, seed))
+            assert (instance.deadline, instance.degradation) == (spec.deadline_s,
+                                                                 spec.degradation)
+            assert all(not getattr(instance, name).flags.writeable for name in COLUMNS)
+
+    @pytest.mark.parametrize("n_users", [0, 1, 4, 10, 100])
+    def test_block_matches_each_seed(self, n_users):
+        seeds = [0, -1, 2**63, 2**64 - 1, 2**70, -(2**70), 12345, 12345]
+        self.assert_block(GenerationSpec(n_users=n_users), seeds)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(min_value=0, max_value=20),
+        seeds=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=8),
+    )
+    def test_any_block_matches_each_seed(self, n_users, seeds):
+        self.assert_block(GenerationSpec(n_users=n_users, degradation=0.2), seeds)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 70])
+    def test_uniform_rows_are_each_seeds_stream(self, n):
+        seeds = [0, -1, 2**63, 2**64 - 1, 2**70, 99]
+        rows = uniform_rows(seeds, n)
+        assert rows.shape == (len(seeds), n) and rows.dtype == float
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == SplitMix64(seed).uniform_array(n).tobytes()
+
+    @staticmethod
+    def classify(spec, seeds):
+        """Each seed's outcome from the per-user loop: None where it draws
+        an instance, else the type and text of its error."""
+        outcomes = {}
+        for seed in seeds:
+            try:
+                scalar_generate_instance(spec, seed)
+            except (ValueError, OverflowError) as exc:
+                outcomes[seed] = (type(exc), str(exc))
+            else:
+                outcomes[seed] = None
+        return outcomes
+
+    # one user each: exponents past about 323.3 underflow the output ratio to
+    # 0.0, a ValueError; below about -308.3 its power overflows
+    MIXED = GenerationSpec(n_users=1, output_ratio_exponent=(-400.0, 400.0))
+
+    @pytest.mark.parametrize("third", [ValueError, OverflowError])
+    def test_third_instance_refuses_with_its_own_error(self, third):
+        outcomes = self.classify(self.MIXED, range(200))
+        good = [seed for seed, outcome in outcomes.items() if outcome is None]
+        bad = {kind: [seed for seed, outcome in outcomes.items()
+                      if outcome is not None and outcome[0] is kind]
+               for kind in (ValueError, OverflowError)}
+        later = bad[OverflowError if third is ValueError else ValueError][0]
+        seeds = [good[0], good[1], bad[third][0], later, good[2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((ValueError, OverflowError)) as refused:
+                generate_instances(self.MIXED, seeds)
+        assert (type(refused.value), str(refused.value)) == outcomes[bad[third][0]]
+        assert generate_instances(self.MIXED, good[:3])  # the good ones alone draw
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_users_refuse_as_each_seed(self, seed):
+        # a block of bad seeds refuses with its first seed's first bad user
+        for exponents in ((300.0, 330.0), (-330.0, 0.0), (-400.0, 400.0)):
+            spec = GenerationSpec(n_users=12, output_ratio_exponent=exponents)
+            seeds = [mix64(seed, k) for k in range(4)]
+            first_bad = next(
+                (outcome for outcome in self.classify(spec, seeds).values() if outcome), None
+            )
+            if first_bad is None:
+                self.assert_block(spec, seeds)
+                continue
+            with pytest.raises((ValueError, OverflowError)) as refused:
+                generate_instances(spec, seeds)
+            assert (type(refused.value), str(refused.value)) == first_bad
+
+    def test_spec_is_checked_once_even_for_no_seeds(self):
+        assert generate_instances(GenerationSpec(n_users=3), []) == []
+        with pytest.raises(ConfigurationError):
+            generate_instances(GenerationSpec(n_users=-1), [])
 
 
 class TestRng:

@@ -3,6 +3,7 @@ import itertools
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +21,12 @@ from mecoffload import (
     no_interference_schedule,
     per_size_table,
     solve_rate_max,
+    solve_rate_max_batch,
     validate_rate_schedule,
 )
 from mecoffload import rate as ratemod
 from mecoffload.model import RATE_RTOL
+from mecoffload.rate import MAX_DINKELBACH_ITER, SlaveSummary
 from mecoffload.rng import SplitMix64, mix64
 from support import (
     homogeneous_instance,
@@ -241,6 +244,120 @@ class TestGlobalLoopEquivalence:
     def test_per_size_table_rejects_empty_instance(self):
         with pytest.raises(ValueError):
             per_size_table(make_instance([], deadline=1.0))
+
+
+def one_instance_solve(instance):
+    """`solve_rate_max` as a loop over one instance's 1-D arrays: the
+    reference for the lockstep solve, which must match it to the bit."""
+    wr = instance.weight * instance.service_rate
+    qr = instance.roundtrip_time_per_bit * instance.service_rate
+    weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
+    service = instance.service_rate
+    rate = float((wr / (1.0 + qr)).max())
+    d = instance.degradation
+    n_sizes = instance.n_users
+    if d > 0.0:
+        cut = math.log(float(wr.sum()) / rate) / math.log1p(d)
+        if cut < n_sizes:
+            n_sizes = min(n_sizes, int(cut) + 2)
+    penalties = [(1.0 + d) ** j for j in range(n_sizes)]
+
+    def prefix_rate(order, m):
+        selected = np.sort(order[:m])
+        return selected, float(wr[selected].sum()), penalties[m - 1] + float(qr[selected].sum())
+
+    for iterations in range(1, MAX_DINKELBACH_ITER + 1):
+        scores = service * (weight - rate * roundtrip)
+        order = np.argsort(-scores, kind="stable")
+        objective = np.cumsum(scores[order[:n_sizes]]) - rate * np.array(penalties)
+        m = int(objective.argmax()) + 1
+        _, num, den = prefix_rate(order, m)
+        gap = num - rate * den
+        rate = num / den
+        tolerance = 1e-9 * (1.0 + abs(num))
+        if abs(gap) <= tolerance:
+            break
+    best_rate = -math.inf
+    for size in (np.flatnonzero(objective >= objective[m - 1] - tolerance) + 1).tolist():
+        candidate, num, den = prefix_rate(order, size)
+        if num / den > best_rate:
+            m, selected, best_rate = size, candidate, num / den
+    chosen = frozenset(selected.tolist())
+    summary = SlaveSummary(m, best_rate, iterations, chosen)
+    return conditional_solution(instance, chosen).as_schedule(), (summary,)
+
+
+def assert_same_solve(solved, reference):
+    (schedule, (row,)), (expected, (expected_row,)) = solved, reference
+    assert schedule.scheduled == expected.scheduled
+    assert repr(schedule.sum_rate) == repr(expected.sum_rate)
+    assert schedule == expected
+    assert row == expected_row and repr(row.rate) == repr(expected_row.rate)
+
+
+def assert_batch_matches(instances):
+    """The batch solve equals one-at-a-time `solve_rate_max`, and both the
+    one-instance reference loop, in schedule, rate bits and summary."""
+    batch = solve_rate_max_batch(instances)
+    assert len(batch) == len(instances)
+    for instance, solved in zip(instances, batch):
+        assert_same_solve(solved, solve_rate_max(instance))
+        assert_same_solve(solved, one_instance_solve(instance))
+
+
+# spreads the transmission rates, so sets that break the necessary
+# condition and sizes cut short by the interference both occur
+WIDE = dict(uplink_mbps=(2.0, 300.0), downlink_mbps=(2.0, 300.0), service_rate_bps=(1e7, 1e8))
+
+
+class TestBatchSolve:
+    """`solve_rate_max_batch` runs the loop of a block of instances in
+    lockstep; it must give each instance's one-at-a-time solve to the bit,
+    whatever the block mixes and whenever each lane converges."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.tuples(
+            st.integers(1, 12),
+            st.sampled_from([0.0, 5e-324, 0.05, 0.1, 0.3, 3.0]) | st.floats(0.0, 3.0),
+            st.integers(0, 2**64 - 1),
+            st.booleans(),
+        ),
+        min_size=1, max_size=30,
+    ))
+    def test_mixed_blocks_match_one_at_a_time(self, draws):
+        assert_batch_matches([
+            generate_instance(GenerationSpec(n_users=k, degradation=d, **(WIDE if wide else {})),
+                              seed)
+            for k, d, seed, wide in draws
+        ])
+
+    def test_tied_sizes_and_users(self):
+        # identical users at d = 1/m tie sizes m and m+1 exactly, and equal
+        # scores tie users within a size
+        assert_batch_matches([
+            builder(k, d, seed)
+            for builder in (homogeneous_instance, homogeneous_txrate_instance)
+            for d in (1 / 3, 1 / 4, 0.2)
+            for k in (3, 8, 12)
+            for seed in range(3)
+        ])
+
+    @pytest.mark.parametrize("k, degradations", [
+        (100, (0.0, 5e-324, 0.05, 0.3, 3.0)),
+        (1000, (0.0, 5e-324, 0.05, 3.0)),
+    ])
+    def test_large_blocks(self, k, degradations):
+        assert_batch_matches([
+            generate_instance(GenerationSpec(n_users=k, degradation=d, **wide), mix64(k, seed))
+            for d in degradations
+            for seed, wide in enumerate(({}, WIDE))
+        ])
+
+    def test_empty_block_and_empty_instance(self):
+        assert solve_rate_max_batch([]) == []
+        with pytest.raises(ValueError, match="no users"):
+            solve_rate_max_batch([stock_instance(4, 0.1, 1), make_instance([], deadline=1.0)])
 
 
 class TestLargeK:
@@ -558,9 +675,9 @@ def fallbacks(monkeypatch):
     calls = []
     original = ratemod._fixed_set_sums
 
-    def counting(degradation, terms):
-        calls.append(len(terms))
-        return original(degradation, terms)
+    def counting(degradation, terms, members):
+        calls.append(len(members))
+        return original(degradation, terms, members)
 
     monkeypatch.setattr(ratemod, "_fixed_set_sums", counting)
     return calls
