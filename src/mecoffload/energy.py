@@ -58,18 +58,17 @@ def partition_users(instance: Instance) -> Partition:
 
 
 class _Balance:
-    """The feasibility balance of one instance, with the user constants it
-    needs read once from `Instance.derived`, for the many deadlines a root
-    search tries."""
+    """The feasibility balance of one instance, with the user values it
+    needs read once from the instance's columns, for the many deadlines a
+    root search tries."""
 
     def __init__(self, instance: Instance):
-        columns = instance.derived
         self.degradation = instance.degradation
-        self.task = columns.task_bits.tolist()
-        self.freq = columns.cpu_freq.tolist()
-        self.cycles = columns.cycles_per_bit.tolist()
-        self.roundtrip = columns.roundtrip.tolist()
-        self.service = columns.service.tolist()
+        self.task = instance.task_bits.tolist()
+        self.freq = instance.cpu_freq.tolist()
+        self.cycles = instance.cycles_per_bit.tolist()
+        self.roundtrip = instance.roundtrip_time_per_bit.tolist()
+        self.service = instance.service_rate.tolist()
 
     def min_bits(self, t: float) -> list[float]:
         # `0.0 if 0.0 > x else x` is max(x, 0.0), zero sign included
@@ -263,17 +262,16 @@ def _commitment(instance: Instance, partition: Partition, s1):
     the forced saving users and s1, the forced minimum for the forced costly
     ones, and 0 for the rest; with the number of VMs they occupy."""
     s1 = _optional(partition, s1)
-    columns = instance.derived
     bits = np.zeros(instance.n_users)
     costly = _ids(partition.forced_costly)
-    bits[costly] = columns.min_offload_bits[costly]
+    bits[costly] = instance.min_offload_bits[costly]
     whole = _ids(partition.forced_saving | s1)
-    bits[whole] = columns.task_bits[whole]
+    bits[whole] = instance.task_bits[whole]
     return bits, len(partition.forced) + len(s1)
 
 
 def _window(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
-    longest = (bits / instance.derived.service).max().item() if bits.size else 0.0
+    longest = (bits / instance.service_rate).max().item() if bits.size else 0.0
     if longest == 0.0:
         return 0.0
     return longest * interference_penalty(instance.degradation, n_vms)
@@ -297,7 +295,7 @@ def total_delay(instance: Instance, partition: Partition, s1) -> float:
 def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     # accumulate adds left to right (.sum() would add pairwise), and the
     # +0.0 terms of uncommitted users leave the running sum unchanged
-    radio = np.add.accumulate(bits * instance.derived.roundtrip)[-1].item() if bits.size else 0.0
+    radio = np.add.accumulate(bits * instance.roundtrip_time_per_bit)[-1].item() if bits.size else 0.0
     return radio + _window(instance, bits, n_vms)
 
 
@@ -308,7 +306,6 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     members' offload sizes and the computing window, and minimizes the
     energy deltas subject to the radio budget and per-user caps."""
     s1 = _optional(partition, s1)
-    columns = instance.derived
     members = sorted(partition.forced_saving | s1)
     factor = vm_rate_factor(instance.degradation, len(partition.forced) + len(s1))
     # every user's bits but the members': the forced minimum of the forced
@@ -316,8 +313,8 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     committed = [0.0] * instance.n_users
     budget, te_floor = instance.deadline, 0.0
     if partition.forced_costly:
-        min_bits, roundtrip = columns.min_offload_bits.tolist(), columns.roundtrip.tolist()
-        service = columns.service.tolist()
+        min_bits = instance.min_offload_bits.tolist()
+        roundtrip, service = instance.roundtrip_time_per_bit.tolist(), instance.service_rate.tolist()
         costly = sorted(partition.forced_costly)
         for uid in costly:
             committed[uid] = min_bits[uid]
@@ -340,18 +337,18 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
     ids = _ids(members)
     n = ids.size + 1  # trailing variable is the computing window
     objective = np.zeros(n)
-    objective[:-1] = columns.delta_per_bit[ids]
+    objective[:-1] = instance.delta_per_bit[ids]
     coeffs = np.zeros((n, n))  # the budget row, then a cap row per member
-    coeffs[0, :-1] = columns.roundtrip[ids]
+    coeffs[0, :-1] = instance.roundtrip_time_per_bit[ids]
     coeffs[0, -1] = 1.0
     coeffs.flat[n :: n + 1] = 1.0  # member k's own column in its cap row
-    coeffs[1:, -1] = -columns.service[ids] * factor
+    coeffs[1:, -1] = -instance.service_rate[ids] * factor
     rhs = np.zeros(n)
     rhs[0] = budget
     bounds = np.empty((n, 2))
     forced = [uid in partition.forced_saving for uid in members]
-    bounds[:-1, 0] = np.where(forced, columns.min_offload_bits[ids], 0.0)
-    bounds[:-1, 1] = columns.task_bits[ids]
+    bounds[:-1, 0] = np.where(forced, instance.min_offload_bits[ids], 0.0)
+    bounds[:-1, 1] = instance.task_bits[ids]
     bounds[-1] = te_floor, math.inf
     for array in (objective, coeffs, rhs, bounds):
         array.flags.writeable = False  # read-only and owned: `LpProblem` keeps them uncopied
@@ -390,7 +387,7 @@ def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
               status: str) -> EnergySchedule:
     """The schedule of every user's offload bits, in id order.  The
     objective sums delta * b left to right in user id, from 0.0."""
-    objective = sum(map(operator.mul, instance.derived.delta_per_bit.tolist(), bits), 0.0)
+    objective = sum(map(operator.mul, instance.delta_per_bit.tolist(), bits), 0.0)
     return EnergySchedule(
         scheduled=scheduled,
         offload_bits=dict(enumerate(bits)),
@@ -443,14 +440,13 @@ def _suboptimal_plan(instance: Instance):
         return _done(_infeasible(instance, feasibility_tmin(instance).t_min))
 
     part = partition_users(instance)
-    columns = instance.derived
     # Every load below is the forced users' commitment with some optional
     # users added at their whole task, the bits `total_delay` would form.
     base, n_forced = _commitment(instance, part, ())
 
     def committed(kept: np.ndarray) -> tuple[np.ndarray, int]:
         bits = base.copy()
-        bits[kept] = columns.task_bits[kept]
+        bits[kept] = instance.task_bits[kept]
         return bits, n_forced + kept.size
 
     optional = np.sort(_ids(part.free_saving))
@@ -465,7 +461,7 @@ def _suboptimal_plan(instance: Instance):
         # so bisect on how many to drop: the fewest whose removal fits.
         # Dropping none fails the first check above; dropping all passes
         # the second.
-        keys = -columns.delta_per_bit[optional] / columns.roundtrip[optional]
+        keys = -instance.delta_per_bit[optional] / instance.roundtrip_time_per_bit[optional]
         order = optional[np.argsort(keys, kind="stable")]
         too_few, enough = 0, order.size
         while enough - too_few > 1:

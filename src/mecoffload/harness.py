@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .energy import (
-    benchmark_energy_all_offloading,
     benchmark_energy_all_offloading_batch,
     feasibility_tmin,
     partition_users,
@@ -38,6 +37,7 @@ from .model import (
     _is_int,
     _is_number,
     _number,
+    _read_json,
     _require,
     generate_instance,
     generate_instances,
@@ -64,41 +64,27 @@ from .rng import mix64
 __all__ = ["SweepSpec", "run_sweep", "cli_main", "main"]
 
 
-def _optimal_schedule(instance):
-    return solve_rate_max(instance)[0]
-
-
 def _optimal_schedules(instances):
     return [schedule for schedule, _ in solve_rate_max_batch(instances)]
 
 
+# Each algorithm takes a block of a grid point's realizations (`_block`),
+# drawn with one `generate_instances` call, and returns their schedules in
+# realization order.  The rate batch runs the block's Dinkelbach loops in
+# lockstep.  The energy batches, and the certifying energy oracle, solve the
+# block's LPs together in stacks cut by `lp.stack_starts`.  The per-instance
+# entries look their function up at each call, so that a wrapper set on this
+# module's name is the one called.
 # The LP-relaxation benchmark is the exact solve (see rate.benchmark_lr), so
 # "lr" shares the "optimal" callable and a sweep solves it once per instance.
 RATE_ALGORITHMS = {
-    "optimal": _optimal_schedule,
-    "greedy": benchmark_greedy,
-    "lr": _optimal_schedule,
-    "all-offload": benchmark_all_offloading,
+    "optimal": _optimal_schedules,
+    "greedy": lambda instances: [benchmark_greedy(i) for i in instances],
+    "lr": _optimal_schedules,
+    "all-offload": lambda instances: [benchmark_all_offloading(i) for i in instances],
 }
 
 ENERGY_ALGORITHMS = {
-    "suboptimal": solve_energy_suboptimal,
-    "all-offload": benchmark_energy_all_offloading,
-    "oracle": brute_force_energy,
-}
-
-# A sweep runs a grid point's realizations a block at a time (`_block`),
-# drawn with one `generate_instances` call.  The algorithms listed here take
-# the block through their batch forms; the values still go into the CSV in
-# realization order.  The rate batch runs the block's Dinkelbach loops in
-# lockstep.  The energy batches, and the certifying energy oracle, solve the
-# block's LPs together in stacks cut by `lp.stack_starts`.
-RATE_BATCHES = {
-    "optimal": _optimal_schedules,
-    "lr": _optimal_schedules,
-}
-
-ENERGY_BATCHES = {
     "suboptimal": solve_energy_suboptimal_batch,
     "all-offload": benchmark_energy_all_offloading_batch,
     "oracle": brute_force_energy_batch,
@@ -228,7 +214,6 @@ def run_sweep(spec: SweepSpec) -> str:
     lines = [",".join(header)]
 
     algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
-    batches = RATE_BATCHES if rate_side else ENERGY_BATCHES
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
@@ -255,16 +240,12 @@ def run_sweep(spec: SweepSpec) -> str:
                         for i in instances
                     ]
                 elif spec.certify:
-                    references = brute_force_energy_batch(instances, budget)
                     # the references are the oracle row's schedules too
-                    solved[algorithms["oracle"]] = references
+                    references = solved[algorithms["oracle"]] = algorithms["oracle"](instances)
                 for name in spec.algorithms:
                     algorithm = algorithms[name]
                     if algorithm not in solved:
-                        batch = batches.get(name)
-                        solved[algorithm] = (
-                            batch(instances) if batch else [algorithm(i) for i in instances]
-                        )
+                        solved[algorithm] = algorithm(instances)
             for name in spec.algorithms:
                 for schedule, reference in zip(solved[algorithms[name]], references):
                     if rate_side:
@@ -365,17 +346,6 @@ def _write_json(doc: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _read_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    return doc
 
 
 # The JSON form of each `SweepSpec` field type: its name and its test.

@@ -161,11 +161,6 @@ def _pivots(stack, lps, rows, factors, products=None) -> None:
                     out=stack[part], where=factors[part] != 0.0)
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """`_pivots` for a single tableau."""
-    _pivots(tableau[None], np.zeros(1, dtype=int), row, tableau[None, :, col].copy())
-
-
 def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarray:
     """Pivot the stacked problems `lps` in lockstep until each one is optimal
     or unbounded.  Writes their final tableaus and bases back into the stack

@@ -32,7 +32,6 @@ __all__ = [
     "UserProfile",
     "Instance",
     "DerivedUser",
-    "EnergyColumns",
     "Partition",
     "RateSchedule",
     "EnergySchedule",
@@ -40,7 +39,6 @@ __all__ = [
     "ValidationReport",
     "GenerationSpec",
     "derive_user",
-    "derive_columns",
     "vm_rate_factor",
     "interference_penalty",
     "baseline_local_energy",
@@ -137,7 +135,11 @@ class Instance:
     """A solver input: frame deadline, interference factor, and the users'
     values as one read-only float64 array per `UserProfile` field, entry k
     belonging to user id k.  `roundtrip_time_per_bit` is formed once from
-    them.  These columns are the instance's only store of user values.
+    them.  These columns are the instance's only store of user values; the
+    energy side's `delta_per_bit` and `min_offload_bits` are formed from
+    them on first read.  Every entry is the double that the scalar
+    expression gives: read a single value through `tolist()`, so that it
+    is a Python float.
 
     Build it from profiles, `Instance(deadline=, degradation=, users=)`, or
     from columns, one keyword per `UserProfile` field but the id (as
@@ -219,19 +221,33 @@ class Instance:
         return self.users[user_id]
 
     @cached_property
-    def derived(self) -> EnergyColumns:
-        """The energy side's per-user columns (`derive_columns`): built on
-        first use and memoised on this object.  They depend on the
+    def delta_per_bit(self) -> np.ndarray:
+        """Every user's `DerivedUser.energy_delta_per_bit`, read-only:
+        computed on first use and memoised on this object."""
+        delta = self.weight * (
+            self.uplink_time_per_bit * self.tx_power
+            - self.energy_coeff * self.cycles_per_bit * _squares(self.cpu_freq)
+        )
+        delta.setflags(write=False)
+        return delta
+
+    @cached_property
+    def min_offload_bits(self) -> np.ndarray:
+        """Every user's `DerivedUser.min_offload_bits`, read-only: computed
+        on first use and memoised on this object.  It depends on the
         deadline, so a copy made with `dataclasses.replace` builds its own."""
-        return derive_columns(self)
+        excess = self.task_bits - self.deadline * self.cpu_freq / self.cycles_per_bit
+        # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
+        min_bits = np.where(0.0 > excess, 0.0, excess)
+        min_bits.setflags(write=False)
+        return min_bits
 
     @cached_property
     def partition(self) -> Partition:
-        """The users split four ways (`Partition`): built from `derived` on
-        first use and memoised on this object, so it follows the deadline
-        as `derived` does."""
-        columns = self.derived
-        classes = 2 * (columns.min_offload_bits > 0.0) + (columns.delta_per_bit < 0.0)
+        """The users split four ways (`Partition`): built on first use and
+        memoised on this object, so it follows the deadline as
+        `min_offload_bits` does."""
+        classes = 2 * (self.min_offload_bits > 0.0) + (self.delta_per_bit < 0.0)
         # each class's ids ascending, as Python ints; class = 2 * forced + saving
         free_costly, free_saving, forced_costly, forced_saving = (
             frozenset((classes == c).nonzero()[0].tolist()) for c in range(4)
@@ -315,8 +331,8 @@ def _check_columns(table: np.ndarray, roundtrip: np.ndarray) -> None:
 @dataclass(frozen=True)
 class DerivedUser:
     """Per-user constants derived from a profile and the instance deadline,
-    one user at a time: the scalar reference for the columns of
-    `Instance.derived`.
+    one user at a time: the scalar reference for the columns
+    `Instance.delta_per_bit` and `Instance.min_offload_bits`.
 
     energy_delta_per_bit   net energy cost of offloading one bit instead of
                            computing it locally (J/bit); negative means
@@ -357,32 +373,6 @@ class Partition:
         return self.forced_costly | self.forced_saving
 
 
-@dataclass(frozen=True)
-class EnergyColumns:
-    """The energy side's per-user values as read-only arrays, memoised per
-    `Instance` object (`Instance.derived`).  Entry k belongs to user id k,
-    and every entry is the double that the scalar expression gives.  Read a
-    single value through `tolist()`, so that it is a Python float.
-
-    delta_per_bit     `DerivedUser.energy_delta_per_bit`
-    min_offload_bits  `DerivedUser.min_offload_bits` at the instance deadline
-    task_bits         task sizes
-    roundtrip         roundtrip times per bit
-    service           isolated VM service rates
-    cpu_freq          local CPU speeds, and
-    cycles_per_bit    local cycles per bit, for the feasibility balance at
-                      other deadlines
-    """
-
-    delta_per_bit: np.ndarray
-    min_offload_bits: np.ndarray
-    task_bits: np.ndarray
-    roundtrip: np.ndarray
-    service: np.ndarray
-    cpu_freq: np.ndarray
-    cycles_per_bit: np.ndarray
-
-
 def derive_user(instance: Instance, user_id: int) -> DerivedUser:
     """Compute the derived constants for one user. Pure function of its inputs."""
     u = instance.user(user_id)
@@ -406,30 +396,6 @@ def _squares(values: np.ndarray) -> np.ndarray:
     """x**2 of each entry, one Python float at a time: numpy's square may
     differ from Python's `**` in the last bit."""
     return np.array([x**2 for x in values.tolist()])
-
-
-def derive_columns(instance: Instance) -> EnergyColumns:
-    """`derive_user` of every user at once, with the same expressions
-    evaluated on the instance's columns."""
-    freq, cycles = instance.cpu_freq, instance.cycles_per_bit
-    excess = instance.task_bits - instance.deadline * freq / cycles
-    delta = instance.weight * (
-        instance.uplink_time_per_bit * instance.tx_power
-        - instance.energy_coeff * cycles * _squares(freq)
-    )
-    # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
-    min_bits = np.where(0.0 > excess, 0.0, excess)
-    delta.setflags(write=False)
-    min_bits.setflags(write=False)
-    return EnergyColumns(
-        delta_per_bit=delta,
-        min_offload_bits=min_bits,
-        task_bits=instance.task_bits,
-        roundtrip=instance.roundtrip_time_per_bit,
-        service=instance.service_rate,
-        cpu_freq=freq,
-        cycles_per_bit=cycles,
-    )
 
 
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:
@@ -603,8 +569,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     mandatory-offload coverage, and the energy bookkeeping identities."""
     if schedule.status == "infeasible":
         raise ValueError("cannot validate an infeasible schedule")
-    columns = instance.derived
-    min_bits = columns.min_offload_bits.tolist()
+    min_bits = instance.min_offload_bits.tolist()
     task_bits = instance.task_bits.tolist()
 
     def offload_bounds(uid, bits, vm_cap):
@@ -629,7 +594,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     checks = _common_checks(instance, schedule, offload_bounds, must_not_be_forced)
     recomputed = sum(
         delta * schedule.offload_bits.get(uid, 0.0)
-        for uid, delta in enumerate(columns.delta_per_bit.tolist())
+        for uid, delta in enumerate(instance.delta_per_bit.tolist())
     )
     mismatch = abs(schedule.objective - recomputed)
     checks.append(
@@ -840,10 +805,9 @@ def _number(mapping: dict, key: str, where: str) -> float:
     return float(value)
 
 
-def read_instance(path) -> Instance:
-    """Load an instance file.  Field names are the contract: unknown fields
-    are rejected, missing ones named in the error, and a value of the wrong
-    JSON type (a bool is not a number) is a `ParseError` naming its field."""
+def _read_json(path) -> dict:
+    """A JSON file whose top level is an object; malformed JSON or another
+    top level is a `ParseError` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -851,6 +815,14 @@ def read_instance(path) -> Instance:
             raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
+    return doc
+
+
+def read_instance(path) -> Instance:
+    """Load an instance file.  Field names are the contract: unknown fields
+    are rejected, missing ones named in the error, and a value of the wrong
+    JSON type (a bool is not a number) is a `ParseError` naming its field."""
+    doc = _read_json(path)
     for key in doc:
         if key not in _TOP_FIELDS:
             raise ParseError(f"{path}: unknown field '{key}'")

@@ -198,15 +198,15 @@ def _offload_bounds(instance: Instance, partition, optional: list[int]):
     (delta < 0) and offloads at most L, and every other user's bits are
     what the schedule assembly gives it, so no feasible point of the LP
     spends less (up to the allowances of `_prune_margin`)."""
-    columns = instance.derived
     base, _ = energymod._commitment(instance, partition, ())
     ids = np.asarray(optional, dtype=np.intp)
     _, chosen, _ = _subset_table(ids.size)
     bits = np.repeat(base[None, :], len(chosen), axis=0)
-    bits[:, ids] = np.where(chosen != 0.0, columns.task_bits[ids], 0.0)
+    bits[:, ids] = np.where(chosen != 0.0, instance.task_bits[ids], 0.0)
     # accumulate adds left to right, in user id order, as the objective does
-    bounds = np.add.accumulate(bits * columns.delta_per_bit, axis=1)[:, -1]
-    scale = np.add.accumulate(np.abs(columns.delta_per_bit * columns.task_bits))[-1]
+    delta = instance.delta_per_bit
+    bounds = np.add.accumulate(bits * delta, axis=1)[:, -1]
+    scale = np.add.accumulate(np.abs(delta * instance.task_bits))[-1]
     return bounds.tolist(), scale.item()
 
 

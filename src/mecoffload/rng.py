@@ -10,7 +10,6 @@ its distribution methods.
 `uniform_rows` draws many values for many seeds at once with wrapping
 uint64 arithmetic: row r gives the same doubles as that many `uniform()`
 calls of `SplitMix64(seeds[r])`, and the scalar methods stay the reference.
-`SplitMix64.uniform_array` is its one-row form.
 """
 
 from __future__ import annotations
@@ -50,14 +49,6 @@ class SplitMix64:
         # 53 high bits give the usual dyadic rational in [0, 1).
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
-
-    def uniform_array(self, n: int) -> np.ndarray:
-        """The next n `uniform()` values in [0, 1), as a float64 array; the
-        stream then continues n steps further on, as if `uniform()` had been
-        called n times."""
-        [u] = uniform_rows([self._state], n)
-        self._state = (self._state + n * _GOLDEN) & MASK64
-        return u
 
 
 def uniform_rows(seeds, n: int) -> np.ndarray:

@@ -90,11 +90,10 @@ class TestPartition:
             # a radio 100 times as power-hungry makes every third user costly
             power = [p * (100.0 if k % 3 == 1 else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
             inst = dataclasses.replace(inst, tx_power=power)
-            columns = inst.derived
             groups = ([], [], [], [])
             for uid in range(n_users):
-                forced = columns.min_offload_bits[uid] > 0.0
-                groups[2 * forced + (columns.delta_per_bit[uid] < 0.0)].append(uid)
+                forced = inst.min_offload_bits[uid] > 0.0
+                groups[2 * forced + (inst.delta_per_bit[uid] < 0.0)].append(uid)
             part = partition_users(inst)
             built = (part.free_costly, part.free_saving, part.forced_costly, part.forced_saving)
             for group, ids in zip(built, map(frozenset, groups)):
@@ -874,7 +873,7 @@ class TestExactBookkeeping:
             if schedule is None or schedule.status == "infeasible":
                 continue
             bits = schedule.offload_bits
-            delta = each.derived.delta_per_bit.tolist()
+            delta = each.delta_per_bit.tolist()
             assert list(bits) == list(range(n_users))
             assert schedule.objective == sum(map(operator.mul, delta, bits.values()), 0.0)
             assert schedule.total_energy == schedule.objective + baseline_local_energy(each)
@@ -982,8 +981,7 @@ class TestGapMonotoneProperty:
             inst = dataclasses.replace(drop_loop_instance(n_users, seed), degradation=degradation)
         else:
             inst = stock_instance(n_users, degradation, seed, deadline=0.45)
-        columns = inst.derived
-        thresholds = (columns.cycles_per_bit * columns.task_bits / columns.cpu_freq).tolist()
+        thresholds = (inst.cycles_per_bit * inst.task_bits / inst.cpu_freq).tolist()
         t_min = feasibility_tmin(inst).t_min
         probes = sorted({p for t in thresholds + [t_min] for p in ulp_neighbours(t)})
         gaps = [feasibility_gap(inst, t) for t in probes]

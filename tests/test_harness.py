@@ -159,6 +159,23 @@ class TestRateBlocks:
         # `optimal` and `lr` share the one solve of each block
         assert draws == solves == [capacity, capacity, 120 - 2 * capacity]
 
+    def test_per_instance_algorithms_call_the_module_names(self, monkeypatch):
+        # a wrapper set on the harness's name is the one a sweep calls, as
+        # a tracer that wraps functions where they are looked up needs
+        spec = SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=30,
+                         algorithms=("greedy",))
+        plain = run_sweep(spec)
+        calls = []
+        greedy = harness.benchmark_greedy
+
+        def counting(instance):
+            calls.append(instance)
+            return greedy(instance)
+
+        monkeypatch.setattr(harness, "benchmark_greedy", counting)
+        assert run_sweep(spec) == plain
+        assert len(calls) == len(set(map(id, calls))) == 30
+
 
 class TestEnergyBlocks:
     """An energy sweep solves a grid point's LPs a block of realizations at
@@ -184,7 +201,7 @@ class TestEnergyBlocks:
             calls.append(len(instances))
             return batch(instances, *args)
 
-        monkeypatch.setattr(harness, "brute_force_energy_batch", counting)
+        monkeypatch.setitem(harness.ENERGY_ALGORITHMS, "oracle", counting)
         run_sweep(SweepSpec(experiment="energy-vs-d", grid=(0.2,), realizations=120,
                             certify=True))
         # the all-offload LP of K = 10 users has 21 rows over 11 columns
@@ -236,8 +253,7 @@ class TestEnergyBlocks:
             calls.append(len(args[0]))
             return batch(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "brute_force_energy_batch", counting)
-        monkeypatch.setitem(harness.ENERGY_BATCHES, "oracle", counting)
+        monkeypatch.setitem(harness.ENERGY_ALGORITHMS, "oracle", counting)
         spec = SweepSpec(experiment="energy-vs-d", realizations=100, base_seed=7, certify=True,
                          algorithms=("suboptimal", "all-offload", "oracle"))
         certified = run_sweep(spec).strip().split("\n")

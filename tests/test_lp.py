@@ -10,7 +10,6 @@ from mecoffload.lp import (
     BudgetExceededError,
     LpProblem,
     LpStructureError,
-    _pivot,
     shared_solutions,
     solve_lp,
     solve_lps,
@@ -354,7 +353,7 @@ class TestRowLoopEquivalence:
 
     def test_pivot_leaves_zero_factor_rows_untouched(self):
         tableau = np.array([[2.0, 4.0, 6.0], [-0.0, 1.0, -0.0], [3.0, 1.0, 1.0]])
-        _pivot(tableau, 0, 0)
+        lp._pivots(tableau[None], np.zeros(1, dtype=int), 0, tableau[None, :, 0].copy())
         assert math.copysign(1.0, tableau[1, 0]) == -1.0
         assert math.copysign(1.0, tableau[1, 2]) == -1.0
         np.testing.assert_array_equal(tableau[2], [0.0, -5.0, -8.0])

@@ -120,40 +120,51 @@ class TestDerivedUser:
             assert b == 0.0
 
 
+# the instance's columns that the energy side reads
+ENERGY_COLUMNS = ("delta_per_bit", "min_offload_bits", "task_bits", "roundtrip_time_per_bit",
+                  "service_rate", "cpu_freq", "cycles_per_bit")
+
+
 def assert_columns_match_derive_user(instance):
     """Every column entry is the scalar reference's double for that user."""
-    columns = instance.derived
     derived = [derive_user(instance, u.id) for u in instance.users]
     expected = {
         "delta_per_bit": [d.energy_delta_per_bit for d in derived],
         "min_offload_bits": [d.min_offload_bits for d in derived],
         "task_bits": [u.task_bits for u in instance.users],
-        "roundtrip": [d.roundtrip_time_per_bit for d in derived],
-        "service": [u.service_rate for u in instance.users],
+        "roundtrip_time_per_bit": [d.roundtrip_time_per_bit for d in derived],
+        "service_rate": [u.service_rate for u in instance.users],
         "cpu_freq": [u.cpu_freq for u in instance.users],
         "cycles_per_bit": [u.cycles_per_bit for u in instance.users],
     }
-    assert set(expected) == {f.name for f in dataclasses.fields(columns)}
+    assert tuple(expected) == ENERGY_COLUMNS
     for name, values in expected.items():
-        assert getattr(columns, name).tolist() == values, name
+        assert getattr(instance, name).tolist() == values, name
 
 
 class TestMemoisedConstants:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Counts column builds and `derive_user` calls."""
-        calls = {"columns": 0, "derive_user": 0}
-        build = model.derive_columns
+        """Counts the builds of the two derived columns and `derive_user` calls."""
+        calls = {"delta_per_bit": 0, "min_offload_bits": 0, "derive_user": 0}
 
-        def counting_build(instance):
-            calls["columns"] += 1
-            return build(instance)
+        def counting(name):
+            build = getattr(model.Instance, name).func
+
+            def counting_build(instance):
+                calls[name] += 1
+                return build(instance)
+
+            memo = functools.cached_property(counting_build)
+            memo.__set_name__(model.Instance, name)
+            monkeypatch.setattr(model.Instance, name, memo)
 
         def counting_derive(instance, user_id):
             calls["derive_user"] += 1
             return derive_user(instance, user_id)
 
-        monkeypatch.setattr(model, "derive_columns", counting_build)
+        counting("delta_per_bit")
+        counting("min_offload_bits")
         monkeypatch.setattr(model, "derive_user", counting_derive)
         return calls
 
@@ -164,12 +175,12 @@ class TestMemoisedConstants:
         energy = solve_energy_suboptimal(inst)
         solve_rate_max(inst)
         assert energy.status == "greedy-path"
-        assert counted == {"columns": 1, "derive_user": 0}
+        assert counted == {"delta_per_bit": 1, "min_offload_bits": 1, "derive_user": 0}
         energy = solve_energy_suboptimal(inst)
         solve_rate_max(inst)
         benchmark_greedy(inst)
         assert validate_energy_schedule(inst, energy).ok
-        assert counted == {"columns": 1, "derive_user": 0}
+        assert counted == {"delta_per_bit": 1, "min_offload_bits": 1, "derive_user": 0}
 
     def test_rate_terms_built_once_per_instance(self, monkeypatch):
         # a certified rate sweep reads them in the optimal, greedy,
@@ -218,8 +229,8 @@ class TestMemoisedConstants:
         assert validate_energy_schedule(inst, energy).ok
         assert energy.status == "greedy-path"
         later = dataclasses.replace(inst, deadline=0.5)
-        assert later.derived is not inst.derived
-        assert later.derived.min_offload_bits.tolist() != inst.derived.min_offload_bits.tolist()
+        assert later.min_offload_bits is not inst.min_offload_bits
+        assert later.min_offload_bits.tolist() != inst.min_offload_bits.tolist()
         assert profiles_built == []
         for name in COLUMNS:
             with pytest.raises(ValueError):
@@ -235,7 +246,8 @@ class TestMemoisedConstants:
 
     def test_memoised_per_instance(self):
         inst = make_instance([make_user(0, task=10.0), make_user(1, task=3.0)])
-        assert inst.derived is inst.derived
+        assert inst.delta_per_bit is inst.delta_per_bit
+        assert inst.min_offload_bits is inst.min_offload_bits
         assert inst.roundtrip_time_per_bit is inst.roundtrip_time_per_bit
         assert inst.users is inst.users
         assert_columns_match_derive_user(inst)
@@ -256,7 +268,7 @@ class TestMemoisedConstants:
             energy = (inst.weight * inst.energy_coeff * inst.cycles_per_bit * inst.task_bits
                       * squares(inst.cpu_freq))
             expected = repr(sum(energy.tolist(), 0.0))
-            inst.derived  # squares the CPU speeds too
+            inst.delta_per_bit  # squares the CPU speeds too
             monkeypatch.setattr(model, "_squares", counting)
             assert repr(baseline_local_energy(inst)) == expected
             solve_energy_suboptimal(inst)
@@ -278,24 +290,25 @@ class TestMemoisedConstants:
         inst = generate_instance(GenerationSpec(n_users=10), 7)
         solve_rate_max(inst)
         benchmark_greedy(inst)
-        assert counted == {"columns": 0, "derive_user": 0}
+        assert counted == {"delta_per_bit": 0, "min_offload_bits": 0, "derive_user": 0}
 
     def test_replace_builds_fresh_constants(self):
         # 10-bit task at 1 bit/s locally: 6 bits forced out at 4 s, 1 at 9 s
         inst = make_instance([make_user(0, task=10.0, cycles=1.0, freq=1.0)], deadline=4.0)
-        assert inst.derived.min_offload_bits.tolist() == [6.0]
+        assert inst.min_offload_bits.tolist() == [6.0]
         later = dataclasses.replace(inst, deadline=9.0)
-        assert later.derived is not inst.derived
+        assert later.min_offload_bits is not inst.min_offload_bits
+        assert later.delta_per_bit is not inst.delta_per_bit
         assert later.roundtrip_time_per_bit is not inst.roundtrip_time_per_bit
         assert_columns_match_derive_user(later)
-        assert later.derived.min_offload_bits.tolist() == [1.0]
-        assert inst.derived.min_offload_bits.tolist() == [6.0]
+        assert later.min_offload_bits.tolist() == [1.0]
+        assert inst.min_offload_bits.tolist() == [6.0]
 
     def test_energy_columns_are_read_only(self):
         inst = generate_instance(GenerationSpec(n_users=5), 3)
-        for field in dataclasses.fields(inst.derived):
+        for name in ENERGY_COLUMNS:
             with pytest.raises(ValueError):
-                getattr(inst.derived, field.name)[0] = 0.0
+                getattr(inst, name)[0] = 0.0
 
     def test_arrays_are_read_only(self):
         users = [make_user(i, weight=1.0 + i, a=0.25, b=0.5, gamma=0.5, r=3.0 + i) for i in range(3)]
@@ -554,7 +567,8 @@ class TestBlockGeneration:
         rows = uniform_rows(seeds, n)
         assert rows.shape == (len(seeds), n) and rows.dtype == float
         for row, seed in zip(rows, seeds):
-            assert row.tobytes() == SplitMix64(seed).uniform_array(n).tobytes()
+            scalar = SplitMix64(seed)
+            assert row.tolist() == [scalar.uniform() for _ in range(n)]
 
     @staticmethod
     def classify(spec, seeds):
@@ -631,10 +645,12 @@ class TestRng:
     @pytest.mark.parametrize("n", [0, 1, 7, 700])
     @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**70])
     def test_uniform_array_continues_the_scalar_stream(self, n, seed):
-        array_rng, scalar_rng = SplitMix64(seed), SplitMix64(seed)
-        drawn = array_rng.uniform_array(n)
+        # a row of n draws, then one of n + 1 that goes one step further
+        [drawn] = uniform_rows([seed], n)
+        [longer] = uniform_rows([seed], n + 1)
+        scalar_rng = SplitMix64(seed)
         assert drawn.dtype == float and drawn.shape == (n,)
-        assert drawn.tolist() + [array_rng.uniform()] == [
+        assert drawn.tolist() + longer[n:].tolist() == [
             scalar_rng.uniform() for _ in range(n + 1)
         ]
 

@@ -163,12 +163,11 @@ class TestSubsetTables:
             part = partition_users(inst)
             optional = sorted(part.free_saving)
             bounds, scale = oracle._offload_bounds(inst, part, optional)
-            columns = inst.derived
             ids = np.asarray(optional, dtype=np.intp)
             base, _ = energy._commitment(inst, part, ())
             bits = np.repeat(base[None, :], 1 << ids.size, axis=0)
-            bits[:, ids] = np.where(fresh_bits(ids.size).astype(bool), columns.task_bits[ids], 0.0)
-            fresh = np.add.accumulate(bits * columns.delta_per_bit, axis=1)[:, -1]
+            bits[:, ids] = np.where(fresh_bits(ids.size).astype(bool), inst.task_bits[ids], 0.0)
+            fresh = np.add.accumulate(bits * inst.delta_per_bit, axis=1)[:, -1]
             assert np.asarray(bounds).tobytes() == fresh.tobytes()
 
 
@@ -260,8 +259,8 @@ def reference_brute_force_energy(instance):
     schedule it reads only the LP members' bits and the window."""
     partition = partition_users(instance)
     optional = sorted(partition.free_saving)
-    min_bits = instance.derived.min_offload_bits.tolist()
-    delta = instance.derived.delta_per_bit.tolist()
+    min_bits = instance.min_offload_bits.tolist()
+    delta = instance.delta_per_bit.tolist()
     best = None  # (objective, subset, bits, window)
     for mask in range(1 << len(optional)):
         s1 = tuple(optional[k] for k in range(len(optional)) if (mask >> k) & 1)
@@ -423,7 +422,7 @@ class TestPrunedSubsets:
         part = partition_users(inst)
         assert part.free_saving == frozenset({0, 1})
         single, full = (solve_subset_lp(inst, part, s) for s in ((0,), (0, 1)))
-        delta = inst.derived.delta_per_bit.tolist()
+        delta = inst.delta_per_bit.tolist()
         assert single.offload_bits == {0: 1.0, 1: 0.0} and full.offload_bits == {0: 1.0, 1: 1.0}
         assert 0.0 < delta[0] - (delta[0] + delta[1]) < oracle._TIE_RTOL
         schedule = brute_force_energy(inst)
