@@ -26,6 +26,7 @@ from .model import (
     Partition,
     baseline_local_energy,
     interference_penalty,
+    sum_in_order,
     vm_rate_factor,
 )
 
@@ -80,17 +81,7 @@ class _Balance:
     def gap(self, t: float, min_bits: list[float] | None = None) -> float:
         if min_bits is None:
             min_bits = self.min_bits(t)
-        # how many b > 0.0: the others are +-0.0, which count() matches
-        forced = len(min_bits) - min_bits.count(0.0)
-        radio = sum(map(operator.mul, min_bits, self.roundtrip))
-        compute = 0.0
-        if forced:
-            factor = vm_rate_factor(self.degradation, forced)
-            if factor > 0.0:
-                compute = max(map(operator.truediv, min_bits, [r * factor for r in self.service]))
-            else:  # (1 + d)^(1 - n) underflowed: no window is long enough
-                compute = math.inf
-        return radio + compute - t
+        return _gap(self.degradation, t, min_bits, self.roundtrip, self.service)
 
     def at(self, t: float) -> tuple[float, list[float]]:
         """The gap at t, with the forced minimum offloads it was formed from."""
@@ -188,6 +179,32 @@ def _double_bits(x: float) -> int:
 
 def _bits_double(n: int) -> float:
     return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+def _gap(degradation: float, t: float, min_bits: list[float], roundtrip: list[float],
+         service: list[float]) -> float:
+    """`feasibility_gap` at t from the forced minimum offloads at t and the
+    users' roundtrip times and service rates, all Python floats in id
+    order."""
+    # how many b > 0.0: the others are +-0.0, which count() matches
+    forced = len(min_bits) - min_bits.count(0.0)
+    radio = sum_in_order(map(operator.mul, min_bits, roundtrip))
+    compute = 0.0
+    if forced:
+        factor = vm_rate_factor(degradation, forced)
+        if factor > 0.0:
+            compute = max(map(operator.truediv, min_bits, [r * factor for r in service]))
+        else:  # (1 + d)^(1 - n) underflowed: no window is long enough
+            compute = math.inf
+    return radio + compute - t
+
+
+def _deadline_gap(instance: Instance) -> float:
+    """`feasibility_gap` at the instance's deadline.  There the forced
+    minimum offloads are the memoised `Instance.min_offload_bits`, which
+    forms `_Balance.min_bits` elementwise, to the bit."""
+    return _gap(instance.degradation, instance.deadline, instance.min_offload_bits.tolist(),
+                instance.roundtrip_time_per_bit.tolist(), instance.service_rate.tolist())
 
 
 def feasibility_gap(instance: Instance, t: float) -> float:
@@ -319,7 +336,7 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
         for uid in costly:
             committed[uid] = min_bits[uid]
         # left to right in ascending id, however the set iterates
-        budget -= sum(min_bits[uid] * roundtrip[uid] for uid in costly)
+        budget -= sum_in_order(min_bits[uid] * roundtrip[uid] for uid in costly)
         te_floor = max(min_bits[uid] / (service[uid] * factor) for uid in costly)
 
     def schedule(member_bits, te):
@@ -387,7 +404,7 @@ def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
               status: str) -> EnergySchedule:
     """The schedule of every user's offload bits, in id order.  The
     objective sums delta * b left to right in user id, from 0.0."""
-    objective = sum(map(operator.mul, instance.delta_per_bit.tolist(), bits), 0.0)
+    objective = sum_in_order(map(operator.mul, instance.delta_per_bit.tolist(), bits))
     return EnergySchedule(
         scheduled=scheduled,
         offload_bits=dict(enumerate(bits)),
@@ -436,7 +453,7 @@ def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
 def _suboptimal_plan(instance: Instance):
     """`solve_energy_suboptimal` as a plan for `_solve`: the LP-branch LP
     and its finish, or no LP and the schedule of the other branches."""
-    if feasibility_gap(instance, instance.deadline) > 0.0:
+    if _deadline_gap(instance) > 0.0:
         return _done(_infeasible(instance, feasibility_tmin(instance).t_min))
 
     part = partition_users(instance)

@@ -51,10 +51,11 @@ from .oracle import (
     brute_force_energy,
     brute_force_energy_batch,
     brute_force_rate_max,
+    brute_force_rate_max_batch,
 )
 from .rate import (
-    benchmark_all_offloading,
-    benchmark_greedy,
+    benchmark_all_offloading_batch,
+    benchmark_greedy_batch,
     per_size_table,
     solve_rate_max,
     solve_rate_max_batch,
@@ -70,18 +71,17 @@ def _optimal_schedules(instances):
 
 # Each algorithm takes a block of a grid point's realizations (`_block`),
 # drawn with one `generate_instances` call, and returns their schedules in
-# realization order.  The rate batch runs the block's Dinkelbach loops in
-# lockstep.  The energy batches, and the certifying energy oracle, solve the
-# block's LPs together in stacks cut by `lp.stack_starts`.  The per-instance
-# entries look their function up at each call, so that a wrapper set on this
-# module's name is the one called.
+# realization order.  The exact rate solve runs the block's Dinkelbach loops
+# in lockstep; the greedy and all-offload batches go row by row.  The energy
+# batches, and the certifying energy oracle, solve the block's LPs together
+# in stacks cut by `lp.stack_starts`.
 # The LP-relaxation benchmark is the exact solve (see rate.benchmark_lr), so
 # "lr" shares the "optimal" callable and a sweep solves it once per instance.
 RATE_ALGORITHMS = {
     "optimal": _optimal_schedules,
-    "greedy": lambda instances: [benchmark_greedy(i) for i in instances],
+    "greedy": benchmark_greedy_batch,
     "lr": _optimal_schedules,
-    "all-offload": lambda instances: [benchmark_all_offloading(i) for i in instances],
+    "all-offload": benchmark_all_offloading_batch,
 }
 
 ENERGY_ALGORITHMS = {
@@ -234,11 +234,8 @@ def run_sweep(spec: SweepSpec) -> str:
                 references = [None] * len(instances)
                 solved = {}  # the block's schedules per distinct algorithm callable
                 if spec.certify and rate_side:
-                    references = [
-                        brute_force_rate_max(i, budget)
-                        if i.n_users <= budget.max_users_rate else None
-                        for i in instances
-                    ]
+                    # None beyond the oracle's budget
+                    references = brute_force_rate_max_batch(instances, budget)
                 elif spec.certify:
                     # the references are the oracle row's schedules too
                     references = solved[algorithms["oracle"]] = algorithms["oracle"](instances)

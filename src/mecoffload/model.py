@@ -19,7 +19,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 
 import numpy as np
@@ -226,7 +226,7 @@ class Instance:
         computed on first use and memoised on this object."""
         delta = self.weight * (
             self.uplink_time_per_bit * self.tx_power
-            - self.energy_coeff * self.cycles_per_bit * _squares(self.cpu_freq)
+            - self.energy_coeff * self.cycles_per_bit * self.cpu_freq_squared
         )
         delta.setflags(write=False)
         return delta
@@ -255,6 +255,15 @@ class Instance:
         return Partition(forced_costly, forced_saving, free_costly, free_saving)
 
     @cached_property
+    def cpu_freq_squared(self) -> np.ndarray:
+        """Every user's f**2 (`_squares`), read-only: computed on first use
+        and memoised on this object, for `delta_per_bit` and
+        `local_energy`."""
+        squares = _squares(self.cpu_freq)
+        squares.setflags(write=False)
+        return squares
+
+    @cached_property
     def rate_terms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """Every user's terms of the closed-form rate in id order, as Python
         floats: w*r, (a+b*g)*r and w/(a+b*g) (`rate.conditional_solution`).
@@ -273,9 +282,9 @@ class Instance:
         this object."""
         energy = (
             self.weight * self.energy_coeff * self.cycles_per_bit * self.task_bits
-            * _squares(self.cpu_freq)
+            * self.cpu_freq_squared
         )
-        return sum(energy.tolist(), 0.0)
+        return sum_in_order(energy.tolist())
 
 
 def _check_scalars(deadline: float, degradation: float) -> None:
@@ -396,6 +405,15 @@ def _squares(values: np.ndarray) -> np.ndarray:
     """x**2 of each entry, one Python float at a time: numpy's square may
     differ from Python's `**` in the last bit."""
     return np.array([x**2 for x in values.tolist()])
+
+
+def sum_in_order(values, start: float = 0.0) -> float:
+    """start + v0 + v1 + ..., rounded after each term, on every Python
+    version: the builtin sum of floats compensates the rounding from 3.12
+    on.  The solvers' float sums add this way, so that they equal the
+    `np.add.accumulate` sums they are paired with.  Starting from the float
+    start keeps 0.0 + -0.0 at +0.0."""
+    return reduce(operator.add, values, start)
 
 
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:

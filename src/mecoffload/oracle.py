@@ -18,6 +18,7 @@ default budgets.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -27,12 +28,13 @@ from . import energy as energymod
 from . import lp as lpmod
 from .lp import BudgetExceededError
 from .model import EnergySchedule, Instance, RateSchedule
-from .rate import conditional_solution
+from .rate import _closed_forms, _per_user_count
 
 __all__ = [
     "OracleBudget",
     "BudgetExceededError",
     "brute_force_rate_max",
+    "brute_force_rate_max_batch",
     "brute_force_energy",
     "brute_force_energy_batch",
 ]
@@ -85,33 +87,73 @@ def brute_force_rate_max(instance: Instance, budget: OracleBudget = _DEFAULT_BUD
     """Evaluate the fixed-set rate for every nonempty subset and keep the best
     (lexicographically smallest subset on ties).  Raises if the winner's rate
     exceeds its slowest member's transmission rate, which would contradict
-    the optimality structure the fast solver relies on."""
-    K = instance.n_users
-    if K == 0:
-        raise ValueError("instance has no users")
-    if K > budget.max_users_rate:
-        raise BudgetExceededError(f"{K} users exceed the rate oracle budget {budget.max_users_rate}")
+    the optimality structure the fast solver relies on.  This is
+    `brute_force_rate_max_batch` of the one instance."""
+    if instance.n_users > budget.max_users_rate:
+        raise BudgetExceededError(
+            f"{instance.n_users} users exceed the rate oracle budget {budget.max_users_rate}"
+        )
+    return brute_force_rate_max_batch([instance], budget)[0]
 
-    masks, bits, sizes = _subset_table(K)
+
+def brute_force_rate_max_batch(
+    instances, budget: OracleBudget = _DEFAULT_BUDGET
+) -> list[RateSchedule | None]:
+    """`brute_force_rate_max` of each instance, in order, to the bit, and
+    None for an instance of more than `budget.max_users_rate` users.
+
+    The instances of each user count form a block.  Each instance's subset
+    rates come from its own two `bits @ v` products, as one instance's do;
+    a matrix product across the block would take another BLAS path, whose
+    sums may round differently.  The best rate and the ties are then found
+    over the block's stacked rates at once."""
+    instances = list(instances)
+    within = [i for i in instances if i.n_users <= budget.max_users_rate]
+    solved = iter(_per_user_count(within, _rate_block))
+    return [next(solved) if i.n_users <= budget.max_users_rate else None for i in instances]
+
+
+@functools.lru_cache(maxsize=32)
+def _size_penalties(degradation: float, n: int) -> np.ndarray:
+    """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order,
+    numpy's power as the one-instance oracle formed it, read-only: memoised
+    per (d, n) up to n = `_TABLE_MEMO_MAX`, as the tables are."""
+    penalties = (1.0 + degradation) ** _subset_table(n)[2]
+    penalties.setflags(write=False)
+    return penalties
+
+
+def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
+    """The rate oracle of instances with one user count K."""
+    n_users = instances[0].n_users
+    masks, bits, sizes = _subset_table(n_users)
     masks, bits = masks[1:], bits[1:]  # the nonempty subsets, as views
-    service = instance.service_rate
-    num = bits @ (instance.weight * service)
-    den = (1.0 + instance.degradation) ** sizes + bits @ (
-        instance.roundtrip_time_per_bit * service
-    )
-    rates = num / den
+    rates = np.empty((len(instances), len(bits)))
+    for row, instance in zip(rates, instances):
+        if n_users <= _TABLE_MEMO_MAX:
+            penalties = _size_penalties(instance.degradation, n_users)
+        else:
+            penalties = (1.0 + instance.degradation) ** sizes
+        service = instance.service_rate
+        num = bits @ (instance.weight * service)
+        den = penalties + bits @ (instance.roundtrip_time_per_bit * service)
+        np.divide(num, den, out=row)
 
-    best = float(np.max(rates))
-    tied = np.nonzero(rates >= best - _TIE_RTOL * (1.0 + best))[0]
-    id_list = list(range(K))
-    winner = min(_subset_tuple(int(masks[i]), id_list) for i in tied)
+    floors = [best - _TIE_RTOL * (1.0 + best) for best in rates.max(axis=1).tolist()]
+    id_list = list(range(n_users))
+    winners = [None] * len(instances)  # each row's smallest tied subset
+    lanes, indices = np.nonzero(rates >= np.array(floors)[:, None])
+    for row, index in zip(lanes.tolist(), indices.tolist()):
+        subset = _subset_tuple(int(masks[index]), id_list)
+        if winners[row] is None or subset < winners[row]:
+            winners[row] = subset
 
-    solution = conditional_solution(instance, winner)
-    if not solution.satisfies_necessary_condition:
+    solutions = _closed_forms(instances, winners)
+    if not all(solution.satisfies_necessary_condition for solution in solutions):
         raise RuntimeError(
             "internal consistency failure: brute-force winner exceeds its slowest member's rate"
         )
-    return solution.as_schedule()
+    return [solution.as_schedule() for solution in solutions]
 
 
 def brute_force_energy_batch(

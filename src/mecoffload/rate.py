@@ -18,6 +18,13 @@ one Dinkelbach loop over all sizes at once solves it exactly
 with m fixed, and `per_size_table` runs it for every m as a diagnostic.  Special-case solvers
 and the three stock benchmarks live here too; the LP relaxation benchmark
 coincides with the exact solve (see `benchmark_lr`).
+
+The closed form, the exact solve and the greedy and all-offloading
+benchmarks each take a block of instances (`*_batch`); the one-instance
+functions are their blocks of one.  Only the exact solve works on the
+block's arrays; the closed form and the greedy walk run row by row in Python
+floats, which at a stock set's few users cost less than the numpy calls a
+block would make, so a lone call pays nothing for the block.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "DinkelbachTrace",
     "SlaveSummary",
     "conditional_solution",
+    "conditional_solution_batch",
     "dinkelbach_slave",
     "per_size_table",
     "solve_rate_max",
@@ -45,7 +53,9 @@ __all__ = [
     "homogeneous_txrate_schedule",
     "no_interference_schedule",
     "benchmark_all_offloading",
+    "benchmark_all_offloading_batch",
     "benchmark_greedy",
+    "benchmark_greedy_batch",
     "benchmark_lr",
 ]
 
@@ -94,15 +104,19 @@ class DinkelbachTrace:
 def _fixed_set_sums(degradation: float, terms, members: list[int]):
     """Numerator, denominator and interference penalty of the closed-form
     rate of a nonempty set, and its slowest member's weighted transmission
-    rate.  terms are the instance's `Instance.rate_terms`, and the sums add
-    the members' terms left to right in the order given (ascending ids).
-    Where the penalty saturates at inf, so does the denominator, and the
-    rate is 0."""
+    rate.  terms are the instance's `Instance.rate_terms`, and one loop adds
+    the members' terms left to right in the order given (ascending ids),
+    the numerator from 0.0 and the denominator from the penalty.  Where the
+    penalty saturates at inf, so does the denominator, and the rate is 0."""
     wr, qr, tx = terms
     penalty = interference_penalty(degradation, len(members))
-    num = sum([wr[uid] for uid in members], 0.0)
-    den = sum([qr[uid] for uid in members], penalty)
-    return num, den, penalty, min([tx[uid] for uid in members])
+    num, den, min_tx = 0.0, penalty, math.inf
+    for uid in members:
+        num += wr[uid]
+        den += qr[uid]
+        if tx[uid] < min_tx:
+            min_tx = tx[uid]
+    return num, den, penalty, min_tx
 
 
 def _meets_necessary_condition(rate: float, min_tx: float) -> bool:
@@ -124,22 +138,65 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
     if members[0] < 0 or members[-1] >= n_users:
         unknown = members[0] if members[0] < 0 else members[bisect.bisect_left(members, n_users)]
         raise KeyError(f"no user with id {unknown}")
-    factor = vm_rate_factor(instance.degradation, len(members))
-    num, den, penalty, min_tx = _fixed_set_sums(instance.degradation, instance.rate_terms, members)
-    rate = num / den
-    # a saturated penalty takes the whole frame: t_e -> T as it grows
-    te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
-    service = instance.service_rate.tolist()
-    bits = dict.fromkeys(range(n_users), 0.0)
-    for uid in members:
-        bits[uid] = te * service[uid] * factor
-    return ConditionalSolution(
-        subset=frozenset(members),
-        compute_time=te,
-        offload_bits=bits,
-        rate=rate,
-        satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
-    )
+    return _closed_forms([instance], [members])[0]
+
+
+def conditional_solution_batch(instances, mask) -> list[ConditionalSolution]:
+    """`conditional_solution` of each instance, in order, with the scheduled
+    set of its row of mask, a boolean (rows, K) array; the instances all
+    have the K users of its columns, and every row holds a member."""
+    instances = list(instances)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or len(mask) != len(instances) or any(
+        instance.n_users != mask.shape[1] for instance in instances
+    ):
+        raise ValueError("mask must have one row per instance and one column per user")
+    if not mask.any(axis=1).all():
+        raise ValueError("scheduled set must be nonempty")
+    return _closed_forms(instances, [np.flatnonzero(row).tolist() for row in mask])
+
+
+def _closed_forms(instances, members) -> list[ConditionalSolution]:
+    """The closed form of each instance with the ids of its members, a
+    nonempty ascending list each, row by row in Python floats."""
+    solutions = []
+    for instance, ids in zip(instances, members):
+        d = instance.degradation
+        num, den, penalty, min_tx = _fixed_set_sums(d, instance.rate_terms, ids)
+        factor = vm_rate_factor(d, len(ids))
+        rate = num / den
+        # a saturated penalty takes the whole frame: t_e -> T as it grows
+        te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
+        service = instance.service_rate.tolist()
+        bits = dict.fromkeys(range(instance.n_users), 0.0)
+        for uid in ids:
+            bits[uid] = te * service[uid] * factor
+        solutions.append(ConditionalSolution(
+            subset=frozenset(ids),
+            compute_time=te,
+            offload_bits=bits,
+            rate=rate,
+            satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
+        ))
+    return solutions
+
+
+def _per_user_count(instances, solve) -> list:
+    """solve(block) of each block of the instances that share a user count,
+    put back in the instances' order."""
+    instances = list(instances)
+    blocks: dict[int, list[int]] = {}
+    for k, instance in enumerate(instances):
+        if instance.n_users == 0:
+            raise ValueError("instance has no users")
+        blocks.setdefault(instance.n_users, []).append(k)
+    if len(blocks) == 1:
+        return solve(instances)
+    results = [None] * len(instances)
+    for ks in blocks.values():
+        for k, result in zip(ks, solve([instances[k] for k in ks])):
+            results[k] = result
+    return results
 
 
 def _top_m(scores: np.ndarray, m: int) -> np.ndarray:
@@ -230,29 +287,32 @@ def solve_rate_max_batch(instances) -> list[tuple[RateSchedule, tuple[SlaveSumma
     grouped by set size: such a row sum adds in the order of numpy's 1-D
     sum of that set.  A set padded with zeros to a common width would not:
     numpy sums 8 or more terms with 8 interleaved accumulators, so the
-    padding moves terms between them.
+    padding moves terms between them.  Each row then finishes with the
+    closed form of its selected set.
     """
-    instances = list(instances)
-    by_count: dict[int, list[int]] = {}
-    for k, instance in enumerate(instances):
-        if instance.n_users == 0:
-            raise ValueError("instance has no users")
-        by_count.setdefault(instance.n_users, []).append(k)
-    summaries = [None] * len(instances)
-    for ks in by_count.values():
-        for k, summary in zip(ks, _lockstep([instances[k] for k in ks])):
-            summaries[k] = summary
+    return _per_user_count(instances, _solve_block)
+
+
+def _solve_block(instances: list[Instance]) -> list[tuple[RateSchedule, tuple[SlaveSummary]]]:
+    summaries = _lockstep(instances)
+    solutions = _closed_forms(instances, [sorted(summary.selected) for summary in summaries])
     return [
-        (conditional_solution(instance, summary.selected).as_schedule(), (summary,))
-        for instance, summary in zip(instances, summaries)
+        (solution.as_schedule(), (summary,)) for solution, summary in zip(solutions, summaries)
     ]
 
 
 @functools.lru_cache(maxsize=32)
 def _penalties(degradation: float, n_sizes: int) -> tuple[float, ...]:
-    """(1+d)**j for j < n_sizes, the slave's Python floats.  Memoised, as a
-    sweep grid point shares one d and its instances few cuts."""
-    return tuple([(1.0 + degradation) ** j for j in range(n_sizes)])
+    """(1+d)**j for j < n_sizes, the slave's Python floats, inf past
+    overflow (`interference_penalty`).  Memoised, as a sweep grid point
+    shares one d and its instances few cuts."""
+    row = []
+    for j in range(n_sizes):
+        row.append(interference_penalty(degradation, j + 1))
+        if row[-1] == math.inf:  # and so is every larger size's
+            row += [math.inf] * (n_sizes - len(row))
+            break
+    return tuple(row)
 
 
 def _set_sums(positions: np.ndarray, sizes: list[int], terms: np.ndarray):
@@ -495,9 +555,16 @@ def no_interference_schedule(instance: Instance) -> RateSchedule:
 
 def benchmark_all_offloading(instance: Instance) -> RateSchedule:
     """Schedule everybody; only the bit and time split is optimized."""
-    if instance.n_users == 0:
+    return benchmark_all_offloading_batch([instance])[0]
+
+
+def benchmark_all_offloading_batch(instances) -> list[RateSchedule]:
+    """`benchmark_all_offloading` of every instance, in order, to the bit."""
+    instances = list(instances)
+    if any(instance.n_users == 0 for instance in instances):
         raise ValueError("instance has no users")
-    return conditional_solution(instance, range(instance.n_users)).as_schedule()
+    everyone = [list(range(instance.n_users)) for instance in instances]
+    return [solution.as_schedule() for solution in _closed_forms(instances, everyone)]
 
 
 # Padding on the rounding bound of benchmark_greedy's running sums.
@@ -531,31 +598,43 @@ def _greedy_rounding_bound(size: int) -> float:
 def benchmark_greedy(instance: Instance) -> RateSchedule:
     """Grow the set in descending weighted-transmission-rate order, stopping
     the first time the tentative set's rate would exceed its slowest member's
-    transmission rate.
+    transmission rate.  This is `benchmark_greedy_batch` of the one
+    instance."""
+    return benchmark_greedy_batch([instance])[0]
 
-    The rule is that of `conditional_solution`, which sums the set in
-    ascending id order.  Each step here adds its user to running sums in
-    greedy order instead, and that rate decides the step whenever it is
-    farther from the threshold than `_greedy_rounding_bound` lets the two
-    orders differ.  Closer than that, the id-ordered sums decide, so the
-    set is the same to the bit as that of a loop that re-sums every
-    candidate set in id order."""
-    if instance.n_users == 0:
+
+def benchmark_greedy_batch(instances) -> list[RateSchedule]:
+    """`benchmark_greedy` of every instance, in order, to the bit.
+
+    The stop rule is that of `conditional_solution`, which sums the set in
+    ascending id order.  Each instance instead adds its users to running
+    sums in greedy order, and the rate from those sums decides a step
+    whenever it is farther from the threshold than `_greedy_rounding_bound`
+    lets the two orders differ.  Closer than that, the id-ordered sums
+    (`_fixed_set_sums`) decide, so the set is the same to the bit as that of
+    a loop that re-sums every candidate set in id order."""
+    instances = list(instances)
+    chosen = [sorted(_greedy_prefix(instance)) for instance in instances]
+    return [solution.as_schedule() for solution in _closed_forms(instances, chosen)]
+
+
+def _greedy_prefix(instance: Instance) -> list[int]:
+    """The users greedy takes, in greedy order."""
+    n_users = instance.n_users
+    if n_users == 0:
         raise ValueError("instance has no users")
     terms = wr, qr, tx = instance.rate_terms
-    # descending w/(a+b*g), lowest id on ties: each user is the slowest of
-    # its prefix
-    order = np.argsort(-instance.weight / instance.roundtrip_time_per_bit, kind="stable").tolist()
-    bound = _greedy_rounding_bound(instance.n_users)
-    # for the fallback: the users added so far in ascending id, brought up
-    # to date when it runs
+    # descending w/(a+b*g), lowest id on ties (a reversed sort is stable):
+    # each user is the slowest of its prefix
+    order = sorted(range(n_users), key=tx.__getitem__, reverse=True)
+    bound = _greedy_rounding_bound(n_users)
+    # for the fallback: the users added so far in ascending id, brought up to
+    # date when it runs
     members: list[int] = []
     wr_sum = qr_sum = 0.0
-    taken = instance.n_users
-    for size, uid in enumerate(order, 1):
+    for size, (uid, penalty) in enumerate(zip(order, _penalties(instance.degradation, n_users)), 1):
         wr_sum += wr[uid]
         qr_sum += qr[uid]
-        penalty = interference_penalty(instance.degradation, size)
         rate = wr_sum / (penalty + qr_sum)
         threshold = tx[uid] * (1.0 + _COND_RTOL)
         if abs(rate - threshold) > bound * threshold:
@@ -566,12 +645,11 @@ def benchmark_greedy(instance: Instance) -> RateSchedule:
             num, den, _, min_tx = _fixed_set_sums(instance.degradation, terms, members)
             passes = _meets_necessary_condition(num / den, min_tx)
         if not passes:
-            taken = size - 1
-            break
+            # a singleton always passes, so the prefix is nonempty
+            return order[: size - 1]
         if penalty == math.inf:  # every larger set has rate 0 and passes too
             break
-    # a singleton always satisfies the condition, so taken is nonempty
-    return conditional_solution(instance, order[:taken]).as_schedule()
+    return order
 
 
 def benchmark_lr(instance: Instance) -> RateSchedule:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import operator
 import warnings
@@ -537,7 +538,9 @@ def reference_gap(instance, t):
         max(u.task_bits - t * u.cpu_freq / u.cycles_per_bit, 0.0) for u in instance.users
     ]
     forced = sum(1 for b in min_bits if b > 0.0)
-    radio = sum(b * u.roundtrip_time_per_bit for b, u in zip(min_bits, instance.users))
+    radio = functools.reduce(
+        operator.add, (b * u.roundtrip_time_per_bit for b, u in zip(min_bits, instance.users)), 0.0
+    )
     compute = 0.0
     if forced:
         factor = vm_rate_factor(instance.degradation, forced)
@@ -631,7 +634,11 @@ def reference_greedy_path(instance):
         bits[uid] = derived[uid].min_offload_bits
     for uid in part.forced_saving | s1:
         bits[uid] = instance.users[uid].task_bits
-    objective = sum(derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items()))
+    objective = functools.reduce(
+        operator.add,
+        (derived[uid].energy_delta_per_bit * b for uid, b in sorted(bits.items())),
+        0.0,
+    )
     return part.forced | s1, bits, reference_window(instance, part, s1), objective
 
 
@@ -875,7 +882,8 @@ class TestExactBookkeeping:
             bits = schedule.offload_bits
             delta = each.delta_per_bit.tolist()
             assert list(bits) == list(range(n_users))
-            assert schedule.objective == sum(map(operator.mul, delta, bits.values()), 0.0)
+            expected = functools.reduce(operator.add, map(operator.mul, delta, bits.values()), 0.0)
+            assert schedule.objective == expected
             assert schedule.total_energy == schedule.objective + baseline_local_energy(each)
 
 
@@ -889,6 +897,31 @@ def decided_instances():
     return instances + [drop_loop_instance(n, seed) for n in (5, 20, 100) for seed in range(10)]
 
 
+class TestDeadlineGap:
+    """The feasibility decision reads the memoised forced minimum offloads:
+    at the deadline they are the balance's own, to the bit."""
+
+    def test_equals_the_balance_at_the_deadline(self):
+        specs = [
+            LARGE_K,
+            GenerationSpec(n_users=10, degradation=0.2, deadline_s=0.45),
+            GenerationSpec(n_users=10, degradation=0.0, deadline_s=0.35),
+            GenerationSpec(n_users=3, degradation=3.0, deadline_s=0.05),
+        ]
+        instances = [generate_instance(spec, mix64(233, seed)) for spec in specs for seed in range(25)]
+        # at t_min and just below it the forced users sit on their boundary
+        for inst in instances[:40]:
+            t_min = feasibility_tmin(inst).t_min
+            instances += [with_deadline(inst, t_min), with_deadline(inst, math.nextafter(t_min, 0.0))]
+        instances += decided_instances()
+        signs = set()
+        for inst in instances:
+            gap = energy._deadline_gap(inst)
+            assert repr(gap) == repr(energy._Balance(inst).gap(inst.deadline))
+            signs.add(gap > 0.0)
+        assert signs == {False, True}
+
+
 class TestFeasibilityByOneEvaluation:
     """`solve_energy_suboptimal` decides feasibility with one gap evaluation
     at the deadline and runs the t_min search only when it refuses."""
@@ -896,11 +929,11 @@ class TestFeasibilityByOneEvaluation:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = dict.fromkeys(("gap", "root", "tmin"), 0)
-        gap, root, tmin = energy._Balance.gap, energy._Balance.root, energy.feasibility_tmin
+        gap, root, tmin = energy._gap, energy._Balance.root, energy.feasibility_tmin
 
-        def counting_gap(self, t, min_bits=None):
+        def counting_gap(*args):
             counts["gap"] += 1
-            return gap(self, t, min_bits)
+            return gap(*args)
 
         def counting_root(self):
             counts["root"] += 1
@@ -910,7 +943,7 @@ class TestFeasibilityByOneEvaluation:
             counts["tmin"] += 1
             return tmin(instance)
 
-        monkeypatch.setattr(energy._Balance, "gap", counting_gap)
+        monkeypatch.setattr(energy, "_gap", counting_gap)
         monkeypatch.setattr(energy._Balance, "root", counting_root)
         monkeypatch.setattr(energy, "feasibility_tmin", counting_tmin)
         return counts

@@ -15,6 +15,7 @@ from mecoffload import (
     generate_instance,
     harness,
     lp,
+    oracle,
     solve_energy_suboptimal,
     write_instance,
 )
@@ -26,6 +27,7 @@ from mecoffload.harness import (
     schedule_to_doc,
     sweep_spec_from_doc,
 )
+from mecoffload import rate as ratemod
 from mecoffload.model import EnergySchedule
 from mecoffload.rate import solve_rate_max
 from mecoffload.rng import mix64
@@ -159,22 +161,49 @@ class TestRateBlocks:
         # `optimal` and `lr` share the one solve of each block
         assert draws == solves == [capacity, capacity, 120 - 2 * capacity]
 
-    def test_per_instance_algorithms_call_the_module_names(self, monkeypatch):
-        # a wrapper set on the harness's name is the one a sweep calls, as
-        # a tracer that wraps functions where they are looked up needs
+    def test_a_certified_block_calls_each_batch_once(self, monkeypatch):
+        # every algorithm and the certifying oracle take each block whole:
+        # one call per block, and none per instance
+        calls = []
+
+        def counting(name, batch):
+            def wrapper(instances, *args):
+                calls.append((name, len(instances)))
+                return batch(instances, *args)
+            return wrapper
+
+        for name in ("greedy", "all-offload"):
+            monkeypatch.setitem(harness.RATE_ALGORITHMS, name,
+                                counting(name, harness.RATE_ALGORITHMS[name]))
+        for name in ("solve_rate_max_batch", "brute_force_rate_max_batch"):
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        for name in ("conditional_solution", "benchmark_greedy", "benchmark_all_offloading"):
+            monkeypatch.setattr(ratemod, name, None)  # a per-instance call would fail
+        monkeypatch.setattr(oracle, "brute_force_rate_max", None)
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=120, certify=True))
+        capacity = harness._block(10)
+        names = ("brute_force_rate_max_batch", "solve_rate_max_batch", "greedy", "all-offload")
+        assert calls == [
+            (name, size) for size in (capacity, capacity, 120 - 2 * capacity) for name in names
+        ]
+
+    def test_a_wrapped_algorithm_entry_is_the_one_called(self, monkeypatch):
+        # a wrapper set on an entry of the algorithm table is the one a
+        # sweep calls, as a tracer that wraps functions where they are
+        # looked up needs
         spec = SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=30,
                          algorithms=("greedy",))
         plain = run_sweep(spec)
         calls = []
-        greedy = harness.benchmark_greedy
+        greedy = harness.RATE_ALGORITHMS["greedy"]
 
-        def counting(instance):
-            calls.append(instance)
-            return greedy(instance)
+        def counting(instances):
+            calls.append(instances)
+            return greedy(instances)
 
-        monkeypatch.setattr(harness, "benchmark_greedy", counting)
+        monkeypatch.setitem(harness.RATE_ALGORITHMS, "greedy", counting)
         assert run_sweep(spec) == plain
-        assert len(calls) == len(set(map(id, calls))) == 30
+        assert [len(block) for block in calls] == [30]
 
 
 class TestEnergyBlocks:

@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import json
 import math
-import sys
+import operator
 import tempfile
 import warnings
 from pathlib import Path
@@ -70,14 +70,21 @@ def scalar_generate_instance(spec, seed):
     return Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=tuple(users))
 
 
-def test_builtin_sum_adds_floats_left_to_right():
-    # Python 3.12 made the builtin sum of floats compensated (Neumaier).
-    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
-        f"builtin sum is compensated on Python {sys.version.split()[0]}: "
-        "energy._Balance.gap, the energy._schedule objective, model.baseline_local_energy, the "
-        "energy._subset_lp budget and rate._fixed_set_sums rely on a left-to-right float sum, "
-        "and with another order the perfbench fingerprints and the stock sweep CSV bytes change"
-    )
+def test_sum_in_order_adds_floats_left_to_right():
+    # Python 3.12 made the builtin sum of floats compensated (Neumaier);
+    # the solvers' sums must add in plain order on every version
+    add = model.sum_in_order
+    assert add([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert repr(add([-0.0])) == repr(add([])) == "0.0"
+    assert add([1.0, 2.0], 0.5) == 3.5
+    assert repr(add([-0.0], -0.0)) == "-0.0"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(-1e300, 1e300)), start=st.floats(-1e300, 1e300))
+def test_sum_in_order_is_the_sequential_reduce(values, start):
+    expected = functools.reduce(operator.add, values, start)
+    assert repr(model.sum_in_order(values, start)) == repr(expected)
 
 
 class TestDerivedUser:
@@ -267,9 +274,9 @@ class TestMemoisedConstants:
             # the expression it memoises, with its left-to-right sum
             energy = (inst.weight * inst.energy_coeff * inst.cycles_per_bit * inst.task_bits
                       * squares(inst.cpu_freq))
-            expected = repr(sum(energy.tolist(), 0.0))
-            inst.delta_per_bit  # squares the CPU speeds too
+            expected = repr(functools.reduce(operator.add, energy.tolist(), 0.0))
             monkeypatch.setattr(model, "_squares", counting)
+            inst.delta_per_bit  # squares the CPU speeds, once for both
             assert repr(baseline_local_energy(inst)) == expected
             solve_energy_suboptimal(inst)
             if n_users <= 10:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +16,7 @@ from mecoffload import (
     brute_force_energy,
     brute_force_energy_batch,
     brute_force_rate_max,
+    brute_force_rate_max_batch,
     conditional_solution,
     energy,
     feasibility_tmin,
@@ -28,9 +31,11 @@ from mecoffload import (
 )
 from mecoffload.harness import DEFAULT_GRIDS
 from mecoffload.rng import mix64
+import rate_reference
 from support import (
     count_stacked,
     make_instance,
+    homogeneous_instance,
     make_user,
     stock_instance,
     subset_lps,
@@ -90,7 +95,52 @@ def reference_brute_force_rate_max(instance):
     best = float(np.max(rates))
     tied = np.nonzero(rates >= best - oracle._TIE_RTOL * (1.0 + best))[0]
     winner = min(tuple(k for k in range(K) if (int(masks[i]) >> k) & 1) for i in tied)
-    return conditional_solution(instance, winner).as_schedule()
+    return rate_reference.conditional_solution(instance, winner).as_schedule()
+
+
+class TestRateOracleBatch:
+    """The rate oracle of a block: each instance's answer, to the bit, and
+    None beyond the budget."""
+
+    def test_mixed_block_matches_the_reference(self):
+        instances = [
+            stock_instance(n_users, d, mix64(211, n_users, j))
+            for j, d in enumerate(DEFAULT_GRIDS["rate-vs-d"])
+            for n_users in (3, 13, 1, 12, 7)
+        ]
+        for instance, schedule in zip(instances, brute_force_rate_max_batch(instances)):
+            if instance.n_users > 12:
+                assert schedule is None
+            else:
+                assert repr(schedule) == repr(reference_brute_force_rate_max(instance))
+        assert brute_force_rate_max_batch([]) == []
+
+    def test_ties_take_the_smallest_subset_per_row(self):
+        # identical users tie every set of the best size; the stock one
+        # between them has no tie
+        instances = [homogeneous_instance(6, 0.5, 1), stock_instance(6, 0.1, 2),
+                     homogeneous_instance(6, 0.3, 3)]
+        batch = brute_force_rate_max_batch(instances)
+        for instance, schedule in zip(instances, batch):
+            assert repr(schedule) == repr(reference_brute_force_rate_max(instance))
+        size = len(batch[0].scheduled)
+        assert 1 < size < 6 and batch[0].scheduled == frozenset(range(size))
+
+    def test_budget(self):
+        inst = stock_instance(5, 0.1, 4)
+        budget = OracleBudget(max_users_rate=4)
+        assert brute_force_rate_max_batch([inst], budget) == [None]
+        with pytest.raises(BudgetExceededError):
+            brute_force_rate_max(inst, budget)
+        with pytest.raises(ValueError, match="no users"):
+            brute_force_rate_max_batch([inst, make_instance([])])
+
+    def test_penalty_table_is_memoised_and_read_only(self):
+        table = oracle._size_penalties(0.1, 10)
+        assert oracle._size_penalties(0.1, 10) is table
+        assert not table.flags.writeable
+        _, _, sizes = oracle._subset_table(10)
+        assert table.tolist() == ((1.0 + 0.1) ** sizes).tolist()
 
 
 def fresh_bits(n):
@@ -273,7 +323,9 @@ def reference_brute_force_energy(instance):
         for uid in partition.forced_costly:
             full[uid] = min_bits[uid]
         full.update(bits)
-        objective = sum(delta[uid] * b for uid, b in sorted(full.items()))
+        objective = functools.reduce(
+            operator.add, (delta[uid] * b for uid, b in sorted(full.items())), 0.0
+        )
         if best is not None:
             tol = 1e-12 * (1.0 + abs(best[0]))
             if not (objective < best[0] - tol or (objective <= best[0] + tol and s1 < best[1])):

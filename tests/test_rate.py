@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from mecoffload import (
     GenerationSpec,
     benchmark_all_offloading,
+    benchmark_all_offloading_batch,
     benchmark_greedy,
+    benchmark_greedy_batch,
     benchmark_lr,
     brute_force_rate_max,
     conditional_solution,
+    conditional_solution_batch,
     dinkelbach_slave,
     generate_instance,
     homogeneous_m_star,
@@ -28,6 +31,8 @@ from mecoffload import rate as ratemod
 from mecoffload.model import RATE_RTOL
 from mecoffload.rate import MAX_DINKELBACH_ITER, SlaveSummary
 from mecoffload.rng import SplitMix64, mix64
+import rate_reference
+from rate_reference import prefix_greedy as reference_greedy
 from support import (
     homogeneous_instance,
     homogeneous_txrate_instance,
@@ -578,20 +583,6 @@ class TestBenchmarks:
             assert validate_rate_schedule(inst, bench(inst)).ok
 
 
-def reference_greedy(instance):
-    """The greedy benchmark as a plain loop: a full conditional solution for
-    every candidate prefix."""
-    order = sorted(instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id))
-    taken, best = [], None
-    for u in order:
-        candidate = conditional_solution(instance, taken + [u.id])
-        if not candidate.satisfies_necessary_condition:
-            break
-        taken.append(u.id)
-        best = candidate
-    return best.as_schedule()
-
-
 class TestGreedyEquivalence:
     @pytest.mark.parametrize("n_users", [5, 20, 100])
     def test_matches_reference_loop(self, n_users):
@@ -671,7 +662,7 @@ def greedy_order_passes(instance):
 @pytest.fixture
 def fallbacks(monkeypatch):
     """Counts the id-ordered sums: each greedy fallback, and the final
-    `conditional_solution`, forms them once."""
+    closed form, forms them once."""
     calls = []
     original = ratemod._fixed_set_sums
 
@@ -694,7 +685,7 @@ class TestGreedyFallback:
                 fallbacks.clear()
                 fast = benchmark_greedy(inst)
                 # one fallback per step taken, one for the failing step if
-                # any, and one in the final conditional_solution
+                # any, and one in the final closed form
                 steps = len(fast.scheduled) + (len(fast.scheduled) < n_users)
                 assert fallbacks == list(range(1, steps + 1)) + [len(fast.scheduled)]
                 assert fast == reference_greedy(inst)
@@ -764,3 +755,86 @@ class TestRemovalImprovement:
             reduced = conditional_solution(inst, [i for i in members if i != slowest])
             assert reduced.rate > cs.rate
         assert violations == 60, f"only {violations} violating sets in {trials} trials"
+
+
+def assert_same_schedule(fast, slow):
+    assert fast.scheduled == slow.scheduled
+    assert repr(fast.sum_rate) == repr(slow.sum_rate)
+    assert repr(fast.compute_time) == repr(slow.compute_time)
+    assert repr(fast.offload_bits) == repr(slow.offload_bits)
+
+
+def member_masks(instances, seed):
+    """A random nonempty set per instance, as one boolean row each."""
+    rng = SplitMix64(seed)
+    mask = np.array([[rng.next_u64() % 3 == 0 for _ in range(i.n_users)] for i in instances])
+    mask[np.arange(len(instances)), [rng.next_u64() % i.n_users for i in instances]] = True
+    return mask
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A block of stock instances of mixed user counts and degradations:
+    d = 0, the stock grid's, and wide draws."""
+    degradations = st.one_of(
+        st.just(0.0), st.sampled_from([0.05, 0.1, 0.2, 0.3]), st.floats(0.0, 5.0)
+    )
+    return [
+        stock_instance(draw(st.sampled_from([*range(1, 13), 100])), draw(degradations),
+                       draw(st.integers(0, 2**64 - 1)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+
+
+class TestBlockForms:
+    """The block forms of the closed form, both benchmarks and the exact
+    solve's finish against the one-instance references in
+    `rate_reference`, to the bit."""
+
+    def check_block(self, instances, seed):
+        for fast, instance in zip(benchmark_greedy_batch(instances), instances):
+            assert_same_schedule(fast, rate_reference.benchmark_greedy(instance))
+        for fast, instance in zip(benchmark_all_offloading_batch(instances), instances):
+            assert_same_schedule(fast, rate_reference.benchmark_all_offloading(instance))
+        for (fast, (summary,)), instance in zip(solve_rate_max_batch(instances), instances):
+            slow = rate_reference.conditional_solution(instance, summary.selected)
+            assert_same_schedule(fast, slow.as_schedule())
+        for n_users in {i.n_users for i in instances}:
+            block = [i for i in instances if i.n_users == n_users]
+            mask = member_masks(block, mix64(seed, n_users))
+            for fast, instance, row in zip(conditional_solution_batch(block, mask), block, mask):
+                slow = rate_reference.conditional_solution(instance, np.flatnonzero(row).tolist())
+                assert fast.satisfies_necessary_condition == slow.satisfies_necessary_condition
+                assert_same_schedule(fast.as_schedule(), slow.as_schedule())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(instances=mixed_blocks(), seed=st.integers(0, 2**64 - 1))
+    def test_mixed_blocks_match_the_references(self, instances, seed):
+        self.check_block(instances, seed)
+
+    def test_saturated_blocks_match_the_references(self):
+        # (1 + d)**(K - 1) overflows for these d at K = 3000: the penalty
+        # saturates inside the greedy order and for the all-offload set
+        instances = [stock_instance(3000, d, mix64(223, k)) for k, d in enumerate((0.3, 1.0, 5.0))]
+        self.check_block(instances, 227)
+        assert all(s.sum_rate == 0.0 for s in benchmark_all_offloading_batch(instances))
+
+    def test_stock_blocks_match_one_at_a_time(self):
+        grid = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+        instances = [stock_instance(10, d, mix64(229, k)) for k, d in enumerate(grid * 3)]
+        for batch, single in ((benchmark_greedy_batch, benchmark_greedy),
+                              (benchmark_all_offloading_batch, benchmark_all_offloading)):
+            assert [repr(s) for s in batch(instances)] == [repr(single(i)) for i in instances]
+
+    def test_refusals(self):
+        inst = stock_instance(4, 0.1, 1)
+        for batch in (benchmark_greedy_batch, benchmark_all_offloading_batch, solve_rate_max_batch):
+            assert batch([]) == []
+            with pytest.raises(ValueError, match="no users"):
+                batch([inst, make_instance([])])
+        with pytest.raises(ValueError, match="nonempty"):
+            conditional_solution_batch([inst], np.zeros((1, 4), dtype=bool))
+        with pytest.raises(ValueError, match="one row per instance"):
+            conditional_solution_batch([inst], np.ones((2, 4), dtype=bool))
+        with pytest.raises(ValueError, match="one row per instance"):
+            conditional_solution_batch([inst], np.ones((1, 5), dtype=bool))
