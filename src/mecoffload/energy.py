@@ -58,116 +58,119 @@ def partition_users(instance: Instance) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-class _Balance:
-    """The feasibility balance of one instance, with the user values it
-    needs read once from the instance's columns, for the many deadlines a
-    root search tries."""
-
-    def __init__(self, instance: Instance):
-        self.degradation = instance.degradation
-        self.task = instance.task_bits.tolist()
-        self.freq = instance.cpu_freq.tolist()
-        self.cycles = instance.cycles_per_bit.tolist()
-        self.roundtrip = instance.roundtrip_time_per_bit.tolist()
-        self.service = instance.service_rate.tolist()
-
-    def min_bits(self, t: float) -> list[float]:
-        # `0.0 if 0.0 > x else x` is max(x, 0.0), zero sign included
-        return [
-            0.0 if 0.0 > (x := b - t * f / c) else x
-            for b, f, c in zip(self.task, self.freq, self.cycles)
-        ]
-
-    def gap(self, t: float, min_bits: list[float] | None = None) -> float:
-        if min_bits is None:
-            min_bits = self.min_bits(t)
-        return _gap(self.degradation, t, min_bits, self.roundtrip, self.service)
-
-    def at(self, t: float) -> tuple[float, list[float]]:
-        """The gap at t, with the forced minimum offloads it was formed from."""
-        min_bits = self.min_bits(t)
-        return self.gap(t, min_bits), min_bits
-
-    def root(self) -> tuple[float, tuple[float, list[float]] | None]:
-        """The least double t with gap(t) <= 0 < gap(previous double), and
-        `at(t)` where the search evaluated it (else None).
-
-        User k stops being forced at tau_k = c_k L_k / f_k.  Between two
-        consecutive thresholds the forced set F is fixed, so the gap is
-        A - B t + max_k (alpha_k - beta_k t) / phi - t over k in F, with
-        A, B the radio sums, alpha_k = L_k / r_k, beta_k = f_k / (c_k r_k)
-        and phi = (1 + d)^(1 - |F|).  A bisection over the sorted
-        thresholds finds the segment holding the root, the root of that
-        segment is max_k (A phi + alpha_k) / (B phi + beta_k + phi),
-        clamped to the segment, and a walk of single ulps settles it on
-        the computed gap.
-        """
-        tau = [c * b / f for b, f, c in zip(self.task, self.freq, self.cycles)]
-        order = sorted(range(len(tau)), key=tau.__getitem__)
-        if not order or tau[order[-1]] <= 0.0:
-            return 0.0, None
-        # Keep gap > 0 at threshold lo (position -1 and zero thresholds are
-        # t = 0, checked once the search ends there) and gap <= 0 at
-        # threshold hi; the last threshold leaves at most a rounding residue
-        # forced, so its gap is about -t.
-        lo = bisect.bisect_right(order, 0.0, key=tau.__getitem__) - 1
-        hi = len(order) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.gap(tau[order[mid]]) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        left = tau[order[lo]] if lo >= 0 else 0.0
-        if left == 0.0:
-            state = self.at(0.0)
-            if state[0] <= 0.0:
-                return 0.0, state
-        right = tau[order[hi]]
-        forced = order[hi:]
-        phi = vm_rate_factor(self.degradation, len(forced))
-        if phi == 0.0:  # the gap is inf on the whole segment
-            return self._settle(right, left, right)
-        a = b = 0.0
-        for k in forced:
-            a += self.task[k] * self.roundtrip[k]
-            b += self.freq[k] / self.cycles[k] * self.roundtrip[k]
-        t = left
-        for k in forced:
-            task, freq, cycles, r = self.task[k], self.freq[k], self.cycles[k], self.service[k]
-            t = max(t, (a * phi + task / r) / (b * phi + freq / (cycles * r) + phi))
-        return self._settle(min(t, right), left, right)
-
-    def _settle(self, t: float, lo: float, hi: float):
-        """Walk from t one ulp at a time to a double with gap(t) <= 0 <
-        gap(previous double); gap(lo) > 0 >= gap(hi) brackets the walk.
-        After _ULP_STEPS steps, bisect the bit patterns of (lo, hi]
-        instead, which takes at most 64 more gap evaluations.  Returns the
-        double and `at` of it, or None where hi is returned unevaluated."""
-        state = self.at(t)
-        hi_state = None
-        if state[0] > 0.0:
-            for _ in range(_ULP_STEPS):
-                lo, t = t, math.nextafter(t, math.inf)
-                state = self.at(t)
-                if state[0] <= 0.0:
-                    return t, state
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _at(instance: Instance, t: float) -> tuple[float, np.ndarray]:
+    """`feasibility_gap` at t, with the forced minimum offloads at t it was
+    formed from (the memoised `Instance.min_offload_bits` at the deadline).
+    The radio times are summed left to right in user id, and the window is
+    the slowest forced minimum at the degraded rate, inf where (1 + d)^(1 - n)
+    underflows to 0 or a sum overflows: no window is then long enough."""
+    min_bits = instance.min_offload_bits if t == instance.deadline else (
+        instance.min_offload_bits_at(t))
+    # int() keeps the power Python's: a numpy exponent would take numpy's
+    forced = int(np.count_nonzero(min_bits > 0.0))  # +-0.0 is not forced
+    radio = _sum_in_order(min_bits * instance.roundtrip_time_per_bit)
+    compute = 0.0
+    if forced:
+        factor = vm_rate_factor(instance.degradation, forced)
+        if factor > 0.0:
+            # an unforced user's 0 / x is 0, or nan where x underflows to 0,
+            # which fmax skips; a forced one's b / 0 is inf
+            compute = np.fmax.reduce(min_bits / (instance.service_rate * factor)).item()
         else:
-            for _ in range(_ULP_STEPS):
-                hi, hi_state, t = t, state, math.nextafter(t, 0.0)
-                state = self.at(t)
-                if state[0] > 0.0:
-                    return hi, hi_state
-        # positive doubles order as their bit patterns do
-        lo_bits, hi_bits = _double_bits(lo), _double_bits(hi)
-        while hi_bits - lo_bits > 1:
-            mid = (lo_bits + hi_bits) // 2
-            state = self.at(_bits_double(mid))
+            compute = math.inf
+    return radio + compute - t, min_bits
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """`model.sum_in_order` of an array: accumulate adds left to right
+    (.sum() would add pairwise)."""
+    return np.add.accumulate(values)[-1].item() if values.size else 0.0
+
+
+# an overflowed threshold or segment sum is inf; a nan root of two is skipped
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """The least double t with gap(t) <= 0 < gap(previous double), and
+    `_at(instance, t)` where the search evaluated it (else None).
+
+    User k stops being forced at tau_k = c_k L_k / f_k.  Between two
+    consecutive thresholds the forced set F is fixed, so the gap is
+    A - B t + max_k (alpha_k - beta_k t) / phi - t over k in F, with
+    A, B the radio sums, alpha_k = L_k / r_k, beta_k = f_k / (c_k r_k)
+    and phi = (1 + d)^(1 - |F|).  A bisection over the sorted thresholds
+    finds the segment holding the root, the root of that segment is
+    max_k (A phi + alpha_k) / (B phi + beta_k + phi), clamped to the
+    segment, and a walk of single ulps settles it on the computed gap.
+    """
+    task, freq, cycles = instance.task_bits, instance.cpu_freq, instance.cycles_per_bit
+    tau = cycles * task / freq
+    order = np.argsort(tau, kind="stable")  # ascending, lowest id on ties
+    thresholds = tau[order].tolist()
+    if not thresholds or thresholds[-1] <= 0.0:
+        return 0.0, None
+    # Keep gap > 0 at threshold lo (position -1 and zero thresholds are
+    # t = 0, checked once the search ends there) and gap <= 0 at threshold
+    # hi; the last threshold leaves at most a rounding residue forced, so
+    # its gap is about -t.
+    lo = bisect.bisect_right(thresholds, 0.0) - 1
+    hi = len(thresholds) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _at(instance, thresholds[mid])[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    left = thresholds[lo] if lo >= 0 else 0.0
+    if left == 0.0:
+        state = _at(instance, 0.0)
+        if state[0] <= 0.0:
+            return 0.0, state
+    right = thresholds[hi]
+    forced = order[hi:]  # in threshold order, as the sums add them
+    phi = vm_rate_factor(instance.degradation, len(forced))
+    if phi == 0.0:  # the gap is inf on the whole segment
+        return _settle(instance, right, left, right)
+    task, freq, cycles = task[forced], freq[forced], cycles[forced]
+    roundtrip, service = instance.roundtrip_time_per_bit[forced], instance.service_rate[forced]
+    a = _sum_in_order(task * roundtrip)
+    b = _sum_in_order(freq / cycles * roundtrip)
+    roots = (a * phi + task / service) / (b * phi + freq / (cycles * service) + phi)
+    # fmax skips a nan root of overflowed sums, as max(t, nan) does
+    t = np.fmax.reduce(roots, initial=left).item()
+    return _settle(instance, min(t, right), left, right)
+
+
+def _settle(instance: Instance, t: float, lo: float, hi: float):
+    """Walk from t one ulp at a time to a double with gap(t) <= 0 <
+    gap(previous double); gap(lo) > 0 >= gap(hi) brackets the walk.  After
+    _ULP_STEPS steps, bisect the bit patterns of (lo, hi] instead, which
+    takes at most 64 more gap evaluations.  Returns the double and `_at` of
+    it, or None where hi is returned unevaluated."""
+    state = _at(instance, t)
+    hi_state = None
+    if state[0] > 0.0:
+        for _ in range(_ULP_STEPS):
+            lo, t = t, math.nextafter(t, math.inf)
+            state = _at(instance, t)
+            if state[0] <= 0.0:
+                return t, state
+    else:
+        for _ in range(_ULP_STEPS):
+            hi, hi_state, t = t, state, math.nextafter(t, 0.0)
+            state = _at(instance, t)
             if state[0] > 0.0:
-                lo_bits = mid
-            else:
-                hi_bits, hi_state = mid, state
-        return _bits_double(hi_bits), hi_state
+                return hi, hi_state
+    # positive doubles order as their bit patterns do
+    lo_bits, hi_bits = _double_bits(lo), _double_bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        state = _at(instance, _bits_double(mid))
+        if state[0] > 0.0:
+            lo_bits = mid
+        else:
+            hi_bits, hi_state = mid, state
+    return _bits_double(hi_bits), hi_state
 
 
 _ULP_STEPS = 64
@@ -181,32 +184,6 @@ def _bits_double(n: int) -> float:
     return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
-def _gap(degradation: float, t: float, min_bits: list[float], roundtrip: list[float],
-         service: list[float]) -> float:
-    """`feasibility_gap` at t from the forced minimum offloads at t and the
-    users' roundtrip times and service rates, all Python floats in id
-    order."""
-    # how many b > 0.0: the others are +-0.0, which count() matches
-    forced = len(min_bits) - min_bits.count(0.0)
-    radio = sum_in_order(map(operator.mul, min_bits, roundtrip))
-    compute = 0.0
-    if forced:
-        factor = vm_rate_factor(degradation, forced)
-        if factor > 0.0:
-            compute = max(map(operator.truediv, min_bits, [r * factor for r in service]))
-        else:  # (1 + d)^(1 - n) underflowed: no window is long enough
-            compute = math.inf
-    return radio + compute - t
-
-
-def _deadline_gap(instance: Instance) -> float:
-    """`feasibility_gap` at the instance's deadline.  There the forced
-    minimum offloads are the memoised `Instance.min_offload_bits`, which
-    forms `_Balance.min_bits` elementwise, to the bit."""
-    return _gap(instance.degradation, instance.deadline, instance.min_offload_bits.tolist(),
-                instance.roundtrip_time_per_bit.tolist(), instance.service_rate.tolist())
-
-
 def feasibility_gap(instance: Instance, t: float) -> float:
     """Time still missing at deadline t: radio plus parallel-computing time of
     the forced minimum offloads, minus t.  Positive means t is too short.
@@ -214,7 +191,7 @@ def feasibility_gap(instance: Instance, t: float) -> float:
     the computed value never increases with t either, so a deadline T is
     feasible exactly when gap(T) <= 0, that is when T >= t_min
     (DESIGN_NOTES.md, "Feasibility by one evaluation")."""
-    return _Balance(instance).gap(t)
+    return _at(instance, t)[0]
 
 
 @dataclass(frozen=True)
@@ -238,21 +215,20 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
 
     The least double t_min whose gap is nonpositive while the gap of the
     double below it is positive, found exactly rather than to a tolerance
-    (`_Balance.root`).  The gap may jump past zero where the forced-user
+    (`_root`).  The gap may jump past zero where the forced-user
     count drops, so the root can sit on a discontinuity.  Since the
     computed gap never increases with t, `feasibility_gap(instance, T) > 0`
     holds exactly when T < t_min: deciding one deadline needs one gap
     evaluation, and `solve_energy_suboptimal` runs this search only to
     report t_min when it refuses.
     """
-    balance = _Balance(instance)
-    t, state = balance.root()
-    residual, min_bits = balance.at(t) if state is None else state
+    t, state = _root(instance)
+    residual, min_bits = _at(instance, t) if state is None else state
     return FeasibilityResult(
         t_min=t,
         residual=residual,
-        min_bits=tuple(min_bits),
-        forced_count=sum(1 for b in min_bits if b > 0.0),
+        min_bits=tuple(min_bits.tolist()),
+        forced_count=int(np.count_nonzero(min_bits > 0.0)),
         bracket=(math.nextafter(t, 0.0), t),
     )
 
@@ -310,10 +286,8 @@ def total_delay(instance: Instance, partition: Partition, s1) -> float:
 
 
 def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
-    # accumulate adds left to right (.sum() would add pairwise), and the
-    # +0.0 terms of uncommitted users leave the running sum unchanged
-    radio = np.add.accumulate(bits * instance.roundtrip_time_per_bit)[-1].item() if bits.size else 0.0
-    return radio + _window(instance, bits, n_vms)
+    # the +0.0 terms of uncommitted users leave the running sum unchanged
+    return _sum_in_order(bits * instance.roundtrip_time_per_bit) + _window(instance, bits, n_vms)
 
 
 def _subset_lp(instance: Instance, partition: Partition, s1):
@@ -453,7 +427,7 @@ def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
 def _suboptimal_plan(instance: Instance):
     """`solve_energy_suboptimal` as a plan for `_solve`: the LP-branch LP
     and its finish, or no LP and the schedule of the other branches."""
-    if _deadline_gap(instance) > 0.0:
+    if feasibility_gap(instance, instance.deadline) > 0.0:
         return _done(_infeasible(instance, feasibility_tmin(instance).t_min))
 
     part = partition_users(instance)

@@ -233,14 +233,23 @@ class Instance:
 
     @cached_property
     def min_offload_bits(self) -> np.ndarray:
-        """Every user's `DerivedUser.min_offload_bits`, read-only: computed
-        on first use and memoised on this object.  It depends on the
-        deadline, so a copy made with `dataclasses.replace` builds its own."""
-        excess = self.task_bits - self.deadline * self.cpu_freq / self.cycles_per_bit
-        # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
-        min_bits = np.where(0.0 > excess, 0.0, excess)
+        """Every user's `DerivedUser.min_offload_bits`, read-only: its
+        `min_offload_bits_at(deadline)`, computed on first use and memoised
+        on this object.  It depends on the deadline, so a copy made with
+        `dataclasses.replace` builds its own."""
+        min_bits = self.min_offload_bits_at(self.deadline)
         min_bits.setflags(write=False)
         return min_bits
+
+    # a t f beyond the doubles is inf, as a Python float product gives: the
+    # whole task fits locally and nobody is forced
+    @np.errstate(over="ignore")
+    def min_offload_bits_at(self, t: float) -> np.ndarray:
+        """Every user's bits that its local CPU cannot compute within t,
+        max(L - t f / c, 0), each the double of the scalar expression."""
+        excess = self.task_bits - t * self.cpu_freq / self.cycles_per_bit
+        # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
+        return np.where(0.0 > excess, 0.0, excess)
 
     @cached_property
     def partition(self) -> Partition:
@@ -535,8 +544,19 @@ def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_c
 
     used = sum(schedule.offload_bits.get(i, 0.0) * roundtrip[i] for i in sorted(schedule.scheduled))
     budget = used + te - instance.deadline
+    # The budget allows TIME_TOL plus (n + 2) ulps of T.  The check adds n
+    # rounded products b r and the window.  While the sum stays below the
+    # power of two above T (wherever it can pass), each of its n additions
+    # errs by at most ulp(T) / 2 and the products together by at most
+    # u T < ulp(T) (u = 2^-53; the subtraction of T is exact, Sterbenz), so
+    # its own rounding is below (n / 2 + 1) ulp(T).  A schedule that fills
+    # the frame exactly was formed from sums as long, off by about as much
+    # again.  At the stock deadlines TIME_TOL dominates: (n + 2) ulp(0.65 s)
+    # is 1.1e-13 s at n = 1000, and ulp(T) passes TIME_TOL only from
+    # T = 2^23 s (8.4e6 s) on.
+    time_tol = TIME_TOL + (n + 2) * math.ulp(instance.deadline)
     checks = [
-        ValidationCheck("latency_budget", budget, budget <= TIME_TOL),
+        ValidationCheck("latency_budget", budget, budget <= time_tol),
         ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL),
     ]
     for uid in range(instance.n_users):

@@ -28,7 +28,7 @@ from . import energy as energymod
 from . import lp as lpmod
 from .lp import BudgetExceededError
 from .model import EnergySchedule, Instance, RateSchedule
-from .rate import _closed_forms, _per_user_count
+from .rate import _closed_forms, _penalties, _per_user_count
 
 __all__ = [
     "OracleBudget",
@@ -63,14 +63,14 @@ _tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The subsets of n items as read-only arrays: `masks` (int64, 0 ...
     2^n - 1), `bits` (float64, 2^n x n, row i holds the bits of mask i) and
-    `sizes` (float64, the member count less one of every nonempty mask, in
+    `sizes` (intp, the member count less one of every nonempty mask, in
     mask order).  Tables up to n = `_TABLE_MEMO_MAX` are built on first use
     and kept; larger ones are built per call and not kept."""
     table = _tables.get(n)
     if table is None:
         masks = np.arange(1 << n, dtype=np.int64)
         bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        sizes = bits[1:].sum(axis=1) - 1.0
+        sizes = bits[1:].sum(axis=1).astype(np.intp) - 1
         for array in (masks, bits, sizes):
             array.setflags(write=False)
         table = (masks, bits, sizes)
@@ -116,9 +116,11 @@ def brute_force_rate_max_batch(
 @functools.lru_cache(maxsize=32)
 def _size_penalties(degradation: float, n: int) -> np.ndarray:
     """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order,
-    numpy's power as the one-instance oracle formed it, read-only: memoised
-    per (d, n) up to n = `_TABLE_MEMO_MAX`, as the tables are."""
-    penalties = (1.0 + degradation) ** _subset_table(n)[2]
+    read-only: the size penalties of `rate._penalties`, inf past overflow,
+    indexed by subset size.  Memoised per (d, n); `_rate_block` calls the
+    unmemoised `__wrapped__` past n = `_TABLE_MEMO_MAX`, as the tables are
+    built per call there."""
+    penalties = np.array(_penalties(degradation, n))[_subset_table(n)[2]]
     penalties.setflags(write=False)
     return penalties
 
@@ -126,14 +128,12 @@ def _size_penalties(degradation: float, n: int) -> np.ndarray:
 def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
     """The rate oracle of instances with one user count K."""
     n_users = instances[0].n_users
-    masks, bits, sizes = _subset_table(n_users)
+    masks, bits, _ = _subset_table(n_users)
     masks, bits = masks[1:], bits[1:]  # the nonempty subsets, as views
+    size_penalties = _size_penalties if n_users <= _TABLE_MEMO_MAX else _size_penalties.__wrapped__
     rates = np.empty((len(instances), len(bits)))
     for row, instance in zip(rates, instances):
-        if n_users <= _TABLE_MEMO_MAX:
-            penalties = _size_penalties(instance.degradation, n_users)
-        else:
-            penalties = (1.0 + instance.degradation) ** sizes
+        penalties = size_penalties(instance.degradation, n_users)
         service = instance.service_rate
         num = bits @ (instance.weight * service)
         den = penalties + bits @ (instance.roundtrip_time_per_bit * service)

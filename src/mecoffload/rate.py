@@ -19,12 +19,13 @@ with m fixed, and `per_size_table` runs it for every m as a diagnostic.  Special
 and the three stock benchmarks live here too; the LP relaxation benchmark
 coincides with the exact solve (see `benchmark_lr`).
 
-The closed form, the exact solve and the greedy and all-offloading
-benchmarks each take a block of instances (`*_batch`); the one-instance
-functions are their blocks of one.  Only the exact solve works on the
-block's arrays; the closed form and the greedy walk run row by row in Python
-floats, which at a stock set's few users cost less than the numpy calls a
-block would make, so a lone call pays nothing for the block.
+The exact solve and the greedy and all-offloading benchmarks each take a
+block of instances (`*_batch`); the one-instance functions are their blocks
+of one, and each finishes with the closed form of a block (`_closed_forms`).
+Only the exact solve works on the block's arrays; the closed form and the
+greedy walk run row by row in Python floats, which at a stock set's few
+users cost less than the numpy calls a block would make, so a lone call pays
+nothing for the block.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "DinkelbachTrace",
     "SlaveSummary",
     "conditional_solution",
-    "conditional_solution_batch",
     "dinkelbach_slave",
     "per_size_table",
     "solve_rate_max",
@@ -141,21 +141,6 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
     return _closed_forms([instance], [members])[0]
 
 
-def conditional_solution_batch(instances, mask) -> list[ConditionalSolution]:
-    """`conditional_solution` of each instance, in order, with the scheduled
-    set of its row of mask, a boolean (rows, K) array; the instances all
-    have the K users of its columns, and every row holds a member."""
-    instances = list(instances)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or len(mask) != len(instances) or any(
-        instance.n_users != mask.shape[1] for instance in instances
-    ):
-        raise ValueError("mask must have one row per instance and one column per user")
-    if not mask.any(axis=1).all():
-        raise ValueError("scheduled set must be nonempty")
-    return _closed_forms(instances, [np.flatnonzero(row).tolist() for row in mask])
-
-
 def _closed_forms(instances, members) -> list[ConditionalSolution]:
     """The closed form of each instance with the ids of its members, a
     nonempty ascending list each, row by row in Python floats."""
@@ -167,6 +152,8 @@ def _closed_forms(instances, members) -> list[ConditionalSolution]:
         rate = num / den
         # a saturated penalty takes the whole frame: t_e -> T as it grows
         te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
+        if te == math.inf:  # T * penalty overflowed, though the window is at most T
+            te = instance.deadline * (penalty / den)
         service = instance.service_rate.tolist()
         bits = dict.fromkeys(range(instance.n_users), 0.0)
         for uid in ids:

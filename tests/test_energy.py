@@ -728,14 +728,13 @@ class TestTotalDelayOrder:
 def tmin_evaluated_twice(instance):
     """`feasibility_tmin` with the gap at t_min evaluated again after the
     root search."""
-    balance = energy._Balance(instance)
-    t, _ = balance.root()
-    min_bits = balance.min_bits(t)
+    t, _ = energy._root(instance)
+    residual, min_bits = energy._at(instance, t)
     return FeasibilityResult(
         t_min=t,
-        residual=balance.gap(t, min_bits),
-        min_bits=tuple(min_bits),
-        forced_count=sum(1 for b in min_bits if b > 0.0),
+        residual=residual,
+        min_bits=tuple(min_bits.tolist()),
+        forced_count=sum(1 for b in min_bits.tolist() if b > 0.0),
         bracket=(math.nextafter(t, 0.0), t),
     )
 
@@ -743,13 +742,13 @@ def tmin_evaluated_twice(instance):
 class TestFeasibilityReuse:
     def test_one_gap_evaluation_fewer(self, monkeypatch):
         calls = []
-        gap = energy._Balance.gap
+        at = energy._at
 
-        def counting(self, t, min_bits=None):
+        def counting(instance, t):
             calls.append(t)
-            return gap(self, t, min_bits)
+            return at(instance, t)
 
-        monkeypatch.setattr(energy._Balance, "gap", counting)
+        monkeypatch.setattr(energy, "_at", counting)
         large = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
         instances = [generate_instance(large, 20240 + seed) for seed in range(20)]
         instances += [drop_loop_instance(n, seed) for n in (5, 20, 100) for seed in range(20)]
@@ -899,7 +898,8 @@ def decided_instances():
 
 class TestDeadlineGap:
     """The feasibility decision reads the memoised forced minimum offloads:
-    at the deadline they are the balance's own, to the bit."""
+    at the deadline the gap is the one read straight from the profiles, to
+    the bit."""
 
     def test_equals_the_balance_at_the_deadline(self):
         specs = [
@@ -916,8 +916,10 @@ class TestDeadlineGap:
         instances += decided_instances()
         signs = set()
         for inst in instances:
-            gap = energy._deadline_gap(inst)
-            assert repr(gap) == repr(energy._Balance(inst).gap(inst.deadline))
+            gap, min_bits = energy._at(inst, inst.deadline)
+            assert min_bits is inst.min_offload_bits
+            assert repr(gap) == repr(reference_gap(inst, inst.deadline)[1])
+            assert repr(feasibility_gap(inst, inst.deadline)) == repr(gap)
             signs.add(gap > 0.0)
         assert signs == {False, True}
 
@@ -929,22 +931,22 @@ class TestFeasibilityByOneEvaluation:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = dict.fromkeys(("gap", "root", "tmin"), 0)
-        gap, root, tmin = energy._gap, energy._Balance.root, energy.feasibility_tmin
+        gap, root, tmin = energy._at, energy._root, energy.feasibility_tmin
 
         def counting_gap(*args):
             counts["gap"] += 1
             return gap(*args)
 
-        def counting_root(self):
+        def counting_root(instance):
             counts["root"] += 1
-            return root(self)
+            return root(instance)
 
         def counting_tmin(instance):
             counts["tmin"] += 1
             return tmin(instance)
 
-        monkeypatch.setattr(energy, "_gap", counting_gap)
-        monkeypatch.setattr(energy._Balance, "root", counting_root)
+        monkeypatch.setattr(energy, "_at", counting_gap)
+        monkeypatch.setattr(energy, "_root", counting_root)
         monkeypatch.setattr(energy, "feasibility_tmin", counting_tmin)
         return counts
 

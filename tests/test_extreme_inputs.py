@@ -1,0 +1,119 @@
+"""Extreme inputs give a schedule that validates or a typed refusal.
+
+A fixed grid of user counts, interference factors and deadlines, from an
+empty instance to K = 1000 and from d = 0 to 1e300 and T = 1e-9 s to
+1e300 s, with the deadlines at t_min and one ulp below it added.  Every
+solver's schedule must pass its validator, or the call must refuse in a
+typed way: no users (a `ValueError` naming them), a size budget
+(`BudgetExceededError`), or an energy status of "infeasible" that carries
+t_min.  The suite runs with `RuntimeWarning` as an error, so a stray
+overflow fails a cell too.
+"""
+
+import math
+import tracemalloc
+
+import pytest
+
+from mecoffload import (
+    BudgetExceededError,
+    GenerationSpec,
+    benchmark_all_offloading,
+    benchmark_energy_all_offloading,
+    benchmark_greedy,
+    brute_force_rate_max,
+    feasibility_gap,
+    feasibility_tmin,
+    generate_instance,
+    lp,
+    solve_energy_suboptimal,
+    solve_rate_max,
+    validate_energy_schedule,
+    validate_rate_schedule,
+    with_deadline,
+)
+
+USER_COUNTS = (0, 1, 12, 13, 1000)
+DEGRADATIONS = (0.0, 5e-324, 0.1, 0.3, 3.0, 1e30, 1e300)
+DEADLINES = (1e-9, 0.035, 1.5, 1e6, 1e300)
+SEED = 3
+
+
+def grid_instances(n_users, degradation):
+    """The grid's instances of one (K, d), one per deadline, then at t_min
+    and the double below it where t_min > 0; and t_min."""
+    spec = GenerationSpec(n_users=n_users, degradation=degradation, deadline_s=DEADLINES[0])
+    base = generate_instance(spec, SEED)
+    t_min = feasibility_tmin(base).t_min
+    deadlines = list(DEADLINES)
+    if t_min > 0.0:
+        deadlines += [t_min, math.nextafter(t_min, 0.0)]
+    return [with_deadline(base, t) for t in deadlines], t_min
+
+
+def rate_cell(instance):
+    """Every rate solver on one instance: its schedule validates, or the
+    instance has no users and the call says so."""
+    solvers = [lambda i: solve_rate_max(i)[0], benchmark_greedy, benchmark_all_offloading]
+    if instance.n_users <= 12:
+        solvers.append(brute_force_rate_max)
+    for solve in solvers:
+        if instance.n_users == 0:
+            with pytest.raises(ValueError, match="no users"):
+                solve(instance)
+            continue
+        report = validate_rate_schedule(instance, solve(instance))
+        assert report.ok, report.failures()
+
+
+def energy_cell(instance, t_min):
+    """The energy heuristic on one instance: a schedule that validates
+    exactly when the deadline reaches t_min, else a refusal that reports
+    t_min."""
+    schedule = solve_energy_suboptimal(instance)
+    feasible = instance.deadline >= t_min
+    assert (schedule.status != "infeasible") == feasible
+    if feasible:
+        report = validate_energy_schedule(instance, schedule)
+        assert report.ok, report.failures()
+    else:
+        assert schedule.t_min == t_min
+
+
+@pytest.mark.parametrize("n_users", USER_COUNTS)
+@pytest.mark.parametrize("degradation", DEGRADATIONS)
+def test_every_cell_validates_or_refuses(n_users, degradation):
+    instances, t_min = grid_instances(n_users, degradation)
+    for instance in instances:
+        result = feasibility_tmin(instance)
+        assert result.t_min == t_min
+        assert feasibility_gap(instance, t_min) <= 0.0
+        if t_min > 0.0:
+            assert feasibility_gap(instance, result.bracket[0]) > 0.0
+        rate_cell(instance)
+        energy_cell(instance, t_min)
+
+
+def test_all_offload_refuses_above_the_lp_guard_before_building():
+    # the least K whose all-offload LP (2K + 1 rows over K + 1 columns)
+    # exceeds the guard, about 1,300
+    lo, hi = 1, 10_000
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            lp.check_size(2 * mid + 1, mid + 1)
+            lo = mid
+        except BudgetExceededError:
+            hi = mid
+    assert 1000 < hi < 2000
+    instance = generate_instance(GenerationSpec(n_users=hi, deadline_s=1.5), SEED)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            benchmark_energy_all_offloading(instance)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the LP's constraint matrix alone would take K^2 doubles (13 MB); the
+    # refusal may allocate an eighth of that
+    assert peak < hi * hi

@@ -388,6 +388,30 @@ class TestValidation:
         names = [c.name for c in report.failures()]
         assert names == ["rate_consistency"]
 
+    @pytest.mark.parametrize("ulps, ok", [(3, True), (4, False)])
+    def test_latency_tolerance_is_n_plus_2_ulps_of_the_deadline(self, ulps, ok):
+        # one user, so (1 + 2) ulps of T = 2^40 s pass beyond TIME_TOL, and
+        # the next overrun fails: ulp(T) = 2^-12 s is far above TIME_TOL
+        deadline = 2.0**40
+        inst = make_instance([unit_roundtrip_user(0)], deadline=deadline, degradation=0.4)
+        half = deadline / 2
+        te = half + ulps * math.ulp(deadline)
+        report = validate_rate_schedule(
+            inst, RateSchedule(frozenset({0}), {0: half}, te, half / deadline)
+        )
+        budget = {c.name: c for c in report.checks}["latency_budget"]
+        assert budget.residual == ulps * math.ulp(deadline)
+        assert budget.ok == report.ok == ok
+
+    @pytest.mark.parametrize("deadline", [1e6, 1e7, 1e8, 1e10, 1e12])
+    def test_long_deadline_schedules_pass_the_latency_budget(self, deadline):
+        # before the tolerance scaled with T, 14 to 39 of these 200 schedules
+        # failed it at each deadline from 1e7 s
+        spec = GenerationSpec(n_users=8, degradation=0.1, deadline_s=deadline)
+        for inst in generate_instances(spec, range(200)):
+            report = validate_rate_schedule(inst, solve_rate_max(inst)[0])
+            assert report.ok, report.failures()
+
     def test_report_renders_and_records(self):
         inst = make_instance([unit_roundtrip_user(0)], deadline=2.0)
         report = validate_rate_schedule(inst, RateSchedule(frozenset(), {0: 0.0}, 0.0, 0.0))

@@ -23,7 +23,9 @@ from mecoffload import (
     lp,
     oracle,
     partition_users,
+    rate,
     solve_energy_suboptimal,
+    solve_rate_max,
     solve_subset_lp,
     validate_energy_schedule,
     validate_rate_schedule,
@@ -139,8 +141,20 @@ class TestRateOracleBatch:
         table = oracle._size_penalties(0.1, 10)
         assert oracle._size_penalties(0.1, 10) is table
         assert not table.flags.writeable
-        _, _, sizes = oracle._subset_table(10)
-        assert table.tolist() == ((1.0 + 0.1) ** sizes).tolist()
+        _, bits, _ = oracle._subset_table(10)
+        # the rate solver's Python-float penalty of each subset's size
+        expected = [rate._penalties(0.1, 10)[int(size) - 1] for size in bits[1:].sum(axis=1)]
+        assert table.tolist() == expected
+
+    @pytest.mark.parametrize("degradation", [1e30, 1e300])
+    def test_overflowed_penalties_match_the_solver_without_a_warning(self, degradation):
+        # (1 + d)**(|S| - 1) overflows for every set of 12 users at d = 1e30
+        # and of 3 or more at d = 1e300
+        for seed in range(5):
+            inst = stock_instance(12, degradation, mix64(233, seed))
+            schedule = brute_force_rate_max(inst)
+            assert schedule.scheduled == solve_rate_max(inst)[0].scheduled
+            assert validate_rate_schedule(inst, schedule).ok
 
 
 def fresh_bits(n):

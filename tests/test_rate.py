@@ -16,7 +16,6 @@ from mecoffload import (
     benchmark_lr,
     brute_force_rate_max,
     conditional_solution,
-    conditional_solution_batch,
     dinkelbach_slave,
     generate_instance,
     homogeneous_m_star,
@@ -802,8 +801,9 @@ class TestBlockForms:
         for n_users in {i.n_users for i in instances}:
             block = [i for i in instances if i.n_users == n_users]
             mask = member_masks(block, mix64(seed, n_users))
-            for fast, instance, row in zip(conditional_solution_batch(block, mask), block, mask):
-                slow = rate_reference.conditional_solution(instance, np.flatnonzero(row).tolist())
+            members = [np.flatnonzero(row).tolist() for row in mask]
+            for fast, instance, ids in zip(ratemod._closed_forms(block, members), block, members):
+                slow = rate_reference.conditional_solution(instance, ids)
                 assert fast.satisfies_necessary_condition == slow.satisfies_necessary_condition
                 assert_same_schedule(fast.as_schedule(), slow.as_schedule())
 
@@ -832,9 +832,3 @@ class TestBlockForms:
             assert batch([]) == []
             with pytest.raises(ValueError, match="no users"):
                 batch([inst, make_instance([])])
-        with pytest.raises(ValueError, match="nonempty"):
-            conditional_solution_batch([inst], np.zeros((1, 4), dtype=bool))
-        with pytest.raises(ValueError, match="one row per instance"):
-            conditional_solution_batch([inst], np.ones((2, 4), dtype=bool))
-        with pytest.raises(ValueError, match="one row per instance"):
-            conditional_solution_batch([inst], np.ones((1, 5), dtype=bool))
