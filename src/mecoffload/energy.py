@@ -12,6 +12,8 @@ forced users' offload sizes.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import math
 import operator
 import struct
@@ -25,6 +27,7 @@ from .model import (
     Instance,
     Partition,
     baseline_local_energy,
+    derive_energy_columns,
     interference_penalty,
     sum_in_order,
     vm_rate_factor,
@@ -43,13 +46,12 @@ __all__ = [
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
     "benchmark_energy_all_offloading_batch",
+    "shared_solutions",
 ]
 
 
 def partition_users(instance: Instance) -> Partition:
-    """The users split four ways: `Instance.partition`, built on first use
-    and memoised on the instance, since the heuristic and the oracle both
-    read it."""
+    """The users split four ways: the memoised `Instance.partition`."""
     return instance.partition
 
 
@@ -290,10 +292,50 @@ def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     return _sum_in_order(bits * instance.roundtrip_time_per_bit) + _window(instance, bits, n_vms)
 
 
+# the plan memo of the innermost open `shared_solutions` scope, else None
+_plans: contextvars.ContextVar[dict | None] = contextvars.ContextVar("energy_plans", default=None)
+
+
+@contextlib.contextmanager
+def shared_solutions():
+    """A scope in which each distinct energy LP is built and solved once:
+    `_subset_lp` keeps its plans (DESIGN_NOTES.md, "One build per distinct
+    energy LP").  The memo is dropped on exit, normal or not, and a nested
+    scope starts its own."""
+    token = _plans.set({})
+    try:
+        yield
+    finally:
+        _plans.reset(token)
+
+
 def _subset_lp(instance: Instance, partition: Partition, s1):
-    """`solve_subset_lp` as a plan for `_solve`: the LP to solve (None where
-    the subset needs none) and the function that turns its solution into
-    the schedule, or None where the LP is infeasible.  The LP runs over the
+    """`solve_subset_lp` as a plan for `_solve`, kept in a `shared_solutions`
+    scope per (instance, s1) of the instance's own partition: a repeat takes
+    it, or once it is finished, a plan without an LP returning its schedule."""
+    memo = _plans.get()
+    if memo is None or partition is not instance.partition:
+        return _subset_plan(instance, partition, s1)
+    # the plans hold the instance, so its id is not reused while they live
+    key = id(instance), frozenset(s1)
+    if key not in memo:
+        problem, finish = _subset_plan(instance, partition, s1)
+        finished = []  # its schedule, once finished; no reference cycle holds the plan
+
+        def finishing(sol):
+            if not finished:
+                finished.append(finish(sol))
+            return finished[0]
+
+        memo[key] = problem, finishing, finished
+    problem, finishing, finished = memo[key]
+    return _done(finished[0]) if finished else (problem, finishing)
+
+
+def _subset_plan(instance: Instance, partition: Partition, s1):
+    """The plan of `_subset_lp`: the LP to solve (None where the subset
+    needs none) and the function that turns its solution into the
+    schedule, or None where the LP is infeasible.  The LP runs over the
     members' offload sizes and the computing window, and minimizes the
     energy deltas subject to the radio budget and per-user caps."""
     s1 = _optional(partition, s1)
@@ -354,12 +396,11 @@ def _subset_lp(instance: Instance, partition: Partition, s1):
 
 
 def _solve(plans: list) -> list:
-    """`finish(solution)` of each (LP or None, finish) plan, with every LP
-    of the plans solved in one `lp.solve_lps` call (None for a plan
-    without one)."""
-    problems = [problem for problem, _ in plans if problem is not None]
-    solutions = iter(lpmod.solve_lps(problems) if problems else ())
-    return [finish(None if problem is None else next(solutions)) for problem, finish in plans]
+    """`finish(solution)` of each (LP or None, finish) plan, with every
+    distinct LP of the plans solved once, in one `lp.solve_lps` call."""
+    problems = {id(problem): problem for problem, _ in plans if problem is not None}
+    solutions = dict(zip(problems, lpmod.solve_lps(problems.values()) if problems else ()))
+    return [finish(solutions.get(id(problem))) for problem, finish in plans]
 
 
 def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySchedule | None:
@@ -420,7 +461,10 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
 
 def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
     """`solve_energy_suboptimal` of each instance, with the LPs of those
-    that take the LP branch solved in one `lp.solve_lps` call."""
+    that take the LP branch solved in one `lp.solve_lps` call and the
+    energy memos derived as one block."""
+    instances = list(instances)
+    derive_energy_columns(instances)
     return _solve([_suboptimal_plan(instance) for instance in instances])
 
 
@@ -480,17 +524,23 @@ def _done(schedule: EnergySchedule):
 
 def _all_offload_lp(instance: Instance):
     """`benchmark_energy_all_offloading` as a plan for `_solve`: the subset
-    LP of the partition that forces every user into a VM, each choosing
-    its offload size above its forced minimum, as forced saving users do.
-    At K = 0 it has no LP."""
-    everyone = Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(), frozenset())
-    problem, finish = _subset_lp(instance, everyone, ())
+    LP of the partition that forces every user into a VM, each above its
+    forced minimum.  Where no user is costly and no forced minimum is -0.0,
+    that is the instance's own full-subset LP to the byte, so it takes that
+    plan (DESIGN_NOTES.md, "One build per distinct energy LP")."""
+    part, s1 = instance.partition, instance.partition.free_saving
+    if part.forced_costly or part.free_costly or np.signbit(instance.min_offload_bits).any():
+        part, s1 = Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(),
+                             frozenset()), ()
+    problem, finish = _subset_lp(instance, part, s1)
     return problem, lambda sol: finish(sol) or _infeasible(instance, None)
 
 
 def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
     """`benchmark_energy_all_offloading` of each instance, with all their LPs
-    solved in one `lp.solve_lps` call."""
+    solved in one `lp.solve_lps` call and their energy memos as one block."""
+    instances = list(instances)
+    derive_energy_columns(instances)
     return _solve([_all_offload_lp(instance) for instance in instances])
 
 

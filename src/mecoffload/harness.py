@@ -24,10 +24,11 @@ from .energy import (
     benchmark_energy_all_offloading_batch,
     feasibility_tmin,
     partition_users,
+    shared_solutions,
     solve_energy_suboptimal,
     solve_energy_suboptimal_batch,
 )
-from .lp import BudgetExceededError, shared_solutions, stack_capacity
+from .lp import BudgetExceededError, stack_capacity
 from .model import (
     ConfigurationError,
     EnergySchedule,
@@ -226,10 +227,10 @@ def run_sweep(spec: SweepSpec) -> str:
                 mix64(spec.base_seed, gi, ri)
                 for ri in range(first, min(first + block, spec.realizations))
             ])
-            # An energy block solves each distinct LP once: the oracle runs
-            # first, and the all-offload LP is its full-subset LP wherever no
-            # user is costly, the heuristic's LP branch its empty-subset LP
-            # unless the oracle skipped that subset.
+            # An energy block builds each distinct LP once, in one plan scope:
+            # the oracle runs first, the all-offload row takes its full-subset
+            # plans wherever no user is costly, the LP branch its empty-subset
+            # plans unless the oracle skipped that subset.
             with contextlib.nullcontext() if rate_side else shared_solutions():
                 references = [None] * len(instances)
                 solved = {}  # the block's schedules per distinct algorithm callable

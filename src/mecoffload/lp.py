@@ -20,16 +20,14 @@ one basic row after another, and each constraint's offset shift is a
 single 1-D dot, so no sum is regrouped.  Padding never enters a pivot
 (DESIGN_NOTES.md, "Batched simplex").  `tests/lp_reference.py` keeps the
 row-at-a-time solver, and the test suite checks that the two agree bit for
-bit.  Inside a `shared_solutions` scope, `solve_lps` solves each distinct
-problem once and answers its repeats from the scope's memo.
+bit.  The solver keeps no memo: a caller that meets one problem more than
+once passes it once (`energy.shared_solutions`).
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +41,6 @@ __all__ = [
     "stack_capacity",
     "solve_lp",
     "solve_lps",
-    "shared_solutions",
 ]
 
 PIVOT_TOL = 1e-10
@@ -95,8 +92,10 @@ class LpProblem:
     bounds one (lower, upper) pair per variable (n, 2); use -inf/+inf for
     unbounded sides.  Each array is stored read-only as float64: a
     read-only float64 array that owns its data, as `energy._subset_lp`
-    builds them, is kept as it is, and anything else is copied.
-    There is no value equality: `_key` tells problems apart by their bytes.
+    builds them, is kept as it is, and anything else is copied.  There is
+    no value equality.  `size` is the (rows, variable columns) that
+    `check_size` holds the problem to: a row per constraint and per finite
+    box, a column per variable and a second one per free variable.
     """
 
     objective: np.ndarray
@@ -104,6 +103,7 @@ class LpProblem:
     relations: tuple[str, ...]
     rhs: np.ndarray
     bounds: np.ndarray
+    size: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = len(self.objective), len(self.relations)
@@ -127,6 +127,8 @@ class LpProblem:
         if not np.less_equal(lower, upper).all():
             j = np.less_equal(lower, upper).argmin()  # false where either bound is nan
             raise LpStructureError(f"variable {j}: bounds {self.bounds[j].tolist()} out of order")
+        free, _, boxed = np.bincount(np.isfinite(self.bounds).sum(axis=1), minlength=3).tolist()
+        object.__setattr__(self, "size", (m + boxed, n + free))
 
     @property
     def n_vars(self) -> int:
@@ -247,7 +249,7 @@ def check_size(n_rows: int, n_cols: int) -> None:
 def stack_starts(problems) -> list[int]:
     """Where each lockstep stack begins when `solve_lps` stacks these
     problems in order: the index of each stack's first problem."""
-    return _starts(map(_size, problems))
+    return _starts(problem.size for problem in problems)
 
 
 def stack_capacity(n_rows: int, n_cols: int) -> int:
@@ -257,7 +259,8 @@ def stack_capacity(n_rows: int, n_cols: int) -> int:
 
 
 def _starts(sizes) -> list[int]:
-    """`stack_starts` of problems of these (rows, columns) sizes (`_size`).
+    """`stack_starts` of problems of these (rows, columns) sizes
+    (`LpProblem.size`).
 
     A stack takes the next problem while its count times `_entries` of its
     most rows and most columns stays within STACK_ENTRIES, which bounds the
@@ -272,14 +275,6 @@ def _starts(sizes) -> list[int]:
             starts.append(k)
         count += 1
     return starts
-
-
-def _size(problem: LpProblem) -> tuple[int, int]:
-    """The (rows, variable columns) that `check_size` holds the problem to:
-    a row per constraint and per finite box, a column per variable and a
-    second one per free variable."""
-    free, _, boxed = np.bincount(np.isfinite(problem.bounds).sum(axis=1), minlength=3).tolist()
-    return len(problem.relations) + boxed, problem.n_vars + free
 
 
 @dataclass(frozen=True)
@@ -526,37 +521,6 @@ def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
     return solutions
 
 
-# The memo of the innermost open `shared_solutions` scope, else None.
-_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar("lp_shared", default=None)
-
-
-@contextlib.contextmanager
-def shared_solutions():
-    """A scope in which `solve_lps` solves each distinct problem once.
-
-    While the scope is open, every solution is remembered under its
-    problem's bit-exact key (`_key`), and a later problem with the same key
-    takes that solution instead of a place in a stack.  The solve is
-    deterministic and a problem comes out the same whatever it is stacked
-    with, so the answer has the bits a fresh solve would give.  The memo
-    lives only as long as the scope: on exit, normal or not, it is
-    dropped, and a nested scope starts its own."""
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def _key(problem: LpProblem) -> tuple[str, bytes]:
-    """The problem as bytes: every number as its 8 IEEE bytes (so -0.0 and
-    0.0 differ), and the relations in order.  "<=", "=" and ">=" are told
-    apart by their first character, so their concatenation splits one way
-    only, and with the row count it fixes the variable count."""
-    arrays = (problem.objective, problem.coeffs, problem.rhs, problem.bounds)
-    return "".join(problem.relations), b"".join([a.tobytes() for a in arrays])
-
-
 def solve_lps(problems) -> list[LpSolution]:
     """Solve many problems, each exactly as `solve_lp` would alone.
 
@@ -564,37 +528,22 @@ def solve_lps(problems) -> list[LpSolution]:
     by `stack_starts` to at most STACK_ENTRIES entries: on each step every
     unfinished problem picks its own entering column and leaving row, and
     one masked update makes all the pivots.  Every problem to be stacked
-    is held to the size guard before anything is built.  Inside a
-    `shared_solutions` scope, only problems the scope has not met are
-    stacked, each distinct one once."""
+    is held to the size guard before anything is built."""
     problems = list(problems)
-    memo = _shared.get()
     solutions: list[LpSolution | None] = [None] * len(problems)
-    # the problems to stack, by key (by index outside a scope): the indices it answers
-    todo: dict = {}
+    todo = []  # the indices of the problems to stack
     for k, problem in enumerate(problems):
         if problem.n_vars == 0:
             ok = all(map(_satisfied, problem.relations, problem.rhs.tolist()))
             solutions[k] = LpSolution("optimal" if ok else "infeasible", (), 0.0)
-        elif memo is None:
-            todo[k] = [k]
-        elif (key := _key(problem)) in memo:
-            solutions[k] = memo[key]
         else:
-            todo.setdefault(key, []).append(k)
-    keys = list(todo)
-    sizes = [_size(problems[todo[key][0]]) for key in keys]
-    for size in sizes:
-        check_size(*size)
-    starts = _starts(sizes)
-    for start, stop in zip(starts, [*starts[1:], len(keys)]):
-        chunk = keys[start:stop]
-        shifted = [_shift(problems[todo[key][0]]) for key in chunk]
-        for key, solution in zip(chunk, _solve_stack(shifted)):
-            for k in todo[key]:
-                solutions[k] = solution
-            if memo is not None:
-                memo[key] = solution
+            check_size(*problem.size)
+            todo.append(k)
+    starts = _starts(problems[k].size for k in todo)
+    for start, stop in zip(starts, [*starts[1:], len(todo)]):
+        chunk = todo[start:stop]
+        for k, solution in zip(chunk, _solve_stack([_shift(problems[k]) for k in chunk])):
+            solutions[k] = solution
     return solutions
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "ValidationReport",
     "GenerationSpec",
     "derive_user",
+    "derive_energy_columns",
     "vm_rate_factor",
     "interference_penalty",
     "baseline_local_energy",
@@ -136,10 +137,10 @@ class Instance:
     values as one read-only float64 array per `UserProfile` field, entry k
     belonging to user id k.  `roundtrip_time_per_bit` is formed once from
     them.  These columns are the instance's only store of user values; the
-    energy side's `delta_per_bit` and `min_offload_bits` are formed from
-    them on first read.  Every entry is the double that the scalar
-    expression gives: read a single value through `tolist()`, so that it
-    is a Python float.
+    energy side's five memos (`derive_energy_columns`) are formed from them
+    together on the first read of one, or for a whole block at once.  Every
+    entry is the double that the scalar expression gives: read a single
+    value through `tolist()`, so that it is a Python float.
 
     Build it from profiles, `Instance(deadline=, degradation=, users=)`, or
     from columns, one keyword per `UserProfile` field but the id (as
@@ -222,55 +223,29 @@ class Instance:
 
     @cached_property
     def delta_per_bit(self) -> np.ndarray:
-        """Every user's `DerivedUser.energy_delta_per_bit`, read-only:
-        computed on first use and memoised on this object."""
-        delta = self.weight * (
-            self.uplink_time_per_bit * self.tx_power
-            - self.energy_coeff * self.cycles_per_bit * self.cpu_freq_squared
-        )
-        delta.setflags(write=False)
-        return delta
+        """Every user's `DerivedUser.energy_delta_per_bit`, read-only."""
+        return _energy_memo(self, "delta_per_bit")
 
     @cached_property
     def min_offload_bits(self) -> np.ndarray:
         """Every user's `DerivedUser.min_offload_bits`, read-only: its
-        `min_offload_bits_at(deadline)`, computed on first use and memoised
-        on this object.  It depends on the deadline, so a copy made with
-        `dataclasses.replace` builds its own."""
-        min_bits = self.min_offload_bits_at(self.deadline)
-        min_bits.setflags(write=False)
-        return min_bits
+        `min_offload_bits_at(deadline)`."""
+        return _energy_memo(self, "min_offload_bits")
 
-    # a t f beyond the doubles is inf, as a Python float product gives: the
-    # whole task fits locally and nobody is forced
-    @np.errstate(over="ignore")
     def min_offload_bits_at(self, t: float) -> np.ndarray:
         """Every user's bits that its local CPU cannot compute within t,
         max(L - t f / c, 0), each the double of the scalar expression."""
-        excess = self.task_bits - t * self.cpu_freq / self.cycles_per_bit
-        # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
-        return np.where(0.0 > excess, 0.0, excess)
+        return _min_offload_bits(self.task_bits, self.cpu_freq, self.cycles_per_bit, t)
 
     @cached_property
     def partition(self) -> Partition:
-        """The users split four ways (`Partition`): built on first use and
-        memoised on this object, so it follows the deadline as
-        `min_offload_bits` does."""
-        classes = 2 * (self.min_offload_bits > 0.0) + (self.delta_per_bit < 0.0)
-        # each class's ids ascending, as Python ints; class = 2 * forced + saving
-        free_costly, free_saving, forced_costly, forced_saving = (
-            frozenset((classes == c).nonzero()[0].tolist()) for c in range(4)
-        )
-        return Partition(forced_costly, forced_saving, free_costly, free_saving)
+        """The users split four ways (`Partition`) at the deadline."""
+        return _energy_memo(self, "partition")
 
     @cached_property
     def cpu_freq_squared(self) -> np.ndarray:
-        """Every user's f**2 (`_squares`), read-only: computed on first use
-        and memoised on this object, for `delta_per_bit` and
-        `local_energy`."""
-        squares = _squares(self.cpu_freq)
-        squares.setflags(write=False)
-        return squares
+        """Every user's f**2 (`_squares`), read-only."""
+        return _energy_memo(self, "cpu_freq_squared")
 
     @cached_property
     def rate_terms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
@@ -287,13 +262,8 @@ class Instance:
 
     @cached_property
     def local_energy(self) -> float:
-        """`baseline_local_energy`: computed on first use and memoised on
-        this object."""
-        energy = (
-            self.weight * self.energy_coeff * self.cycles_per_bit * self.task_bits
-            * self.cpu_freq_squared
-        )
-        return sum_in_order(energy.tolist())
+        """`baseline_local_energy`."""
+        return _energy_memo(self, "local_energy")
 
 
 def _check_scalars(deadline: float, degradation: float) -> None:
@@ -408,6 +378,65 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
         weighted_tx_rate=u.weight / rt,
         roundtrip_time_per_bit=rt,
     )
+
+
+def derive_energy_columns(instances) -> None:
+    """Fill the five energy memos of every instance without them, one broadcast
+    per user count.  Each entry is formed as its instance alone forms it (the
+    squares one Python `**` at a time, sums left to right), to the bit."""
+    blocks: dict[int, dict[int, Instance]] = {}  # per user count, the instances by id
+    for instance in instances:
+        if "partition" not in vars(instance):
+            blocks.setdefault(instance.n_users, {})[id(instance)] = instance
+    for block in blocks.values():
+        _derive_energy_block(list(block.values()))
+
+
+def _derive_energy_block(instances: list[Instance]) -> None:
+    """`derive_energy_columns` of unfilled instances of one user count."""
+    columns = [[i.weight, i.uplink_time_per_bit, i.tx_power, i.energy_coeff, i.cycles_per_bit,
+                i.cpu_freq, i.task_bits] for i in instances]
+    # (R, K) arrays: a block of one (each lone solve) views its own columns
+    # rather than pay for a copy
+    weight, uplink, power, coeff, cycles, freq, task = (
+        [c[None] for c in columns[0]] if len(columns) == 1
+        else np.array(columns, dtype=float).transpose(1, 0, 2))
+    squares = _squares(freq.ravel()).reshape(freq.shape)
+    delta = weight * (uplink * power - coeff * cycles * squares)
+    min_bits = _min_offload_bits(task, freq, cycles, np.array([[i.deadline] for i in instances]))
+    # each row's local energy, summed left to right from 0.0 as `sum_in_order` sums
+    terms = np.zeros((len(instances), freq.shape[1] + 1))
+    np.multiply(weight * coeff * cycles * task, squares, out=terms[:, 1:])
+    local = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    # class 2 * forced + saving, of bools viewed as int8 (no wider integers)
+    classes = (2 * (min_bits > 0.0).view(np.int8) + (delta < 0.0).view(np.int8)).tolist()
+    for array in (squares, delta, min_bits):
+        array.setflags(write=False)
+    for k, instance in enumerate(instances):
+        members = ([], [], [], [])  # each class's ids ascending, as Python ints
+        for uid, c in enumerate(classes[k]):
+            members[c].append(uid)
+        free_costly, free_saving, forced_costly, forced_saving = map(frozenset, members)
+        vars(instance).update(
+            cpu_freq_squared=squares[k], delta_per_bit=delta[k], min_offload_bits=min_bits[k],
+            local_energy=local[k],
+            partition=Partition(forced_costly, forced_saving, free_costly, free_saving))
+
+
+def _energy_memo(instance: Instance, name: str):
+    """One energy memo, filled with the others by its block of one."""
+    _derive_energy_block([instance])
+    return vars(instance)[name]
+
+
+# a t f beyond the doubles is inf, as a Python float product gives: the
+# whole task fits locally and nobody is forced
+@np.errstate(over="ignore")
+def _min_offload_bits(task: np.ndarray, freq: np.ndarray, cycles: np.ndarray, t) -> np.ndarray:
+    """max(L - t f / c, 0) of each user; t is a deadline or a column of them."""
+    excess = task - t * freq / cycles
+    # np.where(0.0 > x, 0.0, x) is max(x, 0.0), zero sign included
+    return np.where(0.0 > excess, 0.0, excess)
 
 
 def _squares(values: np.ndarray) -> np.ndarray:

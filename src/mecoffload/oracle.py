@@ -27,7 +27,7 @@ import numpy as np
 from . import energy as energymod
 from . import lp as lpmod
 from .lp import BudgetExceededError
-from .model import EnergySchedule, Instance, RateSchedule
+from .model import EnergySchedule, Instance, RateSchedule, derive_energy_columns
 from .rate import _closed_forms, _penalties, _per_user_count
 
 __all__ = [
@@ -171,8 +171,9 @@ def brute_force_energy_batch(
     subset is infeasible, no subset is skipped.  The time guard covers the
     whole batch: it is checked before each subset's LP is built and before
     each stack is solved, in both stages, as the scalar loop checked it
-    before each LP."""
+    before each LP.  The energy memos are derived as one block first."""
     instances = list(instances)
+    derive_energy_columns(instances)
     deadline = time.monotonic() + budget.time_limit_s
 
     def check_time():

@@ -134,6 +134,15 @@ def empty_subset_lp(instance):
     return energy._subset_lp(instance, energy.partition_users(instance), ())[0]
 
 
+def lp_key(problem):
+    """The problem as bytes: every number as its 8 IEEE bytes (so -0.0 and
+    0.0 differ), and the relations in order.  "<=", "=" and ">=" are told
+    apart by their first character, so their concatenation splits one way
+    only, and with the row count it fixes the variable count."""
+    arrays = (problem.objective, problem.coeffs, problem.rhs, problem.bounds)
+    return "".join(problem.relations), b"".join([a.tobytes() for a in arrays])
+
+
 def count_stacked(monkeypatch):
     """Count the problems that reach `lp._solve_stack` from here on: the
     returned object's `problems` is the running total."""
@@ -145,4 +154,18 @@ def count_stacked(monkeypatch):
         return solve(shifted)
 
     monkeypatch.setattr(lp, "_solve_stack", counting)
+    return counter
+
+
+def count_builds(monkeypatch):
+    """Count the `LpProblem`s built from here on: the returned object's
+    `problems` is the running total."""
+    counter = SimpleNamespace(problems=0)
+    check = LpProblem.__post_init__
+
+    def counting(problem):
+        counter.problems += 1
+        check(problem)
+
+    monkeypatch.setattr(LpProblem, "__post_init__", counting)
     return counter

@@ -4,6 +4,7 @@ import math
 import operator
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -28,13 +29,20 @@ from mecoffload import (
     vm_rate_factor,
     with_deadline,
 )
-from mecoffload import energy, lp
+from mecoffload import energy, harness, lp
 from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
 from mecoffload.rng import SplitMix64, mix64
-from lp_reference import enumerate_vertices
-from support import make_instance, make_user, stock_instance
+from lp_reference import enumerate_vertices, reference_solve_lp
+from support import (
+    count_builds,
+    count_stacked,
+    lp_key,
+    make_instance,
+    make_user,
+    stock_instance,
+)
 
 
 def saving_user(i, **kw):
@@ -402,7 +410,7 @@ class TestLpM1:
                 for order in (costly, costly[::-1])]
         assert pair[0] == pair[1]
         assert list(pair[0].forced_costly) != list(pair[1].forced_costly)
-        keys = {lp._key(energy._subset_lp(inst, each, ())[0]) for each in pair}
+        keys = {lp_key(energy._subset_lp(inst, each, ())[0]) for each in pair}
         assert len(keys) == 1
 
 
@@ -462,7 +470,7 @@ class TestAllOffloadingBatch:
         solve = lp._solve_stack
 
         def recording(shifted):
-            stacks.append([lp._size(s.problem) for s in shifted])
+            stacks.append([s.problem.size for s in shifted])
             return solve(shifted)
 
         monkeypatch.setattr(lp, "_solve_stack", recording)
@@ -504,6 +512,162 @@ class TestSuboptimalBatch:
         monkeypatch.setattr(lp, "_solve_stack", recording)
         batch = energy.solve_energy_suboptimal_batch(self.instances())
         assert stacks == [sum(s.status == "lp-path" for s in batch)] and stacks[0] > 1
+
+
+def everyone_lp(instance):
+    """The all-offload LP as the partition that forces every user into a
+    VM builds it, each user above its forced minimum."""
+    everyone = energy.Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(),
+                                frozenset())
+    return energy._subset_plan(instance, everyone, ())
+
+
+def schedule_fields(schedule):
+    return (repr(schedule.total_energy), schedule.offload_bits, schedule.compute_time,
+            schedule.scheduled, schedule.status)
+
+
+def assert_routing_is_exact(instances):
+    """Inside a scope, after the oracle, the all-offload batch gives each
+    instance the schedule of the `everyone` LP solved on its own, and its
+    LP has the bytes of that LP: the full-subset LP's exactly where no user
+    is costly (and no forced minimum is -0.0)."""
+    alone = energy._solve([
+        (problem, lambda sol, finish=finish, i=i: finish(sol) or energy._infeasible(i, None))
+        for i in instances for problem, finish in [everyone_lp(i)]
+    ])
+    with energy.shared_solutions():
+        brute_force_energy_batch(instances)
+        routed = energy.benchmark_energy_all_offloading_batch(instances)
+    for instance, got, want in zip(instances, routed, alone):
+        assert schedule_fields(got) == schedule_fields(want)
+        part = instance.partition
+        costly = part.forced_costly or part.free_costly
+        problem = energy._all_offload_lp(instance)[0]
+        full = energy._subset_plan(instance, part, part.free_saving)[0]
+        if problem is not None:
+            assert lp_key(problem) == lp_key(everyone_lp(instance)[0])
+            if not np.signbit(instance.min_offload_bits).any():
+                assert (lp_key(problem) == lp_key(full)) == (not costly)
+
+
+class TestAllOffloadRouting:
+    """Where no user is costly, the all-offload LP is the instance's
+    full-subset LP to the byte, so it takes that subset's plan and shares
+    the oracle's solve; elsewhere it keeps the LP that forces every user
+    into a VM."""
+
+    @pytest.mark.parametrize("experiment", ["energy-vs-T", "energy-vs-d"])
+    def test_stock_instances(self, experiment):
+        spec = harness.SweepSpec(experiment=experiment, realizations=100, base_seed=7).normalized()
+        instances = [
+            generate_instance(harness._generation_spec(spec, value), mix64(7, gi, ri))
+            for gi, value in enumerate(spec.grid) for ri in range(100)
+        ]
+        assert not any(i.partition.forced_costly or i.partition.free_costly for i in instances)
+        assert_routing_is_exact(instances)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 6),
+        degradation=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**64 - 1),
+        costly=st.sets(st.integers(0, 5), max_size=3),
+        slack=st.floats(1.0, 3.0),
+        extra=st.sampled_from([0.0, 0.5, 3.0]),
+    )
+    def test_costly_users_keep_the_everyone_lp(self, n_users, degradation, seed, costly, slack,
+                                                extra):
+        # users in `costly` transmit at 100 times the power, so that
+        # offloading costs them energy: forced near t_min, free with extra time
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        power = [p * (100.0 if k in costly else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
+        inst = dataclasses.replace(inst, tx_power=power)
+        t_min = feasibility_tmin(inst).t_min
+        assert_routing_is_exact([with_deadline(inst, t_min * s + extra) for s in (1.0, slack)])
+
+    def test_a_negative_zero_minimum_keeps_the_everyone_lp(self):
+        # a -0.0 task whose local capacity underflows to 0 has the forced
+        # minimum -0.0: the full-subset LP bounds it below by +0.0 instead
+        users = [saving_user(0, task=-0.0, freq=1e-20, cycles=1e10, kappa=1e35),
+                 saving_user(1, task=0.0)]
+        inst = make_instance(users, deadline=1e-300)
+        part = inst.partition
+        assert not (part.forced or part.free_costly) and part.free_saving == {0, 1}
+        assert np.signbit(inst.min_offload_bits).tolist() == [True, False]
+        full = energy._subset_plan(inst, part, part.free_saving)[0]
+        problem = energy._all_offload_lp(inst)[0]
+        assert lp_key(problem) == lp_key(everyone_lp(inst)[0]) != lp_key(full)
+        assert_routing_is_exact([inst])
+
+
+class TestSharedSolutions:
+    """Inside an `energy.shared_solutions` scope each distinct energy LP is
+    built and stacked once, and a repeat takes the finished schedule, with
+    the bits a fresh solve gives."""
+
+    @staticmethod
+    def instances():
+        return TestSuboptimalBatch.instances()
+
+    @staticmethod
+    def solve_all(instances):
+        return [repr(s) for s in (
+            *brute_force_energy_batch(instances),
+            *energy.solve_energy_suboptimal_batch(instances),
+            *energy.benchmark_energy_all_offloading_batch(instances),
+        )]
+
+    def test_second_pass_stacks_nothing(self, monkeypatch):
+        instances = self.instances()
+        expected = self.solve_all(instances)
+        counter = count_stacked(monkeypatch)
+        builds = count_builds(monkeypatch)
+        with energy.shared_solutions():
+            first = self.solve_all(instances)
+            stacked, built = counter.problems, builds.problems
+            second = self.solve_all(instances)
+        assert first == second == expected
+        assert 0 < stacked == built
+        assert counter.problems == stacked and builds.problems == built
+        # a plan that appears twice in one batch is built and stacked once
+        with energy.shared_solutions():
+            twice = energy.benchmark_energy_all_offloading_batch(instances[:1] * 2)
+        assert counter.problems == stacked + 1 and builds.problems == built + 1
+        assert repr(twice[0]) == repr(twice[1]) == expected[2 * len(instances)]
+
+    def test_signed_zeros_are_different_problems(self, monkeypatch):
+        # x <= 0.0 and x <= -0.0 have equal arrays, but the maximum of x is
+        # 0.0 in one and -0.0 in the other: no memo may merge problems by
+        # value, and the all-offload routing keeps a -0.0 forced minimum
+        # out of the full-subset plan
+        # (`TestAllOffloadRouting.test_a_negative_zero_minimum_keeps_the_everyone_lp`)
+        pair = [lp.LpProblem((-1.0,), (), (), (), ((-math.inf, zero),)) for zero in (0.0, -0.0)]
+        assert np.array_equal(pair[0].bounds, pair[1].bounds)
+        assert lp_key(pair[0]) != lp_key(pair[1])
+        expected = [repr(reference_solve_lp(p)) for p in pair]
+        assert expected[0] != expected[1]
+        counter = count_stacked(monkeypatch)
+        assert [repr(solve_lp(p)) for p in pair] == expected
+        assert [repr(s) for s in lp.solve_lps(pair)] == expected
+        assert counter.problems == 4
+
+    def test_nothing_is_remembered_after_the_scope(self, monkeypatch):
+        inst = stock_instance(8, 0.6, mix64(171, 4), deadline=2.0)
+        part = inst.partition
+        assert part.free_saving
+        counter = count_stacked(monkeypatch)
+        with energy.shared_solutions():
+            solve_subset_lp(inst, part, part.free_saving)
+        with pytest.raises(KeyError):
+            with energy.shared_solutions():
+                solve_subset_lp(inst, part, part.free_saving)
+                solve_subset_lp(inst, part, part.free_saving)
+                raise KeyError("leaves the scope")
+        assert counter.problems == 2
+        solve_subset_lp(inst, part, part.free_saving)
+        solve_subset_lp(inst, part, part.free_saving)
+        assert counter.problems == 4
 
 
 class TestEnergyChecker:

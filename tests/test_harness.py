@@ -31,7 +31,7 @@ from mecoffload import rate as ratemod
 from mecoffload.model import EnergySchedule
 from mecoffload.rate import solve_rate_max
 from mecoffload.rng import mix64
-from support import empty_subset_lp, make_instance, make_user, subset_lps
+from support import count_builds, empty_subset_lp, lp_key, make_instance, make_user, subset_lps
 
 
 def tiny_spec(**kw):
@@ -255,7 +255,7 @@ class TestEnergyBlocks:
         instances = [generate_instance(generation, mix64(7, 0, ri)) for ri in range(20)]
         assert sum(p is not None for i in instances for p in subset_lps(i)) == exhaustive
         lp_branch = [
-            lp._key(empty_subset_lp(i))
+            lp_key(empty_subset_lp(i))
             for i in instances if solve_energy_suboptimal(i).status == "lp-path"
         ]
         assert lp_branch
@@ -269,6 +269,32 @@ class TestEnergyBlocks:
             assert len(set(block)) == len(block)
         skipped = [key for key in lp_branch if key not in set(oracle_keys)]
         assert Counter(key for block in blocks for key in block) == Counter(oracle_keys + skipped)
+
+    def test_a_certified_block_builds_each_lp_once(self, monkeypatch):
+        # the oracle builds its LPs; the all-offload LPs and the LP-branch
+        # LPs the oracle solved are its plans, neither rebuilt nor restacked
+        builds = count_builds(monkeypatch)
+        blocks = stacked_keys(monkeypatch)
+        run_sweep(SweepSpec(experiment="energy-vs-d", grid=(0.3,), realizations=55, base_seed=7,
+                            certify=True))
+        [block] = blocks[1:]
+        assert builds.problems == len(block) == len(set(block)) > 55
+
+    def test_an_uncertified_block_builds_the_shared_lp_once(self, monkeypatch):
+        # At T = 0.35 s every stock user is forced, so no instance has a
+        # free saving user: its LP-branch LP is its full-subset LP, which
+        # is its all-offload LP too.  The heuristic runs first; the
+        # all-offload row takes its plans.
+        spec = SweepSpec(experiment="energy-vs-T", grid=(0.35,), realizations=20, base_seed=7)
+        generation = harness._generation_spec(spec.normalized(), 0.35)
+        instances = [generate_instance(generation, mix64(7, 0, ri)) for ri in range(20)]
+        assert not any(i.partition.free_saving for i in instances)
+        assert any(solve_energy_suboptimal(i).status == "lp-path" for i in instances)
+        builds = count_builds(monkeypatch)
+        blocks = stacked_keys(monkeypatch)
+        run_sweep(spec)
+        [block] = blocks[1:]
+        assert builds.problems == len(block) == len(set(block)) == 20
 
     def test_the_oracle_row_reuses_the_references(self, monkeypatch):
         # A certified block's references are its oracle row: one oracle
@@ -295,14 +321,14 @@ class TestEnergyBlocks:
 
 
 def stacked_keys(monkeypatch):
-    """The keys (`lp._key`) of the problems that reach `lp._solve_stack`
+    """The keys (`lp_key`) of the problems that reach `lp._solve_stack`
     from here on: one list of them so far, and a new one for each
-    `lp.shared_solutions` scope that `run_sweep` opens."""
+    `energy.shared_solutions` scope that `run_sweep` opens."""
     blocks = [[]]
     solve, scope = lp._solve_stack, harness.shared_solutions
 
     def recording(shifted):
-        blocks[-1].extend(lp._key(s.problem) for s in shifted)
+        blocks[-1].extend(lp_key(s.problem) for s in shifted)
         return solve(shifted)
 
     @contextlib.contextmanager

@@ -10,13 +10,12 @@ from mecoffload.lp import (
     BudgetExceededError,
     LpProblem,
     LpStructureError,
-    shared_solutions,
     solve_lp,
     solve_lps,
 )
 from mecoffload.rng import SplitMix64
 from lp_reference import enumerate_vertices, reference_solve_lp
-from support import count_stacked, random_lp_problem, stock_energy_lps, stock_instance
+from support import lp_key, random_lp_problem, stock_energy_lps, stock_instance
 
 INF = math.inf
 
@@ -154,7 +153,7 @@ class TestRecord:
         view.flags.writeable = False
         kept = LpProblem(view, coeffs, ("<=",), rhs, bounds)
         base[...] = 7.0
-        assert lp._key(kept) == lp._key(simplex_face())
+        assert lp_key(kept) == lp_key(simplex_face())
         nan = np.array([math.nan, -1.0])
         nan.flags.writeable = False
         with pytest.raises(LpStructureError, match="nan"):
@@ -164,10 +163,10 @@ class TestRecord:
         objective, coeffs = np.array([-1.0, -1.0]), np.array([[1.0, 1.0]])
         rhs, bounds = np.array([1.0]), np.array([[0.0, INF], [0.0, INF]])
         problem = LpProblem(objective, coeffs, ["<="], rhs, bounds)
-        key = lp._key(problem)
+        key = lp_key(problem)
         for array in (objective, coeffs, rhs, bounds):
             array[...] = 7.0
-        assert lp._key(problem) == key == lp._key(simplex_face())
+        assert lp_key(problem) == key == lp_key(simplex_face())
         assert problem.relations == ("<=",)
         assert repr(solve_lp(problem)) == repr(solve_lp(simplex_face()))
 
@@ -414,7 +413,7 @@ class TestBatchEquivalence:
         # default budget)
         problems, expected = mix
         if cap is not None:
-            rows, cols = map(max, zip(*map(lp._size, problems)))
+            rows, cols = map(max, zip(*(p.size for p in problems)))
             monkeypatch.setattr(lp, "STACK_ENTRIES", cap * lp._entries(rows, cols))
         with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
             solved = [repr(s) for s in solve_lps(problems)]
@@ -447,8 +446,8 @@ class TestBatchEquivalence:
         # RuntimeWarnings fail the suite; lockstep neighbours must not cause
         # any that the problems alone would not
         problems, expected = mix
-        overflow = {lp._key(p) for p in overflow_problems()}
-        finite = [(p, e) for p, e in zip(problems, expected) if lp._key(p) not in overflow]
+        overflow = {lp_key(p) for p in overflow_problems()}
+        finite = [(p, e) for p, e in zip(problems, expected) if lp_key(p) not in overflow]
         assert len(finite) == len(problems) - len(overflow)
         assert [repr(s) for s in solve_lps(p for p, _ in finite)] == [e for _, e in finite]
 
@@ -520,7 +519,7 @@ class TestStackBudget:
 
     def test_solve_lps_stacks_as_stack_starts_cuts(self, monkeypatch):
         problems = stock_energy_lps(4) + mixed_bound_problems(5, 40)
-        monkeypatch.setattr(lp, "STACK_ENTRIES", 20 * lp._entries(*lp._size(problems[0])))
+        monkeypatch.setattr(lp, "STACK_ENTRIES", 20 * lp._entries(*problems[0].size))
         stacked = []
         solve = lp._solve_stack
 
@@ -548,60 +547,7 @@ class TestStackBudget:
         for stack in stacks + [skewed]:
             with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
                 tableau = lp._standard_form([lp._shift(p) for p in stack]).tableau
-            assert tableau.size <= self.entries([lp._size(p) for p in stack])
-
-
-class TestSharedSolutions:
-    """Inside a `shared_solutions` scope each distinct problem is stacked
-    once, and a repeat is answered with the bits a fresh solve gives."""
-
-    @staticmethod
-    def problems():
-        rng = SplitMix64(0x5EED)
-        return ([random_lp_problem(rng) for _ in range(40)] + mixed_bound_problems(7, 20)
-                + redundant_problems(3, 10) + [box_max_x(), simplex_face()])
-
-    def test_second_pass_stacks_nothing(self, monkeypatch):
-        problems = self.problems()
-        expected = [repr(reference_solve_lp(p)) for p in problems]
-        counter = count_stacked(monkeypatch)
-        with shared_solutions():
-            first = [repr(s) for s in solve_lps(problems)]
-            stacked = counter.problems
-            second = [repr(s) for s in solve_lps(problems)]
-            assert [repr(solve_lp(p)) for p in problems] == expected
-        assert first == second == expected
-        assert 0 < stacked <= len(problems)
-        assert counter.problems == stacked
-
-    def test_signed_zeros_are_different_problems(self, monkeypatch):
-        # x <= 0.0 and x <= -0.0 have equal arrays, but the maximum of x is
-        # 0.0 in one and -0.0 in the other
-        pair = [LpProblem((-1.0,), (), (), (), ((-INF, zero),)) for zero in (0.0, -0.0)]
-        assert np.array_equal(pair[0].bounds, pair[1].bounds)
-        assert lp._key(pair[0]) != lp._key(pair[1])
-        expected = [repr(reference_solve_lp(p)) for p in pair]
-        assert expected[0] != expected[1]
-        counter = count_stacked(monkeypatch)
-        with shared_solutions():
-            assert [repr(solve_lp(p)) for p in pair] == expected
-            assert [repr(s) for s in solve_lps(pair)] == expected
-        assert counter.problems == 2
-
-    def test_nothing_is_remembered_after_the_scope(self, monkeypatch):
-        problem = simplex_face()
-        counter = count_stacked(monkeypatch)
-        with shared_solutions():
-            solve_lp(problem)
-        with pytest.raises(KeyError):
-            with shared_solutions():
-                solve_lp(problem)
-                solve_lp(problem)
-                raise KeyError("leaves the scope")
-        assert counter.problems == 2
-        solve_lp(problem)
-        solve_lp(problem)
-        assert counter.problems == 4
+            assert tableau.size <= self.entries([p.size for p in stack])
 
 
 class TestLimits:
@@ -624,7 +570,7 @@ class TestLimits:
         rng = SplitMix64(77)
         problems = mixed_bound_problems(5, 50) + [random_lp_problem(rng) for _ in range(50)]
         for problem in problems:
-            rows, cols = lp._size(problem)
+            rows, cols = problem.size
             tableau = lp._standard_form([lp._shift(problem)]).tableau[0]
             assert tableau.size <= (rows + 1) * (cols + 2 * rows + 1)
 
@@ -637,7 +583,7 @@ class TestLimits:
     def test_energy_lp_rows_match_its_precheck(self):
         for K in (1, 4, 10):
             instance = stock_instance(K, 0.2, 3, deadline=0.6)
-            assert lp._size(energy._all_offload_lp(instance)[0]) == (2 * K + 1, K + 1)
+            assert energy._all_offload_lp(instance)[0].size == (2 * K + 1, K + 1)
 
     def test_all_offloading_refuses_ten_thousand_users(self):
         instance = stock_instance(10_000, 0.05, 11, deadline=1.5)

@@ -7,6 +7,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -152,42 +153,36 @@ def assert_columns_match_derive_user(instance):
 class TestMemoisedConstants:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Counts the builds of the two derived columns and `derive_user` calls."""
-        calls = {"delta_per_bit": 0, "min_offload_bits": 0, "derive_user": 0}
+        """Counts the instances whose energy memos a block fill derives
+        (`model._derive_energy_block`), and `derive_user` calls."""
+        calls = {"energy_memos": 0, "derive_user": 0}
+        fill = model._derive_energy_block
 
-        def counting(name):
-            build = getattr(model.Instance, name).func
-
-            def counting_build(instance):
-                calls[name] += 1
-                return build(instance)
-
-            memo = functools.cached_property(counting_build)
-            memo.__set_name__(model.Instance, name)
-            monkeypatch.setattr(model.Instance, name, memo)
+        def counting_fill(instances):
+            calls["energy_memos"] += len(instances)
+            return fill(instances)
 
         def counting_derive(instance, user_id):
             calls["derive_user"] += 1
             return derive_user(instance, user_id)
 
-        counting("delta_per_bit")
-        counting("min_offload_bits")
+        monkeypatch.setattr(model, "_derive_energy_block", counting_fill)
         monkeypatch.setattr(model, "derive_user", counting_derive)
         return calls
 
     def test_solves_derive_each_user_once(self, counted):
-        # one column build derives every user, and nothing derives again
+        # one block fill derives every user, and nothing derives again
         spec = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
         inst = generate_instance(spec, 20240)
         energy = solve_energy_suboptimal(inst)
         solve_rate_max(inst)
         assert energy.status == "greedy-path"
-        assert counted == {"delta_per_bit": 1, "min_offload_bits": 1, "derive_user": 0}
+        assert counted == {"energy_memos": 1, "derive_user": 0}
         energy = solve_energy_suboptimal(inst)
         solve_rate_max(inst)
         benchmark_greedy(inst)
         assert validate_energy_schedule(inst, energy).ok
-        assert counted == {"delta_per_bit": 1, "min_offload_bits": 1, "derive_user": 0}
+        assert counted == {"energy_memos": 1, "derive_user": 0}
 
     def test_rate_terms_built_once_per_instance(self, monkeypatch):
         # a certified rate sweep reads them in the optimal, greedy,
@@ -297,7 +292,9 @@ class TestMemoisedConstants:
         inst = generate_instance(GenerationSpec(n_users=10), 7)
         solve_rate_max(inst)
         benchmark_greedy(inst)
-        assert counted == {"delta_per_bit": 0, "min_offload_bits": 0, "derive_user": 0}
+        assert counted == {"energy_memos": 0, "derive_user": 0}
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=20, certify=True))
+        assert counted == {"energy_memos": 0, "derive_user": 0}
 
     def test_replace_builds_fresh_constants(self):
         # 10-bit task at 1 bit/s locally: 6 bits forced out at 4 s, 1 at 9 s
@@ -326,6 +323,139 @@ class TestMemoisedConstants:
         for name in COLUMNS:
             with pytest.raises(ValueError):
                 getattr(inst, name)[0] = 0.0
+
+
+def per_instance_memos(instance):
+    """The energy memos as the per-instance expressions form them: the
+    arrays as bytes (so that zero signs count), the local energy as its
+    repr, and the partition's sets, each filled in ascending id."""
+    squares = np.array([x**2 for x in instance.cpu_freq.tolist()])
+    delta = instance.weight * (
+        instance.uplink_time_per_bit * instance.tx_power
+        - instance.energy_coeff * instance.cycles_per_bit * squares
+    )
+    with np.errstate(over="ignore"):
+        excess = instance.task_bits - instance.deadline * instance.cpu_freq / instance.cycles_per_bit
+    min_bits = np.where(0.0 > excess, 0.0, excess)
+    energy = (instance.weight * instance.energy_coeff * instance.cycles_per_bit
+              * instance.task_bits * squares)
+    classes = (2 * (min_bits > 0.0) + (delta < 0.0)).tolist()
+    # forced costly, forced saving, free costly, free saving
+    sets = [frozenset(k for k, c in enumerate(classes) if c == cls) for cls in (2, 3, 0, 1)]
+    return (squares.tobytes(), delta.tobytes(), min_bits.tobytes(),
+            repr(functools.reduce(operator.add, energy.tolist(), 0.0)), sets)
+
+
+def filled_memos(instance):
+    """`per_instance_memos` as the instance's memos hold them."""
+    part = instance.partition
+    sets = [part.forced_costly, part.forced_saving, part.free_costly, part.free_saving]
+    return (instance.cpu_freq_squared.tobytes(), instance.delta_per_bit.tobytes(),
+            instance.min_offload_bits.tobytes(), repr(instance.local_energy), sets)
+
+
+def assert_block_is_exact(instances):
+    """One `derive_energy_columns` call fills every instance with the
+    memos of the per-instance expressions, bit for bit, and each partition
+    set iterates as the ascending fill does, over Python ints."""
+    model.derive_energy_columns(instances)
+    for instance in instances:
+        filled, expected = filled_memos(instance), per_instance_memos(instance)
+        assert filled[:4] == expected[:4]
+        for got, want in zip(filled[4], expected[4]):
+            assert got == want and list(got) == list(want)
+            assert all(type(uid) is int for uid in got)
+        for name in ("cpu_freq_squared", "delta_per_bit", "min_offload_bits"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(instance, name)[...] = 0.0
+
+
+class TestDeriveEnergyColumns:
+    """`model.derive_energy_columns` forms the energy memos of a block with
+    one broadcast per user count; every memo must have the bits of the
+    per-instance expressions, whatever block it is formed in."""
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The instance count of each block fill, in call order."""
+        sizes = []
+        fill = model._derive_energy_block
+
+        def recording(instances):
+            sizes.append(len(instances))
+            return fill(instances)
+
+        monkeypatch.setattr(model, "_derive_energy_block", recording)
+        return sizes
+
+    @pytest.mark.parametrize("count", [1, 2, 55])
+    def test_stock_blocks(self, count, blocks):
+        spec = GenerationSpec(n_users=10, degradation=0.2, deadline_s=0.45)
+        instances = generate_instances(spec, range(count))
+        assert_block_is_exact(instances)
+        assert blocks == [count]
+        for instance in instances[:3]:
+            assert_columns_match_derive_user(instance)
+
+    def test_mixed_user_counts_and_filled_instances(self, blocks):
+        # four user counts interleaved, two instances filled beforehand
+        instances = [
+            generate_instance(GenerationSpec(n_users=K, degradation=0.1, deadline_s=0.45), seed)
+            for seed in range(3) for K in (0, 1, 3, 10)
+        ]
+        filled = [instances[5], instances[11]]
+        for instance in filled:
+            instance.partition
+        memos = [dict(vars(instance)) for instance in filled]
+        assert blocks == [1, 1]
+        assert_block_is_exact(instances + instances[:4])  # repeats are derived once
+        assert blocks == [1, 1, 3, 2, 3, 2]  # one block per user count, in first-seen order
+        for instance, memo in zip(filled, memos):
+            for name in ("cpu_freq_squared", "delta_per_bit", "min_offload_bits",
+                         "local_energy", "partition"):
+                assert vars(instance)[name] is memo[name]
+        model.derive_energy_columns(instances)
+        assert len(blocks) == 6
+
+    def test_replaced_deadlines(self, blocks):
+        # copies made with `dataclasses.replace` are new instances that
+        # share the columns; they form their own deadline's memos
+        base = generate_instances(GenerationSpec(n_users=10, degradation=0.2), range(4))
+        copies = [dataclasses.replace(i, deadline=t) for i in base for t in (0.35, 0.65, 50.0)]
+        assert_block_is_exact(base + copies)
+        assert blocks == [16]
+        assert all(not c.partition.forced for c in copies[2::3])
+        assert copies[0].min_offload_bits.tolist() != copies[1].min_offload_bits.tolist()
+        for instance in copies[:3]:
+            assert_columns_match_derive_user(instance)
+
+    def test_overflow_and_zero_signs(self):
+        # t f beyond the doubles (nobody forced); a -0.0 task whose local
+        # capacity underflows to 0 keeps a -0.0 forced minimum, and its
+        # -0.0 local energy term still sums to +0.0 from 0.0
+        overflow = make_instance([make_user(0, task=5.0, freq=1e10), make_user(1, freq=1e10)],
+                                 deadline=1e300)
+        signs = make_instance([make_user(0, task=-0.0, freq=1e-20, cycles=1e10),
+                               make_user(1, task=0.0, freq=1e-20, cycles=1e10)],
+                              deadline=1e-300)
+        assert_block_is_exact([overflow, signs])
+        assert overflow.min_offload_bits.tolist() == [0.0, 0.0] and not overflow.partition.forced
+        assert np.signbit(signs.min_offload_bits).tolist() == [True, False]
+        assert repr(signs.local_energy) == "0.0"
+        for instance in (overflow, signs):
+            assert_columns_match_derive_user(instance)
+
+    def test_extreme_inputs(self):
+        # the degradations and deadlines of tests/test_extreme_inputs.py
+        instances = [
+            dataclasses.replace(
+                generate_instance(GenerationSpec(n_users=K, degradation=d, deadline_s=1e-9), 3),
+                deadline=t)
+            for K in (0, 1, 12, 13, 1000)
+            for d in (0.0, 5e-324, 0.1, 0.3, 3.0, 1e30, 1e300)
+            for t in (1e-9, 0.035, 1.5, 1e6, 1e300)
+        ]
+        assert_block_is_exact(instances)
 
 
 class TestInvariants:

@@ -401,7 +401,7 @@ class TestEnergyOracleBatch:
 
         def slow(problems):
             now[0] += 2.0
-            stacks.append([lp._size(p) for p in problems])
+            stacks.append([p.size for p in problems])
             return solve(problems)
 
         monkeypatch.setattr(oracle, "time", SimpleNamespace(monotonic=lambda: now[0]))
