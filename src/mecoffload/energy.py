@@ -26,7 +26,6 @@ from .model import (
     EnergySchedule,
     Instance,
     Partition,
-    baseline_local_energy,
     derive_energy_columns,
     interference_penalty,
     sum_in_order,
@@ -257,12 +256,18 @@ def _commitment(instance: Instance, partition: Partition, s1):
     the forced saving users and s1, the forced minimum for the forced costly
     ones, and 0 for the rest; with the number of VMs they occupy."""
     s1 = _optional(partition, s1)
-    bits = np.zeros(instance.n_users)
-    costly = _ids(partition.forced_costly)
-    bits[costly] = instance.min_offload_bits[costly]
+    bits = _costly_bits(instance, partition)
     whole = _ids(partition.forced_saving | s1)
     bits[whole] = instance.task_bits[whole]
     return bits, len(partition.forced) + len(s1)
+
+
+def _costly_bits(instance: Instance, partition: Partition) -> np.ndarray:
+    """The forced minimum of the forced costly users, 0 for the rest, in id order."""
+    bits = np.zeros(instance.n_users)
+    costly = _ids(partition.forced_costly)
+    bits[costly] = instance.min_offload_bits[costly]
+    return bits
 
 
 def _window(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
@@ -341,19 +346,16 @@ def _subset_plan(instance: Instance, partition: Partition, s1):
     s1 = _optional(partition, s1)
     members = sorted(partition.forced_saving | s1)
     factor = vm_rate_factor(instance.degradation, len(partition.forced) + len(s1))
-    # every user's bits but the members': the forced minimum of the forced
-    # costly users, 0 for the rest (`_commitment`)
-    committed = [0.0] * instance.n_users
+    committed = [0.0] * instance.n_users  # every user's bits but the members'
     budget, te_floor = instance.deadline, 0.0
     if partition.forced_costly:
-        min_bits = instance.min_offload_bits.tolist()
-        roundtrip, service = instance.roundtrip_time_per_bit.tolist(), instance.service_rate.tolist()
-        costly = sorted(partition.forced_costly)
-        for uid in costly:
-            committed[uid] = min_bits[uid]
-        # left to right in ascending id, however the set iterates
-        budget -= sum_in_order(min_bits[uid] * roundtrip[uid] for uid in costly)
-        te_floor = max(min_bits[uid] / (service[uid] * factor) for uid in costly)
+        bits = _costly_bits(instance, partition)
+        committed = bits.tolist()
+        # as `_delay` and `_at` form them: the floor is inf where a quotient
+        # overflows or the degraded rate underflows to 0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            budget -= _sum_in_order(bits * instance.roundtrip_time_per_bit)
+            te_floor = np.fmax.reduce(bits / (instance.service_rate * factor)).item()
 
     def schedule(member_bits, te):
         bits = committed.copy()
@@ -361,7 +363,7 @@ def _subset_plan(instance: Instance, partition: Partition, s1):
             bits[uid] = b
         return _schedule(instance, partition.forced | s1, bits, te, "lp-path")
 
-    if not members:
+    if not members or te_floor == math.inf:  # an infinite floor fits no budget, and needs no LP
         fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
         return None, lambda _: schedule((), te_floor) if fits else None
     # the budget row, a cap row and a box row per member (the window has no
@@ -425,7 +427,7 @@ def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
         offload_bits=dict(enumerate(bits)),
         compute_time=te,
         objective=objective,
-        total_energy=objective + baseline_local_energy(instance),
+        total_energy=objective + instance.local_energy,
         status=status,
     )
 

@@ -42,7 +42,6 @@ __all__ = [
     "derive_energy_columns",
     "vm_rate_factor",
     "interference_penalty",
-    "baseline_local_energy",
     "validate_rate_schedule",
     "validate_energy_schedule",
     "generate_instance",
@@ -137,7 +136,7 @@ class Instance:
     values as one read-only float64 array per `UserProfile` field, entry k
     belonging to user id k.  `roundtrip_time_per_bit` is formed once from
     them.  These columns are the instance's only store of user values; the
-    energy side's five memos (`derive_energy_columns`) are formed from them
+    energy side's four memos (`derive_energy_columns`) are formed from them
     together on the first read of one, or for a whole block at once.  Every
     entry is the double that the scalar expression gives: read a single
     value through `tolist()`, so that it is a Python float.
@@ -243,11 +242,6 @@ class Instance:
         return _energy_memo(self, "partition")
 
     @cached_property
-    def cpu_freq_squared(self) -> np.ndarray:
-        """Every user's f**2 (`_squares`), read-only."""
-        return _energy_memo(self, "cpu_freq_squared")
-
-    @cached_property
     def rate_terms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
         """Every user's terms of the closed-form rate in id order, as Python
         floats: w*r, (a+b*g)*r and w/(a+b*g) (`rate.conditional_solution`).
@@ -262,7 +256,7 @@ class Instance:
 
     @cached_property
     def local_energy(self) -> float:
-        """`baseline_local_energy`."""
+        """Weighted energy of computing every task locally (J), summed in id order."""
         return _energy_memo(self, "local_energy")
 
 
@@ -381,7 +375,7 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
 
 
 def derive_energy_columns(instances) -> None:
-    """Fill the five energy memos of every instance without them, one broadcast
+    """Fill the four energy memos of every instance without them, one broadcast
     per user count.  Each entry is formed as its instance alone forms it (the
     squares one Python `**` at a time, sums left to right), to the bit."""
     blocks: dict[int, dict[int, Instance]] = {}  # per user count, the instances by id
@@ -410,7 +404,7 @@ def _derive_energy_block(instances: list[Instance]) -> None:
     local = np.add.accumulate(terms, axis=1)[:, -1].tolist()
     # class 2 * forced + saving, of bools viewed as int8 (no wider integers)
     classes = (2 * (min_bits > 0.0).view(np.int8) + (delta < 0.0).view(np.int8)).tolist()
-    for array in (squares, delta, min_bits):
+    for array in (delta, min_bits):
         array.setflags(write=False)
     for k, instance in enumerate(instances):
         members = ([], [], [], [])  # each class's ids ascending, as Python ints
@@ -418,8 +412,7 @@ def _derive_energy_block(instances: list[Instance]) -> None:
             members[c].append(uid)
         free_costly, free_saving, forced_costly, forced_saving = map(frozenset, members)
         vars(instance).update(
-            cpu_freq_squared=squares[k], delta_per_bit=delta[k], min_offload_bits=min_bits[k],
-            local_energy=local[k],
+            delta_per_bit=delta[k], min_offload_bits=min_bits[k], local_energy=local[k],
             partition=Partition(forced_costly, forced_saving, free_costly, free_saving))
 
 
@@ -467,13 +460,6 @@ def interference_penalty(degradation: float, n_scheduled: int) -> float:
         return (1.0 + degradation) ** (n_scheduled - 1)
     except OverflowError:
         return math.inf
-
-
-def baseline_local_energy(instance: Instance) -> float:
-    """Weighted energy of computing every task fully locally (joules),
-    summed left to right in user id; memoised per instance object
-    (`Instance.local_energy`)."""
-    return instance.local_energy
 
 
 @dataclass(frozen=True)
@@ -550,10 +536,7 @@ class ValidationReport:
 
 def _check_known_users(instance: Instance, schedule) -> None:
     known = range(instance.n_users)
-    for uid in schedule.scheduled:
-        if uid not in known:
-            raise KeyError(f"schedule references unknown user {uid}")
-    for uid in schedule.offload_bits:
+    for uid in chain(schedule.scheduled, schedule.offload_bits):
         if uid not in known:
             raise KeyError(f"schedule references unknown user {uid}")
 
@@ -570,8 +553,9 @@ def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_c
     te = schedule.compute_time
     roundtrip = instance.roundtrip_time_per_bit.tolist()
     service = instance.service_rate.tolist()
+    offload = schedule.offload_bits
 
-    used = sum(schedule.offload_bits.get(i, 0.0) * roundtrip[i] for i in sorted(schedule.scheduled))
+    used = sum_in_order(offload.get(i, 0.0) * roundtrip[i] for i in sorted(schedule.scheduled))
     budget = used + te - instance.deadline
     # The budget allows TIME_TOL plus (n + 2) ulps of T.  The check adds n
     # rounded products b r and the window.  While the sum stays below the
@@ -589,7 +573,7 @@ def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_c
         ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL),
     ]
     for uid in range(instance.n_users):
-        bits = schedule.offload_bits.get(uid, 0.0)
+        bits = offload.get(uid, 0.0)
         if uid in schedule.scheduled:
             checks.extend(scheduled_checks(uid, bits, te * service[uid] * factor))
         else:
@@ -616,7 +600,7 @@ def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> Valida
 
     checks = _common_checks(instance, schedule, offload_bounds, lambda uid: ())
     recomputed = (
-        sum(
+        sum_in_order(
             weight * schedule.offload_bits.get(uid, 0.0)
             for uid, weight in enumerate(instance.weight.tolist())
         )
@@ -659,7 +643,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
         )
 
     checks = _common_checks(instance, schedule, offload_bounds, must_not_be_forced)
-    recomputed = sum(
+    recomputed = sum_in_order(
         delta * schedule.offload_bits.get(uid, 0.0)
         for uid, delta in enumerate(instance.delta_per_bit.tolist())
     )
@@ -669,8 +653,7 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
             "objective_consistency", mismatch, mismatch <= 1e-9 * (1.0 + abs(recomputed))
         )
     )
-    e0 = baseline_local_energy(instance)
-    gap = abs(schedule.total_energy - (schedule.objective + e0))
+    gap = abs(schedule.total_energy - (schedule.objective + instance.local_energy))
     checks.append(
         ValidationCheck("total_energy_identity", gap, gap <= 1e-12 * (1.0 + abs(schedule.total_energy)))
     )

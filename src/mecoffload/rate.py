@@ -252,10 +252,11 @@ def solve_rate_max(instance: Instance) -> tuple[RateSchedule, tuple[SlaveSummary
     rescored by their rate and the smallest size with the largest rate wins,
     which is the tie rule of the per-size sweep in `per_size_table`.
 
-    A set of m users has rate below sum(w r) / (1+d)**(m-1), so sizes whose
-    penalty exceeds sum(w r) over the best singleton rate can never win.
-    They are cut in the log domain before any penalty is formed, which keeps
-    every penalty finite at any K.
+    Every size m = 1..K is scored; one where (1+d)**(m-1), or R times it,
+    overflows scores -inf.  No such size wins: R never falls below the best
+    singleton rate, so a size whose penalty passes sum(w r) (1+d) over that
+    rate scores below -d sum(w r) at every step, and the best score is at
+    least 0 up to rounding.
 
     Returns the schedule and a one-row table: the chosen size, its rate, the
     number of Dinkelbach steps, and the chosen set.  This is
@@ -292,7 +293,7 @@ def _solve_block(instances: list[Instance]) -> list[tuple[RateSchedule, tuple[Sl
 def _penalties(degradation: float, n_sizes: int) -> tuple[float, ...]:
     """(1+d)**j for j < n_sizes, the slave's Python floats, inf past
     overflow (`interference_penalty`).  Memoised, as a sweep grid point
-    shares one d and its instances few cuts."""
+    shares one d and one user count."""
     row = []
     for j in range(n_sizes):
         row.append(interference_penalty(degradation, j + 1))
@@ -326,6 +327,8 @@ def _set_sums(positions: np.ndarray, sizes: list[int], terms: np.ndarray):
     return num, qr_sum
 
 
+# R (1+d)**(m-1) may overflow to inf: that size never wins (`solve_rate_max`)
+@np.errstate(over="ignore")
 def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
     """The `solve_rate_max` loop of instances with one user count K, run as
     the lanes of (lanes, K) arrays, one lane per instance; each lane's rate,
@@ -346,22 +349,8 @@ def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
     qr = roundtrip * service
     terms = np.array((wr, qr)).reshape(2, -1)  # two flat (lanes * K) rows
     rates = (wr / (1.0 + qr)).max(axis=1).tolist()
-    penalties = []  # each row's, as the slave's Python floats
-    for instance, total, rate in zip(instances, wr.sum(axis=1).tolist(), rates):
-        d = instance.degradation
-        n_sizes = n_users
-        if d > 0.0:
-            # one spare size against rounding in the logs; a subnormal d
-            # overflows the quotient, which then cuts no size
-            cut = math.log(total / rate) / math.log1p(d)
-            if cut < n_sizes:
-                n_sizes = min(n_sizes, int(cut) + 2)
-        penalties.append(_penalties(d, n_sizes))
-    lengths = [len(row) for row in penalties]
-    width = max(lengths)
-    penalty = np.array([row + (0.0,) * (width - len(row)) for row in penalties])
-    # a row cut to fewer sizes has objective -inf beyond them
-    beyond = np.arange(width) >= np.array(lengths)[:, None] if min(lengths) < width else None
+    penalties = [_penalties(instance.degradation, n_users) for instance in instances]
+    penalty = np.array(penalties)  # each row's, as the slave's Python floats
 
     live = list(range(n_rows))  # the block row of each lane
     # lane j's start in the flat (lanes * K) scores and terms
@@ -378,10 +367,8 @@ def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
         # their positions in the flat arrays (lane 0 starts at 0)
         order = neg_scores.argsort(axis=1, kind="stable")
         positions = order + offsets if len(live) > 1 else order
-        neg_objective = neg_scores.take(positions[:, :width]).cumsum(axis=1)
+        neg_objective = neg_scores.take(positions).cumsum(axis=1)
         neg_objective += rate * penalty
-        if beyond is not None:
-            neg_objective[beyond] = np.inf
         sizes = [index + 1 for index in neg_objective.argmin(axis=1).tolist()]
         kept, finished, tolerances = [], [], []
         for j, (row, size, num, qr_sum) in enumerate(
@@ -409,8 +396,6 @@ def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
             weight, roundtrip, service = weight[kept], roundtrip[kept], service[kept]
             terms = terms.reshape(2, -1, n_users)[:, kept].reshape(2, -1)
             penalty, offsets = penalty[kept], offsets[: len(kept)]
-            if beyond is not None:
-                beyond = beyond[kept]
     raise RuntimeError("Dinkelbach iteration cap exceeded")
 
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from mecoffload import (
     FeasibilityResult,
     GenerationSpec,
-    baseline_local_energy,
     benchmark_energy_all_offloading,
     benchmark_greedy,
     brute_force_energy,
@@ -230,7 +229,7 @@ class TestScheduler:
         schedule = solve_energy_suboptimal(inst)
         assert schedule.scheduled == frozenset()
         assert schedule.objective == 0.0
-        assert schedule.total_energy == pytest.approx(baseline_local_energy(inst))
+        assert schedule.total_energy == pytest.approx(inst.local_energy)
         assert schedule.status == "optimal-path"
 
     def test_huge_deadline_offloads_every_saving_task(self):
@@ -679,7 +678,7 @@ class TestEnergyChecker:
         from dataclasses import replace
 
         tampered = replace(schedule, scheduled=frozenset(), offload_bits={0: 0.0}, objective=0.0,
-                           total_energy=baseline_local_energy(inst))
+                           total_energy=inst.local_energy)
         report = validate_energy_schedule(inst, tampered)
         assert not report.ok
         assert any(c.name.startswith("unscheduled_free") for c in report.failures())
@@ -980,7 +979,7 @@ class TestOutputTypes:
         for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy):
             schedule = solve(inst)
             assert (repr(schedule.objective), repr(schedule.total_energy)) == ("0.0", "0.0"), solve
-        assert repr(baseline_local_energy(make_instance([], deadline=1.0))) == "0.0"
+        assert repr(make_instance([], deadline=1.0).local_energy) == "0.0"
 
 
 class TestAgainstOracleProperty:
@@ -1047,7 +1046,7 @@ class TestExactBookkeeping:
             assert list(bits) == list(range(n_users))
             expected = functools.reduce(operator.add, map(operator.mul, delta, bits.values()), 0.0)
             assert schedule.objective == expected
-            assert schedule.total_energy == schedule.objective + baseline_local_energy(each)
+            assert schedule.total_energy == schedule.objective + each.local_energy
 
 
 LARGE_K = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)

@@ -7,9 +7,13 @@ solver's schedule must pass its validator, or the call must refuse in a
 typed way: no users (a `ValueError` naming them), a size budget
 (`BudgetExceededError`), or an energy status of "infeasible" that carries
 t_min.  The suite runs with `RuntimeWarning` as an error, so a stray
-overflow fails a cell too.
+overflow fails a cell too.  A costly variant of every cell, whose every
+third user pays 100 times the transmit power, also runs the subset LP and
+the energy oracle, which must give a schedule that validates or say that
+the subset or the instance is infeasible.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,6 +25,7 @@ from mecoffload import (
     benchmark_all_offloading,
     benchmark_energy_all_offloading,
     benchmark_greedy,
+    brute_force_energy,
     brute_force_rate_max,
     feasibility_gap,
     feasibility_tmin,
@@ -28,6 +33,7 @@ from mecoffload import (
     lp,
     solve_energy_suboptimal,
     solve_rate_max,
+    solve_subset_lp,
     validate_energy_schedule,
     validate_rate_schedule,
     with_deadline,
@@ -78,6 +84,48 @@ def energy_cell(instance, t_min):
         assert report.ok, report.failures()
     else:
         assert schedule.t_min == t_min
+
+
+def costly(instance):
+    """The instance with 100 times the transmit power of users 1, 4, 7, ...,
+    for whom offloading then costs energy: at a short deadline some of them
+    are forced costly, the users whose forced minimum the subset LP commits."""
+    power = instance.tx_power.copy()
+    power[1::3] *= 100.0
+    return dataclasses.replace(instance, tx_power=power)
+
+
+def assert_valid_energy(instance, schedule):
+    report = validate_energy_schedule(instance, schedule)
+    assert report.ok, report.failures()
+
+
+def costly_cell(instance, t_min):
+    """The subset LP of the forced users alone, and the energy oracle within
+    its budget: each schedule validates, or the subset LP returns None and
+    the oracle an infeasible schedule that reports t_min."""
+    schedule = solve_subset_lp(instance, instance.partition, ())
+    if schedule is not None:
+        assert_valid_energy(instance, schedule)
+    if instance.n_users <= 13:
+        reference = brute_force_energy(instance)
+        if reference.status == "infeasible":
+            assert reference.t_min == t_min and schedule is None
+        else:
+            assert_valid_energy(instance, reference)
+
+
+@pytest.mark.parametrize("n_users", USER_COUNTS)
+@pytest.mark.parametrize("degradation", DEGRADATIONS)
+def test_costly_cells_validate_or_refuse(n_users, degradation):
+    instances, t_min = grid_instances(n_users, degradation)
+    variants = [costly(instance) for instance in instances]
+    for instance in variants:
+        assert feasibility_tmin(instance).t_min == t_min  # the power moves no deadline
+        costly_cell(instance, t_min)
+        energy_cell(instance, t_min)
+    if n_users >= 12:
+        assert any(instance.partition.forced_costly for instance in variants)
 
 
 @pytest.mark.parametrize("n_users", USER_COUNTS)

@@ -12,7 +12,6 @@ from mecoffload import (
     BudgetExceededError,
     EnergySchedule,
     OracleBudget,
-    baseline_local_energy,
     brute_force_energy,
     brute_force_energy_batch,
     brute_force_rate_max,
@@ -350,7 +349,7 @@ def reference_brute_force_energy(instance):
                               math.nan, "infeasible", feasibility_tmin(instance).t_min)
     objective, s1, full, te = best
     return EnergySchedule(partition.forced | frozenset(s1), full, te, objective,
-                          objective + baseline_local_energy(instance), "lp-path")
+                          objective + instance.local_energy, "lp-path")
 
 
 def oracle_mix():

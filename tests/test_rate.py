@@ -175,8 +175,7 @@ class TestSolveRateMax:
             assert schedule.sum_rate >= oracle.sum_rate - tol
 
     def test_subnormal_degradation_solves_as_zero(self):
-        # 1 + 5e-324 == 1, so every penalty is that of d = 0; the size cut
-        # log(sum(w r) / R) / log1p(5e-324) overflows to inf and cuts nothing
+        # 1 + 5e-324 == 1, so every penalty is that of d = 0
         for seed in range(4):
             inst = stock_instance(10, 0.0, mix64(31, seed))
             tiny = dataclasses.replace(inst, degradation=5e-324)
@@ -252,7 +251,10 @@ class TestGlobalLoopEquivalence:
 
 def one_instance_solve(instance):
     """`solve_rate_max` as a loop over one instance's 1-D arrays: the
-    reference for the lockstep solve, which must match it to the bit."""
+    reference for the lockstep solve, which must match it to the bit.  It
+    scores only the sizes below a log-domain cut, past which a size's
+    penalty exceeds sum(w r) (1+d) over the best singleton rate, so it also
+    checks that the solve's sizes past the cut never win."""
     wr = instance.weight * instance.service_rate
     qr = instance.roundtrip_time_per_bit * instance.service_rate
     weight, roundtrip = instance.weight, instance.roundtrip_time_per_bit
@@ -310,7 +312,7 @@ def assert_batch_matches(instances):
 
 
 # spreads the transmission rates, so sets that break the necessary
-# condition and sizes cut short by the interference both occur
+# condition and sizes past the reference's cut both occur
 WIDE = dict(uplink_mbps=(2.0, 300.0), downlink_mbps=(2.0, 300.0), service_rate_bps=(1e7, 1e8))
 
 
