@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
+import functools
 import math
 import operator
 import struct
@@ -28,6 +29,7 @@ from .model import (
     Partition,
     derive_energy_columns,
     interference_penalty,
+    per_user_count,
     sum_in_order,
     vm_rate_factor,
 )
@@ -81,6 +83,36 @@ def _at(instance: Instance, t: float) -> tuple[float, np.ndarray]:
         else:
             compute = math.inf
     return radio + compute - t, min_bits
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _gaps(instances: list[Instance]) -> list[float]:
+    """`_at` of instances of one user count at their deadlines, each row as
+    `_at` forms it alone.  Where the rate factor is 0, every forced quotient
+    b / 0 is inf, as `_at` sets it, and -inf, below every quotient, leaves
+    each reduction as it is."""
+    min_bits, roundtrip, service = _columns(
+        instances, "min_offload_bits", "roundtrip_time_per_bit", "service_rate")
+    forced = [len(i.partition.forced) for i in instances]
+    factors = np.array([vm_rate_factor(i.degradation, n) for i, n in zip(instances, forced)])
+    slowest = np.fmax.reduce(min_bits / (service * factors[:, None]), axis=1, initial=-math.inf)
+    return [r + (c if n else 0.0) - i.deadline for r, c, n, i in zip(
+        _sums(min_bits * roundtrip).tolist(), slowest.tolist(), forced, instances)]
+
+
+def _columns(instances: list[Instance], *names: str) -> list[np.ndarray]:
+    """The named columns of instances of one user count, each as a (rows, K)
+    array: a block of one views its own columns."""
+    if len(instances) == 1:
+        return [getattr(instances[0], name)[None] for name in names]
+    return [np.array([getattr(i, name) for i in instances]) for name in names]
+
+
+def _sums(values: np.ndarray) -> np.ndarray:
+    """`_sum_in_order` of each row of a 2-D array."""
+    if not values.shape[1]:
+        return np.zeros(len(values))
+    return np.add.accumulate(values, axis=1)[:, -1]
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -304,7 +336,7 @@ _plans: contextvars.ContextVar[dict | None] = contextvars.ContextVar("energy_pla
 @contextlib.contextmanager
 def shared_solutions():
     """A scope in which each distinct energy LP is built and solved once:
-    `_subset_lp` keeps its plans (DESIGN_NOTES.md, "One build per distinct
+    `_subset_lps` keeps its plans (DESIGN_NOTES.md, "One build per distinct
     energy LP").  The memo is dropped on exit, normal or not, and a nested
     scope starts its own."""
     token = _plans.set({})
@@ -315,86 +347,106 @@ def shared_solutions():
 
 
 def _subset_lp(instance: Instance, partition: Partition, s1):
-    """`solve_subset_lp` as a plan for `_solve`, kept in a `shared_solutions`
-    scope per (instance, s1) of the instance's own partition: a repeat takes
-    it, or once it is finished, a plan without an LP returning its schedule."""
+    return _subset_lps([(instance, partition, s1)])[0]
+
+
+def _subset_lps(cases) -> list:
+    """`solve_subset_lp` of each (instance, partition, s1) as a plan for
+    `_solve`, built once per call, and kept in a `shared_solutions` scope
+    per (instance, s1) of the instance's own partition: a repeat takes it,
+    or once it is finished, a plan without an LP returning its schedule.
+    The plans hold the instance, so its id is not reused while they live."""
     memo = _plans.get()
-    if memo is None or partition is not instance.partition:
-        return _subset_plan(instance, partition, s1)
-    # the plans hold the instance, so its id is not reused while they live
-    key = id(instance), frozenset(s1)
-    if key not in memo:
-        problem, finish = _subset_plan(instance, partition, s1)
+    memo = {} if memo is None else memo
+    keys = [(id(instance), frozenset(s1)) if partition is instance.partition else object()
+            for instance, partition, s1 in cases]
+    todo = {key: case for key, case in zip(keys, cases) if key not in memo}
+    for key, (problem, finish) in zip(todo, _subset_plans(list(todo.values()))):
         finished = []  # its schedule, once finished; no reference cycle holds the plan
-
-        def finishing(sol):
-            if not finished:
-                finished.append(finish(sol))
-            return finished[0]
-
-        memo[key] = problem, finishing, finished
-    problem, finishing, finished = memo[key]
-    return _done(finished[0]) if finished else (problem, finishing)
+        memo[key] = problem, functools.partial(_finish_once, finish, finished), finished
+    return [_done(finished[0]) if finished else (problem, finishing)
+            for problem, finishing, finished in map(memo.get, keys)]
 
 
-def _subset_plan(instance: Instance, partition: Partition, s1):
-    """The plan of `_subset_lp`: the LP to solve (None where the subset
+def _finish_once(finish, finished: list, sol):
+    if not finished:
+        finished.append(finish(sol))
+    return finished[0]
+
+
+def _subset_plans(cases) -> list:
+    """The plans of `_subset_lps`: the LP to solve (None where the subset
     needs none) and the function that turns its solution into the
     schedule, or None where the LP is infeasible.  The LP runs over the
     members' offload sizes and the computing window, and minimizes the
-    energy deltas subject to the radio budget and per-user caps."""
-    s1 = _optional(partition, s1)
-    members = sorted(partition.forced_saving | s1)
-    factor = vm_rate_factor(instance.degradation, len(partition.forced) + len(s1))
-    committed = [0.0] * instance.n_users  # every user's bits but the members'
-    budget, te_floor = instance.deadline, 0.0
-    if partition.forced_costly:
-        bits = _costly_bits(instance, partition)
-        committed = bits.tolist()
-        # as `_delay` and `_at` form them: the floor is inf where a quotient
-        # overflows or the degraded rate underflows to 0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            budget -= _sum_in_order(bits * instance.roundtrip_time_per_bit)
-            te_floor = np.fmax.reduce(bits / (instance.service_rate * factor)).item()
+    energy deltas subject to the radio budget and per-user caps.  The LPs
+    of each user and member count are built in one broadcast."""
+    plans = [None] * len(cases)
+    blocks = {}  # per user and member count, the cases that need an LP
+    for k, (instance, partition, s1) in enumerate(cases):
+        s1 = _optional(partition, s1)
+        members = sorted(partition.forced_saving | s1)
+        factor = vm_rate_factor(instance.degradation, len(partition.forced) + len(s1))
+        committed = [0.0] * instance.n_users  # every user's bits but the members'
+        budget, te_floor = instance.deadline, 0.0
+        if partition.forced_costly:
+            bits = _costly_bits(instance, partition)
+            committed = bits.tolist()
+            # as `_delay` and `_at` form them: the floor is inf where a
+            # quotient overflows or the degraded rate underflows to 0
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                budget -= _sum_in_order(bits * instance.roundtrip_time_per_bit)
+                te_floor = np.fmax.reduce(bits / (instance.service_rate * factor)).item()
+        scheduled = partition.forced | s1
+        if not members or te_floor == math.inf:  # an infinite floor fits no budget, and needs no LP
+            fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
+            plans[k] = _done(_schedule(instance, scheduled, committed, te_floor, "lp-path")
+                             if fits else None)
+            continue
+        # the budget row, a cap row and a box row per member (the window has
+        # no upper bound), held to the LP size guard before anything is allocated
+        lpmod.check_size(2 * len(members) + 1, len(members) + 1)
+        forced = [uid in partition.forced_saving for uid in members]
+        finish = functools.partial(_lp_path, instance, scheduled, committed, members)
+        blocks.setdefault((instance.n_users, len(members)), []).append(
+            (k, finish, instance, members, forced, factor, budget, te_floor))
+    for block in blocks.values():
+        ks, finishes, instances, members, forced, factor, budget, te_floor = zip(*block)
+        count, n = len(block), len(members[0]) + 1  # trailing variable is the computing window
+        at = np.arange(count)[:, None], np.array(members)
+        delta, roundtrip, service, min_bits, task = (column[at] for column in _columns(
+            instances, "delta_per_bit", "roundtrip_time_per_bit", "service_rate",
+            "min_offload_bits", "task_bits"))
+        objective = np.zeros((count, n))
+        objective[:, :-1] = delta
+        coeffs = np.zeros((count, n, n))  # the budget row, then a cap row per member
+        coeffs[:, 0, :-1] = roundtrip
+        coeffs[:, 0, -1] = 1.0
+        coeffs.reshape(count, n * n)[:, n :: n + 1] = 1.0  # member k's own column in its cap row
+        coeffs[:, 1:, -1] = -service * np.array(factor)[:, None]
+        rhs = np.zeros((count, n))
+        rhs[:, 0] = budget
+        bounds = np.full((count, n, 2), math.inf)
+        bounds[:, :-1, 0] = np.where(forced, min_bits, 0.0)
+        bounds[:, :-1, 1] = task
+        bounds[:, -1, 0] = te_floor
+        for array in (objective, coeffs, rhs, bounds):
+            array.flags.writeable = False  # owned and read-only: `LpProblem.block` keeps them
+        problems = lpmod.LpProblem.block(objective, coeffs, ("<=",) * n, rhs, bounds)
+        for k, problem, finish in zip(ks, problems, finishes):
+            plans[k] = problem, finish
+    return plans
 
-    def schedule(member_bits, te):
-        bits = committed.copy()
-        for uid, b in zip(members, member_bits):
-            bits[uid] = b
-        return _schedule(instance, partition.forced | s1, bits, te, "lp-path")
 
-    if not members or te_floor == math.inf:  # an infinite floor fits no budget, and needs no LP
-        fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
-        return None, lambda _: schedule((), te_floor) if fits else None
-    # the budget row, a cap row and a box row per member (the window has no
-    # upper bound), held to the LP size guard before anything is allocated
-    lpmod.check_size(2 * len(members) + 1, len(members) + 1)
-    ids = _ids(members)
-    n = ids.size + 1  # trailing variable is the computing window
-    objective = np.zeros(n)
-    objective[:-1] = instance.delta_per_bit[ids]
-    coeffs = np.zeros((n, n))  # the budget row, then a cap row per member
-    coeffs[0, :-1] = instance.roundtrip_time_per_bit[ids]
-    coeffs[0, -1] = 1.0
-    coeffs.flat[n :: n + 1] = 1.0  # member k's own column in its cap row
-    coeffs[1:, -1] = -instance.service_rate[ids] * factor
-    rhs = np.zeros(n)
-    rhs[0] = budget
-    bounds = np.empty((n, 2))
-    forced = [uid in partition.forced_saving for uid in members]
-    bounds[:-1, 0] = np.where(forced, instance.min_offload_bits[ids], 0.0)
-    bounds[:-1, 1] = instance.task_bits[ids]
-    bounds[-1] = te_floor, math.inf
-    for array in (objective, coeffs, rhs, bounds):
-        array.flags.writeable = False  # read-only and owned: `LpProblem` keeps them uncopied
-    problem = lpmod.LpProblem(objective, coeffs, ("<=",) * n, rhs, bounds)
-
-    def finish(sol):
-        if sol.status != "optimal":
-            return None
-        return schedule([max(x, 0.0) for x in sol.x[:-1]], sol.x[-1])
-
-    return problem, finish
+def _lp_path(instance: Instance, scheduled, committed: list, members: list,
+             sol) -> EnergySchedule | None:
+    """The "lp-path" schedule of a subset LP's solution, None if not optimal."""
+    if sol.status != "optimal":
+        return None
+    bits = committed.copy()
+    for uid, b in zip(members, sol.x):
+        bits[uid] = max(b, 0.0)
+    return _schedule(instance, scheduled, bits, sol.x[-1], "lp-path")
 
 
 def _solve(plans: list) -> list:
@@ -456,48 +508,67 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
 
     Whether the deadline can be met at all is one `feasibility_gap`
     evaluation at the deadline; `feasibility_tmin` runs only on a refusal,
-    whose schedule reports t_min.
+    whose schedule reports t_min.  This is `solve_energy_suboptimal_batch`
+    of the one instance.
     """
-    return _solve([_suboptimal_plan(instance)])[0]
+    return solve_energy_suboptimal_batch([instance])[0]
 
 
 def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
-    """`solve_energy_suboptimal` of each instance, with the LPs of those
-    that take the LP branch solved in one `lp.solve_lps` call and the
-    energy memos derived as one block."""
+    """`solve_energy_suboptimal` of each instance, with the energy memos
+    derived and the first branch decided a block per user count, and the
+    LP-branch LPs solved in one `lp.solve_lps` call."""
     instances = list(instances)
     derive_energy_columns(instances)
-    return _solve([_suboptimal_plan(instance) for instance in instances])
+    return _solve(per_user_count(instances, _branch_block))
 
 
-def _suboptimal_plan(instance: Instance):
-    """`solve_energy_suboptimal` as a plan for `_solve`: the LP-branch LP
-    and its finish, or no LP and the schedule of the other branches."""
-    if feasibility_gap(instance, instance.deadline) > 0.0:
-        return _done(_infeasible(instance, feasibility_tmin(instance).t_min))
+def _branch_block(instances: list[Instance]) -> list:
+    """The `_solve` plans of `solve_energy_suboptimal` for instances of one
+    user count.  The feasibility gaps (`_gaps`) and the full-offload loads
+    (every saving user's whole task, every forced costly one's minimum) are
+    formed for the block at once, each row as `_delay` forms it alone."""
+    task, min_bits, delta, roundtrip, service = _columns(
+        instances, "task_bits", "min_offload_bits", "delta_per_bit", "roundtrip_time_per_bit",
+        "service_rate")
+    # the saving users of `Instance.partition`, and +0.0 for an unforced user's +-0.0
+    loads = np.where(delta < 0.0, task, min_bits + 0.0)
+    longest = np.maximum.reduce(loads / service, axis=1, initial=0.0).tolist()
+    bases = np.where(min_bits > 0.0, loads, 0.0)  # the forced users' commitment alone
+    plans = []
+    for instance, gap, radio, slowest, load, base in zip(
+            instances, _gaps(instances), _sums(loads * roundtrip).tolist(), longest, loads, bases):
+        part = partition_users(instance)
+        n_vms = instance.n_users - len(part.free_costly)
+        window = slowest * interference_penalty(instance.degradation, n_vms) if slowest else 0.0
+        if gap > 0.0:
+            plans.append(_done(_infeasible(instance, feasibility_tmin(instance).t_min)))
+        elif instance.deadline >= radio + window:
+            plans.append(_done(_schedule(instance, part.forced | part.free_saving, load.tolist(),
+                                         window, "optimal-path")))
+        else:
+            plans.append(_drop_plan(instance, part, base))
+    return plans
 
-    part = partition_users(instance)
-    # Every load below is the forced users' commitment with some optional
-    # users added at their whole task, the bits `total_delay` would form.
-    base, n_forced = _commitment(instance, part, ())
+
+def _drop_plan(instance: Instance, part: Partition, base: np.ndarray):
+    """The greedy and LP branches.  base is the forced users' commitment
+    (`_commitment` of no optional user), and every load below is base with
+    some optional users added at their whole task."""
+    n_forced = len(part.forced)
 
     def committed(kept: np.ndarray) -> tuple[np.ndarray, int]:
         bits = base.copy()
         bits[kept] = instance.task_bits[kept]
         return bits, n_forced + kept.size
 
-    optional = np.sort(_ids(part.free_saving))
-    load = committed(optional)
-    if instance.deadline >= _delay(instance, *load):
-        return _done(_schedule(instance, part.forced | part.free_saving, load[0].tolist(),
-                               _window(instance, *load), "optimal-path"))
-
     if instance.deadline >= _delay(instance, base, n_forced):
         # Users leave in a fixed order, lowest saving per radio second
         # first (lowest id on ties), and the load only shrinks as they do,
         # so bisect on how many to drop: the fewest whose removal fits.
-        # Dropping none fails the first check above; dropping all passes
-        # the second.
+        # Dropping none fails the full-offload test; dropping all passes
+        # the check above.
+        optional = np.sort(_ids(part.free_saving))
         keys = -instance.delta_per_bit[optional] / instance.roundtrip_time_per_bit[optional]
         order = optional[np.argsort(keys, kind="stable")]
         too_few, enough = 0, order.size
@@ -524,18 +595,21 @@ def _done(schedule: EnergySchedule):
     return None, lambda _: schedule
 
 
-def _all_offload_lp(instance: Instance):
-    """`benchmark_energy_all_offloading` as a plan for `_solve`: the subset
-    LP of the partition that forces every user into a VM, each above its
-    forced minimum.  Where no user is costly and no forced minimum is -0.0,
-    that is the instance's own full-subset LP to the byte, so it takes that
-    plan (DESIGN_NOTES.md, "One build per distinct energy LP")."""
-    part, s1 = instance.partition, instance.partition.free_saving
-    if part.forced_costly or part.free_costly or np.signbit(instance.min_offload_bits).any():
-        part, s1 = Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(),
-                             frozenset()), ()
-    problem, finish = _subset_lp(instance, part, s1)
-    return problem, lambda sol: finish(sol) or _infeasible(instance, None)
+def _all_offload_lps(instances) -> list:
+    """`benchmark_energy_all_offloading` of each instance as a plan for
+    `_solve`: the subset LP of the partition that forces every user into a
+    VM, each above its forced minimum.  Where no user is costly and no
+    forced minimum is -0.0, that is the instance's own full-subset LP to
+    the byte, so it takes that plan (DESIGN_NOTES.md, "One build per
+    distinct energy LP")."""
+    cases = []
+    for i in instances:
+        part = i.partition
+        if part.forced_costly or part.free_costly or np.signbit(i.min_offload_bits).any():
+            part = Partition(frozenset(), frozenset(range(i.n_users)), frozenset(), frozenset())
+        cases.append((i, part, part.free_saving))
+    return [(problem, lambda sol, finish=finish, i=i: finish(sol) or _infeasible(i, None))
+            for (problem, finish), i in zip(_subset_lps(cases), instances)]
 
 
 def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
@@ -543,7 +617,7 @@ def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
     solved in one `lp.solve_lps` call and their energy memos as one block."""
     instances = list(instances)
     derive_energy_columns(instances)
-    return _solve([_all_offload_lp(instance) for instance in instances])
+    return _solve(_all_offload_lps(instances))
 
 
 def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:

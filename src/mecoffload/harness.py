@@ -188,7 +188,7 @@ _PARAM_NAME = {
 def _block(n_users: int) -> int:
     """Realizations per sweep block, rate or energy: as many as one LP stack
     holds all-offload LPs of n_users users, 2K + 1 rows over K + 1 columns
-    (`energy._subset_lp`).  An energy block's LPs then fill whole stacks,
+    (`energy._subset_plans`).  An energy block's LPs then fill whole stacks,
     and no block's memory grows with the realization count."""
     return stack_capacity(2 * n_users + 1, n_users + 1)
 

@@ -16,8 +16,10 @@ each row subtracts factor * pivot_row elementwise, rows whose factor is
 zero (either sign) are not written at all, so the sign of a zero survives,
 and the entering column and leaving row are the first index meeting the
 rule, as a scalar loop would find them.  The objective rows are priced out
-one basic row after another, and each constraint's offset shift is a
-single 1-D dot, so no sum is regrouped.  Padding never enters a pivot
+one basic row after another.  The bounds are shifted for the whole stack
+at once: a row that meets at most one nonzero offset product takes that
+product, and every other row the problem's own 1-D dot, so no sum of
+several products is regrouped.  Padding never enters a pivot
 (DESIGN_NOTES.md, "Batched simplex").  `tests/lp_reference.py` keeps the
 row-at-a-time solver, and the test suite checks that the two agree bit for
 bit.  The solver keeps no memo: a caller that meets one problem more than
@@ -91,11 +93,12 @@ class LpProblem:
     constraint (m, n), relations m of "<=", "=" and ">=", rhs m entries and
     bounds one (lower, upper) pair per variable (n, 2); use -inf/+inf for
     unbounded sides.  Each array is stored read-only as float64: a
-    read-only float64 array that owns its data, as `energy._subset_lp`
-    builds them, is kept as it is, and anything else is copied.  There is
-    no value equality.  `size` is the (rows, variable columns) that
-    `check_size` holds the problem to: a row per constraint and per finite
-    box, a column per variable and a second one per free variable.
+    read-only float64 array that owns its data is kept as it is, and
+    anything else is copied.  `block` builds many problems of one shape
+    over shared arrays, as `energy._subset_plans` does.  There is no value
+    equality.  `size` is the (rows, variable columns) that `check_size`
+    holds the problem to: a row per constraint and per finite box, a column
+    per variable and a second one per free variable.
     """
 
     objective: np.ndarray
@@ -106,33 +109,66 @@ class LpProblem:
     size: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, m = len(self.objective), len(self.relations)
-        for name, shape in (("objective", (n,)), ("coeffs", (m, n)), ("rhs", (m,)),
-                            ("bounds", (n, 2))):
-            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if not all(map(_RELATIONS.__contains__, self.relations)):
-            k = next(k for k, r in enumerate(self.relations) if r not in _RELATIONS)
-            raise LpStructureError(f"constraint {k}: unknown relation {self.relations[k]!r}")
-        # One reduction per check, each false on a nan: the largest |rhs| is
-        # finite, the least objective and coefficient are numbers (an
-        # infinite coefficient stays legal, but nan has no order), and every
-        # lower bound is at most its upper bound.
-        if not np.abs(self.rhs).max(initial=0.0) < math.inf:
-            k = np.isfinite(self.rhs).argmin()
-            raise LpStructureError(f"constraint {k}: rhs must be finite")
-        if math.isnan(self.objective.min(initial=0.0)) or math.isnan(self.coeffs.min(initial=0.0)):
-            raise LpStructureError("nan in the objective or the coefficients")
-        lower, upper = self.bounds.T
-        if not np.less_equal(lower, upper).all():
-            j = np.less_equal(lower, upper).argmin()  # false where either bound is nan
-            raise LpStructureError(f"variable {j}: bounds {self.bounds[j].tolist()} out of order")
-        free, _, boxed = np.bincount(np.isfinite(self.bounds).sum(axis=1), minlength=3).tolist()
-        object.__setattr__(self, "size", (m + boxed, n + free))
+        relations = tuple(self.relations)
+        arrays = [_frozen(getattr(self, name), shape, name)
+                  for name, shape in _shapes(len(self.objective), len(relations))]
+        [size] = _check(*(array[None] for array in arrays), relations)
+        vars(self).update(zip(_FIELDS, (*arrays, size)), relations=relations)
+
+    @classmethod
+    def block(cls, objective, coeffs, relations, rhs, bounds) -> list[LpProblem]:
+        """The problems of stacked arrays, with one relations tuple: problem
+        k is objective[k], coeffs[k], rhs[k] and bounds[k].  The arrays are
+        stored as one problem's are, and the problems view them.  The
+        checks run once over the block and refuse what the constructor
+        refuses of any one problem, naming the same constraint or variable."""
+        (count, n), relations = np.shape(objective), tuple(relations)
+        arrays = [_frozen(values, (count, *shape), name) for values, (name, shape) in zip(
+            (objective, coeffs, rhs, bounds), _shapes(n, len(relations)))]
+        sizes = _check(*arrays, relations)
+        problems = [object.__new__(cls) for _ in sizes]
+        for problem, *fields in zip(problems, *arrays, sizes):
+            vars(problem).update(zip(_FIELDS, fields), relations=relations)
+        return problems
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
+
+
+_FIELDS = ("objective", "coeffs", "rhs", "bounds", "size")
+
+
+def _shapes(n: int, m: int):
+    """Each array field of a problem of n variables and m constraints, with its shape."""
+    return ("objective", (n,)), ("coeffs", (m, n)), ("rhs", (m,)), ("bounds", (n, 2))
+
+
+def _check(objective, coeffs, rhs, bounds, relations) -> list[tuple[int, int]]:
+    """Refuse a block of problems (along each array's first axis) that
+    holds a malformed one, naming the first problem's constraint or
+    variable that fails the first failing check, and return each problem's
+    `LpProblem.size`.  Each check is one reduction, false on a nan."""
+    if not all(map(_RELATIONS.__contains__, relations)):
+        k = next(k for k, r in enumerate(relations) if r not in _RELATIONS)
+        raise LpStructureError(f"constraint {k}: unknown relation {relations[k]!r}")
+    # every rhs is finite, the least objective and coefficient are numbers
+    # (an infinite coefficient stays legal, but nan has no order), and
+    # every lower bound is at most its upper bound
+    finite = np.isfinite(rhs)
+    if not finite.all():
+        _, k = np.unravel_index(finite.argmin(), finite.shape)
+        raise LpStructureError(f"constraint {k}: rhs must be finite")
+    if math.isnan(objective.min(initial=0.0)) or math.isnan(coeffs.min(initial=0.0)):
+        raise LpStructureError("nan in the objective or the coefficients")
+    ordered = np.less_equal(bounds[:, :, 0], bounds[:, :, 1])  # false where either is nan
+    if not ordered.all():
+        p, j = np.unravel_index(ordered.argmin(), ordered.shape)
+        raise LpStructureError(f"variable {j}: bounds {bounds[p, j].tolist()} out of order")
+    finite = np.isfinite(bounds)
+    rows = len(relations) + finite.all(axis=2).sum(axis=1)
+    cols = objective.shape[1] + (~finite.any(axis=2)).sum(axis=1)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -215,13 +251,12 @@ def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarra
     raise RuntimeError("simplex iteration cap exceeded")
 
 
-def _satisfied(relation: str, b: float) -> bool:
-    """Whether 0 (relation) b holds within FEAS_TOL."""
-    return (
-        (relation == "<=" and b >= -FEAS_TOL)
-        or (relation == ">=" and b <= FEAS_TOL)
-        or (relation == "=" and abs(b) <= FEAS_TOL)
-    )
+def _satisfied(sense: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where 0 (relation) b holds within FEAS_TOL, the relations given by
+    their `_SENSE`; false where b is nan."""
+    return (((sense == _SENSE["<="]) & (b >= -FEAS_TOL))
+            | ((sense == _SENSE[">="]) & (b <= FEAS_TOL))
+            | ((sense == _SENSE["="]) & (np.abs(b) <= FEAS_TOL)))
 
 
 def _entries(n_rows: int, n_cols: int) -> int:
@@ -277,67 +312,27 @@ def _starts(sizes) -> list[int]:
     return starts
 
 
-@dataclass(frozen=True)
-class _Shifted:
-    """A problem with every variable shifted onto [0, inf): x = lo + y, or
-    x = hi - y for upper-bounded-only variables, or x = y+ - y- for free
-    ones (two columns).  Column k of the standard form is variable
-    col_var[k] times col_sign[k]."""
-
-    problem: LpProblem
-    rhs: np.ndarray  # each right-hand side less its row's dot with offsets
-    offsets: np.ndarray
-    col_var: list[int]
-    col_sign: list[float]
-    upper_cols: list[int]  # columns with a finite box, and the box widths
-    upper: list[float]
-
-
-def _shift(problem: LpProblem) -> _Shifted:
-    offsets: list[float] = []
-    col_var: list[int] = []
-    col_sign: list[float] = []
-    upper_cols: list[int] = []
-    upper: list[float] = []
-    for j, (lo, hi) in enumerate(problem.bounds.tolist()):
-        if math.isfinite(lo):
-            if math.isfinite(hi):
-                upper_cols.append(len(col_var))
-                upper.append(hi - lo)
-            offsets.append(lo)
-            col_var.append(j)
-            col_sign.append(1.0)
-        elif math.isfinite(hi):
-            offsets.append(hi)
-            col_var.append(j)
-            col_sign.append(-1.0)
-        else:
-            offsets.append(0.0)
-            col_var += (j, j)
-            col_sign += (1.0, -1.0)
-    shift = np.array(offsets)
-    # one 1-D dot per row, summed exactly as a lone `a @ offsets` would be
-    dots = np.fromiter((a @ shift for a in problem.coeffs), np.float64, len(problem.rhs))
-    return _Shifted(problem, problem.rhs - dots, shift, col_var, col_sign, upper_cols, upper)
-
-
 @dataclass
 class _Stack:
     """The standard forms of several problems, zero-padded to one shape.
 
-    tableau[k] holds problem k's constraint rows (its constraints in order,
-    then a row per finite box) over its variable columns, then its slack
-    and surplus columns, then, from a column common to the stack, its
-    artificial columns, and the right-hand side last; its objective row is
-    last.  Rows and columns keep the problem's own order, so Bland's rule
-    and the ratio test pick what they pick on the problem alone, and a
-    stack of problems of at most R rows and C variable columns each has at
-    most `_entries(R, C)` entries per problem.  Padding rows, and
-    constraint rows without coefficients, have basis -1 and are zero
-    throughout."""
+    Column c of problem k is variable col_var[k, c] times col_sign[k, c],
+    shifted by its offset onto [0, inf) (`_standard_form`).  tableau[k]
+    holds problem k's constraint rows (its constraints in order, then a row
+    per finite box) over its variable columns, then its slack and surplus
+    columns, then, from a column common to the stack, its artificial
+    columns, and the right-hand side last; its objective row is last.  Rows
+    and columns keep the problem's own order, so Bland's rule and the ratio
+    test pick what they pick on the problem alone, and a stack of problems
+    of at most R rows and C variable columns each has at most
+    `_entries(R, C)` entries per problem.  Padding rows, and constraint rows
+    without coefficients, have basis -1 and are zero throughout."""
 
     tableau: np.ndarray
     basis: np.ndarray
+    offsets: np.ndarray  # per problem and variable, padded with zeros, and the spare 0
+    col_var: np.ndarray  # per problem and column; padding columns name the spare variable
+    col_sign: np.ndarray
     ncols: np.ndarray  # variable columns per problem
     a_at: int  # the first artificial column
     art_rows: np.ndarray  # per problem, its artificial rows in order, padded with -1
@@ -346,55 +341,88 @@ class _Stack:
     infeasible: np.ndarray  # found so already: a violated row without coefficients
 
 
-def _standard_form(shifted: list[_Shifted]) -> _Stack:
-    count = len(shifted)
-    n_vars = max(s.problem.n_vars for s in shifted)
-    ncons = np.array([len(s.rhs) for s in shifted])
-    nupper = np.array([len(s.upper) for s in shifted])
-    ncols = np.array([len(s.col_var) for s in shifted])
-    n_cons, n_upper, width = int(ncons.max()), int(nupper.max()), int(ncols.max())
-    rows = int((ncons + nupper).max())
-    # column n_vars of the padded objective is zero: absent columns read it
-    objective = np.zeros((count, n_vars + 1))
-    cons = np.zeros((count, n_cons, width))  # the coefficients of each column
+def _padded(parts, count: int, shape: tuple[int, ...], mask: np.ndarray) -> np.ndarray:
+    """Arrays of count problems zero-padded to one shape: the entries of
+    `parts`, one flat array per problem, in the places `mask` marks."""
+    padded = np.zeros((count, *shape))
+    padded[mask] = np.concatenate(parts)
+    return padded
+
+
+def _standard_form(problems: list[LpProblem]) -> _Stack:
+    count = len(problems)
+    n = np.array([problem.n_vars for problem in problems])
+    ncons = np.array([len(problem.relations) for problem in problems])
+    n_vars, n_cons = int(n.max()), int(ncons.max())
+    # a spare variable n_vars, zero throughout and never anyone's: padding
+    # columns read it
+    var = np.arange(n_vars + 1) < n[:, None]
+    constraint = np.arange(n_cons) < ncons[:, None]
+    objective = _padded([p.objective for p in problems], count, (n_vars + 1,), var)
+    coeffs = _padded([p.coeffs.ravel() for p in problems], count, (n_cons, n_vars + 1),
+                     constraint[:, :, None] & var[:, None, :])
+    rhs = _padded([p.rhs for p in problems], count, (n_cons,), constraint)
+    lower, upper = _padded([p.bounds.ravel() for p in problems], count, (n_vars + 1, 2),
+                           np.repeat(var[:, :, None], 2, axis=2)).transpose(2, 0, 1)
+
+    # Every variable is shifted onto [0, inf): x = lo + y, or x = hi - y for
+    # upper-bounded-only ones, or x = y+ - y- for free ones (two columns).
+    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
+    free = var & ~has_lower & ~has_upper
+    boxed = var & has_lower & has_upper
+    offsets = np.where(has_lower, lower, np.where(has_upper, upper, 0.0))
+    taken = var.astype(np.intp) + free  # the columns of each variable
+    first = np.cumsum(taken, axis=1) - taken
+    ncols = first[:, -1] + taken[:, -1]
+    width = int(ncols.max())
     col_var = np.full((count, width), n_vars)
     col_sign = np.ones((count, width))
+    k, j = var.nonzero()
+    col_var[k, first[k, j]] = j
+    col_sign[k, first[k, j]] = np.where(has_upper[k, j] & ~has_lower[k, j], -1.0, 1.0)
+    k, j = free.nonzero()
+    col_var[k, first[k, j] + 1] = j
+    col_sign[k, first[k, j] + 1] = -1.0
+
+    # Each right-hand side less its row's dot with the offsets.  A row that
+    # meets at most one nonzero product, every product finite, takes that
+    # product; 0.0 + it keeps an all-zero row's +0.0.  Any other row takes
+    # the problem's own 1-D dot, whose sum of several products (an FMA chain
+    # at these sizes) no regrouped sum repeats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = coeffs * offsets[:, None, :]
+        touched = (coeffs != 0.0) & (offsets[:, None, :] != 0.0)
+        exact = np.where(touched, np.isfinite(products) & (products != 0.0), np.isfinite(coeffs))
+        dots = 0.0 + products.sum(axis=2)
+    for k, i in zip(*(constraint & ~(exact.all(axis=2) & (touched.sum(axis=2) <= 1))).nonzero()):
+        dots[k, i] = problems[k].coeffs[i] @ offsets[k, : n[k]]
+    nupper = np.count_nonzero(boxed, axis=1)
+    rows = int((ncons + nupper).max())
     b = np.zeros((count, rows))
+    b[:, :n_cons] = rhs - dots
     sense = np.full((count, rows), _SENSE["<="])
-    real = np.zeros((count, rows), dtype=bool)
-    upper = np.zeros((count, n_upper))
-    upper_cols = np.zeros((count, n_upper), dtype=int)
-    for k, s in enumerate(shifted):
-        n, c, u = s.problem.n_vars, ncons[k], nupper[k]
-        cons[k, :c, : ncols[k]] = s.problem.coeffs[:, s.col_var]
-        objective[k, :n] = s.problem.objective
-        col_var[k, : ncols[k]] = s.col_var
-        col_sign[k, : ncols[k]] = s.col_sign
-        b[k, :c] = s.rhs
-        sense[k, :c] = [_SENSE[relation] for relation in s.problem.relations]
-        real[k, : c + u] = True  # its constraints, then its boxes
-        upper[k, :u] = s.upper
-        upper_cols[k, :u] = s.upper_cols
+    sense[:, :n_cons][constraint] = [_SENSE[r] for p in problems for r in p.relations]
+    real = np.arange(rows) < (ncons + nupper)[:, None]  # its constraints, then its boxes
 
     cvec = np.take_along_axis(objective, col_var, axis=1) * col_sign
     cscale = np.max(np.abs(cvec), axis=1, keepdims=True)
     np.divide(cvec, cscale, out=cvec, where=cscale > 0.0)
 
+    cons = np.take_along_axis(coeffs, col_var[:, None, :], axis=2)
     cons *= col_sign[:, None, :]
     scale = np.max(np.abs(cons), axis=2, initial=0.0)
-    constraint = np.arange(n_cons) < ncons[:, None]
     empty = constraint & (scale <= 0.0)
-    infeasible = np.zeros(count, dtype=bool)
-    for k, i in zip(*empty.nonzero()):
-        infeasible[k] |= not _satisfied(shifted[k].problem.relations[i], b[k, i])
+    cb = b[:, :n_cons]
+    infeasible = (empty & ~_satisfied(sense[:, :n_cons], cb)).any(axis=1)
     real[:, :n_cons] &= ~empty
     kept = constraint & ~empty
-    np.divide(b[:, :n_cons], scale, out=b[:, :n_cons], where=kept)
-    b[:, :n_cons][empty] = 0.0
-    upper_scale = np.maximum(1.0, np.abs(upper))
-    k, u = (np.arange(n_upper) < nupper[:, None]).nonzero()
-    box = ncons[k] + u  # each box row, right after its problem's constraints
-    b[k, box] = upper[k, u] / upper_scale[k, u]
+    np.divide(cb, scale, out=cb, where=kept)
+    cb[empty] = 0.0
+    k, j = boxed.nonzero()
+    box = ncons[k] + (np.cumsum(boxed, axis=1) - 1)[k, j]  # right after its problem's constraints
+    width_of_box = upper[k, j] - lower[k, j]
+    upper_scale = np.maximum(1.0, np.abs(width_of_box))
+    b[k, box] = width_of_box / upper_scale
     flip = b < 0.0
     np.negative(b, out=b, where=flip)
     np.negative(sense, out=sense, where=flip)
@@ -408,14 +436,14 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     tableau = np.zeros((count, rows + 1, total + 1))
     A = tableau[:, :rows, :width]
     np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
-    A[k, box, upper_cols[k, u]] = 1.0 / upper_scale[k, u]
+    A[k, box, first[k, j]] = 1.0 / upper_scale
     np.negative(A, out=A, where=flip[:, :, None])
     tableau[:, :rows, total] = b
     basis = np.full((count, rows), -1)
-    for rows_of, first, value in ((slack, width, 1.0), (surplus, width + n_slack, -1.0),
-                                  (art, a_at, 1.0)):
+    for rows_of, first_col, value in ((slack, width, 1.0), (surplus, width + n_slack, -1.0),
+                                      (art, a_at, 1.0)):
         k, i = rows_of.nonzero()
-        col = np.broadcast_to(first, count)[k] + (np.cumsum(rows_of, axis=1) - 1)[k, i]
+        col = np.broadcast_to(first_col, count)[k] + (np.cumsum(rows_of, axis=1) - 1)[k, i]
         tableau[k, i, col] = value
         if value > 0.0:
             basis[k, i] = col
@@ -425,6 +453,9 @@ def _standard_form(shifted: list[_Shifted]) -> _Stack:
     return _Stack(
         tableau=tableau,
         basis=basis,
+        offsets=offsets,
+        col_var=col_var,
+        col_sign=col_sign,
         ncols=ncols,
         a_at=a_at,
         art_rows=art_rows,
@@ -470,9 +501,9 @@ def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
     tableau[:, :, a_at:-1] = 0.0
 
 
-def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
+def _solve_stack(problems: list[LpProblem]) -> list[LpSolution]:
     """Both simplex phases for several problems at once."""
-    stack = _standard_form(shifted)
+    stack = _standard_form(problems)
     tableau, basis = stack.tableau, stack.basis
     m = tableau.shape[1] - 1
     feasible = ~stack.infeasible
@@ -499,25 +530,27 @@ def _solve_stack(shifted: list[_Shifted]) -> list[LpSolution]:
     cb = np.take_along_axis(stack.cvec[live], np.where(variable, col, 0), axis=1)
     cb[~variable] = 0.0
     _price(tableau, live, np.broadcast_to(np.arange(m), col.shape), cb)
-    unbounded = np.zeros(len(shifted), dtype=bool)
+    unbounded = np.zeros(len(problems), dtype=bool)
     unbounded[live] = _simplex(tableau, basis, live)
 
-    y = np.zeros((len(shifted), tableau.shape[2] - 1))
+    y = np.zeros((len(problems), tableau.shape[2] - 1))
     k, i = (basis >= 0).nonzero()
     y[k, basis[k, i]] = tableau[k, i, -1]
+    # x = offsets plus each column's signed value, in column order (y+
+    # before y-); padding columns add their zeros to the spare variable
+    x = stack.offsets.copy()
+    width = stack.col_var.shape[1]
+    np.add.at(x, (np.arange(len(problems))[:, None], stack.col_var), stack.col_sign * y[:, :width])
     solutions = []
-    for k, s in enumerate(shifted):
-        nan_x = tuple([math.nan] * s.problem.n_vars)
+    for k, problem in enumerate(problems):
+        n = problem.n_vars
         if not feasible[k]:
-            solutions.append(LpSolution("infeasible", nan_x, math.nan))
+            solutions.append(LpSolution("infeasible", (math.nan,) * n, math.nan))
         elif unbounded[k]:
-            solutions.append(LpSolution("unbounded", nan_x, -math.inf))
+            solutions.append(LpSolution("unbounded", (math.nan,) * n, -math.inf))
         else:
-            x = s.offsets.copy()
-            # in column order: y+ before y-
-            np.add.at(x, s.col_var, np.asarray(s.col_sign) * y[k, : stack.ncols[k]])
-            value = float(s.problem.objective @ x)
-            solutions.append(LpSolution("optimal", tuple(x.tolist()), value))
+            value = float(problem.objective @ x[k, :n])
+            solutions.append(LpSolution("optimal", tuple(x[k, :n].tolist()), value))
     return solutions
 
 
@@ -534,7 +567,7 @@ def solve_lps(problems) -> list[LpSolution]:
     todo = []  # the indices of the problems to stack
     for k, problem in enumerate(problems):
         if problem.n_vars == 0:
-            ok = all(map(_satisfied, problem.relations, problem.rhs.tolist()))
+            ok = _satisfied(np.array([_SENSE[r] for r in problem.relations]), problem.rhs).all()
             solutions[k] = LpSolution("optimal" if ok else "infeasible", (), 0.0)
         else:
             check_size(*problem.size)
@@ -542,7 +575,7 @@ def solve_lps(problems) -> list[LpSolution]:
     starts = _starts(problems[k].size for k in todo)
     for start, stop in zip(starts, [*starts[1:], len(todo)]):
         chunk = todo[start:stop]
-        for k, solution in zip(chunk, _solve_stack([_shift(problems[k]) for k in chunk])):
+        for k, solution in zip(chunk, _solve_stack([problems[k] for k in chunk])):
             solutions[k] = solution
     return solutions
 

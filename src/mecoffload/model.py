@@ -374,6 +374,22 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
     )
 
 
+def per_user_count(instances, solve) -> list:
+    """solve(block) of each block of the instances that share a user count,
+    put back in the instances' order."""
+    instances = list(instances)
+    blocks: dict[int, list[int]] = {}
+    for k, instance in enumerate(instances):
+        blocks.setdefault(instance.n_users, []).append(k)
+    if len(blocks) == 1:
+        return solve(instances)
+    results = [None] * len(instances)
+    for ks in blocks.values():
+        for k, result in zip(ks, solve([instances[k] for k in ks])):
+            results[k] = result
+    return results
+
+
 def derive_energy_columns(instances) -> None:
     """Fill the four energy memos of every instance without them, one broadcast
     per user count.  Each entry is formed as its instance alone forms it (the

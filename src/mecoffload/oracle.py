@@ -27,7 +27,13 @@ import numpy as np
 from . import energy as energymod
 from . import lp as lpmod
 from .lp import BudgetExceededError
-from .model import EnergySchedule, Instance, RateSchedule, derive_energy_columns
+from .model import (
+    EnergySchedule,
+    Instance,
+    RateSchedule,
+    derive_energy_columns,
+    per_user_count,
+)
 from .rate import _closed_forms, _penalties, _per_user_count
 
 __all__ = [
@@ -160,18 +166,21 @@ def brute_force_energy_batch(
     instances, budget: OracleBudget = _DEFAULT_BUDGET
 ) -> list[EnergySchedule]:
     """`brute_force_energy` of each instance, with the subset LPs of all of
-    them solved together, in stacks cut as `lp.solve_lps` cuts them, in two
-    stages.
+    them built by member count and solved together, in stacks cut as
+    `lp.solve_lps` cuts them, in two stages.
 
-    The first stage solves every instance's full subset (all its free
-    saving users).  The second builds and solves each other subset only
-    where its full-offload bound (`_offload_bounds`) is not above the full
-    subset's objective plus `_prune_margin`, which keeps the winner the one,
-    bit for bit, that solving every subset would pick.  Where the full
-    subset is infeasible, no subset is skipped.  The time guard covers the
-    whole batch: it is checked before each subset's LP is built and before
-    each stack is solved, in both stages, as the scalar loop checked it
-    before each LP.  The energy memos are derived as one block first."""
+    An instance whose deadline is below t_min (a positive
+    `energy.feasibility_gap`, as the heuristic decides) is refused with no
+    LP: the subset LPs hold their rows only to the simplex's tolerance, and
+    admit some deadlines just below t_min.  The first stage solves every
+    other instance's full subset (all its free saving users).  The second
+    builds and solves each other subset only where its full-offload bound
+    (`_offload_bounds`) is not above the full subset's objective plus
+    `_prune_margin`, which keeps the winner the one, bit for bit, that
+    solving every subset would pick.  Where the full subset is infeasible,
+    no subset is skipped.  The time guard covers the whole batch: it is
+    checked before each stage's LPs are built and before each stack is
+    solved.  The energy memos are derived as one block first."""
     instances = list(instances)
     derive_energy_columns(instances)
     deadline = time.monotonic() + budget.time_limit_s
@@ -180,10 +189,12 @@ def brute_force_energy_batch(
         if time.monotonic() > deadline:
             raise BudgetExceededError("energy oracle time guard exceeded")
 
-    def solve(plans):
-        """`energy._solve` of the (LP, finish) plans, a stack
-        (`lp.stack_starts`) at a time: a schedule per plan, None where a
+    def solve(cases):
+        """`energy._solve` of the cases' subset plans, a stack
+        (`lp.stack_starts`) at a time: a schedule per case, None where a
         subset is infeasible."""
+        check_time()
+        plans = energymod._subset_lps(cases)
         with_lp = [k for k, (problem, _) in enumerate(plans) if problem is not None]
         starts = lpmod.stack_starts(plans[k][0] for k in with_lp)
         cuts = [0, *(with_lp[start] for start in starts[1:]), len(plans)]
@@ -192,10 +203,6 @@ def brute_force_energy_batch(
             check_time()
             schedules += energymod._solve(plans[start:stop])
         return schedules
-
-    def subset_plan(instance, partition, s1):
-        check_time()
-        return energymod._subset_lp(instance, partition, s1)
 
     cases = []  # per instance: its partition and its optional users in id order
     for instance in instances:
@@ -207,18 +214,21 @@ def brute_force_energy_batch(
                 f"{budget.max_optional_energy}"
             )
         cases.append((instance, partition, optional))
-    fulls = solve([subset_plan(*case) for case in cases])
+    # a refused instance takes no LP, and `_least_energy` then meets only None
+    refused = [gap > 0.0 for gap in per_user_count(instances, energymod._gaps)]
+    solved = iter(solve([case for case, no in zip(cases, refused) if not no]))
+    fulls = [None if no else next(solved) for no in refused]
 
     others = []  # per instance: the other subsets that could win, in mask order
-    for (instance, partition, optional), full in zip(cases, fulls):
-        masks = range((1 << len(optional)) - 1)
+    for (instance, partition, optional), full, no in zip(cases, fulls, refused):
+        masks = () if no else range((1 << len(optional)) - 1)
         if masks and full is not None:
             bounds, scale = _offload_bounds(instance, partition, optional)
             ceiling = full.objective + _prune_margin(scale, len(optional))
             masks = [mask for mask in masks if not bounds[mask] > ceiling]
         others.append([_subset_tuple(m, optional) for m in masks])
     schedules = iter(solve([
-        subset_plan(instance, partition, s1)
+        (instance, partition, s1)
         for (instance, partition, _), subsets in zip(cases, others) for s1 in subsets
     ]))
     return [

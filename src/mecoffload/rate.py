@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, RateSchedule, interference_penalty, vm_rate_factor
+from .model import Instance, RateSchedule, interference_penalty, per_user_count, vm_rate_factor
 
 __all__ = [
     "ConditionalSolution",
@@ -169,21 +169,11 @@ def _closed_forms(instances, members) -> list[ConditionalSolution]:
 
 
 def _per_user_count(instances, solve) -> list:
-    """solve(block) of each block of the instances that share a user count,
-    put back in the instances' order."""
+    """`model.per_user_count`, refusing an instance without users first."""
     instances = list(instances)
-    blocks: dict[int, list[int]] = {}
-    for k, instance in enumerate(instances):
-        if instance.n_users == 0:
-            raise ValueError("instance has no users")
-        blocks.setdefault(instance.n_users, []).append(k)
-    if len(blocks) == 1:
-        return solve(instances)
-    results = [None] * len(instances)
-    for ks in blocks.values():
-        for k, result in zip(ks, solve([instances[k] for k in ks])):
-            results[k] = result
-    return results
+    if any(instance.n_users == 0 for instance in instances):
+        raise ValueError("instance has no users")
+    return per_user_count(instances, solve)
 
 
 def _top_m(scores: np.ndarray, m: int) -> np.ndarray:

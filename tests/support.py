@@ -111,7 +111,7 @@ def stock_energy_lps(realizations=10):
                 problems += subset_lps(instance)
                 if energy.solve_energy_suboptimal(instance).status == "lp-path":
                     problems.append(empty_subset_lp(instance))
-                problems.append(energy._all_offload_lp(instance)[0])
+                problems.append(energy._all_offload_lps([instance])[0][0])
     return [problem for problem in problems if problem is not None]
 
 
@@ -149,23 +149,24 @@ def count_stacked(monkeypatch):
     counter = SimpleNamespace(problems=0)
     solve = lp._solve_stack
 
-    def counting(shifted):
-        counter.problems += len(shifted)
-        return solve(shifted)
+    def counting(problems):
+        counter.problems += len(problems)
+        return solve(problems)
 
     monkeypatch.setattr(lp, "_solve_stack", counting)
     return counter
 
 
 def count_builds(monkeypatch):
-    """Count the `LpProblem`s built from here on: the returned object's
-    `problems` is the running total."""
+    """Count the `LpProblem`s built from here on, alone or by
+    `LpProblem.block`, as the problems that `lp._check` checks: the
+    returned object's `problems` is the running total."""
     counter = SimpleNamespace(problems=0)
-    check = LpProblem.__post_init__
+    check = lp._check
 
-    def counting(problem):
-        counter.problems += 1
-        check(problem)
+    def counting(objective, *arrays):
+        counter.problems += len(objective)
+        return check(objective, *arrays)
 
-    monkeypatch.setattr(LpProblem, "__post_init__", counting)
+    monkeypatch.setattr(lp, "_check", counting)
     return counter

@@ -468,9 +468,9 @@ class TestAllOffloadingBatch:
         stacks = []
         solve = lp._solve_stack
 
-        def recording(shifted):
-            stacks.append([s.problem.size for s in shifted])
-            return solve(shifted)
+        def recording(problems):
+            stacks.append([p.size for p in problems])
+            return solve(problems)
 
         monkeypatch.setattr(lp, "_solve_stack", recording)
         instances = [stock_instance(K, 0.05, seed, deadline=1.5) for K in (400, 40)
@@ -500,13 +500,33 @@ class TestSuboptimalBatch:
         assert repr(batch) == repr(alone)
         assert {s.status for s in batch} == {"infeasible", "optimal-path", "greedy-path", "lp-path"}
 
+    def test_the_block_decides_as_one_instance_does(self):
+        # mixed user counts, each block's refusals and full-offload branch
+        # decided as `feasibility_gap` and `total_delay` decide them alone
+        instances = self.instances() + [make_instance([], deadline=1.0)] + [
+            stock_instance(n, 0.2, mix64(97, n, k), deadline=deadline)
+            for n in (1, 3, 30) for k, deadline in enumerate((0.2, 0.5, 1.5, 3.0))]
+        branches = set()
+        for inst, schedule in zip(instances, energy.solve_energy_suboptimal_batch(instances)):
+            part = inst.partition
+            if feasibility_gap(inst, inst.deadline) > 0.0:
+                assert schedule.status == "infeasible"
+                continue
+            full = inst.deadline >= total_delay(inst, part, part.free_saving)
+            assert (schedule.status == "optimal-path") == full
+            if full:
+                window = required_compute_time(inst, part, part.free_saving)
+                assert repr(schedule.compute_time) == repr(window)
+            branches.add((inst.n_users, schedule.status))
+        assert {(0, "optimal-path"), (30, "greedy-path"), (10, "lp-path")} <= branches
+
     def test_lp_branch_lps_share_one_stack(self, monkeypatch):
         stacks = []
         solve = lp._solve_stack
 
-        def recording(shifted):
-            stacks.append(len(shifted))
-            return solve(shifted)
+        def recording(problems):
+            stacks.append(len(problems))
+            return solve(problems)
 
         monkeypatch.setattr(lp, "_solve_stack", recording)
         batch = energy.solve_energy_suboptimal_batch(self.instances())
@@ -518,7 +538,7 @@ def everyone_lp(instance):
     VM builds it, each user above its forced minimum."""
     everyone = energy.Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(),
                                 frozenset())
-    return energy._subset_plan(instance, everyone, ())
+    return energy._subset_plans([(instance, everyone, ())])[0]
 
 
 def schedule_fields(schedule):
@@ -542,8 +562,8 @@ def assert_routing_is_exact(instances):
         assert schedule_fields(got) == schedule_fields(want)
         part = instance.partition
         costly = part.forced_costly or part.free_costly
-        problem = energy._all_offload_lp(instance)[0]
-        full = energy._subset_plan(instance, part, part.free_saving)[0]
+        problem = energy._all_offload_lps([instance])[0][0]
+        full = energy._subset_plans([(instance, part, part.free_saving)])[0][0]
         if problem is not None:
             assert lp_key(problem) == lp_key(everyone_lp(instance)[0])
             if not np.signbit(instance.min_offload_bits).any():
@@ -594,8 +614,8 @@ class TestAllOffloadRouting:
         part = inst.partition
         assert not (part.forced or part.free_costly) and part.free_saving == {0, 1}
         assert np.signbit(inst.min_offload_bits).tolist() == [True, False]
-        full = energy._subset_plan(inst, part, part.free_saving)[0]
-        problem = energy._all_offload_lp(inst)[0]
+        full = energy._subset_plans([(inst, part, part.free_saving)])[0][0]
+        problem = energy._all_offload_lps([inst])[0][0]
         assert lp_key(problem) == lp_key(everyone_lp(inst)[0]) != lp_key(full)
         assert_routing_is_exact([inst])
 
@@ -1085,6 +1105,11 @@ class TestDeadlineGap:
             assert repr(feasibility_gap(inst, inst.deadline)) == repr(gap)
             signs.add(gap > 0.0)
         assert signs == {False, True}
+        # a block of each user count forms the same gaps
+        for n_users in {inst.n_users for inst in instances}:
+            block = [inst for inst in instances if inst.n_users == n_users]
+            assert [repr(g) for g in energy._gaps(block)] == [
+                repr(feasibility_gap(inst, inst.deadline)) for inst in block]
 
 
 class TestFeasibilityByOneEvaluation:
@@ -1094,11 +1119,15 @@ class TestFeasibilityByOneEvaluation:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = dict.fromkeys(("gap", "root", "tmin"), 0)
-        gap, root, tmin = energy._at, energy._root, energy.feasibility_tmin
+        gap, gaps, root, tmin = energy._at, energy._gaps, energy._root, energy.feasibility_tmin
 
         def counting_gap(*args):
             counts["gap"] += 1
             return gap(*args)
+
+        def counting_gaps(instances):  # a block: one evaluation per instance
+            counts["gap"] += len(instances)
+            return gaps(instances)
 
         def counting_root(instance):
             counts["root"] += 1
@@ -1109,6 +1138,7 @@ class TestFeasibilityByOneEvaluation:
             return tmin(instance)
 
         monkeypatch.setattr(energy, "_at", counting_gap)
+        monkeypatch.setattr(energy, "_gaps", counting_gaps)
         monkeypatch.setattr(energy, "_root", counting_root)
         monkeypatch.setattr(energy, "feasibility_tmin", counting_tmin)
         return counts

@@ -102,15 +102,18 @@ def assert_valid_energy(instance, schedule):
 
 def costly_cell(instance, t_min):
     """The subset LP of the forced users alone, and the energy oracle within
-    its budget: each schedule validates, or the subset LP returns None and
-    the oracle an infeasible schedule that reports t_min."""
+    its budget: each schedule validates, or the oracle returns an infeasible
+    schedule that reports t_min.  Below t_min the oracle refuses, with no
+    LP; at or above it, only where the subset LP is infeasible too."""
     schedule = solve_subset_lp(instance, instance.partition, ())
     if schedule is not None:
         assert_valid_energy(instance, schedule)
     if instance.n_users <= 13:
         reference = brute_force_energy(instance)
+        assert (reference.status == "infeasible") >= (instance.deadline < t_min)
         if reference.status == "infeasible":
-            assert reference.t_min == t_min and schedule is None
+            assert reference.t_min == t_min
+            assert instance.deadline < t_min or schedule is None
         else:
             assert_valid_energy(instance, reference)
 

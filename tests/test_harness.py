@@ -12,6 +12,8 @@ from mecoffload import (
     ConfigurationError,
     GenerationSpec,
     brute_force_energy_batch,
+    energy,
+    feasibility_gap,
     generate_instance,
     harness,
     lp,
@@ -238,17 +240,20 @@ class TestEnergyBlocks:
         assert calls == [capacity, capacity, 120 - 2 * capacity]
         assert lp.stack_capacity(21, 11) == capacity and 1 < capacity < 60
 
-    @pytest.mark.parametrize("experiment, value, exhaustive, pruned", [
-        pytest.param("energy-vs-T", 0.35, 20, 20, id="energy-vs-T-0.35"),  # one LP each
-        pytest.param("energy-vs-d", 0.3, 34, 21, id="energy-vs-d-0.3"),
+    @pytest.mark.parametrize("experiment, value, exhaustive, pruned, refused", [
+        # one LP each; one draw is below t_min
+        pytest.param("energy-vs-T", 0.35, 20, 19, 1, id="energy-vs-T-0.35"),
+        pytest.param("energy-vs-d", 0.3, 34, 21, 0, id="energy-vs-d-0.3"),
     ])
     def test_only_the_oracle_lps_reach_the_simplex(self, experiment, value, exhaustive, pruned,
-                                                    monkeypatch):
+                                                    refused, monkeypatch):
         # No stock user is costly, so the all-offload LP is the oracle's
         # full-subset LP; the heuristic's LP branch solves the empty-subset
-        # LP, which the oracle solves only where that subset could win.  A
-        # block stacks each distinct LP once: the oracle's, and the LP-branch
-        # LPs the oracle skipped.
+        # LP, which the oracle solves only where that subset could win.  The
+        # oracle builds no LP for a draw whose deadline is below t_min, so
+        # the all-offload row stacks that draw's LP.  A block stacks each
+        # distinct LP once: the oracle's, the LP-branch LPs the oracle
+        # skipped and the all-offload LPs of the refused draws.
         spec = SweepSpec(experiment=experiment, grid=(value,), realizations=20, base_seed=7,
                          certify=True)
         generation = harness._generation_spec(spec.normalized(), value)
@@ -259,6 +264,9 @@ class TestEnergyBlocks:
             for i in instances if solve_energy_suboptimal(i).status == "lp-path"
         ]
         assert lp_branch
+        below = [lp_key(energy._all_offload_lps([i])[0][0]) for i in instances
+                 if feasibility_gap(i, i.deadline) > 0.0]
+        assert len(below) == refused
         blocks = stacked_keys(monkeypatch)
         brute_force_energy_batch(instances)
         oracle_keys = blocks.pop()
@@ -268,7 +276,8 @@ class TestEnergyBlocks:
         for block in blocks:
             assert len(set(block)) == len(block)
         skipped = [key for key in lp_branch if key not in set(oracle_keys)]
-        assert Counter(key for block in blocks for key in block) == Counter(oracle_keys + skipped)
+        assert Counter(key for block in blocks for key in block) == Counter(
+            oracle_keys + skipped + below)
 
     def test_a_certified_block_builds_each_lp_once(self, monkeypatch):
         # the oracle builds its LPs; the all-offload LPs and the LP-branch
@@ -327,9 +336,9 @@ def stacked_keys(monkeypatch):
     blocks = [[]]
     solve, scope = lp._solve_stack, harness.shared_solutions
 
-    def recording(shifted):
-        blocks[-1].extend(lp_key(s.problem) for s in shifted)
-        return solve(shifted)
+    def recording(problems):
+        blocks[-1].extend(lp_key(p) for p in problems)
+        return solve(problems)
 
     @contextlib.contextmanager
     def opening():

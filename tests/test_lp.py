@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from mecoffload import energy, lp
+from mecoffload import energy, lp, with_deadline
 from mecoffload.lp import (
     BudgetExceededError,
     LpProblem,
@@ -13,9 +13,9 @@ from mecoffload.lp import (
     solve_lp,
     solve_lps,
 )
-from mecoffload.rng import SplitMix64
+from mecoffload.rng import SplitMix64, mix64
 from lp_reference import enumerate_vertices, reference_solve_lp
-from support import lp_key, random_lp_problem, stock_energy_lps, stock_instance
+from support import lp_key, random_lp_problem, stock_energy_lps, stock_instance, subset_lps
 
 INF = math.inf
 
@@ -131,6 +131,72 @@ class TestStructure:
         relations, rhs = ("<=",) * len(coeffs), (1.0,) * len(coeffs)
         with pytest.raises(LpStructureError, match="nan"):
             LpProblem(objective, coeffs, relations, rhs, bounds)
+
+
+def structure_cases():
+    """Each malformed problem of `TestStructure`, as (objective, coeffs,
+    relations, rhs, bounds), with a well-formed problem of its shape and
+    relations, or None where there is none."""
+    one = ((1.0,), ((1.0,),), ("<=",), (1.0,), ((0.0, 1.0),))
+    free = ((-1.0,), (), (), (), ((0.0, 1.0),))
+    nan = math.nan
+    return [
+        pytest.param(((1.0,), ((1.0, 2.0),), ("<=",), (1.0,), ((0.0, 1.0),)), None,
+                     id="dimension-mismatch"),
+        pytest.param(((1.0,), ((1.0,),), ("<=",), (1.0, 2.0), ((0.0, 1.0),)), None,
+                     id="rhs-count-mismatch"),
+        pytest.param(((1.0, 1.0), (), (), (), ((0.0, 1.0),)), None, id="bound-count-mismatch"),
+        pytest.param(((1.0,), ((1.0,),), ("<",), (1.0,), ((0.0, 1.0),)), None, id="bad-relation"),
+        pytest.param(((1.0,), ((1.0,),), ("<=",), (INF,), ((0.0, 1.0),)), one, id="infinite-rhs"),
+        pytest.param(((1.0,), (), (), (), ((2.0, 1.0),)), free, id="crossed-bounds"),
+        pytest.param(((-1.0,), (), (), (), ((nan, 1.0),)), free, id="nan-lower-bound"),
+        pytest.param(((-1.0,), (), (), (), ((0.0, nan),)), free, id="nan-upper-bound"),
+        pytest.param(((nan,), (), (), (), ((0.0, 1.0),)), free, id="nan-objective"),
+        pytest.param(((-1.0,), ((nan,),), ("<=",), (1.0,), ((0.0, 2.0),)), one,
+                     id="nan-coefficient"),
+    ]
+
+
+def block_of(problems):
+    """`LpProblem.block` of (objective, coeffs, relations, rhs, bounds)
+    tuples that share their relations."""
+    objective, coeffs, relations, rhs, bounds = zip(*problems)
+    return LpProblem.block(np.array(objective), np.array(coeffs), relations[0], np.array(rhs),
+                           np.array(bounds))
+
+
+class TestBlock:
+    """`LpProblem.block` builds many problems over stacked arrays, checked
+    once over the block."""
+
+    @pytest.mark.parametrize("bad, good", structure_cases())
+    def test_a_block_refuses_what_one_problem_refuses(self, bad, good):
+        with pytest.raises(LpStructureError) as alone:
+            LpProblem(*bad)
+        # the bad problem in the middle of good ones; a bad shape or
+        # relation is the whole block's
+        with pytest.raises(LpStructureError) as stacked:
+            block_of([bad] * 3 if good is None else [good, bad, good])
+        if " has shape " in str(alone.value):  # the same array, with the block's shapes
+            name = str(alone.value).split(" has shape ")[0]
+            assert str(stacked.value).startswith(f"{name} has shape ")
+        else:
+            assert str(stacked.value) == str(alone.value)
+        if good is not None:
+            assert len(block_of([good] * 3)) == 3
+
+    def test_block_problems_equal_single_ones(self):
+        problems = [p for p in stock_energy_lps(2) if p.n_vars == 11]
+        block = block_of([(p.objective, p.coeffs, p.relations, p.rhs, p.bounds) for p in problems])
+        assert [lp_key(p) for p in block] == [lp_key(p) for p in problems]
+        assert [p.size for p in block] == [p.size for p in problems]
+        for problem in block[:2]:
+            for name in ("objective", "coeffs", "rhs", "bounds"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(problem, name)[...] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                problem.relations = ()
+        assert [repr(s) for s in solve_lps(block)] == [repr(s) for s in solve_lps(problems)]
 
 
 class TestRecord:
@@ -350,12 +416,53 @@ class TestRowLoopEquivalence:
             assert solve_lp(problems[0]).status == "unbounded"
             self.assert_same(problems)
 
+    def test_rows_that_keep_the_dot(self):
+        # Subset LPs with forced costly users (a window floor above 0) and
+        # forced saving members (a lower bound above 0): their cap rows meet
+        # two nonzero offset products, so they keep the 1-D dot.  No stock
+        # LP has a window floor.
+        costly = []
+        for seed in range(12):
+            base = stock_instance(8, 0.2, mix64(41, seed), deadline=1e-9)
+            power = base.tx_power.copy()
+            power[1::3] *= 100.0  # offloading then costs these users energy
+            base = dataclasses.replace(base, tx_power=power)
+            t_min = energy.feasibility_tmin(base).t_min
+            for scale in (1.0, 1.1, 1.3):
+                instance = with_deadline(base, scale * t_min)
+                costly += [p for p in subset_lps(instance) if p is not None
+                           and p.bounds[-1, 0] > 0.0 and (p.bounds[:-1, 0] > 0.0).any()]
+        # the offsets are the lower bounds
+        two = [p for p in costly
+               if (np.count_nonzero(p.coeffs[1:] * p.bounds[:, 0], axis=1) > 1).any()]
+        assert len(two) > 20
+        stock = stock_energy_lps(2)
+        problems = [q for pair in zip(stock, costly) for q in pair] + [zero_offset_row()]
+        expected = [repr(reference_solve_lp(p)) for p in problems]
+        assert [repr(s) for s in solve_lps(problems)] == expected
+        self.assert_same(problems)
+
+    def test_a_row_that_meets_the_offsets_only_in_zeros(self):
+        # the row's one product is -1.0 * 0.0 = -0.0, and its shift the
+        # +0.0 of the dot, so the right-hand side stays -0.0
+        problem = zero_offset_row()
+        tableau = lp._standard_form([problem]).tableau
+        assert math.copysign(1.0, tableau[0, 0, -1]) == -1.0
+        offsets = np.array([0.0])
+        assert math.copysign(1.0, problem.rhs[0] - problem.coeffs[0] @ offsets) == -1.0
+        self.assert_same([problem])
+
     def test_pivot_leaves_zero_factor_rows_untouched(self):
         tableau = np.array([[2.0, 4.0, 6.0], [-0.0, 1.0, -0.0], [3.0, 1.0, 1.0]])
         lp._pivots(tableau[None], np.zeros(1, dtype=int), 0, tableau[None, :, 0].copy())
         assert math.copysign(1.0, tableau[1, 0]) == -1.0
         assert math.copysign(1.0, tableau[1, 2]) == -1.0
         np.testing.assert_array_equal(tableau[2], [0.0, -5.0, -8.0])
+
+
+def zero_offset_row():
+    """max y over y in [0, 3] subject to -y <= -0.0."""
+    return LpProblem((-1.0,), ((-1.0,),), ("<=",), (-0.0,), ((0.0, 3.0),))
 
 
 def redundant_problems(seed, count):
@@ -523,9 +630,9 @@ class TestStackBudget:
         stacked = []
         solve = lp._solve_stack
 
-        def recording(shifted):
-            stacked.append(len(shifted))
-            return solve(shifted)
+        def recording(problems):
+            stacked.append(len(problems))
+            return solve(problems)
 
         monkeypatch.setattr(lp, "_solve_stack", recording)
         solve_lps(problems)
@@ -546,7 +653,7 @@ class TestStackBudget:
         stacks = [problems[start : start + 97] for start in range(0, len(problems), 97)]
         for stack in stacks + [skewed]:
             with np.errstate(over="ignore", invalid="ignore"):  # the overflow cases meet them
-                tableau = lp._standard_form([lp._shift(p) for p in stack]).tableau
+                tableau = lp._standard_form(stack).tableau
             assert tableau.size <= self.entries([p.size for p in stack])
 
 
@@ -558,20 +665,20 @@ class TestLimits:
             solve_lps([random_lp_problem(rng) for _ in range(20)])
 
     def test_size_guard_refuses_before_building(self, monkeypatch):
-        shifted = []
-        monkeypatch.setattr(lp, "_shift", lambda p: shifted.append(p))
+        built = []
+        monkeypatch.setattr(lp, "_standard_form", built.append)
         monkeypatch.setattr(lp, "MAX_TABLEAU_ENTRIES", 100)
         small, large = box_max_x(), random_lp_problem(SplitMix64(1), n_vars=6, n_rows=6)
         with pytest.raises(BudgetExceededError, match="guard"):
             solve_lps([small, large])
-        assert shifted == []
+        assert built == []
 
     def test_guard_bounds_the_tableau(self):
         rng = SplitMix64(77)
         problems = mixed_bound_problems(5, 50) + [random_lp_problem(rng) for _ in range(50)]
         for problem in problems:
             rows, cols = problem.size
-            tableau = lp._standard_form([lp._shift(problem)]).tableau[0]
+            tableau = lp._standard_form([problem]).tableau[0]
             assert tableau.size <= (rows + 1) * (cols + 2 * rows + 1)
 
     def test_guard_boundary(self, monkeypatch):
@@ -583,7 +690,7 @@ class TestLimits:
     def test_energy_lp_rows_match_its_precheck(self):
         for K in (1, 4, 10):
             instance = stock_instance(K, 0.2, 3, deadline=0.6)
-            assert energy._all_offload_lp(instance)[0].size == (2 * K + 1, K + 1)
+            assert energy._all_offload_lps([instance])[0][0].size == (2 * K + 1, K + 1)
 
     def test_all_offloading_refuses_ten_thousand_users(self):
         instance = stock_instance(10_000, 0.05, 11, deadline=1.5)

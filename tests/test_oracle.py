@@ -29,11 +29,13 @@ from mecoffload import (
     validate_energy_schedule,
     validate_rate_schedule,
     with_deadline,
+    write_instance,
 )
-from mecoffload.harness import DEFAULT_GRIDS
+from mecoffload.harness import DEFAULT_GRIDS, cli_main
 from mecoffload.rng import mix64
 import rate_reference
 from support import (
+    count_builds,
     count_stacked,
     make_instance,
     homogeneous_instance,
@@ -417,6 +419,52 @@ class TestEnergyOracleBatch:
         with pytest.raises(BudgetExceededError, match="time guard"):
             brute_force_energy_batch(instances, OracleBudget(time_limit_s=1.0))
         assert len(stacks) == 1  # refused before the second stack
+
+
+def tmin_draws():
+    """Stock draws at T = 1e-9 s for K in {1, 5, 12}, d in {0, 0.1, 0.3} and
+    seeds 0-9, with their t_min."""
+    draws = []
+    for n_users in (1, 5, 12):
+        for degradation in (0.0, 0.1, 0.3):
+            for seed in range(10):
+                instance = stock_instance(n_users, degradation, seed, deadline=1e-9)
+                draws.append((instance, feasibility_tmin(instance).t_min))
+    return draws
+
+
+class TestOneFeasibilityRule:
+    """The oracle refuses a deadline exactly where the heuristic's gap test
+    does, and builds no LP for it: just below t_min the subset LPs still
+    admit a schedule to the simplex's tolerance."""
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below-t_min", "at-t_min"])
+    def test_the_oracle_and_the_heuristic_agree_at_t_min(self, below, monkeypatch):
+        builds = count_builds(monkeypatch)
+        draws = tmin_draws()
+        assert len(draws) == 90
+        for base, t_min in draws:
+            assert t_min > 0.0
+            instance = with_deadline(base, math.nextafter(t_min, 0.0) if below else t_min)
+            schedule = solve_energy_suboptimal(instance)
+            built = builds.problems
+            reference = brute_force_energy(instance)
+            if below:
+                assert energy.feasibility_gap(instance, instance.deadline) > 0.0
+                assert schedule.status == reference.status == "infeasible"
+                assert schedule.t_min == reference.t_min == t_min
+                assert builds.problems == built  # no LP
+            else:
+                assert schedule.status != "infeasible" and reference.status != "infeasible"
+                assert validate_energy_schedule(instance, reference).ok
+                assert reference.total_energy <= schedule.total_energy * (1.0 + 1e-9)
+
+    def test_certify_agrees_below_t_min(self, tmp_path, capsys):
+        base, t_min = tmin_draws()[0]  # K = 1, d = 0, seed 0
+        path = tmp_path / "below.json"
+        write_instance(with_deadline(base, math.nextafter(t_min, 0.0)), path)
+        assert cli_main(["certify", str(path)]) == 0
+        assert f"energy: both infeasible (t_min = {t_min!r} s)" in capsys.readouterr().out
 
 
 class TestPrunedSubsets:
