@@ -27,10 +27,12 @@ from .model import (
     EnergySchedule,
     Instance,
     Partition,
+    block_columns,
     derive_energy_columns,
     interference_penalty,
     per_user_count,
     sum_in_order,
+    sums_in_order,
     vm_rate_factor,
 )
 
@@ -61,64 +63,48 @@ def partition_users(instance: Instance) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _at(instance: Instance, t: float) -> tuple[float, np.ndarray]:
     """`feasibility_gap` at t, with the forced minimum offloads at t it was
-    formed from (the memoised `Instance.min_offload_bits` at the deadline).
-    The radio times are summed left to right in user id, and the window is
-    the slowest forced minimum at the degraded rate, inf where (1 + d)^(1 - n)
-    underflows to 0 or a sum overflows: no window is then long enough."""
+    formed from (the memoised `Instance.min_offload_bits` at the deadline):
+    `_gap_rows` of the instance as a row of one."""
     min_bits = instance.min_offload_bits if t == instance.deadline else (
         instance.min_offload_bits_at(t))
-    # int() keeps the power Python's: a numpy exponent would take numpy's
-    forced = int(np.count_nonzero(min_bits > 0.0))  # +-0.0 is not forced
-    radio = _sum_in_order(min_bits * instance.roundtrip_time_per_bit)
-    compute = 0.0
-    if forced:
-        factor = vm_rate_factor(instance.degradation, forced)
-        if factor > 0.0:
-            # an unforced user's 0 / x is 0, or nan where x underflows to 0,
-            # which fmax skips; a forced one's b / 0 is inf
-            compute = np.fmax.reduce(min_bits / (instance.service_rate * factor)).item()
-        else:
-            compute = math.inf
-    return radio + compute - t, min_bits
+    gap = _gap_rows(min_bits[None], instance.roundtrip_time_per_bit[None],
+                    instance.service_rate[None], [instance.degradation], t)
+    return gap.item(), min_bits
+
+
+def _gaps(instances: list[Instance]) -> list[float]:
+    """`_at` of instances of one user count at their deadlines."""
+    return _gap_rows(
+        *block_columns(instances, "min_offload_bits", "roundtrip_time_per_bit", "service_rate"),
+        [i.degradation for i in instances], np.array([i.deadline for i in instances])).tolist()
+
+
+def _gap_rows(min_bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, degradations,
+              ts) -> np.ndarray:
+    """The feasibility gap of each row at its t: the radio time of its forced
+    minimum offloads plus the window of the slowest at the degraded rate of
+    its forced users, minus t.  The radio time is never -0.0, so the +-0.0
+    floor of a row without forced users leaves it as it is."""
+    forced = np.add.reduce(min_bits > 0.0, axis=-1).tolist()  # +-0.0 is not forced
+    # Python ints keep the power Python's: a numpy exponent would take numpy's
+    factors = np.array([[vm_rate_factor(d, n)] for d, n in zip(degradations, forced)])
+    radio, floor = _radio_and_floor(min_bits, roundtrip, service, factors)
+    return radio + floor - ts
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _gaps(instances: list[Instance]) -> list[float]:
-    """`_at` of instances of one user count at their deadlines, each row as
-    `_at` forms it alone.  Where the rate factor is 0, every forced quotient
-    b / 0 is inf, as `_at` sets it, and -inf, below every quotient, leaves
-    each reduction as it is."""
-    min_bits, roundtrip, service = _columns(
-        instances, "min_offload_bits", "roundtrip_time_per_bit", "service_rate")
-    forced = [len(i.partition.forced) for i in instances]
-    factors = np.array([vm_rate_factor(i.degradation, n) for i, n in zip(instances, forced)])
-    slowest = np.fmax.reduce(min_bits / (service * factors[:, None]), axis=1, initial=-math.inf)
-    return [r + (c if n else 0.0) - i.deadline for r, c, n, i in zip(
-        _sums(min_bits * roundtrip).tolist(), slowest.tolist(), forced, instances)]
-
-
-def _columns(instances: list[Instance], *names: str) -> list[np.ndarray]:
-    """The named columns of instances of one user count, each as a (rows, K)
-    array: a block of one views its own columns."""
-    if len(instances) == 1:
-        return [getattr(instances[0], name)[None] for name in names]
-    return [np.array([getattr(i, name) for i in instances]) for name in names]
-
-
-def _sums(values: np.ndarray) -> np.ndarray:
-    """`_sum_in_order` of each row of a 2-D array."""
-    if not values.shape[1]:
-        return np.zeros(len(values))
-    return np.add.accumulate(values, axis=1)[:, -1]
-
-
-def _sum_in_order(values: np.ndarray) -> float:
-    """`model.sum_in_order` of an array: accumulate adds left to right
-    (.sum() would add pairwise)."""
-    return np.add.accumulate(values)[-1].item() if values.size else 0.0
+def _radio_and_floor(bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, factors):
+    """The radio time of offloading bits, summed left to right in user id,
+    and the floor under the computing window, the slowest b / (s * factor),
+    along the last axis; factors broadcast against the columns.  A sum that
+    overflows is inf, and so is the floor where a forced user's degraded
+    rate underflows to 0 (b / 0): no window is then long enough.  An
+    unforced user's 0 / x is 0, or nan where x underflows to 0, which fmax
+    skips; the floor of no offloads is 0."""
+    floor = np.fmax.reduce(bits / (service * factors), axis=-1, initial=0.0)
+    return sums_in_order(bits * roundtrip), floor
 
 
 # an overflowed threshold or segment sum is inf; a nan root of two is skipped
@@ -134,7 +120,8 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
     and phi = (1 + d)^(1 - |F|).  A bisection over the sorted thresholds
     finds the segment holding the root, the root of that segment is
     max_k (A phi + alpha_k) / (B phi + beta_k + phi), clamped to the
-    segment, and a walk of single ulps settles it on the computed gap.
+    segment, and a search over bit patterns (`_settle`) settles it on the
+    computed gap.
     """
     task, freq, cycles = instance.task_bits, instance.cpu_freq, instance.cycles_per_bit
     tau = cycles * task / freq
@@ -166,8 +153,8 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
         return _settle(instance, right, left, right)
     task, freq, cycles = task[forced], freq[forced], cycles[forced]
     roundtrip, service = instance.roundtrip_time_per_bit[forced], instance.service_rate[forced]
-    a = _sum_in_order(task * roundtrip)
-    b = _sum_in_order(freq / cycles * roundtrip)
+    a = sums_in_order(task * roundtrip).item()
+    b = sums_in_order(freq / cycles * roundtrip).item()
     roots = (a * phi + task / service) / (b * phi + freq / (cycles * service) + phi)
     # fmax skips a nan root of overflowed sums, as max(t, nan) does
     t = np.fmax.reduce(roots, initial=left).item()
@@ -175,38 +162,27 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
 
 
 def _settle(instance: Instance, t: float, lo: float, hi: float):
-    """Walk from t one ulp at a time to a double with gap(t) <= 0 <
-    gap(previous double); gap(lo) > 0 >= gap(hi) brackets the walk.  After
-    _ULP_STEPS steps, bisect the bit patterns of (lo, hi] instead, which
-    takes at most 64 more gap evaluations.  Returns the double and `_at` of
-    it, or None where hi is returned unevaluated."""
-    state = _at(instance, t)
-    hi_state = None
-    if state[0] > 0.0:
-        for _ in range(_ULP_STEPS):
-            lo, t = t, math.nextafter(t, math.inf)
-            state = _at(instance, t)
-            if state[0] <= 0.0:
-                return t, state
-    else:
-        for _ in range(_ULP_STEPS):
-            hi, hi_state, t = t, state, math.nextafter(t, 0.0)
-            state = _at(instance, t)
-            if state[0] > 0.0:
-                return hi, hi_state
-    # positive doubles order as their bit patterns do
-    lo_bits, hi_bits = _double_bits(lo), _double_bits(hi)
-    while hi_bits - lo_bits > 1:
-        mid = (lo_bits + hi_bits) // 2
-        state = _at(instance, _bits_double(mid))
+    """The double with gap(t) <= 0 < gap(previous double), searched over the
+    bit patterns of (lo, hi], where gap(lo) > 0 >= gap(hi) and positive
+    doubles order as their bit patterns do.  From t in [lo, hi], the search
+    probes 1, 2, 4, ... patterns toward the sign change, and bisects once a
+    probe has crossed it or would leave the bracket: a root n patterns from
+    t takes about 2 log2(n) gap evaluations, and at most about 128.
+    Returns the double and `_at` of it, or None where hi is returned
+    unevaluated."""
+    lo_bits, hi_bits, hi_state, step = _double_bits(lo), _double_bits(hi), None, 1
+    start = probe = _double_bits(t)
+    while True:
+        state = _at(instance, _bits_double(probe))
         if state[0] > 0.0:
-            lo_bits = mid
+            lo_bits, probe = probe, start + step
         else:
-            hi_bits, hi_state = mid, state
-    return _bits_double(hi_bits), hi_state
-
-
-_ULP_STEPS = 64
+            hi_bits, hi_state, probe = probe, state, start - step
+        if hi_bits - lo_bits <= 1:
+            return _bits_double(hi_bits), hi_state
+        if not lo_bits < probe < hi_bits:
+            probe = (lo_bits + hi_bits) // 2
+        step *= 2
 
 
 def _double_bits(x: float) -> int:
@@ -326,7 +302,8 @@ def total_delay(instance: Instance, partition: Partition, s1) -> float:
 
 def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     # the +0.0 terms of uncommitted users leave the running sum unchanged
-    return _sum_in_order(bits * instance.roundtrip_time_per_bit) + _window(instance, bits, n_vms)
+    return (sums_in_order(bits * instance.roundtrip_time_per_bit).item()
+            + _window(instance, bits, n_vms))
 
 
 # the plan memo of the innermost open `shared_solutions` scope, else None
@@ -392,11 +369,9 @@ def _subset_plans(cases) -> list:
         if partition.forced_costly:
             bits = _costly_bits(instance, partition)
             committed = bits.tolist()
-            # as `_delay` and `_at` form them: the floor is inf where a
-            # quotient overflows or the degraded rate underflows to 0
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                budget -= _sum_in_order(bits * instance.roundtrip_time_per_bit)
-                te_floor = np.fmax.reduce(bits / (instance.service_rate * factor)).item()
+            radio, te_floor = _radio_and_floor(
+                bits, instance.roundtrip_time_per_bit, instance.service_rate, factor)
+            budget, te_floor = budget - radio.item(), te_floor.item()
         scheduled = partition.forced | s1
         if not members or te_floor == math.inf:  # an infinite floor fits no budget, and needs no LP
             fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
@@ -414,7 +389,7 @@ def _subset_plans(cases) -> list:
         ks, finishes, instances, members, forced, factor, budget, te_floor = zip(*block)
         count, n = len(block), len(members[0]) + 1  # trailing variable is the computing window
         at = np.arange(count)[:, None], np.array(members)
-        delta, roundtrip, service, min_bits, task = (column[at] for column in _columns(
+        delta, roundtrip, service, min_bits, task = (column[at] for column in block_columns(
             instances, "delta_per_bit", "roundtrip_time_per_bit", "service_rate",
             "min_offload_bits", "task_bits"))
         objective = np.zeros((count, n))
@@ -528,7 +503,7 @@ def _branch_block(instances: list[Instance]) -> list:
     user count.  The feasibility gaps (`_gaps`) and the full-offload loads
     (every saving user's whole task, every forced costly one's minimum) are
     formed for the block at once, each row as `_delay` forms it alone."""
-    task, min_bits, delta, roundtrip, service = _columns(
+    task, min_bits, delta, roundtrip, service = block_columns(
         instances, "task_bits", "min_offload_bits", "delta_per_bit", "roundtrip_time_per_bit",
         "service_rate")
     # the saving users of `Instance.partition`, and +0.0 for an unforced user's +-0.0
@@ -537,7 +512,8 @@ def _branch_block(instances: list[Instance]) -> list:
     bases = np.where(min_bits > 0.0, loads, 0.0)  # the forced users' commitment alone
     plans = []
     for instance, gap, radio, slowest, load, base in zip(
-            instances, _gaps(instances), _sums(loads * roundtrip).tolist(), longest, loads, bases):
+            instances, _gaps(instances), sums_in_order(loads * roundtrip).tolist(), longest, loads,
+            bases):
         part = partition_users(instance)
         n_vms = instance.n_users - len(part.free_costly)
         window = slowest * interference_penalty(instance.degradation, n_vms) if slowest else 0.0

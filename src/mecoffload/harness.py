@@ -315,14 +315,17 @@ def schedule_to_doc(schedule) -> dict:
 
 def schedule_from_doc(doc: dict):
     """A schedule from its `schedule_to_doc` form.  A missing field, or a
-    value of the wrong JSON type (a bool is not a number), is a
-    `ParseError` naming its field."""
+    value of the wrong JSON type (a bool is not a number), or a user-id key
+    not in its plain decimal form, is a `ParseError` naming its field."""
     where = "schedule file"
     scheduled, bits = _require(doc, "scheduled", where), _require(doc, "offload_bits", where)
     if not isinstance(scheduled, list) or not all(map(_is_int, scheduled)):
         raise ParseError(f"{where}: scheduled must be an array of user ids")
     if not isinstance(bits, dict) or not all(isinstance(k, str) and k.isdecimal() for k in bits):
         raise ParseError(f"{where}: offload_bits must be an object keyed by user id")
+    # "01" or a non-ASCII digit would name the same user as another key
+    if bad := [k for k in bits if str(int(k)) != k]:
+        raise ParseError(f"{where}: offload_bits key {bad[0]!r} is not a plain user id")
     bits = {int(k): _number(bits, k, f"{where}: offload_bits") for k in bits}
     common = (frozenset(scheduled), bits, _number(doc, "compute_time", where))
     kind = _require(doc, "type", where)

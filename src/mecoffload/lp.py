@@ -283,26 +283,16 @@ def check_size(n_rows: int, n_cols: int) -> None:
 
 def stack_starts(problems) -> list[int]:
     """Where each lockstep stack begins when `solve_lps` stacks these
-    problems in order: the index of each stack's first problem."""
-    return _starts(problem.size for problem in problems)
-
-
-def stack_capacity(n_rows: int, n_cols: int) -> int:
-    """How many problems of n_rows rows over n_cols variable columns (as
-    `check_size` counts them) one stack holds: at least one."""
-    return max(1, STACK_ENTRIES // _entries(n_rows, n_cols))
-
-
-def _starts(sizes) -> list[int]:
-    """`stack_starts` of problems of these (rows, columns) sizes
-    (`LpProblem.size`).
+    problems in order: the index of each stack's first problem.
 
     A stack takes the next problem while its count times `_entries` of its
-    most rows and most columns stays within STACK_ENTRIES, which bounds the
-    stacked tableaus; a problem beyond that on its own stacks alone."""
+    most rows and most columns (`LpProblem.size`) stays within
+    STACK_ENTRIES, which bounds the stacked tableaus; a problem beyond that
+    on its own stacks alone."""
     starts = []
     count = rows = cols = 0
-    for k, (n_rows, n_cols) in enumerate(sizes):
+    for k, problem in enumerate(problems):
+        n_rows, n_cols = problem.size
         rows, cols = max(rows, n_rows), max(cols, n_cols)
         if count and (count + 1) * _entries(rows, cols) > STACK_ENTRIES:
             count, rows, cols = 0, n_rows, n_cols
@@ -310,6 +300,12 @@ def _starts(sizes) -> list[int]:
             starts.append(k)
         count += 1
     return starts
+
+
+def stack_capacity(n_rows: int, n_cols: int) -> int:
+    """How many problems of n_rows rows over n_cols variable columns (as
+    `check_size` counts them) one stack holds: at least one."""
+    return max(1, STACK_ENTRIES // _entries(n_rows, n_cols))
 
 
 @dataclass
@@ -572,10 +568,10 @@ def solve_lps(problems) -> list[LpSolution]:
         else:
             check_size(*problem.size)
             todo.append(k)
-    starts = _starts(problems[k].size for k in todo)
+    stacked = [problems[k] for k in todo]
+    starts = stack_starts(stacked)
     for start, stop in zip(starts, [*starts[1:], len(todo)]):
-        chunk = todo[start:stop]
-        for k, solution in zip(chunk, _solve_stack([problems[k] for k in chunk])):
+        for k, solution in zip(todo[start:stop], _solve_stack(stacked[start:stop])):
             solutions[k] = solution
     return solutions
 

@@ -404,20 +404,13 @@ def derive_energy_columns(instances) -> None:
 
 def _derive_energy_block(instances: list[Instance]) -> None:
     """`derive_energy_columns` of unfilled instances of one user count."""
-    columns = [[i.weight, i.uplink_time_per_bit, i.tx_power, i.energy_coeff, i.cycles_per_bit,
-                i.cpu_freq, i.task_bits] for i in instances]
-    # (R, K) arrays: a block of one (each lone solve) views its own columns
-    # rather than pay for a copy
-    weight, uplink, power, coeff, cycles, freq, task = (
-        [c[None] for c in columns[0]] if len(columns) == 1
-        else np.array(columns, dtype=float).transpose(1, 0, 2))
+    weight, uplink, power, coeff, cycles, freq, task = block_columns(
+        instances, "weight", "uplink_time_per_bit", "tx_power", "energy_coeff", "cycles_per_bit",
+        "cpu_freq", "task_bits")
     squares = _squares(freq.ravel()).reshape(freq.shape)
     delta = weight * (uplink * power - coeff * cycles * squares)
     min_bits = _min_offload_bits(task, freq, cycles, np.array([[i.deadline] for i in instances]))
-    # each row's local energy, summed left to right from 0.0 as `sum_in_order` sums
-    terms = np.zeros((len(instances), freq.shape[1] + 1))
-    np.multiply(weight * coeff * cycles * task, squares, out=terms[:, 1:])
-    local = np.add.accumulate(terms, axis=1)[:, -1].tolist()
+    local = sums_in_order(weight * coeff * cycles * task * squares).tolist()
     # class 2 * forced + saving, of bools viewed as int8 (no wider integers)
     classes = (2 * (min_bits > 0.0).view(np.int8) + (delta < 0.0).view(np.int8)).tolist()
     for array in (delta, min_bits):
@@ -430,6 +423,15 @@ def _derive_energy_block(instances: list[Instance]) -> None:
         vars(instance).update(
             delta_per_bit=delta[k], min_offload_bits=min_bits[k], local_energy=local[k],
             partition=Partition(forced_costly, forced_saving, free_costly, free_saving))
+
+
+def block_columns(instances, *names: str) -> list[np.ndarray]:
+    """The named columns of instances of one user count, each as a (rows, K)
+    array: a lone instance (each lone solve) views its own columns rather
+    than pay for a copy."""
+    if len(instances) == 1:
+        return [getattr(instances[0], name)[None] for name in names]
+    return [np.array([getattr(i, name) for i in instances]) for name in names]
 
 
 def _energy_memo(instance: Instance, name: str):
@@ -461,6 +463,17 @@ def sum_in_order(values, start: float = 0.0) -> float:
     `np.add.accumulate` sums they are paired with.  Starting from the float
     start keeps 0.0 + -0.0 at +0.0."""
     return reduce(operator.add, values, start)
+
+
+def sums_in_order(values: np.ndarray) -> np.ndarray:
+    """`sum_in_order` of each row along the last axis, to the bit: accumulate
+    adds left to right (.sum() would add pairwise), and adding it to 0.0
+    turns a sum of -0.0s into +0.0 as the float start does.  An empty row
+    sums to 0.0."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1])
+    # [()] makes the sum of a 1-D array a numpy scalar, which adds faster
+    return 0.0 + np.add.accumulate(values, axis=-1)[..., -1][()]
 
 
 def vm_rate_factor(degradation: float, n_scheduled: int) -> float:

@@ -33,6 +33,7 @@ from .model import (
     RateSchedule,
     derive_energy_columns,
     per_user_count,
+    sums_in_order,
 )
 from .rate import _closed_forms, _penalties, _per_user_count
 
@@ -256,11 +257,10 @@ def _offload_bounds(instance: Instance, partition, optional: list[int]):
     _, chosen, _ = _subset_table(ids.size)
     bits = np.repeat(base[None, :], len(chosen), axis=0)
     bits[:, ids] = np.where(chosen != 0.0, instance.task_bits[ids], 0.0)
-    # accumulate adds left to right, in user id order, as the objective does
+    # summed left to right, in user id order, as the objective is
     delta = instance.delta_per_bit
-    bounds = np.add.accumulate(bits * delta, axis=1)[:, -1]
-    scale = np.add.accumulate(np.abs(delta * instance.task_bits))[-1]
-    return bounds.tolist(), scale.item()
+    scale = sums_in_order(np.abs(delta * instance.task_bits))
+    return sums_in_order(bits * delta).tolist(), scale.item()
 
 
 _BOX_RTOL = 1e-6  # of the scale: the simplex's box slack and the sums' rounding

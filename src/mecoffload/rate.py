@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Instance, RateSchedule, interference_penalty, per_user_count, vm_rate_factor
+from .model import (Instance, RateSchedule, block_columns, interference_penalty, per_user_count,
+                    vm_rate_factor)
 
 __all__ = [
     "ConditionalSolution",
@@ -171,9 +172,14 @@ def _closed_forms(instances, members) -> list[ConditionalSolution]:
 def _per_user_count(instances, solve) -> list:
     """`model.per_user_count`, refusing an instance without users first."""
     instances = list(instances)
+    _require_users(instances)
+    return per_user_count(instances, solve)
+
+
+def _require_users(instances) -> None:
+    """The rate solvers' refusal of an instance without users, made first."""
     if any(instance.n_users == 0 for instance in instances):
         raise ValueError("instance has no users")
-    return per_user_count(instances, solve)
 
 
 def _top_m(scores: np.ndarray, m: int) -> np.ndarray:
@@ -324,17 +330,8 @@ def _lockstep(instances: list[Instance]) -> list[SlaveSummary]:
     the lanes of (lanes, K) arrays, one lane per instance; each lane's rate,
     set sums and stop test stay Python floats, as in the one-instance loop."""
     n_rows, n_users = len(instances), instances[0].n_users
-    if n_rows == 1:  # a lone instance's columns serve as they are
-        weight, roundtrip, service = (
-            column[None] for column in
-            (instances[0].weight, instances[0].roundtrip_time_per_bit, instances[0].service_rate)
-        )
-    else:
-        weight, roundtrip, service = np.concatenate(
-            [i.weight for i in instances]
-            + [i.roundtrip_time_per_bit for i in instances]
-            + [i.service_rate for i in instances]
-        ).reshape(3, n_rows, n_users)
+    weight, roundtrip, service = block_columns(
+        instances, "weight", "roundtrip_time_per_bit", "service_rate")
     wr = weight * service
     qr = roundtrip * service
     terms = np.array((wr, qr)).reshape(2, -1)  # two flat (lanes * K) rows
@@ -415,8 +412,7 @@ def per_size_table(instance: Instance) -> tuple[SlaveSummary, ...]:
     """Diagnostic: the best set of every size m = 1..K, each from its own
     `dinkelbach_slave` run.  The per-size optimum is not monotone in m;
     `solve_rate_max` returns the first row with the largest rate."""
-    if instance.n_users == 0:
-        raise ValueError("instance has no users")
+    _require_users([instance])
     rows = []
     for m in range(1, instance.n_users + 1):
         sel, rate, trace = dinkelbach_slave(instance, m)
@@ -463,8 +459,7 @@ def homogeneous_txrate_schedule(instance: Instance) -> RateSchedule:
     the rates already taken; the gain of one more VM then still outweighs the
     interference it inflicts on the others.
     """
-    if instance.n_users == 0:
-        raise ValueError("instance has no users")
+    _require_users([instance])
     _require_uniform_weights(instance)
     rts = instance.roundtrip_time_per_bit
     if (rts.max() - rts.min()) > 1e-9 * rts.max():
@@ -491,8 +486,7 @@ def no_interference_schedule(instance: Instance) -> RateSchedule:
     time, so sort by transmission rate and keep the longest prefix whose
     last member still transmits at least as fast as the prefix's own rate.
     """
-    if instance.n_users == 0:
-        raise ValueError("instance has no users")
+    _require_users([instance])
     if instance.degradation != 0.0:
         raise ValueError("requires degradation == 0")
     _require_uniform_weights(instance)
@@ -523,8 +517,7 @@ def benchmark_all_offloading(instance: Instance) -> RateSchedule:
 def benchmark_all_offloading_batch(instances) -> list[RateSchedule]:
     """`benchmark_all_offloading` of every instance, in order, to the bit."""
     instances = list(instances)
-    if any(instance.n_users == 0 for instance in instances):
-        raise ValueError("instance has no users")
+    _require_users(instances)
     everyone = [list(range(instance.n_users)) for instance in instances]
     return [solution.as_schedule() for solution in _closed_forms(instances, everyone)]
 
@@ -582,9 +575,8 @@ def benchmark_greedy_batch(instances) -> list[RateSchedule]:
 
 def _greedy_prefix(instance: Instance) -> list[int]:
     """The users greedy takes, in greedy order."""
+    _require_users([instance])
     n_users = instance.n_users
-    if n_users == 0:
-        raise ValueError("instance has no users")
     terms = wr, qr, tx = instance.rate_terms
     # descending w/(a+b*g), lowest id on ties (a reversed sort is stable):
     # each user is the slowest of its prefix

@@ -139,15 +139,28 @@ class TestFeasibility:
 
 
     def test_bit_bisection_fallback_finds_the_same_root(self, monkeypatch):
-        # with no ulp steps allowed, the bounded bisection over bit patterns
-        # must land on the same double as the walk
+        # the search over bit patterns lands on the same double whether it
+        # starts from the segment root or from either end of the bracket
         instances = [
             stock_instance(k, 0.2, seed, deadline=0.45) for k in (1, 10, 40) for seed in range(8)
         ]
-        walked = [feasibility_tmin(inst) for inst in instances]
-        monkeypatch.setattr(energy, "_ULP_STEPS", 0)
-        for inst, expected in zip(instances, walked):
-            assert feasibility_tmin(inst) == expected
+        settle, calls = energy._settle, []
+
+        def recording(instance, t, lo, hi):
+            calls.append((t, lo, hi))
+            return settle(instance, t, lo, hi)
+
+        monkeypatch.setattr(energy, "_settle", recording)
+        for inst in instances:
+            calls.clear()
+            expected = feasibility_tmin(inst)
+            [(root, lo, hi)] = calls
+            assert lo <= root <= hi
+            for start in (lo, root, hi):
+                settled = settle(inst, start, lo, hi)
+                with monkeypatch.context() as patch:
+                    patch.setattr(energy, "_root", lambda _: settled)
+                    assert feasibility_tmin(inst) == expected
             t = expected.t_min
             assert feasibility_gap(inst, t) <= 0.0 < feasibility_gap(inst, math.nextafter(t, 0.0))
 

@@ -522,6 +522,11 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("offload_bits", [1]),
+        # keys that would name user 1 besides "1" itself, the last one winning
+        ("offload_bits", {"1": 5.0, "01": 6.0, "\u0661": 7.0}),
+        ("offload_bits", {"01": 5.0}),
+        ("offload_bits", {"\u0661": 5.0}),
+        ("offload_bits", {"00": 5.0}),
         ("scheduled", 5),
         ("compute_time", None),
     ])

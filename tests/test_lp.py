@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -602,6 +603,11 @@ class TestStackBudget:
         return [sizes[a:b] for a, b in zip(starts, [*starts[1:], len(sizes)])]
 
     @staticmethod
+    def starts(sizes):
+        """`stack_starts` of problems of these (rows, columns) sizes."""
+        return lp.stack_starts([types.SimpleNamespace(size=size) for size in sizes])
+
+    @staticmethod
     def entries(stack):
         rows, cols = map(max, zip(*stack))
         return len(stack) * lp._entries(rows, cols)
@@ -612,7 +618,7 @@ class TestStackBudget:
         rng = SplitMix64(0x57AC)
         sizes = [(int(rng.uniform(0, 60)), int(rng.uniform(1, 40))) for _ in range(500)]
         sizes[100:103] = [(2000, 1000)] * 3  # each far beyond any of the budgets
-        stacks = self.cut(sizes, lp._starts(sizes))
+        stacks = self.cut(sizes, self.starts(sizes))
         assert [size for stack in stacks for size in stack] == sizes
         for stack, after in zip(stacks, [*stacks[1:], None]):
             assert self.entries(stack) <= budget or len(stack) == 1
@@ -622,7 +628,7 @@ class TestStackBudget:
 
     def test_every_problem_alone_under_a_zero_budget(self, monkeypatch):
         monkeypatch.setattr(lp, "STACK_ENTRIES", 0)
-        assert lp._starts([(1, 1)] * 5) == [0, 1, 2, 3, 4]
+        assert self.starts([(1, 1)] * 5) == [0, 1, 2, 3, 4]
 
     def test_solve_lps_stacks_as_stack_starts_cuts(self, monkeypatch):
         problems = stock_energy_lps(4) + mixed_bound_problems(5, 40)

@@ -88,10 +88,48 @@ def test_sum_in_order_is_the_sequential_reduce(values, start):
     assert repr(model.sum_in_order(values, start)) == repr(expected)
 
 
+_ROW_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan, 1e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(_ROW_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_sums_in_order_is_sum_in_order_of_each_row(rows):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, and 1e308 + 1e308
+        sums = model.sums_in_order(np.array(rows, dtype=float)).tolist()
+    assert [repr(s) for s in sums] == [repr(model.sum_in_order(row)) for row in rows]
+
+
+@pytest.mark.parametrize("row", [
+    [], [-0.0], [0.0], [-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, -1.0], [-1.0, 1.0, -0.0],
+    [1.0, 1e100, 1.0, -1e100], [math.inf, -math.inf], [math.nan, 1.0], [-math.inf, -0.0],
+])
+def test_sums_in_order_of_signed_zeros_and_specials(row):
+    # a lone row, a block of it and a (2, 1, K) stack of it sum alike
+    expected = repr(model.sum_in_order(row))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert repr(model.sums_in_order(np.array(row, dtype=float)).item()) == expected
+        sums = model.sums_in_order(np.array([row, row])).tolist()
+        assert [repr(s) for s in sums] == [expected] * 2
+        assert model.sums_in_order(np.array([[row]] * 2)).shape == (2, 1)
+
+
+def test_only_model_calls_np_add_accumulate():
+    # the left-to-right array sum has one home, `model.sums_in_order`
+    calls = {
+        path.name
+        for path in sorted(Path(model.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "accumulate"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "add"
+    }
+    assert calls == {"model.py"}
+
+
 def test_no_module_calls_builtin_sum():
     # the builtin sum's bits depend on the Python version, and validators
     # print their residuals with repr: every sum goes through `sum_in_order`
-    # or `np.add.accumulate`
+    # or `sums_in_order`
     calls = [
         f"{path.name}:{node.lineno}"
         for path in sorted(Path(model.__file__).parent.glob("*.py"))

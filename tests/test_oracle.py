@@ -232,8 +232,10 @@ class TestSubsetTables:
             base, _ = energy._commitment(inst, part, ())
             bits = np.repeat(base[None, :], 1 << ids.size, axis=0)
             bits[:, ids] = np.where(fresh_bits(ids.size).astype(bool), inst.task_bits[ids], 0.0)
-            fresh = np.add.accumulate(bits * inst.delta_per_bit, axis=1)[:, -1]
-            assert np.asarray(bounds).tobytes() == fresh.tobytes()
+            # each row summed left to right from 0.0, as the objective is
+            fresh = [functools.reduce(operator.add, row, 0.0)
+                     for row in (bits * inst.delta_per_bit).tolist()]
+            assert list(map(repr, bounds)) == list(map(repr, fresh))
 
 
 class TestEnergyOracle:
