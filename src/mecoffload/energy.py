@@ -12,8 +12,6 @@ forced users' offload sizes.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import contextvars
 import functools
 import math
 import operator
@@ -27,10 +25,12 @@ from .model import (
     EnergySchedule,
     Instance,
     Partition,
+    _solutions,
     block_columns,
     derive_energy_columns,
     interference_penalty,
     per_user_count,
+    shared_solutions,
     sum_in_order,
     sums_in_order,
     vm_rate_factor,
@@ -306,23 +306,6 @@ def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
             + _window(instance, bits, n_vms))
 
 
-# the plan memo of the innermost open `shared_solutions` scope, else None
-_plans: contextvars.ContextVar[dict | None] = contextvars.ContextVar("energy_plans", default=None)
-
-
-@contextlib.contextmanager
-def shared_solutions():
-    """A scope in which each distinct energy LP is built and solved once:
-    `_subset_lps` keeps its plans (DESIGN_NOTES.md, "One build per distinct
-    energy LP").  The memo is dropped on exit, normal or not, and a nested
-    scope starts its own."""
-    token = _plans.set({})
-    try:
-        yield
-    finally:
-        _plans.reset(token)
-
-
 def _subset_lp(instance: Instance, partition: Partition, s1):
     return _subset_lps([(instance, partition, s1)])[0]
 
@@ -333,7 +316,7 @@ def _subset_lps(cases) -> list:
     per (instance, s1) of the instance's own partition: a repeat takes it,
     or once it is finished, a plan without an LP returning its schedule.
     The plans hold the instance, so its id is not reused while they live."""
-    memo = _plans.get()
+    memo = _solutions.get()
     memo = {} if memo is None else memo
     keys = [(id(instance), frozenset(s1)) if partition is instance.partition else object()
             for instance, partition, s1 in cases]
@@ -439,8 +422,14 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySched
     below by the forced minimum (0 for members of s1); the forced costly
     users sit at their forced minimum, spending radio budget and setting a
     floor under the computing window.  Returns the schedule, or None when
-    the LP is infeasible.
+    the LP is infeasible.  A deadline below t_min (a positive
+    `feasibility_gap` at it) is refused with None and no LP, as the
+    heuristic and the oracle refuse it: the LP holds its rows only to the
+    simplex's tolerance, and admits some deadlines just below t_min.
     """
+    s1 = _optional(partition, s1)  # refused first, as every subset call refuses it
+    if feasibility_gap(instance, instance.deadline) > 0.0:
+        return None
     return _solve([_subset_lp(instance, partition, s1)])[0]
 
 

@@ -11,7 +11,6 @@ byte-stable: the same spec and seed always produce the same file.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -24,7 +23,6 @@ from .energy import (
     benchmark_energy_all_offloading_batch,
     feasibility_tmin,
     partition_users,
-    shared_solutions,
     solve_energy_suboptimal,
     solve_energy_suboptimal_batch,
 )
@@ -43,6 +41,7 @@ from .model import (
     generate_instance,
     generate_instances,
     read_instance,
+    shared_solutions,
     validate_energy_schedule,
     validate_rate_schedule,
     write_instance,
@@ -227,11 +226,12 @@ def run_sweep(spec: SweepSpec) -> str:
                 mix64(spec.base_seed, gi, ri)
                 for ri in range(first, min(first + block, spec.realizations))
             ])
-            # An energy block builds each distinct LP once, in one plan scope:
-            # the oracle runs first, the all-offload row takes its full-subset
-            # plans wherever no user is costly, the LP branch its empty-subset
-            # plans unless the oracle skipped that subset.
-            with contextlib.nullcontext() if rate_side else shared_solutions():
+            # A block solves each distinct fixed set once, in one scope.  The
+            # oracle runs first.  An energy block's all-offload row takes its
+            # full-subset plans wherever no user is costly, the LP branch its
+            # empty-subset plans unless the oracle skipped that subset; a rate
+            # block's rows take the closed forms of the sets already formed.
+            with shared_solutions():
                 references = [None] * len(instances)
                 solved = {}  # the block's schedules per distinct algorithm callable
                 if spec.certify and rate_side:
@@ -313,16 +313,24 @@ def schedule_to_doc(schedule) -> dict:
     return doc
 
 
+_MAX_ID_DIGITS = len(str(sys.maxsize))
+
+
 def schedule_from_doc(doc: dict):
     """A schedule from its `schedule_to_doc` form.  A missing field, or a
     value of the wrong JSON type (a bool is not a number), or a user-id key
-    not in its plain decimal form, is a `ParseError` naming its field."""
+    not in its plain decimal form or longer than any user id, is a
+    `ParseError` naming its field."""
     where = "schedule file"
     scheduled, bits = _require(doc, "scheduled", where), _require(doc, "offload_bits", where)
     if not isinstance(scheduled, list) or not all(map(_is_int, scheduled)):
         raise ParseError(f"{where}: scheduled must be an array of user ids")
     if not isinstance(bits, dict) or not all(isinstance(k, str) and k.isdecimal() for k in bits):
         raise ParseError(f"{where}: offload_bits must be an object keyed by user id")
+    # no list holds more than sys.maxsize users, and int() refuses a key
+    # past its digit limit with an error that does not name the field
+    if bad := [k for k in bits if len(k) > _MAX_ID_DIGITS]:
+        raise ParseError(f"{where}: offload_bits key of {len(bad[0])} digits is not a user id")
     # "01" or a non-ASCII digit would name the same user as another key
     if bad := [k for k in bits if str(int(k)) != k]:
         raise ParseError(f"{where}: offload_bits key {bad[0]!r} is not a plain user id")

@@ -23,7 +23,7 @@ several products is regrouped.  Padding never enters a pivot
 (DESIGN_NOTES.md, "Batched simplex").  `tests/lp_reference.py` keeps the
 row-at-a-time solver, and the test suite checks that the two agree bit for
 bit.  The solver keeps no memo: a caller that meets one problem more than
-once passes it once (`energy.shared_solutions`).
+once passes it once (`model.shared_solutions`).
 """
 
 from __future__ import annotations

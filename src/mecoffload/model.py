@@ -14,6 +14,8 @@ file boundary.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import json
 import math
 import operator
@@ -42,6 +44,7 @@ __all__ = [
     "derive_energy_columns",
     "vm_rate_factor",
     "interference_penalty",
+    "shared_solutions",
     "validate_rate_schedule",
     "validate_energy_schedule",
     "generate_instance",
@@ -388,6 +391,27 @@ def per_user_count(instances, solve) -> list:
         for k, result in zip(ks, solve([instances[k] for k in ks])):
             results[k] = result
     return results
+
+
+# the memo of the innermost open `shared_solutions` scope, else None
+_solutions: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solutions", default=None)
+
+
+@contextlib.contextmanager
+def shared_solutions():
+    """A scope in which each fixed-set solve is made once per distinct
+    (instance, set): `energy._subset_lps` keeps its plans, keyed by
+    (instance id, frozenset), and `rate._closed_forms` its closed forms,
+    keyed by (instance id, tuple), in one memo (a tuple never equals a
+    frozenset).  Each entry holds its instance, so no id is reused while
+    the scope lives (DESIGN_NOTES.md, "One solve per distinct set").  The
+    memo is dropped on exit, normal or not, and a nested scope starts its
+    own."""
+    token = _solutions.set({})
+    try:
+        yield
+    finally:
+        _solutions.reset(token)
 
 
 def derive_energy_columns(instances) -> None:

@@ -2,18 +2,19 @@
 
 These certify the fast solvers on small instances and supply the expected
 values frozen into the tests, and refuse anything beyond the enumeration
-budget.  The rate side evaluates the closed form on every subset.  The
-energy side is exact over every subset of the optional users too, but it
-solves the LP of the full subset first and skips each other subset whose
-full-offload bound (every member offloading its whole task, the least
-energy it could spend) cannot come within the tie tolerance of the full
-subset's optimum.  That is the first step of a branch and bound (Land and
-Doig, 1960); the winner is the one, bit for bit, that solving every subset
-picks.
+budget.  The rate side evaluates the closed-form rate of every subset, its
+sums built by one addition per subset from the subset less its top member
+(`_subset_sums`).  The energy side is exact over every subset of the
+optional users too, but it solves the LP of the full subset first and
+skips each other subset whose full-offload bound (every member offloading
+its whole task, the least energy it could spend) cannot come within the
+tie tolerance of the full subset's optimum.  That is the first step of a
+branch and bound (Land and Doig, 1960); the winner is the one, bit for
+bit, that solving every subset picks.
 
-Both sides read their subsets from one read-only table per size
+The energy side reads its subsets from one read-only table per size
 (`_subset_table`), built on first use and memoised up to 12 users, the
-default budgets.
+default budget.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (
     EnergySchedule,
     Instance,
     RateSchedule,
+    block_columns,
     derive_energy_columns,
     per_user_count,
     sums_in_order,
@@ -64,26 +66,35 @@ _DEFAULT_BUDGET = OracleBudget()
 
 
 _TABLE_MEMO_MAX = 12  # the default budgets; the tables up to here take under 1 MB
-_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_tables: dict[int, np.ndarray] = {}
 
 
-def _subset_table(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The subsets of n items as read-only arrays: `masks` (int64, 0 ...
-    2^n - 1), `bits` (float64, 2^n x n, row i holds the bits of mask i) and
-    `sizes` (intp, the member count less one of every nonempty mask, in
-    mask order).  Tables up to n = `_TABLE_MEMO_MAX` are built on first use
-    and kept; larger ones are built per call and not kept."""
+def _subset_table(n: int) -> np.ndarray:
+    """The subsets of n items as a read-only float64 (2^n, n) array, row i
+    holding the bits of mask i.  Tables up to n = `_TABLE_MEMO_MAX` are
+    built on first use and kept; larger ones are built per call and not
+    kept."""
     table = _tables.get(n)
     if table is None:
         masks = np.arange(1 << n, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        sizes = bits[1:].sum(axis=1).astype(np.intp) - 1
-        for array in (masks, bits, sizes):
-            array.setflags(write=False)
-        table = (masks, bits, sizes)
+        table = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
+        table.setflags(write=False)
         if n <= _TABLE_MEMO_MAX:
             _tables[n] = table
     return table
+
+
+def _subset_sums(terms: np.ndarray) -> np.ndarray:
+    """The sum of every subset of the K rows of terms, a (K, columns) array,
+    as a (2^K, columns) array in mask order.  Row 0 is zero, and the row of
+    each other mask is the row of the mask without its top bit plus the top
+    bit's terms: one addition per subset and column, each subset adding its
+    members in ascending id from 0.0."""
+    sums = np.empty((1 << len(terms), terms.shape[1]))
+    sums[0] = 0.0
+    for k, term in enumerate(terms):
+        np.add(sums[: 1 << k], term, out=sums[1 << k : 2 << k])
+    return sums
 
 
 def _subset_tuple(mask: int, ids: list[int]) -> tuple[int, ...]:
@@ -109,11 +120,14 @@ def brute_force_rate_max_batch(
     """`brute_force_rate_max` of each instance, in order, to the bit, and
     None for an instance of more than `budget.max_users_rate` users.
 
-    The instances of each user count form a block.  Each instance's subset
-    rates come from its own two `bits @ v` products, as one instance's do;
-    a matrix product across the block would take another BLAS path, whose
-    sums may round differently.  The best rate and the ties are then found
-    over the block's stacked rates at once."""
+    The instances of each user count form a block, taken in chunks whose
+    (2^K, chunk) arrays hold at most `lp.STACK_ENTRIES` doubles.  A chunk's
+    subset sums come from `_subset_sums`, which adds every subset's
+    members in ascending id from 0.0, as the closed form's numerator does;
+    the size penalty is added to the denominator last.  Each instance's sum
+    is formed alone, so a chunk gives what the instance alone gives.  The
+    winner is the argmax, or where several subsets reach the tie floor, the
+    smallest subset tuple among them."""
     instances = list(instances)
     within = [i for i in instances if i.n_users <= budget.max_users_rate]
     solved = iter(_per_user_count(within, _rate_block))
@@ -125,35 +139,44 @@ def _size_penalties(degradation: float, n: int) -> np.ndarray:
     """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order,
     read-only: the size penalties of `rate._penalties`, inf past overflow,
     indexed by subset size.  Memoised per (d, n); `_rate_block` calls the
-    unmemoised `__wrapped__` past n = `_TABLE_MEMO_MAX`, as the tables are
-    built per call there."""
-    penalties = np.array(_penalties(degradation, n))[_subset_table(n)[2]]
+    unmemoised `__wrapped__` past n = `_TABLE_MEMO_MAX`."""
+    sizes = _subset_sums(np.ones((n, 1)))[1:, 0].astype(np.intp) - 1
+    penalties = np.array(_penalties(degradation, n))[sizes]
     penalties.setflags(write=False)
     return penalties
 
 
 def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
-    """The rate oracle of instances with one user count K."""
+    """The rate oracle of instances with one user count K, in chunks of
+    `lp.STACK_ENTRIES` // 2^K of them (at least one)."""
     n_users = instances[0].n_users
-    masks, bits, _ = _subset_table(n_users)
-    masks, bits = masks[1:], bits[1:]  # the nonempty subsets, as views
     size_penalties = _size_penalties if n_users <= _TABLE_MEMO_MAX else _size_penalties.__wrapped__
-    rates = np.empty((len(instances), len(bits)))
-    for row, instance in zip(rates, instances):
-        penalties = size_penalties(instance.degradation, n_users)
-        service = instance.service_rate
-        num = bits @ (instance.weight * service)
-        den = penalties + bits @ (instance.roundtrip_time_per_bit * service)
-        np.divide(num, den, out=row)
-
-    floors = [best - _TIE_RTOL * (1.0 + best) for best in rates.max(axis=1).tolist()]
-    id_list = list(range(n_users))
-    winners = [None] * len(instances)  # each row's smallest tied subset
-    lanes, indices = np.nonzero(rates >= np.array(floors)[:, None])
-    for row, index in zip(lanes.tolist(), indices.tolist()):
-        subset = _subset_tuple(int(masks[index]), id_list)
-        if winners[row] is None or subset < winners[row]:
-            winners[row] = subset
+    weight, roundtrip, service = block_columns(
+        instances, "weight", "roundtrip_time_per_bit", "service_rate")
+    wr, qr = (weight * service).T, (roundtrip * service).T  # (K, rows)
+    rows = max(1, lpmod.STACK_ENTRIES >> n_users)
+    ids = range(n_users)
+    winners = []  # each instance's smallest subset tuple among its ties
+    for start in range(0, len(instances), rows):
+        chunk = slice(start, start + rows)
+        # (2^K - 1, rows): each nonempty subset's sums, the penalty added last
+        num = _subset_sums(wr[:, chunk])[1:]
+        den = _subset_sums(qr[:, chunk])[1:]
+        penalties = [size_penalties(i.degradation, n_users) for i in instances[chunk]]
+        if all(penalty is penalties[0] for penalty in penalties):  # one memo: broadcast it
+            den += penalties[0][:, None]
+        else:
+            den += np.array(penalties).T
+        rates = np.divide(num, den, out=num)
+        picks = rates.argmax(axis=0)
+        best = rates[picks, np.arange(len(picks))]
+        tied = rates >= best - _TIE_RTOL * (1.0 + best)
+        masks = [[pick + 1] for pick in picks.tolist()]  # each row's tied masks
+        if np.count_nonzero(tied) > len(masks):  # some row ties more than its best
+            masks = [[] for _ in masks]
+            for index, row in zip(*(axis.tolist() for axis in np.nonzero(tied))):
+                masks[row].append(index + 1)
+        winners += [min(_subset_tuple(mask, ids) for mask in row) for row in masks]
 
     solutions = _closed_forms(instances, winners)
     if not all(solution.satisfies_necessary_condition for solution in solutions):
@@ -254,7 +277,7 @@ def _offload_bounds(instance: Instance, partition, optional: list[int]):
     spends less (up to the allowances of `_prune_margin`)."""
     base, _ = energymod._commitment(instance, partition, ())
     ids = np.asarray(optional, dtype=np.intp)
-    _, chosen, _ = _subset_table(ids.size)
+    chosen = _subset_table(ids.size)
     bits = np.repeat(base[None, :], len(chosen), axis=0)
     bits[:, ids] = np.where(chosen != 0.0, instance.task_bits[ids], 0.0)
     # summed left to right, in user id order, as the objective is

@@ -21,11 +21,13 @@ coincides with the exact solve (see `benchmark_lr`).
 
 The exact solve and the greedy and all-offloading benchmarks each take a
 block of instances (`*_batch`); the one-instance functions are their blocks
-of one, and each finishes with the closed form of a block (`_closed_forms`).
-Only the exact solve works on the block's arrays; the closed form and the
-greedy walk run row by row in Python floats, which at a stock set's few
-users cost less than the numpy calls a block would make, so a lone call pays
-nothing for the block.
+of one, and each finishes with the closed forms of its sets
+(`_closed_forms`).  Only the exact solve works on the block's arrays; the
+closed form and the greedy walk run row by row in Python floats, which at a
+stock set's few users cost less than the numpy calls a block would make, so
+a lone call pays nothing for the block.  In a `model.shared_solutions`
+scope, as a sweep block opens, each distinct (instance, set) is formed once
+for every solver and the rate oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Instance, RateSchedule, block_columns, interference_penalty, per_user_count,
-                    vm_rate_factor)
+from .model import (Instance, RateSchedule, _solutions, block_columns, interference_penalty,
+                    per_user_count, vm_rate_factor)
 
 __all__ = [
     "ConditionalSolution",
@@ -143,30 +145,46 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
 
 
 def _closed_forms(instances, members) -> list[ConditionalSolution]:
-    """The closed form of each instance with the ids of its members, a
-    nonempty ascending list each, row by row in Python floats."""
+    """`_closed_form` of each instance with the ids of its members.  In a
+    `shared_solutions` scope each distinct (instance, set) is formed once,
+    and a repeat takes the memo's solution; the memo holds the instance,
+    so its id is not reused while the scope lives.  Outside a scope nothing
+    is kept, and a lone call pays one context-variable read."""
+    memo = _solutions.get()
+    if memo is None:
+        return list(map(_closed_form, instances, members))
     solutions = []
     for instance, ids in zip(instances, members):
-        d = instance.degradation
-        num, den, penalty, min_tx = _fixed_set_sums(d, instance.rate_terms, ids)
-        factor = vm_rate_factor(d, len(ids))
-        rate = num / den
-        # a saturated penalty takes the whole frame: t_e -> T as it grows
-        te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
-        if te == math.inf:  # T * penalty overflowed, though the window is at most T
-            te = instance.deadline * (penalty / den)
-        service = instance.service_rate.tolist()
-        bits = dict.fromkeys(range(instance.n_users), 0.0)
-        for uid in ids:
-            bits[uid] = te * service[uid] * factor
-        solutions.append(ConditionalSolution(
-            subset=frozenset(ids),
-            compute_time=te,
-            offload_bits=bits,
-            rate=rate,
-            satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
-        ))
+        key = id(instance), tuple(ids)
+        held = memo.get(key)
+        if held is None:
+            held = memo[key] = instance, _closed_form(instance, ids)
+        solutions.append(held[1])
     return solutions
+
+
+def _closed_form(instance: Instance, ids) -> ConditionalSolution:
+    """The closed form of the instance with the ids of its members, a
+    nonempty ascending sequence, in Python floats."""
+    d = instance.degradation
+    num, den, penalty, min_tx = _fixed_set_sums(d, instance.rate_terms, ids)
+    factor = vm_rate_factor(d, len(ids))
+    rate = num / den
+    # a saturated penalty takes the whole frame: t_e -> T as it grows
+    te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
+    if te == math.inf:  # T * penalty overflowed, though the window is at most T
+        te = instance.deadline * (penalty / den)
+    service = instance.service_rate.tolist()
+    bits = dict.fromkeys(range(instance.n_users), 0.0)
+    for uid in ids:
+        bits[uid] = te * service[uid] * factor
+    return ConditionalSolution(
+        subset=frozenset(ids),
+        compute_time=te,
+        offload_bits=bits,
+        rate=rate,
+        satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
+    )
 
 
 def _per_user_count(instances, solve) -> list:

@@ -11,6 +11,7 @@ from mecoffload import (
     generate_instance,
     harness,
     lp,
+    rate,
 )
 from mecoffload.harness import SweepSpec
 from mecoffload.lp import LpProblem
@@ -170,3 +171,16 @@ def count_builds(monkeypatch):
 
     monkeypatch.setattr(lp, "_check", counting)
     return counter
+
+
+def count_closed_forms(monkeypatch) -> list:
+    """The (instance id, set) of each closed form formed from here on."""
+    formed = []
+    closed_form = rate._closed_form
+
+    def counting(instance, ids):
+        formed.append((id(instance), tuple(ids)))
+        return closed_form(instance, ids)
+
+    monkeypatch.setattr(rate, "_closed_form", counting)
+    return formed

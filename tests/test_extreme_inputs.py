@@ -102,10 +102,12 @@ def assert_valid_energy(instance, schedule):
 
 def costly_cell(instance, t_min):
     """The subset LP of the forced users alone, and the energy oracle within
-    its budget: each schedule validates, or the oracle returns an infeasible
-    schedule that reports t_min.  Below t_min the oracle refuses, with no
-    LP; at or above it, only where the subset LP is infeasible too."""
+    its budget: each schedule validates, or the subset LP returns None, or
+    the oracle returns an infeasible schedule that reports t_min.  Below
+    t_min both refuse, with no LP; at or above it, the oracle refuses only
+    where the subset LP is infeasible too."""
     schedule = solve_subset_lp(instance, instance.partition, ())
+    assert (schedule is None) >= (instance.deadline < t_min)
     if schedule is not None:
         assert_valid_energy(instance, schedule)
     if instance.n_users <= 13:

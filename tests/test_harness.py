@@ -4,17 +4,25 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+
+import mecoffload
 
 from mecoffload import (
     ConfigurationError,
     GenerationSpec,
     brute_force_energy_batch,
+    brute_force_rate_max_batch,
     energy,
     feasibility_gap,
     generate_instance,
+    generate_instances,
     harness,
     lp,
     oracle,
@@ -33,7 +41,8 @@ from mecoffload import rate as ratemod
 from mecoffload.model import EnergySchedule
 from mecoffload.rate import solve_rate_max
 from mecoffload.rng import mix64
-from support import count_builds, empty_subset_lp, lp_key, make_instance, make_user, subset_lps
+from support import (count_builds, count_closed_forms, empty_subset_lp, lp_key, make_instance,
+                     make_user, subset_lps)
 
 
 def tiny_spec(**kw):
@@ -207,6 +216,24 @@ class TestRateBlocks:
         assert run_sweep(spec) == plain
         assert [len(block) for block in calls] == [30]
 
+    @pytest.mark.parametrize("experiment, value", [("rate-vs-K", 12.0), ("rate-vs-d", 0.3)])
+    def test_each_closed_form_once_per_block(self, experiment, value, monkeypatch):
+        # the oracle's winner is the `optimal` set, and at stock rates
+        # greedy's set is the all-offload set: one scope forms each once
+        spec = SweepSpec(experiment=experiment, grid=(value,), base_seed=7, certify=True)
+        generation = harness._generation_spec(spec.normalized(), value)
+        spec = dataclasses.replace(spec, realizations=harness._block(generation.n_users))
+        instances = generate_instances(
+            generation, [mix64(7, 0, ri) for ri in range(spec.realizations)])
+        rows = zip(brute_force_rate_max_batch(instances),
+                   *(harness.RATE_ALGORITHMS[name](instances)
+                     for name in ("optimal", "greedy", "all-offload")))
+        distinct = sum(len({s.scheduled for s in row}) for row in rows)
+        assert distinct <= 2 * spec.realizations  # of four rows per instance
+        formed = count_closed_forms(monkeypatch)
+        run_sweep(spec)
+        assert len(formed) == len(set(formed)) == distinct
+
 
 class TestEnergyBlocks:
     """An energy sweep solves a grid point's LPs a block of realizations at
@@ -371,6 +398,15 @@ class TestStockRateBytes:
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[experiment]
 
+    def test_the_module_prints_the_same_bytes(self):
+        # `python -m mecoffload` from the source tree, without installing
+        env = {**os.environ, "PYTHONPATH": str(Path(mecoffload.__file__).parents[1])}
+        done = subprocess.run([
+            sys.executable, "-m", "mecoffload", "sweep", "--experiment", "rate-vs-K",
+            "--realizations", "20", "--seed", "7", "--certify",
+        ], capture_output=True, env=env, check=True)
+        assert hashlib.sha256(done.stdout).hexdigest() == self.DIGESTS["rate-vs-K"]
+
 
 class TestScheduleDocs:
     def test_energy_infeasible_round_trips_through_null(self):
@@ -527,6 +563,9 @@ class TestCli:
         ("offload_bits", {"01": 5.0}),
         ("offload_bits", {"\u0661": 5.0}),
         ("offload_bits", {"00": 5.0}),
+        # past int()'s digit limit, and past any list's length at 20 digits
+        ("offload_bits", {"1" * 5000: 0.0}),
+        ("offload_bits", {"1" * 20: 0.0}),
         ("scheduled", 5),
         ("compute_time", None),
     ])

@@ -19,6 +19,8 @@ from mecoffload import (
     conditional_solution,
     energy,
     feasibility_tmin,
+    generate_instances,
+    harness,
     lp,
     oracle,
     partition_users,
@@ -142,7 +144,7 @@ class TestRateOracleBatch:
         table = oracle._size_penalties(0.1, 10)
         assert oracle._size_penalties(0.1, 10) is table
         assert not table.flags.writeable
-        _, bits, _ = oracle._subset_table(10)
+        bits = oracle._subset_table(10)
         # the rate solver's Python-float penalty of each subset's size
         expected = [rate._penalties(0.1, 10)[int(size) - 1] for size in bits[1:].sum(axis=1)]
         assert table.tolist() == expected
@@ -158,15 +160,83 @@ class TestRateOracleBatch:
             assert validate_rate_schedule(inst, schedule).ok
 
 
+def stock_grid_blocks(seed, realizations=100):
+    """The instances of every grid point of the two stock rate sweeps, one
+    block per point, drawn as `harness.run_sweep` draws them."""
+    blocks = []
+    for experiment in ("rate-vs-K", "rate-vs-d"):
+        spec = harness.SweepSpec(experiment=experiment, realizations=realizations,
+                                 base_seed=seed).normalized()
+        for gi, value in enumerate(spec.grid):
+            generation = harness._generation_spec(spec, value)
+            blocks.append(generate_instances(
+                generation, [mix64(seed, gi, ri) for ri in range(realizations)]))
+    return blocks
+
+
+class TestSubsetSumRecurrence:
+    """The oracle sums every subset by one addition from the subset less its
+    top member, in chunks of `lp.STACK_ENTRIES` // 2^K instances.  Its
+    schedules must be the gemv enumeration's (`reference_brute_force_rate_max`)
+    to the bit, ties and saturated penalties included."""
+
+    def assert_reference(self, instances, budget=OracleBudget()):
+        with np.errstate(over="ignore"):  # the reference's penalties may overflow
+            expected = [repr(reference_brute_force_rate_max(i)) for i in instances]
+        schedules = brute_force_rate_max_batch(instances, budget)
+        assert [repr(s) for s in schedules] == expected
+        return schedules
+
+    @pytest.mark.parametrize("seed", [7, 20240])
+    def test_every_stock_grid_point(self, seed):
+        blocks = stock_grid_blocks(seed)
+        assert len(blocks) == 16 and {len(b) for b in blocks} == {100}
+        for block in blocks:
+            self.assert_reference(block)
+
+    @pytest.mark.parametrize("n_users", [13, 14])
+    def test_raised_budget_in_several_chunks(self, n_users):
+        rows = lp.STACK_ENTRIES >> n_users
+        instances = [stock_instance(n_users, d, mix64(241, n_users, k))
+                     for k, d in enumerate((0.0, 0.1, 0.3) * rows)]  # chunks of mixed d
+        assert len(instances) > 2 * rows
+        self.assert_reference(instances, OracleBudget(max_users_rate=n_users))
+
+    @pytest.mark.parametrize("n_users", [2, 5, 9, 12])
+    def test_identical_users_tie_in_a_mixed_chunk(self, n_users):
+        instances = [homogeneous_instance(n_users, d, k) if k % 3 else
+                     stock_instance(n_users, d, mix64(251, k))
+                     for k, d in enumerate((0.05, 0.1, 0.3, 0.5, 1.0, 2.0) * 3)]
+        schedules = self.assert_reference(instances)
+        # identical users tie every set of the best size below K
+        assert any(len(s.scheduled) < n_users for s in schedules[1::3])
+
+    @pytest.mark.parametrize("degradation", [1e30, 1e300])
+    def test_saturated_penalties(self, degradation):
+        for n_users in (1, 2, 3, 8, 12):
+            self.assert_reference([stock_instance(n_users, degradation, mix64(257, n_users, k))
+                                   for k in range(10)])
+
+    def test_subset_sums_add_in_ascending_id_from_zero(self):
+        terms = np.random.default_rng(263).uniform(-1.0, 1.0, (6, 3)) * 10.0 ** np.arange(6)[:, None]
+        terms[2, 1] = -0.0
+        sums = oracle._subset_sums(terms)
+        bits = fresh_bits(6)
+        for mask, row in enumerate(sums.tolist()):
+            for column, total in enumerate(row):
+                members = terms[bits[mask] != 0.0, column].tolist()
+                assert repr(total) == repr(functools.reduce(operator.add, members, 0.0))
+
+
 def fresh_bits(n):
     masks = np.arange(1 << n, dtype=np.int64)
     return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
 
 
 class TestSubsetTables:
-    """Every oracle call reads one memoised subset table per size.  The
-    winners and their bits must be what building the subsets afresh for
-    each call gives."""
+    """The energy oracle reads one memoised subset table per size, the
+    bits of a fresh build.  The rate oracle's winners and their bits must
+    be what the per-call enumeration gives."""
 
     @pytest.mark.parametrize("n_users", range(1, 13))
     def test_rate_oracle_matches_the_per_call_enumeration(self, n_users):
@@ -188,27 +258,18 @@ class TestSubsetTables:
         inst = stock_instance(n_users, degradation, seed)
         assert repr(brute_force_rate_max(inst)) == repr(reference_brute_force_rate_max(inst))
 
-    def test_products_are_bit_identical_to_a_fresh_array(self):
-        rng = np.random.default_rng(191)
-        for n in range(1, 13):
-            masks, bits, sizes = oracle._subset_table(n)
-            fresh = fresh_bits(n)
-            assert np.array_equal(masks, np.arange(1 << n))
-            assert np.array_equal(bits, fresh)
-            assert np.array_equal(sizes, fresh[1:].sum(axis=1) - 1.0)
-            for _ in range(300):
-                v = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-9.0, 9.0, n)
-                assert (bits[1:] @ v).tobytes() == (fresh[1:] @ v).tobytes()
+    def test_tables_are_the_fresh_bits(self):
+        for n in range(0, 13):
+            assert np.array_equal(oracle._subset_table(n), fresh_bits(n))
 
     def test_tables_are_read_only_and_shared(self):
         for n in (0, 1, 5, 12):
             table = oracle._subset_table(n)
             assert oracle._subset_table(n) is table
-            for array in table:
-                with pytest.raises(ValueError):
-                    array[...] = 0
             with pytest.raises(ValueError):
-                table[1][1:][0, 0] = 1.0
+                table[...] = 0
+            with pytest.raises(ValueError):
+                table[1:][0, 0] = 1.0
 
     def test_raised_budget_builds_per_call_and_keeps_nothing(self):
         inst = stock_instance(13, 0.1, 4)
@@ -219,8 +280,7 @@ class TestSubsetTables:
         assert max(oracle._tables) <= oracle._TABLE_MEMO_MAX
 
     def test_memoised_tables_take_under_a_megabyte(self):
-        nbytes = sum(a.nbytes for n in range(oracle._TABLE_MEMO_MAX + 1)
-                     for a in oracle._subset_table(n))
+        nbytes = sum(oracle._subset_table(n).nbytes for n in range(oracle._TABLE_MEMO_MAX + 1))
         assert nbytes < 1 << 20
 
     def test_energy_bounds_match_a_fresh_subset_matrix(self):
@@ -460,6 +520,24 @@ class TestOneFeasibilityRule:
                 assert schedule.status != "infeasible" and reference.status != "infeasible"
                 assert validate_energy_schedule(instance, reference).ok
                 assert reference.total_energy <= schedule.total_energy * (1.0 + 1e-9)
+
+    def test_the_lone_subset_lp_refuses_below_t_min(self, monkeypatch):
+        builds = count_builds(monkeypatch)
+        admitted = 0  # the draws whose LP alone admits the deadline below t_min
+        for base, t_min in tmin_draws():
+            for t in (math.nextafter(t_min, 0.0), t_min):
+                instance = with_deadline(base, t)
+                part = instance.partition
+                for s1 in ((), part.free_saving):
+                    built = builds.problems
+                    schedule = solve_subset_lp(instance, part, s1)
+                    direct = energy._solve([energy._subset_lp(instance, part, s1)])[0]
+                    if t < t_min:
+                        assert schedule is None and builds.problems == built + 1  # direct's LP
+                        admitted += direct is not None
+                    else:
+                        assert repr(schedule) == repr(direct)
+        assert admitted > 90
 
     def test_certify_agrees_below_t_min(self, tmp_path, capsys):
         base, t_min = tmin_draws()[0]  # K = 1, d = 0, seed 0

@@ -27,12 +27,13 @@ from mecoffload import (
     validate_rate_schedule,
 )
 from mecoffload import rate as ratemod
-from mecoffload.model import RATE_RTOL
+from mecoffload.model import RATE_RTOL, shared_solutions
 from mecoffload.rate import MAX_DINKELBACH_ITER, SlaveSummary
 from mecoffload.rng import SplitMix64, mix64
 import rate_reference
 from rate_reference import prefix_greedy as reference_greedy
 from support import (
+    count_closed_forms,
     homogeneous_instance,
     homogeneous_txrate_instance,
     make_instance,
@@ -834,3 +835,33 @@ class TestBlockForms:
             assert batch([]) == []
             with pytest.raises(ValueError, match="no users"):
                 batch([inst, make_instance([])])
+
+
+class TestClosedFormMemo:
+    """Inside a `shared_solutions` scope each distinct (instance, set) is
+    formed once; outside one, nothing is kept."""
+
+    def test_only_a_scope_keeps_forms(self, monkeypatch):
+        formed = count_closed_forms(monkeypatch)
+        instances = [stock_instance(6, 0.1, mix64(269, k)) for k in range(5)]
+        expected = [repr(s) for s in benchmark_all_offloading_batch(instances)]
+        benchmark_all_offloading_batch(instances)
+        assert len(formed) == 10
+        with shared_solutions():
+            first = benchmark_all_offloading_batch(instances)
+            again = benchmark_all_offloading_batch(instances + instances[:2])
+        assert len(formed) == 15
+        assert [repr(s) for s in again] == expected + expected[:2]
+        # each schedule owns its bits
+        assert all(a.offload_bits is not b.offload_bits for a, b in zip(first, again))
+        benchmark_all_offloading_batch(instances)
+        assert len(formed) == 20
+
+    def test_dropped_instances_never_take_another_instances_form(self):
+        # every all-offload set of 6 users is (0, ..., 5); an instance made
+        # and dropped inside the scope may not leave its id to the next one
+        seeds = [mix64(271, k) for k in range(200)]
+        expected = [repr(benchmark_all_offloading(stock_instance(6, 0.1, s))) for s in seeds]
+        with shared_solutions():
+            got = [repr(benchmark_all_offloading(stock_instance(6, 0.1, s))) for s in seeds]
+        assert got == expected
