@@ -566,15 +566,29 @@ def _all_offload_lps(instances) -> list:
     VM, each above its forced minimum.  Where no user is costly and no
     forced minimum is -0.0, that is the instance's own full-subset LP to
     the byte, so it takes that plan (DESIGN_NOTES.md, "One build per
-    distinct energy LP")."""
+    distinct energy LP").
+
+    Once the largest LP is held to the size guard, an instance whose
+    deadline is below t_min (a positive `feasibility_gap`) is refused with
+    no LP, as the heuristic and the oracle refuse it.  No LP load fits such
+    a deadline: every member offloads at least its forced minimum, and all
+    K users in VMs slow each VM to phi(K) <= phi(|forced|)."""
+    instances = list(instances)
+    n_users = max((i.n_users for i in instances), default=0)
+    lpmod.check_size(2 * n_users + 1, n_users + 1)  # the budget, cap and box rows of K members
+    refused = [gap > 0.0 for gap in per_user_count(instances, _gaps)]
     cases = []
-    for i in instances:
+    for i, no in zip(instances, refused):
         part = i.partition
         if part.forced_costly or part.free_costly or np.signbit(i.min_offload_bits).any():
             part = Partition(frozenset(), frozenset(range(i.n_users)), frozenset(), frozenset())
-        cases.append((i, part, part.free_saving))
+        if not no:
+            cases.append((i, part, part.free_saving))
+    plans = iter(_subset_lps(cases))
+    # a refused instance's plan finishes to None, as an infeasible LP's does
     return [(problem, lambda sol, finish=finish, i=i: finish(sol) or _infeasible(i, None))
-            for (problem, finish), i in zip(_subset_lps(cases), instances)]
+            for i, (problem, finish) in zip(
+                instances, (_done(None) if no else next(plans) for no in refused))]
 
 
 def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:

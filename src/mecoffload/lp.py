@@ -49,7 +49,8 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
 MAX_ITER = 100_000  # pivots per problem and phase
 MAX_TABLEAU_ENTRIES = 1 << 24  # doubles per problem (128 MiB)
-STACK_ENTRIES = 1 << 16  # doubles per lockstep stack (512 KiB), as `_entries` counts them
+STACK_ENTRIES = 1 << 17  # doubles per lockstep stack (1 MiB), as `_entries` counts them
+PRODUCT_ENTRIES = 1 << 14  # doubles of the pivot-product buffer (128 KiB)
 
 _RELATIONS = ("<=", "=", ">=")
 _SENSE = {"<=": 1, "=": 0, ">=": -1}  # negated by a row sign flip
@@ -206,15 +207,15 @@ def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarra
 
     A problem leaves the working set as soon as it is done, so that the
     others do not carry it through their remaining steps.  The pivot
-    products go to one buffer of a quarter of STACK_ENTRIES, a few tableaus
-    at a time."""
+    products go to one buffer of PRODUCT_ENTRIES doubles, a few tableaus at
+    a time, whatever the stack's size."""
     m, n = stack.shape[1] - 1, stack.shape[2] - 1
     unbounded = np.zeros(len(lps), dtype=bool)
     at = np.arange(len(lps))  # where in lps each working problem sits
     # lps is sorted, so all of them is the whole stack, pivoted in place
     work, work_basis = (stack, basis) if lps.size == len(stack) else (stack[lps], basis[lps])
     working = at
-    products = np.empty_like(work[: max(1, min(len(work), STACK_ENTRIES // 4 // stack[0].size))])
+    products = np.empty_like(work[: max(1, min(len(work), PRODUCT_ENTRIES // stack[0].size))])
     for _ in range(MAX_ITER):
         if not at.size:
             return unbounded

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _TIE_RTOL = 1e-12  # floating-point equality is meaningless; ties are relative
+_CHUNK_ENTRIES = 1 << 16  # doubles per (2^K, rows) subset-sum array of the rate oracle
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def brute_force_rate_max_batch(
     None for an instance of more than `budget.max_users_rate` users.
 
     The instances of each user count form a block, taken in chunks whose
-    (2^K, chunk) arrays hold at most `lp.STACK_ENTRIES` doubles.  A chunk's
+    (2^K, chunk) arrays hold at most `_CHUNK_ENTRIES` doubles.  A chunk's
     subset sums come from `_subset_sums`, which adds every subset's
     members in ascending id from 0.0, as the closed form's numerator does;
     the size penalty is added to the denominator last.  Each instance's sum
@@ -148,13 +149,13 @@ def _size_penalties(degradation: float, n: int) -> np.ndarray:
 
 def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
     """The rate oracle of instances with one user count K, in chunks of
-    `lp.STACK_ENTRIES` // 2^K of them (at least one)."""
+    `_CHUNK_ENTRIES` // 2^K of them (at least one)."""
     n_users = instances[0].n_users
     size_penalties = _size_penalties if n_users <= _TABLE_MEMO_MAX else _size_penalties.__wrapped__
     weight, roundtrip, service = block_columns(
         instances, "weight", "roundtrip_time_per_bit", "service_rate")
     wr, qr = (weight * service).T, (roundtrip * service).T  # (K, rows)
-    rows = max(1, lpmod.STACK_ENTRIES >> n_users)
+    rows = max(1, _CHUNK_ENTRIES >> n_users)
     ids = range(n_users)
     winners = []  # each instance's smallest subset tuple among its ties
     for start in range(0, len(instances), rows):
@@ -243,14 +244,11 @@ def brute_force_energy_batch(
     solved = iter(solve([case for case, no in zip(cases, refused) if not no]))
     fulls = [None if no else next(solved) for no in refused]
 
-    others = []  # per instance: the other subsets that could win, in mask order
-    for (instance, partition, optional), full, no in zip(cases, fulls, refused):
-        masks = () if no else range((1 << len(optional)) - 1)
-        if masks and full is not None:
-            bounds, scale = _offload_bounds(instance, partition, optional)
-            ceiling = full.objective + _prune_margin(scale, len(optional))
-            masks = [mask for mask in masks if not bounds[mask] > ceiling]
-        others.append([_subset_tuple(m, optional) for m in masks])
+    kept = iter(_kept_masks([case for case, no in zip(cases, refused) if not no],
+                            [full for full, no in zip(fulls, refused) if not no]))
+    # per instance: the other subsets that could win, in mask order
+    others = [[] if no else [_subset_tuple(m, optional) for m in next(kept)]
+              for (_, _, optional), no in zip(cases, refused)]
     schedules = iter(solve([
         (instance, partition, s1)
         for (instance, partition, _), subsets in zip(cases, others) for s1 in subsets
@@ -264,6 +262,59 @@ def brute_force_energy_batch(
     ]
 
 
+def _kept_masks(cases, fulls) -> list[list[int]]:
+    """Per (instance, partition, optional users) case, the masks over its
+    optional users of the subsets other than the full one that could win,
+    in order: every one where the full subset's schedule is None, and
+    otherwise each whose `_offload_bounds` bound is not above the full
+    subset's objective plus `_prune_margin`.  Each case's partition is its
+    instance's own, and its optional users that partition's free saving
+    users in id order.
+
+    Every other subset lies inside the full set less one member, and its
+    bound is at least that set's: the bound is a chain of rounded additions
+    in user id order, each monotone in both terms, and a member's term
+    delta * L < 0 becomes -0.0 when it leaves.  So where each of the n
+    single-removal bounds (`_removal_bounds`) is above the ceiling, no
+    subset is kept, and the 2^n bound table is built only elsewhere: where
+    some single-removal bound is nan or not above it."""
+    kept = [list(range((1 << len(optional)) - 1)) for _, _, optional in cases]
+    pruned = [k for k, full in enumerate(fulls) if full is not None and cases[k][2]]
+    removals = per_user_count([cases[k][0] for k in pruned], _removal_bounds)
+    for k, (singles, scale) in zip(pruned, removals):
+        instance, partition, optional = cases[k]
+        ceiling = fulls[k].objective + _prune_margin(scale, len(optional))
+        if all(bound > ceiling for bound in singles):
+            kept[k] = []
+        else:
+            bounds, _ = _offload_bounds(instance, partition, optional)
+            kept[k] = [mask for mask in kept[k] if not bounds[mask] > ceiling]
+    return kept
+
+
+# an overflowed sum is inf, and inf + -inf nan: `_prune_margin` and
+# `_kept_masks` then skip nothing
+@np.errstate(over="ignore", invalid="ignore")
+def _removal_bounds(instances: list[Instance]) -> list[tuple[list[float], float]]:
+    """Per instance of one user count, the `_offload_bounds` bound of its
+    full subset less each optional user (its free saving users, in id
+    order), and the bound scale, for the block in one broadcast.  Each
+    entry is formed as `_offload_bounds` forms it, to the bit."""
+    task, min_bits, delta = block_columns(instances, "task_bits", "min_offload_bits",
+                                          "delta_per_bit")
+    optional = [sorted(i.partition.free_saving) for i in instances]
+    # every saving user's whole task and every forced costly one's minimum,
+    # as `energy._branch_block` forms the loads; 0.0 for the rest
+    full = np.where(delta < 0.0, task, np.where(min_bits > 0.0, min_bits, 0.0))
+    bits = np.repeat(full[:, None, :], max(map(len, optional)), axis=1)  # (rows, n, K)
+    rows, removed = zip(*((k, j) for k, ids in enumerate(optional) for j in range(len(ids))))
+    bits[rows, removed, [uid for ids in optional for uid in ids]] = 0.0
+    bounds = sums_in_order(bits * delta[:, None, :]).tolist()
+    scales = sums_in_order(np.abs(delta * task)).tolist()
+    return [(row[: len(ids)], scale) for row, ids, scale in zip(bounds, optional, scales)]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _offload_bounds(instance: Instance, partition, optional: list[int]):
     """Per subset mask over `optional`, a lower bound on the objective of its
     subset LP, and the scale sum_k |delta_k| L_k over every user.

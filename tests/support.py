@@ -100,7 +100,8 @@ def stock_energy_lps(realizations=10):
     7, `realizations` per grid point), built from their instances one
     instance after another: every subset LP of the exhaustive energy
     oracle in mask order, the heuristic's LP-branch LP where it takes that
-    branch, and the all-offload LP."""
+    branch, and the all-offload LP where the deadline is not below t_min
+    (below it the benchmark builds none)."""
     problems = []
     for experiment in ("energy-vs-T", "energy-vs-d"):
         spec = SweepSpec(experiment=experiment, realizations=realizations, base_seed=7)

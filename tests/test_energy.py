@@ -19,6 +19,7 @@ from mecoffload import (
     feasibility_gap,
     feasibility_tmin,
     generate_instance,
+    generate_instances,
     partition_users,
     required_compute_time,
     solve_energy_suboptimal,
@@ -477,7 +478,8 @@ class TestAllOffloadingBatch:
 
     def test_stacks_stay_within_the_budget(self, monkeypatch):
         # K = 400 LPs are each beyond the stack budget, so each stacks
-        # alone; three K = 40 LPs fit in one stack
+        # alone; three K = 40 LPs fit in one stack.  The K = 400 draws
+        # have t_min 1.59-1.62 s, so a 1.7 s deadline gives each its LP.
         stacks = []
         solve = lp._solve_stack
 
@@ -486,7 +488,7 @@ class TestAllOffloadingBatch:
             return solve(problems)
 
         monkeypatch.setattr(lp, "_solve_stack", recording)
-        instances = [stock_instance(K, 0.05, seed, deadline=1.5) for K in (400, 40)
+        instances = [stock_instance(K, 0.05, seed, deadline=1.7) for K in (400, 40)
                      for seed in range(3)]
         assert len(energy.benchmark_energy_all_offloading_batch(instances)) == 6
         assert lp.stack_capacity(81, 41) >= 3  # the K = 40 LP: 2K + 1 rows over K + 1 columns
@@ -633,6 +635,39 @@ class TestAllOffloadRouting:
         assert_routing_is_exact([inst])
 
 
+class TestAllOffloadRefusal:
+    """A draw whose deadline is below t_min takes no all-offload LP, once
+    the size guard has passed: the LP of every user in a VM fits no such
+    deadline, and the schedule is the infeasible one that it gave."""
+
+    def test_stock_draws_below_t_min(self, monkeypatch):
+        # the 7,000 draws of the stock energy sweeps at 500 realizations
+        below = []
+        for experiment in harness.ENERGY_EXPERIMENTS:
+            spec = harness.SweepSpec(experiment=experiment, base_seed=7).normalized()
+            for gi, value in enumerate(spec.grid):
+                instances = generate_instances(harness._generation_spec(spec, value), [
+                    mix64(7, gi, ri) for ri in range(spec.realizations)])
+                below += [i for i in instances if feasibility_gap(i, i.deadline) > 0.0]
+        assert len(below) == 20
+        solved = energy._solve([
+            (problem, lambda sol, finish=finish, i=i: finish(sol) or energy._infeasible(i, None))
+            for i in below for problem, finish in [everyone_lp(i)]
+        ])
+        assert {(s.status, s.t_min) for s in solved} == {("infeasible", None)}
+        built = []
+        subset_plans = energy._subset_plans
+
+        def recording(cases):
+            built.extend(cases)
+            return subset_plans(cases)
+
+        monkeypatch.setattr(energy, "_subset_plans", recording)
+        refused = energy.benchmark_energy_all_offloading_batch(below)
+        assert list(map(repr, refused)) == list(map(repr, solved))
+        assert built == []
+
+
 class TestSharedSolutions:
     """Inside an `energy.shared_solutions` scope each distinct energy LP is
     built and stacked once, and a repeat takes the finished schedule, with
@@ -663,10 +698,12 @@ class TestSharedSolutions:
         assert 0 < stacked == built
         assert counter.problems == stacked and builds.problems == built
         # a plan that appears twice in one batch is built and stacked once
+        # (draw 2's deadline is above its t_min, so it has an LP)
+        assert feasibility_gap(instances[2], instances[2].deadline) <= 0.0
         with energy.shared_solutions():
-            twice = energy.benchmark_energy_all_offloading_batch(instances[:1] * 2)
+            twice = energy.benchmark_energy_all_offloading_batch(instances[2:3] * 2)
         assert counter.problems == stacked + 1 and builds.problems == built + 1
-        assert repr(twice[0]) == repr(twice[1]) == expected[2 * len(instances)]
+        assert repr(twice[0]) == repr(twice[1]) == expected[2 * len(instances) + 2]
 
     def test_signed_zeros_are_different_problems(self, monkeypatch):
         # x <= 0.0 and x <= -0.0 have equal arrays, but the maximum of x is

@@ -167,10 +167,10 @@ class TestRateBlocks:
 
         monkeypatch.setattr(harness, "generate_instances", counting_draw)
         monkeypatch.setattr(harness, "solve_rate_max_batch", counting_solve)
-        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=120))
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=240))
         capacity = harness._block(10)
         # `optimal` and `lr` share the one solve of each block
-        assert draws == solves == [capacity, capacity, 120 - 2 * capacity]
+        assert draws == solves == [capacity, capacity, 240 - 2 * capacity]
 
     def test_a_certified_block_calls_each_batch_once(self, monkeypatch):
         # every algorithm and the certifying oracle take each block whole:
@@ -191,11 +191,11 @@ class TestRateBlocks:
         for name in ("conditional_solution", "benchmark_greedy", "benchmark_all_offloading"):
             monkeypatch.setattr(ratemod, name, None)  # a per-instance call would fail
         monkeypatch.setattr(oracle, "brute_force_rate_max", None)
-        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=120, certify=True))
+        run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=240, certify=True))
         capacity = harness._block(10)
         names = ("brute_force_rate_max_batch", "solve_rate_max_batch", "greedy", "all-offload")
         assert calls == [
-            (name, size) for size in (capacity, capacity, 120 - 2 * capacity) for name in names
+            (name, size) for size in (capacity, capacity, 240 - 2 * capacity) for name in names
         ]
 
     def test_a_wrapped_algorithm_entry_is_the_one_called(self, monkeypatch):
@@ -260,12 +260,47 @@ class TestEnergyBlocks:
             return batch(instances, *args)
 
         monkeypatch.setitem(harness.ENERGY_ALGORITHMS, "oracle", counting)
-        run_sweep(SweepSpec(experiment="energy-vs-d", grid=(0.2,), realizations=120,
+        run_sweep(SweepSpec(experiment="energy-vs-d", grid=(0.2,), realizations=240,
                             certify=True))
-        # the all-offload LP of K = 10 users has 21 rows over 11 columns
+        # the all-offload LP of K = 10 users has 21 rows over 11 columns; a
+        # stack holds a stock grid point's 100 of them
         capacity = lp.STACK_ENTRIES // lp._entries(21, 11)
-        assert calls == [capacity, capacity, 120 - 2 * capacity]
-        assert lp.stack_capacity(21, 11) == capacity and 1 < capacity < 60
+        assert calls == [capacity, capacity, 240 - 2 * capacity]
+        assert lp.stack_capacity(21, 11) == capacity and 100 <= capacity < 120
+
+    def test_a_stock_grid_point_is_one_block_and_one_full_subset_stack(self, monkeypatch):
+        # a certified stock energy-vs-T point at 100 realizations: one
+        # oracle batch, whose first stage stacks every full-subset LP at
+        # once.  At T = 0.35 s every stock user is forced, so the block
+        # needs no other LP.
+        calls = []
+        batch = harness.brute_force_energy_batch
+
+        def counting(instances, *args):
+            calls.append(len(instances))
+            return batch(instances, *args)
+
+        monkeypatch.setitem(harness.ENERGY_ALGORITHMS, "oracle", counting)
+        spec = SweepSpec(experiment="energy-vs-T", grid=(0.35,), realizations=100,
+                         base_seed=20240, certify=True)
+        generation = harness._generation_spec(spec.normalized(), 0.35)
+        instances = generate_instances(generation, [mix64(20240, 0, ri) for ri in range(100)])
+        fulls = [lp_key(subset_lps(i)[-1]) for i in instances
+                 if feasibility_gap(i, i.deadline) <= 0.0]
+        assert 90 < len(fulls) < 100  # some draws are below t_min, and take no LP
+        blocks = stacked_keys(monkeypatch)
+        stacks = []
+        solve = lp._solve_stack
+
+        def sizing(problems):
+            stacks.append(len(problems))
+            return solve(problems)
+
+        monkeypatch.setattr(lp, "_solve_stack", sizing)
+        run_sweep(spec)
+        [block] = blocks[1:]
+        assert calls == [100]
+        assert stacks == [len(fulls)] and block == fulls
 
     @pytest.mark.parametrize("experiment, value, exhaustive, pruned, refused", [
         # one LP each; one draw is below t_min
@@ -276,11 +311,10 @@ class TestEnergyBlocks:
                                                     refused, monkeypatch):
         # No stock user is costly, so the all-offload LP is the oracle's
         # full-subset LP; the heuristic's LP branch solves the empty-subset
-        # LP, which the oracle solves only where that subset could win.  The
-        # oracle builds no LP for a draw whose deadline is below t_min, so
-        # the all-offload row stacks that draw's LP.  A block stacks each
-        # distinct LP once: the oracle's, the LP-branch LPs the oracle
-        # skipped and the all-offload LPs of the refused draws.
+        # LP, which the oracle solves only where that subset could win.  No
+        # row builds an LP for a draw whose deadline is below t_min.  A
+        # block stacks each distinct LP once: the oracle's and the LP-branch
+        # LPs the oracle skipped.
         spec = SweepSpec(experiment=experiment, grid=(value,), realizations=20, base_seed=7,
                          certify=True)
         generation = harness._generation_spec(spec.normalized(), value)
@@ -291,9 +325,9 @@ class TestEnergyBlocks:
             for i in instances if solve_energy_suboptimal(i).status == "lp-path"
         ]
         assert lp_branch
-        below = [lp_key(energy._all_offload_lps([i])[0][0]) for i in instances
-                 if feasibility_gap(i, i.deadline) > 0.0]
+        below = [i for i in instances if feasibility_gap(i, i.deadline) > 0.0]
         assert len(below) == refused
+        assert all(problem is None for problem, _ in energy._all_offload_lps(below))
         blocks = stacked_keys(monkeypatch)
         brute_force_energy_batch(instances)
         oracle_keys = blocks.pop()
@@ -304,7 +338,7 @@ class TestEnergyBlocks:
             assert len(set(block)) == len(block)
         skipped = [key for key in lp_branch if key not in set(oracle_keys)]
         assert Counter(key for block in blocks for key in block) == Counter(
-            oracle_keys + skipped + below)
+            oracle_keys + skipped)
 
     def test_a_certified_block_builds_each_lp_once(self, monkeypatch):
         # the oracle builds its LPs; the all-offload LPs and the LP-branch
@@ -320,7 +354,7 @@ class TestEnergyBlocks:
         # At T = 0.35 s every stock user is forced, so no instance has a
         # free saving user: its LP-branch LP is its full-subset LP, which
         # is its all-offload LP too.  The heuristic runs first; the
-        # all-offload row takes its plans.
+        # all-offload row takes its plans.  The draw below t_min takes none.
         spec = SweepSpec(experiment="energy-vs-T", grid=(0.35,), realizations=20, base_seed=7)
         generation = harness._generation_spec(spec.normalized(), 0.35)
         instances = [generate_instance(generation, mix64(7, 0, ri)) for ri in range(20)]
@@ -330,13 +364,13 @@ class TestEnergyBlocks:
         blocks = stacked_keys(monkeypatch)
         run_sweep(spec)
         [block] = blocks[1:]
-        assert builds.problems == len(block) == len(set(block)) == 20
+        assert builds.problems == len(block) == len(set(block)) == 19
 
     def test_the_oracle_row_reuses_the_references(self, monkeypatch):
         # A certified block's references are its oracle row: one oracle
-        # batch per block (7 grid points of two blocks, 100 realizations
-        # over blocks of 55), and the same rows as the uncertified sweep,
-        # which solves the oracle row on its own.
+        # batch per block (7 grid points of one block of 100
+        # realizations), and the same rows as the uncertified sweep, which
+        # solves the oracle row on its own.
         calls = []
         batch = harness.brute_force_energy_batch
 
@@ -348,7 +382,7 @@ class TestEnergyBlocks:
         spec = SweepSpec(experiment="energy-vs-d", realizations=100, base_seed=7, certify=True,
                          algorithms=("suboptimal", "all-offload", "oracle"))
         certified = run_sweep(spec).strip().split("\n")
-        assert len(calls) == 14 and sum(calls) == 700
+        assert calls == [100] * 7
         plain = run_sweep(dataclasses.replace(spec, certify=False)).strip().split("\n")
         assert [line.rsplit(",", 2)[0] for line in certified] == plain
         for row in csv.DictReader(certified):

@@ -406,9 +406,9 @@ class TestRowLoopEquivalence:
     def test_stock_energy_sweep_problems(self):
         # every subset LP, LP-branch LP and all-offload LP of the certified
         # stock energy-vs-T and energy-vs-d sweeps, 10 realizations per grid
-        # point
+        # point: 237 distinct problems
         problems = stock_energy_lps()
-        assert len(problems) == 393
+        assert len(problems) == 392 and len(set(map(lp_key, problems))) == 237
         self.assert_same(problems)
 
     def test_overflowing_ratios_and_infinite_coefficients(self):
@@ -538,6 +538,17 @@ class TestBatchEquivalence:
         problems, expected = request.getfixturevalue(problems)
         if budget is not None:
             monkeypatch.setattr(lp, "STACK_ENTRIES", budget)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert [repr(s) for s in solve_lps(problems)] == expected
+
+    @pytest.mark.parametrize("buffer", [0, math.inf], ids=["one-tableau", "whole-stack"])
+    @pytest.mark.parametrize("problems", ["mix", "energy_lps"])
+    def test_product_buffer_leaves_the_bits(self, problems, buffer, request, monkeypatch):
+        # the pivot products of one tableau at a time, and of the whole
+        # stack at once, in one stack of every problem
+        problems, expected = request.getfixturevalue(problems)
+        monkeypatch.setattr(lp, "STACK_ENTRIES", math.inf)
+        monkeypatch.setattr(lp, "PRODUCT_ENTRIES", buffer)
         with np.errstate(over="ignore", invalid="ignore"):
             assert [repr(s) for s in solve_lps(problems)] == expected
 

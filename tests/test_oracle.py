@@ -160,11 +160,12 @@ class TestRateOracleBatch:
             assert validate_rate_schedule(inst, schedule).ok
 
 
-def stock_grid_blocks(seed, realizations=100):
-    """The instances of every grid point of the two stock rate sweeps, one
-    block per point, drawn as `harness.run_sweep` draws them."""
+def stock_grid_blocks(seed, realizations=100, experiments=harness.RATE_EXPERIMENTS):
+    """The instances of every grid point of two stock sweeps (the rate
+    ones, unless others are named), one block per point, drawn as
+    `harness.run_sweep` draws them."""
     blocks = []
-    for experiment in ("rate-vs-K", "rate-vs-d"):
+    for experiment in experiments:
         spec = harness.SweepSpec(experiment=experiment, realizations=realizations,
                                  base_seed=seed).normalized()
         for gi, value in enumerate(spec.grid):
@@ -176,7 +177,7 @@ def stock_grid_blocks(seed, realizations=100):
 
 class TestSubsetSumRecurrence:
     """The oracle sums every subset by one addition from the subset less its
-    top member, in chunks of `lp.STACK_ENTRIES` // 2^K instances.  Its
+    top member, in chunks of `oracle._CHUNK_ENTRIES` // 2^K instances.  Its
     schedules must be the gemv enumeration's (`reference_brute_force_rate_max`)
     to the bit, ties and saturated penalties included."""
 
@@ -196,11 +197,39 @@ class TestSubsetSumRecurrence:
 
     @pytest.mark.parametrize("n_users", [13, 14])
     def test_raised_budget_in_several_chunks(self, n_users):
-        rows = lp.STACK_ENTRIES >> n_users
+        rows = oracle._CHUNK_ENTRIES >> n_users
         instances = [stock_instance(n_users, d, mix64(241, n_users, k))
                      for k, d in enumerate((0.0, 0.1, 0.3) * rows)]  # chunks of mixed d
         assert len(instances) > 2 * rows
         self.assert_reference(instances, OracleBudget(max_users_rate=n_users))
+
+    @pytest.mark.parametrize("budget", [0, math.inf])
+    def test_chunks_keep_their_size_whatever_the_lp_stack_budget(self, budget, monkeypatch):
+        # the (2^K, rows) sums hold at most 2^16 doubles, or one instance
+        # where 2^K alone is more, and do not follow `lp.STACK_ENTRIES`
+        subset_sums = oracle._subset_sums
+        instances = [stock_instance(n_users, 0.1, mix64(243, n_users, k))
+                     for n_users in (4, 12, 17) for k in range(40)]
+
+        def chunks():
+            shapes = []
+
+            def recording(terms):
+                if not (terms == 1.0).all():  # not a size-penalty table's column of ones
+                    shapes.append((1 << len(terms), terms.shape[1]))
+                return subset_sums(terms)
+
+            monkeypatch.setattr(oracle, "_subset_sums", recording)
+            brute_force_rate_max_batch(instances, OracleBudget(max_users_rate=17))
+            # each chunk sums w*r, then (a + b*g)*r
+            assert shapes[::2] == shapes[1::2]
+            return shapes[::2]
+
+        stock = chunks()
+        monkeypatch.setattr(lp, "STACK_ENTRIES", budget)
+        assert chunks() == stock
+        assert oracle._CHUNK_ENTRIES == 1 << 16
+        assert stock == [(16, 40), (4096, 16), (4096, 16), (4096, 8), *[(1 << 17, 1)] * 40]
 
     @pytest.mark.parametrize("n_users", [2, 5, 9, 12])
     def test_identical_users_tie_in_a_mixed_chunk(self, n_users):
@@ -621,6 +650,90 @@ class TestPrunedSubsets:
         schedule = brute_force_energy(inst)
         assert schedule.scheduled == frozenset({0})
         assert repr(schedule) == repr(reference_brute_force_energy(inst))
+
+    @staticmethod
+    def kept_masks_against_the_table(blocks, monkeypatch):
+        """Run the oracle on each block with `_kept_masks` checked against
+        the masks that the whole 2^n bound table keeps.  Returns the
+        instances it pruned, those it built the table for, the bounds that
+        overflowed and the pruned instances whose single-removal bounds lie
+        on both sides of the ceiling."""
+        offload_bounds, kept_masks = oracle._offload_bounds, oracle._kept_masks
+        seen = SimpleNamespace(pruned=[], tables=[], overflowed=[], mixed=[])
+
+        def table_masks(cases, fulls):
+            masks = []
+            for (instance, partition, optional), full in zip(cases, fulls):
+                kept = range((1 << len(optional)) - 1)
+                if full is not None and optional:
+                    bounds, scale = offload_bounds(instance, partition, optional)
+                    ceiling = full.objective + oracle._prune_margin(scale, len(optional))
+                    kept = [mask for mask in kept if not bounds[mask] > ceiling]
+                    seen.pruned.append(instance)
+                    seen.overflowed += [bound for bound in bounds if not math.isfinite(bound)]
+                    everyone = (1 << len(optional)) - 1
+                    above = {bounds[everyone ^ (1 << j)] > ceiling for j in range(len(optional))}
+                    if len(above) == 2:
+                        seen.mixed.append(instance)
+                masks.append(list(kept))
+            return masks
+
+        def checking(cases, fulls):
+            kept = kept_masks(cases, fulls)
+            assert kept == table_masks(cases, fulls)
+            return kept
+
+        def counting(instance, *args):
+            seen.tables.append(instance)
+            return offload_bounds(instance, *args)
+
+        monkeypatch.setattr(oracle, "_kept_masks", checking)
+        monkeypatch.setattr(oracle, "_offload_bounds", counting)
+        for block in blocks:
+            brute_force_energy_batch(block)
+        return seen
+
+    @pytest.mark.parametrize("variant", ["stock", "costly", "overflow"])
+    @pytest.mark.parametrize("seed", [7, 20240])
+    def test_single_removal_bounds_keep_the_tables_masks(self, seed, variant, monkeypatch):
+        # `_kept_masks` decides most instances from the bounds of the full
+        # set less one member, and must keep the masks that the whole 2^n
+        # bound table keeps.  The costly variant gives every third user 100
+        # times the transmit power; the overflow variant weights of 1e300
+        # and 3e11 times that power, so that the forced costly users' terms
+        # overflow the bounds.
+        power, weight = {"stock": (1.0, 1.0), "costly": (100.0, 1.0),
+                         "overflow": (3e11, 1e300)}[variant]
+        seen = self.kept_masks_against_the_table(
+            [[scaled(i, power, weight) for i in block]
+             for block in stock_grid_blocks(seed, experiments=harness.ENERGY_EXPERIMENTS)],
+            monkeypatch)
+        assert len(seen.pruned) > 400
+        if variant == "overflow":
+            assert seen.overflowed and len(seen.tables) == len(seen.pruned)
+        else:
+            assert not seen.overflowed and len(seen.tables) < len(seen.pruned) / 10
+
+    def test_single_removal_bounds_on_both_sides_of_the_ceiling(self, monkeypatch):
+        # at d = 0.6 and 1.0 smaller subsets often beat the full one, and
+        # some instances keep a few single-removal sets but not all
+        blocks = []
+        for d in (0.6, 1.0):
+            draws = [stock_instance(8, d, mix64(171, seed), deadline=0.45) for seed in range(40)]
+            blocks.append([with_deadline(i, feasibility_deadline(i, (1.2, 1.4, 1.6, 2.0)[k % 4]))
+                           for k, i in enumerate(draws)])
+        seen = self.kept_masks_against_the_table(blocks, monkeypatch)
+        assert len(seen.mixed) > 10 and len(seen.tables) < len(seen.pruned)
+
+
+def scaled(instance, power, weight):
+    """The instance with `power` times the transmit power of users 1, 4, 7,
+    ... and `weight` times every weight."""
+    if power == weight == 1.0:
+        return instance
+    tx_power = instance.tx_power.copy()
+    tx_power[1::3] *= power
+    return dataclasses.replace(instance, tx_power=tx_power, weight=instance.weight * weight)
 
 
 def feasibility_deadline(instance, factor):

@@ -1,7 +1,8 @@
 """The benchmark's span and count targets must name functions the library
 has, so that a rename fails here rather than in `perfbench/run.py --trace 1`;
-and the K = 100 frames must keep the outputs whose digest the benchmark
-recorded, so that a solver change that moves a bit fails here too.
+and the K = 100 frames and one round of each sweep workload must keep the
+outputs whose digests the benchmark recorded, so that a solver change that
+moves a bit fails here too.
 
 The benchmark's own modules are loaded from `perfbench/`, read but not
 run: `run.import_library` describes the library exactly as the benchmark
@@ -72,19 +73,35 @@ def test_install_wraps_every_target_and_undo_restores(bench):
     assert patches.restored()
 
 
-def test_large_k_frames_keep_their_recorded_fingerprint(run, bench):
-    # the benchmark's fingerprinted frames, run and checked as it does, and
-    # their combined digest against the one it recorded; neither file is
-    # written
-    _spans, lib = bench
+def recorded_fingerprint(run, lib, name):
+    """The benchmark's fingerprinted units of one workload (one round of a
+    sweep workload, the 100 frames of large-K), run and checked as it does
+    at its recorded seed: their combined digests, and the digests it
+    recorded.  Neither file is written."""
     recorded = json.loads((PERFBENCH / "fingerprints.json").read_text(encoding="utf-8"))
     assert recorded["seed"] == run.DEFAULT_SEED == 20240
-    workload = run.workloads.WORKLOADS["large-K"]
+    workload = run.workloads.WORKLOADS[name]
     parts, problems = {}, []
     for index in range(workload.traced_units(lib)):
         verdict = workload.check(lib, workload.run(lib, recorded["seed"], index))
         problems += verdict.problems
         parts.update(verdict.fingerprint)
     assert problems == []
-    assert len(parts) == 100
-    assert run.workloads.combine_fingerprints(parts) == recorded["large-K"]
+    assert len(parts) == workload.traced_units(lib)
+    return run.workloads.combine_fingerprints(parts), recorded[name]
+
+
+def test_large_k_frames_keep_their_recorded_fingerprint(run, bench):
+    _spans, lib = bench
+    combined, recorded = recorded_fingerprint(run, lib, "large-K")
+    assert run.workloads.WORKLOADS["large-K"].traced_units(lib) == 100
+    assert combined == recorded
+
+
+@pytest.mark.parametrize("name", ["rate-sweep", "energy-sweep"])
+def test_sweep_rounds_keep_their_recorded_fingerprint(run, bench, name):
+    # one certified round of every stock grid point at 100 realizations, so
+    # that a block or stack change that moves a CSV byte fails here
+    _spans, lib = bench
+    combined, recorded = recorded_fingerprint(run, lib, name)
+    assert combined == recorded and len(recorded) == 2
