@@ -428,6 +428,7 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySched
     simplex's tolerance, and admits some deadlines just below t_min.
     """
     s1 = _optional(partition, s1)  # refused first, as every subset call refuses it
+    derive_energy_columns([instance])
     if feasibility_gap(instance, instance.deadline) > 0.0:
         return None
     return _solve([_subset_lp(instance, partition, s1)])[0]

@@ -417,15 +417,27 @@ def shared_solutions():
 def derive_energy_columns(instances) -> None:
     """Fill the four energy memos of every instance without them, one broadcast
     per user count.  Each entry is formed as its instance alone forms it (the
-    squares one Python `**` at a time, sums left to right), to the bit."""
+    squares one Python `**` at a time, sums left to right), to the bit.
+
+    The energy solvers start here, so it refuses, with `ValueError`, every
+    instance whose energy terms overflow the doubles: a local energy or an
+    energy delta per bit that is not finite would make every objective and
+    total energy of the instance inf or nan."""
     blocks: dict[int, dict[int, Instance]] = {}  # per user count, the instances by id
     for instance in instances:
         if "partition" not in vars(instance):
             blocks.setdefault(instance.n_users, {})[id(instance)] = instance
     for block in blocks.values():
         _derive_energy_block(list(block.values()))
+    if instances and not np.isfinite(np.concatenate(
+            [[i.local_energy for i in instances], *(i.delta_per_bit for i in instances)])).all():
+        raise ValueError("energy terms overflow the doubles: an instance's local energy or energy "
+                         "delta per bit is not finite")
 
 
+# an overflowed product or sum is inf, and inf - inf nan: `derive_energy_columns`
+# refuses them, and t_min and the rate solvers do not read them
+@np.errstate(over="ignore", invalid="ignore")
 def _derive_energy_block(instances: list[Instance]) -> None:
     """`derive_energy_columns` of unfilled instances of one user count."""
     weight, uplink, power, coeff, cycles, freq, task = block_columns(

@@ -10,16 +10,14 @@ skips each other subset whose full-offload bound (every member offloading
 its whole task, the least energy it could spend) cannot come within the
 tie tolerance of the full subset's optimum.  That is the first step of a
 branch and bound (Land and Doig, 1960); the winner is the one, bit for
-bit, that solving every subset picks.
-
-The energy side reads its subsets from one read-only table per size
-(`_subset_table`), built on first use and memoised up to 12 users, the
-default budget.
+bit, that solving every subset picks.  The bounds come from one walk down
+the subset lattice from the full set, with no 2^n table (`_kept_masks`).
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -59,30 +57,18 @@ class OracleBudget:
     time_limit_s: float = 60.0
 
     def __post_init__(self):
-        if self.max_users_rate < 1 or self.max_optional_energy < 0 or self.time_limit_s <= 0:
+        caps = (self.max_users_rate, self.max_optional_energy)
+        if isinstance(self.time_limit_s, bool) or not all(
+                isinstance(cap, numbers.Integral) and not isinstance(cap, bool) for cap in caps):
+            raise ValueError("oracle budget caps must be integers, and its time limit a number")
+        if not (caps[0] >= 1 and caps[1] >= 0 and self.time_limit_s > 0):  # nan fails too
             raise ValueError("oracle budget limits must be positive")
 
 
 _DEFAULT_BUDGET = OracleBudget()
 
 
-_TABLE_MEMO_MAX = 12  # the default budgets; the tables up to here take under 1 MB
-_tables: dict[int, np.ndarray] = {}
-
-
-def _subset_table(n: int) -> np.ndarray:
-    """The subsets of n items as a read-only float64 (2^n, n) array, row i
-    holding the bits of mask i.  Tables up to n = `_TABLE_MEMO_MAX` are
-    built on first use and kept; larger ones are built per call and not
-    kept."""
-    table = _tables.get(n)
-    if table is None:
-        masks = np.arange(1 << n, dtype=np.int64)
-        table = ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-        table.setflags(write=False)
-        if n <= _TABLE_MEMO_MAX:
-            _tables[n] = table
-    return table
+_PENALTY_MEMO_MAX = 12  # the default rate budget; `_size_penalties` memoises up to here
 
 
 def _subset_sums(terms: np.ndarray) -> np.ndarray:
@@ -140,7 +126,7 @@ def _size_penalties(degradation: float, n: int) -> np.ndarray:
     """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order,
     read-only: the size penalties of `rate._penalties`, inf past overflow,
     indexed by subset size.  Memoised per (d, n); `_rate_block` calls the
-    unmemoised `__wrapped__` past n = `_TABLE_MEMO_MAX`."""
+    unmemoised `__wrapped__` past n = `_PENALTY_MEMO_MAX`."""
     sizes = _subset_sums(np.ones((n, 1)))[1:, 0].astype(np.intp) - 1
     penalties = np.array(_penalties(degradation, n))[sizes]
     penalties.setflags(write=False)
@@ -151,7 +137,7 @@ def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
     """The rate oracle of instances with one user count K, in chunks of
     `_CHUNK_ENTRIES` // 2^K of them (at least one)."""
     n_users = instances[0].n_users
-    size_penalties = _size_penalties if n_users <= _TABLE_MEMO_MAX else _size_penalties.__wrapped__
+    size_penalties = _size_penalties if n_users <= _PENALTY_MEMO_MAX else _size_penalties.__wrapped__
     weight, roundtrip, service = block_columns(
         instances, "weight", "roundtrip_time_per_bit", "service_rate")
     wr, qr = (weight * service).T, (roundtrip * service).T  # (K, rows)
@@ -200,7 +186,7 @@ def brute_force_energy_batch(
     admit some deadlines just below t_min.  The first stage solves every
     other instance's full subset (all its free saving users).  The second
     builds and solves each other subset only where its full-offload bound
-    (`_offload_bounds`) is not above the full subset's objective plus
+    (`_kept_masks`) is not above the full subset's objective plus
     `_prune_margin`, which keeps the winner the one, bit for bit, that
     solving every subset would pick.  Where the full subset is infeasible,
     no subset is skipped.  The time guard covers the whole batch: it is
@@ -229,16 +215,12 @@ def brute_force_energy_batch(
             schedules += energymod._solve(plans[start:stop])
         return schedules
 
-    cases = []  # per instance: its partition and its optional users in id order
-    for instance in instances:
-        partition = energymod.partition_users(instance)
-        optional = sorted(partition.free_saving)
-        if len(optional) > budget.max_optional_energy:
-            raise BudgetExceededError(
-                f"{len(optional)} optional users exceed the energy oracle budget "
-                f"{budget.max_optional_energy}"
-            )
-        cases.append((instance, partition, optional))
+    # per instance: its partition and its optional users in id order
+    cases = [(i, i.partition, sorted(i.partition.free_saving)) for i in instances]
+    most = max((len(optional) for _, _, optional in cases), default=0)
+    if most > budget.max_optional_energy:
+        raise BudgetExceededError(
+            f"{most} optional users exceed the energy oracle budget {budget.max_optional_energy}")
     # a refused instance takes no LP, and `_least_energy` then meets only None
     refused = [gap > 0.0 for gap in per_user_count(instances, energymod._gaps)]
     solved = iter(solve([case for case, no in zip(cases, refused) if not no]))
@@ -262,79 +244,66 @@ def brute_force_energy_batch(
     ]
 
 
+# an overflowed sum is inf, and inf + -inf nan: `_prune_margin` and the
+# walk then skip nothing
+@np.errstate(over="ignore", invalid="ignore")
 def _kept_masks(cases, fulls) -> list[list[int]]:
     """Per (instance, partition, optional users) case, the masks over its
     optional users of the subsets other than the full one that could win,
     in order: every one where the full subset's schedule is None, and
-    otherwise each whose `_offload_bounds` bound is not above the full
-    subset's objective plus `_prune_margin`.  Each case's partition is its
-    instance's own, and its optional users that partition's free saving
-    users in id order.
+    otherwise each whose bound is not above the full subset's objective
+    plus `_prune_margin`.  Each case's partition is its instance's own, and
+    its optional users that partition's free saving users in id order.
 
-    Every other subset lies inside the full set less one member, and its
-    bound is at least that set's: the bound is a chain of rounded additions
-    in user id order, each monotone in both terms, and a member's term
-    delta * L < 0 becomes -0.0 when it leaves.  So where each of the n
-    single-removal bounds (`_removal_bounds`) is above the ceiling, no
-    subset is kept, and the 2^n bound table is built only elsewhere: where
-    some single-removal bound is nan or not above it."""
-    kept = [list(range((1 << len(optional)) - 1)) for _, _, optional in cases]
-    pruned = [k for k, full in enumerate(fulls) if full is not None and cases[k][2]]
-    removals = per_user_count([cases[k][0] for k in pruned], _removal_bounds)
-    for k, (singles, scale) in zip(pruned, removals):
-        instance, partition, optional = cases[k]
-        ceiling = fulls[k].objective + _prune_margin(scale, len(optional))
-        if all(bound > ceiling for bound in singles):
-            kept[k] = []
-        else:
-            bounds, _ = _offload_bounds(instance, partition, optional)
-            kept[k] = [mask for mask in kept[k] if not bounds[mask] > ceiling]
-    return kept
-
-
-# an overflowed sum is inf, and inf + -inf nan: `_prune_margin` and
-# `_kept_masks` then skip nothing
-@np.errstate(over="ignore", invalid="ignore")
-def _removal_bounds(instances: list[Instance]) -> list[tuple[list[float], float]]:
-    """Per instance of one user count, the `_offload_bounds` bound of its
-    full subset less each optional user (its free saving users, in id
-    order), and the bound scale, for the block in one broadcast.  Each
-    entry is formed as `_offload_bounds` forms it, to the bit."""
-    task, min_bits, delta = block_columns(instances, "task_bits", "min_offload_bits",
-                                          "delta_per_bit")
-    optional = [sorted(i.partition.free_saving) for i in instances]
-    # every saving user's whole task and every forced costly one's minimum,
-    # as `energy._branch_block` forms the loads; 0.0 for the rest
-    full = np.where(delta < 0.0, task, np.where(min_bits > 0.0, min_bits, 0.0))
-    bits = np.repeat(full[:, None, :], max(map(len, optional)), axis=1)  # (rows, n, K)
-    rows, removed = zip(*((k, j) for k, ids in enumerate(optional) for j in range(len(ids))))
-    bits[rows, removed, [uid for ids in optional for uid in ids]] = 0.0
-    bounds = sums_in_order(bits * delta[:, None, :]).tolist()
-    scales = sums_in_order(np.abs(delta * task)).tolist()
-    return [(row[: len(ids)], scale) for row, ids, scale in zip(bounds, optional, scales)]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _offload_bounds(instance: Instance, partition, optional: list[int]):
-    """Per subset mask over `optional`, a lower bound on the objective of its
-    subset LP, and the scale sum_k |delta_k| L_k over every user.
-
-    The bound is the id-ordered sum of delta * b over every user, with b
-    the whole task L for the forced saving users and the subset's members,
-    the forced minimum for the forced costly users, and 0 for everyone
-    else (`energy._commitment`).  Every LP member saves energy per bit
-    (delta < 0) and offloads at most L, and every other user's bits are
+    A subset's bound is the id-ordered sum of delta * b over every user,
+    with b the whole task L for the forced saving users and the subset's
+    members, the forced minimum for the forced costly users, and 0 for
+    everyone else (`energy._commitment`).  Every LP member saves energy per
+    bit (delta < 0) and offloads at most L, and every other user's bits are
     what the schedule assembly gives it, so no feasible point of the LP
-    spends less (up to the allowances of `_prune_margin`)."""
-    base, _ = energymod._commitment(instance, partition, ())
-    ids = np.asarray(optional, dtype=np.intp)
-    chosen = _subset_table(ids.size)
-    bits = np.repeat(base[None, :], len(chosen), axis=0)
-    bits[:, ids] = np.where(chosen != 0.0, instance.task_bits[ids], 0.0)
-    # summed left to right, in user id order, as the objective is
-    delta = instance.delta_per_bit
-    scale = sums_in_order(np.abs(delta * instance.task_bits))
-    return sums_in_order(bits * delta).tolist(), scale.item()
+    spends less (up to the allowances of `_prune_margin`).
+
+    A kept set's supersets are all kept: the bound is a chain of rounded
+    additions in user id order, each monotone in both terms, and a member's
+    term delta * L < 0 becomes -0.0 when it leaves.  So the cases of each
+    user count are walked down from their full sets a level at a time, a
+    level holding the sets one member short of a set kept above (each
+    formed once, less a member of higher id than every one already out),
+    until a level keeps nothing.  A level's bounds are formed in one
+    broadcast, each row as the sum over the whole subset table would form
+    it."""
+    kept = [list(range((1 << len(optional)) - 1)) for _, _, optional in cases]
+    blocks: dict[int, list[int]] = {}  # per user count, the cases to prune
+    for k, ((instance, _, optional), full) in enumerate(zip(cases, fulls)):
+        if full is not None and optional:
+            blocks.setdefault(instance.n_users, []).append(k)
+            kept[k] = []
+    for ks in blocks.values():
+        task, min_bits, delta = block_columns([cases[k][0] for k in ks], "task_bits",
+                                              "min_offload_bits", "delta_per_bit")
+        # the free saving users, as `Instance.partition` classes them; mask
+        # bit j stands for the jth of them in id order
+        optional = (delta < 0.0) & ~(min_bits > 0.0)
+        bit, users = (1 << np.cumsum(optional, axis=1)) >> 1, np.arange(delta.shape[1])
+        sizes = np.count_nonzero(optional, axis=1)
+        ceilings = np.array([fulls[k].objective for k in ks]) + _prune_margin(
+            sums_in_order(np.abs(delta * task)), sizes)
+        # level 0, the full sets: every saving user's whole task and every
+        # forced costly one's minimum, 0.0 for the rest
+        case, mask, last = np.arange(len(ks)), (1 << sizes) - 1, np.full(len(ks), -1)
+        bits = np.where(delta < 0.0, task, np.where(min_bits > 0.0, min_bits, 0.0))
+        found = []  # (case, mask) pairs
+        while case.size:
+            rows, out = np.nonzero(optional[case] & (users > last[:, None]))
+            case, last, bits = case[rows], out, bits[rows]
+            mask = mask[rows] & ~bit[case, out]
+            bits[np.arange(rows.size), out] = 0.0
+            keep = ~(sums_in_order(bits * delta[case]) > ceilings[case])
+            case, mask, last, bits = case[keep], mask[keep], last[keep], bits[keep]
+            found += zip(case.tolist(), mask.tolist())
+        for c, m in sorted(found):
+            kept[ks[c]].append(m)
+    return kept
 
 
 _BOX_RTOL = 1e-6  # of the scale: the simplex's box slack and the sums' rounding
@@ -343,7 +312,8 @@ _BOX_RTOL = 1e-6  # of the scale: the simplex's box slack and the sums' rounding
 def _prune_margin(scale: float, n_optional: int) -> float:
     """How far a subset's bound must lie above the full subset's objective
     F before the subset is skipped, for instances with `n_optional` free
-    saving users and bound scale W (`_offload_bounds`).
+    saving users and bound scale W = sum_k |delta_k| L_k (`_kept_masks`);
+    each may be an array of them.
 
     The margin is 1e-6 W + (2^n + 2) t, with t = _TIE_RTOL (1 + W).
 

@@ -10,13 +10,15 @@ t_min.  The suite runs with `RuntimeWarning` as an error, so a stray
 overflow fails a cell too.  A costly variant of every cell, whose every
 third user pays 100 times the transmit power, also runs the subset LP and
 the energy oracle, which must give a schedule that validates or say that
-the subset or the instance is infeasible.
+the subset or the instance is infeasible.  An instance whose energy terms
+overflow the doubles is refused by every energy solver with a `ValueError`.
 """
 
 import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mecoffload import (
@@ -32,12 +34,14 @@ from mecoffload import (
     generate_instance,
     lp,
     solve_energy_suboptimal,
+    solve_energy_suboptimal_batch,
     solve_rate_max,
     solve_subset_lp,
     validate_energy_schedule,
     validate_rate_schedule,
     with_deadline,
 )
+from support import stock_instance
 
 USER_COUNTS = (0, 1, 12, 13, 1000)
 DEGRADATIONS = (0.0, 5e-324, 0.1, 0.3, 3.0, 1e30, 1e300)
@@ -145,6 +149,23 @@ def test_every_cell_validates_or_refuses(n_users, degradation):
             assert feasibility_gap(instance, result.bracket[0]) > 0.0
         rate_cell(instance)
         energy_cell(instance, t_min)
+
+
+@pytest.mark.parametrize("coeff", [5e281, 1e282])
+def test_overflowing_energy_terms_are_refused(coeff):
+    # Every user's local energy w kappa c L f^2 overflows the doubles, and
+    # with it every objective: the energy solvers refuse the instance,
+    # while t_min and the rate solvers, which do not read those terms,
+    # still answer.
+    base = stock_instance(10, 0.2, 5, deadline=0.65)
+    instance = dataclasses.replace(base, energy_coeff=np.full(10, coeff))
+    assert feasibility_tmin(instance).t_min == feasibility_tmin(base).t_min
+    rate_cell(instance)
+    for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy,
+                  lambda i: solve_subset_lp(i, i.partition, ()),
+                  lambda i: solve_energy_suboptimal_batch([base, i])):
+        with pytest.raises(ValueError, match="local energy or energy delta per bit"):
+            solve(instance)
 
 
 def test_all_offload_refuses_above_the_lp_guard_before_building():

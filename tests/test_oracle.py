@@ -34,6 +34,7 @@ from mecoffload import (
     write_instance,
 )
 from mecoffload.harness import DEFAULT_GRIDS, cli_main
+from mecoffload.model import sums_in_order
 from mecoffload.rng import mix64
 import rate_reference
 from support import (
@@ -131,7 +132,23 @@ class TestRateOracleBatch:
         size = len(batch[0].scheduled)
         assert 1 < size < 6 and batch[0].scheduled == frozenset(range(size))
 
+    @pytest.mark.parametrize("name, value", [
+        ("time_limit_s", math.nan), ("max_optional_energy", math.nan), ("max_users_rate", math.nan),
+        ("max_users_rate", 2.5), ("max_optional_energy", 12.0), ("max_users_rate", True),
+        ("max_optional_energy", False), ("time_limit_s", True),
+    ])
+    def test_budget_refuses_nan_bools_and_fractional_caps(self, name, value):
+        # nan <= 0 is false, so a nan limit would turn its guard off
+        with pytest.raises(ValueError, match="oracle budget"):
+            OracleBudget(**{name: value})
+
     def test_budget(self):
+        # integer caps of any integer type, and any positive time limit
+        OracleBudget(max_users_rate=np.int64(3), max_optional_energy=0, time_limit_s=10)
+        OracleBudget(time_limit_s=math.inf)
+        for limits in ({"max_users_rate": 0}, {"max_optional_energy": -1}, {"time_limit_s": 0.0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                OracleBudget(**limits)
         inst = stock_instance(5, 0.1, 4)
         budget = OracleBudget(max_users_rate=4)
         assert brute_force_rate_max_batch([inst], budget) == [None]
@@ -144,7 +161,7 @@ class TestRateOracleBatch:
         table = oracle._size_penalties(0.1, 10)
         assert oracle._size_penalties(0.1, 10) is table
         assert not table.flags.writeable
-        bits = oracle._subset_table(10)
+        bits = fresh_bits(10)
         # the rate solver's Python-float penalty of each subset's size
         expected = [rate._penalties(0.1, 10)[int(size) - 1] for size in bits[1:].sum(axis=1)]
         assert table.tolist() == expected
@@ -263,9 +280,9 @@ def fresh_bits(n):
 
 
 class TestSubsetTables:
-    """The energy oracle reads one memoised subset table per size, the
-    bits of a fresh build.  The rate oracle's winners and their bits must
-    be what the per-call enumeration gives."""
+    """The rate oracle's winners and their bits must be what the per-call
+    enumeration gives, and the energy oracle's kept subsets what a fresh
+    subset matrix of bounds keeps."""
 
     @pytest.mark.parametrize("n_users", range(1, 13))
     def test_rate_oracle_matches_the_per_call_enumeration(self, n_users):
@@ -287,44 +304,38 @@ class TestSubsetTables:
         inst = stock_instance(n_users, degradation, seed)
         assert repr(brute_force_rate_max(inst)) == repr(reference_brute_force_rate_max(inst))
 
-    def test_tables_are_the_fresh_bits(self):
-        for n in range(0, 13):
-            assert np.array_equal(oracle._subset_table(n), fresh_bits(n))
-
-    def test_tables_are_read_only_and_shared(self):
-        for n in (0, 1, 5, 12):
-            table = oracle._subset_table(n)
-            assert oracle._subset_table(n) is table
-            with pytest.raises(ValueError):
-                table[...] = 0
-            with pytest.raises(ValueError):
-                table[1:][0, 0] = 1.0
-
     def test_raised_budget_builds_per_call_and_keeps_nothing(self):
         inst = stock_instance(13, 0.1, 4)
+        memo = oracle._size_penalties.cache_info()
         schedule = brute_force_rate_max(inst, OracleBudget(max_users_rate=13))
         assert repr(schedule) == repr(reference_brute_force_rate_max(inst))
-        assert 13 not in oracle._tables
-        assert oracle._subset_table(13) is not oracle._subset_table(13)
-        assert max(oracle._tables) <= oracle._TABLE_MEMO_MAX
+        # past `_PENALTY_MEMO_MAX` the penalties are built for the call alone
+        assert oracle._size_penalties.cache_info() == memo
+        assert oracle._PENALTY_MEMO_MAX == 12
 
-    def test_memoised_tables_take_under_a_megabyte(self):
-        nbytes = sum(oracle._subset_table(n).nbytes for n in range(oracle._TABLE_MEMO_MAX + 1))
-        assert nbytes < 1 << 20
-
-    def test_energy_bounds_match_a_fresh_subset_matrix(self):
+    def test_energy_bounds_match_a_fresh_subset_matrix(self, monkeypatch):
+        # With no margin, a ceiling at each subset's fresh bound must keep
+        # exactly the other subsets whose fresh bound is not above it: the
+        # walk's bounds are the matrix rows' sums, to the bit.
+        monkeypatch.setattr(oracle, "_prune_margin", lambda scale, n_optional: 0.0)
+        cases, fulls, expected = [], [], []
         for inst in oracle_mix():
             part = partition_users(inst)
             optional = sorted(part.free_saving)
-            bounds, scale = oracle._offload_bounds(inst, part, optional)
-            ids = np.asarray(optional, dtype=np.intp)
-            base, _ = energy._commitment(inst, part, ())
-            bits = np.repeat(base[None, :], 1 << ids.size, axis=0)
-            bits[:, ids] = np.where(fresh_bits(ids.size).astype(bool), inst.task_bits[ids], 0.0)
             # each row summed left to right from 0.0, as the objective is
             fresh = [functools.reduce(operator.add, row, 0.0)
-                     for row in (bits * inst.delta_per_bit).tolist()]
-            assert list(map(repr, bounds)) == list(map(repr, fresh))
+                     for row in (table_loads(inst, part, optional) * inst.delta_per_bit).tolist()]
+            for ceiling in fresh:
+                cases.append((inst, part, optional))
+                fulls.append(SimpleNamespace(objective=ceiling))
+                expected.append([mask for mask, bound in enumerate(fresh[:-1])
+                                 if not bound > ceiling])
+        kept = oracle._kept_masks(cases, fulls)
+        assert kept == expected
+        # some ceilings keep subsets, and some skip some
+        assert len(cases) > 100 and any(kept)
+        assert any(len(masks) < (1 << len(optional)) - 1
+                   for masks, (_, _, optional) in zip(kept, cases))
 
 
 class TestEnergyOracle:
@@ -454,14 +465,92 @@ def oracle_mix():
     ]
 
 
+def mixed_user_counts():
+    """`oracle_mix` with a K = 4 and a K = 12 draw after every fourth of its
+    K = 8 draws, so that one batch holds three user counts."""
+    draws = []
+    for k, instance in enumerate(oracle_mix()):
+        draws.append(instance)
+        if k % 4 == 3:
+            draws += [stock_instance(4, 0.25, mix64(163, 4, k), deadline=(0.9, 1.2)[k // 4 % 2]),
+                      stock_instance(12, 0.25, mix64(163, 12, k),
+                                     deadline=(0.45, 0.6, 0.9)[k // 4 % 3])]
+    return draws
+
+
+def table_loads(instance, partition, optional):
+    """The full-offload loads of every subset mask over `optional`, as the
+    (2^n, K) subset table: `energy._commitment`'s loads with the mask's
+    members at their whole task."""
+    base, _ = energy._commitment(instance, partition, ())
+    ids = np.asarray(optional, dtype=np.intp)
+    chosen = fresh_bits(ids.size)
+    bits = np.repeat(base[None, :], len(chosen), axis=0)
+    bits[:, ids] = np.where(chosen != 0.0, instance.task_bits[ids], 0.0)
+    return bits
+
+
+def table_bounds(instance, partition, optional):
+    """The full-offload bound of every subset mask over `optional`, each
+    row of `table_loads` summed by `sums_in_order`, and the bound scale
+    sum_k |delta_k| L_k."""
+    delta = instance.delta_per_bit
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed bound prunes nothing
+        scale = sums_in_order(np.abs(delta * instance.task_bits))
+        bounds = sums_in_order(table_loads(instance, partition, optional) * delta)
+    return bounds.tolist(), scale.item()
+
+
+def kept_masks_against_the_table(blocks, monkeypatch):
+    """Run the energy oracle on each block with `_kept_masks` checked
+    against the masks that the whole subset table's bounds keep.  Returns
+    the oracle's schedules of each block, the instances it pruned, those
+    that the walk took past level 1 (where the full set less some member
+    is kept), the bounds that overflowed and the pruned instances whose
+    level-1 bounds lie on both sides of the ceiling."""
+    kept_masks = oracle._kept_masks
+    seen = SimpleNamespace(schedules=[], pruned=[], walked=[], overflowed=[], mixed=[])
+
+    def table_masks(cases, fulls):
+        masks = []
+        for (instance, partition, optional), full in zip(cases, fulls):
+            kept = range((1 << len(optional)) - 1)
+            if full is not None and optional:
+                bounds, scale = table_bounds(instance, partition, optional)
+                ceiling = full.objective + oracle._prune_margin(scale, len(optional))
+                kept = [mask for mask in kept if not bounds[mask] > ceiling]
+                seen.pruned.append(instance)
+                seen.overflowed += [bound for bound in bounds if not math.isfinite(bound)]
+                everyone = (1 << len(optional)) - 1
+                above = {bounds[everyone ^ (1 << j)] > ceiling for j in range(len(optional))}
+                if False in above:
+                    seen.walked.append(instance)
+                if len(above) == 2:
+                    seen.mixed.append(instance)
+            masks.append(list(kept))
+        return masks
+
+    def checking(cases, fulls):
+        kept = kept_masks(cases, fulls)
+        assert kept == table_masks(cases, fulls)
+        return kept
+
+    monkeypatch.setattr(oracle, "_kept_masks", checking)
+    seen.schedules = [brute_force_energy_batch(block) for block in blocks]
+    return seen
+
+
 class TestEnergyOracleBatch:
-    def test_batch_matches_the_scalar_subset_loop(self):
-        instances = oracle_mix()
-        batch = brute_force_energy_batch(instances)
+    def test_batch_matches_the_scalar_subset_loop(self, monkeypatch):
+        # K = 4 and 12 draws among the K = 8 ones, in one batch
+        instances = mixed_user_counts()
+        seen = kept_masks_against_the_table([instances], monkeypatch)
+        [batch] = seen.schedules
         assert repr(batch) == repr([reference_brute_force_energy(i) for i in instances])
         assert repr(batch) == repr([brute_force_energy(i) for i in instances])
         assert {s.status for s in batch} == {"lp-path", "infeasible"}
         assert max(len(partition_users(i).free_saving) for i in instances) >= 3
+        assert {i.n_users for i in seen.pruned} == {4, 8, 12}
 
     def test_exact_tie_takes_the_smallest_subset(self):
         # two identical optional users, either of which alone fills the
@@ -651,68 +740,26 @@ class TestPrunedSubsets:
         assert schedule.scheduled == frozenset({0})
         assert repr(schedule) == repr(reference_brute_force_energy(inst))
 
-    @staticmethod
-    def kept_masks_against_the_table(blocks, monkeypatch):
-        """Run the oracle on each block with `_kept_masks` checked against
-        the masks that the whole 2^n bound table keeps.  Returns the
-        instances it pruned, those it built the table for, the bounds that
-        overflowed and the pruned instances whose single-removal bounds lie
-        on both sides of the ceiling."""
-        offload_bounds, kept_masks = oracle._offload_bounds, oracle._kept_masks
-        seen = SimpleNamespace(pruned=[], tables=[], overflowed=[], mixed=[])
-
-        def table_masks(cases, fulls):
-            masks = []
-            for (instance, partition, optional), full in zip(cases, fulls):
-                kept = range((1 << len(optional)) - 1)
-                if full is not None and optional:
-                    bounds, scale = offload_bounds(instance, partition, optional)
-                    ceiling = full.objective + oracle._prune_margin(scale, len(optional))
-                    kept = [mask for mask in kept if not bounds[mask] > ceiling]
-                    seen.pruned.append(instance)
-                    seen.overflowed += [bound for bound in bounds if not math.isfinite(bound)]
-                    everyone = (1 << len(optional)) - 1
-                    above = {bounds[everyone ^ (1 << j)] > ceiling for j in range(len(optional))}
-                    if len(above) == 2:
-                        seen.mixed.append(instance)
-                masks.append(list(kept))
-            return masks
-
-        def checking(cases, fulls):
-            kept = kept_masks(cases, fulls)
-            assert kept == table_masks(cases, fulls)
-            return kept
-
-        def counting(instance, *args):
-            seen.tables.append(instance)
-            return offload_bounds(instance, *args)
-
-        monkeypatch.setattr(oracle, "_kept_masks", checking)
-        monkeypatch.setattr(oracle, "_offload_bounds", counting)
-        for block in blocks:
-            brute_force_energy_batch(block)
-        return seen
-
     @pytest.mark.parametrize("variant", ["stock", "costly", "overflow"])
     @pytest.mark.parametrize("seed", [7, 20240])
     def test_single_removal_bounds_keep_the_tables_masks(self, seed, variant, monkeypatch):
         # `_kept_masks` decides most instances from the bounds of the full
-        # set less one member, and must keep the masks that the whole 2^n
-        # bound table keeps.  The costly variant gives every third user 100
+        # set less one member (level 1 of its walk), and must keep the masks
+        # that the whole 2^n bound table keeps.  The costly variant gives every third user 100
         # times the transmit power; the overflow variant weights of 1e300
         # and 3e11 times that power, so that the forced costly users' terms
         # overflow the bounds.
         power, weight = {"stock": (1.0, 1.0), "costly": (100.0, 1.0),
                          "overflow": (3e11, 1e300)}[variant]
-        seen = self.kept_masks_against_the_table(
+        seen = kept_masks_against_the_table(
             [[scaled(i, power, weight) for i in block]
              for block in stock_grid_blocks(seed, experiments=harness.ENERGY_EXPERIMENTS)],
             monkeypatch)
         assert len(seen.pruned) > 400
         if variant == "overflow":
-            assert seen.overflowed and len(seen.tables) == len(seen.pruned)
+            assert seen.overflowed and len(seen.walked) == len(seen.pruned)
         else:
-            assert not seen.overflowed and len(seen.tables) < len(seen.pruned) / 10
+            assert not seen.overflowed and len(seen.walked) < len(seen.pruned) / 10
 
     def test_single_removal_bounds_on_both_sides_of_the_ceiling(self, monkeypatch):
         # at d = 0.6 and 1.0 smaller subsets often beat the full one, and
@@ -722,8 +769,8 @@ class TestPrunedSubsets:
             draws = [stock_instance(8, d, mix64(171, seed), deadline=0.45) for seed in range(40)]
             blocks.append([with_deadline(i, feasibility_deadline(i, (1.2, 1.4, 1.6, 2.0)[k % 4]))
                            for k, i in enumerate(draws)])
-        seen = self.kept_masks_against_the_table(blocks, monkeypatch)
-        assert len(seen.mixed) > 10 and len(seen.tables) < len(seen.pruned)
+        seen = kept_masks_against_the_table(blocks, monkeypatch)
+        assert len(seen.mixed) > 10 and len(seen.walked) < len(seen.pruned)
 
 
 def scaled(instance, power, weight):
