@@ -199,6 +199,17 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, stderr
 
 
+def _energy_gap(energy: float, reference: float) -> float:
+    """(energy - reference) / |reference|, the gap of an energy total to the
+    oracle's.  Equal totals, zeros included, give 0.0; against a zero
+    reference any other total's gap is infinite, of its difference's sign."""
+    if energy == reference:
+        return 0.0
+    if reference == 0.0:
+        return math.copysign(math.inf, energy - reference)
+    return (energy - reference) / abs(reference)
+
+
 def run_sweep(spec: SweepSpec) -> str:
     """Run the sweep and return the CSV text (also written to spec.out)."""
     spec = spec.normalized()
@@ -255,10 +266,8 @@ def run_sweep(spec: SweepSpec) -> str:
                     elif schedule.status != "infeasible":
                         results[name].append(schedule.total_energy)
                         if reference is not None and reference.status != "infeasible":
-                            gap = (schedule.total_energy - reference.total_energy) / abs(
-                                reference.total_energy
-                            )
-                            gaps[name].append(gap)
+                            gaps[name].append(
+                                _energy_gap(schedule.total_energy, reference.total_energy))
                             certified[name] += 1
         for name in spec.algorithms:
             row = [spec.experiment, param, repr(float(value)), name, str(spec.realizations)]
@@ -569,7 +578,7 @@ def _cmd_certify(args) -> int:
         print("energy: MISMATCH (feasibility disagreement)")
         code = 1
     else:
-        gap = (schedule.total_energy - reference.total_energy) / abs(reference.total_energy)
+        gap = _energy_gap(schedule.total_energy, reference.total_energy)
         if gap < -1e-9:
             print(f"energy: MISMATCH (scheduler beat the oracle by {-gap:.3e})")
             code = 1

@@ -20,6 +20,7 @@ import json
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, reduce
 from itertools import chain
@@ -362,7 +363,7 @@ def derive_user(instance: Instance, user_id: int) -> DerivedUser:
     """Compute the derived constants for one user. Pure function of its inputs."""
     u = instance.user(user_id)
     delta = u.weight * (
-        u.uplink_time_per_bit * u.tx_power - u.energy_coeff * u.cycles_per_bit * u.cpu_freq**2
+        u.uplink_time_per_bit * u.tx_power - u.energy_coeff * u.cycles_per_bit * _square(u.cpu_freq)
     )
     local_capacity = instance.deadline * u.cpu_freq / u.cycles_per_bit
     min_bits = max(u.task_bits - local_capacity, 0.0)
@@ -486,10 +487,18 @@ def _min_offload_bits(task: np.ndarray, freq: np.ndarray, cycles: np.ndarray, t)
     return np.where(0.0 > excess, 0.0, excess)
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where `**` overflows the doubles (past about 1.34e154)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _squares(values: np.ndarray) -> np.ndarray:
-    """x**2 of each entry, one Python float at a time: numpy's square may
-    differ from Python's `**` in the last bit."""
-    return np.array([x**2 for x in values.tolist()])
+    """`_square` of each entry, one Python float at a time: numpy's square
+    may differ from Python's `**` in the last bit."""
+    return np.array([_square(x) for x in values.tolist()])
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
@@ -533,10 +542,13 @@ class RateSchedule:
 
     offload_bits maps every user id to its offloaded bits (0 when not
     scheduled); sum_rate is the weighted offloaded bits per frame second.
+    The rate solvers hand out the bits read-only (`types.MappingProxyType`):
+    in a `shared_solutions` scope every solver that picks one set of an
+    instance returns the one schedule of that set.
     """
 
     scheduled: frozenset[int]
-    offload_bits: dict[int, float]
+    offload_bits: Mapping[int, float]
     compute_time: float
     sum_rate: float
 

@@ -35,7 +35,7 @@ from .model import (
     per_user_count,
     sums_in_order,
 )
-from .rate import _closed_forms, _penalties, _per_user_count
+from .rate import _closed_forms, _penalties, _per_user_count, meets_necessary_condition
 
 __all__ = [
     "OracleBudget",
@@ -165,12 +165,12 @@ def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
                 masks[row].append(index + 1)
         winners += [min(_subset_tuple(mask, ids) for mask in row) for row in masks]
 
-    solutions = _closed_forms(instances, winners)
-    if not all(solution.satisfies_necessary_condition for solution in solutions):
+    schedules = _closed_forms(instances, winners)
+    if not all(map(meets_necessary_condition, instances, schedules)):
         raise RuntimeError(
             "internal consistency failure: brute-force winner exceeds its slowest member's rate"
         )
-    return [solution.as_schedule() for solution in solutions]
+    return schedules
 
 
 def brute_force_energy_batch(

@@ -25,9 +25,11 @@ of one, and each finishes with the closed forms of its sets
 (`_closed_forms`).  Only the exact solve works on the block's arrays; the
 closed form and the greedy walk run row by row in Python floats, which at a
 stock set's few users cost less than the numpy calls a block would make, so
-a lone call pays nothing for the block.  In a `model.shared_solutions`
+a lone call pays nothing for the block.  A closed form is the
+`RateSchedule` itself, with read-only bits.  In a `model.shared_solutions`
 scope, as a sweep block opens, each distinct (instance, set) is formed once
-for every solver and the rate oracle.
+for every solver and the rate oracle, and all of them return that one
+schedule.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,12 +46,12 @@ from .model import (Instance, RateSchedule, _solutions, block_columns, interfere
                     per_user_count, vm_rate_factor)
 
 __all__ = [
-    "ConditionalSolution",
     "DinkelbachIteration",
     "DinkelbachTrace",
     "SlaveSummary",
     "conditional_solution",
     "dinkelbach_slave",
+    "meets_necessary_condition",
     "per_size_table",
     "solve_rate_max",
     "solve_rate_max_batch",
@@ -67,25 +70,6 @@ __all__ = [
 _COND_RTOL = 1e-12
 
 MAX_DINKELBACH_ITER = 100
-
-
-@dataclass(frozen=True)
-class ConditionalSolution:
-    """Closed-form optimum for one fixed scheduled set."""
-
-    subset: frozenset[int]
-    compute_time: float
-    offload_bits: dict[int, float]
-    rate: float
-    satisfies_necessary_condition: bool
-
-    def as_schedule(self) -> RateSchedule:
-        return RateSchedule(
-            scheduled=self.subset,
-            offload_bits=dict(self.offload_bits),
-            compute_time=self.compute_time,
-            sum_rate=self.rate,
-        )
 
 
 @dataclass(frozen=True)
@@ -126,14 +110,29 @@ def _meets_necessary_condition(rate: float, min_tx: float) -> bool:
     return rate <= min_tx * (1.0 + _COND_RTOL)
 
 
-def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
+def meets_necessary_condition(instance: Instance, schedule: RateSchedule) -> bool:
+    """Whether the schedule's rate stays at or below its slowest member's
+    weighted transmission rate, the bottleneck condition every optimal set
+    meets: if it does not, dropping that member would already improve the
+    rate.  The scheduled set must be nonempty and name users of the
+    instance, as for `conditional_solution`."""
+    tx = instance.rate_terms[2]
+    min_tx = min(tx[uid] for uid in _members(instance, schedule.scheduled))
+    return _meets_necessary_condition(schedule.sum_rate, min_tx)
+
+
+def conditional_solution(instance: Instance, subset) -> RateSchedule:
     """Optimal bit split and time split once the scheduled set is fixed.
 
-    All members sit at their offload cap, the latency budget is tight, and
-    the necessary-condition flag records whether the achieved rate stays at
-    or below the slowest member's weighted transmission rate (if it does not,
-    dropping that member would already improve the rate).
+    All members sit at their offload cap and the latency budget is tight.
+    The set can be optimal only if the schedule `meets_necessary_condition`.
     """
+    return _closed_forms([instance], [_members(instance, subset)])[0]
+
+
+def _members(instance: Instance, subset) -> list[int]:
+    """The ids of a set in ascending order, refusing an empty set
+    (`ValueError`) and an id that names no user (`KeyError`)."""
     members = sorted(set(subset))
     if not members:
         raise ValueError("scheduled set must be nonempty")
@@ -141,35 +140,35 @@ def conditional_solution(instance: Instance, subset) -> ConditionalSolution:
     if members[0] < 0 or members[-1] >= n_users:
         unknown = members[0] if members[0] < 0 else members[bisect.bisect_left(members, n_users)]
         raise KeyError(f"no user with id {unknown}")
-    return _closed_forms([instance], [members])[0]
+    return members
 
 
-def _closed_forms(instances, members) -> list[ConditionalSolution]:
+def _closed_forms(instances, members) -> list[RateSchedule]:
     """`_closed_form` of each instance with the ids of its members.  In a
     `shared_solutions` scope each distinct (instance, set) is formed once,
-    and a repeat takes the memo's solution; the memo holds the instance,
-    so its id is not reused while the scope lives.  Outside a scope nothing
-    is kept, and a lone call pays one context-variable read."""
+    and a repeat takes the memo's schedule, whose bits are read-only; the
+    memo holds the instance, so its id is not reused while the scope lives.
+    Outside a scope nothing is kept, and a lone call pays one
+    context-variable read."""
     memo = _solutions.get()
     if memo is None:
         return list(map(_closed_form, instances, members))
-    solutions = []
+    schedules = []
     for instance, ids in zip(instances, members):
         key = id(instance), tuple(ids)
         held = memo.get(key)
         if held is None:
             held = memo[key] = instance, _closed_form(instance, ids)
-        solutions.append(held[1])
-    return solutions
+        schedules.append(held[1])
+    return schedules
 
 
-def _closed_form(instance: Instance, ids) -> ConditionalSolution:
+def _closed_form(instance: Instance, ids) -> RateSchedule:
     """The closed form of the instance with the ids of its members, a
     nonempty ascending sequence, in Python floats."""
     d = instance.degradation
-    num, den, penalty, min_tx = _fixed_set_sums(d, instance.rate_terms, ids)
+    num, den, penalty, _ = _fixed_set_sums(d, instance.rate_terms, ids)
     factor = vm_rate_factor(d, len(ids))
-    rate = num / den
     # a saturated penalty takes the whole frame: t_e -> T as it grows
     te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
     if te == math.inf:  # T * penalty overflowed, though the window is at most T
@@ -178,13 +177,7 @@ def _closed_form(instance: Instance, ids) -> ConditionalSolution:
     bits = dict.fromkeys(range(instance.n_users), 0.0)
     for uid in ids:
         bits[uid] = te * service[uid] * factor
-    return ConditionalSolution(
-        subset=frozenset(ids),
-        compute_time=te,
-        offload_bits=bits,
-        rate=rate,
-        satisfies_necessary_condition=_meets_necessary_condition(rate, min_tx),
-    )
+    return RateSchedule(frozenset(ids), MappingProxyType(bits), te, num / den)
 
 
 def _per_user_count(instances, solve) -> list:
@@ -297,10 +290,8 @@ def solve_rate_max_batch(instances) -> list[tuple[RateSchedule, tuple[SlaveSumma
 
 def _solve_block(instances: list[Instance]) -> list[tuple[RateSchedule, tuple[SlaveSummary]]]:
     summaries = _lockstep(instances)
-    solutions = _closed_forms(instances, [sorted(summary.selected) for summary in summaries])
-    return [
-        (solution.as_schedule(), (summary,)) for solution, summary in zip(solutions, summaries)
-    ]
+    schedules = _closed_forms(instances, [sorted(summary.selected) for summary in summaries])
+    return [(schedule, (summary,)) for schedule, summary in zip(schedules, summaries)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -494,7 +485,7 @@ def homogeneous_txrate_schedule(instance: Instance) -> RateSchedule:
             prefix += service[uid]
         else:
             break
-    return conditional_solution(instance, taken).as_schedule()
+    return conditional_solution(instance, taken)
 
 
 def no_interference_schedule(instance: Instance) -> RateSchedule:
@@ -524,7 +515,7 @@ def no_interference_schedule(instance: Instance) -> RateSchedule:
             num, den = num_next, den_next
         else:
             break
-    return conditional_solution(instance, taken).as_schedule()
+    return conditional_solution(instance, taken)
 
 
 def benchmark_all_offloading(instance: Instance) -> RateSchedule:
@@ -537,7 +528,7 @@ def benchmark_all_offloading_batch(instances) -> list[RateSchedule]:
     instances = list(instances)
     _require_users(instances)
     everyone = [list(range(instance.n_users)) for instance in instances]
-    return [solution.as_schedule() for solution in _closed_forms(instances, everyone)]
+    return _closed_forms(instances, everyone)
 
 
 # Padding on the rounding bound of benchmark_greedy's running sums.
@@ -588,7 +579,7 @@ def benchmark_greedy_batch(instances) -> list[RateSchedule]:
     a loop that re-sums every candidate set in id order."""
     instances = list(instances)
     chosen = [sorted(_greedy_prefix(instance)) for instance in instances]
-    return [solution.as_schedule() for solution in _closed_forms(instances, chosen)]
+    return _closed_forms(instances, chosen)
 
 
 def _greedy_prefix(instance: Instance) -> list[int]:

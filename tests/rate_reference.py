@@ -15,11 +15,12 @@ import bisect
 import functools
 import math
 import operator
+from types import MappingProxyType
 
 import numpy as np
 
 from mecoffload.model import RateSchedule, interference_penalty, vm_rate_factor
-from mecoffload.rate import _COND_RTOL, ConditionalSolution, _greedy_rounding_bound
+from mecoffload.rate import _COND_RTOL, _greedy_rounding_bound
 
 
 def _sum(values, start=0.0):
@@ -47,30 +48,35 @@ def meets_necessary_condition(rate, min_tx):
     return rate <= min_tx * (1.0 + _COND_RTOL)
 
 
-def conditional_solution(instance, subset) -> ConditionalSolution:
+def necessary_condition(instance, subset):
+    """Whether the closed-form rate of the set stays at or below its slowest
+    member's weighted transmission rate."""
+    num, den, _, min_tx = fixed_set_sums(instance.degradation, _terms(instance), sorted(subset))
+    return meets_necessary_condition(num / den, min_tx)
+
+
+def conditional_solution(instance, subset) -> RateSchedule:
     members = sorted(set(subset))
     if not members:
         raise ValueError("scheduled set must be nonempty")
     n_users = instance.n_users
     factor = vm_rate_factor(instance.degradation, len(members))
-    num, den, penalty, min_tx = fixed_set_sums(instance.degradation, _terms(instance), members)
-    rate = num / den
+    num, den, penalty, _ = fixed_set_sums(instance.degradation, _terms(instance), members)
     te = instance.deadline if penalty == math.inf else instance.deadline * penalty / den
     service = instance.service_rate.tolist()
     bits = dict.fromkeys(range(n_users), 0.0)
     for uid in members:
         bits[uid] = te * service[uid] * factor
-    return ConditionalSolution(
-        subset=frozenset(members),
+    return RateSchedule(
+        scheduled=frozenset(members),
+        offload_bits=MappingProxyType(bits),
         compute_time=te,
-        offload_bits=bits,
-        rate=rate,
-        satisfies_necessary_condition=meets_necessary_condition(rate, min_tx),
+        sum_rate=num / den,
     )
 
 
 def benchmark_all_offloading(instance) -> RateSchedule:
-    return conditional_solution(instance, range(instance.n_users)).as_schedule()
+    return conditional_solution(instance, range(instance.n_users))
 
 
 def benchmark_greedy(instance) -> RateSchedule:
@@ -100,18 +106,16 @@ def benchmark_greedy(instance) -> RateSchedule:
             break
         if penalty == math.inf:
             break
-    return conditional_solution(instance, order[:taken]).as_schedule()
+    return conditional_solution(instance, order[:taken])
 
 
 def prefix_greedy(instance) -> RateSchedule:
-    """The greedy benchmark as a plain loop: a full conditional solution for
-    every candidate prefix."""
+    """The greedy benchmark as a plain loop: the closed-form rate of every
+    candidate prefix."""
     order = sorted(instance.users, key=lambda u: (-u.weight / u.roundtrip_time_per_bit, u.id))
-    taken, best = [], None
+    taken = []
     for u in order:
-        candidate = conditional_solution(instance, taken + [u.id])
-        if not candidate.satisfies_necessary_condition:
+        if not necessary_condition(instance, taken + [u.id]):
             break
         taken.append(u.id)
-        best = candidate
-    return best.as_schedule()
+    return conditional_solution(instance, taken)

@@ -29,6 +29,7 @@ from mecoffload import (
     feasibility_tmin,
     generate_instance,
     homogeneous_txrate_schedule,
+    meets_necessary_condition,
     no_interference_schedule,
     solve_energy_suboptimal,
     solve_lp,
@@ -205,7 +206,7 @@ def wide_txrate_instance(seed):
 
 def test_criterion_03_bottleneck_condition_and_removal(rate_pool):
     clean_winners = all(
-        conditional_solution(inst, oracle.scheduled).satisfies_necessary_condition
+        meets_necessary_condition(inst, oracle)
         for inst, _, _, oracle in rate_pool
     )
 
@@ -222,7 +223,7 @@ def test_criterion_03_bottleneck_condition_and_removal(rate_pool):
         if len(members) < 2:
             continue
         cs = conditional_solution(inst, members)
-        if cs.satisfies_necessary_condition:
+        if meets_necessary_condition(inst, cs):
             continue
         violations += 1
         slowest = min(
@@ -230,7 +231,7 @@ def test_criterion_03_bottleneck_condition_and_removal(rate_pool):
             key=lambda i: (inst.users[i].weight / inst.users[i].roundtrip_time_per_bit, i),
         )
         reduced = conditional_solution(inst, [i for i in members if i != slowest])
-        if not reduced.rate > cs.rate:
+        if not reduced.sum_rate > cs.sum_rate:
             improved = False
     report(
         "criterion 3 (bottleneck condition and strict removal gain)",

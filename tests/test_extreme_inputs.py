@@ -40,7 +40,9 @@ from mecoffload import (
     validate_energy_schedule,
     validate_rate_schedule,
     with_deadline,
+    write_instance,
 )
+from mecoffload.harness import cli_main
 from support import stock_instance
 
 USER_COUNTS = (0, 1, 12, 13, 1000)
@@ -166,6 +168,28 @@ def test_overflowing_energy_terms_are_refused(coeff):
                   lambda i: solve_energy_suboptimal_batch([base, i])):
         with pytest.raises(ValueError, match="local energy or energy delta per bit"):
             solve(instance)
+
+
+@pytest.mark.parametrize("freq", [1e160, 1e200])
+def test_overflowing_cpu_squares_are_refused(freq, tmp_path, capsys):
+    # f^2 overflows the doubles past about 1.34e154 Hz: the square is inf,
+    # so the energy solvers refuse the instance as for an overflowing local
+    # energy, while t_min and the rate solvers still answer
+    base = stock_instance(10, 0.2, 5, deadline=0.65)
+    instance = dataclasses.replace(base, cpu_freq=np.full(10, freq))
+    assert feasibility_tmin(instance).t_min > 0.0
+    rate_cell(instance)
+    for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy,
+                  lambda i: solve_subset_lp(i, i.partition, ()),
+                  lambda i: solve_energy_suboptimal_batch([base, i])):
+        with pytest.raises(ValueError, match="local energy or energy delta per bit"):
+            solve(instance)
+    path = tmp_path / "instance.json"
+    write_instance(instance, path)
+    assert cli_main(["solve-energy", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_all_offload_refuses_above_the_lp_guard_before_building():

@@ -527,6 +527,17 @@ class TestCli:
         assert "rate: MATCH (rel err < 1e-9)" in out
         assert "energy" in out
 
+    def test_certify_zero_energy_totals(self, tmp_path, capsys):
+        # every task is 0 bits, so both energy totals are 0: the gap is 0,
+        # not a division by zero
+        inst_path = tmp_path / "inst.json"
+        write_instance(generate_instance(GenerationSpec(n_users=4, task_kb=(0.0, 0.0),
+                                                        deadline_s=0.5), 1), inst_path)
+        assert cli_main(["certify", str(inst_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.endswith("energy gap: 0.0000%\n")
+        assert err == ""
+
     def test_certify_skips_past_both_oracle_budgets(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         assert cli_main([

@@ -16,12 +16,12 @@ from mecoffload import (
     brute_force_energy_batch,
     brute_force_rate_max,
     brute_force_rate_max_batch,
-    conditional_solution,
     energy,
     feasibility_tmin,
     generate_instances,
     harness,
     lp,
+    meets_necessary_condition,
     oracle,
     partition_users,
     rate,
@@ -81,8 +81,7 @@ class TestRateOracle:
             inst = stock_instance(9, 0.2, mix64(121, seed))
             schedule = brute_force_rate_max(inst)
             assert validate_rate_schedule(inst, schedule).ok
-            cs = conditional_solution(inst, schedule.scheduled)
-            assert cs.satisfies_necessary_condition
+            assert meets_necessary_condition(inst, schedule)
 
 
 def reference_brute_force_rate_max(instance):
@@ -101,7 +100,7 @@ def reference_brute_force_rate_max(instance):
     best = float(np.max(rates))
     tied = np.nonzero(rates >= best - oracle._TIE_RTOL * (1.0 + best))[0]
     winner = min(tuple(k for k in range(K) if (int(masks[i]) >> k) & 1) for i in tied)
-    return rate_reference.conditional_solution(instance, winner).as_schedule()
+    return rate_reference.conditional_solution(instance, winner)
 
 
 class TestRateOracleBatch:

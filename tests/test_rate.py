@@ -20,6 +20,7 @@ from mecoffload import (
     generate_instance,
     homogeneous_m_star,
     homogeneous_txrate_schedule,
+    meets_necessary_condition,
     no_interference_schedule,
     per_size_table,
     solve_rate_max,
@@ -49,8 +50,8 @@ class TestConditionalSolution:
         cs = conditional_solution(inst, [0])
         assert cs.compute_time == pytest.approx(1.0, abs=1e-12)
         assert cs.offload_bits[0] == pytest.approx(1.0, abs=1e-12)
-        assert cs.rate == pytest.approx(0.5, abs=1e-12)
-        assert cs.satisfies_necessary_condition
+        assert cs.sum_rate == pytest.approx(0.5, abs=1e-12)
+        assert meets_necessary_condition(inst, cs)
 
     def test_two_identical_users(self):
         users = [unit_roundtrip_user(0), unit_roundtrip_user(1)]
@@ -58,25 +59,33 @@ class TestConditionalSolution:
         cs = conditional_solution(inst, [0, 1])
         assert cs.compute_time == pytest.approx(1.1 / 3.1, rel=1e-12)
         assert cs.offload_bits[0] == pytest.approx((1.1 / 3.1) / 1.1, rel=1e-12)
-        assert cs.rate == pytest.approx(2.0 / 3.1, rel=1e-12)
-        assert cs.satisfies_necessary_condition  # 0.645 <= min tx rate 1.0
+        assert cs.sum_rate == pytest.approx(2.0 / 3.1, rel=1e-12)
+        assert meets_necessary_condition(inst, cs)  # 0.645 <= min tx rate 1.0
 
     def test_empty_subset_rejected(self):
         inst = make_instance([unit_roundtrip_user(0)])
         with pytest.raises(ValueError):
             conditional_solution(inst, [])
+        unscheduled = dataclasses.replace(conditional_solution(inst, [0]), scheduled=frozenset())
+        with pytest.raises(ValueError, match="nonempty"):
+            meets_necessary_condition(inst, unscheduled)
 
     def test_unknown_member_rejected(self):
         inst = make_instance([unit_roundtrip_user(0)])
         with pytest.raises(KeyError):
             conditional_solution(inst, [5])
 
-    @pytest.mark.parametrize("subset, unknown", [([-1, 0], -1), ([0, 9, 4], 4)])
+    @pytest.mark.parametrize(
+        "subset, unknown", [([-1, 0], -1), ([0, 9, 4], 4), ([-1], -1), ([1, 2], 2)])
     def test_unknown_member_named(self, subset, unknown):
-        # a negative id must not index the columns from the end
+        # a negative id must not index the columns from the end, so a
+        # schedule file naming user -1 may not read the last user's rate
         inst = make_instance([unit_roundtrip_user(0), unit_roundtrip_user(1)])
         with pytest.raises(KeyError, match=f"no user with id {unknown}"):
             conditional_solution(inst, subset)
+        named = dataclasses.replace(conditional_solution(inst, [0]), scheduled=frozenset(subset))
+        with pytest.raises(KeyError, match=f"no user with id {unknown}"):
+            meets_necessary_condition(inst, named)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_budget_tight_and_rate_forms_agree(self, seed):
@@ -87,7 +96,7 @@ class TestConditionalSolution:
         )
         assert used + cs.compute_time == pytest.approx(inst.deadline, rel=1e-12)
         recomputed = sum(u.weight * cs.offload_bits[u.id] for u in inst.users) / inst.deadline
-        assert cs.rate == pytest.approx(recomputed, rel=1e-12)
+        assert cs.sum_rate == pytest.approx(recomputed, rel=1e-12)
 
 
 class TestDinkelbach:
@@ -111,7 +120,7 @@ class TestDinkelbach:
         inst = stock_instance(6, 0.15, 42)
         _, rate, _ = dinkelbach_slave(inst, 3)
         best = max(
-            conditional_solution(inst, s).rate for s in itertools.combinations(range(6), 3)
+            conditional_solution(inst, s).sum_rate for s in itertools.combinations(range(6), 3)
         )
         assert rate == pytest.approx(best, rel=1e-9)
 
@@ -206,7 +215,7 @@ def per_size_sweep(instance):
         selected, rate, _ = dinkelbach_slave(instance, m)
         if rate > best_rate:
             best_rate, best_set = rate, selected
-    return conditional_solution(instance, best_set).as_schedule()
+    return conditional_solution(instance, best_set)
 
 
 def assert_matches_sweep(instance):
@@ -291,7 +300,7 @@ def one_instance_solve(instance):
             m, selected, best_rate = size, candidate, num / den
     chosen = frozenset(selected.tolist())
     summary = SlaveSummary(m, best_rate, iterations, chosen)
-    return conditional_solution(instance, chosen).as_schedule(), (summary,)
+    return conditional_solution(instance, chosen), (summary,)
 
 
 def assert_same_solve(solved, reference):
@@ -395,10 +404,10 @@ class TestLargeK:
             schedules = {
                 "greedy": benchmark_greedy(inst),
                 "all-offload": benchmark_all_offloading(inst),
-                "full set": conditional_solution(inst, range(k)).as_schedule(),
+                "full set": conditional_solution(inst, range(k)),
             }
             selected, slave_rate, trace = dinkelbach_slave(inst, k)
-            schedules["slave"] = conditional_solution(inst, selected).as_schedule()
+            schedules["slave"] = conditional_solution(inst, selected)
         for name, schedule in schedules.items():
             assert validate_rate_schedule(inst, schedule).ok, name
         full = schedules["full set"]
@@ -744,7 +753,7 @@ class TestRemovalImprovement:
             if len(members) < 2:
                 continue
             cs = conditional_solution(inst, members)
-            if cs.satisfies_necessary_condition:
+            if meets_necessary_condition(inst, cs):
                 continue
             violations += 1
             slowest = min(
@@ -755,7 +764,7 @@ class TestRemovalImprovement:
                 ),
             )
             reduced = conditional_solution(inst, [i for i in members if i != slowest])
-            assert reduced.rate > cs.rate
+            assert reduced.sum_rate > cs.sum_rate
         assert violations == 60, f"only {violations} violating sets in {trials} trials"
 
 
@@ -799,16 +808,15 @@ class TestBlockForms:
         for fast, instance in zip(benchmark_all_offloading_batch(instances), instances):
             assert_same_schedule(fast, rate_reference.benchmark_all_offloading(instance))
         for (fast, (summary,)), instance in zip(solve_rate_max_batch(instances), instances):
-            slow = rate_reference.conditional_solution(instance, summary.selected)
-            assert_same_schedule(fast, slow.as_schedule())
+            assert_same_schedule(fast, rate_reference.conditional_solution(instance, summary.selected))
         for n_users in {i.n_users for i in instances}:
             block = [i for i in instances if i.n_users == n_users]
             mask = member_masks(block, mix64(seed, n_users))
             members = [np.flatnonzero(row).tolist() for row in mask]
             for fast, instance, ids in zip(ratemod._closed_forms(block, members), block, members):
-                slow = rate_reference.conditional_solution(instance, ids)
-                assert fast.satisfies_necessary_condition == slow.satisfies_necessary_condition
-                assert_same_schedule(fast.as_schedule(), slow.as_schedule())
+                assert (meets_necessary_condition(instance, fast)
+                        == rate_reference.necessary_condition(instance, ids))
+                assert_same_schedule(fast, rate_reference.conditional_solution(instance, ids))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(instances=mixed_blocks(), seed=st.integers(0, 2**64 - 1))
@@ -844,16 +852,23 @@ class TestClosedFormMemo:
     def test_only_a_scope_keeps_forms(self, monkeypatch):
         formed = count_closed_forms(monkeypatch)
         instances = [stock_instance(6, 0.1, mix64(269, k)) for k in range(5)]
-        expected = [repr(s) for s in benchmark_all_offloading_batch(instances)]
-        benchmark_all_offloading_batch(instances)
+        alone = benchmark_all_offloading_batch(instances)
+        expected = [repr(s) for s in alone]
+        # outside a scope each call forms new schedules, equal to the bit
+        outside = benchmark_all_offloading_batch(instances)
         assert len(formed) == 10
+        assert all(a is not b for a, b in zip(outside, alone))
+        assert [repr(s) for s in outside] == expected
         with shared_solutions():
             first = benchmark_all_offloading_batch(instances)
             again = benchmark_all_offloading_batch(instances + instances[:2])
         assert len(formed) == 15
         assert [repr(s) for s in again] == expected + expected[:2]
-        # each schedule owns its bits
-        assert all(a.offload_bits is not b.offload_bits for a, b in zip(first, again))
+        # a repeat inside the scope is the same schedule, whose bits no
+        # caller can change
+        assert all(a is b for a, b in zip(first + first[:2], again))
+        with pytest.raises(TypeError):
+            first[0].offload_bits[0] = 0.0
         benchmark_all_offloading_batch(instances)
         assert len(formed) == 20
 
