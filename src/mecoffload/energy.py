@@ -17,6 +17,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .model import (
     EnergySchedule,
     Instance,
     Partition,
+    _gap_rows,
+    _radio_and_floor,
     _solutions,
     block_columns,
     derive_energy_columns,
@@ -65,46 +68,20 @@ def partition_users(instance: Instance) -> Partition:
 
 def _at(instance: Instance, t: float) -> tuple[float, np.ndarray]:
     """`feasibility_gap` at t, with the forced minimum offloads at t it was
-    formed from (the memoised `Instance.min_offload_bits` at the deadline):
-    `_gap_rows` of the instance as a row of one."""
-    min_bits = instance.min_offload_bits if t == instance.deadline else (
-        instance.min_offload_bits_at(t))
+    formed from: at the deadline the memoised `Instance.deadline_gap` and
+    `Instance.min_offload_bits`, else `_gap_rows` of the instance as a row
+    of one."""
+    if t == instance.deadline:
+        return instance.deadline_gap, instance.min_offload_bits
+    min_bits = instance.min_offload_bits_at(t)
     gap = _gap_rows(min_bits[None], instance.roundtrip_time_per_bit[None],
                     instance.service_rate[None], [instance.degradation], t)
     return gap.item(), min_bits
 
 
-def _gaps(instances: list[Instance]) -> list[float]:
-    """`_at` of instances of one user count at their deadlines."""
-    return _gap_rows(
-        *block_columns(instances, "min_offload_bits", "roundtrip_time_per_bit", "service_rate"),
-        [i.degradation for i in instances], np.array([i.deadline for i in instances])).tolist()
-
-
-def _gap_rows(min_bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, degradations,
-              ts) -> np.ndarray:
-    """The feasibility gap of each row at its t: the radio time of its forced
-    minimum offloads plus the window of the slowest at the degraded rate of
-    its forced users, minus t.  The radio time is never -0.0, so the +-0.0
-    floor of a row without forced users leaves it as it is."""
-    forced = np.add.reduce(min_bits > 0.0, axis=-1).tolist()  # +-0.0 is not forced
-    # Python ints keep the power Python's: a numpy exponent would take numpy's
-    factors = np.array([[vm_rate_factor(d, n)] for d, n in zip(degradations, forced)])
-    radio, floor = _radio_and_floor(min_bits, roundtrip, service, factors)
-    return radio + floor - ts
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _radio_and_floor(bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, factors):
-    """The radio time of offloading bits, summed left to right in user id,
-    and the floor under the computing window, the slowest b / (s * factor),
-    along the last axis; factors broadcast against the columns.  A sum that
-    overflows is inf, and so is the floor where a forced user's degraded
-    rate underflows to 0 (b / 0): no window is then long enough.  An
-    unforced user's 0 / x is 0, or nan where x underflows to 0, which fmax
-    skips; the floor of no offloads is 0."""
-    floor = np.fmax.reduce(bits / (service * factors), axis=-1, initial=0.0)
-    return sums_in_order(bits * roundtrip), floor
+def _gaps(instances) -> list[float]:
+    """`_at` of instances at their deadlines: their `Instance.deadline_gap`."""
+    return [instance.deadline_gap for instance in instances]
 
 
 # an overflowed threshold or segment sum is inf; a nan root of two is skipped
@@ -441,7 +418,7 @@ def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
     objective = sum_in_order(map(operator.mul, instance.delta_per_bit.tolist(), bits))
     return EnergySchedule(
         scheduled=scheduled,
-        offload_bits=dict(enumerate(bits)),
+        offload_bits=MappingProxyType(dict(enumerate(bits))),
         compute_time=te,
         objective=objective,
         total_energy=objective + instance.local_energy,
@@ -452,7 +429,7 @@ def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
 def _infeasible(instance: Instance, t_min: float | None) -> EnergySchedule:
     return EnergySchedule(
         scheduled=frozenset(),
-        offload_bits=dict.fromkeys(range(instance.n_users), 0.0),
+        offload_bits=MappingProxyType(dict.fromkeys(range(instance.n_users), 0.0)),
         compute_time=0.0,
         objective=math.nan,
         total_energy=math.nan,
@@ -492,7 +469,9 @@ def _branch_block(instances: list[Instance]) -> list:
     """The `_solve` plans of `solve_energy_suboptimal` for instances of one
     user count.  The feasibility gaps (`_gaps`) and the full-offload loads
     (every saving user's whole task, every forced costly one's minimum) are
-    formed for the block at once, each row as `_delay` forms it alone."""
+    formed for the block at once, each row as `_delay` forms it alone, and
+    the LP branch's subset LPs are built together by one `_subset_lps`
+    call."""
     task, min_bits, delta, roundtrip, service = block_columns(
         instances, "task_bits", "min_offload_bits", "delta_per_bit", "roundtrip_time_per_bit",
         "service_rate")
@@ -501,6 +480,7 @@ def _branch_block(instances: list[Instance]) -> list:
     longest = np.maximum.reduce(loads / service, axis=1, initial=0.0).tolist()
     bases = np.where(min_bits > 0.0, loads, 0.0)  # the forced users' commitment alone
     plans = []
+    lp_branch = []  # the instances that take the LP branch, with their plans' places
     for instance, gap, radio, slowest, load, base in zip(
             instances, _gaps(instances), sums_in_order(loads * roundtrip).tolist(), longest, loads,
             bases):
@@ -512,13 +492,23 @@ def _branch_block(instances: list[Instance]) -> list:
         elif instance.deadline >= radio + window:
             plans.append(_done(_schedule(instance, part.forced | part.free_saving, load.tolist(),
                                          window, "optimal-path")))
+        elif instance.deadline >= _delay(instance, base, len(part.forced)):
+            plans.append(_greedy_plan(instance, part, base))
         else:
-            plans.append(_drop_plan(instance, part, base))
+            lp_branch.append((len(plans), instance))
+            plans.append(None)
+    if lp_branch:
+        cases = [(instance, instance.partition, frozenset()) for _, instance in lp_branch]
+        for (k, instance), (problem, finish) in zip(lp_branch, _subset_lps(cases)):
+            # an infeasible LP is not expected once the deadline clears t_min
+            plans[k] = problem, lambda sol, finish=finish, instance=instance: (
+                finish(sol) or _infeasible(instance, feasibility_tmin(instance).t_min))
     return plans
 
 
-def _drop_plan(instance: Instance, part: Partition, base: np.ndarray):
-    """The greedy and LP branches.  base is the forced users' commitment
+def _greedy_plan(instance: Instance, part: Partition, base: np.ndarray):
+    """The greedy branch, for a deadline that the forced users' commitment
+    alone meets but the full offload does not.  base is that commitment
     (`_commitment` of no optional user), and every load below is base with
     some optional users added at their whole task."""
     n_forced = len(part.forced)
@@ -528,32 +518,24 @@ def _drop_plan(instance: Instance, part: Partition, base: np.ndarray):
         bits[kept] = instance.task_bits[kept]
         return bits, n_forced + kept.size
 
-    if instance.deadline >= _delay(instance, base, n_forced):
-        # Users leave in a fixed order, lowest saving per radio second
-        # first (lowest id on ties), and the load only shrinks as they do,
-        # so bisect on how many to drop: the fewest whose removal fits.
-        # Dropping none fails the full-offload test; dropping all passes
-        # the check above.
-        optional = np.sort(_ids(part.free_saving))
-        keys = -instance.delta_per_bit[optional] / instance.roundtrip_time_per_bit[optional]
-        order = optional[np.argsort(keys, kind="stable")]
-        too_few, enough = 0, order.size
-        while enough - too_few > 1:
-            mid = (too_few + enough) // 2
-            if _delay(instance, *committed(order[mid:])) > instance.deadline:
-                too_few = mid
-            else:
-                enough = mid
-        kept = order[enough:]
-        load = committed(kept)
-        return _done(_schedule(instance, part.forced | frozenset(kept.tolist()),
-                               load[0].tolist(), _window(instance, *load), "greedy-path"))
-
-    problem, finish = _subset_lp(instance, part, frozenset())
-    # an infeasible LP is not expected once the deadline clears t_min
-    return problem, lambda sol: (
-        finish(sol) or _infeasible(instance, feasibility_tmin(instance).t_min)
-    )
+    # Users leave in a fixed order, lowest saving per radio second first
+    # (lowest id on ties), and the load only shrinks as they do, so bisect
+    # on how many to drop: the fewest whose removal fits.  Dropping none
+    # fails the full-offload test; dropping all meets the deadline.
+    optional = np.sort(_ids(part.free_saving))
+    keys = -instance.delta_per_bit[optional] / instance.roundtrip_time_per_bit[optional]
+    order = optional[np.argsort(keys, kind="stable")]
+    too_few, enough = 0, order.size
+    while enough - too_few > 1:
+        mid = (too_few + enough) // 2
+        if _delay(instance, *committed(order[mid:])) > instance.deadline:
+            too_few = mid
+        else:
+            enough = mid
+    kept = order[enough:]
+    load = committed(kept)
+    return _done(_schedule(instance, part.forced | frozenset(kept.tolist()),
+                           load[0].tolist(), _window(instance, *load), "greedy-path"))
 
 
 def _done(schedule: EnergySchedule):
@@ -577,7 +559,7 @@ def _all_offload_lps(instances) -> list:
     instances = list(instances)
     n_users = max((i.n_users for i in instances), default=0)
     lpmod.check_size(2 * n_users + 1, n_users + 1)  # the budget, cap and box rows of K members
-    refused = [gap > 0.0 for gap in per_user_count(instances, _gaps)]
+    refused = [gap > 0.0 for gap in _gaps(instances)]
     cases = []
     for i, no in zip(instances, refused):
         part = i.partition

@@ -9,14 +9,16 @@ mixed second/bit scales do not starve the pivot threshold.
 `solve_lps` solves its problems in stacks of zero-padded tableaus,
 pivoting each stack in lockstep; a stack holds at most STACK_ENTRIES
 tableau entries (`stack_starts`), or one problem beyond that, and
-`solve_lp` is the stack of one.  The tableaus are updated a whole array at
-a time, yet every pivot is the one a row-at-a-time loop would make on the
-problem alone, and every entry gets the same floating-point operations:
-each row subtracts factor * pivot_row elementwise, rows whose factor is
-zero (either sign) are not written at all, so the sign of a zero survives,
-and the entering column and leaving row are the first index meeting the
-rule, as a scalar loop would find them.  The objective rows are priced out
-one basic row after another.  The bounds are shifted for the whole stack
+`solve_lp` is the stack of one.  One loop takes a stack through both
+phases, each problem in its own (`_solve_stack`).  The tableaus are
+updated a whole array at a time, yet every pivot is the one a
+row-at-a-time loop would make on the problem alone, and every entry gets
+the same floating-point operations: each row subtracts factor * pivot_row
+elementwise, a row whose factor is zero (either sign), which that loop
+skips, subtracts +0.0, which leaves every double as it is, and the
+entering column and leaving row are the first index meeting the rule, as
+a scalar loop would find them.  The objective rows are priced out one
+basic row after another.  The bounds are shifted for the whole stack
 at once: a row that meets at most one nonzero offset product takes that
 product, and every other row the problem's own 1-D dot, so no sum of
 several products is regrouped.  Padding never enters a pivot
@@ -189,67 +191,60 @@ def _pivots(stack, lps, rows, factors, products=None) -> None:
     pivot_rows /= factors[lps, rows, None]
     stack[lps, rows] = pivot_rows
     factors[lps, rows] = 0.0
+    idle = factors == 0.0
     factors = factors[:, :, None]
     step = len(stack) if products is None else len(products)
     for at in range(0, len(stack), step):
         part = slice(at, at + step)
         out = None if products is None else products[: min(step, len(stack) - at)]
-        # Rows with a zero factor are left alone rather than updated by
-        # 0 * row: -0.0 - 0.0 * x is +0.0 for x < 0, and 0.0 * inf is nan.
-        np.subtract(stack[part], np.multiply(factors[part], pivot_rows[part, None, :], out=out),
-                    out=stack[part], where=factors[part] != 0.0)
+        out = np.multiply(factors[part], pivot_rows[part, None, :], out=out)
+        # A row with a zero factor subtracts +0.0, not 0 * row: x - 0.0 is
+        # x for every double, where -0.0 - 0.0 * x is +0.0 for x < 0 and
+        # 0.0 * inf is nan.
+        out[idle[part]] = 0.0
+        np.subtract(stack[part], out, out=stack[part])
 
 
-def _simplex(stack: np.ndarray, basis: np.ndarray, lps: np.ndarray) -> np.ndarray:
-    """Pivot the stacked problems `lps` in lockstep until each one is optimal
-    or unbounded.  Writes their final tableaus and bases back into the stack
-    and returns which of them are unbounded.
+def _choose(tableau: np.ndarray, lanes: np.ndarray):
+    """Each tableau's next pivot: Bland's entering column (the lowest
+    improving one) and the ratio test's leaving row (the lowest of the least
+    ratios), with the entering column before the pivot (its factors), and
+    whether the column improves (going) and whether the problem pivots (a
+    going column with a finite least ratio).  lanes is arange(len(tableau))."""
+    m, n = tableau.shape[1] - 1, tableau.shape[2] - 1
+    improving = tableau[:, m, :n] < -PIVOT_TOL
+    enter = improving.argmax(axis=1)
+    factors = tableau[lanes, :, enter]
+    column = factors[:, :m]
+    going = improving[lanes, enter]
+    # the last column stays inf, a row-free sentinel
+    ratios = np.full((len(tableau), m + 1), math.inf)
+    # problems already optimal take no ratios, as they would alone
+    np.divide(tableau[:, :m, n], column, out=ratios[:, :m],
+              where=(column > PIVOT_TOL) & going[:, None])
+    leave = ratios.argmin(axis=1)
+    least = ratios[lanes, leave]
+    pivoting = going & (least < math.inf)
+    if not pivoting.all() and np.isnan(least).any():
+        # argmin stops on a nan, which no ratio test accepts; look again
+        # among the others
+        ratios[np.isnan(ratios)] = math.inf
+        leave = ratios.argmin(axis=1)
+        pivoting = going & (ratios[lanes, leave] < math.inf)
+    return enter, leave, factors, going, pivoting
 
-    A problem leaves the working set as soon as it is done, so that the
-    others do not carry it through their remaining steps.  The pivot
-    products go to one buffer of PRODUCT_ENTRIES doubles, a few tableaus at
-    a time, whatever the stack's size."""
-    m, n = stack.shape[1] - 1, stack.shape[2] - 1
-    unbounded = np.zeros(len(lps), dtype=bool)
-    at = np.arange(len(lps))  # where in lps each working problem sits
-    # lps is sorted, so all of them is the whole stack, pivoted in place
-    work, work_basis = (stack, basis) if lps.size == len(stack) else (stack[lps], basis[lps])
-    working = at
-    products = np.empty_like(work[: max(1, min(len(work), PRODUCT_ENTRIES // stack[0].size))])
-    for _ in range(MAX_ITER):
-        if not at.size:
-            return unbounded
-        improving = work[:, m, :n] < -PIVOT_TOL
-        enter = improving.argmax(axis=1)  # Bland: the lowest improving index
-        factors = work[working, :, enter]
-        column = factors[:, :m]
-        going = improving[working, enter]
-        # the last column stays inf, a row-free sentinel
-        ratios = np.full((at.size, m + 1), math.inf)
-        # problems already optimal take no ratios, as they would alone
-        np.divide(work[:, :m, n], column, out=ratios[:, :m],
-                  where=(column > PIVOT_TOL) & going[:, None])
-        leave = ratios.argmin(axis=1)  # ties keep the lowest row index
-        least = ratios[working, leave]
-        pivoting = going & (least < math.inf)
-        if not pivoting.all():
-            if np.isnan(least).any():
-                # argmin stops on a nan, which no ratio test accepts; look
-                # again among the others
-                ratios[np.isnan(ratios)] = math.inf
-                leave = ratios.argmin(axis=1)
-                least = ratios[working, leave]
-                pivoting = going & (least < math.inf)
-            done = ~pivoting
-            unbounded[at[done]] = going[done]
-            stack[lps[at[done]]] = work[done]
-            basis[lps[at[done]]] = work_basis[done]
-            work, work_basis, at = work[pivoting], work_basis[pivoting], at[pivoting]
-            enter, leave, factors = enter[pivoting], leave[pivoting], factors[pivoting]
-            working = np.arange(at.size)
-        _pivots(work, working, leave, factors, products)
-        work_basis[working, leave] = enter
-    raise RuntimeError("simplex iteration cap exceeded")
+
+def _compact(arrays, keep: np.ndarray) -> int:
+    """Move the slots that `keep` marks, of the first len(keep), ahead of
+    the others, and return their count: in every array, each slot that it
+    leaves out among the first count swaps with a kept one after them."""
+    count = int(np.count_nonzero(keep))
+    holes = np.flatnonzero(~keep[:count])
+    if holes.size:
+        movers = count + np.flatnonzero(keep[count:])
+        for array in arrays:
+            array[holes], array[movers] = array[movers], array[holes]
+    return count
 
 
 def _satisfied(sense: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -464,20 +459,31 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
 
 def _price(tableau: np.ndarray, lps: np.ndarray, rows: np.ndarray, factors: np.ndarray) -> None:
     """Subtract factors[k, j] * (row rows[k, j]) from the objective row of
-    problem lps[k], for j = 0, 1, ... in turn, skipping zero factors: the
-    x - factor * row of a row-at-a-time loop, in its order, and a skipped
-    row leaves every value (and the sign of a zero) as it is."""
+    problem lps[k], for j = 0, 1, ... in turn: the x - factor * row of a
+    row-at-a-time loop, in its order.  The loop skips a zero factor's row;
+    here its term is +0.0, and x - 0.0 is x for every double, the sign of a
+    zero included.  The terms are formed a few j at a time, at most
+    PRODUCT_ENTRIES doubles of them, and each j with a nonzero factor is
+    one subtraction for all the problems."""
+    nonzero = factors != 0.0
+    used = np.flatnonzero(nonzero.any(axis=0))
+    rows, factors, nonzero = rows[:, used].T, factors[:, used].T, nonzero[:, used].T
     objective = tableau[lps, -1]
-    for j in (factors != 0.0).any(axis=0).nonzero()[0]:
-        k = factors[:, j].nonzero()[0]
-        objective[k] -= factors[k, j, None] * tableau[lps[k], rows[k, j]]
+    step = max(1, min(len(used), PRODUCT_ENTRIES // max(1, objective.size)))
+    for at in range(0, len(used), step):
+        part = slice(at, at + step)
+        terms = np.zeros((*rows[part].shape, objective.shape[1]))
+        np.multiply(factors[part, :, None], tableau[lps, rows[part]], out=terms,
+                    where=nonzero[part, :, None])
+        for term in terms:
+            objective -= term
     tableau[lps, -1] = objective
 
 
 def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
     """Drive leftover artificials out of the bases of the problems `lps`,
     one row after another.  A row where that is impossible is redundant and
-    is zeroed, as are the artificial columns, so that phase 2 never picks
+    is zeroed, as are their artificial columns, so that phase 2 never picks
     either."""
     tableau, basis, a_at = stack.tableau, stack.basis, stack.a_at
     for i in np.flatnonzero((basis[lps] >= a_at).any(axis=0)):
@@ -495,44 +501,92 @@ def _drop_artificials(stack: _Stack, lps: np.ndarray) -> None:
             _pivots(tableaus, lanes, i, tableaus[lanes, :, enter])
             tableau[moved] = tableaus
             basis[moved, i] = enter
-    tableau[:, :, a_at:-1] = 0.0
+    tableau[lps, :, a_at:-1] = 0.0
+
+
+def _phase2(stack: _Stack, lps: np.ndarray, ids: np.ndarray) -> None:
+    """Restore the true objective of the tableaus `lps`, which hold the
+    problems `ids`, as reduced costs over their bases, one basic row after
+    another."""
+    tableau, cvec = stack.tableau, stack.cvec[ids]
+    m = tableau.shape[1] - 1
+    tableau[lps, m] = 0.0
+    tableau[lps, m, : cvec.shape[1]] = cvec
+    col = stack.basis[lps]
+    variable = (col >= 0) & (col < stack.ncols[ids, None])
+    cb = np.take_along_axis(cvec, np.where(variable, col, 0), axis=1)
+    cb[~variable] = 0.0
+    _price(tableau, lps, np.broadcast_to(np.arange(m), col.shape), cb)
 
 
 def _solve_stack(problems: list[LpProblem]) -> list[LpSolution]:
-    """Both simplex phases for several problems at once."""
+    """Both simplex phases for several problems at once, in one lockstep loop.
+
+    Each step, every working problem picks its pivot (`_choose`) in the
+    objective row of its own phase.  A problem whose phase 1 ends is
+    judged there, against phase1_tol; if feasible, its artificials are
+    driven out (`_drop_artificials`), its phase-2 objective priced
+    (`_phase2`), and it picks its phase-2 pivot at once, so it pivots on in
+    the same step.  A problem that is done leaves the working tableaus, the
+    first of the stack, by swapping slots with the last working one
+    (`_compact`): tableau slot s then holds problem at[s].  MAX_ITER caps
+    each problem's pivots in each phase."""
     stack = _standard_form(problems)
     tableau, basis = stack.tableau, stack.basis
-    m = tableau.shape[1] - 1
+    count, m = len(problems), tableau.shape[1] - 1
     feasible = ~stack.infeasible
-
-    lps = np.flatnonzero(feasible & (stack.art_rows >= 0).any(axis=1))
+    unbounded = np.zeros(count, dtype=bool)
+    # Phase 1 minimizes the artificial sum, pricing out the artificial rows
+    # one after another; the other problems start in phase 2.
+    phase1 = feasible & (stack.art_rows >= 0).any(axis=1)
+    lps = np.flatnonzero(phase1)
     if lps.size:
-        # Phase 1: minimize the artificial sum, pricing out the artificial
-        # rows one after another.
         art_rows = stack.art_rows[lps]
         present = art_rows >= 0
         tableau[lps, m, stack.a_at : -1] = present
         _price(tableau, lps, np.maximum(art_rows, 0), present.astype(float))
-        unbounded = _simplex(tableau, basis, lps)
-        feasible[lps] = ~unbounded & ~(-tableau[lps, m, -1] > stack.phase1_tol[lps])
-        _drop_artificials(stack, lps[feasible[lps]])
+    lps = np.flatnonzero(feasible & ~phase1)
+    _phase2(stack, lps, lps)
 
-    # Phase 2: restore the true objective as reduced costs over the basis,
-    # one basic row after another.
-    live = np.flatnonzero(feasible)
-    tableau[live, m] = 0.0
-    tableau[live, m, : stack.cvec.shape[1]] = stack.cvec[live]
-    col = basis[live]
-    variable = (col >= 0) & (col < stack.ncols[live, None])
-    cb = np.take_along_axis(stack.cvec[live], np.where(variable, col, 0), axis=1)
-    cb[~variable] = 0.0
-    _price(tableau, live, np.broadcast_to(np.arange(m), col.shape), cb)
-    unbounded = np.zeros(len(problems), dtype=bool)
-    unbounded[live] = _simplex(tableau, basis, live)
+    at = np.arange(count)  # the problem each tableau slot holds
+    began = np.zeros(count, dtype=np.intp)  # the step each slot's phase began
+    lanes = np.arange(count)
+    working = _compact((tableau, basis, at, phase1), feasible)
+    products = np.empty_like(tableau[: max(1, min(count, PRODUCT_ENTRIES // tableau[0].size))])
+    step = 0
+    while working:
+        enter, leave, factors, going, pivoting = _choose(tableau[:working], lanes[:working])
+        if not pivoting.all():
+            ended = np.flatnonzero(~pivoting & phase1[:working])
+            if ended.size:
+                ids = at[ended]
+                ok = ~going[ended] & ~(-tableau[ended, m, -1] > stack.phase1_tol[ids])
+                feasible[ids[~ok]] = False
+                switching, ids = ended[ok], ids[ok]
+                if switching.size:
+                    _drop_artificials(stack, switching)
+                    _phase2(stack, switching, ids)
+                    phase1[switching] = False
+                    began[switching] = step
+                    chosen = _choose(tableau[switching], lanes[: switching.size])
+                    for array, values in zip((enter, leave, factors, going, pivoting), chosen):
+                        array[switching] = values
+            done = ~pivoting & ~phase1[:working]
+            unbounded[at[:working][done]] = going[done]
+            working = _compact((tableau, basis, at, phase1, began, enter, leave, factors),
+                               pivoting)
+            if not working:
+                break
+        _pivots(tableau[:working], lanes[:working], leave[:working], factors[:working],
+                products)
+        basis[lanes[:working], leave[:working]] = enter[:working]
+        step += 1
+        if step >= MAX_ITER and step - began[:working].min() >= MAX_ITER:
+            raise RuntimeError("simplex iteration cap exceeded")
 
-    y = np.zeros((len(problems), tableau.shape[2] - 1))
+    y = np.zeros((count, tableau.shape[2] - 1))
     k, i = (basis >= 0).nonzero()
-    y[k, basis[k, i]] = tableau[k, i, -1]
+    y[at[k], basis[k, i]] = tableau[k, i, -1]
     # x = offsets plus each column's signed value, in column order (y+
     # before y-); padding columns add their zeros to the spare variable
     x = stack.offsets.copy()

@@ -140,7 +140,7 @@ class Instance:
     values as one read-only float64 array per `UserProfile` field, entry k
     belonging to user id k.  `roundtrip_time_per_bit` is formed once from
     them.  These columns are the instance's only store of user values; the
-    energy side's four memos (`derive_energy_columns`) are formed from them
+    energy side's five memos (`derive_energy_columns`) are formed from them
     together on the first read of one, or for a whole block at once.  Every
     entry is the double that the scalar expression gives: read a single
     value through `tolist()`, so that it is a Python float.
@@ -244,6 +244,12 @@ class Instance:
     def partition(self) -> Partition:
         """The users split four ways (`Partition`) at the deadline."""
         return _energy_memo(self, "partition")
+
+    @cached_property
+    def deadline_gap(self) -> float:
+        """`energy.feasibility_gap` at the deadline: positive exactly when
+        the deadline is below t_min."""
+        return _energy_memo(self, "deadline_gap")
 
     @cached_property
     def rate_terms(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
@@ -416,7 +422,7 @@ def shared_solutions():
 
 
 def derive_energy_columns(instances) -> None:
-    """Fill the four energy memos of every instance without them, one broadcast
+    """Fill the five energy memos of every instance without them, one broadcast
     per user count.  Each entry is formed as its instance alone forms it (the
     squares one Python `**` at a time, sums left to right), to the bit.
 
@@ -441,13 +447,16 @@ def derive_energy_columns(instances) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def _derive_energy_block(instances: list[Instance]) -> None:
     """`derive_energy_columns` of unfilled instances of one user count."""
-    weight, uplink, power, coeff, cycles, freq, task = block_columns(
+    weight, uplink, power, coeff, cycles, freq, task, roundtrip, service = block_columns(
         instances, "weight", "uplink_time_per_bit", "tx_power", "energy_coeff", "cycles_per_bit",
-        "cpu_freq", "task_bits")
+        "cpu_freq", "task_bits", "roundtrip_time_per_bit", "service_rate")
     squares = _squares(freq.ravel()).reshape(freq.shape)
     delta = weight * (uplink * power - coeff * cycles * squares)
-    min_bits = _min_offload_bits(task, freq, cycles, np.array([[i.deadline] for i in instances]))
+    deadlines = np.array([i.deadline for i in instances])
+    min_bits = _min_offload_bits(task, freq, cycles, deadlines[:, None])
     local = sums_in_order(weight * coeff * cycles * task * squares).tolist()
+    gaps = _gap_rows(min_bits, roundtrip, service, [i.degradation for i in instances],
+                     deadlines).tolist()
     # class 2 * forced + saving, of bools viewed as int8 (no wider integers)
     classes = (2 * (min_bits > 0.0).view(np.int8) + (delta < 0.0).view(np.int8)).tolist()
     for array in (delta, min_bits):
@@ -459,7 +468,34 @@ def _derive_energy_block(instances: list[Instance]) -> None:
         free_costly, free_saving, forced_costly, forced_saving = map(frozenset, members)
         vars(instance).update(
             delta_per_bit=delta[k], min_offload_bits=min_bits[k], local_energy=local[k],
+            deadline_gap=gaps[k],
             partition=Partition(forced_costly, forced_saving, free_costly, free_saving))
+
+
+def _gap_rows(min_bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, degradations,
+              ts) -> np.ndarray:
+    """The feasibility gap of each row at its t: the radio time of its forced
+    minimum offloads plus the window of the slowest at the degraded rate of
+    its forced users, minus t.  The radio time is never -0.0, so the +-0.0
+    floor of a row without forced users leaves it as it is."""
+    forced = np.add.reduce(min_bits > 0.0, axis=-1).tolist()  # +-0.0 is not forced
+    # Python ints keep the power Python's: a numpy exponent would take numpy's
+    factors = np.array([[vm_rate_factor(d, n)] for d, n in zip(degradations, forced)])
+    radio, floor = _radio_and_floor(min_bits, roundtrip, service, factors)
+    return radio + floor - ts
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _radio_and_floor(bits: np.ndarray, roundtrip: np.ndarray, service: np.ndarray, factors):
+    """The radio time of offloading bits, summed left to right in user id,
+    and the floor under the computing window, the slowest b / (s * factor),
+    along the last axis; factors broadcast against the columns.  A sum that
+    overflows is inf, and so is the floor where a forced user's degraded
+    rate underflows to 0 (b / 0): no window is then long enough.  An
+    unforced user's 0 / x is 0, or nan where x underflows to 0, which fmax
+    skips; the floor of no offloads is 0."""
+    floor = np.fmax.reduce(bits / (service * factors), axis=-1, initial=0.0)
+    return sums_in_order(bits * roundtrip), floor
 
 
 def block_columns(instances, *names: str) -> list[np.ndarray]:
@@ -564,11 +600,14 @@ class EnergySchedule:
     every saving user offload fully), "greedy-path" (users were dropped to
     fit the deadline), "lp-path" (offload sizes came from an LP), or
     "infeasible" (the deadline cannot be met at all; t_min carries the
-    smallest feasible deadline when known).
+    smallest feasible deadline when known).  The energy solvers hand out the
+    bits read-only (`types.MappingProxyType`): in a `shared_solutions` scope
+    every row that solves one subset LP of an instance returns the one
+    schedule of that subset.
     """
 
     scheduled: frozenset[int]
-    offload_bits: dict[int, float]
+    offload_bits: Mapping[int, float]
     compute_time: float
     objective: float
     total_energy: float

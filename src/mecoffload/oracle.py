@@ -32,7 +32,6 @@ from .model import (
     RateSchedule,
     block_columns,
     derive_energy_columns,
-    per_user_count,
     sums_in_order,
 )
 from .rate import _closed_forms, _penalties, _per_user_count, meets_necessary_condition
@@ -222,7 +221,7 @@ def brute_force_energy_batch(
         raise BudgetExceededError(
             f"{most} optional users exceed the energy oracle budget {budget.max_optional_energy}")
     # a refused instance takes no LP, and `_least_energy` then meets only None
-    refused = [gap > 0.0 for gap in per_user_count(instances, energymod._gaps)]
+    refused = [gap > 0.0 for gap in energymod._gaps(instances)]
     solved = iter(solve([case for case, no in zip(cases, refused) if not no]))
     fulls = [None if no else next(solved) for no in refused]
 

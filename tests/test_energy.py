@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import functools
+import io
 import math
 import operator
 import warnings
@@ -29,7 +31,7 @@ from mecoffload import (
     vm_rate_factor,
     with_deadline,
 )
-from mecoffload import energy, harness, lp
+from mecoffload import energy, harness, lp, model
 from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
@@ -547,6 +549,18 @@ class TestSuboptimalBatch:
         batch = energy.solve_energy_suboptimal_batch(self.instances())
         assert stacks == [sum(s.status == "lp-path" for s in batch)] and stacks[0] > 1
 
+    def test_lp_branch_lps_are_built_together(self, monkeypatch):
+        built = []
+        plans = energy._subset_plans
+
+        def recording(cases):
+            built.append(len(cases))
+            return plans(cases)
+
+        monkeypatch.setattr(energy, "_subset_plans", recording)
+        batch = energy.solve_energy_suboptimal_batch(self.instances())
+        assert built == [sum(s.status == "lp-path" for s in batch)] and built[0] > 1
+
 
 def everyone_lp(instance):
     """The all-offload LP as the partition that forces every user into a
@@ -737,6 +751,54 @@ class TestSharedSolutions:
         solve_subset_lp(inst, part, part.free_saving)
         solve_subset_lp(inst, part, part.free_saving)
         assert counter.problems == 4
+
+
+class TestReadOnlyBits:
+    """The energy solvers hand out their bits read-only, since a
+    `shared_solutions` scope hands one schedule to every row that solves the
+    same subset LP."""
+
+    def test_rows_of_one_subset_share_one_schedule(self):
+        inst = stock_instance(6, 0.1, 3, deadline=0.5)
+        part = inst.partition
+        assert not (part.forced_costly or part.free_costly)  # all-offload is the full subset
+        with energy.shared_solutions():
+            [oracle] = brute_force_energy_batch([inst])
+            [everyone] = energy.benchmark_energy_all_offloading_batch([inst])
+        assert oracle.scheduled == part.forced | part.free_saving
+        assert everyone is oracle
+        with pytest.raises(TypeError):
+            everyone.offload_bits[0] = 0.0
+
+    def test_every_branch_hands_out_read_only_bits(self):
+        schedules = energy.solve_energy_suboptimal_batch(TestSuboptimalBatch.instances())
+        assert {s.status for s in schedules} == {
+            "infeasible", "optimal-path", "greedy-path", "lp-path"}
+        for schedule in schedules:
+            with pytest.raises(TypeError):
+                schedule.offload_bits[0] = 1.0
+
+
+class TestDeadlineGapMemo:
+    """Each instance's gap at its deadline is formed once, with its other
+    energy memos, and every solver of a block reads it."""
+
+    def test_one_gap_row_per_instance_per_certified_block(self, monkeypatch):
+        rows = []
+        for module in (model, energy):
+            def counting(min_bits, *args, formula=module._gap_rows):
+                rows.append(len(min_bits))
+                return formula(min_bits, *args)
+
+            monkeypatch.setattr(module, "_gap_rows", counting)
+        spec = harness.SweepSpec(experiment="energy-vs-T", grid=(0.65,), realizations=40,
+                                 base_seed=7, algorithms=("suboptimal", "all-offload", "oracle"),
+                                 certify=True)
+        table = list(csv.DictReader(io.StringIO(harness.run_sweep(spec))))
+        # every draw meets the deadline, so no t_min search forms gaps of its own
+        assert {row["algorithm"] for row in table} == {"suboptimal", "all-offload", "oracle"}
+        assert all(row["feasible"] == "40" for row in table if row["algorithm"] != "all-offload")
+        assert rows == [40]
 
 
 class TestEnergyChecker:
@@ -1223,7 +1285,8 @@ class TestFeasibilityByOneEvaluation:
         tight = with_deadline(inst, t_min)
         assert solve_energy_suboptimal(tight).status == "lp-path"
         # an LP branch whose subset LP comes out infeasible
-        monkeypatch.setattr(energy, "_subset_lp", lambda *args: (None, lambda _: None))
+        monkeypatch.setattr(energy, "_subset_lps",
+                            lambda cases: [(None, lambda _: None)] * len(cases))
         counts.update(gap=0, root=0, tmin=0)
         schedule = solve_energy_suboptimal(tight)
         assert schedule.status == "infeasible" and schedule.t_min == t_min

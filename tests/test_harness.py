@@ -138,6 +138,23 @@ class TestStockEnergyBytes:
         ]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # Uncertified, no oracle runs first, so the heuristic builds every
+    # LP-branch LP itself: 11 of the first grid point's 20 draws of
+    # energy-vs-T, in one block.
+    UNCERTIFIED = {
+        "energy-vs-T": "347561309daa615a1ae032cf59e485dd62d14559e4845908d60dea640d0302d0",
+        "energy-vs-d": "2bbd57e36484c439fc03e1f7c861ba67da7deb53ad87dbad1c7ad7d5af1692e2",
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(UNCERTIFIED))
+    def test_uncertified_sweep_digest(self, experiment, tmp_path):
+        out = tmp_path / f"{experiment}.csv"
+        assert cli_main([
+            "sweep", "--experiment", experiment, "--realizations", "20", "--seed", "7",
+            "--out", str(out),
+        ]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.UNCERTIFIED[experiment]
+
 
 class TestRateBlocks:
     """A rate sweep draws and solves a grid point's realizations a block at

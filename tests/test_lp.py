@@ -15,6 +15,7 @@ from mecoffload.lp import (
     solve_lps,
 )
 from mecoffload.rng import SplitMix64, mix64
+import lp_reference
 from lp_reference import enumerate_vertices, reference_solve_lp
 from support import lp_key, random_lp_problem, stock_energy_lps, stock_instance, subset_lps
 
@@ -603,6 +604,90 @@ class TestBatchEquivalence:
         assert repr(solved[2]) == repr(reference_solve_lp(simplex_face()))
 
 
+def phase_pivots(problem, monkeypatch) -> tuple[int, int]:
+    """The pivots the row-at-a-time reference makes in simplex phases 1 and
+    2 of the problem, 0 for a phase it does not run: it runs phase 1 only
+    where the problem has artificials, and phase 2 only where the problem is
+    feasible.  The pivots that drive artificials out are neither's."""
+    runs, pivots = [], []
+    pivot, run = lp_reference.row_loop_pivot, lp_reference.row_loop_run_simplex
+
+    def counting_pivot(*args):
+        pivots.append(None)
+        return pivot(*args)
+
+    def counting_run(*args):
+        start = len(pivots)
+        status = run(*args)
+        runs.append(len(pivots) - start)
+        return status
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_reference, "row_loop_pivot", counting_pivot)
+        patch.setattr(lp_reference, "row_loop_run_simplex", counting_run)
+        status = reference_solve_lp(problem).status
+    if len(runs) == 2:
+        return tuple(runs)
+    return (*runs, 0) if status == "infeasible" else (0, *runs)
+
+
+def lockstep_steps(problems, monkeypatch) -> list[tuple[int, bool]]:
+    """Each lockstep step of `solve_lps` on the problems: how many problems
+    it pivots, and whether it pivots them in place, in a view of the
+    stack's own tableaus.  The pivots that drive artificials out are no
+    step."""
+    steps, tableaus, dropping = [], [], []
+    pivots, drop, build = lp._pivots, lp._drop_artificials, lp._standard_form
+
+    def building(problems):
+        stack = build(problems)
+        tableaus.append(stack.tableau)
+        return stack
+
+    def dropping_artificials(*args):
+        dropping.append(None)
+        try:
+            return drop(*args)
+        finally:
+            dropping.pop()
+
+    def pivoting(stack, lps, *args):
+        if not dropping:
+            steps.append((len(lps), stack.base is tableaus[-1]))
+        return pivots(stack, lps, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_standard_form", building)
+        patch.setattr(lp, "_drop_artificials", dropping_artificials)
+        patch.setattr(lp, "_pivots", pivoting)
+        solve_lps(problems)
+    return steps
+
+
+class TestLockstep:
+    """One loop pivots a stack through both phases: each problem starts
+    phase 2 on the step its phase 1 ends, and a problem that is done leaves
+    the working tableaus without a copy of the others."""
+
+    def test_a_stock_stack_takes_its_longest_problem_s_pivots(self, monkeypatch):
+        problems = stock_energy_lps(4)
+        monkeypatch.setattr(lp, "STACK_ENTRIES", math.inf)  # one stack
+        phases = [phase_pivots(p, monkeypatch) for p in problems]
+        steps = lockstep_steps(problems, monkeypatch)
+        assert len(steps) == max(map(sum, phases))
+        # the phase maxima one after the other would take more steps
+        assert len(steps) < sum(map(max, zip(*phases)))
+        assert sum(count for count, _ in steps) == sum(map(sum, phases))
+        assert all(in_place for _, in_place in steps)
+
+    def test_every_stock_stack_pivots_in_place(self, monkeypatch):
+        problems = stock_energy_lps(2)
+        monkeypatch.setattr(lp, "STACK_ENTRIES", 20 * lp._entries(*problems[0].size))
+        steps = lockstep_steps(problems, monkeypatch)
+        assert len(lp.stack_starts(problems)) > 1
+        assert steps and all(in_place for _, in_place in steps)
+
+
 class TestStackBudget:
     """`solve_lps` cuts its problems, in order, into stacks of at most
     STACK_ENTRIES tableau entries, counted as `_entries` of the stack's most
@@ -680,6 +765,23 @@ class TestLimits:
         rng = SplitMix64(0x1B)
         with pytest.raises(RuntimeError, match="iteration cap"):
             solve_lps([random_lp_problem(rng) for _ in range(20)])
+
+    def test_iteration_cap_holds_each_phase(self, monkeypatch):
+        # a cap above each phase's pivots solves a problem whose two phases
+        # together reach it, in a stack or alone; a cap that one phase
+        # reaches stops it
+        problems = stock_energy_lps(1)
+        phases = [phase_pivots(p, monkeypatch) for p in problems]
+        k, (p1, p2) = next((k, runs) for k, runs in enumerate(phases) if min(runs) >= 1)
+        monkeypatch.setattr(lp, "MAX_ITER", max(p1, p2) + 1)
+        assert p1 + p2 >= lp.MAX_ITER
+        expected = repr(reference_solve_lp(problems[k]))
+        assert repr(solve_lp(problems[k])) == expected
+        mates = [p for p, runs in zip(problems, phases) if max(runs) < lp.MAX_ITER]
+        assert [repr(s) for s in solve_lps(mates)] == [repr(reference_solve_lp(p)) for p in mates]
+        monkeypatch.setattr(lp, "MAX_ITER", max(p1, p2))
+        with pytest.raises(RuntimeError, match="iteration cap"):
+            solve_lp(problems[k])
 
     def test_size_guard_refuses_before_building(self, monkeypatch):
         built = []

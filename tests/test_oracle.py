@@ -2,7 +2,7 @@ import dataclasses
 import functools
 import math
 import operator
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,10 +448,11 @@ def reference_brute_force_energy(instance):
                 continue
         best = (objective, s1, full, te)
     if best is None:
-        return EnergySchedule(frozenset(), {u.id: 0.0 for u in instance.users}, 0.0, math.nan,
-                              math.nan, "infeasible", feasibility_tmin(instance).t_min)
+        return EnergySchedule(frozenset(), MappingProxyType({u.id: 0.0 for u in instance.users}),
+                              0.0, math.nan, math.nan, "infeasible",
+                              feasibility_tmin(instance).t_min)
     objective, s1, full, te = best
-    return EnergySchedule(partition.forced | frozenset(s1), full, te, objective,
+    return EnergySchedule(partition.forced | frozenset(s1), MappingProxyType(full), te, objective,
                           objective + instance.local_energy, "lp-path")
 
 
