@@ -6,6 +6,8 @@ saves energy, drop optional users greedily, or shrink the forced users'
 offload sizes with an LP.
 """
 
+import numpy as np
+
 from mecoffload import (
     GenerationSpec,
     brute_force_energy,
@@ -23,9 +25,10 @@ base = generate_instance(GenerationSpec(n_users=8, degradation=0.2, deadline_s=0
 
 # Smallest workable deadline: below this even maximal offloading cannot
 # finish every task in time.
-feas = feasibility_tmin(base)
-print(f"smallest feasible deadline: {feas.t_min * 1e3:.1f} ms "
-      f"({feas.forced_count} users would be forced to offload there)")
+t_min = feasibility_tmin(base)
+forced_count = np.count_nonzero(base.min_offload_bits_at(t_min) > 0)
+print(f"smallest feasible deadline: {t_min * 1e3:.1f} ms "
+      f"({forced_count} users would be forced to offload there)")
 
 part = partition_users(base)
 print(f"\npartition at T = {base.deadline * 1e3:.0f} ms:")
@@ -38,8 +41,7 @@ print(f"full offloading of every saving user needs {full_delay * 1e3:.1f} ms")
 
 print("\ndeadline sweep (same users, tighter and tighter):")
 print("     T (ms) | branch        | scheduled | energy (mJ) | oracle gap")
-for t in (1.2 * full_delay, 0.95 * full_delay, 1.2 * feas.t_min, 1.02 * feas.t_min,
-          0.8 * feas.t_min):
+for t in (1.2 * full_delay, 0.95 * full_delay, 1.2 * t_min, 1.02 * t_min, 0.8 * t_min):
     at = with_deadline(base, t)
     schedule = solve_energy_suboptimal(at)
     if schedule.status == "infeasible":

@@ -16,7 +16,6 @@ import functools
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -41,12 +40,10 @@ from .model import (
 
 __all__ = [
     "Partition",
-    "FeasibilityResult",
     "partition_users",
     "feasibility_gap",
     "feasibility_tmin",
     "total_delay",
-    "required_compute_time",
     "solve_energy_suboptimal",
     "solve_energy_suboptimal_batch",
     "solve_subset_lp",
@@ -66,29 +63,15 @@ def partition_users(instance: Instance) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-def _at(instance: Instance, t: float) -> tuple[float, np.ndarray]:
-    """`feasibility_gap` at t, with the forced minimum offloads at t it was
-    formed from: at the deadline the memoised `Instance.deadline_gap` and
-    `Instance.min_offload_bits`, else `_gap_rows` of the instance as a row
-    of one."""
-    if t == instance.deadline:
-        return instance.deadline_gap, instance.min_offload_bits
-    min_bits = instance.min_offload_bits_at(t)
-    gap = _gap_rows(min_bits[None], instance.roundtrip_time_per_bit[None],
-                    instance.service_rate[None], [instance.degradation], t)
-    return gap.item(), min_bits
-
-
 def _gaps(instances) -> list[float]:
-    """`_at` of instances at their deadlines: their `Instance.deadline_gap`."""
+    """`feasibility_gap` of instances at their deadlines: their `Instance.deadline_gap`."""
     return [instance.deadline_gap for instance in instances]
 
 
 # an overflowed threshold or segment sum is inf; a nan root of two is skipped
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
-    """The least double t with gap(t) <= 0 < gap(previous double), and
-    `_at(instance, t)` where the search evaluated it (else None).
+def _root(instance: Instance) -> float:
+    """The least double t with gap(t) <= 0 < gap(previous double).
 
     User k stops being forced at tau_k = c_k L_k / f_k.  Between two
     consecutive thresholds the forced set F is fixed, so the gap is
@@ -105,7 +88,7 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
     order = np.argsort(tau, kind="stable")  # ascending, lowest id on ties
     thresholds = tau[order].tolist()
     if not thresholds or thresholds[-1] <= 0.0:
-        return 0.0, None
+        return 0.0
     # Keep gap > 0 at threshold lo (position -1 and zero thresholds are
     # t = 0, checked once the search ends there) and gap <= 0 at threshold
     # hi; the last threshold leaves at most a rounding residue forced, so
@@ -114,15 +97,13 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
     hi = len(thresholds) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _at(instance, thresholds[mid])[0] > 0.0:
+        if feasibility_gap(instance, thresholds[mid]) > 0.0:
             lo = mid
         else:
             hi = mid
     left = thresholds[lo] if lo >= 0 else 0.0
-    if left == 0.0:
-        state = _at(instance, 0.0)
-        if state[0] <= 0.0:
-            return 0.0, state
+    if left == 0.0 and feasibility_gap(instance, 0.0) <= 0.0:
+        return 0.0
     right = thresholds[hi]
     forced = order[hi:]  # in threshold order, as the sums add them
     phi = vm_rate_factor(instance.degradation, len(forced))
@@ -138,25 +119,22 @@ def _root(instance: Instance) -> tuple[float, tuple[float, np.ndarray] | None]:
     return _settle(instance, min(t, right), left, right)
 
 
-def _settle(instance: Instance, t: float, lo: float, hi: float):
+def _settle(instance: Instance, t: float, lo: float, hi: float) -> float:
     """The double with gap(t) <= 0 < gap(previous double), searched over the
     bit patterns of (lo, hi], where gap(lo) > 0 >= gap(hi) and positive
     doubles order as their bit patterns do.  From t in [lo, hi], the search
     probes 1, 2, 4, ... patterns toward the sign change, and bisects once a
     probe has crossed it or would leave the bracket: a root n patterns from
-    t takes about 2 log2(n) gap evaluations, and at most about 128.
-    Returns the double and `_at` of it, or None where hi is returned
-    unevaluated."""
-    lo_bits, hi_bits, hi_state, step = _double_bits(lo), _double_bits(hi), None, 1
+    t takes about 2 log2(n) gap evaluations, and at most about 128."""
+    lo_bits, hi_bits, step = _double_bits(lo), _double_bits(hi), 1
     start = probe = _double_bits(t)
     while True:
-        state = _at(instance, _bits_double(probe))
-        if state[0] > 0.0:
+        if feasibility_gap(instance, _bits_double(probe)) > 0.0:
             lo_bits, probe = probe, start + step
         else:
-            hi_bits, hi_state, probe = probe, state, start - step
+            hi_bits, probe = probe, start - step
         if hi_bits - lo_bits <= 1:
-            return _bits_double(hi_bits), hi_state
+            return _bits_double(hi_bits)
         if not lo_bits < probe < hi_bits:
             probe = (lo_bits + hi_bits) // 2
         step *= 2
@@ -176,27 +154,16 @@ def feasibility_gap(instance: Instance, t: float) -> float:
     Decreasing in t, with downward jumps where a user stops being forced;
     the computed value never increases with t either, so a deadline T is
     feasible exactly when gap(T) <= 0, that is when T >= t_min
-    (DESIGN_NOTES.md, "Feasibility by one evaluation")."""
-    return _at(instance, t)[0]
+    (DESIGN_NOTES.md, "Feasibility by one evaluation").  At the deadline it
+    is the memo `Instance.deadline_gap`, else `_gap_rows` of the instance
+    as a row of one."""
+    if t == instance.deadline:
+        return instance.deadline_gap
+    return _gap_rows(instance.min_offload_bits_at(t)[None], instance.roundtrip_time_per_bit[None],
+                     instance.service_rate[None], [instance.degradation], t).item()
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
-    """Root of the feasibility balance, with the state evaluated there.
-
-    bracket is (the double below t_min, t_min): the gap is positive at the
-    first and nonpositive at the second, so no double between them is
-    skipped.  At t_min = 0 both ends are 0.
-    """
-
-    t_min: float
-    residual: float  # feasibility_gap at t_min (at or just past the root)
-    min_bits: tuple[float, ...]
-    forced_count: int
-    bracket: tuple[float, float]
-
-
-def feasibility_tmin(instance: Instance) -> FeasibilityResult:
+def feasibility_tmin(instance: Instance) -> float:
     """Smallest deadline for which the energy problem is feasible.
 
     The least double t_min whose gap is nonpositive while the gap of the
@@ -208,15 +175,7 @@ def feasibility_tmin(instance: Instance) -> FeasibilityResult:
     evaluation, and `solve_energy_suboptimal` runs this search only to
     report t_min when it refuses.
     """
-    t, state = _root(instance)
-    residual, min_bits = _at(instance, t) if state is None else state
-    return FeasibilityResult(
-        t_min=t,
-        residual=residual,
-        min_bits=tuple(min_bits.tolist()),
-        forced_count=int(np.count_nonzero(min_bits > 0.0)),
-        bracket=(math.nextafter(t, 0.0), t),
-    )
+    return _root(instance)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +219,6 @@ def _window(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
     if longest == 0.0:
         return 0.0
     return longest * interference_penalty(instance.degradation, n_vms)
-
-
-def required_compute_time(instance: Instance, partition: Partition, s1) -> float:
-    """Shortest parallel-computing window for the given optional set: the
-    slowest full task among scheduled saving users, or the slowest forced
-    minimum among costly ones, at the interference-degraded rate."""
-    return _window(instance, *_commitment(instance, partition, s1))
 
 
 def total_delay(instance: Instance, partition: Partition, s1) -> float:
@@ -488,7 +440,7 @@ def _branch_block(instances: list[Instance]) -> list:
         n_vms = instance.n_users - len(part.free_costly)
         window = slowest * interference_penalty(instance.degradation, n_vms) if slowest else 0.0
         if gap > 0.0:
-            plans.append(_done(_infeasible(instance, feasibility_tmin(instance).t_min)))
+            plans.append(_done(_infeasible(instance, feasibility_tmin(instance))))
         elif instance.deadline >= radio + window:
             plans.append(_done(_schedule(instance, part.forced | part.free_saving, load.tolist(),
                                          window, "optimal-path")))
@@ -502,7 +454,7 @@ def _branch_block(instances: list[Instance]) -> list:
         for (k, instance), (problem, finish) in zip(lp_branch, _subset_lps(cases)):
             # an infeasible LP is not expected once the deadline clears t_min
             plans[k] = problem, lambda sol, finish=finish, instance=instance: (
-                finish(sol) or _infeasible(instance, feasibility_tmin(instance).t_min))
+                finish(sol) or _infeasible(instance, feasibility_tmin(instance)))
     return plans
 
 

@@ -499,7 +499,7 @@ def _cmd_solve_energy(args) -> int:
 
 def _cmd_tmin(args) -> int:
     instance = read_instance(args.instance)
-    print(f"{feasibility_tmin(instance).t_min!r} s")
+    print(f"{feasibility_tmin(instance)!r} s")
     return 0
 
 

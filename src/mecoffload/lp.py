@@ -40,6 +40,7 @@ __all__ = [
     "LpSolution",
     "LpStructureError",
     "BudgetExceededError",
+    "IterationCapError",
     "check_size",
     "stack_starts",
     "stack_capacity",
@@ -65,6 +66,16 @@ class LpStructureError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An exhaustive routine refused an input beyond its size guard."""
+
+
+class IterationCapError(RuntimeError):
+    """A problem passed MAX_ITER pivots in one phase.  index is its place in
+    the `solve_lps` call (0 for `solve_lp`): the lowest of those that passed
+    the cap on the same step."""
+
+    def __init__(self, index: int):
+        super().__init__(f"simplex iteration cap exceeded (problem {index})")
+        self.index = index
 
 
 def _frozen(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -582,7 +593,7 @@ def _solve_stack(problems: list[LpProblem]) -> list[LpSolution]:
         basis[lanes[:working], leave[:working]] = enter[:working]
         step += 1
         if step >= MAX_ITER and step - began[:working].min() >= MAX_ITER:
-            raise RuntimeError("simplex iteration cap exceeded")
+            raise IterationCapError(at[:working][step - began[:working] >= MAX_ITER].min().item())
 
     y = np.zeros((count, tableau.shape[2] - 1))
     k, i = (basis >= 0).nonzero()
@@ -626,7 +637,11 @@ def solve_lps(problems) -> list[LpSolution]:
     stacked = [problems[k] for k in todo]
     starts = stack_starts(stacked)
     for start, stop in zip(starts, [*starts[1:], len(todo)]):
-        for k, solution in zip(todo[start:stop], _solve_stack(stacked[start:stop])):
+        try:
+            solved = _solve_stack(stacked[start:stop])
+        except IterationCapError as capped:  # its index in the stack, as one in the call
+            raise IterationCapError(todo[start + capped.index]) from None
+        for k, solution in zip(todo[start:stop], solved):
             solutions[k] = solution
     return solutions
 

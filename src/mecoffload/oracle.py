@@ -359,7 +359,7 @@ def _least_energy(instance: Instance, candidates) -> EnergySchedule:
                 continue
         best = (s1, schedule)
     if best is None:
-        return energymod._infeasible(instance, energymod.feasibility_tmin(instance).t_min)
+        return energymod._infeasible(instance, energymod.feasibility_tmin(instance))
     return best[1]
 
 

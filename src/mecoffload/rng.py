@@ -8,8 +8,8 @@ under every library version, which numpy's Generator API does not promise for
 its distribution methods.
 
 `uniform_rows` draws many values for many seeds at once with wrapping
-uint64 arithmetic: row r gives the same doubles as that many `uniform()`
-calls of `SplitMix64(seeds[r])`, and the scalar methods stay the reference.
+uint64 arithmetic: row r gives the doubles of the stream seeded with
+seeds[r], one per state, as the test suite's scalar generator draws them.
 """
 
 from __future__ import annotations
@@ -35,25 +35,10 @@ _GOLDEN_U64, _MIX1_U64, _MIX2_U64 = _U64(_GOLDEN), _U64(_MIX1), _U64(_MIX2)
 _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 
 
-class SplitMix64:
-    """Seedable stream of 64-bit words and unit-interval doubles."""
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & MASK64
-        return _scramble(self._state)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        # 53 high bits give the usual dyadic rational in [0, 1).
-        u = (self.next_u64() >> 11) * 2.0**-53
-        return lo + (hi - lo) * u
-
-
 def uniform_rows(seeds, n: int) -> np.ndarray:
-    """An (R, n) float64 array whose row r holds the first n `uniform()`
-    values of `SplitMix64(seeds[r])`.
+    """An (R, n) float64 array whose row r holds the first n unit-interval
+    doubles of the stream seeded with seeds[r]: the 53 high bits of each
+    scrambled state, times 2**-53.
 
     The R x n states are formed as one broadcast of wrapping uint64
     arithmetic and scrambled in place."""

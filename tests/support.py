@@ -15,7 +15,31 @@ from mecoffload import (
 )
 from mecoffload.harness import SweepSpec
 from mecoffload.lp import LpProblem
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import _GOLDEN, MASK64, _scramble, mix64
+
+
+class SplitMix64:
+    """The scalar SplitMix64 stream of 64-bit words and unit-interval
+    doubles: the reference that `rng.uniform_rows` draws a block of."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GOLDEN) & MASK64
+        return _scramble(self._state)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        # 53 high bits give the usual dyadic rational in [0, 1).
+        u = (self.next_u64() >> 11) * 2.0**-53
+        return lo + (hi - lo) * u
+
+
+def required_compute_time(instance, partition, s1) -> float:
+    """Shortest parallel-computing window for the given optional set: the
+    slowest full task among scheduled saving users, or the slowest forced
+    minimum among costly ones, at the interference-degraded rate."""
+    return energy._window(instance, *energy._commitment(instance, partition, s1))
 
 
 def make_user(i=0, *, weight=1.0, a=1.0, b=1.0, gamma=1e-9, r=1.0, task=0.0,

@@ -39,9 +39,10 @@ from mecoffload import (
     with_deadline,
 )
 from mecoffload.harness import SweepSpec, run_sweep
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import mix64
 from lp_reference import enumerate_vertices
 from support import (
+    SplitMix64,
     homogeneous_instance,
     homogeneous_txrate_instance,
     make_instance,
@@ -308,28 +309,30 @@ def test_criterion_06_feasibility_tmin():
     # algebraic single-user case
     u = make_user(0, a=0.05, b=0.05, gamma=1.0, r=1.0, task=10.0, cycles=1.0, freq=1.0)
     single = make_instance([u], deadline=1.0, degradation=0.0)
-    single_ok = abs(feasibility_tmin(single).t_min - 11.0 / 2.1) <= 1e-6
+    single_ok = abs(feasibility_tmin(single) - 11.0 / 2.1) <= 1e-6
 
     worst_resid = 0.0
-    sides_ok = True
+    sides_ok = bracket_ok = True
     for i in range(200):
         d = D_VALUES[i % 5]
         inst = generate_instance(
             GenerationSpec(n_users=6, degradation=d), mix64(BASE_SEED, 6, i)
         )
-        result = feasibility_tmin(inst)
-        scale = max(result.t_min, 1e-3)
-        worst_resid = max(worst_resid, abs(feasibility_gap(inst, result.t_min)) / scale)
-        if result.t_min > 1e-3:
-            above = brute_force_energy(with_deadline(inst, result.t_min + 1e-6))
-            below = brute_force_energy(with_deadline(inst, result.t_min - 1e-3))
+        t_min = feasibility_tmin(inst)
+        scale = max(t_min, 1e-3)
+        worst_resid = max(worst_resid, abs(feasibility_gap(inst, t_min)) / scale)
+        # the double below t_min is infeasible: no double is skipped
+        bracket_ok &= t_min == 0.0 or feasibility_gap(inst, math.nextafter(t_min, 0.0)) > 0.0
+        if t_min > 1e-3:
+            above = brute_force_energy(with_deadline(inst, t_min + 1e-6))
+            below = brute_force_energy(with_deadline(inst, t_min - 1e-3))
             if above.status == "infeasible" or below.status != "infeasible":
                 sides_ok = False
     report(
         "criterion 6 (smallest feasible deadline)",
-        single_ok and worst_resid <= 1e-6 and sides_ok,
+        single_ok and worst_resid <= 1e-6 and sides_ok and bracket_ok,
         f"algebraic case ok: {single_ok}; worst residual/scale {worst_resid:.2e}; "
-        f"two-sided oracle checks ok: {sides_ok}",
+        f"two-sided oracle checks ok: {sides_ok}; one-ulp brackets ok: {bracket_ok}",
     )
 
 
@@ -344,7 +347,7 @@ def test_criterion_07_energy_near_optimality():
         inst = generate_instance(
             GenerationSpec(n_users=k, degradation=d), mix64(BASE_SEED, 7, i)
         )
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         t = t_min * (1.0 + rng.uniform())
         at = with_deadline(inst, t)
         fast = solve_energy_suboptimal(at)

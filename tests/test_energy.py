@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mecoffload import (
-    FeasibilityResult,
     GenerationSpec,
     benchmark_energy_all_offloading,
     benchmark_greedy,
@@ -23,7 +22,6 @@ from mecoffload import (
     generate_instance,
     generate_instances,
     partition_users,
-    required_compute_time,
     solve_energy_suboptimal,
     solve_subset_lp,
     total_delay,
@@ -35,14 +33,16 @@ from mecoffload import energy, harness, lp, model
 from mecoffload.lp import solve_lp
 from mecoffload.model import interference_penalty
 from mecoffload.oracle import _TIE_RTOL
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import mix64
 from lp_reference import enumerate_vertices, reference_solve_lp
 from support import (
+    SplitMix64,
     count_builds,
     count_stacked,
     lp_key,
     make_instance,
     make_user,
+    required_compute_time,
     stock_instance,
 )
 
@@ -115,15 +115,16 @@ class TestPartition:
 class TestFeasibility:
     def test_no_work_means_zero(self):
         inst = make_instance([make_user(0, task=0.0)], deadline=1.0)
-        assert feasibility_tmin(inst).t_min == 0.0
+        assert feasibility_tmin(inst) == 0.0
 
     def test_single_user_algebraic_root(self):
         # 1.1 * (10 - t) = t  ->  t = 11/2.1
         u = make_user(0, a=0.05, b=0.05, gamma=1.0, r=1.0, task=10.0, cycles=1.0, freq=1.0)
         inst = make_instance([u], deadline=1.0, degradation=0.0)
-        result = feasibility_tmin(inst)
-        assert result.t_min == pytest.approx(11.0 / 2.1, abs=1e-6)
-        assert abs(result.residual) <= 1e-6
+        t_min = feasibility_tmin(inst)
+        assert type(t_min) is float
+        assert t_min == pytest.approx(11.0 / 2.1, abs=1e-6)
+        assert abs(feasibility_gap(inst, t_min)) <= 1e-6
 
     def test_gap_decreases(self):
         inst = stock_instance(6, 0.2, 17)
@@ -134,11 +135,10 @@ class TestFeasibility:
     def test_bracket_and_sign(self):
         for seed in range(10):
             inst = stock_instance(7, 0.15, seed)
-            result = feasibility_tmin(inst)
-            lo, hi = result.bracket
-            assert hi - lo <= 1e-9
-            assert feasibility_gap(inst, result.t_min) <= 0.0
-            assert result.forced_count == sum(1 for b in result.min_bits if b > 0.0)
+            t = feasibility_tmin(inst)
+            assert feasibility_gap(inst, math.nextafter(t, 0.0)) > 0.0 >= feasibility_gap(inst, t)
+            # the forced minimum offloads at t_min, and so its forced users
+            assert inst.min_offload_bits_at(t).tolist() == reference_gap(inst, t)[0]
 
 
     def test_bit_bisection_fallback_finds_the_same_root(self, monkeypatch):
@@ -156,15 +156,11 @@ class TestFeasibility:
         monkeypatch.setattr(energy, "_settle", recording)
         for inst in instances:
             calls.clear()
-            expected = feasibility_tmin(inst)
+            t = feasibility_tmin(inst)
             [(root, lo, hi)] = calls
             assert lo <= root <= hi
             for start in (lo, root, hi):
-                settled = settle(inst, start, lo, hi)
-                with monkeypatch.context() as patch:
-                    patch.setattr(energy, "_root", lambda _: settled)
-                    assert feasibility_tmin(inst) == expected
-            t = expected.t_min
+                assert settle(inst, start, lo, hi) == t
             assert feasibility_gap(inst, t) <= 0.0 < feasibility_gap(inst, math.nextafter(t, 0.0))
 
 
@@ -183,13 +179,13 @@ class TestLargeK:
         assert vm_rate_factor(inst.degradation, k) == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            feas = feasibility_tmin(inst)
+            t_min = feasibility_tmin(inst)
             schedule = solve_energy_suboptimal(inst)
-        assert 0.0 < feas.t_min < math.inf
-        assert feasibility_gap(inst, feas.t_min) <= 0.0
+        assert 0.0 < t_min < math.inf
+        assert feasibility_gap(inst, t_min) <= 0.0
         if schedule.status == "infeasible":
-            assert schedule.t_min == feas.t_min
-            assert inst.deadline < feas.t_min
+            assert schedule.t_min == t_min
+            assert inst.deadline < t_min
         else:
             assert validate_energy_schedule(inst, schedule).ok
 
@@ -263,11 +259,11 @@ class TestScheduler:
 
     def test_below_tmin_is_infeasible_with_tmin_attached(self):
         inst = stock_instance(5, 0.2, 11)
-        result = feasibility_tmin(inst)
-        tight = with_deadline(inst, result.t_min * 0.5)
+        t_min = feasibility_tmin(inst)
+        tight = with_deadline(inst, t_min * 0.5)
         schedule = solve_energy_suboptimal(tight)
         assert schedule.status == "infeasible"
-        assert schedule.t_min == pytest.approx(result.t_min, rel=1e-6)
+        assert schedule.t_min == pytest.approx(t_min, rel=1e-6)
         assert math.isnan(schedule.total_energy)
 
     def test_greedy_branch_drops_cheapest_saver_first(self):
@@ -327,8 +323,8 @@ class TestScheduler:
     def test_lp_branch_agrees_with_oracle_when_everyone_is_forced(self):
         for seed in range(10):
             inst = stock_instance(6, 0.2, mix64(61, seed))
-            result = feasibility_tmin(inst)
-            tight = with_deadline(inst, result.t_min * 1.01)
+            t_min = feasibility_tmin(inst)
+            tight = with_deadline(inst, t_min * 1.01)
             schedule = solve_energy_suboptimal(tight)
             oracle = brute_force_energy(tight)
             assert schedule.status != "infeasible"
@@ -361,7 +357,7 @@ class TestScheduler:
     def test_every_schedule_passes_the_checker(self):
         for seed in range(15):
             inst = stock_instance(8, 0.2, mix64(91, seed))
-            t_min = feasibility_tmin(inst).t_min
+            t_min = feasibility_tmin(inst)
             for tf in (1.02, 1.3, 2.5):
                 s = solve_energy_suboptimal(with_deadline(inst, t_min * tf))
                 assert s.status != "infeasible"
@@ -391,7 +387,7 @@ class TestLpM1:
     def test_matches_vertex_enumeration_on_small_members(self):
         for seed in range(8):
             inst = stock_instance(3, 0.2, mix64(101, seed))
-            t_min = feasibility_tmin(inst).t_min
+            t_min = feasibility_tmin(inst)
             tight = with_deadline(inst, t_min * 1.2)
             part = partition_users(tight)
             if not part.forced_saving:
@@ -631,7 +627,7 @@ class TestAllOffloadRouting:
         inst = stock_instance(n_users, degradation, seed, deadline=0.45)
         power = [p * (100.0 if k in costly else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
         inst = dataclasses.replace(inst, tx_power=power)
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         assert_routing_is_exact([with_deadline(inst, t_min * s + extra) for s in (1.0, slack)])
 
     def test_a_negative_zero_minimum_keeps_the_everyone_lp(self):
@@ -845,18 +841,13 @@ def reference_gap(instance, t):
 
 def reference_tmin(instance):
     """Bisection on `reference_gap` to a 1e-9 s bracket (lo, hi] with
-    gap(lo) > 0 >= gap(hi); hi is the answer."""
-
-    def result_at(t, lo, hi):
-        min_bits, gap = reference_gap(instance, t)
-        return FeasibilityResult(t, gap, tuple(min_bits), sum(1 for b in min_bits if b > 0.0),
-                                 (lo, hi))
-
+    gap(lo) > 0 >= gap(hi), returned as (lo, hi); hi is the answer, and
+    both are 0 where the answer is."""
     if instance.n_users == 0:
-        return result_at(0.0, 0.0, 0.0)
+        return 0.0, 0.0
     hi = max(u.cycles_per_bit * u.task_bits / u.cpu_freq for u in instance.users)
     if hi <= 0.0 or reference_gap(instance, 0.0)[1] <= 0.0:
-        return result_at(0.0, 0.0, 0.0)
+        return 0.0, 0.0
     lo = 0.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
@@ -864,7 +855,7 @@ def reference_tmin(instance):
             lo = mid
         else:
             hi = mid
-    return result_at(hi, lo, hi)
+    return lo, hi
 
 
 def set_order_total_delay(instance, partition, s1):
@@ -961,14 +952,14 @@ class TestFastPathEquivalence:
             inst = drop_loop_instance(n_users, seed)
             # the exact root lies in the bisection's final bracket, and no
             # double between it and the one below is skipped
-            result, reference = feasibility_tmin(inst), reference_tmin(inst)
-            t = result.t_min
-            assert reference.bracket[0] < t <= reference.t_min
-            assert reference_gap(inst, t)[1] <= 0.0 < reference_gap(inst, result.bracket[0])[1]
-            assert result.bracket == (math.nextafter(t, 0.0), t)
+            t, (lo, hi) = feasibility_tmin(inst), reference_tmin(inst)
+            below = math.nextafter(t, 0.0)
+            assert lo < t <= hi
+            assert reference_gap(inst, t)[1] <= 0.0 < reference_gap(inst, below)[1]
+            assert feasibility_gap(inst, t) <= 0.0 < feasibility_gap(inst, below)
             min_bits, gap = reference_gap(inst, t)
-            assert result.min_bits == tuple(min_bits) and result.residual == gap
-            assert result.forced_count == sum(1 for b in min_bits if b > 0.0)
+            assert inst.min_offload_bits_at(t).tolist() == min_bits
+            assert feasibility_gap(inst, t) == gap
             assert feasibility_gap(inst, 0.5 * inst.deadline) == reference_gap(
                 inst, 0.5 * inst.deadline
             )[1]
@@ -1020,43 +1011,6 @@ class TestTotalDelayOrder:
                     )
 
 
-def tmin_evaluated_twice(instance):
-    """`feasibility_tmin` with the gap at t_min evaluated again after the
-    root search."""
-    t, _ = energy._root(instance)
-    residual, min_bits = energy._at(instance, t)
-    return FeasibilityResult(
-        t_min=t,
-        residual=residual,
-        min_bits=tuple(min_bits.tolist()),
-        forced_count=sum(1 for b in min_bits.tolist() if b > 0.0),
-        bracket=(math.nextafter(t, 0.0), t),
-    )
-
-
-class TestFeasibilityReuse:
-    def test_one_gap_evaluation_fewer(self, monkeypatch):
-        calls = []
-        at = energy._at
-
-        def counting(instance, t):
-            calls.append(t)
-            return at(instance, t)
-
-        monkeypatch.setattr(energy, "_at", counting)
-        large = GenerationSpec(n_users=100, degradation=0.05, deadline_s=1.5)
-        instances = [generate_instance(large, 20240 + seed) for seed in range(20)]
-        instances += [drop_loop_instance(n, seed) for n in (5, 20, 100) for seed in range(20)]
-        for inst in instances:
-            calls.clear()
-            result = feasibility_tmin(inst)
-            once = len(calls)
-            calls.clear()
-            assert result == tmin_evaluated_twice(inst)
-            assert once == len(calls) - 1
-            assert calls[-1] == result.t_min
-
-
 def numbers_in(value):
     """Every number inside a solver output, through dataclasses, dicts,
     tuples and sets."""
@@ -1083,7 +1037,7 @@ class TestOutputTypes:
         statuses = set()
         for seed in range(12):
             inst = stock_instance(8, 0.2, mix64(131, seed))
-            t_min = feasibility_tmin(inst).t_min
+            t_min = feasibility_tmin(inst)
             for factor in (0.5, 1.02, 1.3, 3.0):
                 tight = with_deadline(inst, t_min * factor)
                 schedule = solve_energy_suboptimal(tight)
@@ -1129,7 +1083,7 @@ class TestAgainstOracleProperty:
     )
     def test_feasible_valid_and_never_below_the_oracle(self, n_users, degradation, seed, slack):
         inst = stock_instance(n_users, degradation, seed, deadline=0.45)
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         inst = with_deadline(inst, t_min * slack)
         schedule = solve_energy_suboptimal(inst)
         if schedule.status == "infeasible":
@@ -1158,7 +1112,7 @@ class TestExactBookkeeping:
     )
     def test_bits_objective_and_total(self, n_users, degradation, seed, slack, mask):
         inst = stock_instance(n_users, degradation, seed, deadline=0.45)
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         instances = [with_deadline(inst, t_min), with_deadline(inst, t_min * slack)]
         solved = [
             *zip(instances, energy.benchmark_energy_all_offloading_batch(instances)),
@@ -1206,15 +1160,14 @@ class TestDeadlineGap:
         instances = [generate_instance(spec, mix64(233, seed)) for spec in specs for seed in range(25)]
         # at t_min and just below it the forced users sit on their boundary
         for inst in instances[:40]:
-            t_min = feasibility_tmin(inst).t_min
+            t_min = feasibility_tmin(inst)
             instances += [with_deadline(inst, t_min), with_deadline(inst, math.nextafter(t_min, 0.0))]
         instances += decided_instances()
         signs = set()
         for inst in instances:
-            gap, min_bits = energy._at(inst, inst.deadline)
-            assert min_bits is inst.min_offload_bits
+            gap = feasibility_gap(inst, inst.deadline)
+            assert gap is inst.deadline_gap  # the memo, read as it is
             assert repr(gap) == repr(reference_gap(inst, inst.deadline)[1])
-            assert repr(feasibility_gap(inst, inst.deadline)) == repr(gap)
             signs.add(gap > 0.0)
         assert signs == {False, True}
         # a block of each user count forms the same gaps
@@ -1231,7 +1184,8 @@ class TestFeasibilityByOneEvaluation:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = dict.fromkeys(("gap", "root", "tmin"), 0)
-        gap, gaps, root, tmin = energy._at, energy._gaps, energy._root, energy.feasibility_tmin
+        gap, gaps, root, tmin = (energy.feasibility_gap, energy._gaps, energy._root,
+                                 energy.feasibility_tmin)
 
         def counting_gap(*args):
             counts["gap"] += 1
@@ -1249,7 +1203,7 @@ class TestFeasibilityByOneEvaluation:
             counts["tmin"] += 1
             return tmin(instance)
 
-        monkeypatch.setattr(energy, "_at", counting_gap)
+        monkeypatch.setattr(energy, "feasibility_gap", counting_gap)
         monkeypatch.setattr(energy, "_gaps", counting_gaps)
         monkeypatch.setattr(energy, "_root", counting_root)
         monkeypatch.setattr(energy, "feasibility_tmin", counting_tmin)
@@ -1258,7 +1212,7 @@ class TestFeasibilityByOneEvaluation:
     def test_a_feasible_solve_evaluates_the_gap_once(self, counts):
         statuses = set()
         for inst in decided_instances():
-            t_min = feasibility_tmin(inst).t_min
+            t_min = feasibility_tmin(inst)
             for deadline in (max(inst.deadline, t_min), t_min):
                 counts.update(gap=0, root=0, tmin=0)
                 schedule = solve_energy_suboptimal(with_deadline(inst, deadline))
@@ -1270,18 +1224,30 @@ class TestFeasibilityByOneEvaluation:
     def test_a_refusal_runs_the_search_once(self, counts):
         for inst in decided_instances():
             expected = feasibility_tmin(inst)
-            assert expected.t_min > 0.0
+            assert expected > 0.0
             counts.update(gap=0, root=0, tmin=0)
-            below = with_deadline(inst, math.nextafter(expected.t_min, 0.0))
+            below = with_deadline(inst, math.nextafter(expected, 0.0))
             schedule = solve_energy_suboptimal(below)
             assert schedule.status == "infeasible"
-            assert schedule.t_min == expected.t_min
+            assert schedule.t_min == expected
             assert counts["tmin"] == 1 and counts["root"] == 1
             assert counts["gap"] >= 2  # the decision, then the search
 
+    def test_tmin_is_the_search_alone(self, counts):
+        # the float the root search settles on, with no gap evaluation after it
+        for inst in decided_instances():
+            counts.update(gap=0, root=0, tmin=0)
+            searched = energy._root(inst)
+            evaluations = counts["gap"]
+            counts.update(gap=0, root=0, tmin=0)
+            t_min = feasibility_tmin(inst)
+            assert type(t_min) is float and t_min == searched
+            assert counts == {"gap": evaluations, "root": 1, "tmin": 0}
+            assert evaluations >= 1
+
     def test_a_failed_lp_branch_reports_the_searched_tmin(self, counts, monkeypatch):
         inst = stock_instance(5, 0.2, 11)
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         tight = with_deadline(inst, t_min)
         assert solve_energy_suboptimal(tight).status == "lp-path"
         # an LP branch whose subset LP comes out infeasible
@@ -1323,7 +1289,7 @@ class TestGapMonotoneProperty:
         else:
             inst = stock_instance(n_users, degradation, seed, deadline=0.45)
         thresholds = (inst.cycles_per_bit * inst.task_bits / inst.cpu_freq).tolist()
-        t_min = feasibility_tmin(inst).t_min
+        t_min = feasibility_tmin(inst)
         probes = sorted({p for t in thresholds + [t_min] for p in ulp_neighbours(t)})
         gaps = [feasibility_gap(inst, t) for t in probes]
         assert all(a >= b for a, b in zip(gaps, gaps[1:]))

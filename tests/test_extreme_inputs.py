@@ -56,7 +56,7 @@ def grid_instances(n_users, degradation):
     and the double below it where t_min > 0; and t_min."""
     spec = GenerationSpec(n_users=n_users, degradation=degradation, deadline_s=DEADLINES[0])
     base = generate_instance(spec, SEED)
-    t_min = feasibility_tmin(base).t_min
+    t_min = feasibility_tmin(base)
     deadlines = list(DEADLINES)
     if t_min > 0.0:
         deadlines += [t_min, math.nextafter(t_min, 0.0)]
@@ -132,7 +132,7 @@ def test_costly_cells_validate_or_refuse(n_users, degradation):
     instances, t_min = grid_instances(n_users, degradation)
     variants = [costly(instance) for instance in instances]
     for instance in variants:
-        assert feasibility_tmin(instance).t_min == t_min  # the power moves no deadline
+        assert feasibility_tmin(instance) == t_min  # the power moves no deadline
         costly_cell(instance, t_min)
         energy_cell(instance, t_min)
     if n_users >= 12:
@@ -144,11 +144,10 @@ def test_costly_cells_validate_or_refuse(n_users, degradation):
 def test_every_cell_validates_or_refuses(n_users, degradation):
     instances, t_min = grid_instances(n_users, degradation)
     for instance in instances:
-        result = feasibility_tmin(instance)
-        assert result.t_min == t_min
+        assert feasibility_tmin(instance) == t_min
         assert feasibility_gap(instance, t_min) <= 0.0
         if t_min > 0.0:
-            assert feasibility_gap(instance, result.bracket[0]) > 0.0
+            assert feasibility_gap(instance, math.nextafter(t_min, 0.0)) > 0.0
         rate_cell(instance)
         energy_cell(instance, t_min)
 
@@ -161,7 +160,7 @@ def test_overflowing_energy_terms_are_refused(coeff):
     # still answer.
     base = stock_instance(10, 0.2, 5, deadline=0.65)
     instance = dataclasses.replace(base, energy_coeff=np.full(10, coeff))
-    assert feasibility_tmin(instance).t_min == feasibility_tmin(base).t_min
+    assert feasibility_tmin(instance) == feasibility_tmin(base)
     rate_cell(instance)
     for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy,
                   lambda i: solve_subset_lp(i, i.partition, ()),
@@ -177,7 +176,7 @@ def test_overflowing_cpu_squares_are_refused(freq, tmp_path, capsys):
     # energy, while t_min and the rate solvers still answer
     base = stock_instance(10, 0.2, 5, deadline=0.65)
     instance = dataclasses.replace(base, cpu_freq=np.full(10, freq))
-    assert feasibility_tmin(instance).t_min > 0.0
+    assert feasibility_tmin(instance) > 0.0
     rate_cell(instance)
     for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading, brute_force_energy,
                   lambda i: solve_subset_lp(i, i.partition, ()),

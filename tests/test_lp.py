@@ -9,15 +9,23 @@ import pytest
 from mecoffload import energy, lp, with_deadline
 from mecoffload.lp import (
     BudgetExceededError,
+    IterationCapError,
     LpProblem,
     LpStructureError,
     solve_lp,
     solve_lps,
 )
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import mix64
 import lp_reference
 from lp_reference import enumerate_vertices, reference_solve_lp
-from support import lp_key, random_lp_problem, stock_energy_lps, stock_instance, subset_lps
+from support import (
+    SplitMix64,
+    lp_key,
+    random_lp_problem,
+    stock_energy_lps,
+    stock_instance,
+    subset_lps,
+)
 
 INF = math.inf
 
@@ -429,7 +437,7 @@ class TestRowLoopEquivalence:
             power = base.tx_power.copy()
             power[1::3] *= 100.0  # offloading then costs these users energy
             base = dataclasses.replace(base, tx_power=power)
-            t_min = energy.feasibility_tmin(base).t_min
+            t_min = energy.feasibility_tmin(base)
             for scale in (1.0, 1.1, 1.3):
                 instance = with_deadline(base, scale * t_min)
                 costly += [p for p in subset_lps(instance) if p is not None
@@ -782,6 +790,29 @@ class TestLimits:
         monkeypatch.setattr(lp, "MAX_ITER", max(p1, p2))
         with pytest.raises(RuntimeError, match="iteration cap"):
             solve_lp(problems[k])
+
+    @pytest.mark.parametrize("stack_entries", [lp.STACK_ENTRIES, 0])
+    def test_iteration_cap_names_the_problem(self, monkeypatch, stack_entries):
+        # a cap that one problem's phase reaches and no other's names that
+        # problem's place in the call, in one stack or in a stack each; of
+        # two that reach it on the same step, the first
+        problems = stock_energy_lps(1)
+        pivots = [max(phase_pivots(p, monkeypatch)) for p in problems]
+        capped = problems[pivots.index(max(pivots))]
+        mates = [p for p, n in zip(problems, pivots) if n < max(pivots)][:19]
+        assert len(mates) == 19
+        monkeypatch.setattr(lp, "MAX_ITER", max(pivots))
+        monkeypatch.setattr(lp, "STACK_ENTRIES", stack_entries)
+        with pytest.raises(IterationCapError, match="simplex iteration cap exceeded") as lone:
+            solve_lp(capped)
+        assert lone.value.index == 0
+        for k in (0, 7, 19):
+            with pytest.raises(IterationCapError) as caught:
+                solve_lps(mates[:k] + [capped] + mates[k:])
+            assert caught.value.index == k
+        with pytest.raises(IterationCapError) as caught:
+            solve_lps(mates[:5] + [capped] + mates[5:11] + [capped] + mates[11:])
+        assert caught.value.index == 5
 
     def test_size_guard_refuses_before_building(self, monkeypatch):
         built = []

@@ -32,8 +32,8 @@ from mecoffload import (
 )
 from mecoffload.harness import SweepSpec, run_sweep
 from mecoffload.model import Instance, UserProfile
-from mecoffload.rng import SplitMix64, mix64, uniform_rows
-from support import make_instance, make_user, unit_roundtrip_user
+from mecoffload.rng import mix64, uniform_rows
+from support import SplitMix64, make_instance, make_user, unit_roundtrip_user
 
 # An instance's per-user columns: one per UserProfile field but the id, and
 # the roundtrip time formed from them.

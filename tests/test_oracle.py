@@ -450,7 +450,7 @@ def reference_brute_force_energy(instance):
     if best is None:
         return EnergySchedule(frozenset(), MappingProxyType({u.id: 0.0 for u in instance.users}),
                               0.0, math.nan, math.nan, "infeasible",
-                              feasibility_tmin(instance).t_min)
+                              feasibility_tmin(instance))
     objective, s1, full, te = best
     return EnergySchedule(partition.forced | frozenset(s1), MappingProxyType(full), te, objective,
                           objective + instance.local_energy, "lp-path")
@@ -609,7 +609,7 @@ def tmin_draws():
         for degradation in (0.0, 0.1, 0.3):
             for seed in range(10):
                 instance = stock_instance(n_users, degradation, seed, deadline=1e-9)
-                draws.append((instance, feasibility_tmin(instance).t_min))
+                draws.append((instance, feasibility_tmin(instance)))
     return draws
 
 
@@ -689,7 +689,7 @@ class TestPrunedSubsets:
         inst = stock_instance(n_users, degradation, seed, deadline=0.45)
         power = [p * (100.0 if k in costly else 1.0) for k, p in enumerate(inst.tx_power.tolist())]
         inst = dataclasses.replace(inst, tx_power=power)
-        inst = with_deadline(inst, feasibility_tmin(inst).t_min * slack + extra)
+        inst = with_deadline(inst, feasibility_tmin(inst) * slack + extra)
         assert repr(brute_force_energy(inst)) == repr(reference_brute_force_energy(inst))
 
     def test_infeasible_full_subset_skips_nothing(self, monkeypatch):
@@ -786,4 +786,4 @@ def scaled(instance, power, weight):
 def feasibility_deadline(instance, factor):
     from mecoffload import feasibility_tmin
 
-    return feasibility_tmin(instance).t_min * factor
+    return feasibility_tmin(instance) * factor

@@ -30,10 +30,11 @@ from mecoffload import (
 from mecoffload import rate as ratemod
 from mecoffload.model import RATE_RTOL, shared_solutions
 from mecoffload.rate import MAX_DINKELBACH_ITER, SlaveSummary
-from mecoffload.rng import SplitMix64, mix64
+from mecoffload.rng import mix64
 import rate_reference
 from rate_reference import prefix_greedy as reference_greedy
 from support import (
+    SplitMix64,
     count_closed_forms,
     homogeneous_instance,
     homogeneous_txrate_instance,
