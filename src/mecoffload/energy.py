@@ -235,41 +235,40 @@ def _delay(instance: Instance, bits: np.ndarray, n_vms: int) -> float:
             + _window(instance, bits, n_vms))
 
 
-def _subset_lp(instance: Instance, partition: Partition, s1):
-    return _subset_lps([(instance, partition, s1)])[0]
-
-
-def _subset_lps(cases) -> list:
-    """`solve_subset_lp` of each (instance, partition, s1) as a plan for
-    `_solve`, built once per call, and kept in a `shared_solutions` scope
-    per (instance, s1) of the instance's own partition: a repeat takes it,
-    or once it is finished, a plan without an LP returning its schedule.
-    The plans hold the instance, so its id is not reused while they live."""
+def _subset_schedules(cases, before_stack=lambda: None) -> list:
+    """`solve_subset_lp` of each (instance, partition, s1), with no t_min
+    check: its schedule, or None where its LP is infeasible.  Each distinct
+    case is built once, by one `_subset_plans` call, and the LPs are solved
+    a stack (`lp.stack_starts`) at a time, with before_stack() called
+    before each.  In a `shared_solutions` scope each schedule is kept per
+    (instance, s1) of the instance's own partition, beside its instance so
+    that its id is not reused, and a repeat takes it."""
     memo = _solutions.get()
     memo = {} if memo is None else memo
     keys = [(id(instance), frozenset(s1)) if partition is instance.partition else object()
             for instance, partition, s1 in cases]
     todo = {key: case for key, case in zip(keys, cases) if key not in memo}
-    for key, (problem, finish) in zip(todo, _subset_plans(list(todo.values()))):
-        finished = []  # its schedule, once finished; no reference cycle holds the plan
-        memo[key] = problem, functools.partial(_finish_once, finish, finished), finished
-    return [_done(finished[0]) if finished else (problem, finishing)
-            for problem, finishing, finished in map(memo.get, keys)]
-
-
-def _finish_once(finish, finished: list, sol):
-    if not finished:
-        finished.append(finish(sol))
-    return finished[0]
+    plans = _subset_plans(list(todo.values()))
+    problems = [problem for problem, _ in plans if problem is not None]
+    starts = lpmod.stack_starts(problems)
+    solutions = []
+    for start, stop in zip(starts, [*starts[1:], len(problems)]):
+        before_stack()
+        solutions += lpmod.solve_lps(problems[start:stop])
+    solutions = iter(solutions)
+    for key, (instance, _, _), (problem, done) in zip(todo, todo.values(), plans):
+        memo[key] = instance, done if problem is None else done(next(solutions))
+    return [memo[key][1] for key in keys]
 
 
 def _subset_plans(cases) -> list:
-    """The plans of `_subset_lps`: the LP to solve (None where the subset
-    needs none) and the function that turns its solution into the
-    schedule, or None where the LP is infeasible.  The LP runs over the
-    members' offload sizes and the computing window, and minimizes the
-    energy deltas subject to the radio budget and per-user caps.  The LPs
-    of each user and member count are built in one broadcast."""
+    """The (LP, finish) plan of each case of `_subset_schedules`: finish
+    turns the LP's solution into the schedule, or None where the LP is
+    infeasible; where the case needs no LP, the plan is (None, its schedule
+    or None).  The LP runs over the members' offload sizes and the
+    computing window, and minimizes the energy deltas subject to the radio
+    budget and per-user caps.  The LPs of each user and member count are
+    built in one broadcast."""
     plans = [None] * len(cases)
     blocks = {}  # per user and member count, the cases that need an LP
     for k, (instance, partition, s1) in enumerate(cases):
@@ -287,8 +286,8 @@ def _subset_plans(cases) -> list:
         scheduled = partition.forced | s1
         if not members or te_floor == math.inf:  # an infinite floor fits no budget, and needs no LP
             fits = te_floor <= budget + 1e-12 * (1.0 + abs(budget))
-            plans[k] = _done(_schedule(instance, scheduled, committed, te_floor, "lp-path")
-                             if fits else None)
+            plans[k] = None, (_schedule(instance, scheduled, committed, te_floor, "lp-path")
+                              if fits else None)
             continue
         # the budget row, a cap row and a box row per member (the window has
         # no upper bound), held to the LP size guard before anything is allocated
@@ -336,14 +335,6 @@ def _lp_path(instance: Instance, scheduled, committed: list, members: list,
     return _schedule(instance, scheduled, bits, sol.x[-1], "lp-path")
 
 
-def _solve(plans: list) -> list:
-    """`finish(solution)` of each (LP or None, finish) plan, with every
-    distinct LP of the plans solved once, in one `lp.solve_lps` call."""
-    problems = {id(problem): problem for problem, _ in plans if problem is not None}
-    solutions = dict(zip(problems, lpmod.solve_lps(problems.values()) if problems else ()))
-    return [finish(solutions.get(id(problem))) for problem, finish in plans]
-
-
 def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySchedule | None:
     """The "lp-path" schedule once the optional set s1 is fixed.
 
@@ -360,7 +351,7 @@ def solve_subset_lp(instance: Instance, partition: Partition, s1) -> EnergySched
     derive_energy_columns([instance])
     if feasibility_gap(instance, instance.deadline) > 0.0:
         return None
-    return _solve([_subset_lp(instance, partition, s1)])[0]
+    return _subset_schedules([(instance, partition, s1)])[0]
 
 
 def _schedule(instance: Instance, scheduled: frozenset[int], bits, te: float,
@@ -410,19 +401,18 @@ def solve_energy_suboptimal(instance: Instance) -> EnergySchedule:
 
 def solve_energy_suboptimal_batch(instances) -> list[EnergySchedule]:
     """`solve_energy_suboptimal` of each instance, with the energy memos
-    derived and the first branch decided a block per user count, and the
-    LP-branch LPs solved in one `lp.solve_lps` call."""
+    derived first, and the rest a block per user count (`_branch_block`)."""
     instances = list(instances)
     derive_energy_columns(instances)
-    return _solve(per_user_count(instances, _branch_block))
+    return per_user_count(instances, _branch_block)
 
 
-def _branch_block(instances: list[Instance]) -> list:
-    """The `_solve` plans of `solve_energy_suboptimal` for instances of one
-    user count.  The feasibility gaps (`_gaps`) and the full-offload loads
-    (every saving user's whole task, every forced costly one's minimum) are
-    formed for the block at once, each row as `_delay` forms it alone, and
-    the LP branch's subset LPs are built together by one `_subset_lps`
+def _branch_block(instances: list[Instance]) -> list[EnergySchedule]:
+    """`solve_energy_suboptimal` of instances of one user count.  The
+    feasibility gaps (`_gaps`) and the full-offload loads (every saving
+    user's whole task, every forced costly one's minimum) are formed for the
+    block at once, each row as `_delay` forms it alone, and the LP branch's
+    subset LPs are built and solved together by one `_subset_schedules`
     call."""
     task, min_bits, delta, roundtrip, service = block_columns(
         instances, "task_bits", "min_offload_bits", "delta_per_bit", "roundtrip_time_per_bit",
@@ -431,8 +421,8 @@ def _branch_block(instances: list[Instance]) -> list:
     loads = np.where(delta < 0.0, task, min_bits + 0.0)
     longest = np.maximum.reduce(loads / service, axis=1, initial=0.0).tolist()
     bases = np.where(min_bits > 0.0, loads, 0.0)  # the forced users' commitment alone
-    plans = []
-    lp_branch = []  # the instances that take the LP branch, with their plans' places
+    schedules = []
+    lp_branch = []  # the instances that take the LP branch, with their schedules' places
     for instance, gap, radio, slowest, load, base in zip(
             instances, _gaps(instances), sums_in_order(loads * roundtrip).tolist(), longest, loads,
             bases):
@@ -440,25 +430,23 @@ def _branch_block(instances: list[Instance]) -> list:
         n_vms = instance.n_users - len(part.free_costly)
         window = slowest * interference_penalty(instance.degradation, n_vms) if slowest else 0.0
         if gap > 0.0:
-            plans.append(_done(_infeasible(instance, feasibility_tmin(instance))))
+            schedules.append(_infeasible(instance, feasibility_tmin(instance)))
         elif instance.deadline >= radio + window:
-            plans.append(_done(_schedule(instance, part.forced | part.free_saving, load.tolist(),
-                                         window, "optimal-path")))
+            schedules.append(_schedule(instance, part.forced | part.free_saving, load.tolist(),
+                                       window, "optimal-path"))
         elif instance.deadline >= _delay(instance, base, len(part.forced)):
-            plans.append(_greedy_plan(instance, part, base))
+            schedules.append(_greedy_schedule(instance, part, base))
         else:
-            lp_branch.append((len(plans), instance))
-            plans.append(None)
-    if lp_branch:
-        cases = [(instance, instance.partition, frozenset()) for _, instance in lp_branch]
-        for (k, instance), (problem, finish) in zip(lp_branch, _subset_lps(cases)):
-            # an infeasible LP is not expected once the deadline clears t_min
-            plans[k] = problem, lambda sol, finish=finish, instance=instance: (
-                finish(sol) or _infeasible(instance, feasibility_tmin(instance)))
-    return plans
+            lp_branch.append((len(schedules), instance))
+            schedules.append(None)
+    cases = [(instance, instance.partition, frozenset()) for _, instance in lp_branch]
+    for (k, instance), schedule in zip(lp_branch, _subset_schedules(cases)):
+        # an infeasible LP is not expected once the deadline clears t_min
+        schedules[k] = schedule or _infeasible(instance, feasibility_tmin(instance))
+    return schedules
 
 
-def _greedy_plan(instance: Instance, part: Partition, base: np.ndarray):
+def _greedy_schedule(instance: Instance, part: Partition, base: np.ndarray) -> EnergySchedule:
     """The greedy branch, for a deadline that the forced users' commitment
     alone meets but the full offload does not.  base is that commitment
     (`_commitment` of no optional user), and every load below is base with
@@ -486,22 +474,26 @@ def _greedy_plan(instance: Instance, part: Partition, base: np.ndarray):
             enough = mid
     kept = order[enough:]
     load = committed(kept)
-    return _done(_schedule(instance, part.forced | frozenset(kept.tolist()),
-                           load[0].tolist(), _window(instance, *load), "greedy-path"))
+    return _schedule(instance, part.forced | frozenset(kept.tolist()), load[0].tolist(),
+                     _window(instance, *load), "greedy-path")
 
 
-def _done(schedule: EnergySchedule):
-    """A plan for `_solve` that needs no LP: its finish returns the schedule."""
-    return None, lambda _: schedule
+def _all_offload_case(instance: Instance):
+    """The subset case of `benchmark_energy_all_offloading`: the partition
+    that forces every user into a VM, each above its forced minimum, and
+    every user as its optional set.  Where no user is costly and no forced
+    minimum is -0.0, that LP is the instance's own full-subset LP to the
+    byte, so the case is that one (DESIGN_NOTES.md, "One build per distinct
+    energy LP")."""
+    part = instance.partition
+    if part.forced_costly or part.free_costly or np.signbit(instance.min_offload_bits).any():
+        part = Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(), frozenset())
+    return instance, part, part.free_saving
 
 
-def _all_offload_lps(instances) -> list:
-    """`benchmark_energy_all_offloading` of each instance as a plan for
-    `_solve`: the subset LP of the partition that forces every user into a
-    VM, each above its forced minimum.  Where no user is costly and no
-    forced minimum is -0.0, that is the instance's own full-subset LP to
-    the byte, so it takes that plan (DESIGN_NOTES.md, "One build per
-    distinct energy LP").
+def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
+    """`benchmark_energy_all_offloading` of each instance, with their energy
+    memos as one block and all their LPs built and solved together.
 
     Once the largest LP is held to the size guard, an instance whose
     deadline is below t_min (a positive `feasibility_gap`) is refused with
@@ -509,29 +501,15 @@ def _all_offload_lps(instances) -> list:
     a deadline: every member offloads at least its forced minimum, and all
     K users in VMs slow each VM to phi(K) <= phi(|forced|)."""
     instances = list(instances)
+    derive_energy_columns(instances)
     n_users = max((i.n_users for i in instances), default=0)
     lpmod.check_size(2 * n_users + 1, n_users + 1)  # the budget, cap and box rows of K members
     refused = [gap > 0.0 for gap in _gaps(instances)]
-    cases = []
-    for i, no in zip(instances, refused):
-        part = i.partition
-        if part.forced_costly or part.free_costly or np.signbit(i.min_offload_bits).any():
-            part = Partition(frozenset(), frozenset(range(i.n_users)), frozenset(), frozenset())
-        if not no:
-            cases.append((i, part, part.free_saving))
-    plans = iter(_subset_lps(cases))
-    # a refused instance's plan finishes to None, as an infeasible LP's does
-    return [(problem, lambda sol, finish=finish, i=i: finish(sol) or _infeasible(i, None))
-            for i, (problem, finish) in zip(
-                instances, (_done(None) if no else next(plans) for no in refused))]
-
-
-def benchmark_energy_all_offloading_batch(instances) -> list[EnergySchedule]:
-    """`benchmark_energy_all_offloading` of each instance, with all their LPs
-    solved in one `lp.solve_lps` call and their energy memos as one block."""
-    instances = list(instances)
-    derive_energy_columns(instances)
-    return _solve(_all_offload_lps(instances))
+    solved = iter(_subset_schedules(
+        [_all_offload_case(i) for i, no in zip(instances, refused) if not no]))
+    # a refused instance's schedule is the one an infeasible LP gives
+    return [(None if no else next(solved)) or _infeasible(i, None)
+            for i, no in zip(instances, refused)]
 
 
 def benchmark_energy_all_offloading(instance: Instance) -> EnergySchedule:

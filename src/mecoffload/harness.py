@@ -73,8 +73,9 @@ def _optimal_schedules(instances):
 # drawn with one `generate_instances` call, and returns their schedules in
 # realization order.  The exact rate solve runs the block's Dinkelbach loops
 # in lockstep; the greedy and all-offload batches go row by row.  The energy
-# batches, and the certifying energy oracle, solve the block's LPs together
-# in stacks cut by `lp.stack_starts`.
+# batches, and the certifying energy oracle, hand the block's subset cases
+# to `energy._subset_schedules`, which solves their LPs together in stacks
+# cut by `lp.stack_starts`.
 # The LP-relaxation benchmark is the exact solve (see rate.benchmark_lr), so
 # "lr" shares the "optimal" callable and a sweep solves it once per instance.
 RATE_ALGORITHMS = {
@@ -153,11 +154,17 @@ class SweepSpec:
                 )
         if not grid:
             raise ConfigurationError("grid must be nonempty")
+        grid = tuple(float(v) for v in grid)
+        if self.experiment == "rate-vs-K":
+            for value in grid:
+                if not (value >= 1.0 and value.is_integer()):  # nan fails too
+                    raise ConfigurationError(
+                        f"rate-vs-K grid values must be whole user counts >= 1, not {value!r}")
         if self.realizations < 1:
             raise ConfigurationError("realizations must be >= 1")
         return replace(
             self,
-            grid=tuple(float(v) for v in grid),
+            grid=grid,
             algorithms=tuple(algorithms),
             n_users=self.n_users if self.n_users > 0 else fixed["n_users"],
             degradation=self.degradation if self.degradation >= 0 else fixed["degradation"],
@@ -168,7 +175,7 @@ class SweepSpec:
 def _generation_spec(spec: SweepSpec, value: float) -> GenerationSpec:
     n_users, degradation, deadline = spec.n_users, spec.degradation, spec.deadline_s
     if spec.experiment == "rate-vs-K":
-        n_users = int(round(value))
+        n_users = int(value)
     elif spec.experiment in ("rate-vs-d", "energy-vs-d"):
         degradation = value
     elif spec.experiment == "energy-vs-T":
@@ -239,9 +246,10 @@ def run_sweep(spec: SweepSpec) -> str:
             ])
             # A block solves each distinct fixed set once, in one scope.  The
             # oracle runs first.  An energy block's all-offload row takes its
-            # full-subset plans wherever no user is costly, the LP branch its
-            # empty-subset plans unless the oracle skipped that subset; a rate
-            # block's rows take the closed forms of the sets already formed.
+            # full-subset schedules wherever no user is costly, the LP branch
+            # its empty-subset schedules unless the oracle skipped that
+            # subset; a rate block's rows take the closed forms of the sets
+            # already formed.
             with shared_solutions():
                 references = [None] * len(instances)
                 solved = {}  # the block's schedules per distinct algorithm callable

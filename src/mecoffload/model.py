@@ -407,13 +407,13 @@ _solutions: contextvars.ContextVar[dict | None] = contextvars.ContextVar("soluti
 @contextlib.contextmanager
 def shared_solutions():
     """A scope in which each fixed-set solve is made once per distinct
-    (instance, set): `energy._subset_lps` keeps its plans, keyed by
-    (instance id, frozenset), and `rate._closed_forms` its closed forms,
-    keyed by (instance id, tuple), in one memo (a tuple never equals a
-    frozenset).  Each entry holds its instance, so no id is reused while
-    the scope lives (DESIGN_NOTES.md, "One solve per distinct set").  The
-    memo is dropped on exit, normal or not, and a nested scope starts its
-    own."""
+    (instance, set): `energy._subset_schedules` keeps its subset-LP
+    schedules, keyed by (instance id, frozenset), and `rate._closed_forms`
+    its closed forms, keyed by (instance id, tuple), in one memo (a tuple
+    never equals a frozenset).  Each entry holds its instance, so no id is
+    reused while the scope lives (DESIGN_NOTES.md, "One solve per distinct
+    set").  The memo is dropped on exit, normal or not, and a nested scope
+    starts its own."""
     token = _solutions.set({})
     try:
         yield

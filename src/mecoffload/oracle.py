@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import energy as energymod
-from . import lp as lpmod
 from .lp import BudgetExceededError
 from .model import (
     EnergySchedule,
@@ -176,8 +175,8 @@ def brute_force_energy_batch(
     instances, budget: OracleBudget = _DEFAULT_BUDGET
 ) -> list[EnergySchedule]:
     """`brute_force_energy` of each instance, with the subset LPs of all of
-    them built by member count and solved together, in stacks cut as
-    `lp.solve_lps` cuts them, in two stages.
+    them built and solved together by `energy._subset_schedules`, in two
+    stages.
 
     An instance whose deadline is below t_min (a positive
     `energy.feasibility_gap`, as the heuristic decides) is refused with no
@@ -200,19 +199,10 @@ def brute_force_energy_batch(
             raise BudgetExceededError("energy oracle time guard exceeded")
 
     def solve(cases):
-        """`energy._solve` of the cases' subset plans, a stack
-        (`lp.stack_starts`) at a time: a schedule per case, None where a
-        subset is infeasible."""
+        """`energy._subset_schedules` of the cases, with the time guard
+        checked before their LPs are built and before each stack is solved."""
         check_time()
-        plans = energymod._subset_lps(cases)
-        with_lp = [k for k, (problem, _) in enumerate(plans) if problem is not None]
-        starts = lpmod.stack_starts(plans[k][0] for k in with_lp)
-        cuts = [0, *(with_lp[start] for start in starts[1:]), len(plans)]
-        schedules = []
-        for start, stop in zip(cuts, cuts[1:]):
-            check_time()
-            schedules += energymod._solve(plans[start:stop])
-        return schedules
+        return energymod._subset_schedules(cases, check_time)
 
     # per instance: its partition and its optional users in id order
     cases = [(i, i.partition, sorted(i.partition.free_saving)) for i in instances]
@@ -220,27 +210,25 @@ def brute_force_energy_batch(
     if most > budget.max_optional_energy:
         raise BudgetExceededError(
             f"{most} optional users exceed the energy oracle budget {budget.max_optional_energy}")
-    # a refused instance takes no LP, and `_least_energy` then meets only None
     refused = [gap > 0.0 for gap in energymod._gaps(instances)]
-    solved = iter(solve([case for case, no in zip(cases, refused) if not no]))
-    fulls = [None if no else next(solved) for no in refused]
-
-    kept = iter(_kept_masks([case for case, no in zip(cases, refused) if not no],
-                            [full for full, no in zip(fulls, refused) if not no]))
-    # per instance: the other subsets that could win, in mask order
-    others = [[] if no else [_subset_tuple(m, optional) for m in next(kept)]
-              for (_, _, optional), no in zip(cases, refused)]
+    admitted = [case for case, no in zip(cases, refused) if not no]
+    fulls = solve(admitted)
+    # per admitted instance: the other subsets that could win, in mask order
+    others = [[_subset_tuple(m, optional) for m in masks]
+              for (_, _, optional), masks in zip(admitted, _kept_masks(admitted, fulls))]
     schedules = iter(solve([
         (instance, partition, s1)
-        for (instance, partition, _), subsets in zip(cases, others) for s1 in subsets
+        for (instance, partition, _), subsets in zip(admitted, others) for s1 in subsets
     ]))
-    return [
+    least = (
         _least_energy(instance, [
             *((s1, next(schedules)) for s1 in subsets),
             (tuple(optional), full),
         ])
-        for (instance, _, optional), subsets, full in zip(cases, others, fulls)
-    ]
+        for (instance, _, optional), subsets, full in zip(admitted, others, fulls)
+    )
+    # a refused instance took no LP, and meets no schedule
+    return [_least_energy(i, []) if no else next(least) for i, no in zip(instances, refused)]
 
 
 # an overflowed sum is inf, and inf + -inf nan: `_prune_margin` and the

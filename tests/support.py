@@ -137,8 +137,15 @@ def stock_energy_lps(realizations=10):
                 problems += subset_lps(instance)
                 if energy.solve_energy_suboptimal(instance).status == "lp-path":
                     problems.append(empty_subset_lp(instance))
-                problems.append(energy._all_offload_lps([instance])[0][0])
+                if energy.feasibility_gap(instance, instance.deadline) <= 0.0:
+                    problems.append(subset_lp(energy._all_offload_case(instance)))
     return [problem for problem in problems if problem is not None]
+
+
+def subset_lp(case):
+    """The LP that `energy._subset_plans` builds for one (instance,
+    partition, s1) case: None where the case needs no LP."""
+    return energy._subset_plans([case])[0][0]
 
 
 def subset_lps(instance):
@@ -148,16 +155,14 @@ def subset_lps(instance):
     partition = energy.partition_users(instance)
     optional = sorted(partition.free_saving)
     return [
-        energy._subset_lp(
-            instance, partition, [uid for k, uid in enumerate(optional) if (mask >> k) & 1]
-        )[0]
+        subset_lp((instance, partition, [uid for k, uid in enumerate(optional) if mask >> k & 1]))
         for mask in range(1 << len(optional))
     ]
 
 
 def empty_subset_lp(instance):
     """The LP that the LP branch of `solve_energy_suboptimal` solves."""
-    return energy._subset_lp(instance, energy.partition_users(instance), ())[0]
+    return subset_lp((instance, energy.partition_users(instance), ()))
 
 
 def lp_key(problem):

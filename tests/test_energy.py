@@ -44,6 +44,7 @@ from support import (
     make_user,
     required_compute_time,
     stock_instance,
+    subset_lp,
 )
 
 
@@ -392,7 +393,7 @@ class TestLpM1:
             part = partition_users(tight)
             if not part.forced_saving:
                 continue
-            problem, _ = energy._subset_lp(tight, part, ())  # the LP branch's LP
+            problem = subset_lp((tight, part, ()))  # the LP branch's LP
             fast = solve_lp(problem)
             slow = enumerate_vertices(problem)
             assert fast.status == slow.status == "optimal"
@@ -421,7 +422,7 @@ class TestLpM1:
                 for order in (costly, costly[::-1])]
         assert pair[0] == pair[1]
         assert list(pair[0].forced_costly) != list(pair[1].forced_costly)
-        keys = {lp_key(energy._subset_lp(inst, each, ())[0]) for each in pair}
+        keys = {lp_key(subset_lp((inst, each, ()))) for each in pair}
         assert len(keys) == 1
 
 
@@ -557,13 +558,41 @@ class TestSuboptimalBatch:
         batch = energy.solve_energy_suboptimal_batch(self.instances())
         assert built == [sum(s.status == "lp-path" for s in batch)] and built[0] > 1
 
+    def test_no_lp_branch_builds_and_solves_nothing(self, monkeypatch):
+        # a lone solve that skips the LP branch pays nothing for it
+        instances = [inst for inst in self.instances()
+                     if solve_energy_suboptimal(inst).status != "lp-path"]
+        builds, calls = count_builds(monkeypatch), []
+        solve = lp.solve_lps
+        monkeypatch.setattr(lp, "solve_lps",
+                            lambda problems: calls.append(problems) or solve(problems))
+        assert energy._subset_schedules([]) == []
+        statuses = {solve_energy_suboptimal(inst).status for inst in instances}
+        assert statuses == {"infeasible", "optimal-path", "greedy-path"}
+        assert builds.problems == 0 and calls == []
 
-def everyone_lp(instance):
-    """The all-offload LP as the partition that forces every user into a
-    VM builds it, each user above its forced minimum."""
+
+def everyone_case(instance):
+    """The all-offload case as the partition that forces every user into a
+    VM gives it, each user above its forced minimum."""
     everyone = energy.Partition(frozenset(), frozenset(range(instance.n_users)), frozenset(),
                                 frozenset())
-    return energy._subset_plans([(instance, everyone, ())])[0]
+    return instance, everyone, ()
+
+
+def everyone_schedules(instances):
+    """The `everyone_case` schedule of each instance, each LP solved on its
+    own whatever its deadline, and the infeasible schedule where it has none."""
+    return [schedule or energy._infeasible(i, None) for i, schedule in zip(
+        instances, energy._subset_schedules([everyone_case(i) for i in instances]))]
+
+
+def all_offload_lp(instance):
+    """The LP of `energy.benchmark_energy_all_offloading`: None below
+    t_min, where it builds none."""
+    if feasibility_gap(instance, instance.deadline) > 0.0:
+        return None
+    return subset_lp(energy._all_offload_case(instance))
 
 
 def schedule_fields(schedule):
@@ -576,10 +605,7 @@ def assert_routing_is_exact(instances):
     instance the schedule of the `everyone` LP solved on its own, and its
     LP has the bytes of that LP: the full-subset LP's exactly where no user
     is costly (and no forced minimum is -0.0)."""
-    alone = energy._solve([
-        (problem, lambda sol, finish=finish, i=i: finish(sol) or energy._infeasible(i, None))
-        for i in instances for problem, finish in [everyone_lp(i)]
-    ])
+    alone = everyone_schedules(instances)
     with energy.shared_solutions():
         brute_force_energy_batch(instances)
         routed = energy.benchmark_energy_all_offloading_batch(instances)
@@ -587,10 +613,10 @@ def assert_routing_is_exact(instances):
         assert schedule_fields(got) == schedule_fields(want)
         part = instance.partition
         costly = part.forced_costly or part.free_costly
-        problem = energy._all_offload_lps([instance])[0][0]
-        full = energy._subset_plans([(instance, part, part.free_saving)])[0][0]
+        problem = all_offload_lp(instance)
+        full = subset_lp((instance, part, part.free_saving))
         if problem is not None:
-            assert lp_key(problem) == lp_key(everyone_lp(instance)[0])
+            assert lp_key(problem) == lp_key(subset_lp(everyone_case(instance)))
             if not np.signbit(instance.min_offload_bits).any():
                 assert (lp_key(problem) == lp_key(full)) == (not costly)
 
@@ -639,9 +665,9 @@ class TestAllOffloadRouting:
         part = inst.partition
         assert not (part.forced or part.free_costly) and part.free_saving == {0, 1}
         assert np.signbit(inst.min_offload_bits).tolist() == [True, False]
-        full = energy._subset_plans([(inst, part, part.free_saving)])[0][0]
-        problem = energy._all_offload_lps([inst])[0][0]
-        assert lp_key(problem) == lp_key(everyone_lp(inst)[0]) != lp_key(full)
+        full = subset_lp((inst, part, part.free_saving))
+        problem = all_offload_lp(inst)
+        assert lp_key(problem) == lp_key(subset_lp(everyone_case(inst))) != lp_key(full)
         assert_routing_is_exact([inst])
 
 
@@ -660,10 +686,7 @@ class TestAllOffloadRefusal:
                     mix64(7, gi, ri) for ri in range(spec.realizations)])
                 below += [i for i in instances if feasibility_gap(i, i.deadline) > 0.0]
         assert len(below) == 20
-        solved = energy._solve([
-            (problem, lambda sol, finish=finish, i=i: finish(sol) or energy._infeasible(i, None))
-            for i in below for problem, finish in [everyone_lp(i)]
-        ])
+        solved = everyone_schedules(below)
         assert {(s.status, s.t_min) for s in solved} == {("infeasible", None)}
         built = []
         subset_plans = energy._subset_plans
@@ -1251,8 +1274,7 @@ class TestFeasibilityByOneEvaluation:
         tight = with_deadline(inst, t_min)
         assert solve_energy_suboptimal(tight).status == "lp-path"
         # an LP branch whose subset LP comes out infeasible
-        monkeypatch.setattr(energy, "_subset_lps",
-                            lambda cases: [(None, lambda _: None)] * len(cases))
+        monkeypatch.setattr(energy, "_subset_schedules", lambda cases: [None] * len(cases))
         counts.update(gap=0, root=0, tmin=0)
         schedule = solve_energy_suboptimal(tight)
         assert schedule.status == "infeasible" and schedule.t_min == t_min

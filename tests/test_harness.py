@@ -19,7 +19,6 @@ from mecoffload import (
     GenerationSpec,
     brute_force_energy_batch,
     brute_force_rate_max_batch,
-    energy,
     feasibility_gap,
     generate_instance,
     generate_instances,
@@ -108,6 +107,18 @@ class TestSweep:
             sweep_spec_from_doc({"experiment": "rate-vs-d", "bogus": 1})
         with pytest.raises(ConfigurationError, match="experiment"):
             sweep_spec_from_doc({"grid": [1]})
+
+    @pytest.mark.parametrize("value", [4.5, 5.5, 0.0, -3.0, 0.5, math.nan, math.inf])
+    def test_rate_vs_k_grid_takes_whole_user_counts(self, value):
+        spec = sweep_spec_from_doc({"experiment": "rate-vs-K", "grid": [4.0, value]})
+        with pytest.raises(ConfigurationError, match=f"whole user counts >= 1, not {value!r}$"):
+            spec.normalized()
+
+    def test_rate_vs_k_grid_value_is_the_user_count(self):
+        spec = tiny_spec(grid=(1, 7.0), algorithms=("optimal",)).normalized()
+        assert [harness._generation_spec(spec, v).n_users for v in spec.grid] == [1, 7]
+        rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
+        assert [row[2] for row in rows] == ["1.0", "7.0"]
 
 
 class TestStockEnergyBytes:
@@ -329,7 +340,8 @@ class TestEnergyBlocks:
         # No stock user is costly, so the all-offload LP is the oracle's
         # full-subset LP; the heuristic's LP branch solves the empty-subset
         # LP, which the oracle solves only where that subset could win.  No
-        # row builds an LP for a draw whose deadline is below t_min.  A
+        # row builds an LP for a draw whose deadline is below t_min (for
+        # the all-offload row, `TestAllOffloadRefusal` in test_energy.py).  A
         # block stacks each distinct LP once: the oracle's and the LP-branch
         # LPs the oracle skipped.
         spec = SweepSpec(experiment=experiment, grid=(value,), realizations=20, base_seed=7,
@@ -344,7 +356,6 @@ class TestEnergyBlocks:
         assert lp_branch
         below = [i for i in instances if feasibility_gap(i, i.deadline) > 0.0]
         assert len(below) == refused
-        assert all(problem is None for problem, _ in energy._all_offload_lps(below))
         blocks = stacked_keys(monkeypatch)
         brute_force_energy_batch(instances)
         oracle_keys = blocks.pop()
@@ -457,6 +468,29 @@ class TestStockRateBytes:
             "--realizations", "20", "--seed", "7", "--certify",
         ], capture_output=True, env=env, check=True)
         assert hashlib.sha256(done.stdout).hexdigest() == self.DIGESTS["rate-vs-K"]
+
+
+class TestStockSweepBytes:
+    """The four stock experiments at their stock size (500 realizations,
+    seed 7), plain and certified, byte for byte: the reference behaviour
+    every change to the solvers must keep."""
+
+    DIGESTS = {  # by (experiment, certify)
+        ("rate-vs-K", False): "286e6bc97296cb7b853a89591107a90c4b7e4c79468258e6884974d86a663d47",
+        ("rate-vs-K", True): "6698fc04c6f94987215bc837f586a794d60a9bfe1c515170540dafa938ba7ea3",
+        ("rate-vs-d", False): "2b44977d38cf99bab2e013a589915e619272a192e079f575c28e42d8eb716354",
+        ("rate-vs-d", True): "d8de149414c344906454a69fbe2e0fff919c2af8395abc1327071b201ecf3d55",
+        ("energy-vs-T", False): "a267856e1ef007083f1b4b034947aadf513ab97b97292345cfdcdc88390eaee3",
+        ("energy-vs-T", True): "a9fc37a9c76ecb4cb8e25acb49500cf9ed00901e91908028336514638d58b7f5",
+        ("energy-vs-d", False): "657c2b5fa5241df38a3420f1f291eb57c33a26e908b345d608f48436769334d9",
+        ("energy-vs-d", True): "67047ffdfa894ea991ee0ee335b9aaef7161cc7d4fb227e691e88e0d8ccd4a70",
+    }
+
+    @pytest.mark.parametrize("experiment, certify", sorted(DIGESTS))
+    def test_stock_sweep_digest(self, experiment, certify):
+        text = run_sweep(SweepSpec(experiment=experiment, realizations=500, base_seed=7,
+                                   certify=certify))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[experiment, certify]
 
 
 class TestScheduleDocs:
@@ -604,6 +638,14 @@ class TestCli:
         assert cli_main(["solve-rate", str(missing)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "\n" not in err.strip("\n")
+
+    @pytest.mark.parametrize("grid", ["4.5", "5.5", "nan", "0", "4,-1"])
+    def test_fractional_user_count_exits_2(self, capsys, grid):
+        assert cli_main(["sweep", "--experiment", "rate-vs-K", "--grid", grid,
+                         "--realizations", "1"]) == 2
+        err = capsys.readouterr().err
+        value = repr(float(grid.split(",")[-1]))
+        assert err == f"error: rate-vs-K grid values must be whole user counts >= 1, not {value}\n"
 
     @pytest.mark.parametrize("field, value", [
         ("realizations", "5"),

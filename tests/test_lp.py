@@ -24,6 +24,7 @@ from support import (
     random_lp_problem,
     stock_energy_lps,
     stock_instance,
+    subset_lp,
     subset_lps,
 )
 
@@ -212,7 +213,7 @@ class TestBlock:
 class TestRecord:
     """An `LpProblem` holds read-only float64 arrays: copies of what it was
     given, or the given arrays themselves where they are read-only and own
-    their data, as `energy._subset_lp` builds them."""
+    their data, as `energy._subset_plans` builds them."""
 
     def test_read_only_owned_arrays_are_kept_uncopied(self):
         arrays = [np.array([-1.0, -1.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
@@ -840,7 +841,7 @@ class TestLimits:
     def test_energy_lp_rows_match_its_precheck(self):
         for K in (1, 4, 10):
             instance = stock_instance(K, 0.2, 3, deadline=0.6)
-            assert energy._all_offload_lps([instance])[0][0].size == (2 * K + 1, K + 1)
+            assert subset_lp(energy._all_offload_case(instance)).size == (2 * K + 1, K + 1)
 
     def test_all_offloading_refuses_ten_thousand_users(self):
         instance = stock_instance(10_000, 0.05, 11, deadline=1.5)

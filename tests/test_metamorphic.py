@@ -1,19 +1,26 @@
-"""Metamorphic relations of the energy solvers: relations between two
-solves that need no reference answer, so they reach past the oracle's
-12 users (Chen, Cheung & Yiu 1998, "Metamorphic testing: a new approach
-for generating next test cases")."""
+"""Metamorphic relations of the solvers: relations between two solves
+that need no reference answer, so they reach past the oracle's 12 users
+(Chen, Cheung & Yiu 1998, "Metamorphic testing: a new approach for
+generating next test cases")."""
 
 import dataclasses
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mecoffload import (
     benchmark_energy_all_offloading,
     brute_force_energy,
+    brute_force_energy_batch,
     feasibility_tmin,
+    model,
     solve_energy_suboptimal,
+    solve_rate_max,
     with_deadline,
 )
+from mecoffload.model import RATE_RTOL
+from mecoffload.oracle import _TIE_RTOL
 from support import stock_instance
 
 # A power of two: every product and sum of the energy terms scales by it
@@ -56,3 +63,89 @@ class TestEnergyScaling:
             if schedule.status != "infeasible":
                 assert big.objective == SCALE * schedule.objective, solve
                 assert big.total_energy == SCALE * schedule.total_energy, solve
+
+
+class TestRateMonotoneInDegradation:
+    """More interference never raises the optimal rate: every fixed set's
+    rate falls as d grows, so their maximum does too (item 11b)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(5, 100),
+        seed=st.integers(0, 2**64 - 1),
+        degradations=st.lists(st.floats(0.0, 1.0), min_size=26, max_size=26),
+    )
+    def test_rate_never_rises_with_d(self, n_users, seed, degradations):
+        inst = stock_instance(n_users, 0.0, seed)
+        rates = [solve_rate_max(dataclasses.replace(inst, degradation=d))[0].sum_rate
+                 for d in sorted({0.0, 1.0, *degradations})]
+        for rate, more in zip(rates, rates[1:]):
+            assert more <= rate * (1.0 + RATE_RTOL)
+
+
+def relabelled(instance, order):
+    """The instance whose user j is the given instance's user order[j]."""
+    return dataclasses.replace(instance, **{
+        name: getattr(instance, name)[order] for name in model._USER_COLUMNS})
+
+
+class TestRelabelling:
+    """Relabelling the users permutes the scheduled set and keeps the
+    objective, for every solver (item 11c).  The oracle runs at K <= 12."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(4, 30),
+        degradation=st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        slack=st.one_of(st.just(1.0), st.floats(0.98, 3.0)),
+        data=st.data(),
+    )
+    def test_relabelled_users_keep_the_objective(self, n_users, degradation, seed, slack, data):
+        order = np.array(data.draw(st.permutations(range(n_users))))
+        labels = order.tolist()
+
+        def back(scheduled):
+            return frozenset(labels[j] for j in scheduled)
+
+        inst = stock_instance(n_users, degradation, seed)
+        rate, moved = solve_rate_max(inst)[0], solve_rate_max(relabelled(inst, order))[0]
+        assert back(moved.scheduled) == rate.scheduled
+        assert moved.sum_rate == pytest.approx(rate.sum_rate, rel=1e-12, abs=0.0)
+
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        inst = with_deadline(inst, feasibility_tmin(inst) * slack)
+        solvers = [solve_energy_suboptimal, benchmark_energy_all_offloading]
+        if n_users <= 12:
+            solvers.append(brute_force_energy)
+        for solve in solvers:
+            schedule, moved = solve(inst), solve(relabelled(inst, order))
+            assert moved.status == schedule.status, solve
+            assert back(moved.scheduled) == schedule.scheduled, solve
+            if schedule.status != "infeasible":
+                assert moved.objective == pytest.approx(schedule.objective, rel=1e-9, abs=0.0)
+
+
+class TestOracleDeadlineMonotone:
+    """A longer deadline only widens every subset LP's budget, so the
+    oracle's optimal energy never rises with it, within the tie tolerance
+    that its winner may sit above the least objective, and a feasible
+    deadline stays feasible (item 11a)."""
+
+    @settings(max_examples=70, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(4, 10),
+        degradation=st.one_of(st.sampled_from([0.0, 0.1, 0.3]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        slacks=st.lists(st.one_of(st.just(1.0), st.floats(0.98, 2.0)), min_size=10, max_size=10),
+    )
+    def test_energy_never_rises_with_the_deadline(self, n_users, degradation, seed, slacks):
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        t_min = feasibility_tmin(inst)
+        schedules = brute_force_energy_batch(
+            [with_deadline(inst, t_min * slack) for slack in sorted(slacks)])
+        for schedule, later in zip(schedules, schedules[1:]):
+            if schedule.status != "infeasible":
+                assert later.status != "infeasible"
+                tol = 2.0 * _TIE_RTOL * (1.0 + abs(schedule.objective))
+                assert later.objective <= schedule.objective + tol

@@ -649,7 +649,7 @@ class TestOneFeasibilityRule:
                 for s1 in ((), part.free_saving):
                     built = builds.problems
                     schedule = solve_subset_lp(instance, part, s1)
-                    direct = energy._solve([energy._subset_lp(instance, part, s1)])[0]
+                    direct = energy._subset_schedules([(instance, part, s1)])[0]
                     if t < t_min:
                         assert schedule is None and builds.problems == built + 1  # direct's LP
                         admitted += direct is not None
