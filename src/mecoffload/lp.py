@@ -18,7 +18,9 @@ elementwise, a row whose factor is zero (either sign), which that loop
 skips, subtracts +0.0, which leaves every double as it is, and the
 entering column and leaving row are the first index meeting the rule, as
 a scalar loop would find them.  The objective rows are priced out one
-basic row after another.  The bounds are shifted for the whole stack
+basic row after another.  Every variable has a finite lower bound (the
+energy LPs' floors and forced minimums, or 0), and its column is the
+variable less that bound.  The bounds are shifted for the whole stack
 at once: a row that meets at most one nonzero offset product takes that
 product, and every other row the problem's own 1-D dot, so no sum of
 several products is regrouped.  Padding never enters a pivot
@@ -105,14 +107,14 @@ class LpProblem:
 
     objective has one entry per variable (n), coeffs one row per
     constraint (m, n), relations m of "<=", "=" and ">=", rhs m entries and
-    bounds one (lower, upper) pair per variable (n, 2); use -inf/+inf for
-    unbounded sides.  Each array is stored read-only as float64: a
-    read-only float64 array that owns its data is kept as it is, and
-    anything else is copied.  `block` builds many problems of one shape
-    over shared arrays, as `energy._subset_plans` does.  There is no value
-    equality.  `size` is the (rows, variable columns) that `check_size`
-    holds the problem to: a row per constraint and per finite box, a column
-    per variable and a second one per free variable.
+    bounds one (lower, upper) pair per variable (n, 2): every lower bound
+    is finite, and an upper bound of +inf leaves that side open.  Each
+    array is stored read-only as float64: a read-only float64 array that
+    owns its data is kept as it is, and anything else is copied.  `block`
+    builds many problems of one shape over shared arrays, as
+    `energy._subset_plans` does.  There is no value equality.  `size` is the (rows, variable columns) that `check_size`
+    holds the problem to: a row per constraint and per finite box, and a
+    column per variable.
     """
 
     objective: np.ndarray
@@ -167,8 +169,8 @@ def _check(objective, coeffs, rhs, bounds, relations) -> list[tuple[int, int]]:
         k = next(k for k, r in enumerate(relations) if r not in _RELATIONS)
         raise LpStructureError(f"constraint {k}: unknown relation {relations[k]!r}")
     # every rhs is finite, the least objective and coefficient are numbers
-    # (an infinite coefficient stays legal, but nan has no order), and
-    # every lower bound is at most its upper bound
+    # (an infinite coefficient stays legal, but nan has no order), every
+    # lower bound is at most its upper bound, and every lower bound is finite
     finite = np.isfinite(rhs)
     if not finite.all():
         _, k = np.unravel_index(finite.argmin(), finite.shape)
@@ -179,10 +181,12 @@ def _check(objective, coeffs, rhs, bounds, relations) -> list[tuple[int, int]]:
     if not ordered.all():
         p, j = np.unravel_index(ordered.argmin(), ordered.shape)
         raise LpStructureError(f"variable {j}: bounds {bounds[p, j].tolist()} out of order")
-    finite = np.isfinite(bounds)
-    rows = len(relations) + finite.all(axis=2).sum(axis=1)
-    cols = objective.shape[1] + (~finite.any(axis=2)).sum(axis=1)
-    return list(zip(rows.tolist(), cols.tolist()))
+    finite = np.isfinite(bounds[:, :, 0])
+    if not finite.all():
+        _, j = np.unravel_index(finite.argmin(), finite.shape)
+        raise LpStructureError(f"variable {j}: lower bound must be finite")
+    rows = len(relations) + np.isfinite(bounds[:, :, 1]).sum(axis=1)
+    return [(r, objective.shape[1]) for r in rows.tolist()]
 
 
 @dataclass(frozen=True)
@@ -319,24 +323,21 @@ def stack_capacity(n_rows: int, n_cols: int) -> int:
 class _Stack:
     """The standard forms of several problems, zero-padded to one shape.
 
-    Column c of problem k is variable col_var[k, c] times col_sign[k, c],
-    shifted by its offset onto [0, inf) (`_standard_form`).  tableau[k]
-    holds problem k's constraint rows (its constraints in order, then a row
-    per finite box) over its variable columns, then its slack and surplus
-    columns, then, from a column common to the stack, its artificial
-    columns, and the right-hand side last; its objective row is last.  Rows
-    and columns keep the problem's own order, so Bland's rule and the ratio
-    test pick what they pick on the problem alone, and a stack of problems
-    of at most R rows and C variable columns each has at most
-    `_entries(R, C)` entries per problem.  Padding rows, and constraint rows
-    without coefficients, have basis -1 and are zero throughout."""
+    Column j of problem k is its variable j less its lower bound, on
+    [0, inf) (`_standard_form`).  tableau[k] holds problem k's constraint
+    rows (its constraints in order, then a row per finite box) over its
+    variable columns, then its slack and surplus columns, then, from a
+    column common to the stack, its artificial columns, and the right-hand
+    side last; its objective row is last.  Rows and columns keep the
+    problem's own order, so Bland's rule and the ratio test pick what they
+    pick on the problem alone, and a stack of problems of at most R rows
+    and C variables each has at most `_entries(R, C)` entries per problem.
+    Padding rows and columns, and constraint rows without coefficients,
+    are zero throughout, and those rows have basis -1."""
 
     tableau: np.ndarray
     basis: np.ndarray
-    offsets: np.ndarray  # per problem and variable, padded with zeros, and the spare 0
-    col_var: np.ndarray  # per problem and column; padding columns name the spare variable
-    col_sign: np.ndarray
-    ncols: np.ndarray  # variable columns per problem
+    offsets: np.ndarray  # the lower bounds, per problem and variable, padded with zeros
     a_at: int  # the first artificial column
     art_rows: np.ndarray  # per problem, its artificial rows in order, padded with -1
     cvec: np.ndarray  # phase-2 costs of the variable columns, scaled
@@ -356,36 +357,21 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
     count = len(problems)
     n = np.array([problem.n_vars for problem in problems])
     ncons = np.array([len(problem.relations) for problem in problems])
-    n_vars, n_cons = int(n.max()), int(ncons.max())
-    # a spare variable n_vars, zero throughout and never anyone's: padding
-    # columns read it
-    var = np.arange(n_vars + 1) < n[:, None]
+    width, n_cons = int(n.max()), int(ncons.max())
+    var = np.arange(width) < n[:, None]
     constraint = np.arange(n_cons) < ncons[:, None]
-    objective = _padded([p.objective for p in problems], count, (n_vars + 1,), var)
-    coeffs = _padded([p.coeffs.ravel() for p in problems], count, (n_cons, n_vars + 1),
-                     constraint[:, :, None] & var[:, None, :])
+    cvec = _padded([p.objective for p in problems], count, (width,), var)
+    cons = _padded([p.coeffs.ravel() for p in problems], count, (n_cons, width),
+                   constraint[:, :, None] & var[:, None, :])
     rhs = _padded([p.rhs for p in problems], count, (n_cons,), constraint)
-    lower, upper = _padded([p.bounds.ravel() for p in problems], count, (n_vars + 1, 2),
+    lower, upper = _padded([p.bounds.ravel() for p in problems], count, (width, 2),
                            np.repeat(var[:, :, None], 2, axis=2)).transpose(2, 0, 1)
 
-    # Every variable is shifted onto [0, inf): x = lo + y, or x = hi - y for
-    # upper-bounded-only ones, or x = y+ - y- for free ones (two columns).
-    has_lower, has_upper = np.isfinite(lower), np.isfinite(upper)
-    free = var & ~has_lower & ~has_upper
-    boxed = var & has_lower & has_upper
-    offsets = np.where(has_lower, lower, np.where(has_upper, upper, 0.0))
-    taken = var.astype(np.intp) + free  # the columns of each variable
-    first = np.cumsum(taken, axis=1) - taken
-    ncols = first[:, -1] + taken[:, -1]
-    width = int(ncols.max())
-    col_var = np.full((count, width), n_vars)
-    col_sign = np.ones((count, width))
-    k, j = var.nonzero()
-    col_var[k, first[k, j]] = j
-    col_sign[k, first[k, j]] = np.where(has_upper[k, j] & ~has_lower[k, j], -1.0, 1.0)
-    k, j = free.nonzero()
-    col_var[k, first[k, j] + 1] = j
-    col_sign[k, first[k, j] + 1] = -1.0
+    # Every variable is shifted onto [0, inf): x = lo + y, its column j.
+    # The offsets are an array of their own, since a strided one would
+    # change the rounding of the 1-D dots below.
+    offsets = lower.copy()
+    boxed = var & np.isfinite(upper)
 
     # Each right-hand side less its row's dot with the offsets.  A row that
     # meets at most one nonzero product, every product finite, takes that
@@ -393,9 +379,9 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
     # the problem's own 1-D dot, whose sum of several products (an FMA chain
     # at these sizes) no regrouped sum repeats.
     with np.errstate(over="ignore", invalid="ignore"):
-        products = coeffs * offsets[:, None, :]
-        touched = (coeffs != 0.0) & (offsets[:, None, :] != 0.0)
-        exact = np.where(touched, np.isfinite(products) & (products != 0.0), np.isfinite(coeffs))
+        products = cons * offsets[:, None, :]
+        touched = (cons != 0.0) & (offsets[:, None, :] != 0.0)
+        exact = np.where(touched, np.isfinite(products) & (products != 0.0), np.isfinite(cons))
         dots = 0.0 + products.sum(axis=2)
     for k, i in zip(*(constraint & ~(exact.all(axis=2) & (touched.sum(axis=2) <= 1))).nonzero()):
         dots[k, i] = problems[k].coeffs[i] @ offsets[k, : n[k]]
@@ -407,12 +393,9 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
     sense[:, :n_cons][constraint] = [_SENSE[r] for p in problems for r in p.relations]
     real = np.arange(rows) < (ncons + nupper)[:, None]  # its constraints, then its boxes
 
-    cvec = np.take_along_axis(objective, col_var, axis=1) * col_sign
     cscale = np.max(np.abs(cvec), axis=1, keepdims=True)
     np.divide(cvec, cscale, out=cvec, where=cscale > 0.0)
 
-    cons = np.take_along_axis(coeffs, col_var[:, None, :], axis=2)
-    cons *= col_sign[:, None, :]
     scale = np.max(np.abs(cons), axis=2, initial=0.0)
     empty = constraint & (scale <= 0.0)
     cb = b[:, :n_cons]
@@ -439,7 +422,7 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
     tableau = np.zeros((count, rows + 1, total + 1))
     A = tableau[:, :rows, :width]
     np.divide(cons, scale[:, :, None], out=A[:, :n_cons], where=kept[:, :, None])
-    A[k, box, first[k, j]] = 1.0 / upper_scale
+    A[k, box, j] = 1.0 / upper_scale
     np.negative(A, out=A, where=flip[:, :, None])
     tableau[:, :rows, total] = b
     basis = np.full((count, rows), -1)
@@ -457,9 +440,6 @@ def _standard_form(problems: list[LpProblem]) -> _Stack:
         tableau=tableau,
         basis=basis,
         offsets=offsets,
-        col_var=col_var,
-        col_sign=col_sign,
-        ncols=ncols,
         a_at=a_at,
         art_rows=art_rows,
         cvec=cvec,
@@ -524,7 +504,7 @@ def _phase2(stack: _Stack, lps: np.ndarray, ids: np.ndarray) -> None:
     tableau[lps, m] = 0.0
     tableau[lps, m, : cvec.shape[1]] = cvec
     col = stack.basis[lps]
-    variable = (col >= 0) & (col < stack.ncols[ids, None])
+    variable = (col >= 0) & (col < cvec.shape[1])
     cb = np.take_along_axis(cvec, np.where(variable, col, 0), axis=1)
     cb[~variable] = 0.0
     _price(tableau, lps, np.broadcast_to(np.arange(m), col.shape), cb)
@@ -598,11 +578,7 @@ def _solve_stack(problems: list[LpProblem]) -> list[LpSolution]:
     y = np.zeros((count, tableau.shape[2] - 1))
     k, i = (basis >= 0).nonzero()
     y[at[k], basis[k, i]] = tableau[k, i, -1]
-    # x = offsets plus each column's signed value, in column order (y+
-    # before y-); padding columns add their zeros to the spare variable
-    x = stack.offsets.copy()
-    width = stack.col_var.shape[1]
-    np.add.at(x, (np.arange(len(problems))[:, None], stack.col_var), stack.col_sign * y[:, :width])
+    x = stack.offsets + y[:, : stack.offsets.shape[1]]
     solutions = []
     for k, problem in enumerate(problems):
         n = problem.n_vars

@@ -856,7 +856,8 @@ def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
     `rng.uniform_rows` call and every field is converted across the block;
     the values go straight into the instances' columns.  A value that
     `UserProfile` refuses raises its error, for the first such user of the
-    first such seed.
+    first such seed.  A block too large for numpy to allocate raises
+    ConfigurationError, naming the user count and the number of seeds.
     """
     _check_spec(spec)
     seeds = list(seeds)
@@ -872,9 +873,13 @@ def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
         spec.cycles_per_bit,
         spec.cpu_freq_hz,
     ]).T
-    draws = uniform_rows(seeds, 7 * n).reshape(len(seeds), n, 7)
-    # each seed's (fields, K) table of `Instance` columns
-    table = np.empty((len(seeds), len(_USER_COLUMNS), n))
+    try:
+        draws = uniform_rows(seeds, 7 * n).reshape(len(seeds), n, 7)
+        # each seed's (fields, K) table of `Instance` columns
+        table = np.empty((len(seeds), len(_USER_COLUMNS), n))
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size or the memory
+        raise ConfigurationError(
+            f"cannot draw {n} users for {len(seeds)} seed(s): {exc}") from None
     table[:, 0], table[:, 8], table[:, 9] = spec.weight, spec.energy_coeff, spec.tx_power_w
     with np.errstate(over="ignore", invalid="ignore"):  # the checks refuse inf and nan
         values = lo + (hi - lo) * draws

@@ -739,13 +739,14 @@ class TestSharedSolutions:
         assert repr(twice[0]) == repr(twice[1]) == expected[2 * len(instances) + 2]
 
     def test_signed_zeros_are_different_problems(self, monkeypatch):
-        # x <= 0.0 and x <= -0.0 have equal arrays, but the maximum of x is
-        # 0.0 in one and -0.0 in the other: no memo may merge problems by
-        # value, and the all-offload routing keeps a -0.0 forced minimum
-        # out of the full-subset plan
+        # x <= 0.0 and x <= -0.0, over x >= -0.0, have equal arrays, but
+        # the maximum of x is 0.0 in one and -0.0 in the other: no memo may
+        # merge problems by value, and the all-offload routing keeps a -0.0
+        # forced minimum out of the full-subset plan
         # (`TestAllOffloadRouting.test_a_negative_zero_minimum_keeps_the_everyone_lp`)
-        pair = [lp.LpProblem((-1.0,), (), (), (), ((-math.inf, zero),)) for zero in (0.0, -0.0)]
-        assert np.array_equal(pair[0].bounds, pair[1].bounds)
+        pair = [lp.LpProblem((-1.0,), ((1.0,),), ("<=",), (zero,), ((-0.0, math.inf),))
+                for zero in (0.0, -0.0)]
+        assert np.array_equal(pair[0].rhs, pair[1].rhs)
         assert lp_key(pair[0]) != lp_key(pair[1])
         expected = [repr(reference_solve_lp(p)) for p in pair]
         assert expected[0] != expected[1]

@@ -647,6 +647,19 @@ class TestCli:
         value = repr(float(grid.split(",")[-1]))
         assert err == f"error: rate-vs-K grid values must be whole user counts >= 1, not {value}\n"
 
+    @pytest.mark.parametrize("users", ["1e19", "1e20"])
+    def test_oversized_user_count_exits_2(self, tmp_path, capsys, users):
+        # numpy refuses these sizes before it allocates anything
+        n = int(float(users))
+        out = tmp_path / "instance.json"
+        for argv in (["sweep", "--experiment", "rate-vs-K", "--grid", users, "--realizations", "1"],
+                     ["generate", "--users", str(n), "--out", str(out)]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot draw {n} users for 1 seed(s): ")
+            assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("realizations", "5"),
         ("grid", 5),

@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecoffload import energy, lp, with_deadline
 from mecoffload.lp import (
@@ -58,7 +59,7 @@ class TestSolve:
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
     def test_infeasible_interval(self):
-        p = LpProblem((1.0,), ((1.0,), (1.0,)), (">=", "<="), (2.0, 1.0), ((-INF, INF),))
+        p = LpProblem((1.0,), ((1.0,), (1.0,)), (">=", "<="), (2.0, 1.0), ((-10.0, INF),))
         assert solve_lp(p).status == "infeasible"
 
     def test_unbounded_ray(self):
@@ -73,18 +74,6 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
         assert sol.x[1] == pytest.approx(1.0, abs=1e-9)
-
-    def test_free_variable(self):
-        p = LpProblem((1.0,), ((1.0,),), (">=",), (-2.0,), ((-INF, INF),))
-        sol = solve_lp(p)
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(-2.0, abs=1e-9)
-
-    def test_upper_bounded_only_variable(self):
-        p = LpProblem((-1.0,), (), (), (), ((-INF, 3.5),))
-        sol = solve_lp(p)
-        assert sol.status == "optimal"
-        assert sol.x[0] == pytest.approx(3.5, abs=1e-9)
 
     def test_mixed_scales(self):
         # bit-scale coefficient next to a seconds-scale one
@@ -127,6 +116,18 @@ class TestStructure:
     def test_bound_count_mismatch(self):
         with pytest.raises(LpStructureError):
             LpProblem((1.0, 1.0), (), (), (), ((0.0, 1.0),))
+
+    @pytest.mark.parametrize("bound", [(-INF, INF), (-INF, 3.5), (INF, INF)],
+                             ids=["free", "upper-only", "infinite-lower"])
+    def test_lower_bound_must_be_finite(self, bound):
+        # variable 1 of the lone problem, and of the middle one of a block
+        message = "variable 1: lower bound must be finite"
+        with pytest.raises(LpStructureError, match=message):
+            LpProblem((1.0, 1.0), ((1.0, 1.0),), (">=",), (-2.0,), ((0.0, 1.0), bound))
+        bounds = np.array([[(0.0, 1.0), (0.0, INF)], [(0.0, 1.0), bound], [(0.0, 1.0)] * 2])
+        with pytest.raises(LpStructureError, match=message):
+            LpProblem.block(np.ones((3, 2)), np.ones((3, 1, 2)), (">=",), np.full((3, 1), -2.0),
+                            bounds)
 
     # The simplex would answer each of these wrongly rather than fail: it
     # drops a nan lower bound (x = 1), finds a nan upper bound unbounded,
@@ -359,19 +360,17 @@ class TestSelectionRelaxation:
 
 
 def mixed_bound_problems(seed, count):
-    """Random LPs whose variables are free, upper-bounded only, or boxed, so
-    the split and mirrored columns of the standard form are exercised."""
+    """Random LPs whose variables have negative lower bounds, boxed or not,
+    so the standard form shifts by nonzero offsets and its rows meet
+    several of them."""
     rng = SplitMix64(seed)
     problems = []
     for _ in range(count):
         base = random_lp_problem(rng, n_vars=5, n_rows=5)
         bounds = []
         for _, hi in base.bounds:
-            u = rng.uniform()
-            if u < 0.25:
-                bounds.append((-INF, INF))
-            elif u < 0.5:
-                bounds.append((-INF, 3.0))
+            if rng.uniform() < 0.5:
+                bounds.append((-3.0, INF))
             else:
                 bounds.append((-2.0, hi))
         problems.append(LpProblem(base.objective, base.coeffs, base.relations, base.rhs, bounds))
@@ -407,7 +406,7 @@ class TestRowLoopEquivalence:
             rng = SplitMix64(seed)
             self.assert_same([random_lp_problem(rng) for _ in range(count)])
 
-    def test_free_and_upper_bounded_variables(self):
+    def test_negative_lower_bounds(self):
         problems = mixed_bound_problems(99, 300)
         statuses = {solve_lp(p).status for p in problems}
         assert statuses == {"optimal", "infeasible", "unbounded"}
@@ -420,6 +419,31 @@ class TestRowLoopEquivalence:
         problems = stock_energy_lps()
         assert len(problems) == 392 and len(set(map(lp_key, problems))) == 237
         self.assert_same(problems)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(2, 30),
+        degradation=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**64 - 1),
+        slack=st.one_of(st.just(1.0), st.floats(1.0, 1.3)),
+        costly=st.sets(st.integers(0, 29), max_size=3),
+        data=st.data(),
+    )
+    def test_drawn_subset_lps(self, n_users, degradation, seed, slack, costly, data):
+        # the shapes the energy solvers build: users in `costly` transmit at
+        # 100 times the power, so that offloading costs them energy (a
+        # window floor when forced), forced saving members have a minimum,
+        # and a deadline near t_min leaves a tight budget
+        inst = stock_instance(n_users, degradation, seed, deadline=0.45)
+        power = inst.tx_power * np.where(np.isin(np.arange(n_users), list(costly)), 100.0, 1.0)
+        inst = dataclasses.replace(inst, tx_power=power)
+        inst = with_deadline(inst, energy.feasibility_tmin(inst) * slack)
+        partition = inst.partition
+        optional = sorted(partition.free_saving)
+        s1 = data.draw(st.sets(st.sampled_from(optional))) if optional else set()
+        problem = subset_lp((inst, partition, s1))
+        if problem is not None:
+            self.assert_same([problem])
 
     def test_overflowing_ratios_and_infinite_coefficients(self):
         problems = overflow_problems()

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mecoffload import (
+    benchmark_all_offloading,
     benchmark_energy_all_offloading,
+    benchmark_greedy,
     brute_force_energy,
     brute_force_energy_batch,
     feasibility_tmin,
@@ -21,7 +23,8 @@ from mecoffload import (
 )
 from mecoffload.model import RATE_RTOL
 from mecoffload.oracle import _TIE_RTOL
-from support import stock_instance
+from mecoffload.rng import mix64
+from support import SplitMix64, stock_instance
 
 # A power of two: every product and sum of the energy terms scales by it
 # exactly, so the scaled objectives are compared with ==.
@@ -76,7 +79,18 @@ class TestRateMonotoneInDegradation:
         degradations=st.lists(st.floats(0.0, 1.0), min_size=26, max_size=26),
     )
     def test_rate_never_rises_with_d(self, n_users, seed, degradations):
-        inst = stock_instance(n_users, 0.0, seed)
+        self.assert_monotone(stock_instance(n_users, 0.0, seed), degradations)
+
+    @pytest.mark.parametrize("n_users", [200, 1000])
+    def test_rate_never_rises_with_d_at_large_k(self, n_users):
+        # three draws, each over 0, 1 and 26 drawn d values
+        rng = SplitMix64(mix64(0x11B, n_users))
+        for draw in range(3):
+            self.assert_monotone(stock_instance(n_users, 0.0, mix64(0x11B, n_users, draw)),
+                                 [rng.uniform() for _ in range(26)])
+
+    @staticmethod
+    def assert_monotone(inst, degradations):
         rates = [solve_rate_max(dataclasses.replace(inst, degradation=d))[0].sum_rate
                  for d in sorted({0.0, 1.0, *degradations})]
         for rate, more in zip(rates, rates[1:]):
@@ -124,6 +138,41 @@ class TestRelabelling:
             assert back(moved.scheduled) == schedule.scheduled, solve
             if schedule.status != "infeasible":
                 assert moved.objective == pytest.approx(schedule.objective, rel=1e-9, abs=0.0)
+
+    @staticmethod
+    def draws(n_users):
+        """Twelve stock draws of n_users users, four at each of d = 0, 0.1
+        and 0.3, each with a permutation of its users."""
+        rng = SplitMix64(mix64(0x11C, n_users))
+        for d in (0.0, 0.1, 0.3):
+            for draw in range(4):
+                order = sorted(range(n_users), key=lambda _: rng.uniform())
+                yield stock_instance(n_users, d, mix64(0x11C, n_users, draw)), np.array(order)
+
+    @pytest.mark.parametrize("n_users", [200, 1000])
+    def test_rate_solvers_at_large_k(self, n_users):
+        solvers = [lambda inst: solve_rate_max(inst)[0], benchmark_greedy,
+                   benchmark_all_offloading]
+        for inst, order in self.draws(n_users):
+            labels = order.tolist()
+            for solve in solvers:
+                schedule, moved = solve(inst), solve(relabelled(inst, order))
+                assert frozenset(labels[j] for j in moved.scheduled) == schedule.scheduled
+                assert moved.sum_rate == pytest.approx(schedule.sum_rate, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n_users", [50, 100])
+    def test_energy_solvers_at_large_k(self, n_users):
+        # at 1.02 t_min the heuristic takes its LP branch, at 1.3 t_min
+        # mostly its greedy drop loop
+        for (inst, order), slack in zip(self.draws(n_users), [1.02, 1.3] * 6):
+            labels = order.tolist()
+            inst = with_deadline(inst, feasibility_tmin(inst) * slack)
+            for solve in (solve_energy_suboptimal, benchmark_energy_all_offloading):
+                schedule, moved = solve(inst), solve(relabelled(inst, order))
+                assert moved.status == schedule.status, solve
+                assert frozenset(labels[j] for j in moved.scheduled) == schedule.scheduled, solve
+                if schedule.status != "infeasible":
+                    assert moved.objective == pytest.approx(schedule.objective, rel=1e-9, abs=0.0)
 
 
 class TestOracleDeadlineMonotone:

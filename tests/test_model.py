@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import operator
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -634,6 +635,15 @@ class TestGeneration:
             generate_instance(GenerationSpec(n_users=1, service_rate_bps=(0.0, 1e7)), 0)
         with pytest.raises(ConfigurationError):
             generate_instance(GenerationSpec(n_users=-1), 0)
+
+    @pytest.mark.parametrize("n_users", [10**19, 10**20])
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_oversized_user_count_is_refused_by_name(self, n_users, seeds):
+        # numpy refuses these sizes before it allocates anything; a count
+        # that it would try to allocate is not tried here
+        message = f"cannot draw {n_users} users for {len(seeds)} seed(s): "
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            generate_instances(GenerationSpec(n_users=n_users), seeds)
 
 
 class TestArrayGeneration:

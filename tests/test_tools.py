@@ -45,3 +45,5 @@ def test_lp_layer_replays_one_round(tmp_path):
     assert re.fullmatch(r"lockstep steps \d+, pivots \d+, steps on a fresh copy of the working "
                         r"stack \d+", out[1]), out
     assert re.fullmatch(r"solve_lps best of 1: [\d.]+ ms", out[2]), out
+    form = re.fullmatch(r"standard form best of 1: [\d.]+ ms over (\d+) stacks", out[3])
+    assert form and int(form.group(1)) == stacks, out

@@ -13,7 +13,11 @@ every `lp.solve_lps` call it makes.  It then prints:
   pivots those steps make, and the steps that pivot a fresh copy of the
   working stack rather than the stack the previous step pivoted;
 * the best of `--repeat` wall times of replaying every recorded call,
-  `lp.solve_lps` on the same problems in the same order.
+  `lp.solve_lps` on the same problems in the same order;
+* the best of `--repeat` wall times of building the standard form alone,
+  `lp._standard_form` of every stack those calls make (each call's
+  problems with variables, cut by `lp.stack_starts`), and the count of
+  those stacks.
 
 Imports mecoffload from this checkout's `src`.  Standard library and numpy
 only.
@@ -93,15 +97,25 @@ def count_steps(calls: list[list]) -> dict:
     return counts
 
 
-def best_time(calls: list[list], repeat: int) -> float:
-    """The least wall time, in seconds, of solving every call in order."""
+def best_time(run, batches: list[list], repeat: int) -> float:
+    """The least wall time, in seconds, of calling run on every batch in order."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        for problems in calls:
-            lp.solve_lps(problems)
+        for problems in batches:
+            run(problems)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def stacks_of(calls: list[list]) -> list[list]:
+    """The stacks `lp.solve_lps` builds for the calls, in order."""
+    stacks = []
+    for problems in calls:
+        stacked = [problem for problem in problems if problem.n_vars]
+        starts = lp.stack_starts(stacked)
+        stacks += [stacked[a:b] for a, b in zip(starts, [*starts[1:], len(stacked)])]
+    return stacks
 
 
 def main(argv=None) -> int:
@@ -111,12 +125,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     calls = record_round(args.seed)
     counts = count_steps(calls)
-    seconds = best_time(calls, args.repeat)
+    seconds = best_time(lp.solve_lps, calls, args.repeat)
+    stacks = stacks_of(calls)
+    form_seconds = best_time(lp._standard_form, stacks, args.repeat)
     print(f"energy-sweep round, seed {args.seed}: {len(calls)} solve_lps calls, "
           f"{counts['stacks']} stacks, {sum(map(len, calls))} problems")
     print(f"lockstep steps {counts['steps']}, pivots {counts['pivots']}, "
           f"steps on a fresh copy of the working stack {counts['copies']}")
     print(f"solve_lps best of {args.repeat}: {1e3 * seconds:.1f} ms")
+    print(f"standard form best of {args.repeat}: {1e3 * form_seconds:.1f} ms "
+          f"over {len(stacks)} stacks")
     return 0
 
 
