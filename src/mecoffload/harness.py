@@ -152,8 +152,13 @@ class SweepSpec:
                     f"unknown algorithm {name!r} for {self.experiment}; "
                     f"valid: {', '.join(sorted(valid))}"
                 )
-        if not grid:
-            raise ConfigurationError("grid must be nonempty")
+        if repeated := [name for k, name in enumerate(algorithms) if name in algorithms[:k]]:
+            raise ConfigurationError(f"algorithm {repeated[0]!r} is named more than once")
+        if self.n_users < 0:
+            raise ConfigurationError(f"n_users must be >= 0, got {self.n_users}")
+        for name in ("degradation", "deadline_s"):
+            if math.isnan(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be a number, got nan")
         grid = tuple(float(v) for v in grid)
         if self.experiment == "rate-vs-K":
             for value in grid:

@@ -523,18 +523,24 @@ def _min_offload_bits(task: np.ndarray, freq: np.ndarray, cycles: np.ndarray, t)
     return np.where(0.0 > excess, 0.0, excess)
 
 
-def _square(x: float) -> float:
-    """x**2, or inf where `**` overflows the doubles (past about 1.34e154)."""
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent as Python's float `**` gives it, or inf where that
+    overflows the doubles."""
     try:
-        return x**2
+        return base**exponent
     except OverflowError:
         return math.inf
+
+
+def _square(x: float) -> float:
+    """x**2, or inf past about 1.34e154."""
+    return _power(x, 2)
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
     """`_square` of each entry, one Python float at a time: numpy's square
     may differ from Python's `**` in the last bit."""
-    return np.array([_square(x) for x in values.tolist()])
+    return np.array([_power(x, 2) for x in values.tolist()])
 
 
 def sum_in_order(values, start: float = 0.0) -> float:
@@ -566,10 +572,7 @@ def interference_penalty(degradation: float, n_scheduled: int) -> float:
     """(1 + d)^(n - 1), the inverse of `vm_rate_factor`, or inf where the
     power overflows: past that size the interference saturates, every VM
     rate is 0 and no computing window is long enough."""
-    try:
-        return (1.0 + degradation) ** (n_scheduled - 1)
-    except OverflowError:
-        return math.inf
+    return _power(1.0 + degradation, n_scheduled - 1)
 
 
 @dataclass(frozen=True)
@@ -854,12 +857,17 @@ def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
     convert to seconds/bit and bits here; nothing downstream ever converts.
     The spec is checked once, the block's draws come from one
     `rng.uniform_rows` call and every field is converted across the block;
-    the values go straight into the instances' columns.  A value that
-    `UserProfile` refuses raises its error, for the first such user of the
-    first such seed.  A block too large for numpy to allocate raises
-    ConfigurationError, naming the user count and the number of seeds.
+    the values go straight into the instances' columns.  Refusals are typed:
+    a bad spec range or a block too large for numpy to allocate (named by
+    its user count and number of seeds) raises ConfigurationError; a
+    deadline or degradation that `Instance` refuses raises its ValueError
+    before anything is drawn; a drawn value that `UserProfile` refuses (an
+    output ratio whose power overflows is inf) raises its ValueError, for
+    the first such user of the first such seed.
     """
     _check_spec(spec)
+    deadline, degradation = spec.deadline_s, spec.degradation
+    _check_scalars(deadline, degradation)
     seeds = list(seeds)
     n = spec.n_users
     # one row of draws per user, in the per-user order above, mapped onto
@@ -888,44 +896,22 @@ def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
         exponent = values[..., 3]
         table[:, 1:8] = values.transpose(0, 2, 1)
         table[:, 4] = table[:, 3]
+        # numpy's power may differ from Python's in the last bit
+        ratios = exponent.ravel().tolist()
         try:
-            # numpy's power may differ from Python's in the last bit
-            table[:, 3] = np.array([10.0 ** (-x) for x in exponent.ravel().tolist()]).reshape(
-                exponent.shape)
-            overflow = False
+            ratios = [10.0 ** (-x) for x in ratios]
         except OverflowError:
-            table[:, 3] = math.nan
-            overflow = True
+            ratios = [_power(10.0, -x) for x in ratios]
+        table[:, 3] = np.array(ratios).reshape(exponent.shape)
         roundtrip = _roundtrip(table)
-    deadline, degradation = spec.deadline_s, spec.degradation
-    if overflow or not (
-        math.isfinite(deadline) and math.isfinite(degradation) and _columns_ok(table, roundtrip)
-    ):
-        _refuse_first_bad(spec, values, table)
+    if not _columns_ok(table, roundtrip):
+        for seed_table, seed_roundtrip in zip(table, roundtrip):
+            _check_columns(seed_table, seed_roundtrip)
     table.setflags(write=False)
     return [
         _fill(Instance.__new__(Instance), deadline, degradation, seed_table, seed_roundtrip)
         for seed_table, seed_roundtrip in zip(table, roundtrip)
     ]
-
-
-def _refuse_first_bad(spec: GenerationSpec, values: np.ndarray, table: np.ndarray) -> None:
-    """Raise the error of the first seed of a block that `Instance` refuses,
-    seed by seed as `generate_instance` would: where an output ratio's power
-    overflows, the profiles are built one at a time, as the per-user loop
-    did, so that a bad user before that one comes first; otherwise the
-    instance's own checks run, the deadline and degradation first."""
-    for rows, seed_table in zip(values.tolist(), table):
-        try:
-            seed_table[3] = [10.0 ** (-x) for _, _, _, x, *_ in rows]
-        except OverflowError:
-            for i, (up, down, rate, x, task, c, f) in enumerate(rows):
-                UserProfile(i, spec.weight, up, down, 10.0 ** (-x), rate, task, c, f,
-                            spec.energy_coeff, spec.tx_power_w)
-        _check_scalars(spec.deadline_s, spec.degradation)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            _check_columns(seed_table, _roundtrip(seed_table))
-    raise AssertionError("a refused block has no bad seed")
 
 
 def generate_instance(spec: GenerationSpec, seed: int) -> Instance:

@@ -114,6 +114,19 @@ class TestSweep:
         with pytest.raises(ConfigurationError, match=f"whole user counts >= 1, not {value!r}$"):
             spec.normalized()
 
+    @pytest.mark.parametrize("experiment, field, value, message", [
+        ("energy-vs-d", "deadline_s", math.nan, "deadline_s must be a number, got nan"),
+        ("rate-vs-K", "degradation", math.nan, "degradation must be a number, got nan"),
+        ("rate-vs-d", "n_users", -5, "n_users must be >= 0, got -5"),
+    ])
+    def test_bad_fixed_value_is_refused_by_name(self, experiment, field, value, message):
+        # only 0 users, a negative degradation and a nonpositive deadline
+        # stand for the experiment default
+        spec = SweepSpec(experiment=experiment, grid=(3.0,), realizations=2, **{field: value})
+        with pytest.raises(ConfigurationError) as refused:
+            spec.normalized()
+        assert str(refused.value) == message
+
     def test_rate_vs_k_grid_value_is_the_user_count(self):
         spec = tiny_spec(grid=(1, 7.0), algorithms=("optimal",)).normalized()
         assert [harness._generation_spec(spec, v).n_users for v in spec.grid] == [1, 7]
@@ -646,6 +659,31 @@ class TestCli:
         err = capsys.readouterr().err
         value = repr(float(grid.split(",")[-1]))
         assert err == f"error: rate-vs-K grid values must be whole user counts >= 1, not {value}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_s", math.nan),
+        ("degradation", math.nan),
+        ("n_users", -5),
+    ])
+    def test_bad_fixed_value_in_spec_file_exits_2(self, tmp_path, capsys, field, value):
+        spec_path = tmp_path / "spec.json"
+        doc = {"experiment": "energy-vs-d", "realizations": 2, "grid": [0.1], field: value}
+        spec_path.write_text(json.dumps(doc))  # nan is written as the JSON extension NaN
+        assert cli_main(["sweep", str(spec_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment, algorithms", [
+        ("rate-vs-d", "optimal,optimal"),
+        ("energy-vs-d", "suboptimal,all-offload,suboptimal"),
+    ])
+    def test_repeated_algorithm_exits_2(self, capsys, experiment, algorithms):
+        # a repeated name would count each realization's sample twice
+        assert cli_main(["sweep", "--experiment", experiment, "--grid", "0.1", "--algorithms",
+                         algorithms, "--realizations", "3", "--certify"]) == 2
+        out, err = capsys.readouterr()
+        name = algorithms.split(",")[0]
+        assert out == "" and err == f"error: algorithm {name!r} is named more than once\n"
 
     @pytest.mark.parametrize("users", ["1e19", "1e20"])
     def test_oversized_user_count_exits_2(self, tmp_path, capsys, users):

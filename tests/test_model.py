@@ -42,8 +42,11 @@ COLUMNS = tuple(f.name for f in dataclasses.fields(UserProfile))[1:] + ("roundtr
 
 
 def scalar_generate_instance(spec, seed):
-    """The per-user loop `generate_instance` replaced: seven scalar draws
-    per user, in field order, each field converted one float at a time."""
+    """The per-user loop `generate_instance` replaced: the spec's deadline
+    and degradation checked first, as `Instance` checks them, then seven
+    scalar draws per user, in field order, each field converted one float
+    at a time, and an output ratio whose power overflows taken as inf."""
+    Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=())
     rng = SplitMix64(seed)
     users = []
     for i in range(spec.n_users):
@@ -54,13 +57,17 @@ def scalar_generate_instance(spec, seed):
         task_kb = rng.uniform(*spec.task_kb)
         cycles = rng.uniform(*spec.cycles_per_bit)
         freq = rng.uniform(*spec.cpu_freq_hz)
+        try:
+            ratio = 10.0 ** (-exponent)
+        except OverflowError:
+            ratio = math.inf
         users.append(
             UserProfile(
                 id=i,
                 weight=spec.weight,
                 uplink_time_per_bit=1.0 / (uplink * 1e6),
                 downlink_time_per_bit=1.0 / (downlink * 1e6),
-                output_ratio=10.0 ** (-exponent),
+                output_ratio=ratio,
                 service_rate=service,
                 task_bits=task_kb * 8000.0,
                 cycles_per_bit=cycles,
@@ -692,11 +699,11 @@ class TestGenerationRefusals:
 
     @staticmethod
     def refusals(spec, seed):
-        with pytest.raises((ValueError, OverflowError)) as expected:
+        with pytest.raises(ValueError) as expected:
             scalar_generate_instance(spec, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises((ValueError, OverflowError)) as refused:
+            with pytest.raises(ValueError) as refused:
                 generate_instance(spec, seed)
         assert type(refused.value) is type(expected.value)
         assert str(refused.value) == str(expected.value)
@@ -716,9 +723,11 @@ class TestGenerationRefusals:
          "user 0: task_bits must be finite and >= 0"),
         (GenerationSpec(n_users=3, deadline_s=math.inf), "deadline must be finite and > 0"),
         (GenerationSpec(n_users=3, degradation=math.nan), "degradation must be finite and >= 0"),
-        # the power overflows at user 0, before the instance checks its deadline
+        # the deadline is checked before anything is drawn
         (GenerationSpec(n_users=3, deadline_s=math.nan, output_ratio_exponent=(-400.0, -400.0)),
-         "(34, 'Numerical result out of range')"),
+         "deadline must be finite and > 0"),
+        (GenerationSpec(n_users=3, output_ratio_exponent=(-400.0, -400.0)),
+         "user 0: output_ratio must be finite and > 0, got inf"),
     ])
     def test_same_error_as_scalar_loop(self, spec, message):
         assert self.refusals(spec, 5) == message
@@ -726,13 +735,13 @@ class TestGenerationRefusals:
     @pytest.mark.parametrize("seed", range(8))
     def test_first_bad_user_is_refused(self, seed):
         # exponents past about 323.3 underflow the ratio to 0.0; below about
-        # -308.3 the power overflows, which the per-user loop meets at that
-        # user, after refusing any bad user before it
+        # -308.3 the power overflows to inf; either is refused at its user,
+        # after any bad user before it
         for exponents in ((300.0, 330.0), (-330.0, 0.0), (-400.0, 400.0)):
             spec = GenerationSpec(n_users=12, output_ratio_exponent=exponents)
             try:
                 scalar_generate_instance(spec, seed)
-            except (ValueError, OverflowError):
+            except ValueError:
                 self.refusals(spec, seed)
             else:
                 assert generate_instance(spec, seed) == scalar_generate_instance(spec, seed)
@@ -799,28 +808,28 @@ class TestBlockGeneration:
         for seed in seeds:
             try:
                 scalar_generate_instance(spec, seed)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 outcomes[seed] = (type(exc), str(exc))
             else:
                 outcomes[seed] = None
         return outcomes
 
     # one user each: exponents past about 323.3 underflow the output ratio to
-    # 0.0, a ValueError; below about -308.3 its power overflows
+    # 0.0; below about -308.3 its power overflows to inf
     MIXED = GenerationSpec(n_users=1, output_ratio_exponent=(-400.0, 400.0))
 
-    @pytest.mark.parametrize("third", [ValueError, OverflowError])
+    @pytest.mark.parametrize("third", ["got 0.0", "got inf"])
     def test_third_instance_refuses_with_its_own_error(self, third):
         outcomes = self.classify(self.MIXED, range(200))
         good = [seed for seed, outcome in outcomes.items() if outcome is None]
-        bad = {kind: [seed for seed, outcome in outcomes.items()
-                      if outcome is not None and outcome[0] is kind]
-               for kind in (ValueError, OverflowError)}
-        later = bad[OverflowError if third is ValueError else ValueError][0]
+        bad = {ratio: [seed for seed, outcome in outcomes.items()
+                       if outcome is not None and outcome[1].endswith(ratio)]
+               for ratio in ("got 0.0", "got inf")}
+        later = bad["got inf" if third == "got 0.0" else "got 0.0"][0]
         seeds = [good[0], good[1], bad[third][0], later, good[2]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises((ValueError, OverflowError)) as refused:
+            with pytest.raises(ValueError) as refused:
                 generate_instances(self.MIXED, seeds)
         assert (type(refused.value), str(refused.value)) == outcomes[bad[third][0]]
         assert generate_instances(self.MIXED, good[:3])  # the good ones alone draw
@@ -837,9 +846,44 @@ class TestBlockGeneration:
             if first_bad is None:
                 self.assert_block(spec, seeds)
                 continue
-            with pytest.raises((ValueError, OverflowError)) as refused:
+            with pytest.raises(ValueError) as refused:
                 generate_instances(spec, seeds)
             assert (type(refused.value), str(refused.value)) == first_bad
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(min_value=0, max_value=12),
+        seeds=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=4),
+        exponents=st.sampled_from([(0.5, 1.5), (-400.0, -300.0), (-330.0, 0.0), (300.0, 330.0),
+                                   (-400.0, 400.0)]),
+        uplink=st.sampled_from([(100.0, 150.0), (1e-320, 1e-320)]),
+        task=st.sampled_from([(50.0, 100.0), (1e305, 1e305)]),
+        weight=st.sampled_from([1.0, math.inf]),
+        deadline=st.sampled_from([0.035, math.nan, math.inf]),
+        degradation=st.sampled_from([0.1, math.nan]),
+    )
+    def test_refuses_with_typed_errors_only(self, n_users, seeds, exponents, uplink, task,
+                                            weight, deadline, degradation):
+        # a block either draws each seed's own instance or raises the
+        # ValueError of its first bad seed, never another error or a warning
+        spec = GenerationSpec(n_users=n_users, output_ratio_exponent=exponents, uplink_mbps=uplink,
+                              task_kb=task, weight=weight, deadline_s=deadline,
+                              degradation=degradation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                block, refused = generate_instances(spec, seeds), None
+            except ValueError as exc:
+                block, refused = None, exc
+        try:
+            # the spec's scalars are refused even with no seed to draw
+            Instance(deadline=deadline, degradation=degradation, users=())
+            expected = [scalar_generate_instance(spec, seed) for seed in seeds]
+        except ValueError as exc:
+            assert (type(refused), str(refused)) == (ValueError, str(exc))
+        else:
+            assert refused is None
+            assert list(map(column_bytes, block)) == list(map(column_bytes, expected))
 
     def test_spec_is_checked_once_even_for_no_seeds(self):
         assert generate_instances(GenerationSpec(n_users=3), []) == []
