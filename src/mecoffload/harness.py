@@ -33,6 +33,7 @@ from .model import (
     GenerationSpec,
     ParseError,
     RateSchedule,
+    _check_spec,
     _is_int,
     _is_number,
     _number,
@@ -91,109 +92,121 @@ ENERGY_ALGORITHMS = {
     "oracle": brute_force_energy_batch,
 }
 
-RATE_EXPERIMENTS = ("rate-vs-K", "rate-vs-d")
-ENERGY_EXPERIMENTS = ("energy-vs-T", "energy-vs-d")
-EXPERIMENTS = RATE_EXPERIMENTS + ENERGY_EXPERIMENTS
+
+@dataclass(frozen=True)
+class _Experiment:
+    """A stock experiment: the `GenerationSpec` field its grid sets, that
+    grid, the values it fixes, its default algorithms and the registry its
+    algorithms are named in."""
+
+    param: str
+    grid: tuple[float, ...]
+    fixed: GenerationSpec
+    algorithms: tuple[str, ...]
+    registry: dict
+
 
 _D_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
+_RATE_FIXED = GenerationSpec(n_users=10, deadline_s=0.035, degradation=0.1)
+_RATE_DEFAULTS = ("optimal", "lr", "greedy", "all-offload")
+_ENERGY_DEFAULTS = ("suboptimal", "all-offload")
 
-# Stock grids.  The energy deadlines sit where the stock task and CPU
-# distributions actually admit schedules: the forced offload load alone needs
-# a few hundred ms of radio and VM time (smallest feasible deadlines average
-# 0.30 s at K=10, d=0.2), so millisecond-scale deadlines are infeasible for
-# every algorithm; see feasibility_tmin.
-DEFAULT_GRIDS = {
-    "rate-vs-K": tuple(float(k) for k in range(4, 13)),
-    "rate-vs-d": _D_GRID,
-    "energy-vs-T": tuple(round(0.35 + 0.05 * i, 10) for i in range(7)),  # 0.35 .. 0.65 s
-    "energy-vs-d": _D_GRID,
+# The energy deadlines sit where the stock task and CPU distributions
+# actually admit schedules: the forced offload load alone needs a few
+# hundred ms of radio and VM time (smallest feasible deadlines average 0.30 s
+# at K=10, d=0.2), so millisecond-scale deadlines are infeasible for every
+# algorithm; see feasibility_tmin.
+_EXPERIMENTS = {
+    "rate-vs-K": _Experiment("n_users", tuple(float(k) for k in range(4, 13)),
+                             _RATE_FIXED, _RATE_DEFAULTS, RATE_ALGORITHMS),
+    "rate-vs-d": _Experiment("degradation", _D_GRID, _RATE_FIXED, _RATE_DEFAULTS, RATE_ALGORITHMS),
+    "energy-vs-T": _Experiment(
+        "deadline_s", tuple(round(0.35 + 0.05 * i, 10) for i in range(7)),  # 0.35 .. 0.65 s
+        GenerationSpec(n_users=10, deadline_s=0.45, degradation=0.2),
+        _ENERGY_DEFAULTS, ENERGY_ALGORITHMS),
+    "energy-vs-d": _Experiment(
+        "degradation", _D_GRID,
+        GenerationSpec(n_users=10, deadline_s=0.65, degradation=0.2),
+        _ENERGY_DEFAULTS, ENERGY_ALGORITHMS),
 }
 
-DEFAULT_FIXED = {
-    "rate-vs-K": {"degradation": 0.1, "n_users": 10, "deadline_s": 0.035},
-    "rate-vs-d": {"degradation": 0.1, "n_users": 10, "deadline_s": 0.035},
-    "energy-vs-T": {"degradation": 0.2, "n_users": 10, "deadline_s": 0.45},
-    "energy-vs-d": {"degradation": 0.2, "n_users": 10, "deadline_s": 0.65},
-}
-
-DEFAULT_ALGORITHMS = {
-    "rate-vs-K": ("optimal", "lr", "greedy", "all-offload"),
-    "rate-vs-d": ("optimal", "lr", "greedy", "all-offload"),
-    "energy-vs-T": ("suboptimal", "all-offload"),
-    "energy-vs-d": ("suboptimal", "all-offload"),
-}
+DEFAULT_GRIDS = {name: experiment.grid for name, experiment in _EXPERIMENTS.items()}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep: the experiment, its grid and algorithms, the realizations
+    per grid point and their base seed, the values the grid does not set,
+    and whether to certify and where to write the CSV.  A `grid`,
+    `algorithms`, `n_users`, `degradation` or `deadline_s` of None takes the
+    experiment's value (`normalized`); any other value is used as given."""
+
     experiment: str
-    grid: tuple[float, ...] = ()
+    grid: tuple[float, ...] | None = None
     realizations: int = 500
     base_seed: int = 20240
-    algorithms: tuple[str, ...] = ()
-    n_users: int = 0  # 0 means the experiment default
-    degradation: float = -1.0  # negative means the experiment default
-    deadline_s: float = 0.0  # nonpositive means the experiment default
+    algorithms: tuple[str, ...] | None = None
+    n_users: int | None = None
+    degradation: float | None = None
+    deadline_s: float | None = None
     certify: bool = False
     out: str | None = None
 
     def normalized(self) -> "SweepSpec":
-        if self.experiment not in EXPERIMENTS:
+        """The spec with each None taken from its experiment, checked before
+        anything is drawn: an unknown experiment or algorithm, an empty grid
+        or algorithm list, a repeated algorithm, fewer than one realization
+        and fixed values or a grid point that the generator refuses
+        (`model._check_spec`) are refused by name."""
+        experiment = _EXPERIMENTS.get(self.experiment)
+        if experiment is None:
             raise ConfigurationError(
-                f"unknown experiment {self.experiment!r}; valid: {', '.join(EXPERIMENTS)}"
+                f"unknown experiment {self.experiment!r}; valid: {', '.join(_EXPERIMENTS)}"
             )
-        fixed = DEFAULT_FIXED[self.experiment]
-        grid = self.grid or DEFAULT_GRIDS[self.experiment]
-        algorithms = self.algorithms or DEFAULT_ALGORITHMS[self.experiment]
-        valid = RATE_ALGORITHMS if self.experiment in RATE_EXPERIMENTS else ENERGY_ALGORITHMS
-        for name in algorithms:
-            if name not in valid:
+        fixed = experiment.fixed
+        defaults = {"grid": experiment.grid, "algorithms": experiment.algorithms,
+                    "n_users": fixed.n_users, "degradation": fixed.degradation,
+                    "deadline_s": fixed.deadline_s}
+        spec = replace(self, **{name: value for name, value in defaults.items()
+                                if getattr(self, name) is None})
+        spec = replace(spec, grid=tuple(map(float, spec.grid)), algorithms=tuple(spec.algorithms))
+        for name in ("grid", "algorithms"):
+            if not getattr(spec, name):
+                raise ConfigurationError(f"{name} must not be empty")
+        for name in spec.algorithms:
+            if name not in experiment.registry:
                 raise ConfigurationError(
-                    f"unknown algorithm {name!r} for {self.experiment}; "
-                    f"valid: {', '.join(sorted(valid))}"
+                    f"unknown algorithm {name!r} for {spec.experiment}; "
+                    f"valid: {', '.join(sorted(experiment.registry))}"
                 )
-        if repeated := [name for k, name in enumerate(algorithms) if name in algorithms[:k]]:
+        if repeated := [a for k, a in enumerate(spec.algorithms) if a in spec.algorithms[:k]]:
             raise ConfigurationError(f"algorithm {repeated[0]!r} is named more than once")
-        if self.n_users < 0:
-            raise ConfigurationError(f"n_users must be >= 0, got {self.n_users}")
-        for name in ("degradation", "deadline_s"):
-            if math.isnan(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be a number, got nan")
-        grid = tuple(float(v) for v in grid)
-        if self.experiment == "rate-vs-K":
-            for value in grid:
-                if not (value >= 1.0 and value.is_integer()):  # nan fails too
-                    raise ConfigurationError(
-                        f"rate-vs-K grid values must be whole user counts >= 1, not {value!r}")
-        if self.realizations < 1:
+        if spec.realizations < 1:
             raise ConfigurationError("realizations must be >= 1")
-        return replace(
-            self,
-            grid=grid,
-            algorithms=tuple(algorithms),
-            n_users=self.n_users if self.n_users > 0 else fixed["n_users"],
-            degradation=self.degradation if self.degradation >= 0 else fixed["degradation"],
-            deadline_s=self.deadline_s if self.deadline_s > 0 else fixed["deadline_s"],
-        )
+        # each fixed value as given, also where the grid sets its field
+        _check_spec(_fixed_values(spec))
+        for value in spec.grid:
+            _check_spec(_generation_spec(spec, value))
+        return spec
+
+
+def _fixed_values(spec: SweepSpec) -> GenerationSpec:
+    """The `GenerationSpec` of a spec's user count, deadline and degradation."""
+    return GenerationSpec(n_users=spec.n_users, deadline_s=spec.deadline_s,
+                          degradation=spec.degradation)
 
 
 def _generation_spec(spec: SweepSpec, value: float) -> GenerationSpec:
-    n_users, degradation, deadline = spec.n_users, spec.degradation, spec.deadline_s
-    if spec.experiment == "rate-vs-K":
-        n_users = int(value)
-    elif spec.experiment in ("rate-vs-d", "energy-vs-d"):
-        degradation = value
-    elif spec.experiment == "energy-vs-T":
-        deadline = value
-    return GenerationSpec(n_users=n_users, deadline_s=deadline, degradation=degradation)
-
-
-_PARAM_NAME = {
-    "rate-vs-K": "n_users",
-    "rate-vs-d": "degradation",
-    "energy-vs-T": "deadline_s",
-    "energy-vs-d": "degradation",
-}
+    """The `GenerationSpec` of a normalized spec's grid point `value`: the
+    spec's fixed values with the experiment's param set to `value`.  A user
+    count must be a whole number >= 1."""
+    param = _EXPERIMENTS[spec.experiment].param
+    if param == "n_users":
+        if not (value >= 1.0 and value.is_integer()):  # nan fails too
+            raise ConfigurationError(
+                f"{spec.experiment} grid values must be whole user counts >= 1, not {value!r}")
+        value = int(value)
+    return replace(_fixed_values(spec), **{param: value})
 
 
 def _block(n_users: int) -> int:
@@ -211,6 +224,20 @@ def _mean_stderr(values: list[float]) -> tuple[float, float]:
     return mean, stderr
 
 
+def _sum_rate(schedule: RateSchedule) -> float:
+    return schedule.sum_rate
+
+
+def _rate_gap(rate: float, reference: float) -> float:
+    """(reference - rate) / reference, the gap of a rate to the oracle's."""
+    return (reference - rate) / reference
+
+
+def _total_energy(schedule: EnergySchedule) -> float | None:
+    """A schedule's total energy, or None where it is infeasible."""
+    return None if schedule.status == "infeasible" else schedule.total_energy
+
+
 def _energy_gap(energy: float, reference: float) -> float:
     """(energy - reference) / |reference|, the gap of an energy total to the
     oracle's.  Equal totals, zeros included, give 0.0; against a zero
@@ -225,18 +252,20 @@ def _energy_gap(energy: float, reference: float) -> float:
 def run_sweep(spec: SweepSpec) -> str:
     """Run the sweep and return the CSV text (also written to spec.out)."""
     spec = spec.normalized()
-    rate_side = spec.experiment in RATE_EXPERIMENTS
-    param = _PARAM_NAME[spec.experiment]
+    experiment = _EXPERIMENTS[spec.experiment]
+    algorithms = experiment.registry
+    rate_side = algorithms is RATE_ALGORITHMS
     header = ["experiment", "param", "value", "algorithm", "realizations"]
     if rate_side:
+        metric, gap = _sum_rate, _rate_gap
         header += ["mean_rate_bps", "stderr_rate_bps"]
     else:
+        metric, gap = _total_energy, _energy_gap
         header += ["feasible", "mean_total_energy_j", "stderr_total_energy_j"]
     if spec.certify:
         header += ["certified", "max_rel_gap"]
     lines = [",".join(header)]
 
-    algorithms = RATE_ALGORITHMS if rate_side else ENERGY_ALGORITHMS
     budget = OracleBudget()
     for gi, value in enumerate(spec.grid):
         results: dict[str, list[float]] = {name: [] for name in spec.algorithms}
@@ -268,33 +297,22 @@ def run_sweep(spec: SweepSpec) -> str:
                     algorithm = algorithms[name]
                     if algorithm not in solved:
                         solved[algorithm] = algorithm(instances)
+            # an infeasible schedule has no metric: it is neither averaged
+            # nor certified, nor is anything certified against it
             for name in spec.algorithms:
                 for schedule, reference in zip(solved[algorithms[name]], references):
-                    if rate_side:
-                        results[name].append(schedule.sum_rate)
-                        if reference is not None:
-                            gap = (reference.sum_rate - schedule.sum_rate) / reference.sum_rate
-                            gaps[name].append(gap)
-                            certified[name] += 1
-                    elif schedule.status != "infeasible":
-                        results[name].append(schedule.total_energy)
-                        if reference is not None and reference.status != "infeasible":
-                            gaps[name].append(
-                                _energy_gap(schedule.total_energy, reference.total_energy))
-                            certified[name] += 1
+                    if (own := metric(schedule)) is None:
+                        continue
+                    results[name].append(own)
+                    if reference is not None and (best := metric(reference)) is not None:
+                        gaps[name].append(gap(own, best))
+                        certified[name] += 1
         for name in spec.algorithms:
-            row = [spec.experiment, param, repr(float(value)), name, str(spec.realizations)]
             values = results[name]
-            if rate_side:
-                mean, stderr = _mean_stderr(values)
-                row += [repr(mean), repr(stderr)]
-            else:
+            row = [spec.experiment, experiment.param, repr(value), name, str(spec.realizations)]
+            if not rate_side:
                 row.append(str(len(values)))
-                if values:
-                    mean, stderr = _mean_stderr(values)
-                    row += [repr(mean), repr(stderr)]
-                else:
-                    row += ["", ""]
+            row += map(repr, _mean_stderr(values)) if values else ["", ""]
             if spec.certify:
                 row.append(str(certified[name]))
                 row.append(repr(max(gaps[name], default=0.0)))
@@ -379,10 +397,10 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-# The JSON form of each `SweepSpec` field type: its name and its test.
+# The JSON form of each `SweepSpec` field type: its name and its test.  A
+# field whose default is None takes null too.
 _JSON_TYPES = {
     "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
     "int": ("an integer", _is_int),
     "float": ("a number", _is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
@@ -391,19 +409,22 @@ _JSON_TYPES = {
     "tuple[str, ...]": ("an array of strings", lambda v: isinstance(v, list)
                         and all(isinstance(a, str) for a in v)),
 }
-_SWEEP_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(SweepSpec)}
+_SWEEP_TYPES = {f.name: (*_JSON_TYPES[f.type.removesuffix(" | None")], f.default is None)
+                for f in fields(SweepSpec)}
 
 
 def sweep_spec_from_doc(doc: dict) -> SweepSpec:
-    """A sweep spec from its JSON form, with `SweepSpec` field names.  An
-    unknown or missing field, or a value of the wrong JSON type, is a
-    `ConfigurationError` naming its field."""
+    """A sweep spec from its JSON form, with `SweepSpec` field names; null
+    is None where a field's default is.  An unknown or missing field, or a
+    value of the wrong JSON type, is a `ConfigurationError` naming its
+    field."""
     for key, value in doc.items():
         if key not in _SWEEP_TYPES:
             raise ConfigurationError(f"unknown sweep field {key!r}")
-        kind, test = _SWEEP_TYPES[key]
-        if not test(value):
-            raise ConfigurationError(f"sweep field {key!r} must be {kind}")
+        kind, test, nullable = _SWEEP_TYPES[key]
+        if not (test(value) or nullable and value is None):
+            raise ConfigurationError(
+                f"sweep field {key!r} must be {kind}{' or null' if nullable else ''}")
     if "experiment" not in doc:
         raise ConfigurationError("sweep spec missing field 'experiment'")
     return SweepSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
@@ -453,7 +474,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run an experiment sweep and emit CSV")
     p.add_argument("spec", nargs="?", help="sweep spec file (JSON); flags override its fields")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
+    p.add_argument("--experiment", choices=_EXPERIMENTS)
     p.add_argument("--seed", type=int)
     p.add_argument("--realizations", type=int)
     p.add_argument("--out")

@@ -272,9 +272,9 @@ class Instance:
 
 def _check_scalars(deadline: float, degradation: float) -> None:
     if not (deadline > 0.0) or not math.isfinite(deadline):
-        raise ValueError("deadline must be finite and > 0")
+        raise ValueError(f"deadline must be finite and > 0, got {deadline}")
     if degradation < 0.0 or not math.isfinite(degradation):
-        raise ValueError("degradation must be finite and >= 0")
+        raise ValueError(f"degradation must be finite and >= 0, got {degradation}")
 
 
 def _roundtrip(table: np.ndarray) -> np.ndarray:
@@ -819,12 +819,13 @@ def _check_range(name: str, rng_pair, positive: bool = True) -> None:
 
 
 def _check_spec(spec: GenerationSpec) -> None:
+    """Refuse a spec before anything is drawn: a negative user count, a bad
+    range or a nonpositive constant raises ConfigurationError, and a
+    deadline or degradation that `Instance` refuses raises its ValueError
+    (`_check_scalars`, the one rule for both)."""
     if spec.n_users < 0:
         raise ConfigurationError(f"n_users must be >= 0, got {spec.n_users}")
-    if spec.deadline_s <= 0.0:
-        raise ConfigurationError(f"deadline_s must be > 0, got {spec.deadline_s}")
-    if spec.degradation < 0.0:
-        raise ConfigurationError(f"degradation must be >= 0, got {spec.degradation}")
+    _check_scalars(spec.deadline_s, spec.degradation)
     _check_range("uplink_mbps", spec.uplink_mbps)
     _check_range("downlink_mbps", spec.downlink_mbps)
     _check_range("service_rate_bps", spec.service_rate_bps)
@@ -855,19 +856,17 @@ def generate_instances(spec: GenerationSpec, seeds) -> list[Instance]:
     Per-user draw order is fixed: uplink Mbps, downlink Mbps, service rate,
     output-ratio exponent, task KB, cycles/bit, CPU frequency.  Mbps and KB
     convert to seconds/bit and bits here; nothing downstream ever converts.
-    The spec is checked once, the block's draws come from one
-    `rng.uniform_rows` call and every field is converted across the block;
-    the values go straight into the instances' columns.  Refusals are typed:
-    a bad spec range or a block too large for numpy to allocate (named by
-    its user count and number of seeds) raises ConfigurationError; a
-    deadline or degradation that `Instance` refuses raises its ValueError
-    before anything is drawn; a drawn value that `UserProfile` refuses (an
-    output ratio whose power overflows is inf) raises its ValueError, for
-    the first such user of the first such seed.
+    The spec is checked once, by `_check_spec` before anything is drawn;
+    the block's draws come from one `rng.uniform_rows` call and every field
+    is converted across the block; the values go straight into the
+    instances' columns.  Refusals are typed: `_check_spec`'s, then a block
+    too large for numpy to allocate (named by its user count and number of
+    seeds) raises ConfigurationError, and a drawn value that `UserProfile`
+    refuses (an output ratio whose power overflows is inf) raises its
+    ValueError, for the first such user of the first such seed.
     """
     _check_spec(spec)
     deadline, degradation = spec.deadline_s, spec.degradation
-    _check_scalars(deadline, degradation)
     seeds = list(seeds)
     n = spec.n_users
     # one row of draws per user, in the per-user order above, mapped onto

@@ -16,7 +16,6 @@ the subset lattice from the full set, with no 2^n table (`_kept_masks`).
 
 from __future__ import annotations
 
-import functools
 import numbers
 import time
 from dataclasses import dataclass
@@ -64,9 +63,6 @@ class OracleBudget:
 
 
 _DEFAULT_BUDGET = OracleBudget()
-
-
-_PENALTY_MEMO_MAX = 12  # the default rate budget; `_size_penalties` memoises up to here
 
 
 def _subset_sums(terms: np.ndarray) -> np.ndarray:
@@ -119,23 +115,20 @@ def brute_force_rate_max_batch(
     return [next(solved) if i.n_users <= budget.max_users_rate else None for i in instances]
 
 
-@functools.lru_cache(maxsize=32)
 def _size_penalties(degradation: float, n: int) -> np.ndarray:
-    """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order,
-    read-only: the size penalties of `rate._penalties`, inf past overflow,
-    indexed by subset size.  Memoised per (d, n); `_rate_block` calls the
-    unmemoised `__wrapped__` past n = `_PENALTY_MEMO_MAX`."""
+    """(1+d)**(|S|-1) of every nonempty subset S of n users in mask order:
+    the size penalties of `rate._penalties`, inf past overflow, indexed by
+    subset size."""
     sizes = _subset_sums(np.ones((n, 1)))[1:, 0].astype(np.intp) - 1
-    penalties = np.array(_penalties(degradation, n))[sizes]
-    penalties.setflags(write=False)
-    return penalties
+    return np.array(_penalties(degradation, n))[sizes]
 
 
 def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
     """The rate oracle of instances with one user count K, in chunks of
-    `_CHUNK_ENTRIES` // 2^K of them (at least one)."""
+    `_CHUNK_ENTRIES` // 2^K of them (at least one), with one size-penalty
+    table per distinct degradation."""
     n_users = instances[0].n_users
-    size_penalties = _size_penalties if n_users <= _PENALTY_MEMO_MAX else _size_penalties.__wrapped__
+    tables = {d: _size_penalties(d, n_users) for d in {i.degradation for i in instances}}
     weight, roundtrip, service = block_columns(
         instances, "weight", "roundtrip_time_per_bit", "service_rate")
     wr, qr = (weight * service).T, (roundtrip * service).T  # (K, rows)
@@ -147,8 +140,8 @@ def _rate_block(instances: list[Instance]) -> list[RateSchedule]:
         # (2^K - 1, rows): each nonempty subset's sums, the penalty added last
         num = _subset_sums(wr[:, chunk])[1:]
         den = _subset_sums(qr[:, chunk])[1:]
-        penalties = [size_penalties(i.degradation, n_users) for i in instances[chunk]]
-        if all(penalty is penalties[0] for penalty in penalties):  # one memo: broadcast it
+        penalties = [tables[i.degradation] for i in instances[chunk]]
+        if all(penalty is penalties[0] for penalty in penalties):  # one table: broadcast it
             den += penalties[0][:, None]
         else:
             den += np.array(penalties).T

@@ -144,15 +144,13 @@ def _members(instance: Instance, subset) -> list[int]:
 
 
 def _closed_forms(instances, members) -> list[RateSchedule]:
-    """`_closed_form` of each instance with the ids of its members.  In a
-    `shared_solutions` scope each distinct (instance, set) is formed once,
-    and a repeat takes the memo's schedule, whose bits are read-only; the
-    memo holds the instance, so its id is not reused while the scope lives.
-    Outside a scope nothing is kept, and a lone call pays one
-    context-variable read."""
+    """`_closed_form` of each instance with the ids of its members.  Each
+    distinct (instance, set) of the call, or of a `shared_solutions` scope,
+    is formed once, and a repeat takes the memo's schedule, whose bits are
+    read-only; the memo holds the instance, so its id is not reused while
+    the scope lives.  Outside a scope nothing is kept past the call."""
     memo = _solutions.get()
-    if memo is None:
-        return list(map(_closed_form, instances, members))
+    memo = {} if memo is None else memo
     schedules = []
     for instance, ids in zip(instances, members):
         key = id(instance), tuple(ids)

@@ -679,7 +679,7 @@ class TestAllOffloadRefusal:
     def test_stock_draws_below_t_min(self, monkeypatch):
         # the 7,000 draws of the stock energy sweeps at 500 realizations
         below = []
-        for experiment in harness.ENERGY_EXPERIMENTS:
+        for experiment in ("energy-vs-T", "energy-vs-d"):
             spec = harness.SweepSpec(experiment=experiment, base_seed=7).normalized()
             for gi, value in enumerate(spec.grid):
                 instances = generate_instances(harness._generation_spec(spec, value), [

@@ -115,23 +115,156 @@ class TestSweep:
             spec.normalized()
 
     @pytest.mark.parametrize("experiment, field, value, message", [
-        ("energy-vs-d", "deadline_s", math.nan, "deadline_s must be a number, got nan"),
-        ("rate-vs-K", "degradation", math.nan, "degradation must be a number, got nan"),
+        ("energy-vs-d", "deadline_s", math.nan, "deadline must be finite and > 0, got nan"),
+        ("rate-vs-K", "degradation", math.nan, "degradation must be finite and >= 0, got nan"),
         ("rate-vs-d", "n_users", -5, "n_users must be >= 0, got -5"),
+        # values that once stood for the experiment's own
+        ("energy-vs-d", "deadline_s", -1.0, "deadline must be finite and > 0, got -1.0"),
+        ("energy-vs-T", "degradation", -0.5, "degradation must be finite and >= 0, got -0.5"),
+        ("energy-vs-d", "deadline_s", math.inf, "deadline must be finite and > 0, got inf"),
     ])
     def test_bad_fixed_value_is_refused_by_name(self, experiment, field, value, message):
-        # only 0 users, a negative degradation and a nonpositive deadline
-        # stand for the experiment default
-        spec = SweepSpec(experiment=experiment, grid=(3.0,), realizations=2, **{field: value})
-        with pytest.raises(ConfigurationError) as refused:
-            spec.normalized()
-        assert str(refused.value) == message
+        # refused as the generator refuses it: the deadline and the
+        # degradation by `Instance`'s rule, also where the grid sets the field
+        expected = ConfigurationError if field == "n_users" else ValueError
+        doc = {"experiment": experiment, "grid": [3.0], "realizations": 2, field: value}
+        for spec in (SweepSpec(experiment=experiment, grid=(3.0,), realizations=2,
+                               **{field: value}),
+                     sweep_spec_from_doc(doc)):
+            with pytest.raises(ValueError) as refused:
+                spec.normalized()
+            assert (type(refused.value), str(refused.value)) == (expected, message)
 
     def test_rate_vs_k_grid_value_is_the_user_count(self):
         spec = tiny_spec(grid=(1, 7.0), algorithms=("optimal",)).normalized()
         assert [harness._generation_spec(spec, v).n_users for v in spec.grid] == [1, 7]
         rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
         assert [row[2] for row in rows] == ["1.0", "7.0"]
+
+
+class TestExperimentValues:
+    """A `SweepSpec` field left None, or null in a spec file, takes the
+    experiment's value; any other value is used as given, so a bad one is
+    refused by name before anything is drawn, never replaced."""
+
+    @pytest.mark.parametrize("field", ["grid", "algorithms"])
+    def test_empty_list_is_refused_by_name(self, field, tmp_path, capsys):
+        message = f"{field} must not be empty"
+        for make_spec in (lambda: SweepSpec(experiment="rate-vs-d", **{field: ()}),
+                          lambda: sweep_spec_from_doc({"experiment": "energy-vs-d", field: []})):
+            with pytest.raises(ValueError) as refused:
+                make_spec().normalized()
+            assert (type(refused.value), str(refused.value)) == (ConfigurationError, message)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps({"experiment": "energy-vs-d", field: []}))
+        assert cli_main(["sweep", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "", "grid must not be empty"),
+        ("--grid", " , ", "grid must not be empty"),
+        ("--algorithms", ",", "algorithms must not be empty"),
+    ])
+    def test_empty_flag_exits_2_with_no_csv(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--experiment", "rate-vs-d", f"{flag}={value}",
+                         "--realizations", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, grid, message", [
+        ("energy-vs-d", "0.1,-0.1", "degradation must be finite and >= 0, got -0.1"),
+        ("energy-vs-T", "0.4,0.0", "deadline must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_grid_value_draws_nothing(self, experiment, grid, message, tmp_path, capsys,
+                                          monkeypatch):
+        draws = []
+        generate = harness.generate_instances
+        monkeypatch.setattr(harness, "generate_instances",
+                            lambda spec, seeds: draws.append(spec) or generate(spec, seeds))
+        spec = SweepSpec(experiment=experiment, grid=tuple(map(float, grid.split(","))),
+                         realizations=2)
+        with pytest.raises(ValueError) as refused:
+            run_sweep(spec)
+        assert (type(refused.value), str(refused.value)) == (ValueError, message)
+        out = tmp_path / "out.csv"
+        assert cli_main(["sweep", "--experiment", experiment, "--grid", grid,
+                         "--realizations", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert draws == [] and not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["rate-vs-K", "energy-vs-d"])
+    def test_null_is_the_experiments_value(self, experiment, tmp_path):
+        omitted = {"experiment": experiment, "realizations": 2, "base_seed": 5}
+        nulls = {**omitted, **dict.fromkeys(
+            ("grid", "algorithms", "n_users", "degradation", "deadline_s"))}
+        csvs = []
+        for name, doc in (("omitted", omitted), ("nulls", nulls)):
+            spec_path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            spec_path.write_text(json.dumps(doc))
+            assert cli_main(["sweep", str(spec_path), "--out", str(out)]) == 0
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].count(b"\n") == 1 + len(harness.DEFAULT_GRIDS[experiment]) * len(
+            SweepSpec(experiment=experiment).normalized().algorithms)
+
+    def test_explicit_zero_users_is_used_as_given(self):
+        doc = {"experiment": "energy-vs-T", "grid": [0.4], "realizations": 2, "n_users": 0}
+        spec = sweep_spec_from_doc(doc)
+        assert spec.normalized().n_users == 0
+        rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
+        # no user, no energy: every realization is feasible at zero
+        assert [row[5:] for row in rows] == [["2", "0.0", "0.0"]] * 2
+        # the rate solvers refuse an instance without users
+        with pytest.raises(ValueError, match="^instance has no users$"):
+            run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=1, n_users=0))
+
+
+class TestOneScalarRule:
+    """A deadline or degradation is refused by one rule, `Instance`'s,
+    with one type and one message, however it arrives."""
+
+    CASES = [
+        ("deadline_s", 0.0, "deadline must be finite and > 0, got 0.0"),
+        ("deadline_s", -1.0, "deadline must be finite and > 0, got -1.0"),
+        ("deadline_s", math.inf, "deadline must be finite and > 0, got inf"),
+        ("deadline_s", math.nan, "deadline must be finite and > 0, got nan"),
+        ("degradation", -1.0, "degradation must be finite and >= 0, got -1.0"),
+        ("degradation", math.inf, "degradation must be finite and >= 0, got inf"),
+        ("degradation", math.nan, "degradation must be finite and >= 0, got nan"),
+    ]
+
+    @staticmethod
+    def refusal(call):
+        with pytest.raises(ValueError) as refused:
+            call()
+        return type(refused.value), str(refused.value)
+
+    @pytest.mark.parametrize("field, value, message", CASES)
+    def test_library_refusals(self, field, value, message):
+        scalars = {"deadline_s": 0.5, "degradation": 0.1, field: value}
+        expected = (ValueError, message)
+        assert self.refusal(lambda: mecoffload.Instance(
+            deadline=scalars["deadline_s"], degradation=scalars["degradation"],
+            users=())) == expected
+        assert self.refusal(lambda: generate_instances(
+            GenerationSpec(n_users=3, **scalars), [1, 2])) == expected
+        assert self.refusal(lambda: generate_instances(
+            GenerationSpec(n_users=3, **scalars), [])) == expected
+        # the grid of energy-vs-d sets the degradation, and energy-vs-T's the deadline
+        experiment = "energy-vs-d" if field == "deadline_s" else "energy-vs-T"
+        assert self.refusal(lambda: SweepSpec(
+            experiment=experiment, realizations=1, **{field: value}).normalized()) == expected
+
+    @pytest.mark.parametrize("field, value, message", CASES)
+    def test_generate_command(self, field, value, message, tmp_path, capsys):
+        out = tmp_path / "instance.json"
+        flag = (f"--deadline-ms={value * 1000.0}" if field == "deadline_s"
+                else f"--degradation={value}")
+        assert cli_main(["generate", "--users", "3", flag, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestStockEnergyBytes:
@@ -664,14 +797,20 @@ class TestCli:
         ("deadline_s", math.nan),
         ("degradation", math.nan),
         ("n_users", -5),
+        ("deadline_s", -1.0),
+        ("degradation", -0.5),
+        ("deadline_s", math.inf),
     ])
     def test_bad_fixed_value_in_spec_file_exits_2(self, tmp_path, capsys, field, value):
-        spec_path = tmp_path / "spec.json"
+        spec_path, csv_path = tmp_path / "spec.json", tmp_path / "out.csv"
         doc = {"experiment": "energy-vs-d", "realizations": 2, "grid": [0.1], field: value}
-        spec_path.write_text(json.dumps(doc))  # nan is written as the JSON extension NaN
-        assert cli_main(["sweep", str(spec_path)]) == 2
+        spec_path.write_text(json.dumps(doc))  # nan and inf are written as NaN and Infinity
+        assert cli_main(["sweep", str(spec_path), "--out", str(csv_path)]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        name = field.removesuffix("_s")  # `Instance`'s rule names the deadline without its unit
+        assert out == "" and err.startswith(f"error: {name} must be ")
+        assert err.endswith(f", got {value}\n") and err.count("\n") == 1
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize("experiment, algorithms", [
         ("rate-vs-d", "optimal,optimal"),
@@ -702,6 +841,7 @@ class TestCli:
         ("realizations", "5"),
         ("grid", 5),
         ("certify", "no"),
+        ("realizations", None),  # null stands for the experiment's value only
     ])
     def test_mistyped_sweep_field_exits_2(self, tmp_path, capsys, field, value):
         spec_path = tmp_path / "spec.json"

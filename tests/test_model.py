@@ -721,11 +721,13 @@ class TestGenerationRefusals:
          "user 0: weight must be finite and > 0, got inf"),
         (GenerationSpec(n_users=3, task_kb=(1e305, 1e305)),
          "user 0: task_bits must be finite and >= 0"),
-        (GenerationSpec(n_users=3, deadline_s=math.inf), "deadline must be finite and > 0"),
-        (GenerationSpec(n_users=3, degradation=math.nan), "degradation must be finite and >= 0"),
+        (GenerationSpec(n_users=3, deadline_s=math.inf),
+         "deadline must be finite and > 0, got inf"),
+        (GenerationSpec(n_users=3, degradation=math.nan),
+         "degradation must be finite and >= 0, got nan"),
         # the deadline is checked before anything is drawn
         (GenerationSpec(n_users=3, deadline_s=math.nan, output_ratio_exponent=(-400.0, -400.0)),
-         "deadline must be finite and > 0"),
+         "deadline must be finite and > 0, got nan"),
         (GenerationSpec(n_users=3, output_ratio_exponent=(-400.0, -400.0)),
          "user 0: output_ratio must be finite and > 0, got inf"),
     ])
