@@ -27,12 +27,10 @@ from .model import (
     Partition,
     _gap_rows,
     _radio_and_floor,
-    _solutions,
     block_columns,
     derive_energy_columns,
     interference_penalty,
     per_user_count,
-    shared_solutions,
     sum_in_order,
     sums_in_order,
     vm_rate_factor,
@@ -49,7 +47,6 @@ __all__ = [
     "solve_subset_lp",
     "benchmark_energy_all_offloading",
     "benchmark_energy_all_offloading_batch",
-    "shared_solutions",
 ]
 
 
@@ -240,15 +237,15 @@ def _subset_schedules(cases, before_stack=lambda: None) -> list:
     check: its schedule, or None where its LP is infeasible.  Each distinct
     case is built once, by one `_subset_plans` call, and the LPs are solved
     a stack (`lp.stack_starts`) at a time, with before_stack() called
-    before each.  In a `shared_solutions` scope each schedule is kept per
-    (instance, s1) of the instance's own partition, beside its instance so
-    that its id is not reused, and a repeat takes it."""
-    memo = _solutions.get()
-    memo = {} if memo is None else memo
-    keys = [(id(instance), frozenset(s1)) if partition is instance.partition else object()
-            for instance, partition, s1 in cases]
-    todo = {key: case for key, case in zip(keys, cases) if key not in memo}
-    plans = _subset_plans(list(todo.values()))
+    before each.  A case of the instance's own partition keeps its schedule
+    in `Instance.solved_sets` under the frozenset of s1, and a repeat takes
+    it; a case of any other partition is solved afresh."""
+    slots = [(instance.solved_sets if partition is instance.partition else {}, frozenset(s1))
+             for instance, partition, s1 in cases]
+    # per distinct unsolved (memo, s1), its memo, s1 and case; slots keeps every memo alive
+    todo = {(id(memo), s1): (memo, s1, case)
+            for (memo, s1), case in zip(slots, cases) if s1 not in memo}
+    plans = _subset_plans([case for _, _, case in todo.values()])
     problems = [problem for problem, _ in plans if problem is not None]
     starts = lpmod.stack_starts(problems)
     solutions = []
@@ -256,9 +253,9 @@ def _subset_schedules(cases, before_stack=lambda: None) -> list:
         before_stack()
         solutions += lpmod.solve_lps(problems[start:stop])
     solutions = iter(solutions)
-    for key, (instance, _, _), (problem, done) in zip(todo, todo.values(), plans):
-        memo[key] = instance, done if problem is None else done(next(solutions))
-    return [memo[key][1] for key in keys]
+    for (memo, s1, _), (problem, done) in zip(todo.values(), plans):
+        memo[s1] = done if problem is None else done(next(solutions))
+    return [memo[s1] for memo, s1 in slots]
 
 
 def _subset_plans(cases) -> list:

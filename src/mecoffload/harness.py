@@ -42,7 +42,6 @@ from .model import (
     generate_instance,
     generate_instances,
     read_instance,
-    shared_solutions,
     validate_energy_schedule,
     validate_rate_schedule,
     write_instance,
@@ -139,7 +138,8 @@ class SweepSpec:
     per grid point and their base seed, the values the grid does not set,
     and whether to certify and where to write the CSV.  A `grid`,
     `algorithms`, `n_users`, `degradation` or `deadline_s` of None takes the
-    experiment's value (`normalized`); any other value is used as given."""
+    experiment's value (`normalized`); any other value is used as given, and
+    the field the grid sets takes none."""
 
     experiment: str
     grid: tuple[float, ...] | None = None
@@ -157,7 +157,9 @@ class SweepSpec:
         anything is drawn: an unknown experiment or algorithm, an empty grid
         or algorithm list, a repeated algorithm, fewer than one realization
         and fixed values or a grid point that the generator refuses
-        (`model._check_spec`) are refused by name."""
+        (`model._check_spec`) are refused by name; then a value given for
+        the field the grid sets, and 0 users on a rate sweep.  The field the
+        grid sets stays None."""
         experiment = _EXPERIMENTS.get(self.experiment)
         if experiment is None:
             raise ConfigurationError(
@@ -187,7 +189,12 @@ class SweepSpec:
         _check_spec(_fixed_values(spec))
         for value in spec.grid:
             _check_spec(_generation_spec(spec, value))
-        return spec
+        if getattr(self, experiment.param) is not None:
+            raise ConfigurationError(
+                f"{experiment.param} is set by the {self.experiment} grid and takes no value")
+        if experiment.registry is RATE_ALGORITHMS and spec.n_users == 0:
+            raise ConfigurationError(f"n_users must be >= 1 for {self.experiment}, got 0")
+        return replace(spec, **{experiment.param: None})
 
 
 def _fixed_values(spec: SweepSpec) -> GenerationSpec:
@@ -278,25 +285,24 @@ def run_sweep(spec: SweepSpec) -> str:
                 mix64(spec.base_seed, gi, ri)
                 for ri in range(first, min(first + block, spec.realizations))
             ])
-            # A block solves each distinct fixed set once, in one scope.  The
-            # oracle runs first.  An energy block's all-offload row takes its
-            # full-subset schedules wherever no user is costly, the LP branch
-            # its empty-subset schedules unless the oracle skipped that
-            # subset; a rate block's rows take the closed forms of the sets
-            # already formed.
-            with shared_solutions():
-                references = [None] * len(instances)
-                solved = {}  # the block's schedules per distinct algorithm callable
-                if spec.certify and rate_side:
-                    # None beyond the oracle's budget
-                    references = brute_force_rate_max_batch(instances, budget)
-                elif spec.certify:
-                    # the references are the oracle row's schedules too
-                    references = solved[algorithms["oracle"]] = algorithms["oracle"](instances)
-                for name in spec.algorithms:
-                    algorithm = algorithms[name]
-                    if algorithm not in solved:
-                        solved[algorithm] = algorithm(instances)
+            # Each distinct fixed set of an instance is solved once
+            # (`Instance.solved_sets`).  The oracle runs first: an energy
+            # block's all-offload row takes its full-subset schedules
+            # wherever no user is costly, the LP branch its empty-subset
+            # schedules unless the oracle skipped that subset; a rate block's
+            # rows take the closed forms of the sets already formed.
+            references = [None] * len(instances)
+            solved = {}  # the block's schedules per distinct algorithm callable
+            if spec.certify and rate_side:
+                # None beyond the oracle's budget
+                references = brute_force_rate_max_batch(instances, budget)
+            elif spec.certify:
+                # the references are the oracle row's schedules too
+                references = solved[algorithms["oracle"]] = algorithms["oracle"](instances)
+            for name in spec.algorithms:
+                algorithm = algorithms[name]
+                if algorithm not in solved:
+                    solved[algorithm] = algorithm(instances)
             # an infeasible schedule has no metric: it is neither averaged
             # nor certified, nor is anything certified against it
             for name in spec.algorithms:

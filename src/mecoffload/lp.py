@@ -26,8 +26,9 @@ product, and every other row the problem's own 1-D dot, so no sum of
 several products is regrouped.  Padding never enters a pivot
 (DESIGN_NOTES.md, "Batched simplex").  `tests/lp_reference.py` keeps the
 row-at-a-time solver, and the test suite checks that the two agree bit for
-bit.  The solver keeps no memo: a caller that meets one problem more than
-once passes it once (`model.shared_solutions`).
+bit.  The solver keeps no memo: the energy subset LPs, the only problems
+met more than once, are solved once per instance and set
+(`Instance.solved_sets`).
 """
 
 from __future__ import annotations

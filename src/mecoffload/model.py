@@ -14,8 +14,6 @@ file boundary.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import json
 import math
 import operator
@@ -45,7 +43,6 @@ __all__ = [
     "derive_energy_columns",
     "vm_rate_factor",
     "interference_penalty",
-    "shared_solutions",
     "validate_rate_schedule",
     "validate_energy_schedule",
     "generate_instance",
@@ -269,6 +266,21 @@ class Instance:
         """Weighted energy of computing every task locally (J), summed in id order."""
         return _energy_memo(self, "local_energy")
 
+    @cached_property
+    def solved_sets(self) -> dict:
+        """The memo of the fixed-set solves, so that each is made once per
+        instance: `rate._closed_forms` keeps the closed form of a set under
+        the tuple of its ids, `energy._subset_schedules` the subset-LP
+        schedule (or None) of an optional set of this instance's own
+        partition under its frozenset; a tuple never equals a frozenset.  A
+        `dataclasses.replace` copy starts empty, and pickle and copy leave
+        it behind (`__getstate__`)."""
+        return {}
+
+    def __getstate__(self):
+        # the memo's schedules hold read-only bits, which do not pickle
+        return {name: value for name, value in vars(self).items() if name != "solved_sets"}
+
 
 def _check_scalars(deadline: float, degradation: float) -> None:
     if not (deadline > 0.0) or not math.isfinite(deadline):
@@ -398,27 +410,6 @@ def per_user_count(instances, solve) -> list:
         for k, result in zip(ks, solve([instances[k] for k in ks])):
             results[k] = result
     return results
-
-
-# the memo of the innermost open `shared_solutions` scope, else None
-_solutions: contextvars.ContextVar[dict | None] = contextvars.ContextVar("solutions", default=None)
-
-
-@contextlib.contextmanager
-def shared_solutions():
-    """A scope in which each fixed-set solve is made once per distinct
-    (instance, set): `energy._subset_schedules` keeps its subset-LP
-    schedules, keyed by (instance id, frozenset), and `rate._closed_forms`
-    its closed forms, keyed by (instance id, tuple), in one memo (a tuple
-    never equals a frozenset).  Each entry holds its instance, so no id is
-    reused while the scope lives (DESIGN_NOTES.md, "One solve per distinct
-    set").  The memo is dropped on exit, normal or not, and a nested scope
-    starts its own."""
-    token = _solutions.set({})
-    try:
-        yield
-    finally:
-        _solutions.reset(token)
 
 
 def derive_energy_columns(instances) -> None:
@@ -582,8 +573,8 @@ class RateSchedule:
     offload_bits maps every user id to its offloaded bits (0 when not
     scheduled); sum_rate is the weighted offloaded bits per frame second.
     The rate solvers hand out the bits read-only (`types.MappingProxyType`):
-    in a `shared_solutions` scope every solver that picks one set of an
-    instance returns the one schedule of that set.
+    every solver that picks one set of an instance returns the one schedule
+    of that set that `Instance.solved_sets` keeps.
     """
 
     scheduled: frozenset[int]
@@ -604,9 +595,9 @@ class EnergySchedule:
     fit the deadline), "lp-path" (offload sizes came from an LP), or
     "infeasible" (the deadline cannot be met at all; t_min carries the
     smallest feasible deadline when known).  The energy solvers hand out the
-    bits read-only (`types.MappingProxyType`): in a `shared_solutions` scope
-    every row that solves one subset LP of an instance returns the one
-    schedule of that subset.
+    bits read-only (`types.MappingProxyType`): every row that solves one
+    subset LP of an instance returns the one schedule of that subset that
+    `Instance.solved_sets` keeps.
     """
 
     scheduled: frozenset[int]
@@ -820,9 +811,10 @@ def _check_range(name: str, rng_pair, positive: bool = True) -> None:
 
 def _check_spec(spec: GenerationSpec) -> None:
     """Refuse a spec before anything is drawn: a negative user count, a bad
-    range or a nonpositive constant raises ConfigurationError, and a
-    deadline or degradation that `Instance` refuses raises its ValueError
-    (`_check_scalars`, the one rule for both)."""
+    range or a constant that is not finite and positive raises
+    ConfigurationError naming its field, and a deadline or degradation that
+    `Instance` refuses raises its ValueError (`_check_scalars`, the one rule
+    for both)."""
     if spec.n_users < 0:
         raise ConfigurationError(f"n_users must be >= 0, got {spec.n_users}")
     _check_scalars(spec.deadline_s, spec.degradation)
@@ -836,8 +828,9 @@ def _check_spec(spec: GenerationSpec) -> None:
     if spec.task_kb[0] < 0.0:
         raise ConfigurationError("task_kb range must be nonnegative")
     for name in ("energy_coeff", "tx_power_w", "weight"):
-        if getattr(spec, name) <= 0.0:
-            raise ConfigurationError(f"{name} must be > 0")
+        value = getattr(spec, name)
+        if not (value > 0.0 and math.isfinite(value)):  # nan fails the comparison
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
 
 
 # The `Instance` columns in order.  Columns 1 to 7 take a user's seven draws

@@ -26,10 +26,9 @@ of one, and each finishes with the closed forms of its sets
 closed form and the greedy walk run row by row in Python floats, which at a
 stock set's few users cost less than the numpy calls a block would make, so
 a lone call pays nothing for the block.  A closed form is the
-`RateSchedule` itself, with read-only bits.  In a `model.shared_solutions`
-scope, as a sweep block opens, each distinct (instance, set) is formed once
-for every solver and the rate oracle, and all of them return that one
-schedule.
+`RateSchedule` itself, with read-only bits.  Each distinct (instance, set)
+is formed once for every solver and the rate oracle, kept in
+`Instance.solved_sets`, and all of them return that one schedule.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import (Instance, RateSchedule, _solutions, block_columns, interference_penalty,
-                    per_user_count, vm_rate_factor)
+from .model import (Instance, RateSchedule, block_columns, interference_penalty, per_user_count,
+                    vm_rate_factor)
 
 __all__ = [
     "DinkelbachIteration",
@@ -145,19 +144,16 @@ def _members(instance: Instance, subset) -> list[int]:
 
 def _closed_forms(instances, members) -> list[RateSchedule]:
     """`_closed_form` of each instance with the ids of its members.  Each
-    distinct (instance, set) of the call, or of a `shared_solutions` scope,
-    is formed once, and a repeat takes the memo's schedule, whose bits are
-    read-only; the memo holds the instance, so its id is not reused while
-    the scope lives.  Outside a scope nothing is kept past the call."""
-    memo = _solutions.get()
-    memo = {} if memo is None else memo
+    distinct (instance, set) is formed once and kept in
+    `Instance.solved_sets`, and a repeat takes that schedule, whose bits are
+    read-only."""
     schedules = []
     for instance, ids in zip(instances, members):
-        key = id(instance), tuple(ids)
-        held = memo.get(key)
-        if held is None:
-            held = memo[key] = instance, _closed_form(instance, ids)
-        schedules.append(held[1])
+        memo, key = instance.solved_sets, tuple(ids)
+        schedule = memo.get(key)
+        if schedule is None:
+            schedule = memo[key] = _closed_form(instance, ids)
+        schedules.append(schedule)
     return schedules
 
 

@@ -1,9 +1,11 @@
+import copy
 import csv
 import dataclasses
 import functools
 import io
 import math
 import operator
+import pickle
 import warnings
 
 import numpy as np
@@ -601,14 +603,13 @@ def schedule_fields(schedule):
 
 
 def assert_routing_is_exact(instances):
-    """Inside a scope, after the oracle, the all-offload batch gives each
-    instance the schedule of the `everyone` LP solved on its own, and its
+    """After the oracle, the all-offload batch gives each instance the
+    schedule of the `everyone` LP solved on its own, and its
     LP has the bytes of that LP: the full-subset LP's exactly where no user
     is costly (and no forced minimum is -0.0)."""
     alone = everyone_schedules(instances)
-    with energy.shared_solutions():
-        brute_force_energy_batch(instances)
-        routed = energy.benchmark_energy_all_offloading_batch(instances)
+    brute_force_energy_batch(instances)
+    routed = energy.benchmark_energy_all_offloading_batch(instances)
     for instance, got, want in zip(instances, routed, alone):
         assert schedule_fields(got) == schedule_fields(want)
         part = instance.partition
@@ -702,8 +703,8 @@ class TestAllOffloadRefusal:
 
 
 class TestSharedSolutions:
-    """Inside an `energy.shared_solutions` scope each distinct energy LP is
-    built and stacked once, and a repeat takes the finished schedule, with
+    """Each distinct energy LP of an instance is built and stacked once
+    (`Instance.solved_sets`), and a repeat takes the finished schedule, with
     the bits a fresh solve gives."""
 
     @staticmethod
@@ -720,21 +721,20 @@ class TestSharedSolutions:
 
     def test_second_pass_stacks_nothing(self, monkeypatch):
         instances = self.instances()
-        expected = self.solve_all(instances)
+        expected = self.solve_all([dataclasses.replace(i) for i in instances])
         counter = count_stacked(monkeypatch)
         builds = count_builds(monkeypatch)
-        with energy.shared_solutions():
-            first = self.solve_all(instances)
-            stacked, built = counter.problems, builds.problems
-            second = self.solve_all(instances)
+        first = self.solve_all(instances)
+        stacked, built = counter.problems, builds.problems
+        second = self.solve_all(instances)
         assert first == second == expected
         assert 0 < stacked == built
         assert counter.problems == stacked and builds.problems == built
         # a plan that appears twice in one batch is built and stacked once
         # (draw 2's deadline is above its t_min, so it has an LP)
         assert feasibility_gap(instances[2], instances[2].deadline) <= 0.0
-        with energy.shared_solutions():
-            twice = energy.benchmark_energy_all_offloading_batch(instances[2:3] * 2)
+        fresh = dataclasses.replace(instances[2])
+        twice = energy.benchmark_energy_all_offloading_batch([fresh, fresh])
         assert counter.problems == stacked + 1 and builds.problems == built + 1
         assert repr(twice[0]) == repr(twice[1]) == expected[2 * len(instances) + 2]
 
@@ -755,36 +755,58 @@ class TestSharedSolutions:
         assert [repr(s) for s in lp.solve_lps(pair)] == expected
         assert counter.problems == 4
 
-    def test_nothing_is_remembered_after_the_scope(self, monkeypatch):
+    def test_the_heuristic_and_the_oracle_share_the_empty_subset(self, monkeypatch):
+        # a lone caller shares its solves with no scope: the oracle takes
+        # the LP branch's empty-subset schedule
+        inst = next(i for i in self.instances() if solve_energy_suboptimal(
+            dataclasses.replace(i)).status == "lp-path")
+        empty = lp_key(subset_lp((inst, inst.partition, ())))
+        built = []
+        subset_plans = energy._subset_plans
+
+        def recording(cases):
+            plans = subset_plans(cases)
+            built.extend(lp_key(problem) for problem, _ in plans if problem is not None)
+            return plans
+
+        monkeypatch.setattr(energy, "_subset_plans", recording)
+        assert solve_energy_suboptimal(inst).status == "lp-path"
+        brute_force_energy(inst)
+        assert built.count(empty) == 1
+
+    def test_a_copy_never_takes_the_originals_schedules(self, monkeypatch):
         inst = stock_instance(8, 0.6, mix64(171, 4), deadline=2.0)
         part = inst.partition
         assert part.free_saving
         counter = count_stacked(monkeypatch)
-        with energy.shared_solutions():
-            solve_subset_lp(inst, part, part.free_saving)
-        with pytest.raises(KeyError):
-            with energy.shared_solutions():
-                solve_subset_lp(inst, part, part.free_saving)
-                solve_subset_lp(inst, part, part.free_saving)
-                raise KeyError("leaves the scope")
-        assert counter.problems == 2
-        solve_subset_lp(inst, part, part.free_saving)
-        solve_subset_lp(inst, part, part.free_saving)
-        assert counter.problems == 4
+        original = solve_subset_lp(inst, part, part.free_saving)
+        assert solve_subset_lp(inst, part, part.free_saving) is original
+        assert counter.problems == 1
+        for twin in (dataclasses.replace(inst), with_deadline(inst, inst.deadline)):
+            assert twin == inst and not twin.solved_sets
+            schedule = solve_subset_lp(twin, twin.partition, part.free_saving)
+            assert schedule is not original and repr(schedule) == repr(original)
+        assert counter.problems == 3
+
+    def test_a_solved_instance_pickles_and_copies(self):
+        inst = self.instances()[2]
+        solved = self.solve_all([inst])
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert twin == inst
+            assert self.solve_all([twin]) == solved
 
 
 class TestReadOnlyBits:
-    """The energy solvers hand out their bits read-only, since a
-    `shared_solutions` scope hands one schedule to every row that solves the
+    """The energy solvers hand out their bits read-only, since
+    `Instance.solved_sets` hands one schedule to every row that solves the
     same subset LP."""
 
     def test_rows_of_one_subset_share_one_schedule(self):
         inst = stock_instance(6, 0.1, 3, deadline=0.5)
         part = inst.partition
         assert not (part.forced_costly or part.free_costly)  # all-offload is the full subset
-        with energy.shared_solutions():
-            [oracle] = brute_force_energy_batch([inst])
-            [everyone] = energy.benchmark_energy_all_offloading_batch([inst])
+        [oracle] = brute_force_energy_batch([inst])
+        [everyone] = energy.benchmark_energy_all_offloading_batch([inst])
         assert oracle.scheduled == part.forced | part.free_saving
         assert everyone is oracle
         with pytest.raises(TypeError):

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -216,9 +215,59 @@ class TestExperimentValues:
         rows = [line.split(",") for line in run_sweep(spec).strip().split("\n")[1:]]
         # no user, no energy: every realization is feasible at zero
         assert [row[5:] for row in rows] == [["2", "0.0", "0.0"]] * 2
-        # the rate solvers refuse an instance without users
-        with pytest.raises(ValueError, match="^instance has no users$"):
+        # the rate solvers refuse an instance without users, so a rate
+        # sweep refuses 0 users by name before anything is drawn
+        with pytest.raises(ConfigurationError, match="^n_users must be >= 1 for rate-vs-d, got 0$"):
             run_sweep(SweepSpec(experiment="rate-vs-d", grid=(0.1,), realizations=1, n_users=0))
+
+    def test_zero_users_on_a_rate_sweep_draws_nothing(self, tmp_path, capsys, monkeypatch):
+        draws = []
+        generate = harness.generate_instances
+        monkeypatch.setattr(harness, "generate_instances",
+                            lambda spec, seeds: draws.append(spec) or generate(spec, seeds))
+        message = "n_users must be >= 1 for rate-vs-d, got 0"
+        doc = {"experiment": "rate-vs-d", "grid": [0.1], "realizations": 1, "n_users": 0}
+        for spec in (SweepSpec(**{**doc, "grid": (0.1,)}), sweep_spec_from_doc(doc)):
+            with pytest.raises(ValueError) as refused:
+                run_sweep(spec)
+            assert (type(refused.value), str(refused.value)) == (ConfigurationError, message)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert draws == [] and not out.exists()
+
+    @pytest.mark.parametrize("experiment, field, value", [
+        ("rate-vs-K", "n_users", 3),
+        ("rate-vs-d", "degradation", 0.1),
+        ("energy-vs-T", "deadline_s", 5.0),
+        ("energy-vs-d", "degradation", 0.2),
+    ])
+    def test_a_value_for_the_grids_field_is_refused(self, experiment, field, value, tmp_path,
+                                                   capsys, monkeypatch):
+        # the grid sets the field at every point, so a value given for it
+        # would be ignored: it is refused by name before anything is drawn,
+        # even where it equals the experiment's own
+        draws = []
+        generate = harness.generate_instances
+        monkeypatch.setattr(harness, "generate_instances",
+                            lambda spec, seeds: draws.append(spec) or generate(spec, seeds))
+        message = f"{field} is set by the {experiment} grid and takes no value"
+        doc = {"experiment": experiment, "realizations": 1, field: value}
+        for spec in (SweepSpec(**doc), sweep_spec_from_doc(doc)):
+            with pytest.raises(ValueError) as refused:
+                run_sweep(spec)
+            assert (type(refused.value), str(refused.value)) == (ConfigurationError, message)
+        spec_path, out = tmp_path / "spec.json", tmp_path / "out.csv"
+        spec_path.write_text(json.dumps(doc))
+        assert cli_main(["sweep", str(spec_path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert draws == [] and not out.exists()
+        # a bad value keeps the generator's refusal, and None the grid's value
+        with pytest.raises(ValueError, match="must be"):
+            SweepSpec(**{**doc, field: -1}).normalized()
+        spec = SweepSpec(experiment=experiment, realizations=1).normalized()
+        assert getattr(spec, field) is None and spec.normalized() == spec
 
 
 class TestOneScalarRule:
@@ -503,7 +552,7 @@ class TestEnergyBlocks:
         below = [i for i in instances if feasibility_gap(i, i.deadline) > 0.0]
         assert len(below) == refused
         blocks = stacked_keys(monkeypatch)
-        brute_force_energy_batch(instances)
+        brute_force_energy_batch([dataclasses.replace(i) for i in instances])
         oracle_keys = blocks.pop()
         assert len(oracle_keys) == pruned
         run_sweep(spec)
@@ -566,23 +615,21 @@ class TestEnergyBlocks:
 
 def stacked_keys(monkeypatch):
     """The keys (`lp_key`) of the problems that reach `lp._solve_stack`
-    from here on: one list of them so far, and a new one for each
-    `energy.shared_solutions` scope that `run_sweep` opens."""
+    from here on: one list of them so far, and a new one for each block
+    that `run_sweep` draws with `generate_instances`."""
     blocks = [[]]
-    solve, scope = lp._solve_stack, harness.shared_solutions
+    solve, generate = lp._solve_stack, harness.generate_instances
 
     def recording(problems):
         blocks[-1].extend(lp_key(p) for p in problems)
         return solve(problems)
 
-    @contextlib.contextmanager
-    def opening():
+    def drawing(*args, **kwargs):
         blocks.append([])
-        with scope():
-            yield
+        return generate(*args, **kwargs)
 
     monkeypatch.setattr(lp, "_solve_stack", recording)
-    monkeypatch.setattr(harness, "shared_solutions", opening)
+    monkeypatch.setattr(harness, "generate_instances", drawing)
     return blocks
 
 

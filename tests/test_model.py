@@ -43,10 +43,15 @@ COLUMNS = tuple(f.name for f in dataclasses.fields(UserProfile))[1:] + ("roundtr
 
 def scalar_generate_instance(spec, seed):
     """The per-user loop `generate_instance` replaced: the spec's deadline
-    and degradation checked first, as `Instance` checks them, then seven
-    scalar draws per user, in field order, each field converted one float
-    at a time, and an output ratio whose power overflows taken as inf."""
+    and degradation checked first, as `Instance` checks them, and its
+    constants, which must be finite and positive; then seven scalar draws
+    per user, in field order, each field converted one float at a time, and
+    an output ratio whose power overflows taken as inf."""
     Instance(deadline=spec.deadline_s, degradation=spec.degradation, users=())
+    for name in ("energy_coeff", "tx_power_w", "weight"):
+        value = getattr(spec, name)
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
     rng = SplitMix64(seed)
     users = []
     for i in range(spec.n_users):
@@ -717,8 +722,8 @@ class TestGenerationRefusals:
         (GenerationSpec(n_users=3, downlink_mbps=(1e-306, 1e-306),
                         output_ratio_exponent=(-10.0, -10.0)),
          "user 0: roundtrip time per bit is not finite"),
-        (GenerationSpec(n_users=3, weight=math.inf),
-         "user 0: weight must be finite and > 0, got inf"),
+        # a spec constant is refused by its field name before anything is drawn
+        (GenerationSpec(n_users=3, weight=math.inf), "weight must be finite and > 0, got inf"),
         (GenerationSpec(n_users=3, task_kb=(1e305, 1e305)),
          "user 0: task_bits must be finite and >= 0"),
         (GenerationSpec(n_users=3, deadline_s=math.inf),
@@ -733,6 +738,18 @@ class TestGenerationRefusals:
     ])
     def test_same_error_as_scalar_loop(self, spec, message):
         assert self.refusals(spec, 5) == message
+
+    @pytest.mark.parametrize("name", ["energy_coeff", "tx_power_w", "weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("n_users", [0, 3])
+    def test_spec_constant_is_refused_by_name(self, name, value, n_users):
+        # before anything is drawn, with or without users
+        spec = GenerationSpec(n_users=n_users, **{name: value})
+        message = f"{name} must be finite and > 0, got {value}"
+        for call in (lambda: generate_instance(spec, 5), lambda: generate_instances(spec, [])):
+            with pytest.raises(ValueError) as refused:
+                call()
+            assert (type(refused.value), str(refused.value)) == (ConfigurationError, message)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_first_bad_user_is_refused(self, seed):
@@ -878,11 +895,11 @@ class TestBlockGeneration:
             except ValueError as exc:
                 block, refused = None, exc
         try:
-            # the spec's scalars are refused even with no seed to draw
-            Instance(deadline=deadline, degradation=degradation, users=())
+            # the spec's scalars and constants are refused even with no seed to draw
+            scalar_generate_instance(dataclasses.replace(spec, n_users=0), 0)
             expected = [scalar_generate_instance(spec, seed) for seed in seeds]
         except ValueError as exc:
-            assert (type(refused), str(refused)) == (ValueError, str(exc))
+            assert (type(refused), str(refused)) == (type(exc), str(exc))
         else:
             assert refused is None
             assert list(map(column_bytes, block)) == list(map(column_bytes, expected))

@@ -591,7 +591,8 @@ class TestEnergyOracleBatch:
         now[0] = 0.0
         stacks.clear()
         with pytest.raises(BudgetExceededError, match="time guard"):
-            brute_force_energy_batch(instances, OracleBudget(time_limit_s=1.0))
+            brute_force_energy_batch([dataclasses.replace(i) for i in instances],
+                                     OracleBudget(time_limit_s=1.0))
         assert len(stacks) == 1  # refused before the second stack
 
 
@@ -643,7 +644,8 @@ class TestOneFeasibilityRule:
                 for s1 in ((), part.free_saving):
                     built = builds.problems
                     schedule = solve_subset_lp(instance, part, s1)
-                    direct = energy._subset_schedules([(instance, part, s1)])[0]
+                    twin = dataclasses.replace(instance)
+                    direct = energy._subset_schedules([(twin, twin.partition, s1)])[0]
                     if t < t_min:
                         assert schedule is None and builds.problems == built + 1  # direct's LP
                         admitted += direct is not None
@@ -693,7 +695,7 @@ class TestPrunedSubsets:
         assert len(part.free_saving) == 3
         assert solve_subset_lp(inst, part, part.free_saving) is None
         counter = count_stacked(monkeypatch)
-        schedule = brute_force_energy(inst)
+        schedule = brute_force_energy(dataclasses.replace(inst))
         assert counter.problems == sum(p is not None for p in subset_lps(inst)) == 8
         assert schedule.scheduled & part.free_saving == frozenset({7})
         assert repr(schedule) == repr(reference_brute_force_energy(inst))

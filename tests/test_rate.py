@@ -28,7 +28,7 @@ from mecoffload import (
     validate_rate_schedule,
 )
 from mecoffload import rate as ratemod
-from mecoffload.model import RATE_RTOL, shared_solutions
+from mecoffload.model import RATE_RTOL
 from mecoffload.rate import MAX_DINKELBACH_ITER, SlaveSummary
 from mecoffload.rng import mix64
 import rate_reference
@@ -847,37 +847,33 @@ class TestBlockForms:
 
 
 class TestClosedFormMemo:
-    """Inside a `shared_solutions` scope each distinct (instance, set) is
-    formed once; outside one, nothing is kept."""
+    """Each distinct (instance, set) is formed once, and kept on the
+    instance (`Instance.solved_sets`): a repeat takes the same schedule,
+    and an equal copy forms its own."""
 
-    def test_only_a_scope_keeps_forms(self, monkeypatch):
+    def test_the_instance_keeps_its_forms(self, monkeypatch):
         formed = count_closed_forms(monkeypatch)
         instances = [stock_instance(6, 0.1, mix64(269, k)) for k in range(5)]
-        alone = benchmark_all_offloading_batch(instances)
-        expected = [repr(s) for s in alone]
-        # outside a scope each call forms new schedules, equal to the bit
-        outside = benchmark_all_offloading_batch(instances)
-        assert len(formed) == 10
-        assert all(a is not b for a, b in zip(outside, alone))
-        assert [repr(s) for s in outside] == expected
-        with shared_solutions():
-            first = benchmark_all_offloading_batch(instances)
-            again = benchmark_all_offloading_batch(instances + instances[:2])
-        assert len(formed) == 15
+        first = benchmark_all_offloading_batch(instances)
+        expected = [repr(s) for s in first]
+        again = benchmark_all_offloading_batch(instances + instances[:2])
+        assert len(formed) == 5
         assert [repr(s) for s in again] == expected + expected[:2]
-        # a repeat inside the scope is the same schedule, whose bits no
-        # caller can change
+        # a repeat is the same schedule, whose bits no caller can change
         assert all(a is b for a, b in zip(first + first[:2], again))
         with pytest.raises(TypeError):
             first[0].offload_bits[0] = 0.0
-        benchmark_all_offloading_batch(instances)
-        assert len(formed) == 20
+        # a copy, however equal, starts with no forms
+        copies = [dataclasses.replace(i) for i in instances]
+        fresh = benchmark_all_offloading_batch(copies)
+        assert len(formed) == 10
+        assert all(a is not b for a, b in zip(fresh, first))
+        assert [repr(s) for s in fresh] == expected
 
     def test_dropped_instances_never_take_another_instances_form(self):
         # every all-offload set of 6 users is (0, ..., 5); an instance made
-        # and dropped inside the scope may not leave its id to the next one
+        # and dropped may not leave its forms to the next one
         seeds = [mix64(271, k) for k in range(200)]
         expected = [repr(benchmark_all_offloading(stock_instance(6, 0.1, s))) for s in seeds]
-        with shared_solutions():
-            got = [repr(benchmark_all_offloading(stock_instance(6, 0.1, s))) for s in seeds]
-        assert got == expected
+        instances = [stock_instance(6, 0.1, s) for s in seeds]
+        assert [repr(benchmark_all_offloading(i)) for i in instances] == expected
