@@ -643,11 +643,10 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_UsageError, ValueError, KeyError, OSError, BudgetExceededError) as exc:
+        # the str of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, filterfalse, repeat, starmap
 
 import numpy as np
 
@@ -644,29 +644,22 @@ class ValidationReport:
         return self.render()
 
 
-def _check_known_users(instance: Instance, schedule) -> None:
+def _report(instance: Instance, schedule, families) -> ValidationReport:
+    """The report of a schedule, every check `residual <= tolerance`, in the
+    order both validators share: the latency budget and a nonnegative
+    computing window; per user id the member families, or else
+    `unscheduled_zero` followed by the non-member families; the totals.
+    `families(bits, vm_cap)` forms them over all users at once, from the
+    offloaded bits in id order and the most each user's VM computes in the
+    window, as (member, non-member, total) lists of (name, residuals,
+    tolerances).  A schedule that names a user the instance lacks raises
+    KeyError."""
     known = range(instance.n_users)
-    for uid in chain(schedule.scheduled, schedule.offload_bits):
-        if uid not in known:
-            raise KeyError(f"schedule references unknown user {uid}")
-
-
-def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_checks):
-    """Checks both validators share, in report order: the latency budget, a
-    nonnegative computing window, then per user id either
-    `scheduled_checks(uid, bits, vm_cap)` (vm_cap is the most the user's
-    VM computes in the window) or `unscheduled_zero` followed by
-    `unscheduled_checks(uid)`."""
-    _check_known_users(instance, schedule)
+    for uid in filterfalse(known.__contains__, chain(schedule.scheduled, schedule.offload_bits)):
+        raise KeyError(f"schedule references unknown user {uid}")
     n = len(schedule.scheduled)
-    factor = vm_rate_factor(instance.degradation, n) if n else 0.0
     te = schedule.compute_time
-    roundtrip = instance.roundtrip_time_per_bit.tolist()
-    service = instance.service_rate.tolist()
-    offload = schedule.offload_bits
-
-    used = sum_in_order(offload.get(i, 0.0) * roundtrip[i] for i in sorted(schedule.scheduled))
-    budget = used + te - instance.deadline
+    member = np.fromiter(map(schedule.scheduled.__contains__, known), bool, len(known))
     # The budget allows TIME_TOL plus (n + 2) ulps of T.  The check adds n
     # rounded products b r and the window.  While the sum stays below the
     # power of two above T (wherever it can pass), each of its n additions
@@ -678,20 +671,40 @@ def _common_checks(instance: Instance, schedule, scheduled_checks, unscheduled_c
     # is 1.1e-13 s at n = 1000, and ulp(T) passes TIME_TOL only from
     # T = 2^23 s (8.4e6 s) on.
     time_tol = TIME_TOL + (n + 2) * math.ulp(instance.deadline)
-    checks = [
-        ValidationCheck("latency_budget", budget, budget <= time_tol),
-        ValidationCheck("compute_time_nonneg", -te, te >= -TIME_TOL),
-    ]
-    for uid in range(instance.n_users):
-        bits = offload.get(uid, 0.0)
-        if uid in schedule.scheduled:
-            checks.extend(scheduled_checks(uid, bits, te * service[uid] * factor))
-        else:
-            checks.append(
-                ValidationCheck(f"unscheduled_zero[{uid}]", abs(bits), abs(bits) <= BITS_RTOL)
-            )
-            checks.extend(unscheduled_checks(uid))
-    return checks
+    # a Python float's overflow is inf and inf - inf nan, without a warning
+    with np.errstate(all="ignore"):
+        bits = np.fromiter(map(schedule.offload_bits.get, known, repeat(0.0)), float, len(known))
+        vm_cap = te * instance.service_rate * vm_rate_factor(instance.degradation, n)
+        # a non-member adds +0.0, which leaves the sum's bits as they are
+        used = sums_in_order(np.where(member, bits * instance.roundtrip_time_per_bit, 0.0))
+        members, others, totals = families(bits, vm_cap)
+        head = [("latency_budget", used + te - instance.deadline, time_tol),
+                ("compute_time_nonneg", -te, TIME_TOL)]
+        others = [("unscheduled_zero", np.abs(bits), BITS_RTOL), *others]
+        head, members, others, totals = map(_verdicts, (head, members, others, totals))
+    return ValidationReport(tuple(chain(
+        starmap(ValidationCheck, head),
+        (ValidationCheck(f"{name}[{uid}]", r[uid], ok[uid])
+         for uid, is_member in enumerate(member.tolist())
+         for name, r, ok in (members if is_member else others)),
+        starmap(ValidationCheck, totals),
+    )))
+
+
+def _verdicts(families) -> list:
+    """Each (name, residuals, tolerances) as (name, the residuals as Python
+    floats, whether each is <= its tolerance): lists for a family over the
+    users, a float and a bool for a total."""
+    verdicts = []
+    for name, residuals, tolerances in families:
+        residuals = np.asarray(residuals, dtype=float)
+        verdicts.append((name, residuals.tolist(), (residuals <= tolerances).tolist()))
+    return verdicts
+
+
+def _at_least_one(x: np.ndarray) -> np.ndarray:
+    """max(1.0, x) of each entry as Python gives it: 1.0 where x is nan."""
+    return np.where(x > 1.0, x, 1.0)
 
 
 def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> ValidationReport:
@@ -701,28 +714,17 @@ def validate_rate_schedule(instance: Instance, schedule: RateSchedule) -> Valida
     to pass it.  Violations are reported, never raised.
     """
 
-    def offload_bounds(uid, bits, cap):
-        tol = BITS_RTOL * max(1.0, cap)
+    def families(bits, cap):
+        tol = BITS_RTOL * _at_least_one(cap)
+        recomputed = sums_in_order(instance.weight * bits) / instance.deadline
         return (
-            ValidationCheck(f"offload_upper[{uid}]", bits - cap, bits - cap <= tol),
-            ValidationCheck(f"offload_nonneg[{uid}]", -bits, bits >= -tol),
+            [("offload_upper", bits - cap, tol), ("offload_nonneg", -bits, tol)],
+            [],
+            [("rate_consistency", abs(schedule.sum_rate - recomputed),
+              RATE_RTOL * (1.0 + abs(recomputed)))],
         )
 
-    checks = _common_checks(instance, schedule, offload_bounds, lambda uid: ())
-    recomputed = (
-        sum_in_order(
-            weight * schedule.offload_bits.get(uid, 0.0)
-            for uid, weight in enumerate(instance.weight.tolist())
-        )
-        / instance.deadline
-    )
-    mismatch = abs(schedule.sum_rate - recomputed)
-    checks.append(
-        ValidationCheck(
-            "rate_consistency", mismatch, mismatch <= RATE_RTOL * (1.0 + abs(recomputed))
-        )
-    )
-    return ValidationReport(tuple(checks))
+    return _report(instance, schedule, families)
 
 
 def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> ValidationReport:
@@ -730,44 +732,25 @@ def validate_energy_schedule(instance: Instance, schedule: EnergySchedule) -> Va
     mandatory-offload coverage, and the energy bookkeeping identities."""
     if schedule.status == "infeasible":
         raise ValueError("cannot validate an infeasible schedule")
-    min_bits = instance.min_offload_bits.tolist()
-    task_bits = instance.task_bits.tolist()
+    floor, task = instance.min_offload_bits, instance.task_bits
 
-    def offload_bounds(uid, bits, vm_cap):
-        cap = min(task_bits[uid], vm_cap)
-        tol = BITS_RTOL * max(1.0, cap)
-        floor = min_bits[uid]
-        low = floor - bits
+    def families(bits, vm_cap):
+        # np.where(b < a, b, a) is Python's min(a, b): a where b is nan
+        cap = np.where(vm_cap < task, vm_cap, task)
+        recomputed = sums_in_order(instance.delta_per_bit * bits)
+        total = schedule.total_energy
         return (
-            ValidationCheck(f"offload_lower[{uid}]", low, low <= BITS_RTOL * max(1.0, floor)),
-            ValidationCheck(f"offload_upper[{uid}]", bits - cap, bits - cap <= tol),
+            [("offload_lower", floor - bits, BITS_RTOL * _at_least_one(floor)),
+             ("offload_upper", bits - cap, BITS_RTOL * _at_least_one(cap))],
+            # a user that cannot finish locally must appear in the schedule
+            [("unscheduled_free", floor, BITS_RTOL * _at_least_one(task))],
+            [("objective_consistency", abs(schedule.objective - recomputed),
+              1e-9 * (1.0 + abs(recomputed))),
+             ("total_energy_identity", abs(total - (schedule.objective + instance.local_energy)),
+              1e-12 * (1.0 + abs(total)))],
         )
 
-    def must_not_be_forced(uid):
-        # a user that cannot finish locally must appear in the schedule
-        floor = min_bits[uid]
-        return (
-            ValidationCheck(
-                f"unscheduled_free[{uid}]", floor, floor <= BITS_RTOL * max(1.0, task_bits[uid])
-            ),
-        )
-
-    checks = _common_checks(instance, schedule, offload_bounds, must_not_be_forced)
-    recomputed = sum_in_order(
-        delta * schedule.offload_bits.get(uid, 0.0)
-        for uid, delta in enumerate(instance.delta_per_bit.tolist())
-    )
-    mismatch = abs(schedule.objective - recomputed)
-    checks.append(
-        ValidationCheck(
-            "objective_consistency", mismatch, mismatch <= 1e-9 * (1.0 + abs(recomputed))
-        )
-    )
-    gap = abs(schedule.total_energy - (schedule.objective + instance.local_energy))
-    checks.append(
-        ValidationCheck("total_energy_identity", gap, gap <= 1e-12 * (1.0 + abs(schedule.total_energy)))
-    )
-    return ValidationReport(tuple(checks))
+    return _report(instance, schedule, families)
 
 
 # ---------------------------------------------------------------------------

@@ -924,6 +924,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and field in err
 
+    @pytest.mark.parametrize("field, value", [("scheduled", [0, 7]), ("offload_bits", {"7": 0.0})])
+    def test_unknown_user_is_printed_unquoted(self, tmp_path, capsys, field, value):
+        # the str of a KeyError is the repr of its message
+        inst_path, sched_path = tmp_path / "inst.json", tmp_path / "sched.json"
+        inst = generate_instance(GenerationSpec(n_users=3, deadline_s=0.6), 2)
+        write_instance(inst, inst_path)
+        doc = schedule_to_doc(solve_energy_suboptimal(inst))
+        sched_path.write_text(json.dumps({**doc, field: value}))
+        assert cli_main(["validate", str(inst_path), str(sched_path)]) == 2
+        assert capsys.readouterr() == ("", "error: schedule references unknown user 7\n")
+
     def test_byte_identical_sweep_files(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

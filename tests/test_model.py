@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -18,9 +19,13 @@ from mecoffload import (
     GenerationSpec,
     ParseError,
     RateSchedule,
+    benchmark_all_offloading,
+    benchmark_energy_all_offloading,
     benchmark_greedy,
     brute_force_energy,
+    brute_force_rate_max,
     derive_user,
+    feasibility_tmin,
     generate_instance,
     generate_instances,
     model,
@@ -29,6 +34,7 @@ from mecoffload import (
     solve_rate_max,
     validate_energy_schedule,
     validate_rate_schedule,
+    with_deadline,
     write_instance,
 )
 from mecoffload.harness import SweepSpec, run_sweep
@@ -610,6 +616,90 @@ class TestValidation:
         report = validate_rate_schedule(inst, RateSchedule(frozenset(), {0: 0.0}, 0.0, 0.0))
         assert "overall: valid" in report.render()
         assert all(set(r) == {"constraint", "residual", "ok"} for r in report.to_records())
+
+
+def perturbed_schedules(schedule, n_users):
+    """The schedule, then copies of it with one change each: the bits of its
+    lowest member and of its lowest non-member times 1.000001, nan, -1, inf
+    and -0.0; its zero entries left out; every entry 0; an unknown user
+    scheduled; and the window times 1.01, nan and negative."""
+    bits, window = dict(schedule.offload_bits), schedule.compute_time
+    yield schedule
+    members = sorted(schedule.scheduled)[:1]
+    others = [k for k in range(n_users) if k not in schedule.scheduled][:1]
+    for uid in members + others:
+        for value in (bits.get(uid, 0.0) * 1.000001, math.nan, -1.0, math.inf, -0.0):
+            yield dataclasses.replace(schedule, offload_bits={**bits, uid: value})
+    yield dataclasses.replace(schedule, offload_bits={k: v for k, v in bits.items() if v != 0.0})
+    yield dataclasses.replace(schedule, offload_bits=dict.fromkeys(bits, 0.0))
+    yield dataclasses.replace(schedule, scheduled=schedule.scheduled | {n_users})
+    for window in (window * 1.01, math.nan, -window - 1e-6):
+        yield dataclasses.replace(schedule, compute_time=window)
+
+
+def validation_corpus():
+    """(validator, instance, schedule) of stock draws at K <= 30 and
+    d in {0, 0.1, 0.3}, at deadlines 0.9, 1.05 and 3 t_min: every rate and
+    energy solver's schedule (the oracles' at K <= 12), each perturbed by
+    `perturbed_schedules`."""
+    for k in (1, 3, 5, 10, 12, 30):
+        for d in (0.0, 0.1, 0.3):
+            base = generate_instance(GenerationSpec(n_users=k, degradation=d), 1000 * k + int(10 * d))
+            t_min = feasibility_tmin(base)
+            for factor in (0.9, 1.05, 3.0):
+                inst = with_deadline(base, factor * t_min)
+                rate = [solve_rate_max(inst)[0], benchmark_greedy(inst), benchmark_all_offloading(inst)]
+                energy = [solve_energy_suboptimal(inst), benchmark_energy_all_offloading(inst)]
+                if k <= 12:
+                    rate.append(brute_force_rate_max(inst))
+                    energy.append(brute_force_energy(inst))
+                for validate, schedules in ((validate_rate_schedule, rate),
+                                            (validate_energy_schedule, energy)):
+                    for schedule in schedules:
+                        for p in perturbed_schedules(schedule, k):
+                            yield validate, inst, p
+
+
+class TestValidationBytes:
+    """Every report and refusal of `validation_corpus`, byte for byte.  The
+    digests were recorded with the per-user validators, which formed each
+    bound one Python float at a time; the array validators must give every
+    residual, verdict and message as they did."""
+
+    REPORTS = "1ac4f55ae821a13633fc7dd4189a1a126752bf0e275174fef7974c6383e9df19"
+    REFUSALS = "70df53972176d8491966036911d21b70d68a333815a2d36ea2e9805a0c087491"
+
+    def test_reports_and_refusals_digest(self):
+        reports, refusals = hashlib.sha256(), hashlib.sha256()
+        counts = [0, 0]
+        for validate, inst, schedule in validation_corpus():
+            try:
+                report = validate(inst, schedule)
+            except (KeyError, ValueError) as exc:
+                refusals.update(f"{type(exc).__name__}: {exc}\n".encode())
+                counts[1] += 1
+                continue
+            reports.update(f"{report.render()}\n{report.to_records()!r}\n".encode())
+            counts[0] += 1
+        assert counts == [3617, 943]
+        assert (reports.hexdigest(), refusals.hexdigest()) == (self.REPORTS, self.REFUSALS)
+
+
+class TestResidualTypes:
+    # the digests above would show a numpy scalar's repr; this covers a
+    # Python caller's ints, which the per-user validators kept as ints
+    def test_int_bits_give_float_residuals(self):
+        inst = make_instance([unit_roundtrip_user(0), unit_roundtrip_user(1)], deadline=4.0)
+        rate = validate_rate_schedule(inst, RateSchedule(frozenset({0}), {0: 1, 1: 0}, 1, 0))
+        energy = validate_energy_schedule(inst, model.EnergySchedule(
+            frozenset({0}), {0: 1, 1: 0}, 1, 0, inst.local_energy, "lp-path"))
+        for report in (rate, energy):
+            assert {type(c.residual) for c in report.checks} == {float}
+            assert {type(c.ok) for c in report.checks} == {bool}
+        residuals = {c.name: c.residual for c in rate.checks}
+        assert residuals["offload_nonneg[0]"] == -1.0
+        assert residuals["unscheduled_zero[1]"] == 0.0
+        assert residuals["compute_time_nonneg"] == -1.0
 
 
 class TestGeneration:

@@ -47,3 +47,22 @@ def test_lp_layer_replays_one_round(tmp_path):
     assert re.fullmatch(r"solve_lps best of 1: [\d.]+ ms", out[2]), out
     form = re.fullmatch(r"standard form best of 1: [\d.]+ ms over (\d+) stacks", out[3])
     assert form and int(form.group(1)) == stacks, out
+
+
+def test_latency_times_every_size(tmp_path):
+    # one call of each timed function at K = 10 to 10^4: about 1 s on 2 CPUs
+    out = run_tool(tmp_path, "latency.py", "--repeat", "1")
+    sizes = "10 / 100 / 1000 / 10000"
+    assert out[0].startswith(f"one warm call, ms at K = {sizes} (d = 0.05, ")
+    assert out[0].endswith(", best of 1)")
+    number = r"[\d.e+-]+"
+    times = rf"{number} / {number} / {number} / {number}"
+    names = ["generate_instance", "solve_rate_max", "solve_energy_suboptimal", "benchmark_greedy",
+             "feasibility_tmin"]
+    assert [line.split(":")[0] for line in out[1:6]] == names
+    assert all(re.fullmatch(rf"\w+: {times}", line) for line in out[1:6]), out
+    assert out[6] == f"validation of those solves, ms at K = {sizes}, then its time over the solve's"
+    for line, (name, solve) in zip(out[7:], [("validate_energy_schedule", "solve_energy_suboptimal"),
+                                             ("validate_rate_schedule", "solve_rate_max")]):
+        assert re.fullmatch(rf"{name}: {times}; x {solve}: {times}", line), out
+    assert len(out) == 9
